@@ -17,7 +17,7 @@
 //! neighbouring tenant's crash must not distort the latency tail of everyone else).
 //!
 //! Results are spliced into `BENCH_overheads.json` as the `"mixed_tenant"` section (kept
-//! before `"chaos"`, `"policies"` and `"soak"` by `overheads_json::splice_mixed_tenant`).
+//! before `"chaos"`, `"policies"` and `"soak"` by `overheads_json::splice_mixed_tenants`).
 
 use std::time::{Duration, Instant};
 
@@ -444,7 +444,7 @@ fn main() {
     let path = "BENCH_overheads.json";
     let existing = std::fs::read_to_string(path).ok();
     let merged =
-        weakdep_bench::overheads_json::splice_mixed_tenant(existing.as_deref(), &section);
+        weakdep_bench::overheads_json::splice_mixed_tenants(existing.as_deref(), &section);
     std::fs::write(path, merged).expect("failed to write BENCH_overheads.json");
     eprintln!("updated {path} (mixed_tenant section)");
 

@@ -14,10 +14,7 @@
 //!   be served as an exact hit — the round-trip guard for the demotion rule;
 //! * `nested-unbatched` / `nested-batched` — several spawner tasks running on different workers,
 //!   each spawning children into its *own* dependency domain (the access pattern per-domain
-//!   locking parallelises);
-//! * `*-global-lock` — the same workloads with `RuntimeConfig::serialized_engine(true)`: every
-//!   engine operation (spawn *and* retire) behind one global mutex, recreating the seed's single
-//!   `Mutex<State>` design as the baseline.
+//!   locking parallelises).
 //!
 //! Every sample also records the matching-tier counters (`exact_hits` / `promotions` /
 //! `fragmented_updates` / `demotions`) so the JSON shows which tier served each scenario, and
@@ -33,7 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use weakdep_bench::{emit, CommonArgs};
-use weakdep_core::{Runtime, RuntimeConfig, SharedSlice, TaskSpec};
+use weakdep_core::{Runtime, SharedSlice, TaskSpec};
 
 /// With `--features count-allocs`, every heap allocation is counted and the table/JSON gain an
 /// allocs-per-task column (the denominator of the allocation-slimming work on the spawn path).
@@ -84,10 +81,6 @@ impl Sample {
     }
 }
 
-fn runtime(workers: usize, global_lock: bool) -> Runtime {
-    Runtime::new(RuntimeConfig::new().workers(workers).serialized_engine(global_lock))
-}
-
 /// Current global allocation count. Zero (and unmoving) unless the counting allocator is
 /// installed via `--features count-allocs`. Scenarios snapshot it *after* constructing the
 /// runtime so the per-task figure measures the spawn/run path, not the fixed pool start-up
@@ -99,8 +92,8 @@ fn allocs_now() -> u64 {
 
 /// Root context spawns `tasks` empty-bodied tasks with disjoint `inout` dependencies, one
 /// `spawn` call per task. Returns (spawn-loop seconds, total seconds, tier counters).
-fn flat_unbatched(workers: usize, tasks: usize, global_lock: bool) -> (f64, f64, Tiers, u64) {
-    let rt = runtime(workers, global_lock);
+fn flat_unbatched(workers: usize, tasks: usize) -> (f64, f64, Tiers, u64) {
+    let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u8>::new(tasks);
     let allocs0 = allocs_now();
     let total_start = Instant::now();
@@ -119,7 +112,7 @@ fn flat_unbatched(workers: usize, tasks: usize, global_lock: bool) -> (f64, f64,
 /// per-task lock acquisition, record hand-off and worker wake-up, with no dependency
 /// registration mixed in).
 fn nodeps_unbatched(workers: usize, tasks: usize) -> (f64, f64, Tiers, u64) {
-    let rt = runtime(workers, false);
+    let rt = Runtime::with_workers(workers);
     let allocs0 = allocs_now();
     let total_start = Instant::now();
     let spawn_secs = rt.run(move |ctx| {
@@ -134,7 +127,7 @@ fn nodeps_unbatched(workers: usize, tasks: usize) -> (f64, f64, Tiers, u64) {
 
 /// The same dependency-free workload through `spawn_batch`.
 fn nodeps_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, u64) {
-    let rt = runtime(workers, false);
+    let rt = Runtime::with_workers(workers);
     let allocs0 = allocs_now();
     let total_start = Instant::now();
     let spawn_secs = rt.run(move |ctx| {
@@ -157,7 +150,7 @@ fn nodeps_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers
 /// exact-match fast tier (every update runs on the interval tier) and the scenario that keeps
 /// the two-tier store honest about its slow path. Batched waves, like `flat_batched`.
 fn fragmented_deps(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, u64) {
-    let rt = runtime(workers, false);
+    let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u8>::new(2 * tasks + 2);
     let allocs0 = allocs_now();
     let total_start = Instant::now();
@@ -190,7 +183,7 @@ fn fragmented_deps(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tier
 /// hit. Exercises the promote → coalesce → demote → exact-hit cycle (and the fragmented-state
 /// arena recycling behind it) end to end.
 fn fragmented_demote(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, u64) {
-    let rt = runtime(workers, false);
+    let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u8>::new(tasks + 8);
     let allocs0 = allocs_now();
     let total_start = Instant::now();
@@ -219,7 +212,7 @@ fn fragmented_demote(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Ti
 
 /// The same workload registered through `spawn_batch`, in waves of `wave` tasks.
 fn flat_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, u64) {
-    let rt = runtime(workers, false);
+    let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u8>::new(tasks);
     let allocs0 = allocs_now();
     let total_start = Instant::now();
@@ -241,17 +234,15 @@ fn flat_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, 
 }
 
 /// `spawners` tasks run concurrently on the pool; each spawns `children` tasks into its own
-/// dependency domain. `batched` selects the registration path; `global_lock` runs the whole
-/// engine behind the seed-emulation mutex. Returns the average spawner-loop seconds (the
-/// concurrent registration throughput) and the total wall time.
+/// dependency domain. `batched` selects the registration path. Returns the average
+/// spawner-loop seconds (the concurrent registration throughput) and the total wall time.
 fn nested(
     workers: usize,
     spawners: usize,
     children: usize,
     batched: bool,
-    global_lock: bool,
 ) -> (f64, f64, Tiers, u64) {
-    let rt = runtime(workers, global_lock);
+    let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u8>::new(spawners * children);
     let spawn_ns = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let allocs0 = allocs_now();
@@ -344,18 +335,16 @@ fn main() {
                 tiers: m.3,
             });
         };
-        push("spawn-unbatched", tasks, measure(args.repeat, || flat_unbatched(workers, tasks, false)));
+        push("spawn-unbatched", tasks, measure(args.repeat, || flat_unbatched(workers, tasks)));
         push("spawn-batched", tasks, measure(args.repeat, || flat_batched(workers, tasks, wave)));
-        push("spawn-global-lock", tasks, measure(args.repeat, || flat_unbatched(workers, tasks, true)));
         push("nodeps-unbatched", tasks, measure(args.repeat, || nodeps_unbatched(workers, tasks)));
         push("nodeps-batched", tasks, measure(args.repeat, || nodeps_batched(workers, tasks, wave)));
         push("fragmented-deps", tasks, measure(args.repeat, || fragmented_deps(workers, tasks, wave)));
         push("fragmented-demote", tasks, measure(args.repeat, || fragmented_demote(workers, tasks, wave)));
 
         let nested_tasks = spawners * children;
-        push("nested-unbatched", nested_tasks, measure(args.repeat, || nested(workers, spawners, children, false, false)));
-        push("nested-batched", nested_tasks, measure(args.repeat, || nested(workers, spawners, children, true, false)));
-        push("nested-global-lock", nested_tasks, measure(args.repeat, || nested(workers, spawners, children, false, true)));
+        push("nested-unbatched", nested_tasks, measure(args.repeat, || nested(workers, spawners, children, false)));
+        push("nested-batched", nested_tasks, measure(args.repeat, || nested(workers, spawners, children, true)));
     }
 
     let headers = [
@@ -393,10 +382,8 @@ fn main() {
         .collect();
     emit(args.csv, &headers, &rows);
 
-    // Headline ratios at the highest measured worker count. The flat comparison uses the
-    // registration-loop rate (what batching targets); the nested comparison uses end-to-end
-    // throughput (what the lock sharding targets — per-spawner loop times are not comparable
-    // across locking schemes when cores are oversubscribed).
+    // Headline ratios at the highest measured worker count, on the registration-loop rate
+    // (what batching targets).
     let top = *worker_counts.last().unwrap_or(&1);
     let sample = |scenario: &str| {
         samples.iter().find(|s| s.scenario == scenario && s.workers == top)
@@ -411,18 +398,6 @@ fn main() {
         eprintln!(
             "batched / unbatched spawn throughput (no deps) at {top} workers: {:.2}x",
             batched.spawn_rate() / unbatched.spawn_rate()
-        );
-    }
-    if let (Some(global), Some(sharded)) = (sample("spawn-global-lock"), sample("spawn-unbatched")) {
-        eprintln!(
-            "per-domain / global-lock end-to-end throughput (flat) at {top} workers: {:.2}x",
-            sharded.total_rate() / global.total_rate()
-        );
-    }
-    if let (Some(global), Some(sharded)) = (sample("nested-global-lock"), sample("nested-unbatched")) {
-        eprintln!(
-            "per-domain / global-lock end-to-end throughput (nested) at {top} workers: {:.2}x",
-            sharded.total_rate() / global.total_rate()
         );
     }
 
@@ -445,7 +420,7 @@ fn main() {
         .and_then(weakdep_bench::overheads_json::extract_policies);
     let mixed_tenant_section = existing
         .as_deref()
-        .and_then(weakdep_bench::overheads_json::extract_mixed_tenant);
+        .and_then(weakdep_bench::overheads_json::extract_mixed_tenants);
     let chaos_section = existing
         .as_deref()
         .and_then(weakdep_bench::overheads_json::extract_chaos);
@@ -501,7 +476,7 @@ fn main() {
     // splice lands after the previously re-attached ones.
     let json = match mixed_tenant_section {
         Some(section) => {
-            weakdep_bench::overheads_json::splice_mixed_tenant(Some(&json), &section)
+            weakdep_bench::overheads_json::splice_mixed_tenants(Some(&json), &section)
         }
         None => json,
     };

@@ -292,7 +292,7 @@ pub mod overheads_json {
     pub fn splice_tasks_vs_assist(existing: Option<&str>, tasks_vs_assist: &str) -> String {
         let (head, mixed_tenant, chaos, policies, soak) = match existing {
             Some(text) => {
-                let mixed_tenant = extract_mixed_tenant(text);
+                let mixed_tenant = extract_mixed_tenants(text);
                 let chaos = extract_chaos(text);
                 let policies = extract_policies(text);
                 let soak = extract_soak(text);
@@ -403,7 +403,7 @@ pub mod overheads_json {
 
     /// Extracts the single-line `"mixed_tenant"` section (written by the `mixed_tenant`
     /// binary), if present, so the `overheads` binary can carry it across regenerations.
-    pub fn extract_mixed_tenant(text: &str) -> Option<String> {
+    pub fn extract_mixed_tenants(text: &str) -> Option<String> {
         let start = text.find(MIXED_TENANT_MARKER)?;
         let end = text[start..].find('\n').map(|e| start + e).unwrap_or(text.len());
         Some(text[start..end].trim_end().trim_end_matches(',').to_string())
@@ -413,7 +413,7 @@ pub mod overheads_json {
     /// the ordering invariant (`mixed_tenant` before `chaos` before `policies` before `soak`,
     /// soak last). `mixed_tenant` must be a complete single-line `  "mixed_tenant": {...}`
     /// entry without a trailing comma or newline.
-    pub fn splice_mixed_tenant(existing: Option<&str>, mixed_tenant: &str) -> String {
+    pub fn splice_mixed_tenants(existing: Option<&str>, mixed_tenant: &str) -> String {
         let (head, chaos, policies, soak) = match existing {
             Some(text) => {
                 let chaos = extract_chaos(text);
@@ -605,7 +605,7 @@ pub mod overheads_json {
             // With every other movable section present, tasks_vs_assist lands first.
             let full = splice_soak(
                 Some(&splice_policies(
-                    Some(&splice_chaos(Some(&splice_mixed_tenant(Some(base), MIXED)), CHAOS)),
+                    Some(&splice_chaos(Some(&splice_mixed_tenants(Some(base), MIXED)), CHAOS)),
                     POLICIES,
                 )),
                 SOAK,
@@ -625,7 +625,7 @@ pub mod overheads_json {
                 extract_tasks_vs_assist(&replaced).as_deref(),
                 Some("  \"tasks_vs_assist\": {\"rows\": 4}")
             );
-            let remixed = splice_mixed_tenant(Some(&replaced), "  \"mixed_tenant\": {\"jobs\": 9}");
+            let remixed = splice_mixed_tenants(Some(&replaced), "  \"mixed_tenant\": {\"jobs\": 9}");
             assert!(remixed.contains("\"rows\": 4") && remixed.contains("\"jobs\": 9"));
             let resoaked = splice_soak(Some(&remixed), "  \"soak\": {\"tasks\": 9}\n");
             assert!(resoaked.contains("\"rows\": 4") && resoaked.contains("\"tasks\": 9"));
@@ -643,28 +643,28 @@ pub mod overheads_json {
             const POLICIES: &str = "  \"policies\": {\"rows\": 1}";
             let base = "{\n  \"samples\": [\n    {}\n  ]\n}\n";
             // Insert into a samples-only file.
-            let spliced = splice_mixed_tenant(Some(base), MIXED);
+            let spliced = splice_mixed_tenants(Some(base), MIXED);
             assert!(spliced.contains("\"samples\""));
             assert!(spliced.ends_with("  \"mixed_tenant\": {\"jobs\": 8}\n}\n"));
             // Insert with policies and soak present: mixed_tenant lands before both.
             let with_policies = splice_policies(Some(base), POLICIES);
             let with_soak = splice_soak(Some(&with_policies), SOAK);
-            let spliced = splice_mixed_tenant(Some(&with_soak), MIXED);
+            let spliced = splice_mixed_tenants(Some(&with_soak), MIXED);
             assert!(spliced.ends_with(
                 "  \"mixed_tenant\": {\"jobs\": 8},\n  \"policies\": {\"rows\": 1},\n  \"soak\": {\"tasks\": 7}\n}\n"
             ));
             // Replace an existing mixed_tenant section; everything else survives.
-            let replaced = splice_mixed_tenant(Some(&spliced), "  \"mixed_tenant\": {\"jobs\": 9}");
+            let replaced = splice_mixed_tenants(Some(&spliced), "  \"mixed_tenant\": {\"jobs\": 9}");
             assert!(replaced.contains("\"jobs\": 9") && !replaced.contains("\"jobs\": 8"));
             assert!(replaced.contains("\"rows\": 1") && replaced.trim_end().ends_with("  \"soak\": {\"tasks\": 7}\n}"));
             // Round-trips through extract; later policies/soak splices keep it.
-            assert_eq!(extract_mixed_tenant(&replaced).as_deref(), Some("  \"mixed_tenant\": {\"jobs\": 9}"));
+            assert_eq!(extract_mixed_tenants(&replaced).as_deref(), Some("  \"mixed_tenant\": {\"jobs\": 9}"));
             let repoliced = splice_policies(Some(&replaced), "  \"policies\": {\"rows\": 2}");
             assert!(repoliced.contains("\"jobs\": 9") && repoliced.contains("\"rows\": 2"));
             let resoaked = splice_soak(Some(&repoliced), "  \"soak\": {\"tasks\": 9}\n");
             assert!(resoaked.contains("\"jobs\": 9") && resoaked.contains("\"tasks\": 9"));
             // Missing file behaves.
-            assert_eq!(splice_mixed_tenant(None, MIXED), format!("{{\n{MIXED}\n}}\n"));
+            assert_eq!(splice_mixed_tenants(None, MIXED), format!("{{\n{MIXED}\n}}\n"));
         }
 
         #[test]
@@ -680,7 +680,7 @@ pub mod overheads_json {
             // With every other movable section present, chaos lands after mixed_tenant and
             // before policies and soak.
             let full = splice_soak(
-                Some(&splice_policies(Some(&splice_mixed_tenant(Some(base), MIXED)), POLICIES)),
+                Some(&splice_policies(Some(&splice_mixed_tenants(Some(base), MIXED)), POLICIES)),
                 SOAK,
             );
             let spliced = splice_chaos(Some(&full), CHAOS);
@@ -694,7 +694,7 @@ pub mod overheads_json {
             assert!(replaced.trim_end().ends_with("  \"soak\": {\"tasks\": 7}\n}"));
             // Round-trips through extract; the other writers carry it.
             assert_eq!(extract_chaos(&replaced).as_deref(), Some("  \"chaos\": {\"seed\": 2}"));
-            let remixed = splice_mixed_tenant(Some(&replaced), "  \"mixed_tenant\": {\"jobs\": 9}");
+            let remixed = splice_mixed_tenants(Some(&replaced), "  \"mixed_tenant\": {\"jobs\": 9}");
             assert!(remixed.contains("\"seed\": 2") && remixed.contains("\"jobs\": 9"));
             let repoliced = splice_policies(Some(&remixed), "  \"policies\": {\"rows\": 2}");
             assert!(repoliced.contains("\"seed\": 2") && repoliced.contains("\"rows\": 2"));

@@ -73,7 +73,6 @@ pub struct RuntimeConfig {
     workers: usize,
     observers: Vec<Arc<dyn RuntimeObserver>>,
     scheduling: SchedulingPolicy,
-    serialized_engine: bool,
     live_task_budget: Option<usize>,
     stall_tick: Option<Duration>,
     stall_strikes: usize,
@@ -92,7 +91,6 @@ impl Default for RuntimeConfig {
             workers,
             observers: Vec::new(),
             scheduling: SchedulingPolicy::default(),
-            serialized_engine: false,
             live_task_budget: None,
             stall_tick: None,
             stall_strikes: 3,
@@ -170,15 +168,6 @@ impl RuntimeConfig {
     #[cfg(feature = "faults")]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Routes every dependency-engine operation (registration, body retirement, `release`)
-    /// through one global mutex, recreating the pre-sharding `Mutex<State>` serialisation. This
-    /// is an **ablation** for benchmarking the per-domain locking scheme against the old global
-    /// lock; leave it disabled for real workloads.
-    pub fn serialized_engine(mut self, enabled: bool) -> Self {
-        self.serialized_engine = enabled;
         self
     }
 
@@ -399,9 +388,6 @@ impl PhaseTimers {
 struct Inner {
     pool: ThreadPool<Arc<TaskRecord>>,
     engine: DependencyEngine,
-    /// `Some` only under the [`RuntimeConfig::serialized_engine`] ablation: one global lock
-    /// taken around every engine operation, emulating the pre-sharding design.
-    engine_serializer: Option<Mutex<()>>,
     pending: PendingSlab,
     /// Service-wide recruitment state (parked-helper count + dispatch epoch) shared by every
     /// job's [`CompletionGate`], so a worker parked in one job's `taskwait` is recruitable by
@@ -460,9 +446,11 @@ impl Runtime {
         let observers = config.observers.clone();
         let inner = Arc::new_cyclic(|weak: &std::sync::Weak<Inner>| {
             let weak_for_pool = weak.clone();
-            let pool = ThreadPool::with_policy(
+            let pool = ThreadPool::with_tenants(
                 config.workers,
                 config.scheduling,
+                // The tenant of a task is its job: FairShare round-robins across live jobs.
+                |record: &Arc<TaskRecord>| record.job.id,
                 move |record: Arc<TaskRecord>, wctx| {
                     if let Some(inner) = weak_for_pool.upgrade() {
                         execute_task(&inner, record, wctx);
@@ -472,7 +460,6 @@ impl Runtime {
             Inner {
                 pool,
                 engine: DependencyEngine::new(),
-                engine_serializer: config.serialized_engine.then(|| Mutex::new(())),
                 pending: PendingSlab::new(),
                 recruitment: Arc::new(Recruitment::new()),
                 jobs: Mutex::new(HashMap::new()),
@@ -545,10 +532,8 @@ impl Runtime {
         }
         let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
 
-        let effects = {
-            let _serial = self.inner.engine_serializer.as_ref().map(Mutex::lock);
-            self.inner.engine.body_finished(job.root).expect("the root is live until here")
-        };
+        let effects =
+            self.inner.engine.body_finished(job.root).expect("the root is live until here");
         schedule_effects(&self.inner, effects, None, &job);
 
         // Wait until the root (and therefore every descendant) deeply completes; the job's
@@ -626,9 +611,8 @@ impl Runtime {
         });
         #[cfg(feature = "sentinel")]
         self.inner.sentinel.task_created(job.id, sentinel_key(job.root), None, "root", []);
-        // The root is ready by construction (no dependencies); hand it to the pool tagged with
-        // its tenant so FairShare can interleave it fairly with other jobs' work.
-        self.inner.pool.submit_tenant(job.id, root_record);
+        // The root is ready by construction (no dependencies).
+        self.inner.pool.submit(root_record);
         JobHandle { job, result }
     }
 
@@ -936,9 +920,10 @@ impl<'a> TaskCtx<'a> {
         let spawn_start = Instant::now();
         let normalized: Vec<Vec<NormalizedDep>> =
             specs.iter().map(|spec| normalize_deps(&spec.deps)).collect();
-        let registered = {
-            let _serial = self.inner.engine_serializer.as_ref().map(Mutex::lock);
-            self.inner.engine.register_batch(
+        let registered = self
+            .inner
+            .engine
+            .register_batch(
                 self.record.id,
                 normalized.iter().zip(&specs).map(|(norm, spec)| {
                     // Seeded §VIII-A wave-ordering mutation (test-only, see
@@ -952,8 +937,7 @@ impl<'a> TaskCtx<'a> {
                     (norm.as_slice(), spec.wait_mode)
                 }),
             )
-        }
-        .expect("the spawning task is live, so its id cannot be stale");
+            .expect("the spawning task is live, so its id cannot be stale");
 
         let mut ids = Vec::with_capacity(specs.len());
         let mut ready_records = Vec::new();
@@ -966,11 +950,9 @@ impl<'a> TaskCtx<'a> {
         }
         match self.worker {
             // Spawned-ready waves are not successor waves: the spawner is still running, so
-            // the policy's wave placement (deque, or injector under Fifo) applies to all.
-            Some(worker) => {
-                worker.dispatch_ready_tenant(self.record.job.id, ready_records, false)
-            }
-            None => self.inner.pool.submit_batch_tenant(self.record.job.id, ready_records),
+            // the policy's wave queue applies to all.
+            Some(worker) => worker.dispatch_ready(ready_records, false),
+            None => self.inner.pool.submit_batch(ready_records),
         }
         PhaseTimers::add(&self.inner.timers.spawn_ns, spawn_start);
         ids
@@ -1016,13 +998,11 @@ impl<'a> TaskCtx<'a> {
     /// Tasks made ready here are pushed onto the local deque (not the immediate-successor slot):
     /// the current task is still running, so other workers must be able to steal them.
     pub fn release(&self, region: Region) {
-        let effects = {
-            let _serial = self.inner.engine_serializer.as_ref().map(Mutex::lock);
-            self.inner
-                .engine
-                .release_region(self.record.id, region)
-                .expect("the releasing task is live, so its id cannot be stale")
-        };
+        let effects = self
+            .inner
+            .engine
+            .release_region(self.record.id, region)
+            .expect("the releasing task is live, so its id cannot be stale");
         // Shrink the task's live declared footprint *before* dispatching successors: a released
         // region is no longer ours, so a successor starting on it must not conflict with us,
         // and our own later accesses to it must trip `check_access`.
@@ -1431,19 +1411,16 @@ impl<'a> TaskBuilder<'a> {
         let spec = spec.body(body);
         let spawn_start = Instant::now();
         let normalized = normalize_deps(&spec.deps);
-        let (id, ready) = {
-            let _serial = ctx.inner.engine_serializer.as_ref().map(Mutex::lock);
-            ctx.inner
-                .engine
-                .register_task_normalized(ctx.record.id, &normalized, spec.wait_mode)
-                .expect("the spawning task is live, so its id cannot be stale")
-        };
+        let (id, ready) = ctx
+            .inner
+            .engine
+            .register_task_normalized(ctx.record.id, &normalized, spec.wait_mode)
+            .expect("the spawning task is live, so its id cannot be stale");
         let record = finish_spawn(ctx, spec, normalized, id, ready);
         if let Some(record) = record {
-            let tenant = ctx.record.job.id;
             match ctx.worker {
-                Some(worker) => worker.dispatch_spawned_tenant(tenant, record),
-                None => ctx.inner.pool.submit_tenant(tenant, record),
+                Some(worker) => worker.dispatch_spawned(record),
+                None => ctx.inner.pool.submit(record),
             }
         }
         PhaseTimers::add(&ctx.inner.timers.spawn_ns, spawn_start);
@@ -1601,13 +1578,10 @@ fn execute_task(inner: &Arc<Inner>, record: Arc<TaskRecord>, wctx: &WorkerContex
     // be flagged against its still-registered footprint.
     #[cfg(feature = "sentinel")]
     inner.sentinel.task_finished(sentinel_key(record.id));
-    let effects = {
-        let _serial = inner.engine_serializer.as_ref().map(Mutex::lock);
-        inner
-            .engine
-            .body_finished(record.id)
-            .expect("a task retires exactly once, so its id cannot be stale here")
-    };
+    let effects = inner
+        .engine
+        .body_finished(record.id)
+        .expect("a task retires exactly once, so its id cannot be stale here");
     schedule_effects(inner, effects, Some((wctx, true)), &job);
     PhaseTimers::add(&inner.timers.retire_ns, retire_start);
 }
@@ -1635,7 +1609,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// *above* the incoming wave, see [`WorkerContext::dispatch_ready`] — while under the Fifo
 /// baseline everything goes to the global injector. Effects produced mid-body (the `release`
 /// directive) never use the slot, so other workers can steal them while the current task keeps
-/// running. Effects produced outside a worker (root body) go to the global injector.
+/// running. Effects produced outside a worker (root body) go to the policy's shared queue.
 fn schedule_effects(
     inner: &Arc<Inner>,
     effects: Effects,
@@ -1644,18 +1618,14 @@ fn schedule_effects(
 ) {
     if !effects.ready.is_empty() {
         // Claim eagerly: the claims take pending-stripe locks, and the batch submission below
-        // holds the injector's queue lock — feeding it a lazy iterator would nest the former
-        // inside the latter.
+        // holds a queue lock (injector or tenant queues) — feeding it a lazy iterator would
+        // nest the former inside the latter.
         let records: Vec<Arc<TaskRecord>> =
             effects.ready.iter().filter_map(|id| inner.pending.claim(*id)).collect();
         match worker {
-            Some((wctx, use_successor_slot)) => {
-                wctx.dispatch_ready_tenant(job.id, records, use_successor_slot)
-            }
-            None => {
-                // One injector operation and one wake signal for the whole wave.
-                inner.pool.submit_batch_tenant(job.id, records);
-            }
+            Some((wctx, use_successor_slot)) => wctx.dispatch_ready(records, use_successor_slot),
+            // One queue operation and one wake signal for the whole wave.
+            None => inner.pool.submit_batch(records),
         }
         // Publish the dispatch to taskwait-ers committing to an untimed sleep: bumped
         // strictly after the pushes above so that reading the new epoch makes the pushed

@@ -11,8 +11,9 @@
 //! * a global [`crossbeam_deque::Injector`] for submissions from outside the pool;
 //! * an *immediate-successor slot* per worker: the highest-priority, single-entry slot a job can
 //!   be placed in from within the executor, bypassing all queues (the locality hint);
-//! * a pluggable [`SchedulingPolicy`] deciding successor-slot usage, ready-wave placement and
-//!   the steal-victim order (see `docs/scheduling.md` for the inventory);
+//! * a pluggable [`SchedulingPolicy`], resolved once at construction into a [`Placement`] row
+//!   (successor slot? / wave queue / injector take / steal order — the table in
+//!   `docs/scheduling.md`) that the single dispatch routine and the acquisition path read;
 //! * a mutex/condvar sleep protocol with an epoch counter so wake-ups are never lost, extended
 //!   with per-domain wake targeting for the hierarchical policy.
 //!
@@ -34,6 +35,7 @@ pub use watchdog::{Tick, Watchdog};
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -44,7 +46,7 @@ use crossbeam_deque::{Injector, Steal, Stealer, Worker as Deque};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use sleep::{SleepState, WakeTarget};
+use sleep::SleepState;
 
 /// The executor callback: invoked once per job on a worker thread.
 pub type Executor<T> = dyn Fn(T, &WorkerContext<'_, T>) + Send + Sync;
@@ -80,16 +82,14 @@ pub enum SchedulingPolicy {
         /// `i / domain_size`.
         domain_size: usize,
     },
-    /// Multi-tenant fairness: ready work submitted through the tenant-tagged entry points
-    /// ([`ThreadPool::submit_tenant`], [`WorkerContext::dispatch_ready_tenant`], ...) goes to a
-    /// per-tenant FIFO queue, and idle workers drain the queues round-robin — one job per
-    /// tenant per turn — so one heavy tenant cannot starve the others. The immediate-successor
-    /// slot **is** used (since ISSUE 10; it bypassed the queues before, burying hot successors
-    /// behind the rotation): the first successor a finishing job releases goes to the
-    /// releasing worker's slot, and a displaced slot occupant rejoins the *front* of its own
-    /// tenant's queue. Everything else is breadth-first *across tenants*: no per-worker wave
-    /// placement, and untagged submissions fall back to the global injector, which workers
-    /// only consult when every tenant queue is empty.
+    /// Multi-tenant fairness: every ready job goes to the FIFO queue of its tenant (the key
+    /// the pool's `tenant_of` function reads from the job, see [`ThreadPool::with_tenants`]),
+    /// and idle workers drain the queues round-robin — one job per tenant per turn — so one
+    /// heavy tenant cannot starve the others. The immediate-successor slot **is** used: the
+    /// first successor a finishing job releases goes to the releasing worker's slot, and a
+    /// displaced slot occupant rejoins the *front* of its own tenant's queue. Everything else
+    /// is breadth-first *across tenants*: no per-worker wave placement, and the global
+    /// injector is unused.
     FairShare,
 }
 
@@ -131,32 +131,35 @@ impl SchedulingPolicy {
         Self::all().into_iter().find(|p| p.name() == name)
     }
 
-    /// Whether the policy dispatches through the immediate-successor slot. Fair-share keeps
-    /// its breadth-first tenant queues but regained the §VIII-A slot in ISSUE 10 — the hot
-    /// successor no longer waits behind the round-robin rotation.
-    pub fn uses_successor_slot(&self) -> bool {
-        matches!(
-            self,
-            SchedulingPolicy::LocalitySlot
-                | SchedulingPolicy::HierarchicalSteal { .. }
-                | SchedulingPolicy::FairShare
-        )
+    /// Resolves the policy into its [`Placement`] row. This is **the** definition of the five
+    /// policies (mirrored by the inventory table in `docs/scheduling.md`): the pool stores the
+    /// row at construction and never looks at the variant again.
+    pub fn placement(&self) -> Placement {
+        use {InjectorTake::*, StealOrder::*, WaveQueue::*};
+        let (slot, wave, injector_take, steal) = match *self {
+            SchedulingPolicy::LocalitySlot => (true, Local, Batch, Flat),
+            SchedulingPolicy::HierarchicalSteal { domain_size } => {
+                (true, Local, Batch, Nearest { domain_size })
+            }
+            SchedulingPolicy::DepthFirst => (false, Local, Batch, Flat),
+            SchedulingPolicy::Fifo => (false, Injector, Single, None),
+            SchedulingPolicy::FairShare => (true, TenantQueues, Single, Flat),
+        };
+        Placement { slot, wave, injector_take, steal }
     }
 
-    /// Whether ready waves go to the producing worker's deque (`true`) or to the global
-    /// injector (`false`, the breadth-first baselines).
-    fn wave_goes_local(&self) -> bool {
-        !matches!(self, SchedulingPolicy::Fifo | SchedulingPolicy::FairShare)
+    /// Whether the policy dispatches through the immediate-successor slot.
+    pub fn uses_successor_slot(&self) -> bool {
+        self.placement().slot
     }
 
     /// Effective workers-per-domain for a pool of `workers` (1 domain for every
     /// non-hierarchical policy).
     pub fn domain_size(&self, workers: usize) -> usize {
-        match self {
-            SchedulingPolicy::HierarchicalSteal { domain_size } => {
-                (*domain_size).clamp(1, workers.max(1))
-            }
-            _ => workers.max(1),
+        let workers = workers.max(1);
+        match self.placement().steal {
+            StealOrder::Nearest { domain_size } => domain_size.clamp(1, workers),
+            StealOrder::None | StealOrder::Flat => workers,
         }
     }
 
@@ -169,6 +172,60 @@ impl SchedulingPolicy {
     pub fn domain_count(&self, workers: usize) -> usize {
         workers.max(1).div_ceil(self.domain_size(workers))
     }
+}
+
+/// One row of the policy table: the answers to the three §VIII-A scheduling questions (who
+/// gets the immediate-successor slot, where the rest of a ready wave goes, whom an idle worker
+/// robs) plus how the global injector is drained. Plain data, resolved once from the
+/// [`SchedulingPolicy`] by [`SchedulingPolicy::placement`]; dispatch, acquisition, stealing
+/// and assisting branch only on these fields.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Placement {
+    /// The first job of a wave released by a *finished* job takes the releasing worker's
+    /// immediate-successor slot.
+    pub slot: bool,
+    /// Where every other ready job is enqueued.
+    pub wave: WaveQueue,
+    /// How an idle worker takes from the global injector.
+    pub injector_take: InjectorTake,
+    /// The steal-victim order (also the order an idle worker picks a loop to assist in).
+    pub steal: StealOrder,
+}
+
+/// The queue a ready wave is enqueued on (see [`Placement::wave`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum WaveQueue {
+    /// The producing worker's LIFO deque; submissions from outside the pool, which have no
+    /// deque, enter through the global injector.
+    Local,
+    /// The global FIFO injector.
+    Injector,
+    /// The per-tenant FIFO queues, served round-robin; the injector is unused.
+    TenantQueues,
+}
+
+/// How an idle worker takes from the global injector (see [`Placement::injector_take`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum InjectorTake {
+    /// Batch-refill the worker's own deque and run the first job of the batch.
+    Batch,
+    /// One job per visit, in strict submission order.
+    Single,
+}
+
+/// The steal-victim order (see [`Placement::steal`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum StealOrder {
+    /// Never steal (the deques are empty by construction).
+    None,
+    /// Batch-steal from a random victim, then scan the rest.
+    Flat,
+    /// Single-job steals inside the thief's own locality domain first, then batch-steals
+    /// across domains.
+    Nearest {
+        /// Workers per locality domain, as configured (clamped to `1..=workers` at use).
+        domain_size: usize,
+    },
 }
 
 /// Statistics counters exposed by the pool (all monotonically increasing).
@@ -235,12 +292,6 @@ struct FairInner<T> {
     order: VecDeque<u64>,
 }
 
-impl<T> Default for FairInner<T> {
-    fn default() -> Self {
-        FairInner { queues: HashMap::new(), order: VecDeque::new() }
-    }
-}
-
 struct Shared<T: Send + 'static> {
     injector: Injector<T>,
     stealers: Vec<Stealer<T>>,
@@ -249,11 +300,15 @@ struct Shared<T: Send + 'static> {
     stats: PoolStats,
     workers: usize,
     policy: SchedulingPolicy,
-    /// Tenant queues for [`SchedulingPolicy::FairShare`]; untouched (and empty) under every
-    /// other policy. Guarded by one mutex: pushes and the round-robin pop both rotate `order`,
-    /// and fairness is inherently a global ordering decision. The lock is a **leaf**: nothing
-    /// is called while it is held — sleep-protocol notifies happen strictly after release (see
-    /// docs/locking.md).
+    /// `policy` resolved into its table row; the only thing dispatch and acquisition read.
+    placement: Placement,
+    /// Reads a job's tenant. Evaluated only when `placement.wave` is the tenant rotation.
+    tenant_of: fn(&T) -> u64,
+    /// Tenant queues for [`WaveQueue::TenantQueues`]; untouched (and empty) otherwise. Guarded
+    /// by one mutex: pushes and the round-robin pop both rotate `order`, and fairness is
+    /// inherently a global ordering decision. The lock is a **leaf**: only the queue rotation
+    /// and the `tenant_of` key read run under it — sleep-protocol notifies happen strictly
+    /// after release (see docs/locking.md).
     fair: Mutex<FairInner<T>>,
     /// In-progress data-parallel loops idle workers may assist (lock-free fast path + its own
     /// leaf lock, see `assist.rs` and docs/parallel_loops.md).
@@ -261,48 +316,56 @@ struct Shared<T: Send + 'static> {
 }
 
 impl<T: Send + 'static> Shared<T> {
-    /// Enqueues one job on `tenant`'s FIFO queue. The caller signals the sleep protocol
-    /// *after* this returns — never while the fair lock is held.
-    fn fair_push(&self, tenant: u64, job: T) {
-        let mut inner = self.fair.lock();
-        let FairInner { queues, order } = &mut *inner;
-        let queue = queues.entry(tenant).or_default();
-        if queue.is_empty() {
-            order.push_back(tenant);
-        }
-        queue.push_back(job);
-    }
-
-    /// Enqueues a wave of jobs on `tenant`'s FIFO queue, returning the count.
-    fn fair_push_batch(&self, tenant: u64, jobs: impl IntoIterator<Item = T>) -> usize {
-        let mut inner = self.fair.lock();
-        let FairInner { queues, order } = &mut *inner;
-        let queue = queues.entry(tenant).or_default();
-        let was_empty = queue.is_empty();
-        let before = queue.len();
-        queue.extend(jobs);
-        let pushed = queue.len() - before;
-        if was_empty && pushed > 0 {
-            order.push_back(tenant);
-        } else if was_empty {
-            // `entry().or_default()` may have created an empty queue; uphold the invariant.
-            queues.remove(&tenant);
+    /// Enqueues `jobs` on the placement's wave queue — `deque` is the calling worker's own
+    /// (`None` outside the pool, where [`WaveQueue::Local`] has no deque and the injector is
+    /// the entry point) — and returns how many were pushed. `hot` selects the end that is
+    /// served next (a job displaced from the successor slot); the LIFO deque's push end is
+    /// always its hot end, and the FIFO injector has none. The caller signals the sleep
+    /// protocol *after* this returns.
+    fn enqueue(
+        &self,
+        deque: Option<&Deque<T>>,
+        jobs: impl IntoIterator<Item = T>,
+        hot: bool,
+    ) -> usize {
+        let mut pushed = 0usize;
+        match (self.placement.wave, deque) {
+            (WaveQueue::TenantQueues, _) => {
+                let push = if hot { VecDeque::push_front } else { VecDeque::push_back };
+                let mut inner = self.fair.lock();
+                let FairInner { queues, order } = &mut *inner;
+                for job in jobs {
+                    let tenant = (self.tenant_of)(&job);
+                    let queue = queues.entry(tenant).or_default();
+                    if queue.is_empty() {
+                        order.push_back(tenant);
+                    }
+                    push(queue, job);
+                    pushed += 1;
+                }
+            }
+            (WaveQueue::Local, Some(deque)) => {
+                for job in jobs {
+                    deque.push(job);
+                    pushed += 1;
+                }
+            }
+            (WaveQueue::Local, None) | (WaveQueue::Injector, _) => {
+                self.injector.push_batch(jobs.into_iter().inspect(|_| pushed += 1));
+            }
         }
         pushed
     }
 
-    /// Front-enqueues a job displaced from the successor slot onto its own tenant's queue:
-    /// it must outrank that tenant's older queued work (the §VIII-A demotion order — the
-    /// displaced job sits directly below its displacer in priority), but it does not re-enter
-    /// the slot.
-    fn fair_push_front(&self, tenant: u64, job: T) {
-        let mut inner = self.fair.lock();
-        let FairInner { queues, order } = &mut *inner;
-        let queue = queues.entry(tenant).or_default();
-        if queue.is_empty() {
-            order.push_back(tenant);
+    /// The one wake call of a dispatch: `count` units of work became available, preferably
+    /// for a sleeper of `prefer` (the domain whose deque holds them). Only domain-preferring
+    /// wakes feed the `targeted_wakes` / `fallback_wakes` counters.
+    fn wake(&self, count: usize, prefer: Option<usize>) {
+        let (hit, fallback) = self.sleep.notify_many(count, prefer);
+        if prefer.is_some() && hit + fallback > 0 {
+            self.stats.targeted_wakes.fetch_add(hit, Ordering::Relaxed);
+            self.stats.fallback_wakes.fetch_add(fallback, Ordering::Relaxed);
         }
-        queue.push_front(job);
     }
 
     /// Round-robin pop: takes the front job of the next tenant in rotation and moves that
@@ -320,26 +383,12 @@ impl<T: Send + 'static> Shared<T> {
         }
         Some(job)
     }
-    /// Records the outcome of a domain-preferring wake into the stats counters.
-    fn count_wake(&self, target: WakeTarget) {
-        match target {
-            WakeTarget::Preferred => PoolStats::bump(&self.stats.targeted_wakes),
-            WakeTarget::Fallback => PoolStats::bump(&self.stats.fallback_wakes),
-            WakeTarget::NoSleeper => {}
-        }
-    }
-
-    fn count_wakes(&self, (hit, fallback): (usize, usize)) {
-        self.stats.targeted_wakes.fetch_add(hit, Ordering::Relaxed);
-        self.stats.fallback_wakes.fetch_add(fallback, Ordering::Relaxed);
-    }
 }
 
 /// A handle to the worker pool. Dropping the pool shuts it down and joins all worker threads;
 /// jobs still queued at that point are dropped without being executed.
 pub struct ThreadPool<T: Send + 'static> {
     shared: Arc<Shared<T>>,
-    executor: Arc<Executor<T>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -350,10 +399,6 @@ pub struct WorkerContext<'a, T: Send + 'static> {
     executor: &'a Executor<T>,
     deque: &'a Deque<T>,
     successor_slot: &'a Cell<Option<T>>,
-    /// Tenant tag of the current slot occupant (`None` = untagged), so a job displaced under
-    /// [`SchedulingPolicy::FairShare`] rejoins *its own* tenant's queue. Meaningful only
-    /// while the slot is occupied; always rewritten when the slot is filled.
-    successor_tenant: &'a Cell<Option<u64>>,
     rng: &'a RefCell<SmallRng>,
     index: usize,
     domain: usize,
@@ -371,8 +416,25 @@ impl<T: Send + 'static> ThreadPool<T> {
         Self::with_policy(workers, SchedulingPolicy::default(), executor)
     }
 
-    /// Creates a pool with `workers` worker threads and an explicit scheduling policy.
+    /// Creates a pool with `workers` worker threads and an explicit scheduling policy. Every
+    /// job belongs to tenant 0 (see [`ThreadPool::with_tenants`]).
     pub fn with_policy<F>(workers: usize, policy: SchedulingPolicy, executor: F) -> Self
+    where
+        F: Fn(T, &WorkerContext<'_, T>) + Send + Sync + 'static,
+    {
+        Self::with_tenants(workers, policy, |_| 0, executor)
+    }
+
+    /// [`ThreadPool::with_policy`] for a multi-tenant job type: the tenant is a property of
+    /// the job, read by `tenant_of` wherever the policy queues by tenant
+    /// ([`SchedulingPolicy::FairShare`]; never called under any other policy). It must be a
+    /// plain key read — it runs under the tenant queues' leaf lock.
+    pub fn with_tenants<F>(
+        workers: usize,
+        policy: SchedulingPolicy,
+        tenant_of: fn(&T) -> u64,
+        executor: F,
+    ) -> Self
     where
         F: Fn(T, &WorkerContext<'_, T>) + Send + Sync + 'static,
     {
@@ -387,7 +449,9 @@ impl<T: Send + 'static> ThreadPool<T> {
             stats: PoolStats::default(),
             workers,
             policy,
-            fair: Mutex::new(FairInner::default()),
+            placement: policy.placement(),
+            tenant_of,
+            fair: Mutex::new(FairInner { queues: HashMap::new(), order: VecDeque::new() }),
             assist: AssistRegistry::new(),
         });
         let executor: Arc<Executor<T>> = Arc::new(executor);
@@ -402,7 +466,7 @@ impl<T: Send + 'static> ThreadPool<T> {
                 .expect("failed to spawn worker thread");
             handles.push(handle);
         }
-        ThreadPool { shared, executor, handles }
+        ThreadPool { shared, handles }
     }
 
     /// Number of worker threads.
@@ -429,39 +493,25 @@ impl<T: Send + 'static> ThreadPool<T> {
         (injector, deques)
     }
 
-    /// Jobs queued in the fair-share tenant queues (0 under every other policy), for
+    /// Jobs queued in the tenant queues (0 unless the policy queues by tenant), for
     /// diagnostics alongside [`ThreadPool::queue_depths`].
     pub fn fair_queue_depth(&self) -> usize {
         let inner = self.shared.fair.lock();
         inner.queues.values().map(VecDeque::len).sum()
     }
 
-    /// Submits a job from outside the pool (goes to the global injector).
+    /// Submits a job from outside the pool: a wave of one through [`ThreadPool::submit_batch`].
     pub fn submit(&self, job: T) {
-        self.shared.injector.push(job);
-        self.shared.sleep.notify_one(None);
+        self.submit_batch(std::iter::once(job));
     }
 
     /// Submits many jobs at once, waking as many workers as needed. The whole wave enters the
-    /// injector in one operation, and the sleep protocol is signalled once.
+    /// policy's shared queue (the global injector, or the tenant queues under
+    /// [`SchedulingPolicy::FairShare`]) in one operation, and the sleep protocol is signalled
+    /// once.
     pub fn submit_batch(&self, jobs: impl IntoIterator<Item = T>) {
-        let mut count = 0usize;
-        self.shared.injector.push_batch(jobs.into_iter().inspect(|_| count += 1));
-        if count > 0 {
-            self.shared.sleep.notify_many(count, None);
-        }
-    }
-
-    /// Tenant-tagged [`ThreadPool::submit`]: under [`SchedulingPolicy::FairShare`] the job
-    /// joins `tenant`'s FIFO queue in the round-robin rotation; under every other policy the
-    /// tag is ignored and the job goes to the global injector.
-    pub fn submit_tenant(&self, tenant: u64, job: T) {
-        if self.shared.policy == SchedulingPolicy::FairShare {
-            self.shared.fair_push(tenant, job);
-            self.shared.sleep.notify_one(None);
-        } else {
-            self.submit(job);
-        }
+        let count = self.shared.enqueue(None, jobs, false);
+        self.shared.wake(count, None);
     }
 
     /// Publishes an in-progress data-parallel loop from *outside* the pool (the owner is not
@@ -470,7 +520,7 @@ impl<T: Send + 'static> ThreadPool<T> {
     /// then call [`ThreadPool::retire_loop`].
     pub fn publish_loop(&self, desc: Arc<LoopDescriptor>) {
         self.shared.assist.publish(desc);
-        self.shared.sleep.notify_many(self.shared.workers, None);
+        self.shared.wake(self.shared.workers, None);
     }
 
     /// Removes a quiescent loop from the assist registry (see [`ThreadPool::publish_loop`]).
@@ -481,18 +531,6 @@ impl<T: Send + 'static> ThreadPool<T> {
     /// Number of currently published loops (diagnostics).
     pub fn active_loops(&self) -> usize {
         self.shared.assist.active_loops()
-    }
-
-    /// Tenant-tagged [`ThreadPool::submit_batch`] (see [`ThreadPool::submit_tenant`]).
-    pub fn submit_batch_tenant(&self, tenant: u64, jobs: impl IntoIterator<Item = T>) {
-        if self.shared.policy == SchedulingPolicy::FairShare {
-            let count = self.shared.fair_push_batch(tenant, jobs);
-            if count > 0 {
-                self.shared.sleep.notify_many(count, None);
-            }
-        } else {
-            self.submit_batch(jobs);
-        }
     }
 
     /// Requests shutdown and joins all workers. Queued jobs that have not started are dropped
@@ -576,9 +614,8 @@ impl<T: Send + 'static> Drop for ThreadPool<T> {
                 Steal::Empty => break,
             }
         }
-        // Same for the fair-share tenant queues (empty under every other policy).
+        // Same for the tenant queues (empty unless the policy queues by tenant).
         while self.shared.fair_pop().is_some() {}
-        let _ = &self.executor;
     }
 }
 
@@ -588,198 +625,44 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         self.index
     }
 
-    /// Number of workers in the pool.
-    pub fn pool_size(&self) -> usize {
-        self.shared.workers
-    }
-
-    /// The pool's scheduling policy.
-    pub fn policy(&self) -> SchedulingPolicy {
-        self.shared.policy
-    }
-
     /// Locality domain of the current worker (always 0 for non-hierarchical policies).
     pub fn domain(&self) -> usize {
         self.domain
     }
 
-    /// Places one ready job according to the policy's *wave* rule: the local LIFO deque for
-    /// the locality policies, the global injector for [`SchedulingPolicy::Fifo`].
+    /// Places one ready job produced mid-body (a spawn-time-ready task):
+    /// [`WorkerContext::dispatch_ready`] with a wave of one and no successor hint.
     pub fn dispatch_spawned(&self, job: T) {
-        if self.shared.policy.wave_goes_local() {
-            self.push_local(job);
-        } else {
-            self.push_global(job);
-        }
+        self.dispatch_ready(std::iter::once(job), false);
     }
 
-    /// Tenant-tagged [`WorkerContext::dispatch_spawned`]: under
-    /// [`SchedulingPolicy::FairShare`] the job joins `tenant`'s FIFO queue; under every other
-    /// policy the tag is ignored.
-    pub fn dispatch_spawned_tenant(&self, tenant: u64, job: T) {
-        if self.shared.policy == SchedulingPolicy::FairShare {
-            self.shared.fair_push(tenant, job);
-            let target = self.shared.sleep.notify_one(None);
-            self.shared.count_wake(target);
-        } else {
-            self.dispatch_spawned(job);
-        }
-    }
-
-    /// Dispatches a wave of ready jobs according to the policy, in one shot.
+    /// The one dispatch routine, driven by the pool's [`Placement`] row: the successor (taken
+    /// iff the wave is hinted and the row has a slot) goes to this worker's slot, everything
+    /// else to the row's wave queue, then one wake call whose domain preference follows the
+    /// queue.
     ///
     /// `successor_hint` marks the wave as produced by a *finished* job (its first entry is the
     /// immediate successor of §VIII-A); waves produced mid-body (the `release` directive) pass
     /// `false`, so other workers can steal everything while the producer keeps running.
     ///
     /// Priority order established on this worker (highest first): the slot job, then a job it
-    /// displaced from the slot, then the rest of this wave (newest first), then older deque
-    /// content. The displaced job is re-pushed **after** the wave so the LIFO pop order keeps
-    /// it ahead of the colder wave jobs — pushing it first (as `schedule_next` + per-job
-    /// pushes used to) buried the previous hot successor *below* the incoming wave, inverting
-    /// the §VIII-A priority (see `displaced_successor_outranks_the_displacing_wave`).
-    pub fn dispatch_ready(&self, jobs: Vec<T>, successor_hint: bool) {
-        let policy = self.shared.policy;
-        if policy == SchedulingPolicy::FairShare {
-            // Untagged fair-share wave: the successor takes the slot, the rest go to the
-            // global injector (fair-share never uses per-worker deques for waves).
-            let mut jobs = jobs.into_iter();
-            let mut pushed = 0usize;
-            if successor_hint {
-                if let Some(first) = jobs.next() {
-                    if let Some((displaced, tenant)) = self.slot_put(first, None) {
-                        self.fair_requeue_displaced(displaced, tenant);
-                        pushed += 1;
-                    }
-                }
-            }
-            for job in jobs {
-                self.shared.injector.push(job);
-                pushed += 1;
-            }
-            if pushed > 0 {
-                self.shared.sleep.notify_many(pushed, None);
-            }
-            return;
-        }
-        if !(successor_hint && policy.uses_successor_slot()) {
-            if policy.wave_goes_local() {
-                let count = jobs.len();
-                for job in jobs {
-                    self.deque.push(job);
-                }
-                let woken = self.shared.sleep.notify_many(count, Some(self.domain));
-                self.shared.count_wakes(woken);
-            } else {
-                let count = jobs.len();
-                self.shared.injector.push_batch(jobs);
-                self.shared.sleep.notify_many(count, None);
-            }
-            return;
-        }
+    /// displaced from the slot, then the rest of this wave, then older queue content. The
+    /// displaced job is therefore enqueued **after** the wave, at the queue's hot end (deque
+    /// top / front of its own tenant's queue) — enqueueing it first would bury the previous
+    /// hot successor *below* the colder incoming wave, inverting the §VIII-A priority (see
+    /// `displaced_successor_outranks_the_displacing_wave`).
+    pub fn dispatch_ready(&self, jobs: impl IntoIterator<Item = T>, successor_hint: bool) {
+        let Placement { slot, wave, .. } = self.shared.placement;
         let mut jobs = jobs.into_iter();
-        let first = jobs.next();
-        let mut pushed = 0usize;
-        for job in jobs {
-            self.deque.push(job);
-            pushed += 1;
-        }
-        if let Some(first) = first {
-            if let Some((displaced, _)) = self.slot_put(first, None) {
-                self.deque.push(displaced);
-                pushed += 1;
+        let successor = if successor_hint && slot { jobs.next() } else { None };
+        let mut queued = self.shared.enqueue(Some(self.deque), jobs, false);
+        if let Some(successor) = successor {
+            if let Some(displaced) = self.successor_slot.replace(Some(successor)) {
+                PoolStats::bump(&self.shared.stats.successor_displacements);
+                queued += self.shared.enqueue(Some(self.deque), std::iter::once(displaced), true);
             }
         }
-        if pushed > 0 {
-            let woken = self.shared.sleep.notify_many(pushed, Some(self.domain));
-            self.shared.count_wakes(woken);
-        }
-    }
-
-    /// Tenant-tagged [`WorkerContext::dispatch_ready`]: under [`SchedulingPolicy::FairShare`]
-    /// the wave joins `tenant`'s FIFO queue — except the immediate successor, which takes the
-    /// releasing worker's slot when `successor_hint` is set (ISSUE 10: the queues used to
-    /// bypass the slot, burying the hot successor behind the round-robin rotation). A job the
-    /// successor displaces from the slot rejoins the *front* of its own tenant's queue, so it
-    /// runs ahead of that tenant's colder queued work — the same §VIII-A demotion order
-    /// [`WorkerContext::dispatch_ready`] pins for the deque policies. Under every other
-    /// policy the tag is ignored and the wave takes the policy's normal placement.
-    pub fn dispatch_ready_tenant(&self, tenant: u64, jobs: Vec<T>, successor_hint: bool) {
-        if self.shared.policy == SchedulingPolicy::FairShare {
-            let mut jobs = jobs.into_iter();
-            let mut count = 0usize;
-            if successor_hint {
-                if let Some(first) = jobs.next() {
-                    if let Some((displaced, displaced_tenant)) = self.slot_put(first, Some(tenant)) {
-                        self.fair_requeue_displaced(displaced, displaced_tenant);
-                        count += 1;
-                    }
-                }
-            }
-            count += self.shared.fair_push_batch(tenant, jobs);
-            if count > 0 {
-                self.shared.sleep.notify_many(count, None);
-            }
-        } else {
-            self.dispatch_ready(jobs, successor_hint);
-        }
-    }
-
-    /// Puts `job` (owned by `tenant`, `None` = untagged) in the successor slot; returns the
-    /// displaced occupant and *its* tenant tag, with the displacement counted.
-    fn slot_put(&self, job: T, tenant: Option<u64>) -> Option<(T, Option<u64>)> {
-        let previous_tenant = self.successor_tenant.replace(tenant);
-        let displaced = self.successor_slot.replace(Some(job))?;
-        PoolStats::bump(&self.shared.stats.successor_displacements);
-        Some((displaced, previous_tenant))
-    }
-
-    /// Re-queues a job displaced from the slot under fair-share: the front of its own
-    /// tenant's queue, or the global injector if it was untagged. The caller signals the
-    /// sleep protocol (the displaced job is part of the caller's wake count).
-    fn fair_requeue_displaced(&self, displaced: T, tenant: Option<u64>) {
-        match tenant {
-            Some(tenant) => self.shared.fair_push_front(tenant, displaced),
-            None => self.shared.injector.push(displaced),
-        }
-    }
-
-    /// Schedules `job` to run *next* on this worker (the locality hint used when a finishing
-    /// task releases a dependency and its successor should reuse the warm cache). Under a
-    /// policy without a successor slot this degrades to the policy's wave placement.
-    ///
-    /// If the slot is already occupied, the previously stored job is demoted through the
-    /// policy's wave placement; on the deque it lands on top, i.e. directly *below* the
-    /// incoming job in priority (the slot always outranks the deque). Callers dispatching a
-    /// whole wave must use [`WorkerContext::dispatch_ready`], which also orders the displaced
-    /// job against the rest of the wave.
-    pub fn schedule_next(&self, job: T) {
-        if !self.shared.policy.uses_successor_slot() {
-            self.dispatch_spawned(job);
-            return;
-        }
-        if let Some((previous, previous_tenant)) = self.slot_put(job, None) {
-            if self.shared.policy == SchedulingPolicy::FairShare {
-                self.fair_requeue_displaced(previous, previous_tenant);
-                let target = self.shared.sleep.notify_one(None);
-                self.shared.count_wake(target);
-            } else {
-                self.dispatch_spawned(previous);
-            }
-        }
-    }
-
-    /// Pushes `job` onto this worker's LIFO deque (recently produced work, likely cache warm).
-    pub fn push_local(&self, job: T) {
-        self.deque.push(job);
-        let target = self.shared.sleep.notify_one(Some(self.domain));
-        self.shared.count_wake(target);
-    }
-
-    /// Pushes `job` onto the global injector (oldest-first, any worker may pick it up).
-    pub fn push_global(&self, job: T) {
-        self.shared.injector.push(job);
-        self.shared.sleep.notify_one(None);
+        self.shared.wake(queued, (wave == WaveQueue::Local).then_some(self.domain));
     }
 
     /// Tries to find one queued job (including the successor slot, which only this worker can
@@ -788,7 +671,7 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
     /// Returns `true` if a job was executed. Used to keep workers productive while they wait for
     /// a condition (e.g. a `taskwait`), instead of blocking the OS thread.
     pub fn help_one(&self) -> bool {
-        if let Some(job) = self.find_work(true) {
+        if let Some(job) = self.find_work() {
             self.run(job);
             return true;
         }
@@ -802,8 +685,7 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
     /// quiescence and then call [`WorkerContext::retire_loop`].
     pub fn publish_loop(&self, desc: Arc<LoopDescriptor>) {
         self.shared.assist.publish(desc);
-        let woken = self.shared.sleep.notify_many(self.shared.workers, Some(self.domain));
-        self.shared.count_wakes(woken);
+        self.shared.wake(self.shared.workers, Some(self.domain));
     }
 
     /// Removes a quiescent loop from the assist registry (see
@@ -814,12 +696,12 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
 
     /// The idle path's **assist** step, ranked below every task source (successor slot →
     /// local deque → injector → steal) and above sleep: picks a published loop — same-domain
-    /// first under [`SchedulingPolicy::HierarchicalSteal`], round-robin over loops (and
+    /// first under [`StealOrder::Nearest`], round-robin over loops (and
     /// therefore tenants) otherwise — and runs chunks until the loop is drained or shutdown
     /// is requested. Returns whether at least one chunk was executed (the worker then rescans
     /// the task sources before assisting again, preserving the priority order).
     fn assist_once(&self) -> bool {
-        let prefer = matches!(self.shared.policy, SchedulingPolicy::HierarchicalSteal { .. })
+        let prefer = matches!(self.shared.placement.steal, StealOrder::Nearest { .. })
             .then_some(self.domain);
         let Some(desc) = self.shared.assist.select(prefer) else {
             return false;
@@ -852,41 +734,29 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         (self.executor)(job, self);
     }
 
-    /// Looks for work: successor slot (if `use_successor_slot`), local deque, injector, then
-    /// steal in the policy's victim order.
-    fn find_work(&self, use_successor_slot: bool) -> Option<T> {
-        if use_successor_slot {
-            if let Some(job) = self.successor_slot.take() {
-                PoolStats::bump(&self.shared.stats.from_successor_slot);
-                return Some(job);
-            }
+    /// Looks for work: successor slot, local deque, the shared queue (injector or tenant
+    /// rotation), then steal in the placement's victim order.
+    fn find_work(&self) -> Option<T> {
+        if let Some(job) = self.successor_slot.take() {
+            PoolStats::bump(&self.shared.stats.from_successor_slot);
+            return Some(job);
         }
         if let Some(job) = self.deque.pop() {
             PoolStats::bump(&self.shared.stats.from_local);
             return Some(job);
         }
-        // Fair-share: the tenant rotation outranks the untagged injector, and each visit takes
-        // exactly one job — that *is* the round-robin. Counted as an injector acquisition (it
-        // is the policy's global queue).
-        if self.shared.policy == SchedulingPolicy::FairShare {
-            if let Some(job) = self.shared.fair_pop() {
-                PoolStats::bump(&self.shared.stats.from_injector);
-                return Some(job);
-            }
-        }
+        let Placement { wave, injector_take, .. } = self.shared.placement;
         // Retry loop around the lock-free structures that can return `Steal::Retry`.
         loop {
             let mut retry = false;
-            // Fifo takes single jobs in strict submission order (breadth-first by
-            // construction), fair-share one at a time to keep the rotation authoritative;
-            // every other policy batch-refills its deque from the injector.
-            let taken = if matches!(
-                self.shared.policy,
-                SchedulingPolicy::Fifo | SchedulingPolicy::FairShare
-            ) {
-                self.shared.injector.steal()
-            } else {
-                self.shared.injector.steal_batch_and_pop(self.deque)
+            // The policy's shared queue. The tenant rotation hands out exactly one job per
+            // visit — that *is* the round-robin — and is counted as an injector acquisition.
+            let taken = match (wave, injector_take) {
+                (WaveQueue::TenantQueues, _) => {
+                    self.shared.fair_pop().map_or(Steal::Empty, Steal::Success)
+                }
+                (_, InjectorTake::Single) => self.shared.injector.steal(),
+                (_, InjectorTake::Batch) => self.shared.injector.steal_batch_and_pop(self.deque),
             };
             match taken {
                 Steal::Success(job) => {
@@ -906,63 +776,56 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         }
     }
 
-    /// One pass over the steal victims in the policy's order. Under Fifo all deques are empty
-    /// by construction, so the pass is skipped entirely.
+    /// One pass over the steal victims in the placement's order.
     fn try_steal(&self, retry: &mut bool) -> Option<T> {
         let victims = self.shared.stealers.len();
-        if victims <= 1 || self.shared.policy == SchedulingPolicy::Fifo {
+        if victims <= 1 {
             return None;
         }
-        if let SchedulingPolicy::HierarchicalSteal { .. } = self.shared.policy {
-            // Nearest first: single-job steals inside the domain (fine-grained, keeps the
-            // victim's backlog — and its locality — mostly intact) ...
-            let size = self.shared.policy.domain_size(victims);
-            let first = self.domain * size;
-            let len = size.min(victims - first);
-            let start = self.rng.borrow_mut().gen_range(0..len.max(1));
-            for offset in 0..len {
-                let victim = first + (start + offset) % len;
-                if victim == self.index {
-                    continue;
-                }
-                match self.shared.stealers[victim].steal() {
-                    Steal::Success(job) => {
-                        PoolStats::bump(&self.shared.stats.stolen);
-                        PoolStats::bump(&self.shared.stats.stolen_same_domain);
-                        return Some(job);
-                    }
-                    Steal::Retry => *retry = true,
-                    Steal::Empty => {}
-                }
+        let stats = &self.shared.stats;
+        let is_self = |victim| victim == self.index;
+        match self.shared.placement.steal {
+            StealOrder::None => None,
+            StealOrder::Flat => {
+                self.steal_pass(retry, 0..victims, true, is_self, &stats.stolen_same_domain)
             }
-            // ... then batch migration across domains (amortise the cross-domain traffic by
-            // moving a chunk of the victim's backlog over in one steal).
-            return self.batch_steal_pass(
-                retry,
-                |victim| self.shared.policy.domain_of(victim, victims) == self.domain,
-                &self.shared.stats.stolen_cross_domain,
-            );
+            StealOrder::Nearest { domain_size } => {
+                let size = domain_size.clamp(1, victims);
+                let own = self.domain * size..victims.min((self.domain + 1) * size);
+                // Nearest first: single-job steals inside the domain (fine-grained, keeps the
+                // victim's backlog — and its locality — mostly intact), then batch migration
+                // across domains (amortise the cross-domain traffic by moving a chunk of the
+                // victim's backlog over in one steal).
+                self.steal_pass(retry, own.clone(), false, is_self, &stats.stolen_same_domain)
+                    .or_else(|| {
+                        let in_own = |victim| own.contains(&victim);
+                        self.steal_pass(retry, 0..victims, true, in_own, &stats.stolen_cross_domain)
+                    })
+            }
         }
-        // Single-domain policies: batch-steal from a random victim, then scan the rest.
-        self.batch_steal_pass(retry, |victim| victim == self.index, &self.shared.stats.stolen_same_domain)
     }
 
-    /// One randomized batch-steal sweep over all victims, skipping those `skip` rejects;
-    /// `counter` is the same/cross-domain sub-counter the successful steal is attributed to.
-    fn batch_steal_pass(
+    /// One randomized sweep over `victims`, skipping those `skip` rejects: single-job steals,
+    /// or (`batch`) steals that also refill this worker's deque. `counter` is the
+    /// same/cross-domain sub-counter a successful steal is attributed to.
+    fn steal_pass(
         &self,
         retry: &mut bool,
+        victims: Range<usize>,
+        batch: bool,
         skip: impl Fn(usize) -> bool,
         counter: &AtomicUsize,
     ) -> Option<T> {
-        let victims = self.shared.stealers.len();
-        let start = self.rng.borrow_mut().gen_range(0..victims);
-        for offset in 0..victims {
-            let victim = (start + offset) % victims;
+        let start = self.rng.borrow_mut().gen_range(0..victims.len());
+        for offset in 0..victims.len() {
+            let victim = victims.start + (start + offset) % victims.len();
             if skip(victim) {
                 continue;
             }
-            match self.shared.stealers[victim].steal_batch_and_pop(self.deque) {
+            let stealer = &self.shared.stealers[victim];
+            let stolen =
+                if batch { stealer.steal_batch_and_pop(self.deque) } else { stealer.steal() };
+            match stolen {
                 Steal::Success(job) => {
                     PoolStats::bump(&self.shared.stats.stolen);
                     PoolStats::bump(counter);
@@ -983,14 +846,12 @@ fn worker_main<T: Send + 'static>(
     executor: Arc<Executor<T>>,
 ) {
     let successor_slot = Cell::new(None);
-    let successor_tenant = Cell::new(None);
     let rng = RefCell::new(SmallRng::seed_from_u64(0x9E3779B97F4A7C15 ^ index as u64));
     let ctx = WorkerContext {
         shared: &shared,
         executor: executor.as_ref(),
         deque: &deque,
         successor_slot: &successor_slot,
-        successor_tenant: &successor_tenant,
         rng: &rng,
         index,
         domain: shared.policy.domain_of(index, shared.workers),
@@ -1007,7 +868,7 @@ fn worker_main<T: Send + 'static>(
         // Publishing a loop bumps the same epoch, so the scan → assist → sleep sequence can
         // never sleep through a loop published while it ran.
         let epoch = shared.sleep.current_epoch();
-        if let Some(job) = ctx.find_work(true) {
+        if let Some(job) = ctx.find_work() {
             ctx.run(job);
             continue;
         }
@@ -1042,6 +903,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         pred()
+    }
+
+    /// Tenant key of the fair-share tests: the job's tens digit.
+    fn tens(job: &usize) -> u64 {
+        (*job / 10) as u64
     }
 
     #[test]
@@ -1098,8 +964,8 @@ mod tests {
         let pool: ThreadPool<u32> = ThreadPool::new(4, move |depth, ctx| {
             c.fetch_add(1, Ordering::SeqCst);
             if depth > 0 {
-                ctx.push_local(depth - 1);
-                ctx.push_global(depth - 1);
+                ctx.dispatch_spawned(depth - 1);
+                ctx.dispatch_ready(vec![depth - 1], false);
             }
         });
         pool.submit(10);
@@ -1111,15 +977,15 @@ mod tests {
     }
 
     #[test]
-    fn schedule_next_runs_on_same_worker() {
-        // The follow-up job scheduled via schedule_next must execute on the same worker index.
+    fn hinted_successor_runs_on_same_worker() {
+        // A hinted wave of one takes the slot, so it must execute on the same worker index.
         let ok = Arc::new(AtomicUsize::new(0));
         let done = Arc::new(AtomicUsize::new(0));
         let ok_c = Arc::clone(&ok);
         let done_c = Arc::clone(&done);
         let pool: ThreadPool<(u32, usize)> = ThreadPool::new(4, move |(step, origin), ctx| {
             if step == 0 {
-                ctx.schedule_next((1, ctx.index()));
+                ctx.dispatch_ready(vec![(1, ctx.index())], true);
             } else {
                 if ctx.index() == origin {
                     ok_c.fetch_add(1, Ordering::SeqCst);
@@ -1145,7 +1011,7 @@ mod tests {
         let pool: ThreadPool<u8> = ThreadPool::new(1, move |job, ctx| {
             match job {
                 0 => {
-                    ctx.push_local(1);
+                    ctx.dispatch_spawned(1);
                     while side_c.load(Ordering::SeqCst) == 0 {
                         assert!(ctx.help_one(), "the helper must find the queued job");
                     }
@@ -1162,7 +1028,7 @@ mod tests {
 
     #[test]
     fn stats_are_populated() {
-        let pool: ThreadPool<usize> = ThreadPool::new(2, |_job, _ctx| {});
+        let mut pool: ThreadPool<usize> = ThreadPool::new(2, |_job, _ctx| {});
         for i in 0..50 {
             pool.submit(i);
         }
@@ -1170,6 +1036,8 @@ mod tests {
             || pool.stats().executed_jobs() == 50,
             Duration::from_secs(5)
         ));
+        // The per-source counters are relaxed: read them only after the workers are joined.
+        pool.shutdown();
         let stats = pool.stats();
         assert_eq!(stats.executed.load(Ordering::Relaxed), 50);
         assert!(
@@ -1184,10 +1052,10 @@ mod tests {
     #[test]
     fn stats_accounting_identity_holds_for_every_policy() {
         for policy in SchedulingPolicy::all() {
-            let pool: ThreadPool<u32> = ThreadPool::with_policy(3, policy, |depth, ctx| {
+            let mut pool: ThreadPool<u32> = ThreadPool::with_policy(3, policy, |depth, ctx| {
                 if depth > 0 {
-                    ctx.schedule_next(depth - 1);
-                    ctx.push_local(depth - 1);
+                    ctx.dispatch_ready(vec![depth - 1], true);
+                    ctx.dispatch_spawned(depth - 1);
                 }
             });
             pool.submit_batch((0..32).map(|_| 4u32));
@@ -1198,6 +1066,8 @@ mod tests {
                 policy.name(),
                 pool.stats().executed_jobs()
             );
+            // Quiescence: `executed` and the per-source counters are separate relaxed atomics.
+            pool.shutdown();
             let s = pool.stats();
             let acquired = s.from_successor_slot.load(Ordering::Relaxed)
                 + s.from_local.load(Ordering::Relaxed)
@@ -1274,9 +1144,7 @@ mod tests {
             e.fetch_add(1, Ordering::SeqCst);
             if incoming.id == 0 {
                 // Occupy the slot and the deque while the worker is pinned inside this job.
-                ctx.schedule_next(Job { id: 1, dropped: Arc::clone(&d) });
-                ctx.push_local(Job { id: 2, dropped: Arc::clone(&d) });
-                ctx.push_local(Job { id: 3, dropped: Arc::clone(&d) });
+                ctx.dispatch_ready((1..=3).map(|id| Job { id, dropped: Arc::clone(&d) }), true);
                 r.store(true, Ordering::SeqCst);
                 while !p.load(Ordering::SeqCst) {
                     std::thread::sleep(Duration::from_millis(1));
@@ -1331,7 +1199,7 @@ mod tests {
         let created: ThreadPool<Job> = ThreadPool::new(1, move |incoming: Job, ctx| {
             if incoming.shutdown_here {
                 // Strand one job in the deque, then drop the pool from this worker thread.
-                ctx.push_local(Job { shutdown_here: false, dropped: Arc::clone(&d) });
+                ctx.dispatch_spawned(Job { shutdown_here: false, dropped: Arc::clone(&d) });
                 let taken = pool_ref.lock().take();
                 drop(taken);
             }
@@ -1360,7 +1228,7 @@ mod tests {
                 o.lock().push(job);
                 if job == 0 {
                     // Even "locality" requests degrade to the injector under Fifo.
-                    ctx.schedule_next(100);
+                    ctx.dispatch_ready(vec![100], true);
                     ctx.dispatch_spawned(101);
                 }
             });
@@ -1386,7 +1254,7 @@ mod tests {
         let proceed = Arc::new(AtomicBool::new(false));
         let (o, r, p) = (Arc::clone(&order), Arc::clone(&ready), Arc::clone(&proceed));
         let pool: ThreadPool<usize> =
-            ThreadPool::with_policy(1, SchedulingPolicy::FairShare, move |job, _ctx| {
+            ThreadPool::with_tenants(1, SchedulingPolicy::FairShare, tens, move |job, _ctx| {
                 if job == 0 {
                     // Pin the single worker so the tenant queues fill while it is busy.
                     r.store(true, Ordering::SeqCst);
@@ -1400,9 +1268,9 @@ mod tests {
         pool.submit(0);
         assert!(wait_for(|| ready.load(Ordering::SeqCst), Duration::from_secs(5)));
         // Heavy tenant 1 queues three jobs before light tenant 2 queues two.
-        pool.submit_batch_tenant(1, [10, 11, 12]);
-        pool.submit_tenant(2, 20);
-        pool.submit_tenant(2, 21);
+        pool.submit_batch([10, 11, 12]);
+        pool.submit(20);
+        pool.submit(21);
         proceed.store(true, Ordering::SeqCst);
         assert!(wait_for(|| order.lock().len() == 5, Duration::from_secs(5)));
         assert_eq!(*order.lock(), vec![10, 20, 11, 21, 12]);
@@ -1412,13 +1280,13 @@ mod tests {
         assert_eq!(
             stats.from_injector.load(Ordering::Relaxed),
             6,
-            "job 0 from the injector plus five round-robin pops"
+            "six round-robin pops (job 0 included), counted as injector acquisitions"
         );
     }
 
     /// Regression test for the ISSUE 10 fair-share follow-up: the per-tenant queues used to
     /// bypass the successor slot, so a hot successor was buried behind the round-robin
-    /// rotation. `dispatch_ready_tenant` now routes the successor through the slot, and a
+    /// rotation. The successor now goes through the slot like under every slot policy, and a
     /// displaced slot occupant rejoins the *front* of its own tenant's queue — below its
     /// displacer, above that tenant's colder queued work, without jumping another tenant's
     /// turn.
@@ -1429,7 +1297,7 @@ mod tests {
         let proceed = Arc::new(AtomicBool::new(false));
         let (o, r, p) = (Arc::clone(&order), Arc::clone(&ready), Arc::clone(&proceed));
         let pool: ThreadPool<usize> =
-            ThreadPool::with_policy(1, SchedulingPolicy::FairShare, move |job, ctx| {
+            ThreadPool::with_tenants(1, SchedulingPolicy::FairShare, tens, move |job, ctx| {
                 o.lock().push(job);
                 if job == 0 {
                     // Pin the single worker so tenant 9's jobs queue up behind this body.
@@ -1437,18 +1305,18 @@ mod tests {
                     while !p.load(Ordering::SeqCst) {
                         std::thread::sleep(Duration::from_millis(1));
                     }
-                    // First wave of tenant 1: 1 takes the slot, 2 and 3 join the queue.
-                    ctx.dispatch_ready_tenant(1, vec![1, 2, 3], true);
+                    // First wave of tenant 0: 1 takes the slot, 2 and 3 join the queue.
+                    ctx.dispatch_ready(vec![1, 2, 3], true);
                     // Second wave displaces 1 from the slot: it must come back at the front
-                    // of tenant 1's queue — after the displacer 4 and tenant 9's turn, but
-                    // before tenant 1's colder jobs 2, 3 and the new wave 5, 6.
-                    ctx.dispatch_ready_tenant(1, vec![4, 5, 6], true);
+                    // of tenant 0's queue — after the displacer 4 and tenant 9's turn, but
+                    // before tenant 0's colder jobs 2, 3 and the new wave 5, 6.
+                    ctx.dispatch_ready(vec![4, 5, 6], true);
                 }
             });
         pool.submit(0);
         assert!(wait_for(|| ready.load(Ordering::SeqCst), Duration::from_secs(5)));
-        pool.submit_tenant(9, 90);
-        pool.submit_tenant(9, 91);
+        pool.submit(90);
+        pool.submit(91);
         proceed.store(true, Ordering::SeqCst);
         assert!(wait_for(|| order.lock().len() == 9, Duration::from_secs(5)));
         assert_eq!(*order.lock(), vec![0, 4, 90, 1, 91, 2, 3, 5, 6]);
@@ -1457,14 +1325,45 @@ mod tests {
         assert_eq!(stats.successor_displacements.load(Ordering::Relaxed), 1);
     }
 
+    /// The tenant is read from each job, so one wave may span tenants: it lands on one queue
+    /// per tenant and is drained round-robin, from outside the pool and from a worker alike.
+    #[test]
+    fn fair_share_splits_a_mixed_tenant_wave() {
+        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let ready = Arc::new(AtomicBool::new(false));
+        let proceed = Arc::new(AtomicBool::new(false));
+        let (o, r, p) = (Arc::clone(&order), Arc::clone(&ready), Arc::clone(&proceed));
+        let pool: ThreadPool<usize> =
+            ThreadPool::with_tenants(1, SchedulingPolicy::FairShare, tens, move |job, ctx| {
+                if job == 0 {
+                    r.store(true, Ordering::SeqCst);
+                    while !p.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    // Tenants 3 and 4 join the rotation behind 1 and 2.
+                    ctx.dispatch_ready(vec![30, 40, 31], false);
+                    return;
+                }
+                o.lock().push(job);
+            });
+        pool.submit(0);
+        assert!(wait_for(|| ready.load(Ordering::SeqCst), Duration::from_secs(5)));
+        pool.submit_batch([10, 11, 12, 20, 21]);
+        assert_eq!(pool.fair_queue_depth(), 5);
+        proceed.store(true, Ordering::SeqCst);
+        assert!(wait_for(|| order.lock().len() == 8, Duration::from_secs(5)));
+        assert_eq!(*order.lock(), vec![10, 20, 30, 40, 11, 21, 31, 12]);
+    }
+
     /// An idle worker assists a published loop: the pool-level round trip of
     /// publish → recruit → claim-by-atomic-cursor → retire, with the assist counters
     /// satisfying their identity (`assisted_loops <= assist_steals <= assist_chunks`).
     #[test]
     fn idle_workers_assist_published_loops() {
         let covered = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&covered);
-        let pool: ThreadPool<u8> = ThreadPool::new(2, move |_job, ctx| {
+        let retired = Arc::new(AtomicBool::new(false));
+        let (c, r) = (Arc::clone(&covered), Arc::clone(&retired));
+        let mut pool: ThreadPool<u8> = ThreadPool::new(2, move |_job, ctx| {
             let sum = Arc::clone(&c);
             let desc = Arc::new(LoopDescriptor::new(
                 0..256,
@@ -1491,9 +1390,16 @@ mod tests {
             desc.wait_quiescent();
             ctx.retire_loop(&desc);
             assert!(desc.assist_chunk_count() > 0, "the idle worker must have assisted");
+            r.store(true, Ordering::SeqCst);
         });
         pool.submit(0);
-        assert!(wait_for(|| covered.load(Ordering::SeqCst) == 256, Duration::from_secs(10)));
+        // Wait for the owner's flag, set *after* `retire_loop` — the last chunk bumps `covered`
+        // before the owner retires the loop — then join the workers: the assistant folds its
+        // counters into the pool stats after its last chunk, and only the join orders that
+        // fold before the reads below.
+        assert!(wait_for(|| retired.load(Ordering::SeqCst), Duration::from_secs(10)));
+        pool.shutdown();
+        assert_eq!(covered.load(Ordering::SeqCst), 256);
         assert_eq!(pool.active_loops(), 0, "retire removes the loop");
         let stats = pool.stats();
         let chunks = stats.assist_chunks.load(Ordering::Relaxed);
@@ -1502,20 +1408,6 @@ mod tests {
         assert!(chunks > 0, "assist chunks were executed");
         assert!(loops <= steals && steals <= chunks, "assist counter identity");
         assert_eq!(loops, 1);
-    }
-
-    /// Under a non-fair-share policy the tenant-tagged entry points are transparent aliases
-    /// of the untagged ones.
-    #[test]
-    fn tenant_api_degrades_to_untagged_under_other_policies() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        let pool: ThreadPool<usize> = ThreadPool::new(2, move |_job, _ctx| {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        pool.submit_tenant(7, 1);
-        pool.submit_batch_tenant(8, [2, 3, 4]);
-        assert!(wait_for(|| counter.load(Ordering::SeqCst) == 4, Duration::from_secs(5)));
     }
 
     /// DepthFirst follows chains through the deque (LIFO) without ever using the slot.
@@ -1555,7 +1447,7 @@ mod tests {
             if fanout > 0 {
                 // Pile work on the producing worker's deque so the others must steal.
                 for _ in 0..8 {
-                    ctx.push_local(fanout - 1);
+                    ctx.dispatch_spawned(fanout - 1);
                 }
             }
             std::thread::sleep(Duration::from_micros(50));
@@ -1569,6 +1461,30 @@ mod tests {
             s.stolen_same_domain.load(Ordering::Relaxed)
                 + s.stolen_cross_domain.load(Ordering::Relaxed)
         );
+    }
+
+    /// The inventory table in `docs/scheduling.md` is the definition of the five policies:
+    /// every resolved [`Placement`] row must read exactly as its documented row.
+    #[test]
+    fn placement_rows_match_the_documented_table() {
+        let doc = include_str!("../../../docs/scheduling.md");
+        for policy in SchedulingPolicy::all() {
+            let name = policy.name();
+            let row = doc
+                .lines()
+                .find(|line| line.starts_with(&format!("| `{name}`")))
+                .unwrap_or_else(|| panic!("docs/scheduling.md has no row for {name}"));
+            let cells: Vec<&str> = row.split('|').map(|c| c.trim().trim_matches('`')).collect();
+            let Placement { slot, wave, injector_take, steal } = policy.placement();
+            let resolved = [
+                if slot { "yes" } else { "no" }.to_string(),
+                format!("{wave:?}"),
+                format!("{injector_take:?}"),
+                format!("{steal:?}"),
+            ];
+            assert_eq!(cells[2..6], resolved, "{name}");
+            assert_eq!(policy.uses_successor_slot(), slot, "{name}");
+        }
     }
 
     #[test]

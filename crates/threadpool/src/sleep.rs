@@ -28,18 +28,6 @@ use loom_lite::sync::atomic::{AtomicUsize, Ordering};
 #[cfg(feature = "loom-model")]
 use loom_lite::sync::{Condvar, Mutex};
 
-/// Where a wake-up with a domain preference actually landed (feeds the pool's
-/// `targeted_wakes` / `fallback_wakes` counters).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum WakeTarget {
-    /// A sleeper of the preferred domain was woken.
-    Preferred,
-    /// No sleeper in the preferred domain; a sleeper of another domain was woken instead.
-    Fallback,
-    /// Nobody was asleep (the epoch bump alone prevents a racing sleeper from blocking).
-    NoSleeper,
-}
-
 /// Sleep state of one locality domain: its condvar plus the number of workers currently
 /// blocked on it. The counter is mutated only while the epoch mutex is held; it is an atomic
 /// solely so `SleepState` stays `Sync` without wrapping the whole vector in the mutex.
@@ -71,42 +59,12 @@ impl SleepState {
         *self.epoch.lock()
     }
 
-    /// Picks the domain to wake: the preferred one if it has a sleeper, otherwise the first
-    /// domain (scanning from the preferred one, for fairness) that has one. Must run under the
-    /// epoch mutex.
-    fn pick(&self, preferred: Option<usize>) -> (Option<usize>, bool) {
-        let n = self.domains.len();
-        let start = preferred.unwrap_or(0).min(n - 1);
-        for offset in 0..n {
-            let d = (start + offset) % n;
-            if self.domains[d].sleepers.load(Ordering::Relaxed) > 0 {
-                return (Some(d), preferred == Some(d));
-            }
-        }
-        (None, false)
-    }
-
-    /// Signals that one unit of work became available, preferring to wake a sleeper of
-    /// `preferred` (the domain whose queues hold the work).
-    pub fn notify_one(&self, preferred: Option<usize>) -> WakeTarget {
-        let mut epoch = self.epoch.lock();
-        *epoch += 1;
-        match self.pick(preferred) {
-            (Some(d), hit) => {
-                self.domains[d].condvar.notify_one();
-                if preferred.is_none() || hit {
-                    WakeTarget::Preferred
-                } else {
-                    WakeTarget::Fallback
-                }
-            }
-            (None, _) => WakeTarget::NoSleeper,
-        }
-    }
-
     /// Signals that `count` units of work became available, waking up to `count` workers —
-    /// sleepers of `preferred` first, then the remaining domains. Returns how many wakes
-    /// landed in the preferred domain and how many fell back to another one.
+    /// sleepers of `preferred` (the domain whose queues hold the work) first, then the
+    /// remaining domains: work is never stranded to preserve locality. Returns how many wakes
+    /// landed in the preferred domain (all of them, without a preference) and how many fell
+    /// back to another one; `(0, 0)` when nobody was asleep (the epoch bump alone prevents a
+    /// racing sleeper from blocking).
     pub fn notify_many(&self, count: usize, preferred: Option<usize>) -> (usize, usize) {
         if count == 0 {
             return (0, 0);
@@ -180,7 +138,7 @@ mod tests {
     fn sleep_returns_when_epoch_already_advanced() {
         let s = SleepState::new(1);
         let epoch = s.current_epoch();
-        s.notify_one(None);
+        s.notify_many(1, None);
         // Must not block.
         s.sleep(0, epoch, || false);
     }
@@ -202,7 +160,7 @@ mod tests {
         });
         // Give the thread a moment to actually sleep, then wake it.
         std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(s.notify_one(None), WakeTarget::Preferred);
+        assert_eq!(s.notify_many(1, None), (1, 0));
         handle.join().unwrap();
     }
 
@@ -234,21 +192,16 @@ mod tests {
             s2.sleep(1, epoch, || false);
         });
         std::thread::sleep(Duration::from_millis(50));
-        // The only sleeper lives in domain 1: preferring 1 is a targeted wake, preferring 0
-        // falls back to it (work must never be stranded for locality's sake).
-        {
-            let _guard = s.epoch.lock();
-            assert_eq!(s.pick(Some(1)), (Some(1), true));
-            assert_eq!(s.pick(Some(0)), (Some(1), false));
-        }
-        assert_eq!(s.notify_one(Some(0)), WakeTarget::Fallback);
+        // The only sleeper lives in domain 1: preferring 0 falls back to it (work must never
+        // be stranded for locality's sake).
+        assert_eq!(s.notify_many(1, Some(0)), (0, 1));
         handle.join().unwrap();
     }
 
     #[test]
     fn no_sleeper_reports_no_sleeper() {
         let s = SleepState::new(3);
-        assert_eq!(s.notify_one(Some(2)), WakeTarget::NoSleeper);
+        assert_eq!(s.notify_many(1, Some(2)), (0, 0));
         assert_eq!(s.notify_many(4, None), (0, 0));
     }
 }

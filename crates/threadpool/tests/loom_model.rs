@@ -14,7 +14,7 @@
 use loom_lite::sync::atomic::{AtomicBool, Ordering};
 use loom_lite::{thread, Checker};
 use std::sync::Arc;
-use weakdep_threadpool::sleep::{SleepState, WakeTarget};
+use weakdep_threadpool::sleep::SleepState;
 
 /// The worker side of the protocol, as `ThreadPool` runs it: read the epoch, scan for work,
 /// and only sleep when the scan found nothing and the epoch still matches.
@@ -38,7 +38,7 @@ fn wake_is_never_lost_single_domain() {
         let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
         let worker = thread::spawn(move || worker_loop(&s2, 0, &w2));
         work.store(true, Ordering::SeqCst);
-        sleep.notify_one(None);
+        sleep.notify_many(1, None);
         worker.join().unwrap();
     });
     report.assert_ok();
@@ -77,10 +77,10 @@ fn domain_fallback_never_strands_work() {
         let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
         let worker = thread::spawn(move || worker_loop(&s2, 1, &w2));
         work.store(true, Ordering::SeqCst);
-        let target = sleep.notify_one(Some(0));
+        let (hit, _fallback) = sleep.notify_many(1, Some(0));
         // Whatever the interleaving, the wake must not claim a preferred-domain hit: the only
         // possible sleeper is in domain 1.
-        assert_ne!(target, WakeTarget::Preferred);
+        assert_eq!(hit, 0);
         worker.join().unwrap();
     });
     report.assert_ok();

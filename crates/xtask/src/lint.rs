@@ -108,12 +108,8 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
             ".wait_once(",
             ".submit(",
             ".submit_batch(",
-            ".submit_tenant(",
-            ".submit_batch_tenant(",
             ".dispatch_ready(",
-            ".dispatch_ready_tenant(",
             ".dispatch_spawned(",
-            ".dispatch_spawned_tenant(",
             ".admit(",
         ],
         forbid_nested_same_class: true,

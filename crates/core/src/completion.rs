@@ -1,226 +1,20 @@
-//! The completion gate: the waiter-gated mutex/condvar protocol behind [`Runtime::run`]'s
-//! root-completion wait and [`TaskCtx::taskwait`]'s work-recruiting sleep.
+//! The completion gate: what a thread that is **not** a pool worker blocks on — the root wait
+//! of [`Runtime::run`] and `JobHandle::wait*`, `cancel()`'s wait for in-flight bodies, and a
+//! [`TaskCtx::taskwait`] called from the inline root body. One gate per job.
 //!
-//! Extracted into its own type so the protocol is *model-checkable*: under the `loom-model`
-//! feature the primitives below are loom-lite shims and `tests/loom_completion.rs` explores
-//! every bounded interleaving of exactly this code. The protocol (from PR 3, hardened in PR 5):
+//! The gate is the pool's generic waiter-gated predicate gate
+//! ([`weakdep_threadpool::sleep::Gate`], the same type the admission gate blocks on): waiters
+//! register before re-checking their predicate under its mutex, notifiers notify under that
+//! mutex only when a waiter is registered. Under the `loom-model` feature its primitives are
+//! loom-lite shims, and `tests/loom_completion.rs` / `tests/loom_cancel.rs` explore every
+//! bounded interleaving of exactly that code against this crate's predicates.
 //!
-//! * The mutex guards nothing but the wait — the completion predicate lives in the engine,
-//!   which has its own locks. Waiters register in an atomic counter (SeqCst) *before*
-//!   re-checking their predicate under the mutex; notifiers check the counter and, when it is
-//!   non-zero, notify **while holding the mutex** — so a notify can neither miss a registered
-//!   waiter nor slip between a waiter's predicate check and its wait.
-//! * Worker `taskwait`ers additionally register as *helpers* and are woken when new ready work
-//!   is dispatched (work recruitment). Recruitment is not part of their completion predicate,
-//!   so dispatches also bump a `recruit_epoch` (strictly after the queue pushes): a worker
-//!   re-reads it under the mutex before committing to an untimed sleep, which makes the
-//!   pre-sleep queue scan sound — either the scan saw the pushed work, or the epoch changed.
+//! A *worker* in `taskwait` does not use the gate: it stays in the pool's idle loop
+//! (`WorkerContext::work_until`) with "my children drained" as exit predicate, so it keeps
+//! executing tasks, assists published loops, and sleeps — recruitable by any job's dispatch —
+//! in the pool's one sleeper population (`docs/locking.md`, "Wake-up discipline").
 //!
 //! [`Runtime::run`]: crate::Runtime::run
 //! [`TaskCtx::taskwait`]: crate::TaskCtx::taskwait
 
-// Sync shim: the real primitives by default, loom-lite's model-checked ones under `loom-model`.
-#[cfg(not(feature = "loom-model"))]
-use parking_lot::{Condvar, Mutex};
-#[cfg(not(feature = "loom-model"))]
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-
-#[cfg(feature = "loom-model")]
-use loom_lite::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-#[cfg(feature = "loom-model")]
-use loom_lite::sync::{Condvar, Mutex};
-
-use std::sync::Arc;
-
-/// Recruitment state shared by every [`CompletionGate`] of one runtime service: the dispatch
-/// epoch and the pool-wide helper count.
-///
-/// With one gate per *job*, the gates cannot each own these: a worker parked as a helper in job
-/// A's `taskwait` must be recruitable by ready work dispatched from job B (the queues are
-/// shared), so both the epoch a sleeper re-checks and the helper count a dispatcher consults
-/// have to span all gates. A single-gate runtime gets a private `Recruitment` via
-/// [`CompletionGate::new`] and behaves exactly as before.
-pub struct Recruitment {
-    /// Workers currently blocked in some gate's `wait_once` as helpers — the only sleepers
-    /// worth waking (and the only gates worth visiting) on ready-work dispatch.
-    helpers: AtomicUsize,
-    /// Bumped once per dispatch of ready work, strictly after the queue pushes. See
-    /// [`CompletionGate::wait_once`] for the soundness argument.
-    epoch: AtomicUsize,
-}
-
-impl Default for Recruitment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Recruitment {
-    /// Creates idle recruitment state (no helpers, epoch 0).
-    pub fn new() -> Self {
-        Recruitment { helpers: AtomicUsize::new(0), epoch: AtomicUsize::new(0) }
-    }
-
-    /// Number of workers currently parked as helpers across every gate sharing this state.
-    /// A dispatcher that reads 0 here can skip the cross-gate recruitment broadcast entirely.
-    pub fn helpers(&self) -> usize {
-        self.helpers.load(SeqCst)
-    }
-
-    /// The recruitment epoch (see [`CompletionGate::recruit_epoch`]).
-    pub fn epoch(&self) -> usize {
-        self.epoch.load(SeqCst)
-    }
-
-    /// Publishes a dispatch of ready work. Must be called strictly *after* the queue pushes it
-    /// describes.
-    pub fn publish_dispatch(&self) {
-        self.epoch.fetch_add(1, SeqCst);
-    }
-}
-
-/// Completion/recruitment wake-up gate. See the module docs for the protocol.
-pub struct CompletionGate {
-    /// Guards nothing but the waits (predicates live in the engine); exists because a condvar
-    /// needs a mutex, and because notifying under it closes the check-then-wait race.
-    mutex: Mutex<()>,
-    condvar: Condvar,
-    /// Threads registered to wait (or about to wait). Notifiers check it first, so the common
-    /// no-waiter retire path costs one load instead of a mutex acquisition.
-    waiters: AtomicUsize,
-    /// Subset of `waiters` that are workers blocked in `taskwait` — the only waiters that can
-    /// steal ready tasks, hence the only ones worth waking on ready-work dispatch. This is the
-    /// gate-local count (gates notify only their own sleepers); the pool-wide count lives in
-    /// [`Recruitment`].
-    helpers: AtomicUsize,
-    /// Shared (or private, under [`CompletionGate::new`]) recruitment state.
-    recruitment: Arc<Recruitment>,
-}
-
-impl Default for CompletionGate {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CompletionGate {
-    /// Creates an idle gate (no waiters, epoch 0) with private recruitment state — the
-    /// single-job configuration, and what the loom models check in isolation.
-    pub fn new() -> Self {
-        Self::with_recruitment(Arc::new(Recruitment::new()))
-    }
-
-    /// Creates a gate plugged into shared recruitment state (one [`Recruitment`] per service,
-    /// one gate per job).
-    pub fn with_recruitment(recruitment: Arc<Recruitment>) -> Self {
-        CompletionGate {
-            mutex: Mutex::new(()),
-            condvar: Condvar::new(),
-            waiters: AtomicUsize::new(0),
-            helpers: AtomicUsize::new(0),
-            recruitment,
-        }
-    }
-
-    /// Blocks until `done()` holds. The untimed `Runtime::run` wait: the waiter registers
-    /// before the first predicate check and stays registered across the whole sleep, so every
-    /// predicate flip is delivered.
-    pub fn wait_until(&self, mut done: impl FnMut() -> bool) {
-        self.waiters.fetch_add(1, SeqCst);
-        {
-            let mut guard = self.mutex.lock();
-            while !done() {
-                self.condvar.wait(&mut guard);
-            }
-        }
-        self.waiters.fetch_sub(1, SeqCst);
-    }
-
-    /// Blocks until `done()` holds or `deadline` passes, returning whether the predicate
-    /// held. Same registration protocol as [`Self::wait_until`] — the waiter is counted for
-    /// the whole sleep, so a predicate-flip notify cannot be lost; a timeout simply re-checks
-    /// the predicate one last time under the mutex before giving up.
-    ///
-    /// Not available under the `loom-model` feature (the shimmed condvar has no timed wait);
-    /// the timed wait is a convenience layered on the already-model-checked untimed protocol.
-    #[cfg(not(feature = "loom-model"))]
-    pub fn wait_until_timeout(
-        &self,
-        mut done: impl FnMut() -> bool,
-        deadline: std::time::Instant,
-    ) -> bool {
-        self.waiters.fetch_add(1, SeqCst);
-        let satisfied = {
-            let mut guard = self.mutex.lock();
-            loop {
-                if done() {
-                    break true;
-                }
-                if self.condvar.wait_until(&mut guard, deadline).timed_out() {
-                    break done();
-                }
-            }
-        };
-        self.waiters.fetch_sub(1, SeqCst);
-        satisfied
-    }
-
-    /// The recruitment epoch, to be read *before* a `taskwait`er's queue scan. A dispatch
-    /// bumps it after its pushes, so either the pre-sleep recheck in [`Self::wait_once`] sees
-    /// a newer epoch (and the caller rescans), or the epoch is unchanged — in which case
-    /// reading the bumped value here would have ordered the pushes before the scan, i.e. the
-    /// scan saw everything.
-    pub fn recruit_epoch(&self) -> usize {
-        self.recruitment.epoch()
-    }
-
-    /// The recruitment state this gate participates in. Dispatchers use it to decide whether a
-    /// cross-gate recruitment broadcast is worth anything (any helpers parked at all?).
-    pub fn recruitment(&self) -> &Arc<Recruitment> {
-        &self.recruitment
-    }
-
-    /// One sleep round of the `taskwait` loop: registers the caller (as a helper too when
-    /// `is_worker`), re-checks `should_sleep()` under the mutex — workers additionally require
-    /// the recruitment epoch to still equal `epoch` (the value read before their queue scan) —
-    /// and sleeps through at most one wake-up. The caller loops, re-checking its predicate.
-    pub fn wait_once(&self, is_worker: bool, epoch: usize, should_sleep: impl FnOnce() -> bool) {
-        self.waiters.fetch_add(1, SeqCst);
-        if is_worker {
-            self.helpers.fetch_add(1, SeqCst);
-            self.recruitment.helpers.fetch_add(1, SeqCst);
-        }
-        {
-            let mut guard = self.mutex.lock();
-            // Non-workers cannot steal, so the epoch is irrelevant to them — their wake
-            // condition is fully covered by the predicate-flip notify.
-            if should_sleep() && (!is_worker || self.recruitment.epoch.load(SeqCst) == epoch) {
-                self.condvar.wait(&mut guard);
-            }
-        }
-        self.waiters.fetch_sub(1, SeqCst);
-        if is_worker {
-            self.helpers.fetch_sub(1, SeqCst);
-            self.recruitment.helpers.fetch_sub(1, SeqCst);
-        }
-    }
-
-    /// Publishes a dispatch of ready work to `taskwait`ers committing to an untimed sleep.
-    /// Must be called strictly *after* the queue pushes it describes.
-    pub fn publish_dispatch(&self) {
-        self.recruitment.publish_dispatch();
-    }
-
-    /// Wakes sleeping waiters — but only when a waiter's condition can actually have changed:
-    /// a waiter predicate flipped and a waiter is registered, or ready work was dispatched and
-    /// a helper is asleep. The notify runs while holding the mutex; see the module docs for
-    /// why both halves are load-bearing.
-    pub fn notify(&self, predicate_flipped: bool, work_dispatched: bool) {
-        let wake = (predicate_flipped && self.waiters.load(SeqCst) > 0)
-            || (work_dispatched && self.helpers.load(SeqCst) > 0);
-        if wake {
-            let _guard = self.mutex.lock();
-            self.condvar.notify_all();
-        }
-    }
-}
+pub use weakdep_threadpool::sleep::Gate as CompletionGate;

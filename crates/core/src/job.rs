@@ -5,9 +5,8 @@
 //!
 //! * its root domain in the dependency engine (an independent tree — no edge ever crosses
 //!   jobs, which is what makes per-job completion and cancellation sound),
-//! * a [`CompletionGate`] for its root-completion and `taskwait` sleeps, plugged into the
-//!   service-wide [`Recruitment`] state so parked helpers from one job can be recruited by
-//!   ready work dispatched from another,
+//! * a [`CompletionGate`] for the waits of non-worker threads (root completion, cancel, a
+//!   `taskwait` in the inline root) — workers in `taskwait` stay in the pool's idle loop,
 //! * a stats slice (registered / deeply-completed / executed / skipped counters),
 //! * the abort flag + running-body count that implement `cancel()`, fail-fast panic
 //!   containment and deadline enforcement, and the job's first [`JobFailure`].
@@ -44,7 +43,6 @@
 //! rather than returned-bodies.
 //!
 //! [`Runtime::submit`]: crate::Runtime::submit
-//! [`Recruitment`]: crate::completion::Recruitment
 
 use crate::completion::CompletionGate;
 use crate::engine::TaskId;
@@ -180,7 +178,7 @@ pub(crate) struct JobState {
     pub(crate) id: u64,
     /// The job's root task in the engine.
     pub(crate) root: TaskId,
-    /// Per-job completion gate: root-completion waits, `taskwait` sleeps, cancel waits.
+    /// Per-job completion gate: root-completion, cancel and non-worker `taskwait` waits.
     pub(crate) gate: CompletionGate,
     /// The no-new-bodies flag: workers check it (`SeqCst`) right after bumping `running` and
     /// skip the task body when set. Set by `cancel()`, by the first panic under
@@ -229,7 +227,6 @@ impl JobState {
     pub(crate) fn new(
         id: u64,
         root: TaskId,
-        gate: CompletionGate,
         admission: Arc<AdmissionGate>,
         panic_policy: PanicPolicy,
         deadline: Option<Instant>,
@@ -238,7 +235,7 @@ impl JobState {
         JobState {
             id,
             root,
-            gate,
+            gate: CompletionGate::new(),
             abort: AtomicBool::new(false),
             explicit_cancel: AtomicBool::new(false),
             failed: AtomicBool::new(false),

@@ -59,7 +59,6 @@ use weakdep_threadpool::{
 
 use crate::data::SharedSlice;
 
-use crate::completion::{CompletionGate, Recruitment};
 #[cfg(feature = "faults")]
 use crate::faults::FaultPlan;
 use crate::job::{JobError, JobHandle, JobOptions, JobState, JobStats};
@@ -232,6 +231,9 @@ pub struct RuntimeStats {
     pub targeted_wakes: usize,
     /// Domain-preferring wake-ups that fell back to another domain's sleeper.
     pub fallback_wakes: usize,
+    /// Times a worker parked in the pool's sleep state — idle at the top of its loop or
+    /// inside a `taskwait` (one population, one counter).
+    pub sleeps: usize,
     /// Loop chunks executed by *assisting* workers (work-assisting data parallelism). Assist
     /// chunks are not pool jobs, so they stand beside — not inside — the `tasks_executed`
     /// identity; their own invariant is `assisted_loops <= assist_steals <= assist_chunks`.
@@ -389,11 +391,6 @@ struct Inner {
     pool: ThreadPool<Arc<TaskRecord>>,
     engine: DependencyEngine,
     pending: PendingSlab,
-    /// Service-wide recruitment state (parked-helper count + dispatch epoch) shared by every
-    /// job's [`CompletionGate`], so a worker parked in one job's `taskwait` is recruitable by
-    /// ready work dispatched from any other job. The gate/recruitment wake-up protocol lives
-    /// in [`crate::completion`] so the `loom-model` harness can model-check it in isolation.
-    recruitment: Arc<Recruitment>,
     /// Live-job registry. **Leaf-like lock**: only insert/remove/Arc-clone under it — never a
     /// gate notify, an engine call or a queue operation (see `docs/locking.md`).
     jobs: Mutex<HashMap<u64, Arc<JobState>>>,
@@ -461,7 +458,6 @@ impl Runtime {
                 pool,
                 engine: DependencyEngine::new(),
                 pending: PendingSlab::new(),
-                recruitment: Arc::new(Recruitment::new()),
                 jobs: Mutex::new(HashMap::new()),
                 next_job_id: AtomicU64::new(0),
                 admission: Arc::new(AdmissionGate::new(
@@ -539,8 +535,8 @@ impl Runtime {
         // Wait until the root (and therefore every descendant) deeply completes; the job's
         // `finished` flag is flipped by `schedule_effects` when the engine reports the root's
         // deep completion. The wait is untimed: deep completion reliably signals the per-job
-        // gate (see `CompletionGate`'s register/check protocol, which closes the lost-wake-up
-        // race — model-checked in `tests/loom_completion.rs`).
+        // gate (see the gate's register/check protocol, which closes the lost-wake-up race —
+        // model-checked in `tests/loom_completion.rs`).
         job.gate.wait_until(|| job.is_finished());
         // Every descendant has retired (and left the shadow table); drop the root entry too so
         // the table holds only other jobs' live tasks.
@@ -643,6 +639,7 @@ impl Runtime {
             successor_displacements: pool_stats.successor_displacements.load(Ordering::Relaxed),
             targeted_wakes: pool_stats.targeted_wakes.load(Ordering::Relaxed),
             fallback_wakes: pool_stats.fallback_wakes.load(Ordering::Relaxed),
+            sleeps: pool_stats.sleeps.load(Ordering::Relaxed),
             assist_chunks: pool_stats.assist_chunks.load(Ordering::Relaxed),
             assisted_loops: pool_stats.assisted_loops.load(Ordering::Relaxed),
             assist_steals: pool_stats.assist_steals.load(Ordering::Relaxed),
@@ -682,18 +679,15 @@ impl Drop for Runtime {
         // this `Inner` that must not be upgraded mid-drain.
         self.inner.watchdog.stop();
         // Cancel and drain every live (detached) job *before* the pool's own `Drop` joins the
-        // workers. Without this, a job cancelled or abandoned while a worker is parked in its
-        // gate (a `taskwait` sleeper) would leak that parked worker: the pool's shutdown
-        // broadcast only wakes its *sleep-state* sleepers, not gate sleepers, and the join
-        // would hang forever. The cancel-vs-sleep race is model-checked in
-        // `crates/core/tests/loom_cancel.rs`.
+        // workers: a pool shut down under a live job would drop its queued tasks unretired and
+        // return its `taskwait`ing workers with children outstanding. Setting the flags needs
+        // no wake-up, on the job's gate or in the pool: no waiter's predicate flips here, and
+        // every queued task was announced to the pool's sleepers when it was enqueued — the
+        // workers that run them now skip the bodies.
         let live: Vec<Arc<JobState>> = self.inner.jobs.lock().values().cloned().collect();
         for job in &live {
             job.explicit_cancel.store(true, SeqCst);
             job.abort.store(true, SeqCst);
-            // Wake anything parked in the job's gate (root waiters and taskwait helpers); the
-            // woken workers drain the remaining tasks with their bodies skipped.
-            job.gate.notify(true, true);
         }
         for job in &live {
             job.gate.wait_until(|| job.is_finished());
@@ -718,12 +712,10 @@ fn create_job(inner: &Arc<Inner>, options: JobOptions) -> Arc<JobState> {
     }
     inner.admission.admit(|| inner.engine.live_tasks());
     let root = inner.engine.register_root();
-    let gate = CompletionGate::with_recruitment(Arc::clone(&inner.recruitment));
     let deadline = options.deadline.map(|d| Instant::now() + d);
     let job = Arc::new(JobState::new(
         id,
         root,
-        gate,
         Arc::clone(&inner.admission),
         options.panic_policy,
         deadline,
@@ -778,10 +770,9 @@ fn watchdog_tick(inner: &Arc<Inner>, stalls: &mut StallState) -> Tick {
                 continue;
             }
             if now >= deadline {
+                // No wake-up: the abort only matters to bodies not yet started, and no
+                // waiter's predicate (`finished`, `running == 0`) flips here.
                 job.fail_deadline();
-                // The abort only matters to bodies not yet started; wake the job's gate so
-                // parked helpers re-check and the drain proceeds promptly.
-                job.gate.notify(true, false);
             } else {
                 next = Some(next.map_or(deadline, |n| n.min(deadline)));
             }
@@ -795,7 +786,7 @@ fn watchdog_tick(inner: &Arc<Inner>, stalls: &mut StallState) -> Tick {
             if stalls.last_sweep.is_none_or(|t| now >= t + tick) {
                 stalls.last_sweep = Some(now);
                 for job in &live {
-                    let fingerprint = job_fingerprint(job);
+                    let fingerprint = job_fingerprint(inner, job);
                     let track = stalls.tracks.entry(job.id).or_insert(StallTrack {
                         fingerprint,
                         strikes: 0,
@@ -826,9 +817,9 @@ fn watchdog_tick(inner: &Arc<Inner>, stalls: &mut StallState) -> Tick {
 }
 
 /// Hash of everything that moves when a job makes progress: its counter slice plus the
-/// service-wide dispatch epoch (so a job merely *waiting* behind other tenants' active work
+/// pool's executed-tasks count (so a job merely *waiting* behind other tenants' active work
 /// is not flagged while the service as a whole is moving).
-fn job_fingerprint(job: &JobState) -> u64 {
+fn job_fingerprint(inner: &Inner, job: &JobState) -> u64 {
     let mut fp = 0xcbf2_9ce4_8422_2325u64;
     for v in [
         job.registered.load(SeqCst),
@@ -836,7 +827,7 @@ fn job_fingerprint(job: &JobState) -> u64 {
         job.executed.load(SeqCst),
         job.skipped.load(SeqCst),
         job.running.load(SeqCst),
-        job.gate.recruit_epoch(),
+        inner.pool.stats().executed_jobs(),
     ] {
         fp = (fp ^ v as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -959,35 +950,18 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// The OpenMP `taskwait`: blocks until every *direct child* created so far by the current
-    /// task has deeply completed. While waiting, the calling worker keeps executing other ready
-    /// tasks (work-conserving wait), so `taskwait` never deadlocks the pool.
+    /// task has deeply completed. While waiting, the calling worker stays in the pool's idle
+    /// loop — executing ready tasks of any job, assisting published loops, sleeping as an
+    /// ordinary pool sleeper (work-conserving wait) — so `taskwait` never deadlocks the pool.
+    /// The inline root body of [`Runtime::run`] is not a worker and blocks on the job's gate.
     pub fn taskwait(&self) {
-        let gate = &self.record.job.gate;
-        loop {
-            if self.inner.engine.live_children(self.record.id) == 0 {
-                return;
-            }
-            // Version the queue scan below: recruitment ("stealable work appeared") is not
-            // part of the completion predicate, so a worker must not commit to an untimed
-            // sleep against a scan that a concurrent dispatch raced past. The epoch is read
-            // *before* scanning; `wait_once` re-checks it under the gate's mutex (see
-            // `CompletionGate::recruit_epoch` for the soundness argument). The epoch is
-            // service-wide (`Recruitment`): a dispatch from *any* job recruits this helper,
-            // since the queues are shared.
-            let epoch = gate.recruit_epoch();
-            if let Some(worker) = self.worker {
-                if worker.help_one() {
-                    continue;
-                }
-            }
-            // Untimed wait: the drain of any of this job's tasks' last live child notifies
-            // the job's gate whenever a waiter is registered. Workers additionally register
-            // as *helpers* so newly dispatched stealable work wakes them; both registrations
-            // are elevated only across the sleep itself.
-            let is_worker = self.worker.is_some();
-            gate.wait_once(is_worker, epoch, || {
-                self.inner.engine.live_children(self.record.id) != 0
-            });
+        // Flips are announced by `schedule_effects` (`taskwaits_unblocked`) to both
+        // populations. The pool ends the wait early only when it shuts down, which
+        // `Drop for Runtime` does not let happen under a live job.
+        let drained = || self.inner.engine.live_children(self.record.id) == 0;
+        match self.worker {
+            Some(worker) => worker.work_until(drained),
+            None => self.record.job.gate.wait_until(drained),
         }
     }
 
@@ -1555,7 +1529,7 @@ fn execute_task(inner: &Arc<Inner>, record: Arc<TaskRecord>, wctx: &WorkerContex
     if prev_running == 1 && job.is_aborted() {
         // Possibly the last in-flight body of a cancelled job: wake a canceller blocked in
         // `JobState::cancel` waiting for `running == 0`.
-        job.gate.notify(true, false);
+        job.gate.notify();
     }
     let end = Instant::now();
     PhaseTimers::add(&inner.timers.body_ns, start);
@@ -1598,9 +1572,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Applies engine effects: wakes `taskwait`/`run` waiters and schedules newly ready tasks. Runs
-/// strictly after every engine lock has been dropped (the effects were accumulated and returned
-/// by the engine call).
+/// Applies engine effects: schedules newly ready tasks and wakes `taskwait`/`run` waiters.
+/// Runs strictly after every engine lock has been dropped (the effects were accumulated and
+/// returned by the engine call).
 ///
 /// When the effects come from a finished body (`use_successor_slot == true`), the wave is
 /// dispatched through the pool's [`SchedulingPolicy`]: under the locality policies the first
@@ -1622,16 +1596,13 @@ fn schedule_effects(
         // nest the former inside the latter.
         let records: Vec<Arc<TaskRecord>> =
             effects.ready.iter().filter_map(|id| inner.pending.claim(*id)).collect();
+        // One queue operation and one wake signal for the whole wave. That wake is all the
+        // recruitment there is: workers parked in a `taskwait` — of any job — are pool
+        // sleepers like the idle ones.
         match worker {
             Some((wctx, use_successor_slot)) => wctx.dispatch_ready(records, use_successor_slot),
-            // One queue operation and one wake signal for the whole wave.
             None => inner.pool.submit_batch(records),
         }
-        // Publish the dispatch to taskwait-ers committing to an untimed sleep: bumped
-        // strictly after the pushes above so that reading the new epoch makes the pushed
-        // work visible to the reader's queue scan. The epoch is shared across all jobs'
-        // gates (`Recruitment`), so helpers parked in *any* job observe it.
-        job.gate.publish_dispatch();
     }
 
     if !effects.deeply_completed.is_empty() {
@@ -1653,33 +1624,17 @@ fn schedule_effects(
         job.finished.store(true, SeqCst);
     }
 
-    // Wake sleeping waiters — but only when a waiter's condition can actually have changed,
-    // so the common per-task retire path never touches the gate's mutex:
-    //
-    // * a waiter *predicate* flipped (`run`/`wait`: this job's root deeply completed;
-    //   `taskwait`: some task's last live child drained), or
-    // * new ready work was dispatched (above, so it is findable) — recruitment for worker
-    //   `taskwait`ers, which wake and go back to helping.
-    //
-    // The waiter-count gating and the notify-under-mutex discipline live in
-    // `CompletionGate::notify`; the lost-wake-up argument is in `crate::completion`'s docs
-    // and is model-checked in `tests/loom_completion.rs`.
-    let predicate_flipped = effects.root_completed || !effects.taskwaits_unblocked.is_empty();
-    job.gate.notify(predicate_flipped, !effects.ready.is_empty());
-
-    // Cross-job recruitment: the dispatched work is stealable by workers parked in *other*
-    // jobs' taskwaits (the queues are shared), but those sleep on their own jobs' gates.
-    // Broadcast to them only when the service-wide helper count says someone is actually
-    // parked — the common case is one atomic load. Registry lock discipline: clone the Arcs
-    // under the lock, notify strictly after dropping it.
-    if !effects.ready.is_empty() && inner.recruitment.helpers() > 0 {
-        let registry = inner.jobs.lock();
-        let others: Vec<Arc<JobState>> =
-            registry.values().filter(|other| other.id != job.id).cloned().collect();
-        drop(registry);
-        for other in others {
-            other.gate.notify(false, true);
-        }
+    // Wake-ups happen only when a waiter *predicate* flipped, so the common per-task retire
+    // path touches neither population: some task's last live child drained while its body
+    // still runs (`taskwait` — a worker parked in the pool's sleep state, or the inline root
+    // on the job's gate), or this job's root deeply completed (`run`/`wait`, on the gate).
+    // Each call is one load unless such a waiter is registered.
+    let taskwait_unblocked = !effects.taskwaits_unblocked.is_empty();
+    if taskwait_unblocked {
+        inner.pool.wake_waiters();
+    }
+    if taskwait_unblocked || effects.root_completed {
+        job.gate.notify();
     }
 }
 

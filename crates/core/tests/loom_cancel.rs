@@ -5,6 +5,12 @@
 //! The gate under test is the real `CompletionGate`; the worker's body bracket and the
 //! canceller are modelled with loom atomics mirroring the shipped code, the same way
 //! `loom_completion.rs` models the engine-side predicates.
+//!
+//! `drop_broadcast_never_leaks_a_parked_sleeper` is gone with the behaviour it modelled: a
+//! worker in `taskwait` no longer parks in the job's gate, so `Drop for Runtime` has nobody to
+//! broadcast to. What wakes that worker now — the dispatch of the job's remaining tasks and
+//! the child-drain flip — is `wake_is_never_lost_single_domain` and
+//! `predicate_flip_wakes_every_registered_waiter` in `crates/threadpool/tests/loom_model.rs`.
 
 #![cfg(feature = "loom-model")]
 
@@ -47,7 +53,7 @@ fn no_body_starts_after_cancel_returns() {
             }
             let prev = r2.fetch_sub(1, SeqCst);
             if prev == 1 && c2.load(SeqCst) {
-                g2.notify(true, false);
+                g2.notify();
             }
         });
 
@@ -60,51 +66,6 @@ fn no_body_starts_after_cancel_returns() {
     });
     report.assert_ok();
     assert!(report.exhausted, "cancel bracket model should be exhaustible");
-}
-
-/// The `Drop for Runtime` leak fix: a worker parked in a cancelled job's gate (a `taskwait`
-/// sleeper) must be woken by the drop-time `notify(true, true)` broadcast and drain the
-/// remaining (skipped) task, so the dropper's wait terminates — whichever way the park
-/// interleaves with the cancel + broadcast.
-#[test]
-fn drop_broadcast_never_leaks_a_parked_sleeper() {
-    let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let gate = Arc::new(CompletionGate::new());
-        let cancelled = Arc::new(AtomicBool::new(false));
-        // One queued task of the job; draining it finishes the job.
-        let queue = Arc::new(AtomicUsize::new(1));
-        let children = Arc::new(AtomicUsize::new(1));
-
-        let (g2, q2, ch2) = (Arc::clone(&gate), Arc::clone(&queue), Arc::clone(&children));
-        // Worker: taskwait loop — scan the queue, else park against the pre-scan epoch. A
-        // popped task of the cancelled job runs with its body skipped but still retires,
-        // flipping the predicate.
-        let worker = thread::spawn(move || {
-            loop {
-                if ch2.load(SeqCst) == 0 {
-                    break;
-                }
-                let epoch = g2.recruit_epoch();
-                if q2.load(SeqCst) > 0 {
-                    q2.fetch_sub(1, SeqCst);
-                    ch2.fetch_sub(1, SeqCst);
-                    g2.notify(true, false);
-                    continue;
-                }
-                g2.wait_once(true, epoch, || ch2.load(SeqCst) != 0);
-            }
-        });
-
-        // Dropper: `Drop for Runtime` — cancel, broadcast-wake the job's gate, wait the job
-        // out.
-        cancelled.store(true, SeqCst);
-        gate.notify(true, true);
-        gate.wait_until(|| children.load(SeqCst) == 0);
-
-        worker.join().unwrap();
-    });
-    report.assert_ok();
-    assert!(report.exhausted, "drop-broadcast model should be exhaustible");
 }
 
 /// Mutation: the bracket with the order inverted — check `cancelled` *before* bumping
@@ -135,7 +96,7 @@ fn inverted_bracket_fork_is_caught() {
                 );
                 let prev = r2.fetch_sub(1, SeqCst);
                 if prev == 1 && c2.load(SeqCst) {
-                    g2.notify(true, false);
+                    g2.notify();
                 }
             }
         });

@@ -1,10 +1,15 @@
-//! Model checks of the completion gate (`src/completion.rs`) under loom-lite.
+//! Model checks of the completion gate (`src/completion.rs`, the pool's `Gate`) under
+//! loom-lite.
 //!
 //! Run with `cargo test -p weakdep_core --features loom-model --test loom_completion`.
 //! Under the `loom-model` feature the gate's `Mutex`/`Condvar`/atomics are loom-lite shims,
 //! so these tests explore every bounded interleaving of the shipped gate code. The engine-side
-//! predicates (`is_deeply_completed`, `live_children`, the worker's queue scan) are modelled
-//! as atomics — the protocol under test is the gate, not the engine.
+//! predicates (`is_deeply_completed`, `live_children`) are modelled as atomics — the protocol
+//! under test is the gate, not the engine. The gate serves non-worker waiters only; a
+//! *worker's* `taskwait` — and with it the dispatch-vs-sleep recruitment race the former
+//! `recruitment_never_strands_ready_work` model covered — is the pool's sleep protocol,
+//! model-checked in `crates/threadpool/tests/loom_model.rs`
+//! (`wake_is_never_lost_single_domain`, `predicate_flip_wakes_every_registered_waiter`).
 
 #![cfg(feature = "loom-model")]
 
@@ -25,7 +30,7 @@ fn root_completion_wake_is_never_lost() {
         // `schedule_effects` uses.
         let finisher = thread::spawn(move || {
             d2.store(1, Ordering::SeqCst);
-            g2.notify(true, false);
+            g2.notify();
         });
         // The `run` caller.
         gate.wait_until(|| done.load(Ordering::SeqCst) == 1);
@@ -35,7 +40,8 @@ fn root_completion_wake_is_never_lost() {
     assert!(report.exhausted, "root-completion model should be exhaustible");
 }
 
-/// The `taskwait` loop of a non-worker waiter: one child finishing must unblock it.
+/// The `taskwait` of a non-worker (the inline root of `Runtime::run`): one child finishing
+/// must unblock it.
 #[test]
 fn taskwait_child_drain_wakes_nonworker() {
     let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
@@ -44,59 +50,12 @@ fn taskwait_child_drain_wakes_nonworker() {
         let (g2, c2) = (Arc::clone(&gate), Arc::clone(&children));
         let child = thread::spawn(move || {
             c2.store(0, Ordering::SeqCst);
-            g2.notify(true, false);
+            g2.notify();
         });
-        // Non-worker taskwait: no queue scan, no epoch.
-        loop {
-            if children.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            let epoch = gate.recruit_epoch();
-            gate.wait_once(false, epoch, || children.load(Ordering::SeqCst) != 0);
-        }
+        gate.wait_until(|| children.load(Ordering::SeqCst) == 0);
         child.join().unwrap();
     });
     report.assert_ok();
-}
-
-/// Work recruitment: a dispatch racing a worker `taskwait`er's queue scan must not strand the
-/// ready task. This is exactly the race the recruitment epoch exists for — with the epoch
-/// re-check under the mutex removed (see `epoch_recheck_is_load_bearing`), the dispatch can
-/// miss both the scan and the helper gate and the worker sleeps forever.
-#[test]
-fn recruitment_never_strands_ready_work() {
-    let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let gate = Arc::new(CompletionGate::new());
-        // One unfinished child; it is dispatched as ready work by the producer and executed
-        // by the waiting worker itself (the single-worker scenario from the PR 3 bug).
-        let children = Arc::new(AtomicUsize::new(1));
-        let queue = Arc::new(AtomicUsize::new(0));
-        let (g2, q2) = (Arc::clone(&gate), Arc::clone(&queue));
-        let producer = thread::spawn(move || {
-            // `schedule_effects`: push, then publish, then gated notify.
-            q2.fetch_add(1, Ordering::SeqCst);
-            g2.publish_dispatch();
-            g2.notify(false, true);
-        });
-        // Worker taskwait: scan the queue (help_one), else sleep against the pre-scan epoch.
-        loop {
-            if children.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            let epoch = gate.recruit_epoch();
-            if queue.load(Ordering::SeqCst) > 0 {
-                // help_one: execute the child task; its retirement flips the predicate.
-                queue.fetch_sub(1, Ordering::SeqCst);
-                children.fetch_sub(1, Ordering::SeqCst);
-                gate.notify(true, false);
-                continue;
-            }
-            gate.wait_once(true, epoch, || children.load(Ordering::SeqCst) != 0);
-        }
-        producer.join().unwrap();
-    });
-    report.assert_ok();
-    assert!(report.exhausted, "recruitment model should be exhaustible");
 }
 
 // ---------------------------------------------------------------------------------------------

@@ -8,15 +8,13 @@
 //! the process lifetime. Refusing admission until in-flight work drains keeps the high-water
 //! mark (and tail latency for already-admitted jobs) bounded.
 //!
-//! The wake-up protocol mirrors the completion gate's discipline (`weakdep_core::completion`):
-//! waiters register in an atomic counter *before* re-checking the load under the mutex, and
-//! [`AdmissionGate::notify_release`] — called whenever load drops — takes the mutex only when
-//! the counter says someone is actually parked, so the per-task retire path stays one relaxed
-//! load. The load itself is read through a caller-provided closure: the gate owns no counter of
-//! its own, it serialises *admission decisions* against *release notifications*.
+//! Blocked submitters wait on a [`Gate`] with the predicate "load below budget", re-signalled
+//! by [`AdmissionGate::notify_release`] whenever load drops — one atomic load on the per-task
+//! retire path while nobody is blocked. The load itself is read through a caller-provided
+//! closure: the admission gate owns no counter of its own, only the budget and its statistics.
 
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
+use crate::sleep::Gate;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Counters describing the admission traffic (all monotonically increasing except
 /// `high_water`, which is a maximum).
@@ -36,11 +34,7 @@ pub struct AdmissionStats {
 /// A blocking admission gate over an externally measured load (see the module docs).
 pub struct AdmissionGate {
     budget: usize,
-    mutex: Mutex<()>,
-    condvar: Condvar,
-    /// Threads registered to wait (or about to wait); release notifications check it first so
-    /// the common no-waiter path never touches the mutex.
-    waiters: AtomicUsize,
+    gate: Gate,
     admitted: AtomicUsize,
     rejected: AtomicUsize,
     blocked: AtomicUsize,
@@ -53,9 +47,7 @@ impl AdmissionGate {
     pub fn new(budget: usize) -> Self {
         AdmissionGate {
             budget: budget.max(1),
-            mutex: Mutex::new(()),
-            condvar: Condvar::new(),
-            waiters: AtomicUsize::new(0),
+            gate: Gate::new(),
             admitted: AtomicUsize::new(0),
             rejected: AtomicUsize::new(0),
             blocked: AtomicUsize::new(0),
@@ -89,36 +81,22 @@ impl AdmissionGate {
     /// under the gate's mutex on every wake-up, so a release notification can neither be lost
     /// nor observed against a stale measurement.
     pub fn admit(&self, load: impl Fn() -> usize) {
-        let first = load();
-        self.record_load(first);
-        if first < self.budget {
-            self.admitted.fetch_add(1, Relaxed);
-            return;
+        let below_budget = || {
+            let now = load();
+            self.record_load(now);
+            now < self.budget
+        };
+        if !below_budget() {
+            self.blocked.fetch_add(1, Relaxed);
+            self.gate.wait_until(below_budget);
         }
-        self.blocked.fetch_add(1, Relaxed);
-        self.waiters.fetch_add(1, SeqCst);
-        {
-            let mut guard = self.mutex.lock();
-            loop {
-                let now = load();
-                self.record_load(now);
-                if now < self.budget {
-                    break;
-                }
-                self.condvar.wait(&mut guard);
-            }
-        }
-        self.waiters.fetch_sub(1, SeqCst);
         self.admitted.fetch_add(1, Relaxed);
     }
 
     /// Signals that the load may have dropped (e.g. tasks deeply completed). Cheap when nobody
     /// is waiting: one `SeqCst` load, no mutex.
     pub fn notify_release(&self) {
-        if self.waiters.load(SeqCst) > 0 {
-            let _guard = self.mutex.lock();
-            self.condvar.notify_all();
-        }
+        self.gate.notify();
     }
 
     /// Snapshot of the admission counters.
@@ -132,10 +110,11 @@ impl AdmissionGate {
     }
 }
 
-#[cfg(test)]
+// Real threads on real primitives; compiled out under `loom-model` like `sleep.rs`'s tests.
+#[cfg(all(test, not(feature = "loom-model")))]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::Ordering::SeqCst;
     use std::sync::Arc;
     use std::time::Duration;
 

@@ -257,12 +257,18 @@ pub struct PoolStats {
     pub targeted_wakes: AtomicUsize,
     /// Domain-preferring wake-ups that fell back to a sleeper of another domain.
     pub fallback_wakes: AtomicUsize,
-    /// Times a worker went to sleep.
+    /// Times a worker went to sleep — at the top of its loop or inside
+    /// [`WorkerContext::work_until`] (a parked `taskwait`).
     pub sleeps: AtomicUsize,
     /// Loop chunks executed by *assisting* workers (idle-path acquisitions from the
     /// [`AssistRegistry`]; owner-driven chunks are not counted). Chunks are not pool jobs, so
     /// this stands **beside** the `executed == slot + local + injector + stolen` identity;
     /// its own invariant is `assisted_loops <= assist_steals <= assist_chunks`.
+    ///
+    /// The three assist counters are bumped *before* the chunk they account for runs, so the
+    /// chunk's completion (`Release`) and the loop owner's quiescence wait (`Acquire`) order
+    /// them before the owner returns: whoever learns that the owning task finished — its
+    /// job's waiter included — reads final values without joining the pool.
     pub assist_chunks: AtomicUsize,
     /// Published loops that received at least one assist chunk (distinct loops).
     pub assisted_loops: AtomicUsize,
@@ -533,6 +539,13 @@ impl<T: Send + 'static> ThreadPool<T> {
         self.shared.assist.active_loops()
     }
 
+    /// Signals that the exit predicate of some [`WorkerContext::work_until`] call may have
+    /// flipped (call strictly *after* the flip): every parked worker re-checks. One atomic
+    /// load while no worker is parked inside `work_until`.
+    pub fn wake_waiters(&self) {
+        self.shared.sleep.wake_waiters();
+    }
+
     /// Requests shutdown and joins all workers. Queued jobs that have not started are dropped
     /// **without being executed**: each worker stops taking work the moment it observes the
     /// shutdown flag and drains its own deque and successor slot (running the jobs'
@@ -665,17 +678,45 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         self.shared.wake(queued, (wave == WaveQueue::Local).then_some(self.domain));
     }
 
-    /// Tries to find one queued job (including the successor slot, which only this worker can
-    /// see) and executes it inline.
+    /// The worker's one idle loop, callable from inside a job: keeps this worker acquiring
+    /// and running work — successor slot → local deque → shared queue → steal → **assist** a
+    /// published loop (see `docs/scheduling.md`) — and parks it in the pool's sleep state when
+    /// there is none, until `done()` holds (or the pool shuts down). This is how a job waits
+    /// for a condition without blocking the OS thread (the runtime's `taskwait`).
     ///
-    /// Returns `true` if a job was executed. Used to keep workers productive while they wait for
-    /// a condition (e.g. a `taskwait`), instead of blocking the OS thread.
-    pub fn help_one(&self) -> bool {
-        if let Some(job) = self.find_work() {
-            self.run(job);
-            return true;
+    /// Whoever flips `done` must call [`ThreadPool::wake_waiters`] afterwards; every ordinary
+    /// dispatch wake reaches the parked worker as well.
+    pub fn work_until(&self, done: impl Fn() -> bool) {
+        self.work_loop(true, done);
+    }
+
+    /// [`WorkerContext::work_until`]; `waiter == false` is the top of `worker_main`, whose
+    /// only exit is shutdown (announced by an unconditional broadcast, so it does not register
+    /// with the sleep state as a predicate sleeper).
+    fn work_loop(&self, waiter: bool, done: impl Fn() -> bool) {
+        let shared = self.shared;
+        // Stop taking work the moment shutdown is observed (checked *before* scanning, so
+        // undelivered jobs are dropped, not executed — see `ThreadPool::shutdown`).
+        let exit = || done() || shared.shutdown.load(Ordering::SeqCst);
+        loop {
+            // Record the sleep epoch *before* scanning, so a submission racing with the scan
+            // is guaranteed to be observed either by the scan or by the epoch check before
+            // sleeping. Publishing a loop bumps the same epoch, so the scan → assist → sleep
+            // sequence can never sleep through a loop published while it ran.
+            let epoch = shared.sleep.current_epoch();
+            if exit() {
+                return;
+            }
+            if let Some(job) = self.find_work() {
+                self.run(job);
+                continue;
+            }
+            if self.assist_once() {
+                continue;
+            }
+            PoolStats::bump(&shared.stats.sleeps);
+            shared.sleep.sleep(self.domain, epoch, waiter, exit);
         }
-        false
     }
 
     /// Publishes an in-progress data-parallel loop registered by the task running on this
@@ -706,27 +747,27 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         let Some(desc) = self.shared.assist.select(prefer) else {
             return false;
         };
-        let mut ran = 0usize;
+        let stats = &self.shared.stats;
+        let mut ran = false;
         while !self.shared.shutdown.load(Ordering::SeqCst) {
             let Some((chunk_start, chunk_end)) = desc.claim() else {
                 break;
             };
-            // Recorded *before* the chunk completes so the owner's quiescence wait
-            // (`completed == claimed`) is guaranteed to observe the final per-loop assist
-            // count when it returns.
+            // All counting happens *before* the chunk completes, so the owner's quiescence
+            // wait (`completed == claimed`) orders it before the owner returns (see
+            // `PoolStats::assist_chunks`).
             desc.note_assist_chunks(1);
+            PoolStats::bump(&stats.assist_chunks);
+            if !ran {
+                PoolStats::bump(&stats.assist_steals);
+                if desc.mark_assisted() {
+                    PoolStats::bump(&stats.assisted_loops);
+                }
+            }
+            ran = true;
             desc.run_chunk(chunk_start, chunk_end);
-            ran += 1;
         }
-        if ran == 0 {
-            return false;
-        }
-        self.shared.stats.assist_chunks.fetch_add(ran, Ordering::Relaxed);
-        PoolStats::bump(&self.shared.stats.assist_steals);
-        if desc.mark_assisted() {
-            PoolStats::bump(&self.shared.stats.assisted_loops);
-        }
-        true
+        ran
     }
 
     fn run(&self, job: T) {
@@ -857,29 +898,7 @@ fn worker_main<T: Send + 'static>(
         domain: shared.policy.domain_of(index, shared.workers),
     };
 
-    loop {
-        // Stop taking work the moment shutdown is observed (checked *before* scanning, so
-        // undelivered jobs are dropped, not executed — see `ThreadPool::shutdown`).
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Record the sleep epoch *before* scanning, so a submission racing with the scan is
-        // guaranteed to be observed either by the scan or by the epoch check before sleeping.
-        // Publishing a loop bumps the same epoch, so the scan → assist → sleep sequence can
-        // never sleep through a loop published while it ran.
-        let epoch = shared.sleep.current_epoch();
-        if let Some(job) = ctx.find_work() {
-            ctx.run(job);
-            continue;
-        }
-        // Idle-path priority order: successor slot → local → injector → steal (all inside
-        // `find_work`) → **assist** an in-progress loop → sleep.
-        if ctx.assist_once() {
-            continue;
-        }
-        PoolStats::bump(&shared.stats.sleeps);
-        shared.sleep.sleep(ctx.domain, epoch, || shared.shutdown.load(Ordering::SeqCst));
-    }
+    ctx.work_loop(false, || false);
     // Shutdown drain: run the destructors of every job stranded in this worker's private
     // structures (successor slot + deque) before the thread exits, so `shutdown`'s join
     // returns only after they ran. Nobody can re-fill them: only the owner pushes to either.
@@ -1001,20 +1020,19 @@ mod tests {
     }
 
     #[test]
-    fn help_one_executes_queued_work() {
-        // A job that blocks until a side job (queued behind it) has run, by helping.
+    fn work_until_executes_queued_work() {
+        // A job that waits until a side job (queued behind it) has run, by working.
         let side_done = Arc::new(AtomicUsize::new(0));
         let all_done = Arc::new(AtomicUsize::new(0));
         let side_c = Arc::clone(&side_done);
         let all_c = Arc::clone(&all_done);
-        // Single worker: without help_one this would deadlock.
+        // Single worker: a blocking wait would deadlock; `work_until` runs the side job.
         let pool: ThreadPool<u8> = ThreadPool::new(1, move |job, ctx| {
             match job {
                 0 => {
                     ctx.dispatch_spawned(1);
-                    while side_c.load(Ordering::SeqCst) == 0 {
-                        assert!(ctx.help_one(), "the helper must find the queued job");
-                    }
+                    ctx.work_until(|| side_c.load(Ordering::SeqCst) != 0);
+                    assert_eq!(side_c.load(Ordering::SeqCst), 1, "returned before `done` held");
                 }
                 _ => {
                     side_c.fetch_add(1, Ordering::SeqCst);
@@ -1024,6 +1042,31 @@ mod tests {
         });
         pool.submit(0);
         assert!(wait_for(|| all_done.load(Ordering::SeqCst) == 2, Duration::from_secs(5)));
+    }
+
+    /// A worker parked inside `work_until` is an ordinary sleeper plus one wake source: a
+    /// flipped predicate announced by `wake_waiters`. The flag flips once the predicate was
+    /// evaluated twice — at the loop top and again after registering as a waiter — i.e. with
+    /// the worker parked or about to be (the races are `tests/loom_model.rs`'s).
+    #[test]
+    fn wake_waiters_releases_a_worker_parked_in_work_until() {
+        let flag = Arc::new(AtomicBool::new(false));
+        let checks = Arc::new(AtomicUsize::new(0));
+        let returned = Arc::new(AtomicBool::new(false));
+        let (f, c, r) = (Arc::clone(&flag), Arc::clone(&checks), Arc::clone(&returned));
+        let pool: ThreadPool<u8> = ThreadPool::new(2, move |_job, ctx| {
+            ctx.work_until(|| {
+                c.fetch_add(1, Ordering::SeqCst);
+                f.load(Ordering::SeqCst)
+            });
+            r.store(true, Ordering::SeqCst);
+        });
+        pool.submit(0);
+        assert!(wait_for(|| checks.load(Ordering::SeqCst) >= 2, Duration::from_secs(5)));
+        assert!(!returned.load(Ordering::SeqCst));
+        flag.store(true, Ordering::SeqCst);
+        pool.wake_waiters();
+        assert!(wait_for(|| returned.load(Ordering::SeqCst), Duration::from_secs(5)));
     }
 
     #[test]

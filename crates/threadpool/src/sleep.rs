@@ -1,10 +1,13 @@
-//! The sleep/wake protocol for idle workers, with per-domain wake targeting.
+//! The pool's two blocking-wait protocols: the epoch-guarded sleep of its workers
+//! ([`SleepState`], with per-domain wake targeting) and the waiter-gated predicate gate every
+//! *other* thread blocks on ([`Gate`]: job completion, cancellation, admission).
 //!
-//! The protocol follows the classic epoch-guarded condition-variable pattern (see *Rust Atomics
-//! and Locks*, ch. 9): a worker records the wake epoch *before* scanning the queues; if the scan
-//! finds nothing it re-checks the epoch under the mutex and only then waits. Every submission
-//! bumps the epoch under the same mutex, so a submission that races with the scan either is seen
-//! by the scan or changes the epoch and prevents the sleep — wake-ups are never lost.
+//! The sleep protocol follows the classic epoch-guarded condition-variable pattern (see *Rust
+//! Atomics and Locks*, ch. 9): a worker records the wake epoch *before* scanning the queues; if
+//! the scan finds nothing it re-checks the epoch under the mutex and only then waits. Every
+//! submission bumps the epoch under the same mutex, so a submission that races with the scan
+//! either is seen by the scan or changes the epoch and prevents the sleep — wake-ups are never
+//! lost.
 //!
 //! For the hierarchical scheduling policy the sleepers are additionally grouped into **locality
 //! domains**: every worker waits on its domain's condition variable (all condvars share the one
@@ -13,6 +16,18 @@
 //! scan starts at the queues of the notifying worker's own domain, so the warm data stays
 //! inside the domain whenever it can. When the preferred domain has no sleeper the notify falls
 //! back to any domain with one (work must never be stranded to preserve locality).
+//!
+//! A worker may also sleep against an **exit predicate of its caller's** (a `taskwait`: "my
+//! children drained") — it is the same sleeper in the same population, woken by the same
+//! dispatch notifies, plus one more event: whoever flips such a predicate calls
+//! [`SleepState::wake_waiters`]. That call must cost nothing while no predicate sleeper
+//! exists, so these sleepers register in a `SeqCst` counter *before* re-checking their
+//! predicate, and the flipper reads the counter *after* the flip: by the store-buffer argument
+//! either the sleeper's re-check sees the flip, or the flipper sees the registration and
+//! bumps the epoch under the mutex — which the sleeper (who read the epoch before its first
+//! predicate check) compares under the mutex before waiting — and notifies **all**: the woken
+//! sleeper need not be the one whose predicate flipped. The predicate itself runs outside the
+//! epoch mutex (it may take the caller's locks; the epoch mutex stays a leaf).
 
 // The protocol is written against this two-line sync shim so the `loom-model` feature can swap
 // in loom-lite's model-checked primitives; `tests/loom_model.rs` then explores every bounded
@@ -21,10 +36,10 @@
 #[cfg(not(feature = "loom-model"))]
 use parking_lot::{Condvar, Mutex};
 #[cfg(not(feature = "loom-model"))]
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering, Ordering::SeqCst};
 
 #[cfg(feature = "loom-model")]
-use loom_lite::sync::atomic::{AtomicUsize, Ordering};
+use loom_lite::sync::atomic::{AtomicUsize, Ordering, Ordering::SeqCst};
 #[cfg(feature = "loom-model")]
 use loom_lite::sync::{Condvar, Mutex};
 
@@ -40,6 +55,9 @@ struct DomainSleep {
 pub struct SleepState {
     epoch: Mutex<u64>,
     domains: Vec<DomainSleep>,
+    /// Sleepers parked (or about to park) against an exit predicate of their caller's; see the
+    /// module docs for the registration protocol.
+    waiters: AtomicUsize,
 }
 
 impl SleepState {
@@ -51,6 +69,7 @@ impl SleepState {
             domains: (0..domains.max(1))
                 .map(|_| DomainSleep { condvar: Condvar::new(), sleepers: AtomicUsize::new(0) })
                 .collect(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
@@ -111,17 +130,120 @@ impl SleepState {
         }
     }
 
+    /// Signals that an exit predicate of some `waiter` sleeper may have flipped. Call strictly
+    /// *after* the flip. One `SeqCst` load when no such sleeper is registered.
+    pub fn wake_waiters(&self) {
+        if self.waiters.load(SeqCst) > 0 {
+            self.notify_all();
+        }
+    }
+
     /// Blocks the current worker (a member of `domain`) until the epoch advances past
     /// `seen_epoch` (or immediately returns if it already has, or if `should_exit` is true).
-    pub fn sleep(&self, domain: usize, seen_epoch: u64, should_exit: impl Fn() -> bool) {
+    ///
+    /// `waiter` marks `should_exit` as a predicate of the caller's, whose flips are announced
+    /// by [`Self::wake_waiters`]; without it the only event that may flip `should_exit` is one
+    /// followed by an unconditional [`Self::notify_all`] (shutdown).
+    pub fn sleep(
+        &self,
+        domain: usize,
+        seen_epoch: u64,
+        waiter: bool,
+        should_exit: impl Fn() -> bool,
+    ) {
         let domain = &self.domains[domain.min(self.domains.len() - 1)];
-        let mut epoch = self.epoch.lock();
-        if *epoch != seen_epoch || should_exit() {
-            return;
+        if waiter {
+            self.waiters.fetch_add(1, SeqCst);
         }
-        domain.sleepers.fetch_add(1, Ordering::Relaxed);
-        domain.condvar.wait(&mut epoch);
-        domain.sleepers.fetch_sub(1, Ordering::Relaxed);
+        if !should_exit() {
+            let mut epoch = self.epoch.lock();
+            if *epoch == seen_epoch {
+                domain.sleepers.fetch_add(1, Ordering::Relaxed);
+                domain.condvar.wait(&mut epoch);
+                domain.sleepers.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+        if waiter {
+            self.waiters.fetch_sub(1, SeqCst);
+        }
+    }
+}
+
+/// A waiter-gated predicate gate: the blocking wait of every thread that is *not* a pool
+/// worker (a job's root-completion wait, `cancel()`'s wait for in-flight bodies, a submission
+/// blocked on the live-task budget).
+///
+/// The mutex guards nothing but the wait — the predicate lives with the caller, under its own
+/// synchronisation. Waiters register in an atomic counter (`SeqCst`) *before* re-checking
+/// their predicate under the mutex; [`Gate::notify`], called after a predicate flip, reads the
+/// counter and, when it is non-zero, notifies **while holding the mutex** — so a notify can
+/// neither miss a registered waiter nor slip between a waiter's predicate check and its wait,
+/// and the common no-waiter path costs one load. Model-checked through
+/// `crates/core/tests/loom_completion.rs` and `loom_cancel.rs`.
+pub struct Gate {
+    mutex: Mutex<()>,
+    condvar: Condvar,
+    waiters: AtomicUsize,
+}
+
+impl Default for Gate {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Gate {
+    /// Creates an idle gate.
+    pub fn new() -> Self {
+        Gate { mutex: Mutex::new(()), condvar: Condvar::new(), waiters: AtomicUsize::new(0) }
+    }
+
+    /// Blocks until `done()` holds. The waiter stays registered across the whole sleep, so
+    /// every predicate flip is delivered.
+    pub fn wait_until(&self, mut done: impl FnMut() -> bool) {
+        self.waiters.fetch_add(1, SeqCst);
+        {
+            let mut guard = self.mutex.lock();
+            while !done() {
+                self.condvar.wait(&mut guard);
+            }
+        }
+        self.waiters.fetch_sub(1, SeqCst);
+    }
+
+    /// [`Self::wait_until`] bounded by `deadline`: returns whether the predicate held (a
+    /// timeout re-checks it one last time under the mutex before giving up).
+    ///
+    /// Not available under the `loom-model` feature (the shimmed condvar has no timed wait);
+    /// the timed wait is a convenience layered on the already-model-checked untimed protocol.
+    #[cfg(not(feature = "loom-model"))]
+    pub fn wait_until_timeout(
+        &self,
+        mut done: impl FnMut() -> bool,
+        deadline: std::time::Instant,
+    ) -> bool {
+        self.waiters.fetch_add(1, SeqCst);
+        let satisfied = {
+            let mut guard = self.mutex.lock();
+            loop {
+                if done() {
+                    break true;
+                }
+                if self.condvar.wait_until(&mut guard, deadline).timed_out() {
+                    break done();
+                }
+            }
+        };
+        self.waiters.fetch_sub(1, SeqCst);
+        satisfied
+    }
+
+    /// Wakes every waiter to re-check its predicate. Call strictly *after* the flip.
+    pub fn notify(&self) {
+        if self.waiters.load(SeqCst) > 0 {
+            let _guard = self.mutex.lock();
+            self.condvar.notify_all();
+        }
     }
 }
 
@@ -140,14 +262,14 @@ mod tests {
         let epoch = s.current_epoch();
         s.notify_many(1, None);
         // Must not block.
-        s.sleep(0, epoch, || false);
+        s.sleep(0, epoch, false, || false);
     }
 
     #[test]
     fn sleep_returns_when_exit_requested() {
         let s = SleepState::new(2);
         let epoch = s.current_epoch();
-        s.sleep(1, epoch, || true);
+        s.sleep(1, epoch, false, || true);
     }
 
     #[test]
@@ -156,7 +278,7 @@ mod tests {
         let s2 = Arc::clone(&s);
         let handle = std::thread::spawn(move || {
             let epoch = s2.current_epoch();
-            s2.sleep(0, epoch, || false);
+            s2.sleep(0, epoch, false, || false);
         });
         // Give the thread a moment to actually sleep, then wake it.
         std::thread::sleep(Duration::from_millis(50));
@@ -172,7 +294,7 @@ mod tests {
             let s2 = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
                 let epoch = s2.current_epoch();
-                s2.sleep(domain % 2, epoch, || false);
+                s2.sleep(domain % 2, epoch, false, || false);
             }));
         }
         std::thread::sleep(Duration::from_millis(50));
@@ -189,7 +311,7 @@ mod tests {
         let s2 = Arc::clone(&s);
         let handle = std::thread::spawn(move || {
             let epoch = s2.current_epoch();
-            s2.sleep(1, epoch, || false);
+            s2.sleep(1, epoch, false, || false);
         });
         std::thread::sleep(Duration::from_millis(50));
         // The only sleeper lives in domain 1: preferring 0 falls back to it (work must never

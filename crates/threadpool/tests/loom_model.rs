@@ -24,8 +24,62 @@ fn worker_loop(sleep: &SleepState, domain: usize, work: &AtomicBool) {
         if work.load(Ordering::SeqCst) {
             return;
         }
-        sleep.sleep(domain, epoch, || false);
+        sleep.sleep(domain, epoch, false, || false);
     }
+}
+
+/// A predicate sleeper, as `WorkerContext::work_until` runs it: read the epoch, check the
+/// caller's predicate, and sleep re-checking it — registered with the sleep state iff
+/// `registered` (the shipped loop always is; `false` is the seeded mutation).
+fn waiter_loop(sleep: &SleepState, done: &AtomicBool, registered: bool) {
+    loop {
+        let epoch = sleep.current_epoch();
+        if done.load(Ordering::SeqCst) {
+            return;
+        }
+        sleep.sleep(0, epoch, registered, || done.load(Ordering::SeqCst));
+    }
+}
+
+/// Two workers parked (or parking) in `work_until` on the same flag, one flipper: flip, then
+/// `wake_waiters`. Neither sleeper may be stranded, however far each got through
+/// register → re-check → epoch compare → wait when the flip lands. Two sleepers, because the
+/// wake must be a broadcast: waking one would strand the other.
+fn predicate_flip_model(registered: bool) -> loom_lite::Report {
+    Checker::new().preemption_bound(3).random_runs(500).check(move || {
+        let sleep = Arc::new(SleepState::new(1));
+        let done = Arc::new(AtomicBool::new(false));
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let (s2, d2) = (Arc::clone(&sleep), Arc::clone(&done));
+                thread::spawn(move || waiter_loop(&s2, &d2, registered))
+            })
+            .collect();
+        done.store(true, Ordering::SeqCst);
+        sleep.wake_waiters();
+        for w in waiters {
+            w.join().unwrap();
+        }
+    })
+}
+
+#[test]
+fn predicate_flip_wakes_every_registered_waiter() {
+    let report = predicate_flip_model(true);
+    report.assert_ok();
+    assert!(report.exhausted, "predicate-sleeper model should be exhaustible");
+}
+
+/// Mutation: the same sleepers parking *unregistered*. `wake_waiters` then reads a zero count
+/// and skips the epoch bump, and a flip landing between a sleeper's re-check and its wait is
+/// lost — the checker must report the sleeper parked forever.
+#[test]
+fn unregistered_predicate_sleeper_is_caught_as_deadlock() {
+    let report = predicate_flip_model(false);
+    assert!(
+        report.found_deadlock(),
+        "loom-lite failed to catch the seeded skipped-registration bug: {report:?}"
+    );
 }
 
 /// One worker, one producer: the submission (work flag + notify) must never be lost,

@@ -8,11 +8,12 @@
 //!   - `call-while-locked`: no domain-lock guard may be live across the message pump or any
 //!     scheduler dispatch/wake call — effects are dispatched strictly after every engine lock
 //!     is dropped.
-//! * `crates/threadpool/src/sleep.rs` — the **epoch mutex** (`….epoch.lock()`):
-//!   - `leaf-lock`: the epoch mutex is a leaf of the lock hierarchy — no other lock may be
-//!     acquired while it is held;
-//!   - `call-while-locked`: no pump/dispatch call under it. (Condvar notifies under the epoch
-//!     mutex are *required* by the protocol and are deliberately not flagged here.)
+//! * `crates/threadpool/src/sleep.rs` — the **epoch mutex** (`….epoch.lock()`) and the **gate
+//!   mutex** (`….mutex.lock()`, the one `Gate` type behind job completion and admission):
+//!   - `leaf-lock`: both are leaves of the lock hierarchy — no other lock may be acquired
+//!     while one is held;
+//!   - `call-while-locked`: no pump/dispatch call under either. (Condvar notifies under them
+//!     are *required* by the protocols and are deliberately not flagged here.)
 //! * `crates/core/src/runtime.rs` — the **jobs registry** (`….jobs.lock()`) of the
 //!   multi-tenant service:
 //!   - `leaf-lock`: only insert/remove/`Arc`-clone run under it — no other lock;
@@ -21,9 +22,6 @@
 //! * `crates/threadpool/src/lib.rs` — the **fair-share queue mutex** (`….fair.lock()`):
 //!   - `leaf-lock` + `call-while-locked`: queue rotation only; sleep-protocol notifies happen
 //!     strictly after the push returns.
-//! * `crates/threadpool/src/admission.rs` — the **admission mutex** (`….mutex.lock()`):
-//!   - `leaf-lock` + `call-while-locked` (pump/dispatch patterns; like the epoch mutex, the
-//!     condvar notify under it is the lost-wake-up defence and is deliberately allowed).
 //! * `crates/threadpool/src/watchdog.rs` — the **watchdog state mutex** (`….state.lock()`):
 //!   - `leaf-lock` + `call-while-locked` (pump/dispatch patterns; the condvar wait *and*
 //!     notify under the mutex are the watchdog's own sleep protocol and are deliberately
@@ -68,19 +66,27 @@ pub struct LockClass {
 
 /// The configured classes for a real workspace file, selected by file name.
 pub fn classes_for(path: &Path) -> &'static [LockClass] {
+    // Scheduler entry points that queue work (and signal the sleep protocol themselves).
+    const DISPATCH: &[&str] =
+        &[".pump(", ".submit(", ".submit_batch(", ".dispatch_ready(", ".dispatch_spawned("];
+    // `DISPATCH` plus every sleep-protocol wake — and `work_until`, which sleeps *and* runs
+    // arbitrary tasks.
+    const WAKE_OR_DISPATCH: &[&str] = &[
+        ".pump(",
+        ".notify_one(",
+        ".notify_all(",
+        ".notify_many(",
+        ".wake_waiters(",
+        ".work_until(",
+        ".submit(",
+        ".submit_batch(",
+        ".dispatch_ready(",
+        ".dispatch_spawned(",
+    ];
     const DOMAIN: LockClass = LockClass {
         name: "domain",
         acquire: ".domain.lock()",
-        forbidden_calls: &[
-            ".pump(",
-            ".notify_one(",
-            ".notify_all(",
-            ".notify_many(",
-            ".submit(",
-            ".submit_batch(",
-            ".dispatch_ready(",
-            ".dispatch_spawned(",
-        ],
+        forbidden_calls: WAKE_OR_DISPATCH,
         forbid_nested_same_class: true,
         leaf: false,
     };
@@ -89,23 +95,34 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         acquire: ".epoch.lock()",
         // Condvar notifies are deliberately absent: notifying *under* the epoch mutex is the
         // lost-wake-up defence (docs/locking.md), not a violation.
-        forbidden_calls: &[".pump(", ".submit(", ".submit_batch(", ".dispatch_ready(", ".dispatch_spawned("],
+        forbidden_calls: DISPATCH,
+        forbid_nested_same_class: true,
+        leaf: true,
+    };
+    const GATE: LockClass = LockClass {
+        name: "gate",
+        acquire: ".mutex.lock()",
+        // Like the epoch mutex, the condvar notify under the gate mutex is the lost-wake-up
+        // defence and is deliberately allowed.
+        forbidden_calls: DISPATCH,
         forbid_nested_same_class: true,
         leaf: true,
     };
     const REGISTRY: LockClass = LockClass {
         name: "jobs-registry",
         acquire: ".jobs.lock()",
-        // The registry holds job `Arc`s only for insert/remove/clone; every notify, dispatch
-        // and admission probe must happen after the guard is dropped (docs/locking.md).
+        // The registry holds job `Arc`s only for insert/remove/clone; every notify, wait,
+        // dispatch and admission probe must happen after the guard is dropped
+        // (docs/locking.md).
         forbidden_calls: &[
             ".pump(",
             ".notify(",
             ".notify_one(",
             ".notify_all(",
             ".notify_many(",
+            ".wake_waiters(",
             ".wait_until(",
-            ".wait_once(",
+            ".work_until(",
             ".submit(",
             ".submit_batch(",
             ".dispatch_ready(",
@@ -119,25 +136,7 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         name: "fair-queue",
         acquire: ".fair.lock()",
         // Sleep-protocol notifies happen strictly after a fair push returns.
-        forbidden_calls: &[
-            ".pump(",
-            ".notify_one(",
-            ".notify_all(",
-            ".notify_many(",
-            ".submit(",
-            ".submit_batch(",
-            ".dispatch_ready(",
-            ".dispatch_spawned(",
-        ],
-        forbid_nested_same_class: true,
-        leaf: true,
-    };
-    const ADMISSION: LockClass = LockClass {
-        name: "admission",
-        acquire: ".mutex.lock()",
-        // Like the epoch mutex, the condvar notify under the admission mutex is the
-        // lost-wake-up defence and is deliberately allowed.
-        forbidden_calls: &[".pump(", ".submit(", ".submit_batch(", ".dispatch_ready(", ".dispatch_spawned("],
+        forbidden_calls: WAKE_OR_DISPATCH,
         forbid_nested_same_class: true,
         leaf: true,
     };
@@ -148,28 +147,32 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         // sleep protocol (docs/robustness.md) — only pump/dispatch calls are out of place.
         // The tick callback (which takes the caller's own leaf locks) runs outside the mutex;
         // the `thread` handle mutex is a spawn-once latch, not part of this class.
-        forbidden_calls: &[".pump(", ".submit(", ".submit_batch(", ".dispatch_ready(", ".dispatch_spawned("],
+        forbidden_calls: DISPATCH,
         forbid_nested_same_class: true,
         leaf: true,
     };
+    // `WAKE_OR_DISPATCH` plus chunk execution.
+    const NO_CHUNK_WAKE_OR_DISPATCH: &[&str] = &[
+        ".pump(",
+        ".notify_one(",
+        ".notify_all(",
+        ".notify_many(",
+        ".wake_waiters(",
+        ".work_until(",
+        ".submit(",
+        ".submit_batch(",
+        ".dispatch_ready(",
+        ".dispatch_spawned(",
+        ".run_chunk(",
+        ".drive(",
+        ".claim(",
+    ];
     const ASSIST: LockClass = LockClass {
         name: "assist-registry",
         acquire: ".loops.lock()",
         // Chunks are claimed and run strictly after the registry guard is released, and the
         // publish wake goes through the sleep protocol outside the lock (docs/locking.md).
-        forbidden_calls: &[
-            ".pump(",
-            ".notify_one(",
-            ".notify_all(",
-            ".notify_many(",
-            ".submit(",
-            ".submit_batch(",
-            ".dispatch_ready(",
-            ".dispatch_spawned(",
-            ".run_chunk(",
-            ".drive(",
-            ".claim(",
-        ],
+        forbidden_calls: NO_CHUNK_WAKE_OR_DISPATCH,
         forbid_nested_same_class: true,
         leaf: true,
     };
@@ -178,27 +181,14 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         acquire: ".poison.lock()",
         // The poison slot only stores/takes the first panic payload; nothing else may run
         // under it.
-        forbidden_calls: &[
-            ".pump(",
-            ".notify_one(",
-            ".notify_all(",
-            ".notify_many(",
-            ".submit(",
-            ".submit_batch(",
-            ".dispatch_ready(",
-            ".dispatch_spawned(",
-            ".run_chunk(",
-            ".drive(",
-            ".claim(",
-        ],
+        forbidden_calls: NO_CHUNK_WAKE_OR_DISPATCH,
         forbid_nested_same_class: true,
         leaf: true,
     };
     const DOMAIN_CLASSES: &[LockClass] = &[DOMAIN];
-    const EPOCH_CLASSES: &[LockClass] = &[EPOCH];
+    const SLEEP_CLASSES: &[LockClass] = &[EPOCH, GATE];
     const REGISTRY_CLASSES: &[LockClass] = &[REGISTRY];
     const FAIR_CLASSES: &[LockClass] = &[FAIR];
-    const ADMISSION_CLASSES: &[LockClass] = &[ADMISSION];
     const WATCHDOG_CLASSES: &[LockClass] = &[WATCHDOG];
     const ASSIST_CLASSES: &[LockClass] = &[ASSIST, POISON];
     let full = path.to_string_lossy().replace('\\', "/");
@@ -207,11 +197,9 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
     if name.contains("engine") || name.contains("domain") || name.contains("outbox") {
         DOMAIN_CLASSES
     } else if name.contains("sleep") {
-        EPOCH_CLASSES
+        SLEEP_CLASSES
     } else if name.contains("runtime") || name.contains("registry") {
         REGISTRY_CLASSES
-    } else if name.contains("admission") {
-        ADMISSION_CLASSES
     } else if name.contains("watchdog") {
         WATCHDOG_CLASSES
     } else if name.contains("assist") {
@@ -605,7 +593,7 @@ mod tests {
                 let others: Vec<_> = registry.values().cloned().collect();
                 drop(registry);
                 for other in others {
-                    other.gate.notify(false, true);
+                    other.gate.notify();
                 }
             }
         "#;
@@ -615,7 +603,7 @@ mod tests {
             fn notify_under_registry(&self) {
                 let registry = inner.jobs.lock();
                 for other in registry.values() {
-                    other.gate.notify(false, true);
+                    other.gate.notify();
                 }
             }
         "#;
@@ -627,7 +615,7 @@ mod tests {
     }
 
     #[test]
-    fn fair_queue_and_admission_classes_resolve_and_flag() {
+    fn fair_queue_and_gate_classes_resolve_and_flag() {
         let fair_classes = classes_for(&PathBuf::from("crates/threadpool/src/lib.rs"));
         assert_eq!(fair_classes.len(), 1, "threadpool lib.rs must get the fair-queue class");
         let dirty = r#"
@@ -643,16 +631,28 @@ mod tests {
             "wake under the fair-queue guard not flagged: {violations:?}"
         );
 
-        let admission_classes = classes_for(&PathBuf::from("admission.rs"));
+        assert_eq!(epoch_classes().len(), 2, "sleep.rs must get the epoch + gate classes");
         let clean = r#"
-            fn notify_release(&self) {
+            fn notify(&self) {
                 let _guard = self.mutex.lock();
                 self.condvar.notify_all();
             }
         "#;
         assert!(
-            scan_source("admission.rs", clean, admission_classes).is_empty(),
-            "the admission condvar notify under its own mutex must stay allowed"
+            scan_source("sleep.rs", clean, epoch_classes()).is_empty(),
+            "the gate's condvar notify under its own mutex must stay allowed"
+        );
+        let dirty = r#"
+            fn work_under_registry(&self) {
+                let registry = inner.jobs.lock();
+                worker.work_until(done);
+            }
+        "#;
+        let violations =
+            scan_source("runtime.rs", dirty, classes_for(&PathBuf::from("runtime.rs")));
+        assert!(
+            violations.iter().any(|v| v.rule == "call-while-locked"),
+            "the idle loop under the registry guard not flagged: {violations:?}"
         );
     }
 

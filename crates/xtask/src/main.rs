@@ -7,8 +7,7 @@
 //! `lint-locks` enforces the locking rules of `docs/locking.md` on the deadlock-critical
 //! files (`crates/core/src/engine.rs`, `crates/core/src/runtime.rs`,
 //! `crates/threadpool/src/sleep.rs`, `crates/threadpool/src/lib.rs`,
-//! `crates/threadpool/src/admission.rs`, `crates/threadpool/src/watchdog.rs`,
-//! `crates/threadpool/src/assist.rs`); see `src/lint.rs` for the rules and the scanner.
+//! `crates/threadpool/src/watchdog.rs`, `crates/threadpool/src/assist.rs`); see `src/lint.rs` for the rules and the scanner.
 //! Exit code 1 when violations remain after allowlisting.
 
 mod lint;
@@ -23,7 +22,6 @@ const DEFAULT_TARGETS: &[&str] = &[
     "crates/threadpool/src/sleep.rs",
     "crates/core/src/runtime.rs",
     "crates/threadpool/src/lib.rs",
-    "crates/threadpool/src/admission.rs",
     "crates/threadpool/src/watchdog.rs",
     "crates/threadpool/src/assist.rs",
 ];

@@ -129,6 +129,14 @@ impl<T> SharedSlice<T> {
 
     /// Reads the elements `range` from within a task.
     ///
+    /// # Cost
+    /// The coverage check is O(declared entries) and allocates nothing when one strong entry
+    /// contains `range` — the usual case, since a body accesses what it declared. Only a range
+    /// that no single entry contains (e.g. one straddling two adjacent declared entries of
+    /// different modes) builds the union of the qualifying entries. The check runs in release
+    /// builds too, so a body that walks a declared range should borrow it once rather than
+    /// once per element.
+    ///
     /// # Panics
     /// Panics if the calling task did not declare a strong dependency covering `range`.
     pub fn read<'a>(&'a self, ctx: &TaskCtx<'_>, range: Range<usize>) -> &'a [T] {
@@ -150,6 +158,10 @@ impl<T> SharedSlice<T> {
     }
 
     /// Mutably accesses the elements `range` from within a task.
+    ///
+    /// # Cost
+    /// As for [`SharedSlice::read`], counting only the write-capable strong entries: no
+    /// allocation when one of them contains `range`, the union of them otherwise.
     ///
     /// # Panics
     /// Panics if the calling task did not declare a strong, write-capable dependency covering

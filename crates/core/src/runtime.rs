@@ -1177,18 +1177,20 @@ impl<'a> TaskCtx<'a> {
     }
 }
 
+/// `true` if the strong (and, for `needs_write`, write-capable) entries of `footprint` cover
+/// `region`. Bodies access what they declared, so one entry usually contains the region on its
+/// own and the check allocates nothing; only a region that straddles several entries pays for
+/// the union.
 fn covered_by(footprint: &[FootprintEntry], region: &Region, needs_write: bool) -> bool {
-    let mut qualifying = RegionSet::new();
-    for entry in footprint {
-        if entry.weak {
-            continue;
-        }
-        if needs_write && !entry.write {
-            continue;
-        }
-        qualifying.add(&entry.region);
+    let qualifying = footprint.iter().filter(|e| !e.weak && (e.write || !needs_write));
+    if qualifying.clone().any(|e| e.region.contains_region(region)) {
+        return true;
     }
-    qualifying.contains_all(region)
+    let mut union = RegionSet::new();
+    for entry in qualifying {
+        union.add(&entry.region);
+    }
+    union.contains_all(region)
 }
 
 /// A fully described child task, detached from any context: dependencies, clauses, label and
@@ -1849,6 +1851,75 @@ mod tests {
                 let _ = x2.read(c, 0..1); // no dependency declared
             });
         });
+    }
+
+    /// The plain answer `covered_by` must agree with: the union of the qualifying entries.
+    fn union_covers(footprint: &[FootprintEntry], region: &Region, needs_write: bool) -> bool {
+        let qualifying = footprint.iter().filter(|e| !e.weak && (e.write || !needs_write));
+        RegionSet::from_regions(qualifying.map(|e| &e.region)).contains_all(region)
+    }
+
+    #[test]
+    fn covered_by_agrees_with_the_union_of_qualifying_entries() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use weakdep_regions::SpaceId;
+
+        let mut rng = SmallRng::seed_from_u64(0xC0FE);
+        let (mut empty_queries, mut union_only, mut second_space) = (0, 0, 0);
+        for _ in 0..20_000 {
+            // 1–5 entries; each either starts where the previous one ended (adjacent pieces) or
+            // anywhere in a small window (overlaps), in space 1 or, sometimes, space 2.
+            let mut footprint: Vec<FootprintEntry> = Vec::new();
+            for _ in 0..rng.gen_range(1..6usize) {
+                let space = SpaceId(if rng.gen_bool(0.2) { 2 } else { 1 });
+                let start = match footprint.last() {
+                    Some(prev) if rng.gen_bool(0.4) => prev.region.end,
+                    _ => rng.gen_range(0..24usize),
+                };
+                let end = start + rng.gen_range(0..10usize);
+                footprint.push(FootprintEntry {
+                    region: Region::new(space, start, end),
+                    write: rng.gen_bool(0.5),
+                    weak: rng.gen_bool(0.3),
+                });
+            }
+            // Queries: empty, the span of two entries, or anywhere.
+            let query = match rng.gen_range(0..4u32) {
+                0 => {
+                    let at = rng.gen_range(0..40usize);
+                    Region::new(SpaceId(rng.gen_range(1..3u64)), at, at)
+                }
+                1 => {
+                    let a = footprint[rng.gen_range(0..footprint.len())].region;
+                    let b = footprint[rng.gen_range(0..footprint.len())].region;
+                    Region::new(a.space, a.start.min(b.start), a.end.max(b.end))
+                }
+                _ => {
+                    let start = rng.gen_range(0..34usize);
+                    Region::new(SpaceId(1), start, start + rng.gen_range(0..8usize))
+                }
+            };
+            for needs_write in [false, true] {
+                let expected = union_covers(&footprint, &query, needs_write);
+                assert_eq!(
+                    covered_by(&footprint, &query, needs_write),
+                    expected,
+                    "footprint {footprint:?}, query {query:?}, write {needs_write}"
+                );
+                let single = footprint.iter().any(|e| {
+                    !e.weak && (e.write || !needs_write) && e.region.contains_region(&query)
+                });
+                empty_queries += usize::from(query.is_empty());
+                union_only += usize::from(expected && !single && !query.is_empty());
+                second_space += usize::from(expected && query.space == SpaceId(2));
+            }
+        }
+        assert!(
+            empty_queries > 0 && union_only > 0 && second_space > 0,
+            "every case must be drawn: {empty_queries} empty, {union_only} union-only, \
+             {second_space} in the second space"
+        );
     }
 
     #[test]

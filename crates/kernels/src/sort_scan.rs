@@ -2,12 +2,17 @@
 //!
 //! Both algorithms are recursive and taskified:
 //!
-//! * the quicksort partitions in the current task (its accesses are therefore strong) and spawns
-//!   one subtask per partition, releasing dependencies at the granularity of the insertion-sort
-//!   base case thanks to `weakwait`;
+//! * the quicksort partitions in the current task (its accesses are therefore strong): an
+//!   in-place three-way partition splits the range into `< pivot`, `== pivot` and `> pivot`
+//!   bands, and one subtask is spawned per non-empty outer band. The pivot band is already in
+//!   its final place, so no child covers it; it stays under the partitioning task's `inout` and
+//!   is released when that body ends. Every level thus shrinks both sides by at least one band,
+//!   and a range holding a single key spawns nothing. Dependencies are released at the
+//!   granularity of the insertion-sort base case thanks to `weakwait`;
 //! * the prefix sum divides the array into blocks, computes block-local prefix sums, recursively
 //!   scans the block totals with a larger stride and finally accumulates the carry of each block
-//!   into the next one. All non-leaf tasks use weak dependencies.
+//!   into the next one. All non-leaf tasks use weak dependencies; each leaf borrows its carry
+//!   element and its declared strided range once and walks the range with `step_by`.
 //!
 //! When both run back to back over the same array (the `weak` variant), the leaf tasks of the
 //! prefix sum connect directly to the quicksort leaves that produced their data, so the two
@@ -15,6 +20,7 @@
 //! with a `taskwait` and the weak dependencies with regular ones, which forces the prefix sum to
 //! wait for the whole sort.
 
+use std::cmp::Ordering;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -92,32 +98,28 @@ fn median_of_three(a: Elem, b: Elem, c: Elem) -> Elem {
     v[1]
 }
 
-/// Partitions `data` around a median-of-three pivot, returning a split index `p` (`1 <= p < n`)
-/// such that every element of `data[..p]` is `<=` every element of `data[p..]`.
-///
-/// A three-way (less / equal / greater) partition keeps the invariant simple and guarantees
-/// progress even for constant inputs.
-fn partition(data: &mut [Elem]) -> usize {
+/// Partitions non-empty `data` in place around a median-of-three pivot (Dutch national flag),
+/// returning `(lt, gt)` such that `data[..lt] < pivot`, `data[lt..gt] == pivot` and
+/// `data[gt..] > pivot`. The pivot occurs in `data`, so `lt < gt`.
+fn partition(data: &mut [Elem]) -> (usize, usize) {
     let n = data.len();
-    debug_assert!(n >= 2);
     let pivot = median_of_three(data[0], data[n / 2], data[n - 1]);
-    let mut less = Vec::with_capacity(n);
-    let mut equal = Vec::new();
-    let mut greater = Vec::with_capacity(n);
-    for &value in data.iter() {
-        if value < pivot {
-            less.push(value);
-        } else if value > pivot {
-            greater.push(value);
-        } else {
-            equal.push(value);
+    let (mut lt, mut i, mut gt) = (0, 0, n);
+    while i < gt {
+        match data[i].cmp(&pivot) {
+            Ordering::Less => {
+                data.swap(lt, i);
+                lt += 1;
+                i += 1;
+            }
+            Ordering::Greater => {
+                gt -= 1;
+                data.swap(i, gt);
+            }
+            Ordering::Equal => i += 1,
         }
     }
-    let split = (less.len() + equal.len()).clamp(1, n - 1);
-    for (cursor, value) in less.into_iter().chain(equal).chain(greater).enumerate() {
-        data[cursor] = value;
-    }
-    split
+    (lt, gt)
 }
 
 /// Recursive taskified quicksort (Listing 7, `quick_sort`).
@@ -142,36 +144,18 @@ fn quick_sort(ctx: &TaskCtx<'_>, data: &SharedSlice<Elem>, offset: usize, n: usi
     }
 
     // The partition is performed by the *current* task, which owns a strong inout over the range.
-    let pivot_index = {
-        let slice = data.write(ctx, offset..offset + n);
-        partition(slice)
-    };
-
-    // Left part.
-    if pivot_index > 0 {
+    // The pivot band `lt..gt` is already in its final place: no child covers it, so it stays
+    // under this task's inout until the body ends.
+    let (lt, gt) = partition(data.write(ctx, offset..offset + n));
+    for (start, len) in [(offset, lt), (offset + gt, n - gt)] {
+        if len == 0 {
+            continue;
+        }
         let d = data.clone();
-        let builder = ctx
-            .task()
-            .inout(data.region(offset..offset + pivot_index))
-            .label("quick_sort");
+        let builder = ctx.task().inout(data.region(start..start + len)).label("quick_sort");
         let builder = if weak { builder.weakwait() } else { builder };
         builder.spawn(move |t| {
-            quick_sort(t, &d, offset, pivot_index, ts, weak);
-            if !weak {
-                t.taskwait();
-            }
-        });
-    }
-    // Right part.
-    if pivot_index < n {
-        let d = data.clone();
-        let builder = ctx
-            .task()
-            .inout(data.region(offset + pivot_index..offset + n))
-            .label("quick_sort");
-        let builder = if weak { builder.weakwait() } else { builder };
-        builder.spawn(move |t| {
-            quick_sort(t, &d, offset + pivot_index, n - pivot_index, ts, weak);
+            quick_sort(t, &d, start, len, ts, weak);
             if !weak {
                 t.taskwait();
             }
@@ -260,10 +244,9 @@ fn prefix_sum(
                 .label("accumulation")
                 .stage(move |t| {
                     let carry = d.read(t, offset + i..offset + i + 1)[0];
-                    let mut j = stride;
-                    while j < size {
-                        d.write(t, offset + i + j..offset + i + j + 1)[0] += carry;
-                        j += stride;
+                    let block = d.write(t, offset + i + stride..offset + i + size);
+                    for value in block.iter_mut().step_by(stride) {
+                        *value += carry;
                     }
                 }),
         );
@@ -291,11 +274,10 @@ fn scan_block_spec(
             .inout(data.region(offset + stride..offset + n))
             .label("prefix_sum")
             .stage(move |t| {
-                let mut i = stride;
-                while i < n {
-                    let prev = d.read(t, offset + i - stride..offset + i - stride + 1)[0];
-                    d.write(t, offset + i..offset + i + 1)[0] += prev;
-                    i += stride;
+                let mut carry = d.read(t, offset..offset + 1)[0];
+                for value in d.write(t, offset + stride..offset + n).iter_mut().step_by(stride) {
+                    *value += carry;
+                    carry = *value;
                 }
             }),
     )
@@ -383,16 +365,43 @@ mod tests {
     #[test]
     fn partition_splits_and_orders() {
         let mut rng = SmallRng::seed_from_u64(1);
-        for _ in 0..200 {
-            let n = rng.gen_range(2..60);
-            let mut v: Vec<Elem> = (0..n).map(|_| rng.gen_range(0..50) as Elem).collect();
+        for _ in 0..400 {
+            let n = rng.gen_range(1..60);
+            let keys = rng.gen_range(1..50);
+            let mut v: Vec<Elem> = (0..n).map(|_| rng.gen_range(0..keys) as Elem).collect();
             let original = v.clone();
-            let p = partition(&mut v);
-            assert!(p >= 1 && p < n, "both sides must be non-empty (n={n}, p={p})");
-            let max_left = v[..p].iter().max().unwrap();
-            let min_right = v[p..].iter().min().unwrap();
-            assert!(max_left <= min_right, "partition property violated: {original:?} -> {v:?} at {p}");
+            let (lt, gt) = partition(&mut v);
+            assert!(lt < gt && gt <= n, "the pivot band must be non-empty (n={n}, {lt}..{gt})");
+            let pivot = v[lt];
+            let bands_hold = v[..lt].iter().all(|&x| x < pivot)
+                && v[lt..gt].iter().all(|&x| x == pivot)
+                && v[gt..].iter().all(|&x| x > pivot);
+            assert!(bands_hold, "three bands violated: {original:?} -> {v:?} at {lt}..{gt}");
+            let (mut sorted, mut expected) = (v.clone(), original.clone());
+            sorted.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(sorted, expected, "the partition must permute its input");
         }
+    }
+
+    #[test]
+    fn few_distinct_keys_do_not_peel_one_element_per_task() {
+        // Four keys: every quicksort level removes a whole pivot band, so the task count stays
+        // linear in n / ts (sort and scan together), not in n.
+        let rt = Runtime::with_workers(2);
+        let cfg = SortScanConfig { n: 4_096, ts: 64, seed: 0 };
+        let input: Vec<Elem> = (0..cfg.n).map(|i| ((i * 7919) % 4) as Elem).collect();
+        let data = SharedSlice::from_vec(input.clone());
+        let before = rt.stats().tasks_executed;
+        run_on(&rt, SortScanVariant::Weak, &cfg, &data);
+        let tasks = rt.stats().tasks_executed - before;
+        assert!(tasks <= 4 * cfg.n / cfg.ts, "{tasks} tasks for n = {}", cfg.n);
+        let mut expected = input;
+        expected.sort_unstable();
+        for i in 1..expected.len() {
+            expected[i] += expected[i - 1];
+        }
+        assert_eq!(data.snapshot(), expected);
     }
 
     #[test]

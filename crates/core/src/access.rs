@@ -116,45 +116,57 @@ pub struct NormalizedDep {
 }
 
 /// Normalises a task's declared dependencies: overlapping declarations are fragmented and
-/// combined (write wins over read, strong wins over weak), empty regions are dropped.
+/// combined (write wins over read, strong wins over weak), adjacent regions of equal mode are
+/// merged, empty regions are dropped. The result is sorted by `(space, start)`.
 ///
 /// The OpenMP specification leaves overlapping entries of a single `depend` clause undefined;
 /// combining them with an upgrade rule is the conservative choice and what the Nanos6 runtime
 /// does in practice.
 pub fn normalize_deps(deps: &[Depend]) -> Vec<NormalizedDep> {
-    // Fast path for the overwhelmingly common declarations: pairwise strictly separated
-    // regions. No fragmentation or combining can occur then, so the general region-map
-    // machinery — several allocations per call, on the task-creation hot path — is skipped
-    // entirely. The check sorts the candidate output (which the slow path produces sorted
-    // anyway) and scans adjacent pairs, so it is O(n log n) for any clause length instead of
-    // the quadratic scan the old ≤3-entry fast path used. Adjacent same-space regions fall
-    // through to the slow path so equal-mode neighbours still coalesce.
-    if !deps.is_empty() {
-        let mut out: Vec<NormalizedDep> = Vec::with_capacity(deps.len());
-        let mut all_non_empty = true;
-        for d in deps {
-            if d.region.is_empty() {
-                all_non_empty = false;
-                break;
-            }
-            out.push(NormalizedDep {
-                region: d.region,
-                is_write: d.access.is_write(),
-                weak: d.access.is_weak(),
-            });
-        }
-        if all_non_empty {
-            out.sort_unstable_by_key(|d| (d.region.space, d.region.start));
-            let separated = out.windows(2).all(|pair| {
-                pair[0].region.space != pair[1].region.space
-                    || pair[0].region.end < pair[1].region.start
-            });
-            if separated {
-                return out;
-            }
-        }
-    }
+    normalize_disjoint(deps).unwrap_or_else(|| normalize_general(deps))
+}
 
+/// The fast path for the overwhelmingly common declarations: pairwise disjoint, non-empty
+/// regions — adjacent ones included, like the left / center / right blocks of a stencil. No
+/// fragmentation or combining can occur then, so the region-map machinery (several allocations
+/// per call, on the task-creation hot path) is skipped: the candidate output is sorted, checked
+/// pair by pair, and adjacent neighbours of equal mode are merged in place — exactly what the
+/// general path's coalescing produces. One allocation, the output `Vec`. `None` sends the
+/// clause to [`normalize_general`].
+fn normalize_disjoint(deps: &[Depend]) -> Option<Vec<NormalizedDep>> {
+    if deps.is_empty() || deps.iter().any(|d| d.region.is_empty()) {
+        return None;
+    }
+    let mut out: Vec<NormalizedDep> = deps
+        .iter()
+        .map(|d| NormalizedDep {
+            region: d.region,
+            is_write: d.access.is_write(),
+            weak: d.access.is_weak(),
+        })
+        .collect();
+    out.sort_unstable_by_key(|d| (d.region.space, d.region.start));
+    let disjoint = out.windows(2).all(|pair| {
+        pair[0].region.space != pair[1].region.space || pair[0].region.end <= pair[1].region.start
+    });
+    if !disjoint {
+        return None;
+    }
+    out.dedup_by(|next, prev| {
+        let merge = prev.region.space == next.region.space
+            && prev.region.end == next.region.start
+            && (prev.is_write, prev.weak) == (next.is_write, next.weak);
+        if merge {
+            prev.region.end = next.region.end;
+        }
+        merge
+    });
+    Some(out)
+}
+
+/// The general path: fragments and combines the declarations in a region map, then coalesces
+/// equal-mode neighbours.
+fn normalize_general(deps: &[Depend]) -> Vec<NormalizedDep> {
     #[derive(Clone, PartialEq)]
     struct Combined {
         is_write: bool,
@@ -177,9 +189,13 @@ pub fn normalize_deps(deps: &[Depend]) -> Vec<NormalizedDep> {
         });
     }
     map.coalesce();
-    map.iter()
+    let mut out: Vec<NormalizedDep> = map
+        .iter()
         .map(|(region, c)| NormalizedDep { region, is_write: c.is_write, weak: c.weak })
-        .collect()
+        .collect();
+    // Spaces iterate in hash order; fragments within a space are already ordered.
+    out.sort_unstable_by_key(|d| (d.region.space, d.region.start));
+    out
 }
 
 #[cfg(test)]
@@ -306,4 +322,123 @@ mod tests {
     fn wait_mode_default_is_none() {
         assert_eq!(WaitMode::default(), WaitMode::None);
     }
+
+    const ACCESS_TYPES: [AccessType; 6] = [
+        AccessType::In,
+        AccessType::Out,
+        AccessType::InOut,
+        AccessType::WeakIn,
+        AccessType::WeakOut,
+        AccessType::WeakInOut,
+    ];
+
+    /// Random 1–6-entry clauses — adjacent pieces, overlaps, mixed weak/strong modes, a second
+    /// space — normalise identically on the fast path (when it accepts) and the general path.
+    #[test]
+    fn fast_path_agrees_with_the_general_path() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(0xD15_0147);
+        let (mut fast, mut merged, mut second_space) = (0, 0, 0);
+        for _ in 0..20_000 {
+            let mut deps: Vec<Depend> = Vec::new();
+            for _ in 0..rng.gen_range(1..=6usize) {
+                let space = SpaceId(if rng.gen_bool(0.2) { 2 } else { 1 });
+                let start = match deps.last() {
+                    Some(prev) if rng.gen_bool(0.5) => prev.region.end,
+                    _ => rng.gen_range(0..60usize),
+                };
+                let end = start + rng.gen_range(1..10usize);
+                let access = ACCESS_TYPES[rng.gen_range(0..ACCESS_TYPES.len())];
+                deps.push(Depend::new(access, Region::new(space, start, end)));
+            }
+            let general = normalize_general(&deps);
+            if let Some(out) = normalize_disjoint(&deps) {
+                assert_eq!(out, general, "clause {deps:?}");
+                fast += 1;
+                merged += usize::from(out.len() < deps.len());
+                second_space += usize::from(out.iter().any(|d| d.region.space == SpaceId(2)));
+            }
+            assert_eq!(normalize_deps(&deps), general, "clause {deps:?}");
+        }
+        assert!(fast > 2_000, "fast path taken only {fast} times");
+        assert!(merged > 200, "adjacent equal-mode merges drawn only {merged} times");
+        assert!(second_space > 200, "second-space clauses drawn only {second_space} times");
+    }
+
+    /// A `gs_wavefront` tile's clause — top / left / center / right / bottom blocks of a
+    /// block-major grid, where left, center and right are adjacent — stays on the fast path:
+    /// one allocation, the output `Vec`.
+    #[test]
+    fn a_stencil_clause_allocates_only_its_output() {
+        const BLOCK: usize = 4096;
+        const BLOCKS_PER_ROW: usize = 8;
+        let block = |bi: usize, bj: usize| {
+            let first = (bi * BLOCKS_PER_ROW + bj) * BLOCK;
+            r(first, first + BLOCK)
+        };
+        let deps = [
+            Depend::new(AccessType::In, block(2, 3)),
+            Depend::new(AccessType::In, block(3, 2)),
+            Depend::new(AccessType::InOut, block(3, 3)),
+            Depend::new(AccessType::In, block(3, 4)),
+            Depend::new(AccessType::In, block(4, 3)),
+        ];
+        let before = counting_alloc::allocations();
+        let norm = normalize_deps(&deps);
+        let allocations = counting_alloc::allocations() - before;
+        assert_eq!(norm, normalize_general(&deps));
+        assert_eq!(norm.len(), 5);
+        assert_eq!(allocations, 1, "heap allocations normalising the stencil clause");
+    }
+}
+
+/// A pass-through global allocator that counts the calling thread's allocations and
+/// reallocations, for this crate's unit tests. Per thread, so concurrently running tests never
+/// disturb a measurement taken around one call.
+#[cfg(test)]
+mod counting_alloc {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Allocations the calling thread has performed so far.
+    pub(crate) fn allocations() -> usize {
+        ALLOCATIONS.with(Cell::get)
+    }
+
+    fn count() {
+        // `try_with`: the allocator may run while the thread's locals are being torn down.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    struct ThreadCountingAllocator;
+
+    // SAFETY: defers every operation to `System` unchanged; the counter is a thread-local cell
+    // without a destructor, so counting never allocates or re-enters the allocator.
+    unsafe impl GlobalAlloc for ThreadCountingAllocator {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: `layout` is forwarded unchanged; the caller upholds `alloc`'s contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` through `alloc`/`realloc` with this layout.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            // SAFETY: as for `dealloc`; the caller upholds `realloc`'s contract.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: ThreadCountingAllocator = ThreadCountingAllocator;
 }

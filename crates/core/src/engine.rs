@@ -70,6 +70,7 @@
 //! that reuses the slot. Under steady-state load the task table therefore plateaus at the
 //! live-task high-water mark instead of growing with every task ever spawned.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -1049,6 +1050,36 @@ enum Event {
     Complete { node: u32, parts: Parts },
 }
 
+thread_local! {
+    /// The calling thread's cascade queues between engine calls, empty but with their capacity.
+    static CASCADE_SCRATCH: Cell<Option<CascadeScratch>> = const { Cell::new(None) };
+}
+
+/// The message outbox and event queue of one retire cascade ([`DependencyEngine::body_finished`],
+/// [`DependencyEngine::release_region`]). Both queues grow to a handful of ~100-byte entries on
+/// nearly every task, so a fresh pair per call cost several `realloc`s; instead each thread keeps
+/// one pair and lends it to the call it is running. Engine calls never nest on a thread, so the
+/// cell is always full when a call starts after the first; a panic mid-cascade only drops the
+/// pair, and nothing depends on getting it back.
+#[derive(Default)]
+struct CascadeScratch {
+    outbox: VecDeque<Message>,
+    queue: VecDeque<Event>,
+}
+
+impl CascadeScratch {
+    /// Takes this thread's pair (a fresh one on the first call, or during thread teardown).
+    fn take() -> Self {
+        CASCADE_SCRATCH.try_with(Cell::take).ok().flatten().unwrap_or_default()
+    }
+
+    /// Returns the drained pair to this thread for the next call.
+    fn put_back(self) {
+        debug_assert!(self.outbox.is_empty() && self.queue.is_empty());
+        let _ = CASCADE_SCRATCH.try_with(|cell| cell.set(Some(self)));
+    }
+}
+
 /// Number of stripes in the task table. Lookups take a stripe lock only long enough to clone an
 /// `Arc`, so this mostly bounds allocation contention during bursts of registration.
 const TABLE_SHARDS: usize = 64;
@@ -1521,7 +1552,8 @@ impl DependencyEngine {
     pub fn body_finished(&self, task: TaskId) -> Result<Effects, StaleTaskId> {
         let entry = self.entry(task)?;
         let mut effects = Effects::default();
-        let mut outbox = VecDeque::new();
+        let mut scratch = CascadeScratch::take();
+        let CascadeScratch { outbox, queue } = &mut scratch;
         {
             let mut domain = entry.domain.lock();
             assert!(!domain.body_finished, "body_finished called twice for {task:?}");
@@ -1580,10 +1612,11 @@ impl DependencyEngine {
             }
 
             if domain.live_children == 0 {
-                deep_complete_locked(self, &mut domain, &mut effects, &mut outbox);
+                deep_complete_locked(self, &mut domain, &mut effects, outbox);
             }
         }
-        self.pump(&mut outbox, &mut effects);
+        self.pump(outbox, queue, &mut effects);
+        scratch.put_back();
         Ok(effects)
     }
 
@@ -1594,10 +1627,14 @@ impl DependencyEngine {
     pub fn release_region(&self, task: TaskId, region: Region) -> Result<Effects, StaleTaskId> {
         let entry = self.entry(task)?;
         let mut effects = Effects::default();
-        let mut outbox = VecDeque::new();
+        let mut scratch = CascadeScratch::take();
+        let CascadeScratch { outbox, queue } = &mut scratch;
         {
             let mut domain = entry.domain.lock();
-            let Some(target) = domain.parent_arc() else { return Ok(effects) };
+            let Some(target) = domain.parent_arc() else {
+                scratch.put_back();
+                return Ok(effects);
+            };
             domain.ensure_seeded();
             for own_idx in 0..domain.own.len() {
                 let own = &mut domain.own[own_idx];
@@ -1620,7 +1657,8 @@ impl DependencyEngine {
                 }
             }
         }
-        self.pump(&mut outbox, &mut effects);
+        self.pump(outbox, queue, &mut effects);
+        scratch.put_back();
         Ok(effects)
     }
 
@@ -1638,14 +1676,19 @@ impl DependencyEngine {
     /// for the same task is applied first, so the node slots it references have not been
     /// recycled yet (stale references are dropped via the slot generation as a second line of
     /// defence).
-    fn pump(&self, outbox: &mut VecDeque<Message>, effects: &mut Effects) {
-        // One reusable event queue for every message of the drain (it is always empty between
-        // `apply` calls).
-        let mut queue = VecDeque::new();
+    ///
+    /// `queue` is the event queue every message of the drain shares (it is always empty between
+    /// `apply` calls); both queues come from the calling thread's [`CascadeScratch`].
+    fn pump(
+        &self,
+        outbox: &mut VecDeque<Message>,
+        queue: &mut VecDeque<Event>,
+        effects: &mut Effects,
+    ) {
         while let Some(message) = outbox.pop_front() {
             let target = Arc::clone(message.target());
             let mut domain = target.domain.lock();
-            self.apply(&mut domain, message, &mut queue, effects, outbox);
+            self.apply(&mut domain, message, queue, effects, outbox);
             // Apply consecutive messages for the same domain while we hold its lock. The common
             // retire cascade emits `CompleteUp` immediately followed by `ChildDone` for the same
             // parent, so checking only the queue front captures it at O(1) per message (scanning
@@ -1655,7 +1698,7 @@ impl DependencyEngine {
                 .is_some_and(|next| Arc::ptr_eq(next.target(), &target))
             {
                 let message = outbox.pop_front().expect("front checked");
-                self.apply(&mut domain, message, &mut queue, effects, outbox);
+                self.apply(&mut domain, message, queue, effects, outbox);
             }
         }
     }
@@ -2046,8 +2089,10 @@ impl DependencyEngine {
     /// root deeply completed): the paired counters are bumped at different moments under
     /// relaxed ordering, so a mid-run snapshot can legitimately be torn. Debug builds only —
     /// release builds compile this to nothing.
-    #[cfg(debug_assertions)]
     pub(crate) fn debug_check_invariants(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         let stats = self.stats.snapshot();
         // Every registered access went through the bottom map exactly once, on exactly one
         // tier: the exact-match fast path or the fragmented interval tier (docs/matching.md).

@@ -544,8 +544,7 @@ impl Runtime {
         self.inner.sentinel.task_finished(sentinel_key(job.root));
         // Deep completion of the root is a quiescent point for the engine's accounting only
         // when no other job is in flight.
-        #[cfg(debug_assertions)]
-        if self.inner.jobs.lock().is_empty() {
+        if cfg!(debug_assertions) && self.inner.jobs.lock().is_empty() {
             self.inner.engine.debug_check_invariants();
         }
 

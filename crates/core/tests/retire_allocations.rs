@@ -1,0 +1,127 @@
+//! The retire cascade — the messages and events `DependencyEngine::body_finished` drains after a
+//! task ends — allocates only the `Effects` it returns: its outbox and event queue are lent by
+//! the calling thread and keep their capacity between calls.
+//!
+//! This binary installs its own counting global allocator. The count is per thread, so the test
+//! harness's other threads never disturb a measurement taken around one call.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use weakdep_core::{AccessType, Depend, DependencyEngine, Region, SpaceId, TaskId, WaitMode};
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator may run while the thread's locals are being torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// A pass-through allocator that counts allocations and reallocations of the calling thread.
+struct ThreadCountingAllocator;
+
+// SAFETY: defers every operation to `System` unchanged; the counter is a thread-local cell
+// without a destructor, so counting never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for ThreadCountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: `layout` is forwarded unchanged; the caller upholds `GlobalAlloc::alloc`'s
+        // contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `Self::alloc`/`Self::realloc`, which delegate to
+        // `System` with the same layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        // SAFETY: as for `dealloc`; the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: ThreadCountingAllocator = ThreadCountingAllocator;
+
+/// Heap allocations the calling thread performs in `body_finished(task)`.
+fn finish_allocations(engine: &DependencyEngine, task: TaskId) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    let effects = engine.body_finished(task).expect("live task");
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    drop(effects);
+    allocations
+}
+
+const BLOCK: usize = 1024;
+const CHILDREN: usize = 64;
+
+/// The axpy shape under a weak outer task: `in x[b]` + `inout y[b]` per child, the parent holding
+/// `weakinout y[..]` with `weakwait`. Two rounds of children run under the same parent: the first
+/// grows the parent domain's slabs and free lists and the task table's, so the second measures
+/// the cascade alone.
+#[test]
+fn the_retire_cascade_allocates_only_its_effects() {
+    let (x, y) = (SpaceId(1), SpaceId(2));
+    let engine = DependencyEngine::new();
+    let root = engine.register_root();
+    let whole = Region::new(y, 0, CHILDREN * BLOCK);
+    let (parent, ready) = engine
+        .register_task(
+            root,
+            &[Depend::new(AccessType::WeakInOut, whole)],
+            WaitMode::WeakWait,
+        )
+        .expect("live root");
+    assert!(ready);
+
+    let spawn_round = || -> Vec<TaskId> {
+        (0..CHILDREN)
+            .map(|b| {
+                let block = b * BLOCK..(b + 1) * BLOCK;
+                let deps = [
+                    Depend::new(AccessType::In, Region::new(x, block.start, block.end)),
+                    Depend::new(AccessType::InOut, Region::new(y, block.start, block.end)),
+                ];
+                let (child, ready) = engine
+                    .register_task(parent, &deps, WaitMode::None)
+                    .expect("live parent");
+                assert!(
+                    ready,
+                    "disjoint children under a weak parent are ready at once"
+                );
+                child
+            })
+            .collect()
+    };
+
+    // Warm-up round, on this thread: after it the thread holds its cascade queues.
+    for child in spawn_round() {
+        engine.body_finished(child).expect("live child");
+    }
+    let measured: Vec<usize> = spawn_round()
+        .into_iter()
+        .map(|child| finish_allocations(&engine, child))
+        .collect();
+    assert!(
+        measured.iter().all(|&allocations| allocations <= 2),
+        "allocations per child body_finished: {measured:?}"
+    );
+
+    // The parent's body ends last, on a thread that has never run the cascade: its hand-over
+    // (`CompleteUp` + `ChildDone` up to the root) grows a fresh outbox and event queue there.
+    let parent_allocations = std::thread::scope(|s| {
+        s.spawn(|| finish_allocations(&engine, parent))
+            .join()
+            .unwrap()
+    });
+    assert!(
+        parent_allocations > 2,
+        "parent body_finished allocated {parent_allocations}"
+    );
+    assert!(engine.is_deeply_completed(parent));
+}

@@ -8,21 +8,27 @@
 //!
 //! # Storage
 //!
-//! Since the allocation-free interval-tier rework the map is **arena-backed** instead of
-//! `BTreeMap`-backed: fragments live in a slab of [`Node`]s recycled through a free list (the
-//! same slot-recycling discipline the engine uses for access nodes), and ordering is kept by a
-//! separate *run* — a vector of node indices sorted by fragment start, navigated by binary
-//! search. The practical consequences:
+//! The map is a sorted *run* of inline keys plus a slot arena of values:
 //!
-//! * an update allocates **nothing** once the arena and run vectors have grown to the map's
-//!   high-water fragment count — `BTreeMap` allocated a tree node per insert forever;
+//! * `run` holds one `Entry { start, end, slot }` per fragment, sorted by start, so a binary
+//!   search compares keys in place instead of loading them through an index;
+//! * `values` is a slab of `Option<V>` recycled through a free list, so inserting a fragment
+//!   shifts 24-byte keys and never moves a value.
+//!
+//! Every operation does **one** binary search over the run. Range operations go through
+//! `carve`, which finds the first overlapping entry, splits a straddler at either end in
+//! place and finds the end of the range by a forward scan; [`IntervalMap::update_range`] then
+//! rewrites the run in place (overwrite, then drain the slack or insert the surplus), and does
+//! not touch the run at all when every visited fragment is kept or overwritten. The practical
+//! consequences:
+//!
+//! * an update allocates **nothing** once the run and arena vectors have grown to the map's
+//!   high-water fragment count;
 //! * [`IntervalMap::clear`] retains all capacity, so a cleared map (e.g. a recycled fragmented
 //!   access-node state in the engine's per-domain pool) performs its next fragmentation cycle
 //!   without touching the allocator;
 //! * visitor-style accessors ([`IntervalMap::for_each_gap`], [`IntervalMap::drain_range`])
-//!   replace the old `Vec`-returning hot paths end-to-end.
-
-use smallvec::SmallVec;
+//!   replace `Vec`-returning hot paths end-to-end.
 
 /// Decision returned by the visitor passed to [`IntervalMap::update_range`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,13 +41,12 @@ pub enum RangeUpdate<V> {
     Remove,
 }
 
-/// One arena slot: a live fragment (`value` is `Some`) or a free-list entry (`value` is `None`,
-/// and the slot index sits in [`IntervalMap::free`]).
-#[derive(Debug, Clone)]
-struct Node<V> {
+/// One fragment's key: `[start, end)` and the arena slot holding its value.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
     start: usize,
     end: usize,
-    value: Option<V>,
+    slot: u32,
 }
 
 /// An ordered map from disjoint half-open ranges `[start, end)` to values.
@@ -49,27 +54,26 @@ struct Node<V> {
 /// Invariants maintained by every operation:
 /// * entries never overlap;
 /// * entries are never empty (`start < end`);
-/// * `run` lists exactly the live arena slots, sorted by fragment start;
-/// * a slot is live if and only if its `value` is `Some`.
+/// * `run` is sorted by start (hence by end too) and names exactly the live arena slots;
+/// * a slot is live if and only if its value is `Some`.
 ///
 /// Adjacent entries with equal values are *not* automatically coalesced (values are often
 /// non-`Eq` containers); use [`IntervalMap::coalesce`] / [`IntervalMap::coalesce_range`] when
 /// desired.
 #[derive(Debug, Clone)]
 pub struct IntervalMap<V> {
-    /// Fragment arena. Slots are recycled through `free`; capacity is retained across
+    /// Fragment keys ordered by start — the map's sort order, navigated by binary search.
+    run: Vec<Entry>,
+    /// Value arena. Slots are recycled through `free`; capacity is retained across
     /// [`IntervalMap::clear`].
-    nodes: Vec<Node<V>>,
-    /// Free arena slots (their `value` is `None`).
+    values: Vec<Option<V>>,
+    /// Free arena slots (their value is `None`).
     free: Vec<u32>,
-    /// Live slot indices ordered by fragment start — the map's sort order, navigated by binary
-    /// search.
-    run: Vec<u32>,
 }
 
 impl<V> Default for IntervalMap<V> {
     fn default() -> Self {
-        IntervalMap { nodes: Vec::new(), free: Vec::new(), run: Vec::new() }
+        IntervalMap { run: Vec::new(), values: Vec::new(), free: Vec::new() }
     }
 }
 
@@ -93,75 +97,62 @@ impl<V> IntervalMap<V> {
     /// churn this plateaus at the high-water fragment count — the recycling property the
     /// interval-tier tests assert.
     pub fn arena_capacity(&self) -> usize {
-        self.nodes.len()
+        self.values.len()
     }
 
     /// Total covered length (sum of fragment lengths).
     pub fn covered_len(&self) -> usize {
-        self.run
-            .iter()
-            .map(|&i| {
-                let n = &self.nodes[i as usize];
-                n.end - n.start
-            })
-            .sum()
+        self.run.iter().map(|e| e.end - e.start).sum()
     }
 
     /// Iterates over all fragments as `(start, end, &value)` in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &V)> {
-        self.run.iter().map(|&i| {
-            let n = &self.nodes[i as usize];
-            (n.start, n.end, n.value.as_ref().expect("run names a free slot"))
-        })
+        self.run.iter().map(|e| (e.start, e.end, self.value(e.slot)))
     }
 
     /// Removes all fragments. Arena and run capacity is **retained**, so a cleared map performs
     /// its next fragmentation cycle allocation-free.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
         self.run.clear();
+        self.values.clear();
+        self.free.clear();
     }
 
-    /// First run position whose fragment starts at or after `pos`.
-    fn lower_bound(&self, pos: usize) -> usize {
-        let nodes = &self.nodes;
-        self.run.partition_point(|&i| nodes[i as usize].start < pos)
+    /// Run position of the first fragment ending after `pos` — the first one that overlaps
+    /// `[pos, ..)`.
+    fn first_ending_after(&self, pos: usize) -> usize {
+        self.run.partition_point(|e| e.end <= pos)
     }
 
-    /// Run position of the first fragment overlapping `[start, ..)`: the predecessor if it
-    /// straddles `start`, the lower bound otherwise.
-    fn first_overlap(&self, start: usize) -> usize {
-        let lb = self.lower_bound(start);
-        if lb > 0 && self.nodes[self.run[lb - 1] as usize].end > start {
-            lb - 1
-        } else {
-            lb
-        }
+    /// Run position of the fragment starting exactly at `start`, if any.
+    fn position_of_start(&self, start: usize) -> Option<usize> {
+        let pos = self.run.partition_point(|e| e.start < start);
+        self.run.get(pos).filter(|e| e.start == start).map(|_| pos)
     }
 
-    fn alloc(&mut self, start: usize, end: usize, value: V) -> u32 {
+    fn value(&self, slot: u32) -> &V {
+        self.values[slot as usize].as_ref().expect("run names a free slot")
+    }
+
+    fn alloc(&mut self, value: V) -> u32 {
         match self.free.pop() {
-            Some(i) => {
-                let n = &mut self.nodes[i as usize];
-                debug_assert!(n.value.is_none(), "free list names a live slot");
-                n.start = start;
-                n.end = end;
-                n.value = Some(value);
-                i
+            Some(slot) => {
+                debug_assert!(self.values[slot as usize].is_none(), "free list names a live slot");
+                self.values[slot as usize] = Some(value);
+                slot
             }
             None => {
-                let i = u32::try_from(self.nodes.len()).expect("interval arena overflow");
-                self.nodes.push(Node { start, end, value: Some(value) });
-                i
+                let slot = u32::try_from(self.values.len()).expect("interval arena overflow");
+                self.values.push(Some(value));
+                slot
             }
         }
     }
 
     /// Returns the slot to the free list, taking its value. The caller removes it from `run`.
-    fn free_node(&mut self, i: u32) -> V {
-        self.free.push(i);
-        self.nodes[i as usize].value.take().expect("double free of an interval node")
+    fn free_slot(&mut self, slot: u32) -> V {
+        self.free.push(slot);
+        self.values[slot as usize].take().expect("double free of an interval slot")
     }
 
     /// Visits every part of `[start, end)` that overlaps a stored fragment, clipped to the query
@@ -170,16 +161,11 @@ impl<V> IntervalMap<V> {
         if start >= end {
             return;
         }
-        for &i in &self.run[self.first_overlap(start)..] {
-            let n = &self.nodes[i as usize];
-            if n.start >= end {
+        for e in &self.run[self.first_ending_after(start)..] {
+            if e.start >= end {
                 break;
             }
-            let cs = n.start.max(start);
-            let ce = n.end.min(end);
-            if cs < ce {
-                f(cs, ce, n.value.as_ref().expect("run names a free slot"));
-            }
+            f(e.start.max(start), e.end.min(end), self.value(e.slot));
         }
     }
 
@@ -228,13 +214,8 @@ impl<V> IntervalMap<V> {
         if start >= end {
             return None;
         }
-        let &i = self.run.get(self.lower_bound(start))?;
-        let n = &self.nodes[i as usize];
-        if n.start == start && n.end == end {
-            Some(n.value.as_ref().expect("run names a free slot"))
-        } else {
-            None
-        }
+        let e = self.run[self.position_of_start(start)?];
+        (e.end == end).then(|| self.value(e.slot))
     }
 
     /// Removes and returns the value stored for exactly the fragment `[start, end)`, if present.
@@ -244,34 +225,44 @@ impl<V> IntervalMap<V> {
         if start >= end {
             return None;
         }
-        let pos = self.lower_bound(start);
-        let &i = self.run.get(pos)?;
-        let n = &self.nodes[i as usize];
-        if n.start != start || n.end != end {
+        let pos = self.position_of_start(start)?;
+        let e = self.run[pos];
+        if e.end != end {
             return None;
         }
-        let value = self.free_node(i);
         self.run.remove(pos);
-        Some(value)
+        Some(self.free_slot(e.slot))
     }
 }
 
 impl<V: Clone> IntervalMap<V> {
-    /// Splits any entry straddling `pos` into two entries meeting at `pos`.
-    fn split_at(&mut self, pos: usize) {
-        let lb = self.lower_bound(pos);
-        if lb == 0 {
-            return;
+    /// Splits the fragment at run position `pos` at `at`, strictly inside it: the left part
+    /// keeps its slot, the right part gets a clone of the value.
+    fn split(&mut self, pos: usize, at: usize) {
+        let e = self.run[pos];
+        debug_assert!(e.start < at && at < e.end);
+        let slot = self.alloc(self.value(e.slot).clone());
+        self.run[pos].end = at;
+        self.run.insert(pos + 1, Entry { start: at, end: e.end, slot });
+    }
+
+    /// Splits the fragments straddling `start` and `end` and returns the run positions
+    /// `lo..hi` of the fragments inside `[start, end)`: one binary search for `lo`, a forward
+    /// scan for `hi`.
+    fn carve(&mut self, start: usize, end: usize) -> (usize, usize) {
+        let mut lo = self.first_ending_after(start);
+        if lo < self.run.len() && self.run[lo].start < start {
+            self.split(lo, start);
+            lo += 1;
         }
-        let left = self.run[lb - 1] as usize;
-        if self.nodes[left].end <= pos {
-            return;
+        let mut hi = lo;
+        while hi < self.run.len() && self.run[hi].start < end {
+            hi += 1;
         }
-        let end = self.nodes[left].end;
-        let value = self.nodes[left].value.clone().expect("run names a free slot");
-        self.nodes[left].end = pos;
-        let right = self.alloc(pos, end, value);
-        self.run.insert(lb, right);
+        if hi > lo && self.run[hi - 1].end > end {
+            self.split(hi - 1, end);
+        }
+        (lo, hi)
     }
 
     /// Visits every maximal fragment of `[start, end)` — either fully inside one existing entry
@@ -289,57 +280,46 @@ impl<V: Clone> IntervalMap<V> {
         if start >= end {
             return;
         }
-        self.split_at(start);
-        self.split_at(end);
-        let lo = self.lower_bound(start);
-        let hi = self.lower_bound(end);
-
-        // Plan the visit before mutating: the fragments of `[start, end)` in ascending order,
-        // each either an existing arena slot or a gap. Inline storage — the overwhelming
-        // majority of updates touch a handful of fragments, and this runs on the dependency
-        // engine's hot path. (Indexing instead of consuming iteration: the vendored `SmallVec`
-        // only streams owned elements through a heap collect.)
-        let mut plan: SmallVec<[(usize, usize, Option<u32>); 8]> = SmallVec::new();
-        let mut cursor = start;
-        for &i in &self.run[lo..hi] {
-            let n = &self.nodes[i as usize];
-            if n.start > cursor {
-                plan.push((cursor, n.start, None));
+        let (lo, mut hi) = self.carve(start, end);
+        // In-place rewrite of `run[lo..hi]`: `run[lo..w]` is the finished replacement,
+        // `run[w..pos]` is slack left by removals, `run[pos..hi]` is still to visit. A set gap
+        // fills slack when there is some and is inserted (shifting the tail) when there is not;
+        // leftover slack is drained at the end. Kept and overwritten entries never move unless
+        // slack precedes them.
+        let (mut w, mut pos, mut cursor) = (lo, lo, start);
+        loop {
+            let next = (pos < hi).then(|| self.run[pos]);
+            let gap_end = next.map_or(end, |e| e.start);
+            if cursor < gap_end {
+                if let RangeUpdate::Set(value) = f(cursor, gap_end, None) {
+                    let entry = Entry { start: cursor, end: gap_end, slot: self.alloc(value) };
+                    if w < pos {
+                        self.run[w] = entry;
+                    } else {
+                        self.run.insert(w, entry);
+                        pos += 1;
+                        hi += 1;
+                    }
+                    w += 1;
+                }
             }
-            plan.push((n.start, n.end, Some(i)));
-            cursor = n.end;
-        }
-        if cursor < end {
-            plan.push((cursor, end, None));
-        }
-
-        // Apply decisions, building the replacement slice of the run. Kept/overwritten entries
-        // retain their slot; gap-sets allocate (recycling freed slots); removes recycle.
-        let mut replacement: SmallVec<[u32; 8]> = SmallVec::new();
-        for p in 0..plan.len() {
-            let (s, e, existing) = plan[p];
-            let decision = match existing {
-                Some(i) => f(s, e, Some(self.nodes[i as usize].value.as_ref().expect("planned slot is live"))),
-                None => f(s, e, None),
-            };
-            match (decision, existing) {
-                (RangeUpdate::Keep, Some(i)) => replacement.push(i),
-                (RangeUpdate::Keep, None) => {}
-                (RangeUpdate::Set(v), Some(i)) => {
-                    self.nodes[i as usize].value = Some(v);
-                    replacement.push(i);
+            let Some(e) = next else { break };
+            pos += 1;
+            cursor = e.end;
+            match f(e.start, e.end, Some(self.value(e.slot))) {
+                RangeUpdate::Keep => {}
+                RangeUpdate::Set(value) => self.values[e.slot as usize] = Some(value),
+                RangeUpdate::Remove => {
+                    self.free_slot(e.slot);
+                    continue;
                 }
-                (RangeUpdate::Set(v), None) => {
-                    let i = self.alloc(s, e, v);
-                    replacement.push(i);
-                }
-                (RangeUpdate::Remove, Some(i)) => {
-                    self.free_node(i);
-                }
-                (RangeUpdate::Remove, None) => {}
             }
+            self.run[w] = e;
+            w += 1;
         }
-        self.run.splice(lo..hi, replacement.iter().copied());
+        if w < hi {
+            self.run.drain(w..hi);
+        }
     }
 
     /// Sets `[start, end)` to `value`, overwriting any overlapping fragments.
@@ -355,18 +335,10 @@ impl<V: Clone> IntervalMap<V> {
         if start >= end {
             return;
         }
-        self.split_at(start);
-        self.split_at(end);
-        let lo = self.lower_bound(start);
-        let hi = self.lower_bound(end);
+        let (lo, hi) = self.carve(start, end);
         for pos in lo..hi {
-            let i = self.run[pos];
-            let (s, e) = {
-                let n = &self.nodes[i as usize];
-                (n.start, n.end)
-            };
-            let value = self.free_node(i);
-            f(s, e, value);
+            let e = self.run[pos];
+            f(e.start, e.end, self.free_slot(e.slot));
         }
         self.run.drain(lo..hi);
     }
@@ -387,15 +359,9 @@ impl<V: Clone> IntervalMap<V> {
     where
         V: PartialEq,
     {
-        // The chain anchor: the last entry starting strictly before `start` whose extent reaches
-        // `start` (so a left neighbour ending exactly at `start` can absorb rightwards), else
-        // the first entry at or after `start`.
-        let lb = self.lower_bound(start);
-        let anchor = if lb > 0 && self.nodes[self.run[lb - 1] as usize].end >= start {
-            lb - 1
-        } else {
-            lb
-        };
+        // The chain anchor is the first entry whose extent reaches `start`: a left neighbour
+        // ending exactly at `start` can absorb rightwards.
+        let anchor = self.run.partition_point(|e| e.end < start);
         self.coalesce_from(anchor, end);
     }
 
@@ -407,28 +373,27 @@ impl<V: Clone> IntervalMap<V> {
         self.coalesce_from(0, usize::MAX);
     }
 
-    /// Absorbs equal-valued right neighbours starting at run position `pos`, for every chain
-    /// head beginning at or before `limit`.
-    fn coalesce_from(&mut self, mut pos: usize, limit: usize)
+    /// Absorbs equal-valued right neighbours starting at run position `head`, for every chain
+    /// head beginning at or before `limit`. Compacts in place and drains the absorbed entries
+    /// once, so a long chain costs one pass.
+    fn coalesce_from(&mut self, mut head: usize, limit: usize)
     where
         V: PartialEq,
     {
-        while pos + 1 < self.run.len() {
-            let cur = self.run[pos] as usize;
-            if self.nodes[cur].start > limit {
-                break;
-            }
-            let next = self.run[pos + 1] as usize;
-            if self.nodes[cur].end == self.nodes[next].start
-                && self.nodes[cur].value == self.nodes[next].value
-            {
-                let new_end = self.nodes[next].end;
-                self.free_node(self.run[pos + 1]);
-                self.nodes[cur].end = new_end;
-                self.run.remove(pos + 1);
+        let mut next = head + 1;
+        while next < self.run.len() && self.run[head].start <= limit {
+            let (cur, right) = (self.run[head], self.run[next]);
+            if cur.end == right.start && self.value(cur.slot) == self.value(right.slot) {
+                self.free_slot(right.slot);
+                self.run[head].end = right.end;
             } else {
-                pos += 1;
+                head += 1;
+                self.run[head] = right;
             }
+            next += 1;
+        }
+        if head + 1 < next {
+            self.run.drain(head + 1..next);
         }
     }
 }
@@ -493,6 +458,45 @@ mod tests {
         m.insert_range(0, 100, 'a');
         m.update_range(40, 60, |_, _, _| RangeUpdate::Set('b'));
         assert_eq!(collect(&m), vec![(0, 40, 'a'), (40, 60, 'b'), (60, 100, 'a')]);
+    }
+
+    /// The in-place rewrite: removals leave slack that later gap-sets fill, gap-sets with no
+    /// slack before them shift the tail, and leftover slack is drained.
+    #[test]
+    fn update_range_mixes_removes_sets_and_gaps() {
+        let mut m = IntervalMap::new();
+        for (s, v) in [(0, 'a'), (20, 'b'), (40, 'c'), (60, 'd'), (80, 'e')] {
+            m.insert_range(s, s + 10, v);
+        }
+        // Remove 'b' and 'c', set the gaps after them, keep 'd' — covering [15, 75).
+        m.update_range(15, 75, |s, _, v| match v {
+            Some('b') | Some('c') => RangeUpdate::Remove,
+            Some(_) => RangeUpdate::Keep,
+            None if s >= 30 => RangeUpdate::Set('x'),
+            None => RangeUpdate::Keep,
+        });
+        assert_eq!(
+            collect(&m),
+            vec![
+                (0, 10, 'a'),
+                (30, 40, 'x'),
+                (50, 60, 'x'),
+                (60, 70, 'd'),
+                (70, 75, 'x'),
+                (80, 90, 'e')
+            ]
+        );
+        // Every gap set with nothing removed before it: one insert per gap.
+        m.update_range(0, 100, |_, _, v| match v {
+            None => RangeUpdate::Set('g'),
+            Some(_) => RangeUpdate::Keep,
+        });
+        assert_eq!(m.covered_len(), 100);
+        assert_eq!(m.len(), 10);
+        // Long equal-valued chain: one pass merges it back.
+        m.insert_range(0, 100, 'z');
+        m.coalesce();
+        assert_eq!(collect(&m), vec![(0, 100, 'z')]);
     }
 
     #[test]

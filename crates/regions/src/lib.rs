@@ -23,14 +23,16 @@
 //! * [`RegionStore`] — the two-tier (exact-match hash tier + fragmented interval tier) map the
 //!   engine's bottom maps use, with per-region lazy promotion on the first partial overlap.
 //!
-//! All containers use plain `BTreeMap`/`HashMap` storage: the dependency engine serialises
-//! mutations under a single lock, so these types are deliberately not `Sync`-optimised.
+//! The dependency engine serialises mutations under one domain lock, so these types are
+//! deliberately not `Sync`-optimised. Their hash maps use a crate-private multiply-rotate hasher
+//! instead of SipHash: the keys are internal coordinates, never attacker-controlled.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod coverage;
+mod hash;
 mod interval_map;
 mod region;
 mod region_map;

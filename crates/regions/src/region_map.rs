@@ -3,26 +3,25 @@
 //! This is the container used directly by the dependency engine: bottom maps, per-task declared
 //! access maps and coverage counters are all `RegionMap`s over different value types.
 
-use std::collections::HashMap;
-
+use crate::hash::FxHashMap;
 use crate::{IntervalMap, RangeUpdate, Region, SpaceId};
 
 /// A map from disjoint [`Region`] fragments (possibly spanning many spaces) to values.
 #[derive(Debug, Clone)]
 pub struct RegionMap<V> {
-    spaces: HashMap<SpaceId, IntervalMap<V>>,
+    spaces: FxHashMap<SpaceId, IntervalMap<V>>,
 }
 
 impl<V> Default for RegionMap<V> {
     fn default() -> Self {
-        RegionMap { spaces: HashMap::new() }
+        RegionMap { spaces: FxHashMap::default() }
     }
 }
 
 impl<V> RegionMap<V> {
     /// Creates an empty map.
     pub fn new() -> Self {
-        RegionMap { spaces: HashMap::new() }
+        RegionMap { spaces: FxHashMap::default() }
     }
 
     /// Number of stored fragments across all spaces.

@@ -32,11 +32,12 @@
 //! region whose accesses go partial-overlap transiently (one sliding stencil pass, say) stops
 //! paying the fragmentation tax as soon as its live coverage is pairwise-exact again.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included};
 
 use smallvec::SmallVec;
 
+use crate::hash::FxHashMap;
 use crate::{RangeUpdate, Region, RegionMap, SpaceId};
 
 /// Which tier served a [`RegionStore`] operation. Returned so callers (the dependency engine)
@@ -64,16 +65,16 @@ pub enum StoreTier {
 ///   region back as soon as it holds exactly one fragment matching it.
 #[derive(Debug, Clone)]
 pub struct RegionStore<V> {
-    exact: HashMap<Region, V>,
-    index: HashMap<SpaceId, BTreeMap<usize, usize>>,
+    exact: FxHashMap<Region, V>,
+    index: FxHashMap<SpaceId, BTreeMap<usize, usize>>,
     fragmented: RegionMap<V>,
 }
 
 impl<V> Default for RegionStore<V> {
     fn default() -> Self {
         RegionStore {
-            exact: HashMap::new(),
-            index: HashMap::new(),
+            exact: FxHashMap::default(),
+            index: FxHashMap::default(),
             fragmented: RegionMap::new(),
         }
     }

@@ -26,6 +26,75 @@ fn map_op_strategy() -> impl Strategy<Value = MapOp> {
     ]
 }
 
+const LARGE_UNIVERSE: usize = 4096;
+
+fn large_range_strategy() -> impl Strategy<Value = (usize, usize)> {
+    // Mostly short ranges, like a task's block against a fragmented bottom map; some long ones.
+    prop_oneof![
+        (0..LARGE_UNIVERSE, 0..64usize),
+        (0..LARGE_UNIVERSE, 0..LARGE_UNIVERSE),
+    ]
+    .prop_map(|(start, len)| (start, (start + len).min(LARGE_UNIVERSE)))
+}
+
+#[derive(Debug, Clone)]
+enum LargeOp {
+    /// `update_range` with per-fragment decisions drawn from the script (see [`decide`]).
+    Update(usize, usize, u64),
+    Drain(usize, usize),
+    Coalesce(usize, usize),
+    /// `take_exact` on the `pick`-th stored fragment, or on a near miss of it.
+    TakeExact(usize, bool),
+    Query(usize, usize),
+}
+
+fn large_update_strategy() -> impl Strategy<Value = LargeOp> {
+    (large_range_strategy(), any::<u64>())
+        .prop_map(|((s, e), script)| LargeOp::Update(s, e, script))
+}
+
+fn large_op_strategy() -> impl Strategy<Value = LargeOp> {
+    // Updates are listed twice: they are drawn twice as often as each other operation.
+    prop_oneof![
+        large_update_strategy(),
+        large_update_strategy(),
+        large_range_strategy().prop_map(|(s, e)| LargeOp::Drain(s, e)),
+        large_range_strategy().prop_map(|(s, e)| LargeOp::Coalesce(s, e)),
+        (any::<usize>(), any::<bool>()).prop_map(|(pick, shrink)| LargeOp::TakeExact(pick, shrink)),
+        large_range_strategy().prop_map(|(s, e)| LargeOp::Query(s, e)),
+    ]
+}
+
+/// The decision for the fragment starting at `start` under `script`: Keep, Remove, or Set to one
+/// of four values (few values, so coalescing finds equal neighbours).
+fn decide(script: u64, start: usize) -> RangeUpdate<u8> {
+    let h = (script ^ start as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59;
+    match h % 4 {
+        0 => RangeUpdate::Keep,
+        1 => RangeUpdate::Remove,
+        _ => RangeUpdate::Set((h / 4 % 4) as u8),
+    }
+}
+
+fn fragments(map: &IntervalMap<u8>) -> Vec<(usize, usize, u8)> {
+    map.iter().map(|(s, e, v)| (s, e, *v)).collect()
+}
+
+/// Fragments are sorted, disjoint and non-empty, and cover exactly the model.
+fn check_large_map(map: &IntervalMap<u8>, model: &[Option<u8>]) -> Result<(), TestCaseError> {
+    let mut reconstructed = vec![None; model.len()];
+    let mut previous_end = 0;
+    for (s, e, v) in map.iter() {
+        prop_assert!(s < e, "empty fragment [{}, {})", s, e);
+        prop_assert!(s >= previous_end, "fragment [{}, {}) overlaps or is out of order", s, e);
+        previous_end = e;
+        reconstructed[s..e].fill(Some(*v));
+    }
+    prop_assert!(reconstructed == model, "map and model disagree");
+    prop_assert_eq!(map.covered_len(), model.iter().filter(|v| v.is_some()).count());
+    Ok(())
+}
+
 proptest! {
     /// IntervalMap agrees with a per-coordinate model under arbitrary insert/remove sequences.
     #[test]
@@ -164,6 +233,109 @@ proptest! {
             let in_b = i >= s2 && i < e2;
             let in_pieces = pieces.iter().any(|p| p.contains_point(i));
             prop_assert_eq!(in_pieces, in_a && !in_b, "coordinate {}", i);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// IntervalMap at realistic sizes: a 4 096-coordinate universe seeded with a few hundred
+    /// fragments, then every range operation against the per-coordinate model.
+    #[test]
+    fn interval_map_at_realistic_sizes_matches_model(
+        seeds in proptest::collection::vec((0..LARGE_UNIVERSE, 1..24usize, 0u8..4), 200..400),
+        ops in proptest::collection::vec(large_op_strategy(), 1..60),
+    ) {
+        let mut map: IntervalMap<u8> = IntervalMap::new();
+        let mut model: Vec<Option<u8>> = vec![None; LARGE_UNIVERSE];
+        for (start, len, value) in seeds {
+            let end = (start + len).min(LARGE_UNIVERSE);
+            map.insert_range(start, end, value);
+            model[start..end].fill(Some(value));
+        }
+        check_large_map(&map, &model)?;
+        for op in ops {
+            match op {
+                LargeOp::Update(s, e, script) => {
+                    let mut visits: Vec<(usize, usize, Option<u8>)> = Vec::new();
+                    map.update_range(s, e, |fs, fe, v| {
+                        visits.push((fs, fe, v.copied()));
+                        decide(script, fs)
+                    });
+                    // The visits partition [s, e) into maximal gaps and stored fragments that
+                    // agree with the model; then the same decisions are applied to it.
+                    let mut cursor = s;
+                    let mut previous_gap = false;
+                    for &(fs, fe, v) in &visits {
+                        prop_assert_eq!(fs, cursor, "visits must tile the query");
+                        prop_assert!(fs < fe, "empty visit");
+                        prop_assert!(
+                            model[fs..fe].iter().all(|m| *m == v),
+                            "visit {:?} disagrees with the model", (fs, fe, v)
+                        );
+                        prop_assert!(!(previous_gap && v.is_none()), "two adjacent gap visits");
+                        previous_gap = v.is_none();
+                        cursor = fe;
+                    }
+                    prop_assert_eq!(cursor, e.max(s));
+                    for &(fs, fe, _) in &visits {
+                        match decide(script, fs) {
+                            RangeUpdate::Keep => {}
+                            RangeUpdate::Set(x) => model[fs..fe].fill(Some(x)),
+                            RangeUpdate::Remove => model[fs..fe].fill(None),
+                        }
+                    }
+                }
+                LargeOp::Drain(s, e) => {
+                    let mut drained = vec![None; LARGE_UNIVERSE];
+                    map.drain_range(s, e, |fs, fe, v| drained[fs..fe].fill(Some(v)));
+                    for (i, slot) in model.iter_mut().enumerate() {
+                        let expected = if (s..e).contains(&i) { slot.take() } else { None };
+                        prop_assert_eq!(drained[i], expected, "drained coordinate {}", i);
+                    }
+                }
+                LargeOp::Coalesce(s, e) => {
+                    map.coalesce_range(s, e);
+                    let fragments = fragments(&map);
+                    // No chain head in the coalesced neighbourhood — from the first fragment
+                    // reaching `s` through the last starting at or before `e` — still touches an
+                    // equal-valued right neighbour.
+                    for pair in fragments.windows(2) {
+                        let ((ls, le, lv), (rs, _, rv)) = (pair[0], pair[1]);
+                        prop_assert!(
+                            !(le == rs && lv == rv && le >= s && ls <= e),
+                            "equal neighbours {:?} left around coalesced [{}, {})", pair, s, e
+                        );
+                    }
+                }
+                LargeOp::TakeExact(pick, shrink) => {
+                    let fragments = fragments(&map);
+                    if fragments.is_empty() {
+                        continue;
+                    }
+                    let (fs, fe, v) = fragments[pick % fragments.len()];
+                    // Half the time a near miss: one coordinate short at the end.
+                    let (s, e) = if shrink && fe - fs > 1 { (fs, fe - 1) } else { (fs, fe) };
+                    let expected = (e == fe).then_some(v);
+                    prop_assert_eq!(map.get_exact(s, e).copied(), expected);
+                    prop_assert_eq!(map.take_exact(s, e), expected);
+                    if expected.is_some() {
+                        model[s..e].fill(None);
+                    }
+                }
+                LargeOp::Query(s, e) => {
+                    let mut seen = vec![None; LARGE_UNIVERSE];
+                    map.query_range(s, e, |fs, fe, v| seen[fs..fe].fill(Some(*v)));
+                    for (i, m) in model.iter().enumerate() {
+                        let expected = if (s..e).contains(&i) { *m } else { None };
+                        prop_assert_eq!(seen[i], expected, "queried coordinate {}", i);
+                    }
+                    let covered = (s..e).all(|i| model[i].is_some());
+                    prop_assert_eq!(map.covers(s, e), covered);
+                }
+            }
+            check_large_map(&map, &model)?;
         }
     }
 }

@@ -1,17 +1,17 @@
 //! Micro-benchmarks of the region-matching data path: declared-footprint normalisation and the
 //! two-tier [`RegionStore`] (exact-match hash tier, lazy promotion, fragmented interval tier),
-//! with the plain [`RegionMap`] as the pre-two-tier reference where the comparison is
+//! with a bare [`IntervalMap`] as the pre-two-tier reference where the comparison is
 //! meaningful.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use weakdep_core::{normalize_deps, AccessType, Depend};
-use weakdep_regions::{Region, RegionMap, RegionStore, SpaceId};
+use weakdep_regions::{IntervalMap, Region, RegionStore, SpaceId};
 
 fn region(start: usize, end: usize) -> Region {
     Region::new(SpaceId(1), start, end)
 }
 
-/// `normalize_deps` over pairwise-disjoint clauses (the fast path: no region-map machinery)
+/// `normalize_deps` over pairwise-disjoint clauses (the fast path: no interval-map machinery)
 /// and over an overlapping clause (the general combining path).
 fn normalization(c: &mut Criterion) {
     let mut group = c.benchmark_group("normalize");
@@ -51,11 +51,11 @@ fn exact_hits(c: &mut Criterion) {
             criterion::black_box(store.len())
         })
     });
-    group.bench_function("region-map-reference", |b| {
+    group.bench_function("interval-map-reference", |b| {
         b.iter(|| {
-            let mut map: RegionMap<u32> = RegionMap::new();
+            let mut map: IntervalMap<u32> = IntervalMap::new();
             for i in 0..UPDATES {
-                map.insert(&region(0, 4096), i as u32);
+                map.insert_range(0, 4096, i as u32);
             }
             criterion::black_box(map.len())
         })
@@ -85,7 +85,7 @@ fn promotion(c: &mut Criterion) {
 }
 
 /// Sliding half-overlapping updates (the `fragmented-deps` pattern): after the first promotion
-/// everything runs on the interval tier — the store must stay within noise of the plain map.
+/// everything runs on the interval tier — the store must stay within noise of the bare map.
 fn fragmented_updates(c: &mut Criterion) {
     let mut group = c.benchmark_group("fragmented-updates");
     const UPDATES: usize = 512;
@@ -99,11 +99,11 @@ fn fragmented_updates(c: &mut Criterion) {
             criterion::black_box(store.len())
         })
     });
-    group.bench_function("region-map-reference", |b| {
+    group.bench_function("interval-map-reference", |b| {
         b.iter(|| {
-            let mut map: RegionMap<u32> = RegionMap::new();
+            let mut map: IntervalMap<u32> = IntervalMap::new();
             for i in 0..UPDATES {
-                map.insert(&region(i * 2, i * 2 + 4), i as u32);
+                map.insert_range(i * 2, i * 2 + 4, i as u32);
             }
             criterion::black_box(map.len())
         })

@@ -1,7 +1,7 @@
 //! Public dependency-declaration types: access types (including the paper's weak variants),
 //! dependency declarations, wait modes and declared-footprint normalisation.
 
-use weakdep_regions::{RangeUpdate, Region, RegionMap};
+use weakdep_regions::{IntervalMap, RangeUpdate, Region, SpaceId};
 
 /// The access type of a dependency declaration, mirroring the contents of the OpenMP `depend`
 /// clause plus the three weak variants proposed in §VI of the paper.
@@ -128,11 +128,11 @@ pub fn normalize_deps(deps: &[Depend]) -> Vec<NormalizedDep> {
 
 /// The fast path for the overwhelmingly common declarations: pairwise disjoint, non-empty
 /// regions — adjacent ones included, like the left / center / right blocks of a stencil. No
-/// fragmentation or combining can occur then, so the region-map machinery (several allocations
-/// per call, on the task-creation hot path) is skipped: the candidate output is sorted, checked
-/// pair by pair, and adjacent neighbours of equal mode are merged in place — exactly what the
-/// general path's coalescing produces. One allocation, the output `Vec`. `None` sends the
-/// clause to [`normalize_general`].
+/// fragmentation or combining can occur then, so the interval-map machinery (several
+/// allocations per call, on the task-creation hot path) is skipped: the candidate output is
+/// sorted, checked pair by pair, and adjacent neighbours of equal mode are merged in place —
+/// exactly what the general path's coalescing produces. One allocation, the output `Vec`.
+/// `None` sends the clause to [`normalize_general`].
 fn normalize_disjoint(deps: &[Depend]) -> Option<Vec<NormalizedDep>> {
     if deps.is_empty() || deps.iter().any(|d| d.region.is_empty()) {
         return None;
@@ -164,8 +164,9 @@ fn normalize_disjoint(deps: &[Depend]) -> Option<Vec<NormalizedDep>> {
     Some(out)
 }
 
-/// The general path: fragments and combines the declarations in a region map, then coalesces
-/// equal-mode neighbours.
+/// The general path: fragments and combines the declarations of one space at a time in an
+/// interval map, then coalesces equal-mode neighbours. Spaces are visited in order and each
+/// map iterates by start, so the output comes out sorted.
 fn normalize_general(deps: &[Depend]) -> Vec<NormalizedDep> {
     #[derive(Clone, PartialEq)]
     struct Combined {
@@ -173,35 +174,37 @@ fn normalize_general(deps: &[Depend]) -> Vec<NormalizedDep> {
         weak: bool,
     }
 
-    let mut map: RegionMap<Combined> = RegionMap::new();
-    for dep in deps {
-        if dep.region.is_empty() {
-            continue;
+    let mut spaces: Vec<SpaceId> = deps.iter().map(|d| d.region.space).collect();
+    spaces.sort_unstable();
+    spaces.dedup();
+    let mut map: IntervalMap<Combined> = IntervalMap::new();
+    let mut out = Vec::new();
+    for space in spaces {
+        for dep in deps.iter().filter(|d| d.region.space == space) {
+            let is_write = dep.access.is_write();
+            let weak = dep.access.is_weak();
+            map.update_range(dep.region.start, dep.region.end, |_, _, existing| match existing {
+                Some(prev) => RangeUpdate::Set(Combined {
+                    is_write: prev.is_write || is_write,
+                    weak: prev.weak && weak,
+                }),
+                None => RangeUpdate::Set(Combined { is_write, weak }),
+            });
         }
-        let is_write = dep.access.is_write();
-        let weak = dep.access.is_weak();
-        map.update(&dep.region, |_, existing| match existing {
-            Some(prev) => RangeUpdate::Set(Combined {
-                is_write: prev.is_write || is_write,
-                weak: prev.weak && weak,
-            }),
-            None => RangeUpdate::Set(Combined { is_write, weak }),
-        });
+        map.coalesce();
+        out.extend(map.iter().map(|(start, end, c)| NormalizedDep {
+            region: Region::new(space, start, end),
+            is_write: c.is_write,
+            weak: c.weak,
+        }));
+        map.clear();
     }
-    map.coalesce();
-    let mut out: Vec<NormalizedDep> = map
-        .iter()
-        .map(|(region, c)| NormalizedDep { region, is_write: c.is_write, weak: c.weak })
-        .collect();
-    // Spaces iterate in hash order; fragments within a space are already ordered.
-    out.sort_unstable_by_key(|d| (d.region.space, d.region.start));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use weakdep_regions::SpaceId;
 
     fn r(start: usize, end: usize) -> Region {
         Region::new(SpaceId(1), start, end)

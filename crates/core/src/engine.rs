@@ -77,10 +77,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 use smallvec::{smallvec, SmallVec};
-use weakdep_regions::{
-    CoverageCounter, IntervalMap, RangeUpdate, Region, RegionMap, RegionSet, RegionStore,
-    StoreTier,
-};
+use weakdep_regions::{IntervalMap, RangeUpdate, Region, RegionStore, StoreTier};
 
 use crate::access::{normalize_deps, Depend, NormalizedDep, WaitMode};
 
@@ -293,11 +290,6 @@ struct BottomEntry {
     last_writer: Option<Accessor>,
     readers: SmallVec<[Accessor; 2]>,
 }
-
-/// Successor lists keyed by pending region fragment, so satisfying or releasing one fragment
-/// only touches the successors that actually overlap it. The common case is 1–2 successors per
-/// fragment, which `SmallVec` keeps allocation-free.
-type EdgeMap = RegionMap<SmallVec<[u32; 2]>>;
 
 /// Inline-capacity fragment list used by the domain-local cascade and the cross-domain
 /// messages. The exact-match common case carries a single whole region, so these never touch
@@ -774,19 +766,124 @@ struct ChildSched {
 
 /// The lower half of one of the domain owner's own accesses: the state the owner's *children*
 /// link against.
+///
+/// All four containers are interval maps over `region.space`; the methods check a part's space
+/// once at their boundary, as [`AccessNode`] does for its [`FragCell`] map.
 #[derive(Debug)]
 struct OwnAccess {
     region: Region,
     /// Mirror of the node half's `unsatisfied` fragments, maintained by `SatisfyDown` messages.
     /// Children that link against this access inherit a dependency on exactly these fragments.
-    pending_down: RegionSet,
+    pending_down: IntervalMap<()>,
     /// Downward satisfaction edges: child access nodes (in this domain) waiting for fragments of
-    /// this access to be satisfied.
-    satisfaction_edges: EdgeMap,
-    /// Live child accesses covering fragments of this access.
-    child_coverage: CoverageCounter,
+    /// this access to be satisfied, keyed by pending fragment so satisfying one fragment only
+    /// touches the successors that overlap it. The common case is 1–2 successors per fragment,
+    /// which `SmallVec` keeps allocation-free.
+    satisfaction_edges: IntervalMap<SmallVec<[u32; 2]>>,
+    /// Number of live child accesses covering each fragment of this access.
+    child_coverage: IntervalMap<u32>,
     /// Fragments armed for early completion by the `release` directive.
-    early_release: RegionSet,
+    early_release: IntervalMap<()>,
+}
+
+/// Adds `[start, end)` to an interval set, merging it with the neighbours it touches.
+fn set_add(set: &mut IntervalMap<()>, start: usize, end: usize) {
+    set.insert_range(start, end, ());
+    set.coalesce_range(start, end);
+}
+
+impl OwnAccess {
+    /// A fresh lower half whose pending-down mirror holds `pending`.
+    fn new(region: Region, pending: &SeedParts) -> Self {
+        let mut pending_down = IntervalMap::new();
+        for part in pending {
+            set_add(&mut pending_down, part.start, part.end);
+        }
+        OwnAccess {
+            region,
+            pending_down,
+            satisfaction_edges: IntervalMap::new(),
+            child_coverage: IntervalMap::new(),
+            early_release: IntervalMap::new(),
+        }
+    }
+
+    /// Appends the fragments of `over` that `set` (`pending_down` or `early_release`) holds.
+    fn stored_parts(&self, set: &IntervalMap<()>, over: &Region, out: &mut Parts) {
+        if over.space == self.region.space {
+            let space = over.space;
+            set.query_range(over.start, over.end, |s, e, _| out.push(Region::new(space, s, e)));
+        }
+    }
+
+    /// Appends the parts of `over` not covered by a live child access.
+    fn uncovered_parts(&self, over: &Region, out: &mut Parts) {
+        if over.space == self.region.space {
+            let space = over.space;
+            self.child_coverage
+                .for_each_gap(over.start, over.end, |s, e| out.push(Region::new(space, s, e)));
+        }
+    }
+
+    /// Registers the child access node `to` as waiting for `part` to be satisfied.
+    fn add_satisfaction_edge(&mut self, part: &Region, to: u32) {
+        if part.space != self.region.space {
+            return;
+        }
+        self.satisfaction_edges.update_range(part.start, part.end, |_, _, existing| {
+            let mut targets = existing.cloned().unwrap_or_default();
+            targets.push(to);
+            RangeUpdate::Set(targets)
+        });
+    }
+
+    /// `part` was satisfied upstream: removes it from the pending-down mirror and hands the
+    /// satisfaction edges over every removed fragment to `fire`.
+    fn satisfy(&mut self, part: &Region, mut fire: impl FnMut(Region, SmallVec<[u32; 2]>)) {
+        if part.space != self.region.space {
+            return;
+        }
+        let space = part.space;
+        let OwnAccess { pending_down, satisfaction_edges, .. } = self;
+        pending_down.drain_range(part.start, part.end, |s, e, ()| {
+            satisfaction_edges.drain_range(s, e, |fs, fe, targets| {
+                fire(Region::new(space, fs, fe), targets)
+            });
+        });
+    }
+
+    /// One more live child access covers `part`.
+    fn cover(&mut self, part: &Region) {
+        if part.space == self.region.space {
+            self.child_coverage.update_range(part.start, part.end, |_, _, count| {
+                RangeUpdate::Set(count.map_or(1, |&n| n + 1))
+            });
+        }
+    }
+
+    /// One live child access over `part` is gone; appends the fragments no child covers any
+    /// more to `zeroed` (only *transitions* to zero: uncovered coordinates are ignored).
+    fn uncover(&mut self, part: &Region, zeroed: &mut Parts) {
+        if part.space != self.region.space {
+            return;
+        }
+        let space = part.space;
+        self.child_coverage.update_range(part.start, part.end, |s, e, count| match count {
+            Some(&n) if n > 1 => RangeUpdate::Set(n - 1),
+            Some(_) => {
+                zeroed.push(Region::new(space, s, e));
+                RangeUpdate::Remove
+            }
+            None => RangeUpdate::Keep,
+        });
+    }
+
+    /// Arms `part` for early completion (the `release` directive).
+    fn arm_release(&mut self, part: &Region) {
+        if part.space == self.region.space {
+            set_add(&mut self.early_release, part.start, part.end);
+        }
+    }
 }
 
 /// One task's dependency domain (plus the task's own lower-half state), protected by one lock.
@@ -805,15 +902,15 @@ struct Domain {
     /// Direct children that have not yet deeply completed.
     live_children: usize,
     /// Deferred construction of the own-access lower halves: `(region, initially unsatisfied
-    /// parts)` per access, expanded into `own`/`own_map`/`bottom_map` by [`Domain::ensure_seeded`]
+    /// parts)` per access, expanded into `own`/`bottom_map` by [`Domain::ensure_seeded`]
     /// the first time anything needs them. Most tasks are leaves that never spawn children nor
     /// receive `SatisfyDown`, so the laziness keeps several container allocations and map inserts
     /// off the per-spawn hot path.
     own_seed: Option<Seeds>,
     /// Lower halves of the owner's own accesses (parallel to `TaskEntry::nodes_in_parent`).
+    /// Registration takes `normalize_deps` output, so the regions are pairwise disjoint and
+    /// sorted by `(space, start)`: a binary search finds the first one a region overlaps.
     own: Vec<OwnAccess>,
-    /// Region → own-access index (used for coverage bookkeeping at child registration).
-    own_map: RegionMap<u32>,
     /// The dependency domain for the owner's children: the two-tier store (exact-match hash
     /// tier with lazy per-region promotion to the interval tier on the first partial overlap).
     bottom_map: RegionStore<BottomEntry>,
@@ -857,7 +954,6 @@ impl Domain {
             live_children: 0,
             own_seed: Some(SmallVec::new()),
             own: Vec::new(),
-            own_map: RegionMap::new(),
             bottom_map: RegionStore::new(),
             nodes: Vec::new(),
             free_nodes: Vec::new(),
@@ -882,18 +978,11 @@ impl Domain {
     }
 
     /// Expands the deferred own-access seeds into the live lower-half structures. Idempotent;
-    /// must run before anything touches `own`, `own_map` or `bottom_map`.
+    /// must run before anything touches `own` or `bottom_map`.
     fn ensure_seeded(&mut self) {
         let Some(seeds) = self.own_seed.take() else { return };
         for (own_idx, (region, pending)) in seeds.into_iter().enumerate() {
-            self.own.push(OwnAccess {
-                region,
-                pending_down: RegionSet::from_regions(&pending),
-                satisfaction_edges: EdgeMap::new(),
-                child_coverage: CoverageCounter::new(),
-                early_release: RegionSet::new(),
-            });
-            self.own_map.insert(&region, own_idx as u32);
+            self.own.push(OwnAccess::new(region, &pending));
             // Own regions are normalised (pairwise disjoint), so the seeds land in the exact
             // tier; the first partially-overlapping child promotes its region.
             let _ = self.bottom_map.insert(
@@ -1267,6 +1356,10 @@ impl DependencyEngine {
     /// [`DependencyEngine::register_task`] over pre-normalised dependencies, for callers (the
     /// runtime) that need the normalised footprint anyway and should not pay for normalising
     /// twice.
+    ///
+    /// `deps` must be [`normalize_deps`] output: pairwise disjoint regions sorted by
+    /// `(space, start)`. The task's children find the accesses they cover by binary search over
+    /// that order; debug builds assert it.
     pub fn register_task_normalized(
         &self,
         parent: TaskId,
@@ -1279,9 +1372,10 @@ impl DependencyEngine {
     }
 
     /// Registers a batch of sibling tasks under a **single** acquisition of the parent's domain
-    /// lock, amortising lock traffic for loop-spawn patterns. Dependencies are pre-normalised,
-    /// like [`DependencyEngine::register_task_normalized`]. Returns `(id, ready)` per task, in
-    /// order, or [`StaleTaskId`] if `parent` has been retired.
+    /// lock, amortising lock traffic for loop-spawn patterns. Each task's dependencies must be
+    /// [`normalize_deps`] output (pairwise disjoint, sorted by `(space, start)`), as for
+    /// [`DependencyEngine::register_task_normalized`]. Returns `(id, ready)` per task, in order,
+    /// or [`StaleTaskId`] if `parent` has been retired.
     pub fn register_batch<'a>(
         &self,
         parent: TaskId,
@@ -1308,6 +1402,13 @@ impl DependencyEngine {
         assert!(
             !domain.deeply_completed,
             "cannot create a child of a deeply completed task"
+        );
+        debug_assert!(
+            deps.windows(2).all(|pair| {
+                (pair[0].region.space, pair[0].region.end)
+                    <= (pair[1].region.space, pair[1].region.start)
+            }),
+            "dependencies must be normalize_deps output: disjoint, sorted by (space, start)"
         );
         let id = self.alloc_id();
         AtomicStats::bump(&self.stats.tasks_registered, 1);
@@ -1500,9 +1601,8 @@ impl DependencyEngine {
         let mut pending: Parts = SmallVec::new();
         match from {
             Accessor::Own(own_idx) => {
-                domain.own[own_idx as usize]
-                    .pending_down
-                    .for_each_intersection(over, |part| pending.push(part));
+                let own = &domain.own[own_idx as usize];
+                own.stored_parts(&own.pending_down, over, &mut pending);
             }
             Accessor::Child(source) => match domain.resolve(source) {
                 // A recycled slot means the source was fully released: no pending fragments.
@@ -1524,14 +1624,9 @@ impl DependencyEngine {
         match from {
             Accessor::Own(own_idx) => {
                 AtomicStats::bump(&self.stats.satisfaction_edges, 1);
-                let edge_map = &mut domain.own[own_idx as usize].satisfaction_edges;
+                let own = &mut domain.own[own_idx as usize];
                 for part in &pending {
-                    edge_map.update(part, |_, existing| {
-                        let mut targets: SmallVec<[u32; 2]> =
-                            existing.cloned().unwrap_or_default();
-                        targets.push(to);
-                        RangeUpdate::Set(targets)
-                    });
+                    own.add_satisfaction_edge(part, to);
                 }
             }
             Accessor::Child(source) => {
@@ -1594,8 +1689,7 @@ impl DependencyEngine {
                     domain.ensure_seeded();
                     for (own_idx, own) in domain.own.iter().enumerate() {
                         let mut uncovered: Parts = SmallVec::new();
-                        own.child_coverage
-                            .for_each_uncovered(&own.region, |r| uncovered.push(r));
+                        own.uncovered_parts(&own.region, &mut uncovered);
                         if !uncovered.is_empty() {
                             AtomicStats::bump(&self.stats.incremental_releases, uncovered.len());
                             outbox.push_back(Message::CompleteUp {
@@ -1642,10 +1736,9 @@ impl DependencyEngine {
                     Some(o) => o,
                     None => continue,
                 };
-                own.early_release.add(&overlap);
+                own.arm_release(&overlap);
                 let mut uncovered: Parts = SmallVec::new();
-                own.child_coverage
-                    .for_each_uncovered(&overlap, |r| uncovered.push(r));
+                own.uncovered_parts(&overlap, &mut uncovered);
                 if !uncovered.is_empty() {
                     AtomicStats::bump(&self.stats.incremental_releases, uncovered.len());
                     outbox.push_back(Message::CompleteUp {
@@ -1731,18 +1824,13 @@ impl DependencyEngine {
                     }
                     return;
                 }
-                let OwnAccess { pending_down, satisfaction_edges, .. } =
-                    &mut domain.own[own_idx as usize];
+                let own = &mut domain.own[own_idx as usize];
                 for part in &parts {
-                    pending_down.remove_with(part, |removed| {
-                        satisfaction_edges.drain(&removed, |fragment, targets| {
-                            for &to in targets.iter() {
-                                queue.push_back(Event::Satisfy {
-                                    node: to,
-                                    parts: smallvec![fragment],
-                                });
-                            }
-                        });
+                    own.satisfy(part, |fragment, targets| {
+                        for &to in targets.iter() {
+                            let parts = smallvec![fragment];
+                            queue.push_back(Event::Satisfy { node: to, parts });
+                        }
                     });
                 }
                 self.process_local(domain, queue, effects, outbox);
@@ -1991,7 +2079,7 @@ impl DependencyEngine {
             let mut zeroed_all: Parts = SmallVec::new();
             for part in &actually_released {
                 if let Some(sub) = overlap.intersection(part) {
-                    own.child_coverage.decrement_with(&sub, |z| zeroed_all.push(z));
+                    own.uncover(&sub, &mut zeroed_all);
                 }
             }
             if zeroed_all.is_empty() {
@@ -2004,7 +2092,7 @@ impl DependencyEngine {
                 } else {
                     // Early-release armed fragments complete as soon as coverage drops, even if
                     // the body is still running.
-                    own.early_release.for_each_intersection(part, |piece| completable.push(piece));
+                    own.stored_parts(&own.early_release, part, &mut completable);
                 }
             }
             if !completable.is_empty() {
@@ -2149,19 +2237,23 @@ impl DependencyEngine {
 }
 
 /// Records that the new node covers parts of the domain owner's own accesses (used for the
-/// fine-grained hand-over of §V). Disjoint field borrows keep this a single allocation-free
-/// pass over the own-access map (which is empty for root domains — the flat-spawn fast path).
+/// fine-grained hand-over of §V). The own accesses are disjoint and sorted by `(space, start)`,
+/// so one binary search finds the first overlap and the overlapping ones follow it (there are
+/// none in root domains — the flat-spawn fast path).
 fn register_parent_coverage(domain: &mut Domain, idx: u32, region: Region) {
-    let Domain { own_map, own, nodes, .. } = domain;
-    own_map.query(&region, |overlap, &own_idx| {
-        own[own_idx as usize].child_coverage.increment(&overlap);
+    let Domain { own, nodes, .. } = domain;
+    let first =
+        own.partition_point(|o| (o.region.space, o.region.end) <= (region.space, region.start));
+    for (own_idx, o) in own.iter_mut().enumerate().skip(first) {
+        let Some(overlap) = o.region.intersection(&region) else { break };
+        o.cover(&overlap);
         nodes[idx as usize]
             .node
             .as_mut()
             .expect("node just allocated")
             .parent_coverage
-            .push((own_idx, overlap));
-    });
+            .push((own_idx as u32, overlap));
+    }
 }
 
 /// Marks the (locked) domain's owner deeply complete and notifies the parent domain. The
@@ -2891,6 +2983,22 @@ mod tests {
         assert_eq!(fake.generation(), TaskId::SYNTHETIC_GENERATION);
         assert_eq!(engine.try_is_deeply_completed(fake), Err(StaleTaskId(fake)));
         assert_eq!(engine.try_is_deeply_completed(root), Ok(false));
+    }
+
+    /// Pre-normalised registration relies on `normalize_deps`' order (the own-access search
+    /// depends on it); debug builds reject an unsorted, overlapping clause.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "normalize_deps output")]
+    fn unnormalized_dependencies_are_rejected() {
+        let engine = DependencyEngine::new();
+        let root = engine.register_root();
+        let dep = |start, end| NormalizedDep {
+            region: r(1, start, end),
+            is_write: true,
+            weak: false,
+        };
+        let _ = engine.register_task_normalized(root, &[dep(8, 16), dep(0, 10)], WaitMode::None);
     }
 
     /// Randomised single-domain dependency check: execute tasks in any legal engine order and

@@ -5,7 +5,7 @@
 //!
 //! * its root domain in the dependency engine (an independent tree — no edge ever crosses
 //!   jobs, which is what makes per-job completion and cancellation sound),
-//! * a [`CompletionGate`] for the waits of non-worker threads (root completion, cancel, a
+//! * a completion [`Gate`] for the waits of non-worker threads (root completion, cancel, a
 //!   `taskwait` in the inline root) — workers in `taskwait` stay in the pool's idle loop,
 //! * a stats slice (registered / deeply-completed / executed / skipped counters),
 //! * the abort flag + running-body count that implement `cancel()`, fail-fast panic
@@ -44,7 +44,6 @@
 //!
 //! [`Runtime::submit`]: crate::Runtime::submit
 
-use crate::completion::CompletionGate;
 use crate::engine::TaskId;
 use parking_lot::Mutex;
 use std::any::Any;
@@ -53,6 +52,7 @@ use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::Instant;
+use weakdep_threadpool::sleep::Gate;
 use weakdep_threadpool::AdmissionGate;
 
 /// What to do with a job's remaining tasks after one of its bodies panics.
@@ -178,8 +178,19 @@ pub(crate) struct JobState {
     pub(crate) id: u64,
     /// The job's root task in the engine.
     pub(crate) root: TaskId,
-    /// Per-job completion gate: root-completion, cancel and non-worker `taskwait` waits.
-    pub(crate) gate: CompletionGate,
+    /// Per-job completion gate: what a thread that is **not** a pool worker blocks on — the
+    /// root wait of [`Runtime::run`](crate::Runtime::run) and `JobHandle::wait*`, `cancel()`'s
+    /// wait for in-flight bodies, and a `taskwait` called from the inline root body.
+    ///
+    /// It is the pool's generic waiter-gated predicate gate, the same type the admission gate
+    /// blocks on: waiters register before re-checking their predicate under its mutex,
+    /// notifiers notify under that mutex only when a waiter is registered. Under the
+    /// `loom-model` feature its primitives are loom-lite shims, and `tests/loom_completion.rs` /
+    /// `tests/loom_cancel.rs` explore every bounded interleaving of exactly that code against
+    /// this crate's predicates. A *worker* in `taskwait` does not use the gate: it stays in the
+    /// pool's idle loop (`WorkerContext::work_until`) with "my children drained" as exit
+    /// predicate (`docs/locking.md`, "Wake-up discipline").
+    pub(crate) gate: Gate,
     /// The no-new-bodies flag: workers check it (`SeqCst`) right after bumping `running` and
     /// skip the task body when set. Set by `cancel()`, by the first panic under
     /// [`PanicPolicy::FailFast`], and by the watchdog on deadline expiry.
@@ -235,7 +246,7 @@ impl JobState {
         JobState {
             id,
             root,
-            gate: CompletionGate::new(),
+            gate: Gate::new(),
             abort: AtomicBool::new(false),
             explicit_cancel: AtomicBool::new(false),
             failed: AtomicBool::new(false),

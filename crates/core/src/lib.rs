@@ -66,7 +66,6 @@
 #![warn(rust_2018_idioms)]
 
 mod access;
-pub mod completion;
 mod data;
 mod engine;
 #[cfg(feature = "faults")]

@@ -51,7 +51,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use weakdep_regions::{Region, RegionSet};
+use weakdep_regions::{IntervalMap, Region};
 use weakdep_threadpool::{
     AdmissionGate, AdmissionStats, LoopDescriptor, SchedulingPolicy, ThreadPool, Tick, Watchdog,
     WorkerContext,
@@ -1179,17 +1179,18 @@ impl<'a> TaskCtx<'a> {
 /// `true` if the strong (and, for `needs_write`, write-capable) entries of `footprint` cover
 /// `region`. Bodies access what they declared, so one entry usually contains the region on its
 /// own and the check allocates nothing; only a region that straddles several entries pays for
-/// the union.
+/// the union of the qualifying entries in its space. (Hints leave the footprint unsorted, so
+/// the union is built in an interval map rather than swept.)
 fn covered_by(footprint: &[FootprintEntry], region: &Region, needs_write: bool) -> bool {
     let qualifying = footprint.iter().filter(|e| !e.weak && (e.write || !needs_write));
     if qualifying.clone().any(|e| e.region.contains_region(region)) {
         return true;
     }
-    let mut union = RegionSet::new();
-    for entry in qualifying {
-        union.add(&entry.region);
+    let mut union = IntervalMap::new();
+    for entry in qualifying.filter(|e| e.region.space == region.space) {
+        union.insert_range(entry.region.start, entry.region.end, ());
     }
-    union.contains_all(region)
+    union.covers(region.start, region.end)
 }
 
 /// A fully described child task, detached from any context: dependencies, clauses, label and
@@ -1852,10 +1853,15 @@ mod tests {
         });
     }
 
-    /// The plain answer `covered_by` must agree with: the union of the qualifying entries.
+    /// The plain answer `covered_by` must agree with, coordinate by coordinate: every point of
+    /// the region lies in some qualifying entry.
     fn union_covers(footprint: &[FootprintEntry], region: &Region, needs_write: bool) -> bool {
         let qualifying = footprint.iter().filter(|e| !e.weak && (e.write || !needs_write));
-        RegionSet::from_regions(qualifying.map(|e| &e.region)).contains_all(region)
+        (region.start..region.end).all(|point| {
+            qualifying
+                .clone()
+                .any(|e| e.region.space == region.space && e.region.contains_point(point))
+        })
     }
 
     #[test]

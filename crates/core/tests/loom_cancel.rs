@@ -2,7 +2,7 @@
 //! `src/runtime.rs`) under loom-lite.
 //!
 //! Run with `cargo test -p weakdep_core --features loom-model --test loom_cancel`.
-//! The gate under test is the real `CompletionGate`; the worker's body bracket and the
+//! The gate under test is the real completion `Gate`; the worker's body bracket and the
 //! canceller are modelled with loom atomics mirroring the shipped code, the same way
 //! `loom_completion.rs` models the engine-side predicates.
 //!
@@ -17,7 +17,7 @@
 use loom_lite::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use loom_lite::{thread, Checker};
 use std::sync::Arc;
-use weakdep_core::completion::CompletionGate;
+use weakdep_threadpool::sleep::Gate;
 
 /// The `cancel()` contract: once `cancel()` returns, no task body of the job may start — and
 /// the canceller must never hang waiting for an in-flight body (the last body's `running`
@@ -26,7 +26,7 @@ use weakdep_core::completion::CompletionGate;
 #[test]
 fn no_body_starts_after_cancel_returns() {
     let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let gate = Arc::new(CompletionGate::new());
+        let gate = Arc::new(Gate::new());
         let cancelled = Arc::new(AtomicBool::new(false));
         let running = Arc::new(AtomicUsize::new(0));
         let cancel_returned = Arc::new(AtomicBool::new(false));
@@ -75,7 +75,7 @@ fn no_body_starts_after_cancel_returns() {
 #[test]
 fn inverted_bracket_fork_is_caught() {
     let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let gate = Arc::new(CompletionGate::new());
+        let gate = Arc::new(Gate::new());
         let cancelled = Arc::new(AtomicBool::new(false));
         let running = Arc::new(AtomicUsize::new(0));
         let cancel_returned = Arc::new(AtomicBool::new(false));

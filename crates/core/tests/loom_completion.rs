@@ -1,5 +1,5 @@
-//! Model checks of the completion gate (`src/completion.rs`, the pool's `Gate`) under
-//! loom-lite.
+//! Model checks of the completion gate (`JobState::gate` in `src/job.rs`, the pool's `Gate`)
+//! under loom-lite.
 //!
 //! Run with `cargo test -p weakdep_core --features loom-model --test loom_completion`.
 //! Under the `loom-model` feature the gate's `Mutex`/`Condvar`/atomics are loom-lite shims,
@@ -16,14 +16,14 @@
 use loom_lite::sync::atomic::{AtomicUsize, Ordering};
 use loom_lite::{thread, Checker};
 use std::sync::Arc;
-use weakdep_core::completion::CompletionGate;
+use weakdep_threadpool::sleep::Gate;
 
 /// `Runtime::run` vs task retirement: the root-completion notify must never be lost, whichever
 /// way it interleaves with the waiter's register-then-check-then-wait.
 #[test]
 fn root_completion_wake_is_never_lost() {
     let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let gate = Arc::new(CompletionGate::new());
+        let gate = Arc::new(Gate::new());
         let done = Arc::new(AtomicUsize::new(0));
         let (g2, d2) = (Arc::clone(&gate), Arc::clone(&done));
         // The finishing task: flip the predicate, then fire the gated notify — the order
@@ -45,7 +45,7 @@ fn root_completion_wake_is_never_lost() {
 #[test]
 fn taskwait_child_drain_wakes_nonworker() {
     let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let gate = Arc::new(CompletionGate::new());
+        let gate = Arc::new(Gate::new());
         let children = Arc::new(AtomicUsize::new(1));
         let (g2, c2) = (Arc::clone(&gate), Arc::clone(&children));
         let child = thread::spawn(move || {
@@ -69,7 +69,7 @@ mod buggy {
     use loom_lite::sync::atomic::{AtomicUsize, Ordering::SeqCst};
     use loom_lite::sync::{Condvar, Mutex};
 
-    /// `CompletionGate` with the one discipline removed: `notify` does not take the mutex.
+    /// The completion `Gate` with the one discipline removed: `notify` does not take the mutex.
     pub struct BuggyGate {
         mutex: Mutex<()>,
         condvar: Condvar,

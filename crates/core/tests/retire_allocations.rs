@@ -1,6 +1,7 @@
 //! The retire cascade — the messages and events `DependencyEngine::body_finished` drains after a
 //! task ends — allocates only the `Effects` it returns: its outbox and event queue are lent by
-//! the calling thread and keep their capacity between calls.
+//! the calling thread and keep their capacity between calls. And registering a weak parent's
+//! first child allocates a pinned count, so a container added to that path is measured.
 //!
 //! This binary installs its own counting global allocator. The count is per thread, so the test
 //! harness's other threads never disturb a measurement taken around one call.
@@ -8,7 +9,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use weakdep_core::{AccessType, Depend, DependencyEngine, Region, SpaceId, TaskId, WaitMode};
+use weakdep_core::{
+    normalize_deps, AccessType, Depend, DependencyEngine, Region, SpaceId, TaskId, WaitMode,
+};
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
@@ -124,4 +127,34 @@ fn the_retire_cascade_allocates_only_its_effects() {
         "parent body_finished allocated {parent_allocations}"
     );
     assert!(engine.is_deeply_completed(parent));
+}
+
+/// Registering the first child under a `weakwait` parent with one `weakinout` access expands the
+/// parent's own-access seed (`ensure_seeded`: the lower half and the bottom-map seed) and, in
+/// that lower half, counts the child's coverage and inserts its satisfaction edge — besides the
+/// child's own node, scheduling record, domain and table entry. (27 allocations while each
+/// per-access container was a hash map of per-space interval maps.)
+#[test]
+fn registering_the_first_child_of_a_weak_parent_allocates_a_pinned_count() {
+    let y = SpaceId(2);
+    let engine = DependencyEngine::new();
+    let root = engine.register_root();
+    let whole = Region::new(y, 0, CHILDREN * BLOCK);
+    // A writer ahead of the parent keeps the parent's access unsatisfied, so the child inherits
+    // the pending dependency through a satisfaction edge.
+    let writer = [Depend::new(AccessType::InOut, whole)];
+    engine.register_task(root, &writer, WaitMode::None).expect("live root");
+    let weak = [Depend::new(AccessType::WeakInOut, whole)];
+    let (parent, _) = engine.register_task(root, &weak, WaitMode::WeakWait).expect("live root");
+    let deps = normalize_deps(&[Depend::new(AccessType::InOut, Region::new(y, 0, BLOCK))]);
+
+    let before = ALLOCATIONS.with(Cell::get);
+    let (_child, ready) = engine
+        .register_task_normalized(parent, &deps, WaitMode::None)
+        .expect("live parent");
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+
+    assert!(!ready, "the child waits for the writer through its parent");
+    assert_eq!(engine.stats().satisfaction_edges, 1);
+    assert_eq!(allocations, 20, "allocations registering the first child");
 }

@@ -1,10 +1,11 @@
 //! [`IntervalMap`]: an ordered map from disjoint half-open ranges of a single address space to
 //! values, with fragmentation (entry splitting) on update.
 //!
-//! This is the workhorse behind the dependency engine's *bottom maps* and per-access coverage
-//! tracking: updating a range that partially overlaps existing entries splits those entries at the
-//! update boundaries, so the caller always observes maximal fragments that are either fully inside
-//! one existing entry or fully inside a gap.
+//! This is the crate's one interval container: the fragmented tier of the dependency engine's
+//! *bottom maps*, and every per-access map of the engine (fragment state, satisfaction mirror and
+//! edges, child coverage, `release` arming). Updating a range that partially overlaps existing
+//! entries splits those entries at the update boundaries, so the caller always observes maximal
+//! fragments that are either fully inside one existing entry or fully inside a gap.
 //!
 //! # Storage
 //!
@@ -27,8 +28,8 @@
 //! * [`IntervalMap::clear`] retains all capacity, so a cleared map (e.g. a recycled fragmented
 //!   access-node state in the engine's per-domain pool) performs its next fragmentation cycle
 //!   without touching the allocator;
-//! * visitor-style accessors ([`IntervalMap::for_each_gap`], [`IntervalMap::drain_range`])
-//!   replace `Vec`-returning hot paths end-to-end.
+//! * accessors are visitors ([`IntervalMap::for_each_gap`], [`IntervalMap::drain_range`]), so
+//!   no read or removal builds a `Vec`.
 
 /// Decision returned by the visitor passed to [`IntervalMap::update_range`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,7 +185,7 @@ impl<V> IntervalMap<V> {
     }
 
     /// Visits the sub-ranges of `[start, end)` **not** covered by any fragment, in ascending
-    /// order. The allocation-free form of [`IntervalMap::gaps`].
+    /// order.
     pub fn for_each_gap(&self, start: usize, end: usize, mut f: impl FnMut(usize, usize)) {
         if start >= end {
             return;
@@ -199,13 +200,6 @@ impl<V> IntervalMap<V> {
         if cursor < end {
             f(cursor, end);
         }
-    }
-
-    /// Returns the sub-ranges of `[start, end)` **not** covered by any fragment.
-    pub fn gaps(&self, start: usize, end: usize) -> Vec<(usize, usize)> {
-        let mut gaps = Vec::new();
-        self.for_each_gap(start, end, |s, e| gaps.push((s, e)));
-        gaps
     }
 
     /// The value stored for exactly the fragment `[start, end)`, if the map holds that precise
@@ -328,9 +322,8 @@ impl<V: Clone> IntervalMap<V> {
     }
 
     /// Removes every stored fragment of `[start, end)` (clipped to the range), passing each to
-    /// the visitor with its **owned** value. The allocation-free form of
-    /// [`IntervalMap::remove_range`]: values are moved out of the arena, cloned only when a
-    /// straddling entry must be split at a range boundary.
+    /// the visitor with its **owned** value: values are moved out of the arena, cloned only when
+    /// a straddling entry must be split at a range boundary.
     pub fn drain_range(&mut self, start: usize, end: usize, mut f: impl FnMut(usize, usize, V)) {
         if start >= end {
             return;
@@ -343,17 +336,10 @@ impl<V: Clone> IntervalMap<V> {
         self.run.drain(lo..hi);
     }
 
-    /// Removes `[start, end)` and returns the removed fragments clipped to the range.
-    pub fn remove_range(&mut self, start: usize, end: usize) -> Vec<(usize, usize, V)> {
-        let mut removed = Vec::new();
-        self.drain_range(start, end, |s, e, v| removed.push((s, e, v)));
-        removed
-    }
-
     /// Merges adjacent equal-valued fragments, but only in the neighbourhood of `[start, end)`:
     /// the chain beginning at the entry touching `start` from the left (or the first entry at or
     /// after `start`) through any entry beginning at or before `end`. This is the targeted
-    /// variant [`crate::RegionSet`] and the two-tier store use after an insert — a full
+    /// variant the engine's region sets and the two-tier store use after an insert — a full
     /// [`IntervalMap::coalesce`] walks the whole map on every add.
     pub fn coalesce_range(&mut self, start: usize, end: usize)
     where
@@ -404,6 +390,18 @@ mod tests {
 
     fn collect<V: Clone>(m: &IntervalMap<V>) -> Vec<(usize, usize, V)> {
         m.iter().map(|(s, e, v)| (s, e, v.clone())).collect()
+    }
+
+    fn gaps<V>(m: &IntervalMap<V>, start: usize, end: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        m.for_each_gap(start, end, |s, e| out.push((s, e)));
+        out
+    }
+
+    fn drain<V: Clone>(m: &mut IntervalMap<V>, start: usize, end: usize) -> Vec<(usize, usize, V)> {
+        let mut out = Vec::new();
+        m.drain_range(start, end, |s, e, v| out.push((s, e, v)));
+        out
     }
 
     #[test]
@@ -504,9 +502,12 @@ mod tests {
         let mut m = IntervalMap::new();
         m.insert_range(0, 10, 'a');
         m.insert_range(20, 30, 'b');
-        let removed = m.remove_range(5, 25);
-        assert_eq!(removed, vec![(5, 10, 'a'), (20, 25, 'b')]);
+        assert_eq!(drain(&mut m, 5, 25), vec![(5, 10, 'a'), (20, 25, 'b')]);
         assert_eq!(collect(&m), vec![(0, 5, 'a'), (25, 30, 'b')]);
+        // Draining everything empties the map.
+        assert_eq!(drain(&mut m, 0, 30), vec![(0, 5, 'a'), (25, 30, 'b')]);
+        assert!(m.is_empty());
+        assert_eq!(m.covered_len(), 0);
     }
 
     #[test]
@@ -517,10 +518,10 @@ mod tests {
         assert!(m.covers(0, 10));
         assert!(m.covers(2, 8));
         assert!(!m.covers(5, 25));
-        assert_eq!(m.gaps(0, 40), vec![(10, 20), (30, 40)]);
-        assert_eq!(m.gaps(5, 25), vec![(10, 20)]);
-        assert_eq!(m.gaps(12, 18), vec![(12, 18)]);
-        assert!(m.gaps(2, 8).is_empty());
+        assert_eq!(gaps(&m, 0, 40), vec![(10, 20), (30, 40)]);
+        assert_eq!(gaps(&m, 5, 25), vec![(10, 20)]);
+        assert_eq!(gaps(&m, 12, 18), vec![(12, 18)]);
+        assert!(gaps(&m, 2, 8).is_empty());
     }
 
     #[test]
@@ -570,7 +571,7 @@ mod tests {
         m.insert_range(5, 5, 1);
         assert!(m.is_empty());
         m.update_range(10, 10, |_, _, _| panic!("must not be visited"));
-        assert!(m.remove_range(3, 3).is_empty());
+        m.drain_range(3, 3, |_, _, _| panic!("must not be visited"));
         assert!(m.covers(4, 4));
     }
 
@@ -624,7 +625,7 @@ mod tests {
             let base = (round % 7) * 10;
             m.insert_range(base, base + 10, round);
             m.insert_range(base + 2, base + 6, round + 1000); // split: 3 fragments
-            m.remove_range(base, base + 10);
+            m.drain_range(base, base + 10, |_, _, _| {});
         }
         assert!(m.is_empty());
         assert!(

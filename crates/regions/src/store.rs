@@ -3,23 +3,26 @@
 //!
 //! Blocked kernels (axpy, gauss_seidel, sort_scan — §VII of the paper) declare whole-block
 //! dependencies that recur with **identical** regions: wave after wave, the bottom map is
-//! queried and updated with exactly the same `[start, end)` keys. The general [`RegionMap`]
-//! pays the full fragmentation machinery (ordered range queries, entry splitting, per-update
-//! scratch vectors) on every one of those updates even though no fragmentation ever happens.
+//! queried and updated with exactly the same `[start, end)` keys. A plain [`IntervalMap`]
+//! pays the full fragmentation machinery (ordered range search, entry splitting) on every one
+//! of those updates even though no fragmentation ever happens.
 //!
 //! `RegionStore` splits the storage into two tiers:
 //!
 //! * the **exact tier** — a hash map keyed by the full [`Region`], plus a lightweight per-space
 //!   ordered index of its keys (`start → end`) used only on misses to detect overlap. A lookup
 //!   that hits a key exactly is O(1) and allocation-free.
-//! * the **fragmented tier** — a plain [`RegionMap`], carrying every region that has ever been
-//!   involved in a *partial* overlap.
+//! * the **fragmented tier** — one [`IntervalMap`] per space, carrying every region that has
+//!   ever been involved in a *partial* overlap.
+//!
+//! A space's key index and its fragmented map sit in one per-space entry, so a miss on the
+//! exact tier costs one space lookup.
 //!
 //! Exactness is tracked **per base region**: a region enters the exact tier when it is first
 //! stored and nothing it overlaps is present, and it is *promoted* (moved to the fragmented
 //! tier) the first time an update partially overlaps it. Promotion is per-region, so one
 //! partially-overlapped allocation does not tax the exact-matching traffic of the others.
-//! Semantics are identical to a single `RegionMap` receiving the same updates — the
+//! Semantics are identical to one `IntervalMap` per space receiving the same updates — the
 //! `proptest_region_store` suite asserts observational equivalence — because a region sits in
 //! the exact tier only while no update has ever split it, which is exactly when the general
 //! machinery would have kept it as a single fragment too.
@@ -38,7 +41,7 @@ use std::ops::Bound::{Excluded, Included};
 use smallvec::SmallVec;
 
 use crate::hash::FxHashMap;
-use crate::{RangeUpdate, Region, RegionMap, SpaceId};
+use crate::{IntervalMap, RangeUpdate, Region, SpaceId};
 
 /// Which tier served a [`RegionStore`] operation. Returned so callers (the dependency engine)
 /// can keep visibility counters without the store owning any statistics.
@@ -59,24 +62,34 @@ pub enum StoreTier {
 ///
 /// Invariants:
 /// * exact-tier keys are pairwise disjoint, and disjoint from the fragmented tier's coverage;
-/// * `index` mirrors the exact tier's keys, exactly (one `start → end` entry per key);
+/// * each space's `index` mirrors the exact tier's keys in that space, exactly (one
+///   `start → end` entry per key);
 /// * a region is promoted out of the exact tier the first time an update partially overlaps it;
 ///   [`RegionStore::update`] never demotes, [`RegionStore::update_coalescing`] demotes a base
 ///   region back as soon as it holds exactly one fragment matching it.
 #[derive(Debug, Clone)]
 pub struct RegionStore<V> {
     exact: FxHashMap<Region, V>,
-    index: FxHashMap<SpaceId, BTreeMap<usize, usize>>,
-    fragmented: RegionMap<V>,
+    spaces: FxHashMap<SpaceId, SpaceTiers<V>>,
+}
+
+/// One space's share of a [`RegionStore`] beside the exact tier's values.
+#[derive(Debug, Clone)]
+struct SpaceTiers<V> {
+    /// The exact tier's keys in this space, `start → end`.
+    index: BTreeMap<usize, usize>,
+    fragmented: IntervalMap<V>,
+}
+
+impl<V> Default for SpaceTiers<V> {
+    fn default() -> Self {
+        SpaceTiers { index: BTreeMap::new(), fragmented: IntervalMap::new() }
+    }
 }
 
 impl<V> Default for RegionStore<V> {
     fn default() -> Self {
-        RegionStore {
-            exact: FxHashMap::default(),
-            index: FxHashMap::default(),
-            fragmented: RegionMap::new(),
-        }
+        RegionStore { exact: FxHashMap::default(), spaces: FxHashMap::default() }
     }
 }
 
@@ -88,12 +101,12 @@ impl<V> RegionStore<V> {
 
     /// Number of stored fragments across both tiers.
     pub fn len(&self) -> usize {
-        self.exact.len() + self.fragmented.len()
+        self.exact.len() + self.fragmented_len()
     }
 
     /// `true` if no fragment is stored.
     pub fn is_empty(&self) -> bool {
-        self.exact.is_empty() && self.fragmented.is_empty()
+        self.exact.is_empty() && self.spaces.values().all(|tiers| tiers.fragmented.is_empty())
     }
 
     /// Number of entries currently held by the exact tier.
@@ -103,23 +116,22 @@ impl<V> RegionStore<V> {
 
     /// Number of fragments currently held by the fragmented tier.
     pub fn fragmented_len(&self) -> usize {
-        self.fragmented.len()
+        self.spaces.values().map(|tiers| tiers.fragmented.len()).sum()
     }
 
     /// Removes every fragment from both tiers.
     pub fn clear(&mut self) {
         self.exact.clear();
-        self.index.clear();
-        self.fragmented.clear();
+        self.spaces.clear();
     }
 
     /// Iterates over all stored fragments as `(Region, &value)`. Order is unspecified (the
     /// exact tier is hashed); sort if determinism is needed.
     pub fn iter(&self) -> impl Iterator<Item = (Region, &V)> {
-        self.exact
-            .iter()
-            .map(|(&r, v)| (r, v))
-            .chain(self.fragmented.iter())
+        let fragmented = self.spaces.iter().flat_map(|(&space, tiers)| {
+            tiers.fragmented.iter().map(move |(s, e, v)| (Region::new(space, s, e), v))
+        });
+        self.exact.iter().map(|(&r, v)| (r, v)).chain(fragmented)
     }
 
     /// Visits all stored fragments overlapping `region`, clipped to it. Exact-tier fragments
@@ -134,14 +146,15 @@ impl<V> RegionStore<V> {
             f(*region, value);
             return;
         }
-        if let Some(idx) = self.index.get(&region.space) {
-            for (&start, &end) in overlapping(idx, region) {
-                let key = Region::new(region.space, start, end);
-                let clipped = key.intersection(region).expect("indexed key overlaps");
-                f(clipped, &self.exact[&key]);
-            }
+        let Some(tiers) = self.spaces.get(&region.space) else { return };
+        for (&start, &end) in overlapping(&tiers.index, region) {
+            let key = Region::new(region.space, start, end);
+            let clipped = key.intersection(region).expect("indexed key overlaps");
+            f(clipped, &self.exact[&key]);
         }
-        self.fragmented.query(region, &mut f);
+        tiers.fragmented.query_range(region.start, region.end, |s, e, v| {
+            f(Region::new(region.space, s, e), v)
+        });
     }
 
     /// `true` if at least one stored coordinate of `region` is covered.
@@ -149,30 +162,6 @@ impl<V> RegionStore<V> {
         let mut found = false;
         self.query(region, |_, _| found = true);
         found
-    }
-
-    /// `true` if any exact-tier key overlaps `region` without being equal to it. (An equal key
-    /// is handled by the exact-hit path before this is consulted.)
-    fn exact_overlaps(&self, region: &Region) -> bool {
-        self.index
-            .get(&region.space)
-            .is_some_and(|idx| overlapping(idx, region).next().is_some())
-    }
-
-    fn index_add(&mut self, region: &Region) {
-        self.index
-            .entry(region.space)
-            .or_default()
-            .insert(region.start, region.end);
-    }
-
-    fn index_remove(&mut self, region: &Region) {
-        if let Some(idx) = self.index.get_mut(&region.space) {
-            idx.remove(&region.start);
-            if idx.is_empty() {
-                self.index.remove(&region.space);
-            }
-        }
     }
 }
 
@@ -191,9 +180,9 @@ fn overlapping<'a>(
 }
 
 impl<V: Clone> RegionStore<V> {
-    /// Fragment-and-visit update over `region`, with [`RegionMap::update`] semantics: the
-    /// visitor sees every maximal fragment of `region` (stored or gap, clipped) and decides per
-    /// fragment. Returns the tier that served the update.
+    /// Fragment-and-visit update over `region`, with [`IntervalMap::update_range`] semantics:
+    /// the visitor sees every maximal fragment of `region` (stored or gap, clipped) and decides
+    /// per fragment. Returns the tier that served the update.
     ///
     /// The fast path — `region` equals an exact-tier key, or overlaps nothing at all — runs
     /// without touching the interval machinery. A partial overlap with exact-tier entries
@@ -206,34 +195,53 @@ impl<V: Clone> RegionStore<V> {
         if region.is_empty() {
             return StoreTier::ExactHit;
         }
+        let space = region.space;
         if let Some(value) = self.exact.get_mut(region) {
             match f(*region, Some(value)) {
                 RangeUpdate::Keep => {}
                 RangeUpdate::Set(new_value) => *value = new_value,
                 RangeUpdate::Remove => {
                     self.exact.remove(region);
-                    self.index_remove(region);
+                    let tiers = self.spaces.get_mut(&space).expect("exact key outside its space");
+                    tiers.index.remove(&region.start);
                 }
             }
             return StoreTier::ExactHit;
         }
-        let overlaps_exact = self.exact_overlaps(region);
-        if !overlaps_exact && !self.fragmented.intersects(region) {
-            // The whole query is one gap: admit the region to the exact tier if the visitor
-            // stores a value.
-            match f(*region, None) {
-                RangeUpdate::Set(value) => {
+        let tiers = self.spaces.entry(space).or_default();
+        let overlaps_exact = overlapping(&tiers.index, region).next().is_some();
+        if !overlaps_exact {
+            let mut overlaps_fragmented = false;
+            tiers.fragmented.query_range(region.start, region.end, |_, _, _| {
+                overlaps_fragmented = true
+            });
+            if !overlaps_fragmented {
+                // The whole query is one gap: admit the region to the exact tier if the
+                // visitor stores a value.
+                if let RangeUpdate::Set(value) = f(*region, None) {
                     self.exact.insert(*region, value);
-                    self.index_add(region);
+                    tiers.index.insert(region.start, region.end);
                 }
-                RangeUpdate::Keep | RangeUpdate::Remove => {}
+                return StoreTier::ExactNew;
             }
-            return StoreTier::ExactNew;
         }
         if overlaps_exact {
-            self.promote_overlapping(region);
+            // Move every exact-tier entry overlapping `region` into the fragmented tier. Inline
+            // scratch: an update rarely straddles more than a handful of exact keys.
+            let keys: SmallVec<[(usize, usize); 8]> =
+                overlapping(&tiers.index, region).map(|(&s, &e)| (s, e)).collect();
+            for (start, end) in keys {
+                tiers.index.remove(&start);
+                let value = self
+                    .exact
+                    .remove(&Region::new(space, start, end))
+                    .expect("index names a missing exact entry");
+                tiers.fragmented.insert_range(start, end, value);
+            }
         }
-        self.fragmented.update(region, f);
+        tiers.fragmented.update_range(region.start, region.end, |s, e, v| {
+            f(Region::new(space, s, e), v)
+        });
         if overlaps_exact {
             StoreTier::Promoted
         } else {
@@ -244,26 +252,6 @@ impl<V: Clone> RegionStore<V> {
     /// Sets `region` to `value`, overwriting any overlapping fragments.
     pub fn insert(&mut self, region: &Region, value: V) -> StoreTier {
         self.update(region, |_, _| RangeUpdate::Set(value.clone()))
-    }
-
-    /// Moves every exact-tier entry overlapping `region` into the fragmented tier.
-    fn promote_overlapping(&mut self, region: &Region) {
-        // Inline scratch: an update rarely straddles more than a handful of exact keys.
-        let mut keys: SmallVec<[Region; 8]> = SmallVec::new();
-        match self.index.get(&region.space) {
-            Some(idx) => {
-                for (&start, &end) in overlapping(idx, region) {
-                    keys.push(Region::new(region.space, start, end));
-                }
-            }
-            None => return,
-        }
-        for i in 0..keys.len() {
-            let key = keys[i];
-            let value = self.exact.remove(&key).expect("index names a missing exact entry");
-            self.index_remove(&key);
-            self.fragmented.insert(&key, value);
-        }
     }
 }
 
@@ -283,25 +271,20 @@ impl<V: Clone + PartialEq> RegionStore<V> {
         f: impl FnMut(Region, Option<&V>) -> RangeUpdate<V>,
     ) -> (StoreTier, bool) {
         let tier = self.update(region, f);
-        match tier {
-            StoreTier::ExactHit | StoreTier::ExactNew => (tier, false),
-            StoreTier::Promoted | StoreTier::Fragmented => {
-                self.fragmented.coalesce_region(region);
-                let demoted = match self.fragmented.take_exact(region) {
-                    Some(value) => {
-                        // The region healed into a single exactly-matching fragment: by tier
-                        // disjointness nothing else overlaps it, so it is admissible to the
-                        // exact tier as-is.
-                        debug_assert!(!self.exact_overlaps(region));
-                        self.exact.insert(*region, value);
-                        self.index_add(region);
-                        true
-                    }
-                    None => false,
-                };
-                (tier, demoted)
-            }
+        if matches!(tier, StoreTier::ExactHit | StoreTier::ExactNew) {
+            return (tier, false);
         }
+        let tiers = self.spaces.get_mut(&region.space).expect("fragmented tier of the space");
+        tiers.fragmented.coalesce_range(region.start, region.end);
+        let Some(value) = tiers.fragmented.take_exact(region.start, region.end) else {
+            return (tier, false);
+        };
+        // The region healed into a single exactly-matching fragment: by tier disjointness
+        // nothing else overlaps it, so it is admissible to the exact tier as-is.
+        debug_assert!(overlapping(&tiers.index, region).next().is_none());
+        self.exact.insert(*region, value);
+        tiers.index.insert(region.start, region.end);
+        (tier, true)
     }
 
     /// [`RegionStore::insert`] through the coalescing/demoting path.
@@ -429,7 +412,7 @@ mod tests {
     fn containment_counts_as_overlap() {
         let mut s = RegionStore::new();
         s.insert(&r(1, 2, 4), 'a');
-        // The query strictly contains the stored key. Like `RegionMap`, the store keeps the
+        // The query strictly contains the stored key. Like `IntervalMap`, the store keeps the
         // update-boundary splits (no automatic coalescing).
         assert_eq!(s.insert(&r(1, 0, 8), 'b'), StoreTier::Promoted);
         assert_eq!(
@@ -550,8 +533,8 @@ mod tests {
         assert_eq!(s.exact_len(), 1);
     }
 
-    /// Mirrors `RegionMap` behaviour over a mixed update sequence (the unit-level version of
-    /// the proptest equivalence suite).
+    /// Mirrors one `IntervalMap` per space over a mixed update sequence (the unit-level version
+    /// of the proptest equivalence suite).
     #[test]
     fn matches_region_map_reference() {
         let updates = [
@@ -564,14 +547,16 @@ mod tests {
             (r(1, 12, 14), 7),
         ];
         let mut store = RegionStore::new();
-        let mut reference = RegionMap::new();
+        let mut reference = [IntervalMap::new(), IntervalMap::new(), IntervalMap::new()];
         for (region, value) in updates {
             store.insert(&region, value);
-            reference.insert(&region, value);
+            reference[region.space.0 as usize].insert_range(region.start, region.end, value);
         }
-        let mut expected: Vec<(Region, u32)> =
-            reference.iter().map(|(region, v)| (region, *v)).collect();
-        expected.sort_by_key(|(region, _)| (region.space, region.start));
+        let expected: Vec<(Region, u32)> = (0..reference.len())
+            .flat_map(|space| {
+                reference[space].iter().map(move |(s, e, v)| (r(space as u64, s, e), *v))
+            })
+            .collect();
         assert_eq!(sorted_fragments(&store), expected);
     }
 }

@@ -68,7 +68,7 @@ fn warm_range_operations_allocate_nothing() {
     for i in 0..256 {
         map.insert_range(16 * i, 16 * i + 8, i as u32);
     }
-    map.remove_range(0, usize::MAX);
+    map.drain_range(0, usize::MAX, |_, _, _| {});
     for i in 0..200 {
         map.insert_range(16 * i, 16 * i + 8, i as u32);
     }

@@ -1,11 +1,13 @@
 //! Property-based tests for the region containers.
 //!
 //! The reference model for every container is a plain per-coordinate representation
-//! (`Vec<Option<V>>` / `Vec<usize>`): slow, but obviously correct. All operations on the real
-//! container must agree with the model coordinate by coordinate.
+//! (`Vec<Option<V>>` / `Vec<bool>` / `Vec<usize>`): slow, but obviously correct. All operations
+//! on the real container must agree with the model coordinate by coordinate. `IntervalMap` is
+//! also driven through the closures the dependency engine uses for its per-access containers: a
+//! region set (union, removal) and a coverage counter (increment, decrement to zero).
 
 use proptest::prelude::*;
-use weakdep_regions::{CoverageCounter, IntervalMap, RangeUpdate, Region, RegionSet, SpaceId};
+use weakdep_regions::{IntervalMap, RangeUpdate, Region, SpaceId};
 
 const UNIVERSE: usize = 200;
 
@@ -108,7 +110,7 @@ proptest! {
                     for slot in &mut model[s..e] { *slot = Some(v); }
                 }
                 MapOp::Remove(s, e) => {
-                    map.remove_range(s, e);
+                    map.drain_range(s, e, |_, _, _| {});
                     for slot in &mut model[s..e] { *slot = None; }
                 }
             }
@@ -138,7 +140,7 @@ proptest! {
         for op in ops {
             match op {
                 MapOp::Insert(s, e, v) => map.insert_range(s, e, v),
-                MapOp::Remove(s, e) => { map.remove_range(s, e); }
+                MapOp::Remove(s, e) => map.drain_range(s, e, |_, _, _| {}),
             }
         }
         let mut visited = vec![0u32; UNIVERSE];
@@ -152,55 +154,69 @@ proptest! {
         }
     }
 
-    /// RegionSet add/remove agrees with a boolean per-coordinate model, and fragments stay
-    /// disjoint and coalesced.
+    /// `IntervalMap<()>` as a region set — union by `insert_range` + `coalesce_range`, removal
+    /// by `drain_range`, as the engine's `pending_down` / `early_release` — agrees with a
+    /// boolean per-coordinate model, removal visits exactly the removed coordinates, and
+    /// fragments stay disjoint and coalesced.
     #[test]
     fn region_set_matches_model(ops in proptest::collection::vec(
         (any::<bool>(), region_strategy()), 0..40)
     ) {
-        let space = SpaceId(7);
-        let mut set = RegionSet::new();
+        let mut set: IntervalMap<()> = IntervalMap::new();
         let mut model = vec![false; UNIVERSE];
         for (add, (s, e)) in ops {
-            let region = Region::new(space, s, e);
             if add {
-                set.add(&region);
+                set.insert_range(s, e, ());
+                set.coalesce_range(s, e);
                 for slot in &mut model[s..e] { *slot = true; }
             } else {
-                set.remove(&region);
-                for slot in &mut model[s..e] { *slot = false; }
+                let mut removed = [false; UNIVERSE];
+                set.drain_range(s, e, |fs, fe, ()| removed[fs..fe].fill(true));
+                for (i, slot) in model.iter_mut().enumerate() {
+                    let expected = (s..e).contains(&i) && std::mem::take(slot);
+                    prop_assert_eq!(removed[i], expected, "removed coordinate {}", i);
+                }
             }
             let mut reconstructed = vec![false; UNIVERSE];
             let mut prev_end: Option<usize> = None;
-            for frag in set.iter() {
-                prop_assert!(!frag.is_empty());
+            for (fs, fe, ()) in set.iter() {
+                prop_assert!(fs < fe);
                 if let Some(pe) = prev_end {
-                    prop_assert!(frag.start > pe, "adjacent fragments must be coalesced");
+                    prop_assert!(fs > pe, "adjacent fragments must be coalesced");
                 }
-                prev_end = Some(frag.end);
-                for slot in &mut reconstructed[frag.start..frag.end] { *slot = true; }
+                prev_end = Some(fe);
+                for slot in &mut reconstructed[fs..fe] { *slot = true; }
             }
             prop_assert_eq!(&reconstructed, &model);
-            prop_assert_eq!(set.total_len(), model.iter().filter(|&&b| b).count());
+            prop_assert_eq!(set.covered_len(), model.iter().filter(|&&b| b).count());
         }
     }
 
-    /// CoverageCounter agrees with a per-coordinate count model and reports exactly the
-    /// transitions to zero.
+    /// `IntervalMap<u32>` as a coverage counter — increment sets `count + 1`, decrement sets
+    /// `count - 1` and removes the fragments reaching zero, as the engine's `child_coverage` —
+    /// agrees with a per-coordinate count model and reports exactly the transitions to zero.
     #[test]
     fn coverage_counter_matches_model(ops in proptest::collection::vec(
         (any::<bool>(), region_strategy()), 0..40)
     ) {
-        let space = SpaceId(3);
-        let mut counter = CoverageCounter::new();
+        let mut counter: IntervalMap<u32> = IntervalMap::new();
         let mut model = vec![0usize; UNIVERSE];
         for (inc, (s, e)) in ops {
-            let region = Region::new(space, s, e);
             if inc {
-                counter.increment(&region);
+                counter.update_range(s, e, |_, _, count| {
+                    RangeUpdate::Set(count.map_or(1, |&n| n + 1))
+                });
                 for slot in &mut model[s..e] { *slot += 1; }
             } else {
-                let zeroed = counter.decrement(&region);
+                let mut zeroed = Vec::new();
+                counter.update_range(s, e, |fs, fe, count| match count {
+                    Some(&n) if n > 1 => RangeUpdate::Set(n - 1),
+                    Some(_) => {
+                        zeroed.push((fs, fe));
+                        RangeUpdate::Remove
+                    }
+                    None => RangeUpdate::Keep,
+                });
                 let mut expected_zeroed = vec![false; UNIVERSE];
                 for (i, slot) in model.iter_mut().enumerate().take(e).skip(s) {
                     if *slot > 0 {
@@ -211,8 +227,8 @@ proptest! {
                     }
                 }
                 let mut got_zeroed = vec![false; UNIVERSE];
-                for frag in zeroed {
-                    for slot in &mut got_zeroed[frag.start..frag.end] { *slot = true; }
+                for (fs, fe) in zeroed {
+                    for slot in &mut got_zeroed[fs..fe] { *slot = true; }
                 }
                 prop_assert_eq!(&got_zeroed, &expected_zeroed);
             }

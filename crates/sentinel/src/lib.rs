@@ -30,7 +30,7 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use weakdep_regions::{Region, RegionSet};
+use weakdep_regions::Region;
 
 /// One declared access of a task's footprint, as forwarded by the core hooks.
 #[derive(Clone, Debug)]
@@ -51,10 +51,10 @@ struct ShadowTask {
     job: u64,
     label: &'static str,
     /// Strong declared regions the task may *read* (every strong region: writes imply reads
-    /// for conflict purposes, and `inout` reads literally).
-    reads: RegionSet,
-    /// Strong declared regions the task may *write* (`out`/`inout` only).
-    writes: RegionSet,
+    /// for conflict purposes, and `inout` reads literally), sorted by `(space, start)`.
+    reads: Vec<Region>,
+    /// Strong declared regions the task may *write* (`out`/`inout` only), sorted likewise.
+    writes: Vec<Region>,
     /// Every ancestor task key, root first. Ancestors are alive while this task is (children
     /// are spawned only from running bodies, and bodies outlive their children's creation).
     ancestors: Vec<u64>,
@@ -93,17 +93,18 @@ impl Sentinel {
         label: &'static str,
         footprint: impl IntoIterator<Item = DeclaredAccess>,
     ) {
-        let mut reads = RegionSet::new();
-        let mut writes = RegionSet::new();
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
         for access in footprint {
             if access.weak {
                 continue;
             }
-            reads.add(&access.region);
+            reads.push(access.region);
             if access.write {
-                writes.add(&access.region);
+                writes.push(access.region);
             }
         }
+        reads.sort_unstable_by_key(|r| (r.space, r.start));
+        writes.sort_unstable_by_key(|r| (r.space, r.start));
         let mut tasks = self.tasks.lock();
         let ancestors = match parent {
             Some(p) => {
@@ -148,8 +149,8 @@ impl Sentinel {
             }
             // Writer overlap in either direction. reads ⊇ writes, so this covers
             // write-write as well.
-            for w in writes.iter() {
-                if other.reads.intersects(&w) {
+            for w in &writes {
+                if other.reads.iter().any(|r| r.intersects(w)) {
                     panic!(
                         "sentinel: region conflict — starting task '{label}' ({key:#x}) \
                          declares write {w:?} overlapping running task '{}' ({other_key:#x})",
@@ -157,8 +158,8 @@ impl Sentinel {
                     );
                 }
             }
-            for w in other.writes.iter() {
-                if reads.intersects(&w) {
+            for w in &other.writes {
+                if reads.iter().any(|r| r.intersects(w)) {
                     panic!(
                         "sentinel: region conflict — starting task '{label}' ({key:#x}) \
                          overlaps write {w:?} of running task '{}' ({other_key:#x})",
@@ -181,8 +182,8 @@ impl Sentinel {
     pub fn released(&self, key: u64, region: &Region) {
         let mut tasks = self.tasks.lock();
         if let Some(entry) = tasks.get_mut(&key) {
-            entry.reads.remove(region);
-            entry.writes.remove(region);
+            subtract(&mut entry.reads, region);
+            subtract(&mut entry.writes, region);
         }
     }
 
@@ -197,7 +198,7 @@ impl Sentinel {
         let tasks = self.tasks.lock();
         let entry = tasks.get(&key)?;
         let covering = if write { &entry.writes } else { &entry.reads };
-        if covering.contains_all(region) {
+        if covers(covering, region) {
             return None;
         }
         let kind = if write { "write" } else { "read" };
@@ -212,6 +213,28 @@ impl Sentinel {
     pub fn live_tasks(&self) -> usize {
         self.tasks.lock().len()
     }
+}
+
+/// Removes `cut` from every region of `set`, keeping the `(space, start)` order: each region is
+/// replaced in place by its (zero to two) remaining pieces.
+fn subtract(set: &mut Vec<Region>, cut: &Region) {
+    let mut rest = Vec::with_capacity(set.len() + 1);
+    for region in set.iter() {
+        region.subtract_each(cut, |piece| rest.push(piece));
+    }
+    *set = rest;
+}
+
+/// `true` if the union of `set` (sorted by `(space, start)`) covers every coordinate of
+/// `region`: one sweep that advances a cursor through the regions reaching it.
+fn covers(set: &[Region], region: &Region) -> bool {
+    let mut cursor = region.start;
+    for r in set.iter().filter(|r| r.space == region.space) {
+        if r.start <= cursor && cursor < r.end {
+            cursor = r.end;
+        }
+    }
+    cursor >= region.end
 }
 
 #[cfg(test)]

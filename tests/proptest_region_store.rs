@@ -3,9 +3,10 @@
 //! Two independent layers:
 //!
 //! 1. **Container equivalence** — under random region/update sequences, [`RegionStore`] must be
-//!    observationally equivalent to a pure [`RegionMap`] reference model: identical visit
-//!    sequences during every update, identical stored fragments, identical query results. The
-//!    exact tier and its lazy promotion are pure optimisations; any divergence is a bug.
+//!    observationally equivalent to an independent reference model — one plain [`IntervalMap`]
+//!    per space: identical visit sequences during every update, identical stored fragments,
+//!    identical query results. The exact tier and its lazy promotion are pure optimisations;
+//!    any divergence is a bug.
 //! 2. **Engine equivalence** — under random mixes of exact-matching and partially-overlapping
 //!    dependencies, the engine built on the store must still execute every task and respect
 //!    program order between conflicting accesses, and its matching-tier counters must account
@@ -14,7 +15,7 @@
 use proptest::prelude::*;
 
 use weakdep::core::DependencyEngine;
-use weakdep::regions::{RangeUpdate, Region, RegionMap, RegionStore, SpaceId};
+use weakdep::regions::{IntervalMap, RangeUpdate, Region, RegionStore, SpaceId};
 use weakdep::{AccessType, Depend, WaitMode};
 
 /// One randomly generated store operation.
@@ -47,6 +48,28 @@ fn sorted_fragments<V: Clone + std::fmt::Debug>(
     out
 }
 
+/// The reference model: one `IntervalMap` per space, indexed by `SpaceId` (the operations use
+/// spaces 0–2, the probes 0–3).
+type Reference = [IntervalMap<u32>; 4];
+
+/// `update` on the reference, visiting fragments as whole regions like the store does.
+fn reference_update(
+    reference: &mut Reference,
+    region: &Region,
+    mut f: impl FnMut(Region, Option<&u32>) -> RangeUpdate<u32>,
+) {
+    let space = region.space;
+    reference[space.0 as usize]
+        .update_range(region.start, region.end, |s, e, v| f(Region::new(space, s, e), v));
+}
+
+/// Every fragment of the reference, as `(Region, value)`.
+fn reference_fragments(reference: &Reference) -> impl Iterator<Item = (Region, u32)> + '_ {
+    reference.iter().enumerate().flat_map(|(space, map)| {
+        map.iter().map(move |(s, e, v)| (Region::new(SpaceId(space as u64), s, e), *v))
+    })
+}
+
 /// Deterministic pseudo-random picker (the interleaving source), seeded by proptest.
 struct Lcg(u64);
 
@@ -68,7 +91,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
         let mut store: RegionStore<u32> = RegionStore::new();
-        let mut reference: RegionMap<u32> = RegionMap::new();
+        let mut reference = Reference::default();
 
         for op in &ops {
             let region = op_region(op);
@@ -82,7 +105,7 @@ proptest! {
                     _ => RangeUpdate::Keep,
                 }
             });
-            reference.update(&region, |fragment, existing| {
+            reference_update(&mut reference, &region, |fragment, existing| {
                 reference_visits.push((fragment, existing.copied()));
                 match op.kind {
                     0 => RangeUpdate::Set(op.value),
@@ -95,7 +118,7 @@ proptest! {
 
             // Stored fragments agree after every operation (sorted: the exact tier is hashed).
             let store_now = sorted_fragments(store.iter().map(|(r, v)| (r, *v)));
-            let reference_now = sorted_fragments(reference.iter().map(|(r, v)| (r, *v)));
+            let reference_now = sorted_fragments(reference_fragments(&reference));
             prop_assert_eq!(&store_now, &reference_now, "fragments diverged after {:?}", op);
         }
 
@@ -105,12 +128,14 @@ proptest! {
             let mut store_hits: Vec<(Region, u32)> = Vec::new();
             store.query(&region, |r, v| store_hits.push((r, *v)));
             let mut reference_hits: Vec<(Region, u32)> = Vec::new();
-            reference.query(&region, |r, v| reference_hits.push((r, *v)));
+            reference[region.space.0 as usize].query_range(region.start, region.end, |s, e, v| {
+                reference_hits.push((Region::new(region.space, s, e), *v))
+            });
+            prop_assert_eq!(store.intersects(&region), !reference_hits.is_empty());
             prop_assert_eq!(
                 sorted_fragments(store_hits.into_iter()),
                 sorted_fragments(reference_hits.into_iter())
             );
-            prop_assert_eq!(store.intersects(&region), reference.intersects(&region));
         }
     }
 }
@@ -119,9 +144,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Demotion oracle at the store level: under random coalescing updates, the two-tier store
-    /// must stay observationally equivalent to a pure reference (`RegionMap` update followed by
-    /// the same local coalesce), and every update that reports `demoted` must leave the region
-    /// served by the exact tier — a read-only probe of the same extent returns `ExactHit`.
+    /// must stay observationally equivalent to a pure reference (a per-space `IntervalMap`
+    /// update followed by the same local coalesce), and every update that reports `demoted`
+    /// must leave the region served by the exact tier — a read-only probe of the same extent
+    /// returns `ExactHit`.
     #[test]
     fn coalescing_updates_match_reference_and_demote_to_exact(
         ops in proptest::collection::vec(op_strategy(), 1..60),
@@ -129,7 +155,7 @@ proptest! {
         use weakdep::regions::StoreTier;
 
         let mut store: RegionStore<u32> = RegionStore::new();
-        let mut reference: RegionMap<u32> = RegionMap::new();
+        let mut reference = Reference::default();
 
         for op in &ops {
             let region = op_region(op);
@@ -143,7 +169,7 @@ proptest! {
                     _ => RangeUpdate::Keep,
                 }
             });
-            reference.update(&region, |fragment, existing| {
+            reference_update(&mut reference, &region, |fragment, existing| {
                 reference_visits.push((fragment, existing.copied()));
                 match op.kind {
                     0 => RangeUpdate::Set(op.value),
@@ -155,13 +181,13 @@ proptest! {
             // the fragmented tier (exact-tier entries are never merged with their neighbours).
             // Demotion itself only moves a fragment between tiers, which `iter` flattens away.
             if matches!(tier, StoreTier::Promoted | StoreTier::Fragmented) {
-                reference.coalesce_region(&region);
+                reference[region.space.0 as usize].coalesce_range(region.start, region.end);
             }
             prop_assert_eq!(&store_visits, &reference_visits,
                 "visit sequences diverged on {:?}", op);
 
             let store_now = sorted_fragments(store.iter().map(|(r, v)| (r, *v)));
-            let reference_now = sorted_fragments(reference.iter().map(|(r, v)| (r, *v)));
+            let reference_now = sorted_fragments(reference_fragments(&reference));
             prop_assert_eq!(&store_now, &reference_now, "fragments diverged after {:?}", op);
 
             if demoted {

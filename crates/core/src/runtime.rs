@@ -244,7 +244,10 @@ pub struct RuntimeStats {
     pub assist_steals: usize,
     /// Cumulative wall time spent creating tasks (dependency registration included), in ns.
     pub spawn_ns: u64,
-    /// Cumulative wall time spent executing task bodies, in ns.
+    /// Cumulative wall time from the start to the end of each task body, in ns. Not disjoint
+    /// from the other timers: it includes the `release` calls a body makes, its `spawn` /
+    /// `spawn_batch` calls (also counted in `spawn_ns`), and the tasks a worker runs inside the
+    /// body's `taskwait`, whose own body time is thereby counted twice.
     pub body_ns: u64,
     /// Cumulative wall time spent retiring tasks (dependency release + scheduling), in ns.
     pub retire_ns: u64,

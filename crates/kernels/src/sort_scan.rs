@@ -20,7 +20,6 @@
 //! with a `taskwait` and the weak dependencies with regular ones, which forces the prefix sum to
 //! wait for the whole sort.
 
-use std::cmp::Ordering;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -98,28 +97,26 @@ fn median_of_three(a: Elem, b: Elem, c: Elem) -> Elem {
     v[1]
 }
 
-/// Partitions non-empty `data` in place around a median-of-three pivot (Dutch national flag),
-/// returning `(lt, gt)` such that `data[..lt] < pivot`, `data[lt..gt] == pivot` and
-/// `data[gt..] > pivot`. The pivot occurs in `data`, so `lt < gt`.
+/// Partitions non-empty `data` in place around a median-of-three pivot, returning `(lt, gt)` such
+/// that `data[..lt] < pivot`, `data[lt..gt] == pivot` and `data[gt..] > pivot`; `lt < gt`, as the
+/// pivot occurs in `data`. Two branchless passes: a three-way branch per key mispredicts.
 fn partition(data: &mut [Elem]) -> (usize, usize) {
     let n = data.len();
     let pivot = median_of_three(data[0], data[n / 2], data[n - 1]);
-    let (mut lt, mut i, mut gt) = (0, 0, n);
-    while i < gt {
-        match data[i].cmp(&pivot) {
-            Ordering::Less => {
-                data.swap(lt, i);
-                lt += 1;
-                i += 1;
-            }
-            Ordering::Greater => {
-                gt -= 1;
-                data.swap(i, gt);
-            }
-            Ordering::Equal => i += 1,
-        }
-    }
+    let lt = move_to_front(data, |x| x < pivot);
+    let gt = lt + move_to_front(&mut data[lt..], |x| x == pivot);
     (lt, gt)
+}
+
+/// Moves the elements satisfying `pred` to the front of `data` and returns their count, with no
+/// branch on `pred` (BlockQuicksort's Lomuto form). `pred` reads `x`, loaded before the swap:
+/// re-reading `data[front]` would make each iteration wait for the previous one's store.
+fn move_to_front(data: &mut [Elem], pred: impl Fn(Elem) -> bool) -> usize {
+    (0..data.len()).fold(0, |front, i| {
+        let x = data[i];
+        data.swap(front, i);
+        front + usize::from(pred(x))
+    })
 }
 
 /// Recursive taskified quicksort (Listing 7, `quick_sort`).
@@ -292,7 +289,8 @@ pub fn run(rt: &Runtime, variant: SortScanVariant, cfg: &SortScanConfig) -> (Ker
     (result, data.snapshot())
 }
 
-/// Runs the benchmark over an existing array (modified in place).
+/// Runs the benchmark over an existing array (modified in place). `tasks` is the runtime's
+/// `tasks_executed` delta, exact on a runtime that runs nothing else meanwhile.
 pub fn run_on(
     rt: &Runtime,
     variant: SortScanVariant,
@@ -303,6 +301,7 @@ pub fn run_on(
     let weak = variant == SortScanVariant::Weak;
     let cfg = *cfg;
     let data_outer = data.clone();
+    let tasks_before = rt.stats().tasks_executed;
     let start_time = Instant::now();
     rt.run(move |root| {
         let n = cfg.n;
@@ -339,7 +338,8 @@ pub fn run_on(
             });
         }
     });
-    KernelRun { elapsed: start_time.elapsed(), operations: cfg.operations(), tasks: 0 }
+    let tasks = rt.stats().tasks_executed - tasks_before;
+    KernelRun { elapsed: start_time.elapsed(), operations: cfg.operations(), tasks }
 }
 
 /// Sequential reference: sort the generated input and take inclusive prefix sums.
@@ -362,40 +362,86 @@ mod tests {
     use super::*;
     use weakdep_core::Runtime;
 
+    /// Partitions `original` and checks the three bands, the median-of-three pivot and that the
+    /// result is a permutation of the input.
+    fn check_partition(shape: &str, original: Vec<Elem>) {
+        let n = original.len();
+        let mut v = original.clone();
+        let (lt, gt) = partition(&mut v);
+        assert!(lt < gt && gt <= n, "{shape}, n={n}: empty pivot band {lt}..{gt}");
+        let pivot = v[lt];
+        let median = median_of_three(original[0], original[n / 2], original[n - 1]);
+        assert_eq!(pivot, median, "{shape}, n={n}: the pivot must be the median of three");
+        let bands_hold = v[..lt].iter().all(|&x| x < pivot)
+            && v[lt..gt].iter().all(|&x| x == pivot)
+            && v[gt..].iter().all(|&x| x > pivot);
+        assert!(bands_hold, "{shape}, n={n}: bands violated: {original:?} -> {v:?} at {lt}..{gt}");
+        let mut expected = original;
+        v.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(v, expected, "{shape}, n={n}: the partition must permute its input");
+    }
+
     #[test]
     fn partition_splits_and_orders() {
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..400 {
             let n = rng.gen_range(1..60);
             let keys = rng.gen_range(1..50);
-            let mut v: Vec<Elem> = (0..n).map(|_| rng.gen_range(0..keys) as Elem).collect();
-            let original = v.clone();
-            let (lt, gt) = partition(&mut v);
-            assert!(lt < gt && gt <= n, "the pivot band must be non-empty (n={n}, {lt}..{gt})");
-            let pivot = v[lt];
-            let bands_hold = v[..lt].iter().all(|&x| x < pivot)
-                && v[lt..gt].iter().all(|&x| x == pivot)
-                && v[gt..].iter().all(|&x| x > pivot);
-            assert!(bands_hold, "three bands violated: {original:?} -> {v:?} at {lt}..{gt}");
-            let (mut sorted, mut expected) = (v.clone(), original.clone());
-            sorted.sort_unstable();
-            expected.sort_unstable();
-            assert_eq!(sorted, expected, "the partition must permute its input");
+            check_partition("random", (0..n).map(|_| rng.gen_range(0..keys) as Elem).collect());
+        }
+        for n in [1usize, 2, 3, 7, 64, 1_000, 1_023, 4_096] {
+            let len = n as Elem;
+            let shapes: [(&str, Vec<Elem>); 6] = [
+                ("all-equal", vec![7; n]),
+                ("sorted", (0..len).collect()),
+                ("reverse-sorted", (0..len).rev().collect()),
+                ("two alternating keys", (0..len).map(|i| i % 2).collect()),
+                ("organ-pipe", (0..len).map(|i| i.min(len - 1 - i)).collect()),
+                ("benchmark keys", generate_input(&SortScanConfig { n, ts: 1, seed: n as u64 })),
+            ];
+            for (shape, v) in shapes {
+                check_partition(shape, v);
+            }
+        }
+    }
+
+    #[test]
+    fn move_to_front_groups_the_matches() {
+        let mut rng = SmallRng::seed_from_u64(2);
+        for n in [0usize, 1, 2, 5, 100, 4_096] {
+            let original: Vec<Elem> = (0..n).map(|_| rng.gen_range(1..=10)).collect();
+            // Keys 1..=10: modulus 1 matches every key, 3 some and 11 none.
+            for m in [1, 3, 11] {
+                let pred = |x: Elem| x % m == 0;
+                let mut v = original.clone();
+                let front = move_to_front(&mut v, pred);
+                assert_eq!(front, original.iter().filter(|&&x| pred(x)).count(), "m={m}, n={n}");
+                assert!(v[..front].iter().all(|&x| pred(x)), "m={m}, n={n}: {v:?} at {front}");
+                assert!(!v[front..].iter().any(|&x| pred(x)), "m={m}, n={n}: {v:?} at {front}");
+                let mut expected = original.clone();
+                v.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(v, expected, "m={m}, n={n}: move_to_front must permute its input");
+            }
         }
     }
 
     #[test]
     fn few_distinct_keys_do_not_peel_one_element_per_task() {
         // Four keys: every quicksort level removes a whole pivot band, so the task count stays
-        // linear in n / ts (sort and scan together), not in n.
+        // linear in n / ts (sort and scan together), not in n. The scan alone spawns a leaf per
+        // block, which bounds the reported count from below.
         let rt = Runtime::with_workers(2);
         let cfg = SortScanConfig { n: 4_096, ts: 64, seed: 0 };
         let input: Vec<Elem> = (0..cfg.n).map(|i| ((i * 7919) % 4) as Elem).collect();
         let data = SharedSlice::from_vec(input.clone());
-        let before = rt.stats().tasks_executed;
-        run_on(&rt, SortScanVariant::Weak, &cfg, &data);
-        let tasks = rt.stats().tasks_executed - before;
-        assert!(tasks <= 4 * cfg.n / cfg.ts, "{tasks} tasks for n = {}", cfg.n);
+        let tasks = run_on(&rt, SortScanVariant::Weak, &cfg, &data).tasks;
+        assert!(
+            (cfg.n / cfg.ts..=4 * cfg.n / cfg.ts).contains(&tasks),
+            "{tasks} tasks for n = {}",
+            cfg.n
+        );
         let mut expected = input;
         expected.sort_unstable();
         for i in 1..expected.len() {

@@ -5,6 +5,9 @@
 //! the smallest ones (parallel task instantiation); `nest-depend` is far below both because the
 //! strict outer dependencies serialise the iterations; the `release` directive adds overhead
 //! rather than helping (as the paper reports for this benchmark).
+//!
+//! Every repetition's final grid is asserted bit-identical to the sequential reference, computed
+//! once per task size.
 
 use weakdep_bench::{emit, CommonArgs};
 use weakdep_core::Runtime;
@@ -36,12 +39,18 @@ fn main() {
         }
         let cfg = GsConfig { blocks: side / ts, ts, iterations };
         let grid = gauss_seidel::Grid::new(cfg);
+        let expected: Vec<u64> = gauss_seidel::reference(&cfg).iter().map(|v| v.to_bits()).collect();
         for variant in GsVariant::all() {
             let mut best = 0.0f64;
             for _ in 0..args.repeat {
                 grid.reset();
                 let run = gauss_seidel::run_on(&rt, variant, &grid);
                 best = best.max(run.gops());
+                assert!(
+                    grid.snapshot().iter().map(|v| v.to_bits()).eq(expected.iter().copied()),
+                    "{ts}x{ts} {}: the final grid differs from the reference",
+                    variant.name()
+                );
             }
             rows.push(vec![
                 format!("{ts}x{ts}"),

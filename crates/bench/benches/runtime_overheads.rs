@@ -73,10 +73,10 @@ fn bench_spawn_throughput(c: &mut Criterion) {
     let tasks = 10_000usize;
     for &workers in &[1usize, 2, 4, 8] {
         group.throughput(Throughput::Elements(tasks as u64));
-        // One runtime reused across iterations: id retirement reclaims task-table and
-        // pending-slab slots once tasks deeply complete, so steady-state capacity plateaus at
-        // the live-task high-water mark and later iterations are no longer skewed by
-        // accumulated per-task state (the workaround this bench used to need).
+        // One runtime reused across iterations: id retirement reclaims task-table slots once
+        // tasks deeply complete, so steady-state capacity plateaus at the live-task high-water
+        // mark and later iterations are no longer skewed by accumulated per-task state (the
+        // workaround this bench used to need).
         group.bench_with_input(
             BenchmarkId::new("unbatched", workers),
             &workers,

@@ -54,7 +54,10 @@
 //!
 //! * the **node half** ([`AccessNode`]) lives in the domain the access is registered in (its
 //!   task's parent's domain): `unsatisfied`/`uncompleted`/`unreleased`, same-domain release
-//!   edges, readiness bookkeeping;
+//!   edges. The task's readiness bookkeeping sits beside its nodes there, in one
+//!   [`ChildSched`] record per task, which also holds the task's payload (the runtime's task
+//!   record) until the task turns ready — readiness is decided under that same lock, so it
+//!   moves the payload out on the spot and nothing else keeps a second copy of the task;
 //! * the **lower half** ([`OwnAccess`]) lives in the task's own domain, where *its* children
 //!   link against it: the `pending_down` satisfaction mirror, downward satisfaction edges,
 //!   live-child coverage and `release`-directive state.
@@ -70,6 +73,7 @@
 //! that reuses the slot. Under steady-state load the task table therefore plateaus at the
 //! live-task high-water mark instead of growing with every task ever spawned.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -150,12 +154,13 @@ impl std::error::Error for StaleTaskId {}
 /// Effects are accumulated while domain locks are held but **returned** to the caller, which
 /// dispatches them (pushing ready tasks to the pool, waking waiters) after every lock has been
 /// released — the out-of-lock dispatch half of the sharding design.
-#[derive(Debug, Default)]
-pub struct Effects {
-    /// Tasks that became ready to execute (all strong accesses satisfied), in the order their
-    /// last dependency was released. The runtime schedules the first one onto the releasing
-    /// worker's immediate-successor slot (the locality policy of §VIII-A).
-    pub ready: Vec<TaskId>,
+#[derive(Debug)]
+pub struct Effects<P = TaskId> {
+    /// The payloads of the tasks that became ready to execute (all strong accesses satisfied),
+    /// in the order their last dependency was released — each task's id, for the public
+    /// registration API. The runtime schedules the first one onto the releasing worker's
+    /// immediate-successor slot (the locality policy of §VIII-A).
+    pub ready: Vec<P>,
     /// Tasks that became *deeply complete* (body finished and all descendants deeply complete).
     /// Informational: the runtime's wake paths act on the two aggregate fields below; this list
     /// exists for embedders and tests that want per-task completion visibility.
@@ -169,7 +174,18 @@ pub struct Effects {
     pub root_completed: bool,
 }
 
-impl Effects {
+impl<P> Default for Effects<P> {
+    fn default() -> Self {
+        Effects {
+            ready: Vec::new(),
+            deeply_completed: Vec::new(),
+            taskwaits_unblocked: Vec::new(),
+            root_completed: false,
+        }
+    }
+}
+
+impl<P> Effects<P> {
     /// `true` if the transition had no externally visible effect.
     pub fn is_empty(&self) -> bool {
         self.ready.is_empty()
@@ -311,8 +327,6 @@ type Seeds = SmallVec<[(Region, SeedParts); 2]>;
 struct AccessNode {
     /// The task that declared this access.
     task: TaskId,
-    /// Entry of that task (patched right after the entry is created during registration).
-    task_entry: Weak<TaskEntry>,
     /// Slot of the task's scheduling record in this domain's `sched` slab.
     sched: u32,
     /// Index of this access in the owning task's own-access list (`Domain::own`), used to
@@ -751,13 +765,17 @@ struct NodeSlot {
 }
 
 /// Per-child scheduling record, slab-allocated in the parent's domain.
-#[derive(Debug)]
-struct ChildSched {
+struct ChildSched<P> {
     task: TaskId,
+    /// Entry of the child (set right after the entry is created during registration): the
+    /// target of the `SatisfyDown` messages its access nodes forward.
+    entry: Weak<TaskEntry<P>>,
+    /// What the runtime runs once the child is ready, parked here until then. Readiness moves
+    /// it out into [`Effects::ready`], so `None` means the child was reported ready (or was
+    /// ready at registration and never parked).
+    payload: Option<P>,
     /// Number of strong accesses not yet fully satisfied.
     pending_strong: usize,
-    /// The task has been reported ready (or was ready at registration).
-    scheduled: bool,
     /// Access nodes of this child still allocated in the domain's slab.
     live_nodes: usize,
     /// Set when the child's deep completion has been processed in this domain.
@@ -887,15 +905,14 @@ impl OwnAccess {
 }
 
 /// One task's dependency domain (plus the task's own lower-half state), protected by one lock.
-#[derive(Debug)]
-struct Domain {
+struct Domain<P> {
     owner: TaskId,
     /// The entry owning this domain (always upgradable while the engine lives; weak only to
     /// avoid a strong self-cycle through `TaskEntry::domain`).
-    self_entry: Weak<TaskEntry>,
+    self_entry: Weak<TaskEntry<P>>,
     /// Entry of the owner's parent (`None` for roots); the target of upward messages. Caching it
     /// here keeps task-table lookups off the retire hot path.
-    parent_entry: Option<Weak<TaskEntry>>,
+    parent_entry: Option<Weak<TaskEntry<P>>>,
     wait_mode: WaitMode,
     body_finished: bool,
     deeply_completed: bool,
@@ -922,7 +939,7 @@ struct Domain {
     /// interval arenas already grown by earlier tenants.
     frag: FragArena,
     /// Slab of per-child scheduling records.
-    sched: Vec<Option<ChildSched>>,
+    sched: Vec<Option<ChildSched<P>>>,
     free_sched: Vec<u32>,
     /// Reusable scratch for the edges planned during one `link_into_domain` (lives here so the
     /// per-registration buffer is allocated once per domain, not once per access).
@@ -942,8 +959,8 @@ impl std::fmt::Debug for PlannedEdge {
     }
 }
 
-impl Domain {
-    fn new(owner: TaskId, parent_entry: Option<Weak<TaskEntry>>, wait_mode: WaitMode) -> Self {
+impl<P> Domain<P> {
+    fn new(owner: TaskId, parent_entry: Option<Weak<TaskEntry<P>>>, wait_mode: WaitMode) -> Self {
         Domain {
             owner,
             self_entry: Weak::new(),
@@ -965,7 +982,7 @@ impl Domain {
     }
 
     /// The owner's entry (infallible while the engine is alive).
-    fn owner_entry(&self) -> Arc<TaskEntry> {
+    fn owner_entry(&self) -> Arc<TaskEntry<P>> {
         self.self_entry.upgrade().expect("task entry outlives its domain")
     }
 
@@ -973,7 +990,7 @@ impl Domain {
     /// The latter is only reachable after this domain's owner deeply completed and its residual
     /// fragments were absorbed in the parent's domain, so any upward message that would have
     /// been addressed at the parent is moot and may be dropped.
-    fn parent_arc(&self) -> Option<Arc<TaskEntry>> {
+    fn parent_arc(&self) -> Option<Arc<TaskEntry<P>>> {
         self.parent_entry.as_ref().and_then(Weak::upgrade)
     }
 
@@ -1036,7 +1053,7 @@ impl Domain {
         }
     }
 
-    fn alloc_sched(&mut self, sched: ChildSched) -> u32 {
+    fn alloc_sched(&mut self, sched: ChildSched<P>) -> u32 {
         match self.free_sched.pop() {
             Some(idx) => {
                 debug_assert!(self.sched[idx as usize].is_none());
@@ -1049,6 +1066,17 @@ impl Domain {
                 idx
             }
         }
+    }
+
+    /// Leaves `payload` in the scheduling record `sched_idx` of a child just registered, or
+    /// hands it back if the child is ready already: a ready child never parks.
+    fn park(&mut self, sched_idx: u32, payload: P) -> Option<P> {
+        let sched = self.sched[sched_idx as usize].as_mut().expect("sched slot just allocated");
+        if sched.pending_strong == 0 {
+            return Some(payload);
+        }
+        sched.payload = Some(payload);
+        None
     }
 
     /// Frees `idx` if its node is fully released and its task has deeply completed; also frees
@@ -1093,7 +1121,7 @@ impl Domain {
 }
 
 /// One task: its identity, its links into its parent's domain and its own domain.
-struct TaskEntry {
+struct TaskEntry<P> {
     id: TaskId,
     parent: Option<TaskId>,
     /// References to this task's access nodes in the parent's domain, parallel to the `own`
@@ -1102,28 +1130,28 @@ struct TaskEntry {
     nodes_in_parent: SmallVec<[NodeRef; 2]>,
     /// Slot of this task's [`ChildSched`] record in the parent's domain (unused for roots).
     sched_in_parent: u32,
-    domain: Mutex<Domain>,
+    domain: Mutex<Domain<P>>,
 }
 
 /// Cross-domain propagation messages. Each message is addressed to exactly one domain and is
 /// processed under that domain's lock only, by the thread draining the outbox — never while the
 /// producing domain's lock is still held.
-enum Message {
+enum Message<P> {
     /// Fragments of `target`'s own access `own_idx` became satisfied in the parent's domain:
     /// update the `pending_down` mirror and fire downward satisfaction edges.
-    SatisfyDown { target: Arc<TaskEntry>, own_idx: u32, parts: Parts },
+    SatisfyDown { target: Arc<TaskEntry<P>>, own_idx: u32, parts: Parts },
     /// Fragments of `task`'s own access `own_idx` completed from below (weakwait hand-over or
     /// `release` directive): complete them on the node half in the parent's domain `target`.
-    CompleteUp { target: Arc<TaskEntry>, task: Arc<TaskEntry>, own_idx: u32, parts: Parts },
+    CompleteUp { target: Arc<TaskEntry<P>>, task: Arc<TaskEntry<P>>, own_idx: u32, parts: Parts },
     /// `child` deeply completed: complete its remaining fragments in the parent's domain
     /// `target`, decrement the parent's live-child count and recycle the child's slots.
-    ChildDone { target: Arc<TaskEntry>, child: Arc<TaskEntry> },
+    ChildDone { target: Arc<TaskEntry<P>>, child: Arc<TaskEntry<P>> },
 }
 
-impl Message {
+impl<P> Message<P> {
     /// The domain this message must be applied under. Messages carry resolved entries so the
     /// pump never goes through the task table.
-    fn target(&self) -> &Arc<TaskEntry> {
+    fn target(&self) -> &Arc<TaskEntry<P>> {
         match self {
             Message::SatisfyDown { target, .. } => target,
             Message::CompleteUp { target, .. } => target,
@@ -1140,8 +1168,9 @@ enum Event {
 }
 
 thread_local! {
-    /// The calling thread's cascade queues between engine calls, empty but with their capacity.
-    static CASCADE_SCRATCH: Cell<Option<CascadeScratch>> = const { Cell::new(None) };
+    /// The calling thread's cascade queues between engine calls, empty but with their capacity:
+    /// a boxed [`CascadeScratch`] of the payload type of the last engine this thread ran.
+    static CASCADE_SCRATCH: Cell<Option<Box<dyn Any>>> = const { Cell::new(None) };
 }
 
 /// The message outbox and event queue of one retire cascade ([`DependencyEngine::body_finished`],
@@ -1149,21 +1178,29 @@ thread_local! {
 /// nearly every task, so a fresh pair per call cost several `realloc`s; instead each thread keeps
 /// one pair and lends it to the call it is running. Engine calls never nest on a thread, so the
 /// cell is always full when a call starts after the first; a panic mid-cascade only drops the
-/// pair, and nothing depends on getting it back.
-#[derive(Default)]
-struct CascadeScratch {
-    outbox: VecDeque<Message>,
+/// pair, and nothing depends on getting it back. The pair is lent as the same `Box` every time
+/// (a thread-local cannot be generic over the payload, so it holds the box as `dyn Any`); a
+/// thread that switches to an engine of another payload type starts a fresh pair.
+struct CascadeScratch<P> {
+    outbox: VecDeque<Message<P>>,
     queue: VecDeque<Event>,
 }
 
-impl CascadeScratch {
+impl<P: 'static> CascadeScratch<P> {
     /// Takes this thread's pair (a fresh one on the first call, or during thread teardown).
-    fn take() -> Self {
-        CASCADE_SCRATCH.try_with(Cell::take).ok().flatten().unwrap_or_default()
+    fn take() -> Box<Self> {
+        CASCADE_SCRATCH
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .and_then(|scratch| scratch.downcast().ok())
+            .unwrap_or_else(|| {
+                Box::new(CascadeScratch { outbox: VecDeque::new(), queue: VecDeque::new() })
+            })
     }
 
     /// Returns the drained pair to this thread for the next call.
-    fn put_back(self) {
+    fn put_back(self: Box<Self>) {
         debug_assert!(self.outbox.is_empty() && self.queue.is_empty());
         let _ = CASCADE_SCRATCH.try_with(|cell| cell.set(Some(self)));
     }
@@ -1175,25 +1212,30 @@ const TABLE_SHARDS: usize = 64;
 
 /// One slot of the task table. The generation is bumped on retirement, so a reused slot never
 /// answers for a stale [`TaskId`].
-struct TableSlot {
+struct TableSlot<P> {
     gen: u32,
-    entry: Option<Arc<TaskEntry>>,
+    entry: Option<Arc<TaskEntry<P>>>,
 }
 
 /// One stripe of the task table: its slots plus the free list of retired slot positions.
-#[derive(Default)]
-struct TableStripe {
-    slots: Vec<TableSlot>,
+struct TableStripe<P> {
+    slots: Vec<TableSlot<P>>,
     free: Vec<u32>,
 }
 
 /// The dependency engine. See the module documentation for the model and `docs/locking.md` for
 /// the locking design.
-pub struct DependencyEngine {
+///
+/// Each task not yet ready carries a payload of type `P`, parked in its scheduling record in
+/// the parent's domain; the readiness that releases the task moves the payload out into
+/// [`Effects::ready`]. Through the public registration API the payload is the task's own id
+/// (`P = TaskId`, the default), so `Effects::ready` lists ids; the runtime parks its task
+/// records instead, so a ready task's record comes straight out of the engine.
+pub struct DependencyEngine<P = TaskId> {
     /// Task table: index `i` lives in stripe `i % TABLE_SHARDS` at position `i / TABLE_SHARDS`.
     /// Retired slots go onto the owning stripe's free list and are reused by later
     /// registrations, so the table's footprint plateaus at the live-task high-water mark.
-    table: Vec<Mutex<TableStripe>>,
+    table: Vec<Mutex<TableStripe<P>>>,
     /// High-water allocator for fresh indexes (used only when no retired slot is available).
     next_index: AtomicUsize,
     /// Approximate number of retired slots across all stripes. Kept outside the stripe locks so
@@ -1205,7 +1247,7 @@ pub struct DependencyEngine {
     stats: AtomicStats,
 }
 
-impl std::fmt::Debug for DependencyEngine {
+impl<P> std::fmt::Debug for DependencyEngine<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DependencyEngine")
             .field("tasks_registered", &self.stats.tasks_registered.load(Ordering::Relaxed))
@@ -1214,30 +1256,98 @@ impl std::fmt::Debug for DependencyEngine {
     }
 }
 
-impl Default for DependencyEngine {
+/// An empty engine of any payload type.
+impl<P> Default for DependencyEngine<P> {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DependencyEngine {
-    /// Creates an empty engine.
-    pub fn new() -> Self {
         DependencyEngine {
-            table: (0..TABLE_SHARDS).map(|_| Mutex::new(TableStripe::default())).collect(),
+            table: (0..TABLE_SHARDS)
+                .map(|_| Mutex::new(TableStripe { slots: Vec::new(), free: Vec::new() }))
+                .collect(),
             next_index: AtomicUsize::new(0),
             free_slots: AtomicUsize::new(0),
             alloc_cursor: AtomicUsize::new(0),
             stats: AtomicStats::default(),
         }
     }
+}
 
-    /// Allocates a table slot for a new task: a retired slot if one is available (its current
-    /// generation becomes the id's generation), a fresh index otherwise. The scan over stripes
-    /// is bounded; if concurrent allocators race it away, the reservation is refunded and a
-    /// fresh index is used — capacity may transiently overshoot but correctness never depends
-    /// on winning the race.
-    fn alloc_id(&self) -> TaskId {
+impl DependencyEngine {
+    /// Creates an empty engine whose payloads are the task ids.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// The public registration API: each task's payload is made from its own id (for the default
+/// `P = TaskId`, the id itself), so these calls answer with ids and readiness flags.
+impl<P: From<TaskId> + 'static> DependencyEngine<P> {
+    /// Registers a new task as a child of `parent`, with the given declared dependencies and
+    /// wait mode. Takes only the parent's domain lock. Returns the new task id and whether the
+    /// task is immediately ready to run, or [`StaleTaskId`] if `parent` has been retired
+    /// (spawning from a live body makes that a caller bug, but the engine reports it as a
+    /// defined error like the rest of the query API instead of panicking).
+    pub fn register_task(
+        &self,
+        parent: TaskId,
+        deps: &[Depend],
+        wait_mode: WaitMode,
+    ) -> Result<(TaskId, bool), StaleTaskId> {
+        self.register_task_normalized(parent, &normalize_deps(deps), wait_mode)
+    }
+
+    /// [`DependencyEngine::register_task`] over pre-normalised dependencies, for callers that
+    /// need the normalised footprint anyway and should not pay for normalising twice.
+    ///
+    /// `deps` must be [`normalize_deps`] output: pairwise disjoint regions sorted by
+    /// `(space, start)`. The task's children find the accesses they cover by binary search over
+    /// that order; debug builds assert it.
+    pub fn register_task_normalized(
+        &self,
+        parent: TaskId,
+        deps: &[NormalizedDep],
+        wait_mode: WaitMode,
+    ) -> Result<(TaskId, bool), StaleTaskId> {
+        let parent_entry = self.entry(parent)?;
+        let id = self.reserve_id();
+        let mut domain = parent_entry.domain.lock();
+        let sched = self.register_locked(&parent_entry, &mut domain, id, deps, wait_mode);
+        Ok((id, domain.park(sched, P::from(id)).is_some()))
+    }
+
+    /// Registers a batch of sibling tasks under a **single** acquisition of the parent's domain
+    /// lock, amortising lock traffic for loop-spawn patterns. Each task's dependencies must be
+    /// [`normalize_deps`] output (pairwise disjoint, sorted by `(space, start)`), as for
+    /// [`DependencyEngine::register_task_normalized`]. Returns `(id, ready)` per task, in order,
+    /// or [`StaleTaskId`] if `parent` has been retired.
+    pub fn register_batch<'a>(
+        &self,
+        parent: TaskId,
+        specs: impl IntoIterator<Item = (&'a [NormalizedDep], WaitMode)>,
+    ) -> Result<Vec<(TaskId, bool)>, StaleTaskId> {
+        let parent_entry = self.entry(parent)?;
+        let mut domain = parent_entry.domain.lock();
+        Ok(specs
+            .into_iter()
+            .map(|(deps, wait_mode)| {
+                let id = self.reserve_id();
+                let sched = self.register_locked(&parent_entry, &mut domain, id, deps, wait_mode);
+                (id, domain.park(sched, P::from(id)).is_some())
+            })
+            .collect())
+    }
+}
+
+impl<P: 'static> DependencyEngine<P> {
+    /// Reserves the id of a task about to be registered: a retired table slot if one is
+    /// available (its current generation becomes the id's generation), a fresh index otherwise.
+    /// The scan over stripes is bounded; if concurrent allocators race it away, the reservation
+    /// is refunded and a fresh index is used — capacity may transiently overshoot but
+    /// correctness never depends on winning the race.
+    ///
+    /// The id is known before the task is registered, so the caller can build the payload
+    /// around it and announce the task before registration lets it run. Every reserved id must
+    /// be registered: an id that never is keeps its table slot out of use for good.
+    pub(crate) fn reserve_id(&self) -> TaskId {
         let reserved = self
             .free_slots
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
@@ -1263,7 +1373,7 @@ impl DependencyEngine {
         TaskId { index: u32::try_from(index).expect("task index overflow"), generation: 0 }
     }
 
-    fn entry(&self, task: TaskId) -> Result<Arc<TaskEntry>, StaleTaskId> {
+    fn entry(&self, task: TaskId) -> Result<Arc<TaskEntry<P>>, StaleTaskId> {
         let stripe = self.table[task.index() % TABLE_SHARDS].lock();
         match stripe.slots.get(task.index() / TABLE_SHARDS) {
             Some(slot) if slot.gen == task.generation => {
@@ -1273,7 +1383,7 @@ impl DependencyEngine {
         }
     }
 
-    fn publish(&self, entry: Arc<TaskEntry>) {
+    fn publish(&self, entry: Arc<TaskEntry<P>>) {
         let id = entry.id;
         let mut stripe = self.table[id.index() % TABLE_SHARDS].lock();
         let pos = id.index() / TABLE_SHARDS;
@@ -1321,7 +1431,7 @@ impl DependencyEngine {
 
     /// Registers a root task: no parent, no dependencies, its body is about to run.
     pub fn register_root(&self) -> TaskId {
-        let id = self.alloc_id();
+        let id = self.reserve_id();
         let mut domain = Domain::new(id, None, WaitMode::Wait);
         let entry = Arc::new_cyclic(|weak| {
             domain.self_entry = weak.clone();
@@ -1339,85 +1449,62 @@ impl DependencyEngine {
         id
     }
 
-    /// Registers a new task as a child of `parent`, with the given declared dependencies and
-    /// wait mode. Takes only the parent's domain lock. Returns the new task id and whether the
-    /// task is immediately ready to run, or [`StaleTaskId`] if `parent` has been retired
-    /// (spawning from a live body makes that a caller bug, but the engine reports it as a
-    /// defined error like the rest of the query API instead of panicking).
-    pub fn register_task(
+    /// Registers sibling tasks under a **single** acquisition of the parent's domain lock, each
+    /// carrying its payload: `(id, payload, wait mode)` per task, the id from
+    /// [`DependencyEngine::reserve_id`]. `deps` reads a task's [`normalize_deps`]-ordered
+    /// dependencies out of its payload. A task ready at registration never parks: its payload
+    /// goes straight to `ready` (called under the parent's lock, so it must only move the
+    /// payload). Every other payload parks in the task's scheduling record until the readiness
+    /// that releases it moves it into [`Effects::ready`]. Errors with [`StaleTaskId`] if
+    /// `parent` has been retired.
+    pub(crate) fn register_payloads<D: Copy + Into<NormalizedDep>>(
         &self,
         parent: TaskId,
-        deps: &[Depend],
-        wait_mode: WaitMode,
-    ) -> Result<(TaskId, bool), StaleTaskId> {
-        self.register_task_normalized(parent, &normalize_deps(deps), wait_mode)
-    }
-
-    /// [`DependencyEngine::register_task`] over pre-normalised dependencies, for callers (the
-    /// runtime) that need the normalised footprint anyway and should not pay for normalising
-    /// twice.
-    ///
-    /// `deps` must be [`normalize_deps`] output: pairwise disjoint regions sorted by
-    /// `(space, start)`. The task's children find the accesses they cover by binary search over
-    /// that order; debug builds assert it.
-    pub fn register_task_normalized(
-        &self,
-        parent: TaskId,
-        deps: &[NormalizedDep],
-        wait_mode: WaitMode,
-    ) -> Result<(TaskId, bool), StaleTaskId> {
+        tasks: impl IntoIterator<Item = (TaskId, P, WaitMode)>,
+        deps: impl Fn(&P) -> &[D],
+        mut ready: impl FnMut(P),
+    ) -> Result<(), StaleTaskId> {
         let parent_entry = self.entry(parent)?;
         let mut domain = parent_entry.domain.lock();
-        Ok(self.register_locked(&parent_entry, &mut domain, deps, wait_mode))
+        for (id, payload, wait_mode) in tasks {
+            let sched =
+                self.register_locked(&parent_entry, &mut domain, id, deps(&payload), wait_mode);
+            if let Some(payload) = domain.park(sched, payload) {
+                ready(payload);
+            }
+        }
+        Ok(())
     }
 
-    /// Registers a batch of sibling tasks under a **single** acquisition of the parent's domain
-    /// lock, amortising lock traffic for loop-spawn patterns. Each task's dependencies must be
-    /// [`normalize_deps`] output (pairwise disjoint, sorted by `(space, start)`), as for
-    /// [`DependencyEngine::register_task_normalized`]. Returns `(id, ready)` per task, in order,
-    /// or [`StaleTaskId`] if `parent` has been retired.
-    pub fn register_batch<'a>(
+    /// The registration core, with the parent's domain already locked: links task `id` and
+    /// returns the slot of its scheduling record, where [`Domain::park`] leaves its payload.
+    fn register_locked<D: Copy + Into<NormalizedDep>>(
         &self,
-        parent: TaskId,
-        specs: impl IntoIterator<Item = (&'a [NormalizedDep], WaitMode)>,
-    ) -> Result<Vec<(TaskId, bool)>, StaleTaskId> {
-        let parent_entry = self.entry(parent)?;
-        let mut domain = parent_entry.domain.lock();
-        Ok(specs
-            .into_iter()
-            .map(|(deps, wait_mode)| {
-                self.register_locked(&parent_entry, &mut domain, deps, wait_mode)
-            })
-            .collect())
-    }
-
-    /// The registration core, with the parent's domain already locked.
-    fn register_locked(
-        &self,
-        parent_entry: &Arc<TaskEntry>,
-        domain: &mut Domain,
-        deps: &[NormalizedDep],
+        parent_entry: &Arc<TaskEntry<P>>,
+        domain: &mut Domain<P>,
+        id: TaskId,
+        deps: &[D],
         wait_mode: WaitMode,
-    ) -> (TaskId, bool) {
+    ) -> u32 {
         assert!(
             !domain.deeply_completed,
             "cannot create a child of a deeply completed task"
         );
         debug_assert!(
             deps.windows(2).all(|pair| {
-                (pair[0].region.space, pair[0].region.end)
-                    <= (pair[1].region.space, pair[1].region.start)
+                let (a, b): (NormalizedDep, NormalizedDep) = (pair[0].into(), pair[1].into());
+                (a.region.space, a.region.end) <= (b.region.space, b.region.start)
             }),
             "dependencies must be normalize_deps output: disjoint, sorted by (space, start)"
         );
-        let id = self.alloc_id();
         AtomicStats::bump(&self.stats.tasks_registered, 1);
         domain.ensure_seeded();
 
         let sched_idx = domain.alloc_sched(ChildSched {
             task: id,
+            entry: Weak::new(),
+            payload: None,
             pending_strong: 0,
-            scheduled: false,
             live_nodes: 0,
             deeply_completed: false,
         });
@@ -1428,11 +1515,11 @@ impl DependencyEngine {
         let mut child_seeds = child_domain.own_seed.take().expect("fresh domain is unseeded");
         let mut nodes_in_parent: SmallVec<[NodeRef; 2]> = SmallVec::new();
 
-        for (own_idx, dep) in deps.iter().enumerate() {
+        for (own_idx, &dep) in deps.iter().enumerate() {
+            let dep: NormalizedDep = dep.into();
             AtomicStats::bump(&self.stats.accesses_registered, 1);
             let node_ref = domain.alloc_node(AccessNode {
                 task: id,
-                task_entry: Weak::new(),
                 sched: sched_idx,
                 own_idx: own_idx as u32,
                 region: dep.region,
@@ -1478,13 +1565,6 @@ impl DependencyEngine {
             nodes_in_parent.push(node_ref);
         }
 
-        let sched = domain.sched[sched_idx as usize].as_mut().expect("sched slot just allocated");
-        let ready = sched.pending_strong == 0;
-        if ready {
-            sched.scheduled = true;
-            AtomicStats::bump(&self.stats.ready_at_registration, 1);
-        }
-
         child_domain.own_seed = Some(child_seeds);
 
         // Publish while still holding the parent's lock: the moment another thread can observe
@@ -1500,14 +1580,13 @@ impl DependencyEngine {
                 domain: Mutex::new(child_domain),
             }
         });
-        for node_ref in &entry.nodes_in_parent {
-            domain
-                .node_mut(node_ref.idx)
-                .expect("node just allocated")
-                .task_entry = Arc::downgrade(&entry);
+        let sched = domain.sched[sched_idx as usize].as_mut().expect("sched slot just allocated");
+        sched.entry = Arc::downgrade(&entry);
+        if sched.pending_strong == 0 {
+            AtomicStats::bump(&self.stats.ready_at_registration, 1);
         }
         self.publish(entry);
-        (id, ready)
+        sched_idx
     }
 
     /// Links a freshly created access node into the (locked) domain's bottom map, fragmenting
@@ -1516,7 +1595,13 @@ impl DependencyEngine {
     /// The common case — the declared region matches a bottom-map entry exactly, or overlaps
     /// nothing — is served by the store's exact tier: one hash operation, no fragmentation, no
     /// allocation (the planned-edge scratch lives in the domain and is reused).
-    fn link_into_domain(&self, domain: &mut Domain, node_ref: NodeRef, region: Region, is_write: bool) {
+    fn link_into_domain(
+        &self,
+        domain: &mut Domain<P>,
+        node_ref: NodeRef,
+        region: Region,
+        is_write: bool,
+    ) {
         let mut planned = std::mem::take(&mut domain.scratch_edges);
         debug_assert!(planned.is_empty());
 
@@ -1597,7 +1682,7 @@ impl DependencyEngine {
     /// Creates a dependency edge from `from` to the new node `to` over `over`. An edge whose
     /// source is one of the domain owner's own accesses is a cross-domain (satisfaction
     /// forwarding) edge; a sibling source makes a same-domain release edge.
-    fn add_edge(&self, domain: &mut Domain, from: Accessor, to: u32, over: &Region) {
+    fn add_edge(&self, domain: &mut Domain<P>, from: Accessor, to: u32, over: &Region) {
         let mut pending: Parts = SmallVec::new();
         match from {
             Accessor::Own(own_idx) => {
@@ -1644,11 +1729,11 @@ impl DependencyEngine {
     /// resulting cross-domain messages one lock at a time. Returns the ready / deeply-completed
     /// effects, or [`StaleTaskId`] if `task` has already been retired (a double
     /// `body_finished` through a stale id is a caller bug, reported as a defined error).
-    pub fn body_finished(&self, task: TaskId) -> Result<Effects, StaleTaskId> {
+    pub fn body_finished(&self, task: TaskId) -> Result<Effects<P>, StaleTaskId> {
         let entry = self.entry(task)?;
         let mut effects = Effects::default();
         let mut scratch = CascadeScratch::take();
-        let CascadeScratch { outbox, queue } = &mut scratch;
+        let CascadeScratch { outbox, queue } = &mut *scratch;
         {
             let mut domain = entry.domain.lock();
             assert!(!domain.body_finished, "body_finished called twice for {task:?}");
@@ -1718,11 +1803,11 @@ impl DependencyEngine {
     /// no longer access `region`. The overlapping fragments of its declared accesses are armed
     /// for early completion; fragments not covered by live child accesses complete immediately.
     /// Returns [`StaleTaskId`] if `task` has already been retired.
-    pub fn release_region(&self, task: TaskId, region: Region) -> Result<Effects, StaleTaskId> {
+    pub fn release_region(&self, task: TaskId, region: Region) -> Result<Effects<P>, StaleTaskId> {
         let entry = self.entry(task)?;
         let mut effects = Effects::default();
         let mut scratch = CascadeScratch::take();
-        let CascadeScratch { outbox, queue } = &mut scratch;
+        let CascadeScratch { outbox, queue } = &mut *scratch;
         {
             let mut domain = entry.domain.lock();
             let Some(target) = domain.parent_arc() else {
@@ -1774,9 +1859,9 @@ impl DependencyEngine {
     /// `apply` calls); both queues come from the calling thread's [`CascadeScratch`].
     fn pump(
         &self,
-        outbox: &mut VecDeque<Message>,
+        outbox: &mut VecDeque<Message<P>>,
         queue: &mut VecDeque<Event>,
-        effects: &mut Effects,
+        effects: &mut Effects<P>,
     ) {
         while let Some(message) = outbox.pop_front() {
             let target = Arc::clone(message.target());
@@ -1800,11 +1885,11 @@ impl DependencyEngine {
     /// local cascade; it is drained before returning.
     fn apply(
         &self,
-        domain: &mut Domain,
-        message: Message,
+        domain: &mut Domain<P>,
+        message: Message<P>,
         queue: &mut VecDeque<Event>,
-        effects: &mut Effects,
-        outbox: &mut VecDeque<Message>,
+        effects: &mut Effects<P>,
+        outbox: &mut VecDeque<Message<P>>,
     ) {
         debug_assert!(queue.is_empty());
         match message {
@@ -1916,10 +2001,10 @@ impl DependencyEngine {
 
     fn process_local(
         &self,
-        domain: &mut Domain,
+        domain: &mut Domain<P>,
         queue: &mut VecDeque<Event>,
-        effects: &mut Effects,
-        outbox: &mut VecDeque<Message>,
+        effects: &mut Effects<P>,
+        outbox: &mut VecDeque<Message<P>>,
     ) {
         while let Some(event) = queue.pop_front() {
             match event {
@@ -1937,12 +2022,12 @@ impl DependencyEngine {
     /// readiness, forwards the satisfaction into the task's own domain and tries to release.
     fn do_satisfy(
         &self,
-        domain: &mut Domain,
+        domain: &mut Domain<P>,
         idx: u32,
         parts: &Parts,
         queue: &mut VecDeque<Event>,
-        effects: &mut Effects,
-        outbox: &mut VecDeque<Message>,
+        effects: &mut Effects<P>,
+        outbox: &mut VecDeque<Message<P>>,
     ) {
         let Some((node, frag)) = domain.node_and_frag_mut(idx) else { return };
         let mut newly: Parts = SmallVec::new();
@@ -1966,27 +2051,22 @@ impl DependencyEngine {
                 node.fully_satisfied(&domain.frag),
             )
         };
+        let sched = domain.sched[sched_idx as usize]
+            .as_mut()
+            .expect("sched freed while node satisfiable");
         if !weak && fully_satisfied {
-            let sched = domain.sched[sched_idx as usize]
-                .as_mut()
-                .expect("sched freed while node satisfiable");
             debug_assert!(sched.pending_strong > 0, "pending_strong underflow for {task:?}");
             sched.pending_strong -= 1;
-            if sched.pending_strong == 0 && !sched.scheduled {
-                sched.scheduled = true;
-                effects.ready.push(task);
+            if sched.pending_strong == 0 {
+                // The task turns ready here, and only here: its parked payload leaves.
+                effects.ready.extend(sched.payload.take());
             }
         }
 
         // Forward the satisfaction into the task's own domain (its children inherited this
         // dependency through the pending-down mirror).
         if has_mirror {
-            let target = domain
-                .node(idx)
-                .expect("checked above")
-                .task_entry
-                .upgrade()
-                .expect("task entry outlives its nodes");
+            let target = sched.entry.upgrade().expect("task entry outlives its nodes");
             outbox.push_back(Message::SatisfyDown { target, own_idx, parts: newly.clone() });
         }
 
@@ -1998,11 +2078,11 @@ impl DependencyEngine {
     /// touch them) and tries to release them.
     fn do_complete(
         &self,
-        domain: &mut Domain,
+        domain: &mut Domain<P>,
         idx: u32,
         parts: &Parts,
         queue: &mut VecDeque<Event>,
-        outbox: &mut VecDeque<Message>,
+        outbox: &mut VecDeque<Message<P>>,
     ) {
         let Some((node, frag)) = domain.node_and_frag_mut(idx) else { return };
         let mut newly: Parts = SmallVec::new();
@@ -2022,11 +2102,11 @@ impl DependencyEngine {
     /// releases as one unit and its inline edge list fires — no container is touched.
     fn try_release(
         &self,
-        domain: &mut Domain,
+        domain: &mut Domain<P>,
         idx: u32,
         candidates: &Parts,
         queue: &mut VecDeque<Event>,
-        outbox: &mut VecDeque<Message>,
+        outbox: &mut VecDeque<Message<P>>,
     ) {
         // releasable = candidate ∩ unreleased ∩ !unsatisfied ∩ !uncompleted
         let mut releasable: SmallVec<[Region; 4]> = SmallVec::new();
@@ -2158,7 +2238,7 @@ impl DependencyEngine {
         match domain.sched.get(entry.sched_in_parent as usize).and_then(Option::as_ref) {
             // A recycled slot (or one reused by a later task) means this task deeply completed,
             // which implies it was scheduled.
-            Some(sched) if sched.task == task => sched.scheduled,
+            Some(sched) if sched.task == task => sched.payload.is_none(),
             _ => true,
         }
     }
@@ -2240,7 +2320,7 @@ impl DependencyEngine {
 /// fine-grained hand-over of §V). The own accesses are disjoint and sorted by `(space, start)`,
 /// so one binary search finds the first overlap and the overlapping ones follow it (there are
 /// none in root domains — the flat-spawn fast path).
-fn register_parent_coverage(domain: &mut Domain, idx: u32, region: Region) {
+fn register_parent_coverage<P>(domain: &mut Domain<P>, idx: u32, region: Region) {
     let Domain { own, nodes, .. } = domain;
     let first =
         own.partition_point(|o| (o.region.space, o.region.end) <= (region.space, region.start));
@@ -2260,11 +2340,11 @@ fn register_parent_coverage(domain: &mut Domain, idx: u32, region: Region) {
 /// caller's message pump delivers the `ChildDone`, which completes the owner's remaining
 /// fragments in the parent's domain and may cascade further up. Roots have no parent domain
 /// tracking them, so they are retired here instead of through a scheduling-record reclaim.
-fn deep_complete_locked(
-    engine: &DependencyEngine,
-    domain: &mut Domain,
-    effects: &mut Effects,
-    outbox: &mut VecDeque<Message>,
+fn deep_complete_locked<P: 'static>(
+    engine: &DependencyEngine<P>,
+    domain: &mut Domain<P>,
+    effects: &mut Effects<P>,
+    outbox: &mut VecDeque<Message<P>>,
 ) {
     debug_assert!(!domain.deeply_completed);
     debug_assert!(domain.body_finished);
@@ -3079,5 +3159,106 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A payload that is neither `Copy` nor `Clone` and counts its drops, so a duplicated or
+    /// leaked payload shows in the count. It carries its own dependencies, as the runtime's
+    /// task record does.
+    struct Counted {
+        id: TaskId,
+        deps: Vec<NormalizedDep>,
+        drops: Arc<AtomicUsize>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Every task of a small graph: `(parent index or root, dependencies, wait mode)`, in
+    /// registration order. Chains, a reader group, partial overlaps and a `weakwait` parent
+    /// whose children link through it.
+    fn payload_graph() -> Vec<(Option<usize>, Vec<Depend>, WaitMode)> {
+        let (x, y) = (r(1, 0, 64), r(2, 0, 64));
+        vec![
+            (None, vec![dep(AccessType::Out, x)], WaitMode::None),
+            (None, vec![dep(AccessType::In, r(1, 0, 32))], WaitMode::None),
+            (None, vec![dep(AccessType::In, r(1, 16, 48))], WaitMode::None),
+            (None, vec![dep(AccessType::InOut, r(1, 8, 40))], WaitMode::None),
+            (
+                None,
+                vec![dep(AccessType::WeakIn, x), dep(AccessType::WeakInOut, y)],
+                WaitMode::WeakWait,
+            ),
+            (
+                Some(4),
+                vec![dep(AccessType::In, r(1, 0, 16)), dep(AccessType::InOut, r(2, 0, 32))],
+                WaitMode::None,
+            ),
+            (Some(4), vec![dep(AccessType::InOut, r(2, 32, 64))], WaitMode::None),
+            (Some(4), vec![dep(AccessType::InOut, r(2, 0, 64))], WaitMode::None),
+            (None, vec![dep(AccessType::InOut, y)], WaitMode::Wait),
+            (None, vec![], WaitMode::None),
+        ]
+    }
+
+    /// A payload ready at registration comes straight back; every other one leaves exactly once
+    /// through `Effects::ready`, in the order the `TaskId` engine reports the same ids; after
+    /// a full drain each payload has been dropped exactly once.
+    #[test]
+    fn payloads_leave_once_in_the_id_engines_ready_order() {
+        let graph = payload_graph();
+
+        // The reference run: the public API, whose payload is the id.
+        let by_id = DependencyEngine::new();
+        let root = by_id.register_root();
+        let mut ids: Vec<TaskId> = Vec::new();
+        let mut queue: VecDeque<TaskId> = VecDeque::from([root]);
+        for (parent, deps, mode) in &graph {
+            let parent = parent.map_or(root, |p| ids[p]);
+            let (id, ready) = by_id.register_task(parent, deps, *mode).expect("live parent");
+            ids.push(id);
+            queue.extend(ready.then_some(id));
+        }
+        let mut expected = Vec::new();
+        while let Some(task) = queue.pop_front() {
+            expected.push(task);
+            queue.extend(by_id.body_finished(task).expect("live task").ready);
+        }
+
+        let engine: DependencyEngine<Counted> = DependencyEngine::default();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let root = engine.register_root();
+        let mut ids: Vec<TaskId> = Vec::new();
+        let mut queue: VecDeque<Counted> = VecDeque::new();
+        for (parent, deps, mode) in &graph {
+            let parent = parent.map_or(root, |p| ids[p]);
+            let id = engine.reserve_id();
+            let payload = Counted { id, deps: normalize_deps(deps), drops: Arc::clone(&drops) };
+            let mut ready = None;
+            engine
+                .register_payloads(parent, [(id, payload, *mode)], |p| &p.deps, |p| ready = Some(p))
+                .expect("live parent");
+            if let Some(payload) = ready {
+                assert_eq!(payload.id, id, "a ready task's own payload comes back");
+                queue.push_back(payload);
+            }
+            ids.push(id);
+        }
+        assert_eq!(drops.load(Ordering::Relaxed), 0, "registration drops no payload");
+        assert_eq!(queue.len(), engine.stats().ready_at_registration);
+        assert!(queue.len() < graph.len(), "some payloads park");
+        let mut order = vec![root];
+        queue.extend(engine.body_finished(root).expect("live root").ready);
+        while let Some(payload) = queue.pop_front() {
+            order.push(payload.id);
+            queue.extend(engine.body_finished(payload.id).expect("live task").ready);
+        }
+        assert_eq!(order, expected, "same finish order as the TaskId engine");
+        assert_eq!(order.len(), graph.len() + 1, "the graph drains");
+        assert_eq!(drops.load(Ordering::Relaxed), graph.len(), "each payload dropped once");
+        drop(engine);
+        assert_eq!(drops.load(Ordering::Relaxed), graph.len(), "the engine kept no payload");
     }
 }

@@ -9,6 +9,7 @@ use std::time::Instant;
 
 use weakdep_regions::Region;
 
+use crate::access::NormalizedDep;
 use crate::engine::TaskId;
 
 /// One entry of a task's declared data footprint (a normalised dependency declaration).
@@ -22,6 +23,13 @@ pub struct FootprintEntry {
     pub weak: bool,
 }
 
+/// The engine links a task record's dependencies straight from its footprint.
+impl From<FootprintEntry> for NormalizedDep {
+    fn from(entry: FootprintEntry) -> Self {
+        NormalizedDep { region: entry.region, is_write: entry.write, weak: entry.weak }
+    }
+}
+
 /// Information about a task at creation time.
 #[derive(Clone, Debug)]
 pub struct TaskInfo<'a> {
@@ -33,8 +41,6 @@ pub struct TaskInfo<'a> {
     pub parent: Option<TaskId>,
     /// The declared footprint.
     pub footprint: &'a [FootprintEntry],
-    /// Whether the task was ready to execute the moment it was created.
-    pub ready_at_creation: bool,
 }
 
 /// Information about one task execution.
@@ -83,7 +89,6 @@ mod tests {
             label: "t",
             parent: Some(TaskId::synthetic(0)),
             footprint: &[],
-            ready_at_creation: true,
         };
         obs.task_created(&info);
         let exec = TaskExecution {

@@ -25,10 +25,11 @@
 //!
 //! The dependency engine is internally sharded (one lock per dependency domain, see
 //! `docs/locking.md`); the runtime holds **no** global lock. Spawning a task locks only the
-//! parent's domain; records of not-yet-ready tasks live in a striped [`PendingSlab`] indexed by
-//! the dense `TaskId`, and all scheduling (successor slot, deques, injector) happens after every
-//! engine lock has been dropped. [`TaskCtx::spawn_batch`] registers a whole wave of sibling
-//! tasks under a single domain-lock acquisition.
+//! parent's domain; the record of a not-yet-ready task is parked in the engine, in the task's
+//! scheduling record in its parent's domain, and the readiness that releases the task hands the
+//! record back. All scheduling (successor slot, deques, injector) happens after every engine
+//! lock has been dropped. [`TaskCtx::spawn_batch`] registers a whole wave of sibling tasks
+//! under a single domain-lock acquisition.
 //!
 //! # Multi-tenant service
 //!
@@ -63,7 +64,7 @@ use crate::data::SharedSlice;
 use crate::faults::FaultPlan;
 use crate::job::{JobError, JobHandle, JobOptions, JobState, JobStats};
 
-use crate::access::{normalize_deps, AccessType, Depend, NormalizedDep, WaitMode};
+use crate::access::{normalize_deps, AccessType, Depend, WaitMode};
 use crate::engine::{DependencyEngine, Effects, StaleTaskId, TaskId};
 use crate::observer::{FootprintEntry, RuntimeObserver, TaskExecution, TaskInfo};
 
@@ -186,16 +187,19 @@ impl RuntimeConfig {
 }
 
 /// Snapshot of the runtime's steady-state capacity: how many per-task slots are currently
-/// allocated across the engine's task table and the runtime's pending slab. With id retirement
-/// these plateau at the live-task high-water mark — they do **not** grow with the total number
-/// of tasks ever spawned, which is what lets one runtime serve an unbounded task stream.
+/// allocated in the engine's task table. With id retirement this plateaus at the live-task
+/// high-water mark — it does **not** grow with the total number of tasks ever spawned, which
+/// is what lets one runtime serve an unbounded task stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CapacityStats {
     /// Slots allocated in the engine's task table (live + recycled-free).
     pub task_table_slots: usize,
     /// Tasks currently live (registered and not yet retired).
     pub live_tasks: usize,
-    /// Slots allocated in the pending-record slab.
+    /// Always 0. The record of a task not yet ready is parked in the task's scheduling record
+    /// in its parent's domain, which is freed exactly when the task retires, so the
+    /// `task_table_slots` plateau already covers it. Kept so that existing readers, such as the
+    /// repo benchmark's `runtime.pending_slots` metric, keep building.
     pub pending_slots: usize,
     /// Jobs currently live in the service registry (submitted and not yet finished).
     pub live_jobs: usize,
@@ -263,12 +267,17 @@ pub struct RuntimeStats {
 
 type BodyFn = Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>;
 
-/// Internal record of a spawned task (shared between the scheduler queues and the engine).
+/// Internal record of a spawned task. It has one owner at a time: the spawner, then the
+/// engine (parked until the task is ready), then the scheduler queues, then the worker that
+/// runs it.
 pub(crate) struct TaskRecord {
     id: TaskId,
     label: &'static str,
-    body: Mutex<Option<BodyFn>>,
+    body: Option<BodyFn>,
+    /// The normalised dependencies (the first `deps` entries, which the engine links) followed
+    /// by the footprint hints.
     footprint: Vec<FootprintEntry>,
+    deps: usize,
     /// The job this task belongs to (an `Arc` clone per task — refcount only, no allocation,
     /// so the spawn path's allocs-per-task budget is unchanged).
     job: Arc<JobState>,
@@ -276,100 +285,6 @@ pub(crate) struct TaskRecord {
     /// streams. Compiled out without the `faults` feature so the record layout is unchanged.
     #[cfg(feature = "faults")]
     ordinal: u32,
-}
-
-/// Striped slab of records for registered-but-not-yet-ready tasks, keyed by the dense
-/// [`TaskId::index`] — no hashing on the spawn/finish path, and no shared lock across stripes.
-/// Slots revert to `Vacant` once their handshake completes, and because the engine recycles the
-/// index of a retired task (whose handshake necessarily completed — a task cannot deeply
-/// complete without having been dispatched), the stripe vectors plateau at the live-task
-/// high-water mark together with the engine's task table. Slot states carry the id's
-/// generation, so a reused index can never be confused with its previous occupant.
-///
-/// Because registration (which files the record) and readiness (which claims it) race once the
-/// parent's domain lock has been dropped, each slot is a tiny two-phase handshake: whichever
-/// side arrives second is responsible for dispatching the task.
-struct PendingSlab {
-    stripes: Vec<Mutex<Vec<PendingSlot>>>,
-}
-
-#[derive(Default, Clone)]
-enum PendingSlot {
-    /// Nothing filed for this task (also the state after a hand-off completed).
-    #[default]
-    Vacant,
-    /// The spawner filed the record; the task is not ready yet.
-    Waiting(Arc<TaskRecord>),
-    /// The task (of the recorded generation) became ready before the spawner filed the record;
-    /// the spawner dispatches.
-    ReadyEarly(u32),
-}
-
-const PENDING_STRIPES: usize = 64;
-
-impl PendingSlab {
-    fn new() -> Self {
-        PendingSlab {
-            stripes: (0..PENDING_STRIPES).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    fn slot(stripe: &mut Vec<PendingSlot>, id: TaskId) -> &mut PendingSlot {
-        let idx = id.index() / PENDING_STRIPES;
-        if stripe.len() <= idx {
-            stripe.resize(idx + 1, PendingSlot::Vacant);
-        }
-        &mut stripe[idx]
-    }
-
-    /// Files the record of a not-yet-ready task. Returns the record back if the task already
-    /// became ready in the meantime — the caller must dispatch it.
-    fn file(&self, id: TaskId, record: Arc<TaskRecord>) -> Option<Arc<TaskRecord>> {
-        let mut stripe = self.stripes[id.index() % PENDING_STRIPES].lock();
-        let slot = Self::slot(&mut stripe, id);
-        match std::mem::take(slot) {
-            PendingSlot::Vacant => {
-                *slot = PendingSlot::Waiting(record);
-                None
-            }
-            PendingSlot::ReadyEarly(generation) => {
-                debug_assert_eq!(
-                    generation,
-                    id.generation(),
-                    "pending slot {id:?} aliased across generations"
-                );
-                Some(record)
-            }
-            PendingSlot::Waiting(_) => unreachable!("task {id:?} filed twice"),
-        }
-    }
-
-    /// Claims the record of a task that became ready. `None` means the spawner has not filed it
-    /// yet; the slot is marked so the spawner dispatches on arrival.
-    fn claim(&self, id: TaskId) -> Option<Arc<TaskRecord>> {
-        let mut stripe = self.stripes[id.index() % PENDING_STRIPES].lock();
-        let slot = Self::slot(&mut stripe, id);
-        match std::mem::take(slot) {
-            PendingSlot::Waiting(record) => {
-                debug_assert_eq!(record.id, id, "pending slot {id:?} aliased across generations");
-                Some(record)
-            }
-            PendingSlot::Vacant => {
-                *slot = PendingSlot::ReadyEarly(id.generation());
-                None
-            }
-            PendingSlot::ReadyEarly(generation) => {
-                *slot = PendingSlot::ReadyEarly(generation);
-                None
-            }
-        }
-    }
-
-    /// Total slots currently allocated across all stripes (a capacity diagnostic; plateaus with
-    /// the live-task high-water mark).
-    fn capacity(&self) -> usize {
-        self.stripes.iter().map(|stripe| stripe.lock().len()).sum()
-    }
 }
 
 /// Cumulative phase timers (nanoseconds), kept with relaxed atomics: they are statistics, not
@@ -391,9 +306,8 @@ impl PhaseTimers {
 }
 
 struct Inner {
-    pool: ThreadPool<Arc<TaskRecord>>,
-    engine: DependencyEngine,
-    pending: PendingSlab,
+    pool: ThreadPool<Box<TaskRecord>>,
+    engine: DependencyEngine<Box<TaskRecord>>,
     /// Live-job registry. **Leaf-like lock**: only insert/remove/Arc-clone under it — never a
     /// gate notify, an engine call or a queue operation (see `docs/locking.md`).
     jobs: Mutex<HashMap<u64, Arc<JobState>>>,
@@ -446,12 +360,12 @@ impl Runtime {
         let observers = config.observers.clone();
         let inner = Arc::new_cyclic(|weak: &std::sync::Weak<Inner>| {
             let weak_for_pool = weak.clone();
-            let pool = ThreadPool::with_tenants(
+            let pool = ThreadPool::<Box<TaskRecord>>::with_tenants(
                 config.workers,
                 config.scheduling,
                 // The tenant of a task is its job: FairShare round-robins across live jobs.
-                |record: &Arc<TaskRecord>| record.job.id,
-                move |record: Arc<TaskRecord>, wctx| {
+                |record| record.job.id,
+                move |record: Box<TaskRecord>, wctx| {
                     if let Some(inner) = weak_for_pool.upgrade() {
                         execute_task(&inner, record, wctx);
                     }
@@ -459,8 +373,7 @@ impl Runtime {
             );
             Inner {
                 pool,
-                engine: DependencyEngine::new(),
-                pending: PendingSlab::new(),
+                engine: DependencyEngine::default(),
                 jobs: Mutex::new(HashMap::new()),
                 next_job_id: AtomicU64::new(0),
                 admission: Arc::new(AdmissionGate::new(
@@ -512,16 +425,17 @@ impl Runtime {
     /// (so the runtime stays consistent) and the panic is re-raised here.
     pub fn run<R>(&self, body: impl FnOnce(&TaskCtx<'_>) -> R) -> R {
         let job = create_job(&self.inner, JobOptions::new());
-        let root_record = Arc::new(TaskRecord {
+        let root_record = TaskRecord {
             id: job.root,
             label: "root",
-            body: Mutex::new(None),
+            body: None,
             footprint: Vec::new(),
+            deps: 0,
             job: Arc::clone(&job),
             #[cfg(feature = "faults")]
             ordinal: 0,
-        });
-        let ctx = TaskCtx { inner: &self.inner, record: root_record, worker: None };
+        };
+        let ctx = TaskCtx { inner: &self.inner, record: &root_record, worker: None };
         #[cfg(feature = "sentinel")]
         {
             // The root declares nothing and conflicts with nothing, but it must be in the
@@ -596,13 +510,14 @@ impl Runtime {
         let job = create_job(&self.inner, options);
         let result: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
         let slot = Arc::clone(&result);
-        let root_record = Arc::new(TaskRecord {
+        let root_record = Box::new(TaskRecord {
             id: job.root,
             label: "root",
-            body: Mutex::new(Some(Box::new(move |ctx: &TaskCtx<'_>| {
+            body: Some(Box::new(move |ctx: &TaskCtx<'_>| {
                 *slot.lock() = Some(body(ctx));
-            }) as BodyFn)),
+            })),
             footprint: Vec::new(),
+            deps: 0,
             job: Arc::clone(&job),
             #[cfg(feature = "faults")]
             ordinal: 0,
@@ -660,7 +575,7 @@ impl Runtime {
         CapacityStats {
             task_table_slots: self.inner.engine.table_capacity(),
             live_tasks: self.inner.engine.live_tasks(),
-            pending_slots: self.inner.pending.capacity(),
+            pending_slots: 0,
             live_jobs: self.inner.jobs.lock().len(),
         }
     }
@@ -871,8 +786,8 @@ fn emit_stall_report(inner: &Arc<Inner>, job: &JobState, strikes: usize) {
 /// Execution context of a task body (also the root body inside [`Runtime::run`]).
 pub struct TaskCtx<'a> {
     inner: &'a Arc<Inner>,
-    record: Arc<TaskRecord>,
-    worker: Option<&'a WorkerContext<'a, Arc<TaskRecord>>>,
+    record: &'a TaskRecord,
+    worker: Option<&'a WorkerContext<'a, Box<TaskRecord>>>,
 }
 
 impl<'a> TaskCtx<'a> {
@@ -911,41 +826,39 @@ impl<'a> TaskCtx<'a> {
             return Vec::new();
         }
         let spawn_start = Instant::now();
-        let normalized: Vec<Vec<NormalizedDep>> =
-            specs.iter().map(|spec| normalize_deps(&spec.deps)).collect();
-        let registered = self
-            .inner
+        let mut ids = Vec::with_capacity(specs.len());
+        let mut ready = Vec::with_capacity(specs.len());
+        let tasks: Vec<(TaskId, Box<TaskRecord>, WaitMode)> = specs
+            .into_iter()
+            .map(|spec| {
+                let (record, wait_mode) = new_record(self, spec);
+                ids.push(record.id);
+                (record.id, record, wait_mode)
+            })
+            .collect();
+        // Seeded §VIII-A wave-ordering mutation (test-only, see
+        // `RuntimeConfig::seed_wave_ordering_bug`): register the wave's siblings dependency-free
+        // so they dispatch concurrently, while the records and the sentinel keep the declared
+        // footprints.
+        #[cfg(feature = "sentinel")]
+        let drop_deps = self.inner.seed_wave_ordering_bug;
+        #[cfg(not(feature = "sentinel"))]
+        let drop_deps = false;
+        self.inner
             .engine
-            .register_batch(
+            .register_payloads(
                 self.record.id,
-                normalized.iter().zip(&specs).map(|(norm, spec)| {
-                    // Seeded §VIII-A wave-ordering mutation (test-only, see
-                    // `RuntimeConfig::seed_wave_ordering_bug`): register the wave's siblings
-                    // dependency-free so they dispatch concurrently, while the records and
-                    // the sentinel keep the declared footprints.
-                    #[cfg(feature = "sentinel")]
-                    if self.inner.seed_wave_ordering_bug {
-                        return (&[] as &[NormalizedDep], spec.wait_mode);
-                    }
-                    (norm.as_slice(), spec.wait_mode)
-                }),
+                tasks,
+                |record| &record.footprint[..if drop_deps { 0 } else { record.deps }],
+                // `ready` has room for the whole wave: no allocation under the domain lock.
+                |record| ready.push(record),
             )
             .expect("the spawning task is live, so its id cannot be stale");
-
-        let mut ids = Vec::with_capacity(specs.len());
-        let mut ready_records = Vec::new();
-        for ((spec, norm), (id, ready)) in specs.into_iter().zip(normalized).zip(registered) {
-            let record = finish_spawn(self, spec, norm, id, ready);
-            if let Some(record) = record {
-                ready_records.push(record);
-            }
-            ids.push(id);
-        }
         match self.worker {
             // Spawned-ready waves are not successor waves: the spawner is still running, so
             // the policy's wave queue applies to all.
-            Some(worker) => worker.dispatch_ready(ready_records, false),
-            None => self.inner.pool.submit_batch(ready_records),
+            Some(worker) => worker.dispatch_ready(ready, false),
+            None => self.inner.pool.submit_batch(ready),
         }
         PhaseTimers::add(&self.inner.timers.spawn_ns, spawn_start);
         ids
@@ -1389,14 +1302,19 @@ impl<'a> TaskBuilder<'a> {
         let TaskBuilder { ctx, spec } = self;
         let spec = spec.body(body);
         let spawn_start = Instant::now();
-        let normalized = normalize_deps(&spec.deps);
-        let (id, ready) = ctx
-            .inner
+        let (record, wait_mode) = new_record(ctx, spec);
+        let id = record.id;
+        let mut ready = None;
+        ctx.inner
             .engine
-            .register_task_normalized(ctx.record.id, &normalized, spec.wait_mode)
+            .register_payloads(
+                ctx.record.id,
+                [(id, record, wait_mode)],
+                |record| &record.footprint[..record.deps],
+                |record| ready = Some(record),
+            )
             .expect("the spawning task is live, so its id cannot be stale");
-        let record = finish_spawn(ctx, spec, normalized, id, ready);
-        if let Some(record) = record {
+        if let Some(record) = ready {
             match ctx.worker {
                 Some(worker) => worker.dispatch_spawned(record),
                 None => ctx.inner.pool.submit(record),
@@ -1407,33 +1325,30 @@ impl<'a> TaskBuilder<'a> {
     }
 }
 
-/// Builds the record for a freshly registered task, notifies observers, and files the record if
-/// the task is not ready yet. Returns the record when the caller must dispatch it — either the
-/// task was ready at registration, or it became ready while the record was being built (the
-/// [`PendingSlab`] handshake).
-fn finish_spawn(
-    ctx: &TaskCtx<'_>,
-    spec: TaskSpec,
-    normalized: Vec<NormalizedDep>,
-    id: TaskId,
-    ready: bool,
-) -> Option<Arc<TaskRecord>> {
-    let TaskSpec { deps: _, hints, wait_mode: _, label, body } = spec;
+/// Builds the record of a new child of `ctx`'s task: normalises the spec's dependencies,
+/// reserves the task's id, and announces the task to the sentinel and the observers — all
+/// before registration can make it runnable. Returns the record and the spec's wait mode.
+fn new_record(ctx: &TaskCtx<'_>, spec: TaskSpec) -> (Box<TaskRecord>, WaitMode) {
+    let TaskSpec { deps, hints, wait_mode, label, body } = spec;
+    let normalized = normalize_deps(&deps);
+    let declared = normalized.len();
     let mut footprint: Vec<FootprintEntry> = normalized
         .into_iter()
         .map(|d| FootprintEntry { region: d.region, write: d.is_write, weak: d.weak })
         .collect();
     footprint.extend(hints);
+    let id = ctx.inner.engine.reserve_id();
 
     // The pre-increment count is the task's job-local registration ordinal — the key of the
     // fault plan's per-task decision streams — so the counter is bumped before the record is
     // built (same single atomic op either way).
     let _ordinal = ctx.record.job.registered.fetch_add(1, SeqCst);
-    let record = Arc::new(TaskRecord {
+    let record = Box::new(TaskRecord {
         id,
         label,
-        body: Mutex::new(body),
+        body,
         footprint,
+        deps: declared,
         job: Arc::clone(&ctx.record.job),
         #[cfg(feature = "faults")]
         ordinal: _ordinal as u32,
@@ -1457,35 +1372,26 @@ fn finish_spawn(
         }),
     );
 
-    let info = TaskInfo {
-        id,
-        label,
-        parent: Some(ctx.record.id),
-        footprint: &record.footprint,
-        ready_at_creation: ready,
-    };
+    let info = TaskInfo { id, label, parent: Some(ctx.record.id), footprint: &record.footprint };
     for obs in &ctx.inner.observers {
         obs.task_created(&info);
     }
-
-    if ready {
-        Some(record)
-    } else {
-        // The task may have become ready between registration and now; `file` hands the record
-        // back in that case and the spawner dispatches it itself.
-        ctx.inner.pending.file(id, record)
-    }
+    (record, wait_mode)
 }
 
 /// Executes one task body on a worker and feeds the outcome back into the dependency engine.
-fn execute_task(inner: &Arc<Inner>, record: Arc<TaskRecord>, wctx: &WorkerContext<'_, Arc<TaskRecord>>) {
+fn execute_task(
+    inner: &Arc<Inner>,
+    mut record: Box<TaskRecord>,
+    wctx: &WorkerContext<'_, Box<TaskRecord>>,
+) {
     let start = Instant::now();
-    let job = Arc::clone(&record.job);
+    let body = record.body.take();
+    let job = &record.job;
     // Cancellation bracket (`SeqCst`, see `crate::job`'s ordering argument): the increment
     // happens *before* the cancelled-load, so a canceller that stores the flag and then reads
     // `running == 0` knows no body it did not wait out will ever start.
     job.running.fetch_add(1, SeqCst);
-    let body = record.body.lock().take();
     if !job.is_aborted() {
         if let Some(body) = body {
             #[cfg(feature = "faults")]
@@ -1496,7 +1402,7 @@ fn execute_task(inner: &Arc<Inner>, record: Arc<TaskRecord>, wctx: &WorkerContex
                 // without changing any output.
                 std::thread::sleep(delay);
             }
-            let ctx = TaskCtx { inner, record: Arc::clone(&record), worker: Some(wctx) };
+            let ctx = TaskCtx { inner, record: &record, worker: Some(wctx) };
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 // Inside the catch so a sentinel conflict panic is captured into the job's
                 // failure slot and re-raised by `run`/`wait` instead of tearing down the
@@ -1561,7 +1467,7 @@ fn execute_task(inner: &Arc<Inner>, record: Arc<TaskRecord>, wctx: &WorkerContex
         .engine
         .body_finished(record.id)
         .expect("a task retires exactly once, so its id cannot be stale here");
-    schedule_effects(inner, effects, Some((wctx, true)), &job);
+    schedule_effects(inner, effects, Some((wctx, true)), job);
     PhaseTimers::add(&inner.timers.retire_ns, retire_start);
 }
 
@@ -1591,22 +1497,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// running. Effects produced outside a worker (root body) go to the policy's shared queue.
 fn schedule_effects(
     inner: &Arc<Inner>,
-    effects: Effects,
-    worker: Option<(&WorkerContext<'_, Arc<TaskRecord>>, bool)>,
+    effects: Effects<Box<TaskRecord>>,
+    worker: Option<(&WorkerContext<'_, Box<TaskRecord>>, bool)>,
     job: &Arc<JobState>,
 ) {
     if !effects.ready.is_empty() {
-        // Claim eagerly: the claims take pending-stripe locks, and the batch submission below
-        // holds a queue lock (injector or tenant queues) — feeding it a lazy iterator would
-        // nest the former inside the latter.
-        let records: Vec<Arc<TaskRecord>> =
-            effects.ready.iter().filter_map(|id| inner.pending.claim(*id)).collect();
-        // One queue operation and one wake signal for the whole wave. That wake is all the
-        // recruitment there is: workers parked in a `taskwait` — of any job — are pool
-        // sleepers like the idle ones.
+        // The engine hands out the ready tasks' records themselves. One queue operation and
+        // one wake signal for the whole wave. That wake is all the recruitment there is:
+        // workers parked in a `taskwait` — of any job — are pool sleepers like the idle ones.
         match worker {
-            Some((wctx, use_successor_slot)) => wctx.dispatch_ready(records, use_successor_slot),
-            None => inner.pool.submit_batch(records),
+            Some((wctx, use_successor_slot)) => {
+                wctx.dispatch_ready(effects.ready, use_successor_slot)
+            }
+            None => inner.pool.submit_batch(effects.ready),
         }
     }
 

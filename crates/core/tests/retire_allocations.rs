@@ -1,7 +1,9 @@
 //! The retire cascade — the messages and events `DependencyEngine::body_finished` drains after a
 //! task ends — allocates only the `Effects` it returns: its outbox and event queue are lent by
 //! the calling thread and keep their capacity between calls. And registering a weak parent's
-//! first child allocates a pinned count, so a container added to that path is measured.
+//! first child allocates a pinned count, so a container added to that path is measured. An
+//! engine whose payload is not the task id (the runtime parks its task records) lends its
+//! cascade queues the same way, so its cascade allocates what the id engine's does.
 //!
 //! This binary installs its own counting global allocator. The count is per thread, so the test
 //! harness's other threads never disturb a measurement taken around one call.
@@ -52,7 +54,7 @@ unsafe impl GlobalAlloc for ThreadCountingAllocator {
 static ALLOCATOR: ThreadCountingAllocator = ThreadCountingAllocator;
 
 /// Heap allocations the calling thread performs in `body_finished(task)`.
-fn finish_allocations(engine: &DependencyEngine, task: TaskId) -> usize {
+fn finish_allocations<P: 'static>(engine: &DependencyEngine<P>, task: TaskId) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
     let effects = engine.body_finished(task).expect("live task");
     let allocations = ALLOCATIONS.with(Cell::get) - before;
@@ -66,11 +68,10 @@ const CHILDREN: usize = 64;
 /// The axpy shape under a weak outer task: `in x[b]` + `inout y[b]` per child, the parent holding
 /// `weakinout y[..]` with `weakwait`. Two rounds of children run under the same parent: the first
 /// grows the parent domain's slabs and free lists and the task table's, so the second measures
-/// the cascade alone.
-#[test]
-fn the_retire_cascade_allocates_only_its_effects() {
+/// the cascade alone. Returns the parent, still running, and the second round's allocations per
+/// child `body_finished`.
+fn child_cascades<P: From<TaskId> + 'static>(engine: &DependencyEngine<P>) -> (TaskId, Vec<usize>) {
     let (x, y) = (SpaceId(1), SpaceId(2));
-    let engine = DependencyEngine::new();
     let root = engine.register_root();
     let whole = Region::new(y, 0, CHILDREN * BLOCK);
     let (parent, ready) = engine
@@ -108,8 +109,15 @@ fn the_retire_cascade_allocates_only_its_effects() {
     }
     let measured: Vec<usize> = spawn_round()
         .into_iter()
-        .map(|child| finish_allocations(&engine, child))
+        .map(|child| finish_allocations(engine, child))
         .collect();
+    (parent, measured)
+}
+
+#[test]
+fn the_retire_cascade_allocates_only_its_effects() {
+    let engine = DependencyEngine::new();
+    let (parent, measured) = child_cascades(&engine);
     assert!(
         measured.iter().all(|&allocations| allocations <= 2),
         "allocations per child body_finished: {measured:?}"
@@ -127,6 +135,18 @@ fn the_retire_cascade_allocates_only_its_effects() {
         "parent body_finished allocated {parent_allocations}"
     );
     assert!(engine.is_deeply_completed(parent));
+}
+
+/// The thread-local cascade queues cannot be generic, so they are lent as a boxed `dyn Any` and
+/// downcast to the engine's payload type. On a thread that last ran the id engine, a payload
+/// engine's first cascade starts fresh queues; from then on it reuses them and allocates exactly
+/// what the id engine does.
+#[test]
+fn a_payload_engine_cascade_allocates_as_the_id_engine_does() {
+    let (_, by_id) = child_cascades(&DependencyEngine::new());
+    let (_, boxed) = child_cascades(&DependencyEngine::<Box<TaskId>>::default());
+    assert_eq!(boxed, by_id, "allocations per child body_finished");
+    assert!(boxed.iter().all(|&allocations| allocations <= 2), "{boxed:?}");
 }
 
 /// Registering the first child under a `weakwait` parent with one `weakinout` access expands the

@@ -2,17 +2,19 @@
 //!
 //! A long-lived runtime must not grow per-task state with the *total* number of tasks ever
 //! spawned: once a task deeply completes and its last bookkeeping is reclaimed, its task-table
-//! slot and pending-slab capacity are recycled, and the stale `TaskId` is detected (defined
-//! [`weakdep::StaleTaskId`] error) rather than aliased onto the younger task reusing the slot.
+//! slot is recycled, and the stale `TaskId` is detected (defined [`weakdep::StaleTaskId`] error)
+//! rather than aliased onto the younger task reusing the slot. (A not-yet-ready task's record
+//! waits in its scheduling record in the parent's domain, which is reclaimed with the task, so
+//! the task-table plateau covers it.)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use weakdep::{Runtime, SharedSlice, TaskSpec};
 
-/// Multi-worker soak: waves of dependent tasks through ONE runtime. Task-table and pending-slab
-/// capacity must plateau at the live-task high-water mark (not track total tasks), while the
-/// engine's books stay balanced (`registered == deeply_completed == retired`).
+/// Multi-worker soak: waves of dependent tasks through ONE runtime. Task-table capacity must
+/// plateau at the live-task high-water mark (not track total tasks), while the engine's books
+/// stay balanced (`registered == deeply_completed == retired`).
 #[test]
 fn soak_capacity_plateaus_while_books_balance() {
     let workers = 4;
@@ -23,7 +25,6 @@ fn soak_capacity_plateaus_while_books_balance() {
     let executed = Arc::new(AtomicUsize::new(0));
 
     let mut max_table = 0usize;
-    let mut max_pending = 0usize;
     let mut first_table = 0usize;
     for wave in 0..waves {
         let d = data.clone();
@@ -47,7 +48,6 @@ fn soak_capacity_plateaus_while_books_balance() {
             first_table = cap.task_table_slots;
         }
         max_table = max_table.max(cap.task_table_slots);
-        max_pending = max_pending.max(cap.pending_slots);
     }
 
     let total_tasks = waves * wave_size;
@@ -73,10 +73,6 @@ fn soak_capacity_plateaus_while_books_balance() {
     assert!(
         max_table < total_tasks / 4,
         "task table grew with total tasks ({max_table} slots for {total_tasks} tasks)"
-    );
-    assert!(
-        max_pending < total_tasks / 4,
-        "pending slab grew with total tasks ({max_pending} slots for {total_tasks} tasks)"
     );
 }
 

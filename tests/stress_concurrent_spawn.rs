@@ -7,10 +7,13 @@
 //! must match a sequential model. A lost wake-up, a dropped message or a lock-ordering bug shows
 //! up here as a hang (no deadlock may ever occur) or as a failed balance assertion.
 
+use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use weakdep::{Runtime, SharedSlice, TaskSpec};
+use weakdep::core::{TaskExecution, TaskInfo};
+use weakdep::{Runtime, RuntimeConfig, RuntimeObserver, SharedSlice, TaskCtx, TaskId, TaskSpec};
 
 /// Asserts the engine's books balance after `run` returned: everything registered has deeply
 /// completed and every non-root task executed exactly once.
@@ -194,4 +197,93 @@ fn concurrent_three_level_nesting_balances() {
         assert_eq!(*v, 3 * (g as u64 + 1), "cell {g}");
     }
     assert_balanced(&rt, rounds * groups * 4, rounds);
+}
+
+/// Checks the order the observers see: each task is announced by `task_created` before
+/// `task_executed` reports it, and executes once. Violations are counted rather than asserted,
+/// because `task_executed` runs on a worker outside any body's panic capture.
+#[derive(Default)]
+struct AnnouncedOnce {
+    /// Announced tasks that have not executed yet. Ids are generational, so a recycled table
+    /// slot never collides with an earlier task here.
+    announced: Mutex<HashSet<TaskId>>,
+    /// Executions of tasks that were not announced (or had executed already).
+    violations: AtomicUsize,
+}
+
+impl RuntimeObserver for AnnouncedOnce {
+    fn task_created(&self, info: &TaskInfo<'_>) {
+        assert!(self.announced.lock().unwrap().insert(info.id), "{} announced twice", info.id);
+    }
+
+    fn task_executed(&self, execution: &TaskExecution<'_>) {
+        if !self.announced.lock().unwrap().remove(&execution.id) {
+            self.violations.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Spawns `rounds` rounds over `cells` from `ctx`: an `inout` chain of `links` single spawns,
+/// then a `spawn_batch` wave of `links` siblings on the same cells. Every body is empty, so a
+/// predecessor often finishes while the spawner is still inside `spawn` registering its
+/// successor. Returns the number of tasks spawned.
+fn spawn_rounds(ctx: &TaskCtx<'_>, data: &SharedSlice<u8>, cells: Range<usize>) -> usize {
+    let (rounds, links) = (40, 96);
+    let width = cells.len();
+    let cell = |i: usize| cells.start + i % width;
+    for _ in 0..rounds {
+        for i in 0..links {
+            let c = cell(i);
+            ctx.task().inout(data.region(c..c + 1)).label("link").spawn(|_| {});
+        }
+        let wave: Vec<TaskSpec> = (0..links)
+            .map(|i| {
+                let c = cell(i);
+                ctx.task().inout(data.region(c..c + 1)).label("wave").stage(|_| {})
+            })
+            .collect();
+        ctx.spawn_batch(wave);
+    }
+    2 * rounds * links
+}
+
+/// A task becomes runnable the moment registration finds it ready — or, when it is not, the
+/// moment its last predecessor releases it, which can happen on another worker before the
+/// spawner returns from `spawn`. Either way observers must have seen `task_created` first, and
+/// the task must run exactly once. The root spawns from the caller's thread, and two nested
+/// spawners from workers, so both dispatch paths race their own registrations.
+#[test]
+fn tasks_are_announced_before_they_run_and_run_once() {
+    for workers in [2, 4] {
+        let observer = Arc::new(AnnouncedOnce::default());
+        let config = RuntimeConfig::new().workers(workers).observer(observer.clone());
+        let rt = Runtime::new(config);
+        let data = SharedSlice::<u8>::new(12);
+        let spawned = Arc::new(AtomicUsize::new(0));
+
+        let (d, count) = (data.clone(), Arc::clone(&spawned));
+        rt.run(move |root| {
+            let nested: Vec<TaskSpec> = [4..8, 8..12]
+                .into_iter()
+                .map(|cells| {
+                    let (d2, count2) = (d.clone(), Arc::clone(&count));
+                    root.task()
+                        .weak_inout(d.region(cells.clone()))
+                        .weakwait()
+                        .label("spawner")
+                        .stage(move |spawner| {
+                            count2.fetch_add(spawn_rounds(spawner, &d2, cells), Ordering::Relaxed);
+                        })
+                })
+                .collect();
+            count.fetch_add(nested.len(), Ordering::Relaxed);
+            root.spawn_batch(nested);
+            count.fetch_add(spawn_rounds(root, &d, 0..4), Ordering::Relaxed);
+        });
+
+        let spawned = spawned.load(Ordering::Relaxed);
+        assert_eq!(observer.violations.load(Ordering::Relaxed), 0, "{workers} workers");
+        assert!(observer.announced.lock().unwrap().is_empty(), "an announced task never ran");
+        assert_balanced(&rt, spawned, 1);
+    }
 }

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the region-matching data path: declared-footprint normalisation and the
-//! two-tier [`RegionStore`] (exact-match hash tier, lazy promotion, fragmented interval tier),
-//! with a bare [`IntervalMap`] as the pre-two-tier reference where the comparison is
-//! meaningful.
+//! bottom-map [`RegionStore`] (one interval map per space), with a bare [`IntervalMap`] as the
+//! reference where the comparison is meaningful: the difference is the store's per-space
+//! lookup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use weakdep_core::{normalize_deps, AccessType, Depend};
@@ -36,8 +36,8 @@ fn normalization(c: &mut Criterion) {
     group.finish();
 }
 
-/// Repeated updates with the *same* region key: the exact-tier O(1) hit against the interval
-/// tier's fragment-and-visit machinery.
+/// Repeated updates with the *same* region: the exact fit, one binary search and an in-place
+/// overwrite.
 fn exact_hits(c: &mut Criterion) {
     let mut group = c.benchmark_group("exact-hit");
     const UPDATES: usize = 1024;
@@ -63,10 +63,10 @@ fn exact_hits(c: &mut Criterion) {
     group.finish();
 }
 
-/// A population of disjoint exact-tier regions, then one spanning update that promotes them
-/// all — the cost of falling off the fast path once.
-fn promotion(c: &mut Criterion) {
-    let mut group = c.benchmark_group("promotion");
+/// A population of disjoint blocks, then one update straddling every block boundary — it splits
+/// the two end blocks and visits all of them.
+fn spanning(c: &mut Criterion) {
+    let mut group = c.benchmark_group("spanning");
     for &blocks in &[16usize, 128] {
         group.throughput(Throughput::Elements(blocks as u64));
         group.bench_with_input(BenchmarkId::from_parameter(blocks), &blocks, |b, &blocks| {
@@ -75,17 +75,16 @@ fn promotion(c: &mut Criterion) {
                 for i in 0..blocks {
                     store.insert(&region(i * 64, i * 64 + 64), i as u32);
                 }
-                // Straddles every block boundary: promotes the whole population.
                 store.insert(&region(32, blocks * 64 - 32), 999);
-                criterion::black_box(store.fragmented_len())
+                criterion::black_box(store.len())
             })
         });
     }
     group.finish();
 }
 
-/// Sliding half-overlapping updates (the `fragmented-deps` pattern): after the first promotion
-/// everything runs on the interval tier — the store must stay within noise of the bare map.
+/// Sliding half-overlapping updates (the `fragmented-deps` pattern): every update splits its
+/// predecessor — the store must stay within noise of the bare map.
 fn fragmented_updates(c: &mut Criterion) {
     let mut group = c.benchmark_group("fragmented-updates");
     const UPDATES: usize = 512;
@@ -111,10 +110,10 @@ fn fragmented_updates(c: &mut Criterion) {
     group.finish();
 }
 
-/// Steady-state churn on the fragmented tier through the coalescing write path: sliding
-/// half-overlapping `insert_coalescing` calls so every update fragments, heals its own extent
-/// and demotes it back to the exact tier. With the arena-backed interval tier this loop
-/// recycles interval nodes through the free list instead of allocating per update.
+/// Steady-state fragmentation churn through the coalescing write path: sliding
+/// half-overlapping `insert_coalescing` calls so every update splits its predecessor and heals
+/// its own extent. The arena-backed interval map recycles its slots through the free list
+/// instead of allocating per update.
 fn fragmented_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("fragmented-churn");
     const UPDATES: usize = 512;
@@ -125,29 +124,28 @@ fn fragmented_churn(c: &mut Criterion) {
             for i in 0..UPDATES {
                 store.insert_coalescing(&region(i * 2, i * 2 + 4), i as u32);
             }
-            criterion::black_box((store.exact_len(), store.fragmented_len()))
+            criterion::black_box(store.len())
         })
     });
     // The non-coalescing write path over the same pattern: what the churn costs without the
-    // heal-and-demote pass (fragments accumulate on the interval tier instead).
+    // healing pass (fragments accumulate instead).
     group.bench_function("insert-plain", |b| {
         b.iter(|| {
             let mut store: RegionStore<u32> = RegionStore::new();
             for i in 0..UPDATES {
                 store.insert(&region(i * 2, i * 2 + 4), i as u32);
             }
-            criterion::black_box((store.exact_len(), store.fragmented_len()))
+            criterion::black_box(store.len())
         })
     });
     group.finish();
 }
 
-/// The full promote → coalesce → demote → exact-hit round trip on a single window (the
-/// `fragmented-demote` engine scenario reduced to the store): a straddling write knocks the
-/// window off the exact tier, the healing rewrite demotes it back, and the follow-up write
-/// must be an O(1) exact hit again.
-fn demotion(c: &mut Criterion) {
-    let mut group = c.benchmark_group("demotion");
+/// The split → coalesce → exact-fit round trip on a single window (the `fragmented-demote`
+/// engine scenario reduced to the store): a straddling write splits the window, the healing
+/// rewrite merges it back, and the follow-up write fits it exactly again.
+fn healing(c: &mut Criterion) {
+    let mut group = c.benchmark_group("healing");
     const CYCLES: usize = 256;
     group.throughput(Throughput::Elements(CYCLES as u64));
     group.bench_function("round-trip", |b| {
@@ -157,14 +155,14 @@ fn demotion(c: &mut Criterion) {
             let straddler = region(32, 96);
             store.insert_coalescing(&window, 0);
             for i in 0..CYCLES {
-                store.insert_coalescing(&straddler, i as u32); // promote + fragment
-                store.insert_coalescing(&window, i as u32); // heal + demote
+                store.insert_coalescing(&straddler, i as u32); // split
+                store.insert_coalescing(&window, i as u32); // heal
             }
-            criterion::black_box((store.exact_len(), store.fragmented_len()))
+            criterion::black_box(store.len())
         })
     });
-    // Exact-tier baseline: the same number of writes with no straddler in between — the cost
-    // floor the demoted window should return to.
+    // Exact-fit baseline: the same number of writes with no straddler in between — the cost
+    // floor the healed window should return to.
     group.bench_function("exact-baseline", |b| {
         b.iter(|| {
             let mut store: RegionStore<u32> = RegionStore::new();
@@ -174,7 +172,7 @@ fn demotion(c: &mut Criterion) {
                 store.insert_coalescing(&window, i as u32);
                 store.insert_coalescing(&window, i as u32);
             }
-            criterion::black_box((store.exact_len(), store.fragmented_len()))
+            criterion::black_box(store.len())
         })
     });
     group.finish();
@@ -184,9 +182,9 @@ criterion_group!(
     benches,
     normalization,
     exact_hits,
-    promotion,
+    spanning,
     fragmented_updates,
     fragmented_churn,
-    demotion
+    healing
 );
 criterion_main!(benches);

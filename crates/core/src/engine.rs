@@ -81,7 +81,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 use smallvec::{smallvec, SmallVec};
-use weakdep_regions::{IntervalMap, RangeUpdate, Region, RegionStore, StoreTier};
+use weakdep_regions::{Fit, IntervalMap, RangeUpdate, Region, RegionStore};
 
 use crate::access::{normalize_deps, Depend, NormalizedDep, WaitMode};
 
@@ -215,22 +215,20 @@ pub struct EngineStats {
     /// Tasks whose table slot has been retired (recycled for reuse). Under steady-state load
     /// this tracks `tasks_deeply_completed`; the difference is the not-yet-reclaimed tail.
     pub tasks_retired: usize,
-    /// Bottom-map registrations served entirely by the exact-match fast tier of the two-tier
-    /// [`RegionStore`] (a hash hit on the declared region, or a fresh admission of a region
-    /// overlapping nothing).
+    /// Bottom-map registrations that split no stored fragment and touched at most one
+    /// fragment: the declared region matched one stored fragment exactly or lay in one gap
+    /// ([`Fit::Exact`]).
     pub exact_hits: usize,
-    /// Bottom-map registrations that *promoted* at least one exact-tier region to the
-    /// fragmented tier — the first partial overlap ever seen over those regions.
+    /// Bottom-map registrations that split a stored fragment at a boundary of the declared
+    /// region ([`Fit::Split`]) — a block carved out of a larger access, say.
     pub promotions: usize,
-    /// Bottom-map registrations that ran on the fragmented (interval) tier, the promoting ones
-    /// included.
+    /// Bottom-map registrations that were not exact hits: the splitting ones
+    /// (`promotions`) and those spanning several fragments ([`Fit::Spanning`]). So
+    /// `exact_hits + fragmented_updates == accesses_registered`.
     pub fragmented_updates: usize,
-    /// Bottom-map regions *demoted* back to the exact tier: after a fragmented-tier update the
-    /// touched neighbourhood coalesced into a single fragment exactly matching the updated
-    /// region, so it returned to the hash tier. Always `<= fragmented_updates` — a demotion is
-    /// produced by (at most) the coalescing pass of one fragmented-tier update. It is **not**
-    /// bounded by `promotions`: one promoted region can heal and demote piecewise, one extent
-    /// per subsequent update.
+    /// Bottom-map registrations after which the coalescing pass merged equal-valued
+    /// fragments, healing a carved-up region. Always `<= fragmented_updates`: an exact hit
+    /// leaves one fragment where there was one and is not coalesced.
     pub demotions: usize,
     /// Root tasks registered (one per job/run; subset of `tasks_registered`).
     pub roots_registered: usize,
@@ -299,8 +297,7 @@ enum Accessor {
 /// The "latest accessor" of a bottom-map fragment: the last writer plus the readers registered
 /// since. The owner's own access is seeded as the initial writer so children link to it.
 /// `PartialEq` feeds the store's coalesce-on-update: adjacent fragments with the same accessor
-/// history merge back into one, which is what lets a transiently fragmented region *demote* to
-/// the exact tier.
+/// history merge back into one, so a region a write carved up matches exactly again.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct BottomEntry {
     last_writer: Option<Accessor>,
@@ -928,8 +925,7 @@ struct Domain<P> {
     /// Registration takes `normalize_deps` output, so the regions are pairwise disjoint and
     /// sorted by `(space, start)`: a binary search finds the first one a region overlaps.
     own: Vec<OwnAccess>,
-    /// The dependency domain for the owner's children: the two-tier store (exact-match hash
-    /// tier with lazy per-region promotion to the interval tier on the first partial overlap).
+    /// The dependency domain for the owner's children: one interval map per space.
     bottom_map: RegionStore<BottomEntry>,
     /// Slab of child access nodes.
     nodes: Vec<NodeSlot>,
@@ -1000,8 +996,7 @@ impl<P> Domain<P> {
         let Some(seeds) = self.own_seed.take() else { return };
         for (own_idx, (region, pending)) in seeds.into_iter().enumerate() {
             self.own.push(OwnAccess::new(region, &pending));
-            // Own regions are normalised (pairwise disjoint), so the seeds land in the exact
-            // tier; the first partially-overlapping child promotes its region.
+            // Own regions are normalised (pairwise disjoint), so each seed fills a gap.
             let _ = self.bottom_map.insert(
                 &region,
                 BottomEntry {
@@ -1592,9 +1587,9 @@ impl<P: 'static> DependencyEngine<P> {
     /// Links a freshly created access node into the (locked) domain's bottom map, fragmenting
     /// against existing entries and creating the required edges.
     ///
-    /// The common case — the declared region matches a bottom-map entry exactly, or overlaps
-    /// nothing — is served by the store's exact tier: one hash operation, no fragmentation, no
-    /// allocation (the planned-edge scratch lives in the domain and is reused).
+    /// The common cases — the declared region matches a bottom-map fragment exactly, lies in a
+    /// gap, or is carved out of one larger fragment — cost one binary search and no allocation
+    /// once the map has grown (the planned-edge scratch lives in the domain and is reused).
     fn link_into_domain(
         &self,
         domain: &mut Domain<P>,
@@ -1608,9 +1603,9 @@ impl<P: 'static> DependencyEngine<P> {
         // First pass: fragment the region against the bottom map, record which edges to create
         // and compute the new entry for every fragment. (The scratch is taken out of the domain
         // so the closure only captures locals.) The coalescing update merges the equal-valued
-        // fragments this access just wrote; a region healed back to a single exact fragment
-        // demotes to the hash tier, so the next access over it is an exact hit again.
-        let (tier, demoted) = domain.bottom_map.update_coalescing(&region, |fragment, existing| {
+        // fragments this access just wrote, so the next access over the same region is an
+        // exact hit again.
+        let (fit, merged) = domain.bottom_map.update_coalescing(&region, |fragment, existing| {
             let new_entry = match existing {
                 Some(entry) => {
                     if is_write {
@@ -1657,19 +1652,15 @@ impl<P: 'static> DependencyEngine<P> {
             };
             RangeUpdate::Set(new_entry)
         });
-        match tier {
-            StoreTier::ExactHit | StoreTier::ExactNew => {
-                AtomicStats::bump(&self.stats.exact_hits, 1);
-            }
-            StoreTier::Promoted => {
+        match fit {
+            Fit::Exact => AtomicStats::bump(&self.stats.exact_hits, 1),
+            Fit::Split => {
                 AtomicStats::bump(&self.stats.promotions, 1);
                 AtomicStats::bump(&self.stats.fragmented_updates, 1);
             }
-            StoreTier::Fragmented => {
-                AtomicStats::bump(&self.stats.fragmented_updates, 1);
-            }
+            Fit::Spanning => AtomicStats::bump(&self.stats.fragmented_updates, 1),
         }
-        if demoted {
+        if merged {
             AtomicStats::bump(&self.stats.demotions, 1);
         }
 
@@ -1730,8 +1721,20 @@ impl<P: 'static> DependencyEngine<P> {
     /// effects, or [`StaleTaskId`] if `task` has already been retired (a double
     /// `body_finished` through a stale id is a caller bug, reported as a defined error).
     pub fn body_finished(&self, task: TaskId) -> Result<Effects<P>, StaleTaskId> {
-        let entry = self.entry(task)?;
         let mut effects = Effects::default();
+        self.body_finished_into(task, &mut effects)?;
+        Ok(effects)
+    }
+
+    /// [`DependencyEngine::body_finished`] into the caller's empty `effects`, so a caller that
+    /// drains and keeps one buffer retires tasks without allocating effect vectors.
+    pub(crate) fn body_finished_into(
+        &self,
+        task: TaskId,
+        effects: &mut Effects<P>,
+    ) -> Result<(), StaleTaskId> {
+        debug_assert!(effects.is_empty(), "effects buffer handed in with leftovers");
+        let entry = self.entry(task)?;
         let mut scratch = CascadeScratch::take();
         let CascadeScratch { outbox, queue } = &mut *scratch;
         {
@@ -1791,12 +1794,12 @@ impl<P: 'static> DependencyEngine<P> {
             }
 
             if domain.live_children == 0 {
-                deep_complete_locked(self, &mut domain, &mut effects, outbox);
+                deep_complete_locked(self, &mut domain, effects, outbox);
             }
         }
-        self.pump(outbox, queue, &mut effects);
+        self.pump(outbox, queue, effects);
         scratch.put_back();
-        Ok(effects)
+        Ok(())
     }
 
     /// The `release` directive (§V): the running task asserts it (and its *future* subtasks) will
@@ -2262,23 +2265,21 @@ impl<P: 'static> DependencyEngine<P> {
             return;
         }
         let stats = self.stats.snapshot();
-        // Every registered access went through the bottom map exactly once, on exactly one
-        // tier: the exact-match fast path or the fragmented interval tier (docs/matching.md).
+        // Every registered access went through the bottom map exactly once, and was either an
+        // exact hit or not (docs/matching.md).
         debug_assert_eq!(
             stats.exact_hits + stats.fragmented_updates,
             stats.accesses_registered,
-            "engine accounting: every access registers on exactly one matching tier"
+            "engine accounting: every access is counted once, exact or fragmented"
         );
         debug_assert!(
             stats.tasks_retired <= stats.tasks_deeply_completed,
             "engine accounting: retirement implies deep completion"
         );
-        // A region can only leave the fragmented tier through the coalescing pass of a
-        // fragmented-tier update, and each update demotes at most one extent. (A per-promotion
-        // bound does not hold: one promotion can be undone piecewise over several updates.)
+        // Only a non-exact update runs the coalescing pass, and it counts at most once.
         debug_assert!(
             stats.demotions <= stats.fragmented_updates,
-            "engine accounting: every demotion is produced by one fragmented-tier update"
+            "engine accounting: every merge is produced by one non-exact update"
         );
         debug_assert!(
             stats.roots_completed <= stats.roots_registered,
@@ -2451,10 +2452,10 @@ mod tests {
         assert!(h.is_ready(reader));
     }
 
-    /// Counter identity: every registered access runs on exactly one bottom-map tier, so
-    /// `exact_hits + fragmented_updates == accesses_registered` — checked here with both tiers
-    /// exercised (whole-region re-declarations for the exact tier, a partial overlap to force
-    /// promotion into the fragmented tier).
+    /// Counter identity: every registered access is either an exact hit or a fragmented
+    /// update, so `exact_hits + fragmented_updates == accesses_registered` — checked here with
+    /// every fit exercised: a whole-region re-declaration (exact), a partial overlap (split), and
+    /// a writer over the split parts (spanning, whose coalescing heals the region).
     #[test]
     fn matching_tier_accounting_identity() {
         let mut h = Harness::new();
@@ -2462,16 +2463,19 @@ mod tests {
         let w = h.spawn_root(&[dep(AccessType::Out, A)], WaitMode::None);
         let exact = h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::None);
         let partial = h.spawn_root(&[dep(AccessType::In, half)], WaitMode::None);
-        for t in [w, exact, partial] {
+        let healing = h.spawn_root(&[dep(AccessType::Out, A)], WaitMode::None);
+        for t in [w, exact, partial, healing] {
             h.finish(t);
         }
         let stats = h.engine.stats();
-        assert!(stats.exact_hits > 0, "exact tier unexercised");
-        assert!(stats.fragmented_updates > 0, "fragmented tier unexercised");
+        assert_eq!(stats.exact_hits, 2, "the first write fills a gap, the second matches it");
+        assert_eq!(stats.promotions, 1, "the partial read splits the stored fragment");
+        assert_eq!(stats.fragmented_updates, 2, "the split read and the spanning write");
+        assert_eq!(stats.demotions, 1, "the spanning write heals the split region");
         assert_eq!(
             stats.exact_hits + stats.fragmented_updates,
             stats.accesses_registered,
-            "every access must register on exactly one matching tier"
+            "every access must be counted once, exact or fragmented"
         );
         h.engine.debug_check_invariants();
     }

@@ -17,8 +17,8 @@
 //!
 //! * **Ok(Some(value))** — the root body ran to completion.
 //! * **Err([`JobError::Panicked`])** — a task body panicked. The *first* panic wins; its
-//!   original payload is preserved so the panicking shims (`wait`/`try_wait`/`Runtime::run`)
-//!   can `resume_unwind` it unchanged. Under [`PanicPolicy::FailFast`] (the default) the first
+//!   original payload is preserved so a caller (and `Runtime::run`, which re-raises it) can
+//!   `resume_unwind` it unchanged. Under [`PanicPolicy::FailFast`] (the default) the first
 //!   panic also aborts the job: remaining un-started bodies are skipped through the
 //!   cancellation bracket and the graph drains instead of burning pool time.
 //! * **Err([`JobError::Cancelled`])** — [`JobHandle::cancel`] was called.
@@ -48,7 +48,6 @@ use crate::engine::TaskId;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::fmt;
-use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::Instant;
@@ -64,7 +63,7 @@ pub enum PanicPolicy {
     #[default]
     FailFast,
     /// Pre-failure-model behaviour: remaining bodies keep executing; the first panic is still
-    /// recorded and reported by `wait_result()`/`wait()` once the job finishes.
+    /// recorded and reported by `wait_result()` once the job finishes.
     RunToCompletion,
 }
 
@@ -110,8 +109,8 @@ impl JobOptions {
 
 /// Why a job did not produce a value. Returned by [`JobHandle::wait_result`].
 pub enum JobError {
-    /// A task body panicked. `payload` is the original panic payload (so callers — and the
-    /// panicking shims — can `resume_unwind` it); `message` is its best-effort rendering.
+    /// A task body panicked. `payload` is the original panic payload (so callers can
+    /// `resume_unwind` it); `message` is its best-effort rendering.
     Panicked {
         /// Best-effort string rendering of the payload (`&str`/`String` payloads; a
         /// placeholder otherwise).
@@ -163,8 +162,8 @@ impl fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// The job's first recorded failure (panics keep their original payload). Explicit
-/// cancellation is *not* a failure — it is tracked by its own flag so a cancelled job's
-/// legacy `wait()` can still hand back an already-produced root value.
+/// cancellation is *not* a failure — it is tracked by its own flag, so a panic or a deadline
+/// recorded for the job still wins over it in `wait_result()`.
 pub(crate) enum JobFailure {
     Panicked { message: String, payload: Box<dyn Any + Send> },
     DeadlineExceeded,
@@ -219,7 +218,7 @@ pub(crate) struct JobState {
     /// Folded in by the owner after quiescence, so a finished job's value is final.
     pub(crate) assist_chunks: AtomicUsize,
     /// Flipped exactly once, when the root deeply completes; the predicate behind
-    /// `JobHandle::wait`.
+    /// `JobHandle::wait_result`.
     pub(crate) finished: AtomicBool,
     /// First failure of the job (first panic wins; a deadline never displaces a panic).
     pub(crate) failure: Mutex<Option<JobFailure>>,
@@ -383,7 +382,7 @@ pub struct JobStats {
     pub cancelled: bool,
     /// Whether a failure (panic or deadline) has been recorded.
     pub failed: bool,
-    /// Whether the root has deeply completed (i.e. `wait()` would return immediately).
+    /// Whether the root has deeply completed (i.e. `wait_result()` would return immediately).
     pub finished: bool,
 }
 
@@ -403,8 +402,7 @@ impl<R> JobHandle<R> {
     }
 
     /// Blocks until the job finishes and reports its outcome: `Ok(Some(value))` from the root
-    /// body, `Ok(None)` if the root body returned no value, or the job's [`JobError`]. This
-    /// is the primary wait API; [`JobHandle::wait`] is the panicking shim over it.
+    /// body, `Ok(None)` if the root body returned no value, or the job's [`JobError`].
     ///
     /// The error (panic payload included) is delivered exactly once — it is *taken*, not
     /// cloned.
@@ -437,34 +435,6 @@ impl<R> JobHandle<R> {
         Some(self.resolve_finished())
     }
 
-    /// Blocks until the job's root deeply completes and returns the root body's value, or
-    /// `None` if the job was cancelled before the root body ran to completion.
-    ///
-    /// This is a thin panicking shim over [`JobHandle::wait_result`].
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first panic from any of the job's task bodies by resuming the *original*
-    /// payload (like `Runtime::run`), and panics if the job was aborted past its deadline.
-    pub fn wait(self) -> Option<R> {
-        self.job.gate.wait_until(|| self.job.is_finished());
-        let outcome = self.resolve_finished();
-        self.raise_or_value(outcome)
-    }
-
-    /// Non-blocking poll: `None` while the job is still running; `Some(result)` once it has
-    /// finished, where `result` follows [`JobHandle::wait`]'s contract (and is `None` on a
-    /// repeated poll, since the value is taken out the first time).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first panic from any of the job's task bodies (original payload), and
-    /// panics if the job was aborted past its deadline.
-    pub fn try_wait(&self) -> Option<Option<R>> {
-        let outcome = self.try_wait_result()?;
-        Some(self.raise_or_value(outcome))
-    }
-
     /// The shared tail of the wait APIs: error first (taken out exactly once), else the
     /// root-body value.
     fn resolve_finished(&self) -> Result<Option<R>, JobError> {
@@ -474,24 +444,11 @@ impl<R> JobHandle<R> {
         }
     }
 
-    /// The single re-raise point of the panicking shims: panics resume their original
-    /// payload, deadlines panic with a message, and cancellation keeps the legacy contract —
-    /// return whatever the root body produced before the cancel landed (usually `None`).
-    fn raise_or_value(&self, outcome: Result<Option<R>, JobError>) -> Option<R> {
-        match outcome {
-            Ok(value) => value,
-            Err(JobError::Cancelled) => self.result.lock().take(),
-            Err(JobError::Panicked { payload, .. }) => resume_unwind(payload),
-            Err(error @ JobError::DeadlineExceeded) => panic!("{error}"),
-        }
-    }
-
     /// Requests cancellation and blocks until every in-flight task body of this job has
     /// returned. Once this returns, **no task body of this job will ever start**: tasks not
     /// yet begun drain through the engine with their bodies skipped (so held regions are
-    /// released and the root still completes — `wait()` after `cancel()` does not hang, it
-    /// returns `None` unless the root body had already finished, and `wait_result()` reports
-    /// [`JobError::Cancelled`]).
+    /// released and the root still completes — `wait_result()` after `cancel()` does not
+    /// hang, it reports [`JobError::Cancelled`]).
     pub fn cancel(&self) {
         self.job.cancel();
     }

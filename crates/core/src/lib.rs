@@ -82,7 +82,7 @@ pub use faults::FaultPlan;
 pub use job::{JobError, JobHandle, JobOptions, JobStats, PanicPolicy};
 pub use observer::{FootprintEntry, RuntimeObserver, TaskExecution, TaskInfo};
 pub use runtime::{
-    CapacityStats, Runtime, RuntimeConfig, RuntimeStats, TaskBuilder, TaskCtx, TaskSpec,
+    CapacityStats, Clauses, Runtime, RuntimeConfig, RuntimeStats, TaskBuilder, TaskCtx, TaskSpec,
 };
 
 /// Re-export of the region types used in dependency declarations.

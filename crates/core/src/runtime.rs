@@ -6,6 +6,7 @@
 //! | OpenMP (paper)                                   | `weakdep` API                                     |
 //! |--------------------------------------------------|---------------------------------------------------|
 //! | `#pragma omp task depend(in: x[a:n])`            | `ctx.task().input(x.region(a..a+n)).spawn(...)`    |
+//! | `#pragma omp taskloop` with per-iteration `depend` | `ctx.spawn_each(n, \|i, c\| { c.inout(...); }, body)` |
 //! | `depend(out: ...)` / `depend(inout: ...)`        | `.output(...)` / `.inout(...)`                     |
 //! | `depend(weakin/weakout/weakinout: ...)` (§VI)    | `.weak_input(...)` / `.weak_output(...)` / `.weak_inout(...)` |
 //! | `wait` clause (§IV)                              | `.wait()`                                          |
@@ -28,8 +29,8 @@
 //! parent's domain; the record of a not-yet-ready task is parked in the engine, in the task's
 //! scheduling record in its parent's domain, and the readiness that releases the task hands the
 //! record back. All scheduling (successor slot, deques, injector) happens after every engine
-//! lock has been dropped. [`TaskCtx::spawn_batch`] registers a whole wave of sibling tasks
-//! under a single domain-lock acquisition.
+//! lock has been dropped. [`TaskCtx::spawn_batch`] and [`TaskCtx::spawn_each`] register a
+//! whole wave of sibling tasks under a single domain-lock acquisition.
 //!
 //! # Multi-tenant service
 //!
@@ -44,6 +45,7 @@
 //! protocol.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -248,12 +250,15 @@ pub struct RuntimeStats {
     pub assist_steals: usize,
     /// Cumulative wall time spent creating tasks (dependency registration included), in ns.
     pub spawn_ns: u64,
-    /// Cumulative wall time from the start to the end of each task body, in ns. Not disjoint
-    /// from the other timers: it includes the `release` calls a body makes, its `spawn` /
-    /// `spawn_batch` calls (also counted in `spawn_ns`), and the tasks a worker runs inside the
-    /// body's `taskwait`, whose own body time is thereby counted twice.
+    /// Cumulative wall time from the start to the end of each task body, in ns: the difference
+    /// of the two clock reads observers see as [`TaskExecution`]'s `start` and `end`. Not
+    /// disjoint from the other timers: it includes the `release` calls a body makes, its
+    /// `spawn` / `spawn_batch` / `spawn_each` calls (also counted in `spawn_ns`), and the tasks a
+    /// worker runs inside the body's `taskwait`, whose own body time is thereby counted twice.
     pub body_ns: u64,
-    /// Cumulative wall time spent retiring tasks (dependency release + scheduling), in ns.
+    /// Cumulative wall time spent retiring tasks (dependency release + scheduling), in ns. It
+    /// runs from the end of the body — or, with observers installed, from the return of their
+    /// `task_executed` calls — to the end of the retire.
     pub retire_ns: u64,
     /// Jobs submitted to the service (via [`Runtime::run`] or [`Runtime::submit`]).
     pub jobs_submitted: usize,
@@ -267,13 +272,31 @@ pub struct RuntimeStats {
 
 type BodyFn = Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>;
 
+/// The body a [`TaskCtx::spawn_each`] wave shares, called with the child's index.
+type EachFn = dyn Fn(&TaskCtx<'_>, usize) + Send + Sync + 'static;
+
+/// A task's body: a closure of its own, or its index into the body of its wave.
+enum Body {
+    Once(BodyFn),
+    Each(Arc<EachFn>, usize),
+}
+
+impl Body {
+    fn call(self, ctx: &TaskCtx<'_>) {
+        match self {
+            Body::Once(body) => body(ctx),
+            Body::Each(body, index) => body(ctx, index),
+        }
+    }
+}
+
 /// Internal record of a spawned task. It has one owner at a time: the spawner, then the
 /// engine (parked until the task is ready), then the scheduler queues, then the worker that
 /// runs it.
 pub(crate) struct TaskRecord {
     id: TaskId,
     label: &'static str,
-    body: Option<BodyFn>,
+    body: Option<Body>,
     /// The normalised dependencies (the first `deps` entries, which the engine links) followed
     /// by the footprint hints.
     footprint: Vec<FootprintEntry>,
@@ -298,8 +321,12 @@ struct PhaseTimers {
 
 impl PhaseTimers {
     fn add(counter: &std::sync::atomic::AtomicU64, start: Instant) {
+        Self::add_span(counter, start, Instant::now());
+    }
+
+    fn add_span(counter: &std::sync::atomic::AtomicU64, start: Instant, end: Instant) {
         counter.fetch_add(
-            start.elapsed().as_nanos() as u64,
+            end.duration_since(start).as_nanos() as u64,
             std::sync::atomic::Ordering::Relaxed,
         );
     }
@@ -445,9 +472,9 @@ impl Runtime {
         }
         let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
 
-        let effects =
+        let mut effects =
             self.inner.engine.body_finished(job.root).expect("the root is live until here");
-        schedule_effects(&self.inner, effects, None, &job);
+        schedule_effects(&self.inner, &mut effects, None, &job);
 
         // Wait until the root (and therefore every descendant) deeply completes; the job's
         // `finished` flag is flipped by `schedule_effects` when the engine reports the root's
@@ -480,11 +507,11 @@ impl Runtime {
     }
 
     /// Submits `body` as the root task of a new job and returns immediately with a
-    /// [`JobHandle`] for waiting ([`JobHandle::wait`]), polling ([`JobHandle::try_wait`]) or
-    /// cancelling ([`JobHandle::cancel`]) it. The job is an independent root domain in the
-    /// shared engine: its tasks never depend on (or conflict with) another job's, but they
-    /// share the worker pool, and under [`SchedulingPolicy::FairShare`] ready waves are
-    /// round-robined across live jobs.
+    /// [`JobHandle`] for waiting ([`JobHandle::wait_result`]), polling
+    /// ([`JobHandle::try_wait_result`]) or cancelling ([`JobHandle::cancel`]) it. The job is an
+    /// independent root domain in the shared engine: its tasks never depend on (or conflict
+    /// with) another job's, but they share the worker pool, and under
+    /// [`SchedulingPolicy::FairShare`] ready waves are round-robined across live jobs.
     ///
     /// Blocks while the service's live-task count is at or above the configured
     /// [`RuntimeConfig::live_task_budget`] (admission control); never blocks without one.
@@ -513,9 +540,9 @@ impl Runtime {
         let root_record = Box::new(TaskRecord {
             id: job.root,
             label: "root",
-            body: Some(Box::new(move |ctx: &TaskCtx<'_>| {
+            body: Some(Body::Once(Box::new(move |ctx: &TaskCtx<'_>| {
                 *slot.lock() = Some(body(ctx));
-            })),
+            }))),
             footprint: Vec::new(),
             deps: 0,
             job: Arc::clone(&job),
@@ -822,16 +849,50 @@ impl<'a> TaskCtx<'a> {
     /// [`TaskBuilder::stage`]). Ready tasks are dispatched in batch after the lock is dropped.
     /// Returns the new task ids in order.
     pub fn spawn_batch(&self, specs: Vec<TaskSpec>) -> Vec<TaskId> {
-        if specs.is_empty() {
+        self.spawn_wave(specs.into_iter().map(|spec| spec_record(self, spec)))
+    }
+
+    /// Spawns `n` congruent children, the `taskloop` of this API: child `i` runs `body(ctx, i)`
+    /// under the clauses `rule(i, clauses)` writes. The wave shares one `body` and one
+    /// [`Clauses`] buffer, reset before each child, so a child costs its task record and its
+    /// footprint and nothing else. Registration and dispatch are [`TaskCtx::spawn_batch`]'s:
+    /// one acquisition of this task's domain lock for the whole wave. Returns the new task ids
+    /// in order.
+    pub fn spawn_each(
+        &self,
+        n: usize,
+        mut rule: impl FnMut(usize, &mut Clauses),
+        body: impl Fn(&TaskCtx<'_>, usize) + Send + Sync + 'static,
+    ) -> Vec<TaskId> {
+        if n == 0 {
+            return Vec::new();
+        }
+        let body: Arc<EachFn> = Arc::new(body);
+        let mut clauses = Clauses::new();
+        self.spawn_wave((0..n).map(|i| {
+            clauses.reset();
+            rule(i, &mut clauses);
+            let (footprint, declared) = declared_footprint(&clauses.deps, Vec::new());
+            let body = Body::Each(Arc::clone(&body), i);
+            (new_record(self, clauses.label, Some(body), footprint, declared), clauses.wait_mode)
+        }))
+    }
+
+    /// The wave registration behind [`TaskCtx::spawn_batch`] and [`TaskCtx::spawn_each`]:
+    /// builds and announces every record, registers them all under one acquisition of this
+    /// task's domain lock, then dispatches the ones ready at registration in one batch.
+    fn spawn_wave(
+        &self,
+        records: impl ExactSizeIterator<Item = (Box<TaskRecord>, WaitMode)>,
+    ) -> Vec<TaskId> {
+        if records.len() == 0 {
             return Vec::new();
         }
         let spawn_start = Instant::now();
-        let mut ids = Vec::with_capacity(specs.len());
-        let mut ready = Vec::with_capacity(specs.len());
-        let tasks: Vec<(TaskId, Box<TaskRecord>, WaitMode)> = specs
-            .into_iter()
-            .map(|spec| {
-                let (record, wait_mode) = new_record(self, spec);
+        let mut ids = Vec::with_capacity(records.len());
+        let mut ready = Vec::with_capacity(records.len());
+        let tasks: Vec<(TaskId, Box<TaskRecord>, WaitMode)> = records
+            .map(|(record, wait_mode)| {
                 ids.push(record.id);
                 (record.id, record, wait_mode)
             })
@@ -887,7 +948,7 @@ impl<'a> TaskCtx<'a> {
     /// Tasks made ready here are pushed onto the local deque (not the immediate-successor slot):
     /// the current task is still running, so other workers must be able to steal them.
     pub fn release(&self, region: Region) {
-        let effects = self
+        let mut effects = self
             .inner
             .engine
             .release_region(self.record.id, region)
@@ -897,7 +958,12 @@ impl<'a> TaskCtx<'a> {
         // and our own later accesses to it must trip `check_access`.
         #[cfg(feature = "sentinel")]
         self.inner.sentinel.released(sentinel_key(self.record.id), &region);
-        schedule_effects(self.inner, effects, self.worker.map(|w| (w, false)), &self.record.job);
+        schedule_effects(
+            self.inner,
+            &mut effects,
+            self.worker.map(|w| (w, false)),
+            &self.record.job,
+        );
     }
 
     /// Releases several regions at once (convenience wrapper over [`TaskCtx::release`]).
@@ -1109,14 +1175,68 @@ fn covered_by(footprint: &[FootprintEntry], region: &Region, needs_write: bool) 
     union.covers(region.start, region.end)
 }
 
+/// The clauses of one child task: its `depend` entries, wait mode and label. A
+/// [`TaskCtx::spawn_each`] rule writes each child's into one buffer the wave reuses, reset to
+/// no dependencies, [`WaitMode::None`] and label `"task"` before each child.
+#[derive(Debug)]
+pub struct Clauses {
+    deps: Vec<Depend>,
+    wait_mode: WaitMode,
+    label: &'static str,
+}
+
+impl Clauses {
+    fn new() -> Self {
+        Clauses { deps: Vec::new(), wait_mode: WaitMode::None, label: "task" }
+    }
+
+    /// Back to [`Clauses::new`], keeping the dependency buffer's capacity.
+    fn reset(&mut self) {
+        self.deps.clear();
+        self.wait_mode = WaitMode::None;
+        self.label = "task";
+    }
+
+    /// Adds a dependency with an explicit access type (the weak ones included).
+    pub fn depend(&mut self, access: AccessType, region: Region) -> &mut Self {
+        self.deps.push(Depend::new(access, region));
+        self
+    }
+
+    /// `depend(in: region)` — the task reads the region.
+    pub fn input(&mut self, region: Region) -> &mut Self {
+        self.depend(AccessType::In, region)
+    }
+
+    /// `depend(out: region)` — the task writes the region.
+    pub fn output(&mut self, region: Region) -> &mut Self {
+        self.depend(AccessType::Out, region)
+    }
+
+    /// `depend(inout: region)` — the task reads and writes the region.
+    pub fn inout(&mut self, region: Region) -> &mut Self {
+        self.depend(AccessType::InOut, region)
+    }
+
+    /// Sets the wait mode: the `wait` (§IV) or `weakwait` (§V) clause, or neither.
+    pub fn wait_mode(&mut self, mode: WaitMode) -> &mut Self {
+        self.wait_mode = mode;
+        self
+    }
+
+    /// Labels the task (used by traces, timelines and error messages).
+    pub fn label(&mut self, label: &'static str) -> &mut Self {
+        self.label = label;
+        self
+    }
+}
+
 /// A fully described child task, detached from any context: dependencies, clauses, label and
 /// body. Build one with [`TaskSpec::new`] + the builder methods, or via [`TaskBuilder::stage`];
 /// submit a wave of them with [`TaskCtx::spawn_batch`].
 pub struct TaskSpec {
-    deps: Vec<Depend>,
+    clauses: Clauses,
     hints: Vec<FootprintEntry>,
-    wait_mode: WaitMode,
-    label: &'static str,
     body: Option<BodyFn>,
 }
 
@@ -1129,18 +1249,12 @@ impl Default for TaskSpec {
 impl TaskSpec {
     /// An empty spec: no dependencies, default wait mode, label `"task"`, no body yet.
     pub fn new() -> Self {
-        TaskSpec {
-            deps: Vec::new(),
-            hints: Vec::new(),
-            wait_mode: WaitMode::None,
-            label: "task",
-            body: None,
-        }
+        TaskSpec { clauses: Clauses::new(), hints: Vec::new(), body: None }
     }
 
     /// Adds a dependency with an explicit access type.
     pub fn depend(mut self, access: AccessType, region: Region) -> Self {
-        self.deps.push(Depend::new(access, region));
+        self.clauses.depend(access, region);
         self
     }
 
@@ -1175,26 +1289,24 @@ impl TaskSpec {
     }
 
     /// The `wait` clause (§IV).
-    pub fn wait(mut self) -> Self {
-        self.wait_mode = WaitMode::Wait;
-        self
+    pub fn wait(self) -> Self {
+        self.wait_mode(WaitMode::Wait)
     }
 
     /// The `weakwait` clause (§V).
-    pub fn weakwait(mut self) -> Self {
-        self.wait_mode = WaitMode::WeakWait;
-        self
+    pub fn weakwait(self) -> Self {
+        self.wait_mode(WaitMode::WeakWait)
     }
 
     /// Sets an explicit wait mode.
     pub fn wait_mode(mut self, mode: WaitMode) -> Self {
-        self.wait_mode = mode;
+        self.clauses.wait_mode(mode);
         self
     }
 
     /// Labels the task (used by traces, timelines and error messages).
     pub fn label(mut self, label: &'static str) -> Self {
-        self.label = label;
+        self.clauses.label(label);
         self
     }
 
@@ -1302,7 +1414,7 @@ impl<'a> TaskBuilder<'a> {
         let TaskBuilder { ctx, spec } = self;
         let spec = spec.body(body);
         let spawn_start = Instant::now();
-        let (record, wait_mode) = new_record(ctx, spec);
+        let (record, wait_mode) = spec_record(ctx, spec);
         let id = record.id;
         let mut ready = None;
         ctx.inner
@@ -1325,18 +1437,40 @@ impl<'a> TaskBuilder<'a> {
     }
 }
 
-/// Builds the record of a new child of `ctx`'s task: normalises the spec's dependencies,
-/// reserves the task's id, and announces the task to the sentinel and the observers — all
-/// before registration can make it runnable. Returns the record and the spec's wait mode.
-fn new_record(ctx: &TaskCtx<'_>, spec: TaskSpec) -> (Box<TaskRecord>, WaitMode) {
-    let TaskSpec { deps, hints, wait_mode, label, body } = spec;
-    let normalized = normalize_deps(&deps);
-    let declared = normalized.len();
-    let mut footprint: Vec<FootprintEntry> = normalized
+/// Builds the record of the task `spec` describes, a new child of `ctx`'s task, with
+/// [`new_record`]. Returns the record and the spec's wait mode.
+fn spec_record(ctx: &TaskCtx<'_>, spec: TaskSpec) -> (Box<TaskRecord>, WaitMode) {
+    let TaskSpec { clauses: Clauses { deps, wait_mode, label }, hints, body } = spec;
+    let (footprint, declared) = declared_footprint(&deps, hints);
+    (new_record(ctx, label, body.map(Body::Once), footprint, declared), wait_mode)
+}
+
+/// A task's footprint: its normalised dependencies, then its `hints`. Returns the footprint and
+/// the number of dependencies at its front.
+fn declared_footprint(
+    deps: &[Depend],
+    hints: Vec<FootprintEntry>,
+) -> (Vec<FootprintEntry>, usize) {
+    let mut footprint: Vec<FootprintEntry> = normalize_deps(deps)
         .into_iter()
         .map(|d| FootprintEntry { region: d.region, write: d.is_write, weak: d.weak })
         .collect();
+    let declared = footprint.len();
     footprint.extend(hints);
+    (footprint, declared)
+}
+
+/// Builds the record of a new child of `ctx`'s task, whose first `deps` footprint entries are
+/// the dependencies the engine links: reserves the task's id, and announces the task to the
+/// sentinel and the observers — all before registration can make it runnable. Every spawn path
+/// creates its records here.
+fn new_record(
+    ctx: &TaskCtx<'_>,
+    label: &'static str,
+    body: Option<Body>,
+    footprint: Vec<FootprintEntry>,
+    deps: usize,
+) -> Box<TaskRecord> {
     let id = ctx.inner.engine.reserve_id();
 
     // The pre-increment count is the task's job-local registration ordinal — the key of the
@@ -1348,7 +1482,7 @@ fn new_record(ctx: &TaskCtx<'_>, spec: TaskSpec) -> (Box<TaskRecord>, WaitMode) 
         label,
         body,
         footprint,
-        deps: declared,
+        deps,
         job: Arc::clone(&ctx.record.job),
         #[cfg(feature = "faults")]
         ordinal: _ordinal as u32,
@@ -1376,7 +1510,15 @@ fn new_record(ctx: &TaskCtx<'_>, spec: TaskSpec) -> (Box<TaskRecord>, WaitMode) 
     for obs in &ctx.inner.observers {
         obs.task_created(&info);
     }
-    (record, wait_mode)
+    record
+}
+
+thread_local! {
+    /// This worker's retire buffer: `execute_task` lends it to the engine's `body_finished`,
+    /// `schedule_effects` drains it, and it keeps its capacity, so retiring a task allocates no
+    /// effect vectors once the buffer has grown. Taken out for the call and put back after it,
+    /// so a retire that never returns (a panic) only costs the buffer.
+    static RETIRE_EFFECTS: Cell<Option<Effects<Box<TaskRecord>>>> = const { Cell::new(None) };
 }
 
 /// Executes one task body on a worker and feeds the outcome back into the dependency engine.
@@ -1420,7 +1562,7 @@ fn execute_task(
                     // containment, wait_result delivery).
                     panic!("injected fault: job {} task ordinal {}", job.id, record.ordinal);
                 }
-                body(&ctx)
+                body.call(&ctx)
             }));
             if let Err(payload) = outcome {
                 // Note the explicit reborrow: `&payload` would coerce the `Box` itself into
@@ -1443,31 +1585,37 @@ fn execute_task(
         job.gate.notify();
     }
     let end = Instant::now();
-    PhaseTimers::add(&inner.timers.body_ns, start);
+    PhaseTimers::add_span(&inner.timers.body_ns, start, end);
 
-    let execution = TaskExecution {
-        id: record.id,
-        label: record.label,
-        worker: wctx.index(),
-        start,
-        end,
-        footprint: &record.footprint,
+    // Without observers the retire phase starts where the body ended: one clock read fewer.
+    let retire_start = if inner.observers.is_empty() {
+        end
+    } else {
+        let execution = TaskExecution {
+            id: record.id,
+            label: record.label,
+            worker: wctx.index(),
+            start,
+            end,
+            footprint: &record.footprint,
+        };
+        for obs in &inner.observers {
+            obs.task_executed(&execution);
+        }
+        Instant::now()
     };
-    for obs in &inner.observers {
-        obs.task_executed(&execution);
-    }
-
-    let retire_start = Instant::now();
     // Retire from the shadow table strictly *before* `body_finished` can make successors
     // ready: a successor starting concurrently with this (finished) task is legal and must not
     // be flagged against its still-registered footprint.
     #[cfg(feature = "sentinel")]
     inner.sentinel.task_finished(sentinel_key(record.id));
-    let effects = inner
+    let mut effects = RETIRE_EFFECTS.try_with(Cell::take).ok().flatten().unwrap_or_default();
+    inner
         .engine
-        .body_finished(record.id)
+        .body_finished_into(record.id, &mut effects)
         .expect("a task retires exactly once, so its id cannot be stale here");
-    schedule_effects(inner, effects, Some((wctx, true)), job);
+    schedule_effects(inner, &mut effects, Some((wctx, true)), job);
+    let _ = RETIRE_EFFECTS.try_with(|cell| cell.set(Some(effects)));
     PhaseTimers::add(&inner.timers.retire_ns, retire_start);
 }
 
@@ -1485,7 +1633,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Applies engine effects: schedules newly ready tasks and wakes `taskwait`/`run` waiters.
 /// Runs strictly after every engine lock has been dropped (the effects were accumulated and
-/// returned by the engine call).
+/// returned by the engine call). Drains `effects`, which keeps its capacity.
 ///
 /// When the effects come from a finished body (`use_successor_slot == true`), the wave is
 /// dispatched through the pool's [`SchedulingPolicy`]: under the locality policies the first
@@ -1497,7 +1645,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// running. Effects produced outside a worker (root body) go to the policy's shared queue.
 fn schedule_effects(
     inner: &Arc<Inner>,
-    effects: Effects<Box<TaskRecord>>,
+    effects: &mut Effects<Box<TaskRecord>>,
     worker: Option<(&WorkerContext<'_, Box<TaskRecord>>, bool)>,
     job: &Arc<JobState>,
 ) {
@@ -1507,22 +1655,24 @@ fn schedule_effects(
         // workers parked in a `taskwait` — of any job — are pool sleepers like the idle ones.
         match worker {
             Some((wctx, use_successor_slot)) => {
-                wctx.dispatch_ready(effects.ready, use_successor_slot)
+                wctx.dispatch_ready(effects.ready.drain(..), use_successor_slot)
             }
-            None => inner.pool.submit_batch(effects.ready),
+            None => inner.pool.submit_batch(effects.ready.drain(..)),
         }
     }
 
     if !effects.deeply_completed.is_empty() {
         job.deeply_completed.fetch_add(effects.deeply_completed.len(), SeqCst);
+        effects.deeply_completed.clear();
         // Live-task load just dropped: let a blocked submission re-probe the budget. Cheap
         // (one atomic load) when nothing is blocked.
         inner.admission.notify_release();
     }
 
-    if effects.root_completed {
+    let root_completed = std::mem::take(&mut effects.root_completed);
+    if root_completed {
         // Retire the job from the service registry *before* flipping `finished` and
-        // notifying, so a `wait()`-returner observes the registry without this job. Every
+        // notifying, so a `wait_result()`-returner observes the registry without this job. Every
         // effects wave comes from exactly one job's tree, so the completed root is `job`'s.
         inner.jobs.lock().remove(&job.id);
         inner.jobs_completed.fetch_add(1, SeqCst);
@@ -1539,9 +1689,10 @@ fn schedule_effects(
     // Each call is one load unless such a waiter is registered.
     let taskwait_unblocked = !effects.taskwaits_unblocked.is_empty();
     if taskwait_unblocked {
+        effects.taskwaits_unblocked.clear();
         inner.pool.wake_waiters();
     }
-    if taskwait_unblocked || effects.root_completed {
+    if taskwait_unblocked || root_completed {
         job.gate.notify();
     }
 }
@@ -1915,7 +2066,7 @@ mod tests {
     fn submit_returns_the_root_body_value() {
         let rt = Runtime::with_workers(2);
         let handle = rt.submit(|_ctx| 40 + 2);
-        assert_eq!(handle.wait(), Some(42));
+        assert_eq!(handle.wait_result().expect("the job succeeds"), Some(42));
     }
 
     #[test]
@@ -1933,8 +2084,8 @@ mod tests {
             counter.load(Ordering::SeqCst)
         });
         let value = loop {
-            if let Some(value) = handle.try_wait() {
-                break value;
+            if let Some(outcome) = handle.try_wait_result() {
+                break outcome.expect("the job succeeds");
             }
             std::thread::yield_now();
         };
@@ -1961,7 +2112,7 @@ mod tests {
             })
             .collect();
         for (k, handle) in handles.into_iter().enumerate() {
-            assert_eq!(handle.wait(), Some(20 * k as u64));
+            assert_eq!(handle.wait_result().expect("the job succeeds"), Some(20 * k as u64));
         }
         let stats = rt.stats();
         assert_eq!(stats.jobs_submitted, 6);
@@ -1979,7 +2130,7 @@ mod tests {
                 ctx.task().spawn(|_| {});
             }
         });
-        while handle.try_wait().is_none() {
+        while handle.try_wait_result().is_none() {
             std::thread::yield_now();
         }
         let stats = handle.stats();
@@ -1994,7 +2145,7 @@ mod tests {
     fn cancelled_queued_job_never_runs_and_drains() {
         // One worker, pinned by job A's root body; job B is queued behind it. Cancelling B
         // while it is still queued must (a) return immediately (no body in flight), (b)
-        // guarantee no body of B ever starts, (c) still drain B so wait() returns None.
+        // guarantee no body of B ever starts, (c) still drain B so wait_result() returns.
         let rt = Runtime::with_workers(1);
         let hold = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hold);
@@ -2012,8 +2163,11 @@ mod tests {
         // After cancel() returns, no task body of B may ever start — even though B's root is
         // still queued and will only be popped once A releases the worker.
         hold.store(1, Ordering::SeqCst);
-        assert_eq!(a.wait(), Some(()));
-        assert_eq!(b.wait(), None, "the cancelled root body must not produce a value");
+        assert_eq!(a.wait_result().expect("job A succeeds"), Some(()));
+        assert!(
+            matches!(b.wait_result(), Err(JobError::Cancelled)),
+            "the cancelled root body must not produce a value"
+        );
         assert_eq!(b_ran.load(Ordering::SeqCst), 0, "no body of a cancelled job may run");
         let stats = rt.stats();
         assert_eq!(stats.jobs_cancelled, 1);
@@ -2050,7 +2204,7 @@ mod tests {
         let b = rt.submit(|_ctx| 9u32);
         b.cancel();
         hold.store(1, Ordering::SeqCst);
-        assert_eq!(a.wait(), Some(()));
+        assert_eq!(a.wait_result().expect("job A succeeds"), Some(()));
         match b.wait_result() {
             Err(JobError::Cancelled) => {}
             other => panic!("expected Err(Cancelled), got {other:?}"),
@@ -2277,6 +2431,84 @@ mod tests {
         for (i, v) in result.iter().enumerate() {
             assert_eq!(*v, 2 * i as u64, "cell {i}");
         }
+    }
+
+    #[test]
+    fn spawn_each_orders_waves_and_resets_the_clauses_per_child() {
+        let rt = Runtime::with_workers(4);
+        let data = SharedSlice::<u64>::new(64);
+        let d = data.clone();
+        rt.run(move |ctx| {
+            // Wave 1 writes every cell; only child 0's rule sets a label, so the others must
+            // see the buffer reset to the default one.
+            let d2 = d.clone();
+            let ids = ctx.spawn_each(
+                64,
+                |i, c| {
+                    c.output(d.region(i..i + 1));
+                    if i == 0 {
+                        c.label("first");
+                    }
+                },
+                move |t, i| {
+                    assert_eq!(t.label(), if i == 0 { "first" } else { "task" });
+                    d2.write(t, i..i + 1)[0] = i as u64;
+                },
+            );
+            assert_eq!(ids.len(), 64);
+            // Wave 2 doubles every cell: each child depends on its cell's writer in wave 1.
+            let d2 = d.clone();
+            ctx.spawn_each(
+                64,
+                |i, c| {
+                    c.inout(d.region(i..i + 1)).label("double");
+                },
+                move |t, i| d2.write(t, i..i + 1)[0] *= 2,
+            );
+            assert!(ctx.spawn_each(0, |_, _| unreachable!(), |_, _| unreachable!()).is_empty());
+        });
+        let result = data.snapshot();
+        for (i, v) in result.iter().enumerate() {
+            assert_eq!(*v, 2 * i as u64, "cell {i}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_spawn_each_child_surfaces_through_wait_result_and_the_wave_drains() {
+        let rt = Runtime::with_workers(2);
+        let handle = rt.submit_with(
+            JobOptions::new().panic_policy(PanicPolicy::RunToCompletion),
+            |ctx| {
+                let ran = Arc::new(AtomicUsize::new(0));
+                let r = Arc::clone(&ran);
+                ctx.spawn_each(
+                    16,
+                    |_, c| {
+                        c.label("wave");
+                    },
+                    move |_, i| {
+                        r.fetch_add(1, Ordering::SeqCst);
+                        assert_ne!(i, 5, "child 5 failed");
+                    },
+                );
+                ctx.taskwait();
+                ran.load(Ordering::SeqCst)
+            },
+        );
+        let outcome = loop {
+            if let Some(outcome) = handle.try_wait_result() {
+                break outcome;
+            }
+            std::thread::yield_now();
+        };
+        match outcome {
+            Err(JobError::Panicked { message, .. }) => assert!(message.contains("child 5 failed")),
+            other => panic!("expected Err(Panicked), got {other:?}"),
+        }
+        let stats = handle.stats();
+        assert_eq!(stats.tasks_registered, 17); // root + 16
+        assert_eq!(stats.tasks_deeply_completed, 17, "the wave drains");
+        assert_eq!(stats.tasks_executed, 17, "run-to-completion runs every sibling");
     }
 
     #[test]

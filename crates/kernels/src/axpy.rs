@@ -126,30 +126,26 @@ impl AxpyConfig {
     }
 }
 
-/// Spawns the block tasks of one axpy call as children of `ctx`, as a single batched wave (one
-/// dependency-domain lock acquisition for the whole call).
+/// Spawns the block tasks of one axpy call as children of `ctx`, as one `spawn_each` wave (one
+/// dependency-domain lock acquisition for the whole call): block `i` declares `in x[block]` and
+/// `inout y[block]`, and every block runs the one shared body.
 fn spawn_blocks(ctx: &TaskCtx<'_>, x: &SharedSlice<f64>, y: &SharedSlice<f64>, cfg: &AxpyConfig) {
-    let n = cfg.n;
-    let alpha = cfg.alpha;
-    let specs: Vec<TaskSpec> = (0..n)
-        .step_by(cfg.task_size)
-        .map(|start| {
-            let end = (start + cfg.task_size).min(n);
-            let (xi, yi) = (x.clone(), y.clone());
-            ctx.task()
-                .input(x.region(start..end))
-                .inout(y.region(start..end))
-                .label("axpy-block")
-                .stage(move |t| {
-                    let xs = xi.read(t, start..end);
-                    let ys = yi.write(t, start..end);
-                    for (yv, xv) in ys.iter_mut().zip(xs) {
-                        *yv += alpha * *xv;
-                    }
-                })
-        })
-        .collect();
-    ctx.spawn_batch(specs);
+    let (n, ts, alpha) = (cfg.n, cfg.task_size, cfg.alpha);
+    let block = move |i: usize| i * ts..((i + 1) * ts).min(n);
+    let (xi, yi) = (x.clone(), y.clone());
+    ctx.spawn_each(
+        cfg.blocks(),
+        |i, c| {
+            c.input(x.region(block(i))).inout(y.region(block(i))).label("axpy-block");
+        },
+        move |t, i| {
+            let xs = xi.read(t, block(i));
+            let ys = yi.write(t, block(i));
+            for (yv, xv) in ys.iter_mut().zip(xs) {
+                *yv += alpha * *xv;
+            }
+        },
+    );
 }
 
 /// Spawns the block tasks of one call *without any dependencies* (the `flat-taskwait` variant:
@@ -212,7 +208,7 @@ pub fn run_on(
                         .weakwait()
                         .label("axpy-outer")
                         .spawn(move |outer| {
-                            // One batched wave per call: all block tasks register under a single
+                            // One wave per call: all block tasks register under a single
                             // acquisition of the outer task's domain lock.
                             spawn_blocks(outer, &xo, &yo, &cfg);
                             if release {

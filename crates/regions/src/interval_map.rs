@@ -1,8 +1,8 @@
 //! [`IntervalMap`]: an ordered map from disjoint half-open ranges of a single address space to
 //! values, with fragmentation (entry splitting) on update.
 //!
-//! This is the crate's one interval container: the fragmented tier of the dependency engine's
-//! *bottom maps*, and every per-access map of the engine (fragment state, satisfaction mirror and
+//! This is the crate's one interval container: each space of the dependency engine's *bottom
+//! maps*, and every per-access map of the engine (fragment state, satisfaction mirror and
 //! edges, child coverage, `release` arming). Updating a range that partially overlaps existing
 //! entries splits those entries at the update boundaries, so the caller always observes maximal
 //! fragments that are either fully inside one existing entry or fully inside a gap.
@@ -40,6 +40,19 @@ pub enum RangeUpdate<V> {
     Set(V),
     /// Remove the fragment (no-op for gaps).
     Remove,
+}
+
+/// How the range of an [`IntervalMap::update_range`] met the stored fragments. The dependency
+/// engine's matching counters classify its bottom-map updates by it.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Fit {
+    /// The range split nothing and touched at most one fragment: it matched one stored fragment
+    /// exactly or lay inside one gap, so the visitor saw the whole range once.
+    Exact,
+    /// The range split nothing but spanned several fragments, stored ones or gaps.
+    Spanning,
+    /// A stored fragment straddled a range boundary and was split there.
+    Split,
 }
 
 /// One fragment's key: `[start, end)` and the arena slot holding its value.
@@ -241,13 +254,15 @@ impl<V: Clone> IntervalMap<V> {
     }
 
     /// Splits the fragments straddling `start` and `end` and returns the run positions
-    /// `lo..hi` of the fragments inside `[start, end)`: one binary search for `lo`, a forward
-    /// scan for `hi`.
-    fn carve(&mut self, start: usize, end: usize) -> (usize, usize) {
+    /// `lo..hi` of the fragments inside `[start, end)` and whether anything was split: one
+    /// binary search for `lo`, a forward scan for `hi`.
+    fn carve(&mut self, start: usize, end: usize) -> (usize, usize, bool) {
         let mut lo = self.first_ending_after(start);
+        let mut split = false;
         if lo < self.run.len() && self.run[lo].start < start {
             self.split(lo, start);
             lo += 1;
+            split = true;
         }
         let mut hi = lo;
         while hi < self.run.len() && self.run[hi].start < end {
@@ -255,8 +270,9 @@ impl<V: Clone> IntervalMap<V> {
         }
         if hi > lo && self.run[hi - 1].end > end {
             self.split(hi - 1, end);
+            split = true;
         }
-        (lo, hi)
+        (lo, hi, split)
     }
 
     /// Visits every maximal fragment of `[start, end)` — either fully inside one existing entry
@@ -264,17 +280,19 @@ impl<V: Clone> IntervalMap<V> {
     /// decision returned by the visitor.
     ///
     /// Existing entries partially overlapping the query range are split at the range boundaries
-    /// first, so decisions never affect coordinates outside `[start, end)`.
+    /// first, so decisions never affect coordinates outside `[start, end)`. Returns how the range
+    /// met the stored fragments; an empty range is [`Fit::Exact`].
     pub fn update_range(
         &mut self,
         start: usize,
         end: usize,
         mut f: impl FnMut(usize, usize, Option<&V>) -> RangeUpdate<V>,
-    ) {
+    ) -> Fit {
         if start >= end {
-            return;
+            return Fit::Exact;
         }
-        let (lo, mut hi) = self.carve(start, end);
+        let (lo, mut hi, split) = self.carve(start, end);
+        let mut visits = 0usize;
         // In-place rewrite of `run[lo..hi]`: `run[lo..w]` is the finished replacement,
         // `run[w..pos]` is slack left by removals, `run[pos..hi]` is still to visit. A set gap
         // fills slack when there is some and is inserted (shifting the tail) when there is not;
@@ -285,6 +303,7 @@ impl<V: Clone> IntervalMap<V> {
             let next = (pos < hi).then(|| self.run[pos]);
             let gap_end = next.map_or(end, |e| e.start);
             if cursor < gap_end {
+                visits += 1;
                 if let RangeUpdate::Set(value) = f(cursor, gap_end, None) {
                     let entry = Entry { start: cursor, end: gap_end, slot: self.alloc(value) };
                     if w < pos {
@@ -300,6 +319,7 @@ impl<V: Clone> IntervalMap<V> {
             let Some(e) = next else { break };
             pos += 1;
             cursor = e.end;
+            visits += 1;
             match f(e.start, e.end, Some(self.value(e.slot))) {
                 RangeUpdate::Keep => {}
                 RangeUpdate::Set(value) => self.values[e.slot as usize] = Some(value),
@@ -313,6 +333,11 @@ impl<V: Clone> IntervalMap<V> {
         }
         if w < hi {
             self.run.drain(w..hi);
+        }
+        match (split, visits) {
+            (true, _) => Fit::Split,
+            (false, 1) => Fit::Exact,
+            (false, _) => Fit::Spanning,
         }
     }
 
@@ -328,7 +353,7 @@ impl<V: Clone> IntervalMap<V> {
         if start >= end {
             return;
         }
-        let (lo, hi) = self.carve(start, end);
+        let (lo, hi, _) = self.carve(start, end);
         for pos in lo..hi {
             let e = self.run[pos];
             f(e.start, e.end, self.free_slot(e.slot));
@@ -339,16 +364,17 @@ impl<V: Clone> IntervalMap<V> {
     /// Merges adjacent equal-valued fragments, but only in the neighbourhood of `[start, end)`:
     /// the chain beginning at the entry touching `start` from the left (or the first entry at or
     /// after `start`) through any entry beginning at or before `end`. This is the targeted
-    /// variant the engine's region sets and the two-tier store use after an insert — a full
-    /// [`IntervalMap::coalesce`] walks the whole map on every add.
-    pub fn coalesce_range(&mut self, start: usize, end: usize)
+    /// variant the engine's region sets and bottom maps use after an insert — a full
+    /// [`IntervalMap::coalesce`] walks the whole map on every add. Returns whether any fragments
+    /// merged.
+    pub fn coalesce_range(&mut self, start: usize, end: usize) -> bool
     where
         V: PartialEq,
     {
         // The chain anchor is the first entry whose extent reaches `start`: a left neighbour
         // ending exactly at `start` can absorb rightwards.
         let anchor = self.run.partition_point(|e| e.end < start);
-        self.coalesce_from(anchor, end);
+        self.coalesce_from(anchor, end)
     }
 
     /// Merges adjacent fragments holding equal values (requires `V: PartialEq`).
@@ -361,8 +387,8 @@ impl<V: Clone> IntervalMap<V> {
 
     /// Absorbs equal-valued right neighbours starting at run position `head`, for every chain
     /// head beginning at or before `limit`. Compacts in place and drains the absorbed entries
-    /// once, so a long chain costs one pass.
-    fn coalesce_from(&mut self, mut head: usize, limit: usize)
+    /// once, so a long chain costs one pass. Returns whether anything was absorbed.
+    fn coalesce_from(&mut self, mut head: usize, limit: usize) -> bool
     where
         V: PartialEq,
     {
@@ -378,9 +404,11 @@ impl<V: Clone> IntervalMap<V> {
             }
             next += 1;
         }
-        if head + 1 < next {
+        let merged = head + 1 < next;
+        if merged {
             self.run.drain(head + 1..next);
         }
+        merged
     }
 }
 

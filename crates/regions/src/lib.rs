@@ -19,13 +19,14 @@
 //!   per-access container of the engine is an `IntervalMap` over its access's space: a set is
 //!   an `IntervalMap<()>`, a coverage count an `IntervalMap<u32>` whose visitors report the
 //!   fragments that drop to zero.
-//! * [`RegionStore`] — the two-tier (exact-match hash tier + fragmented interval tier) map the
-//!   engine's bottom maps use, with per-region lazy promotion on the first partial overlap. It
-//!   is the only container spanning several spaces.
+//! * [`RegionStore`] — the engine's bottom maps: one `IntervalMap` per space, reporting how
+//!   each update met the stored fragments ([`Fit`]). It is the only container spanning several
+//!   spaces.
 //!
 //! The dependency engine serialises mutations under one domain lock, so these types are
-//! deliberately not `Sync`-optimised. The store's hash maps use a crate-private multiply-rotate
-//! hasher instead of SipHash: the keys are internal coordinates, never attacker-controlled.
+//! deliberately not `Sync`-optimised. The store's per-space map uses a crate-private
+//! multiply-rotate hasher instead of SipHash: the keys are internal coordinates, never
+//! attacker-controlled.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,9 +37,9 @@ mod interval_map;
 mod region;
 mod store;
 
-pub use interval_map::{IntervalMap, RangeUpdate};
+pub use interval_map::{Fit, IntervalMap, RangeUpdate};
 pub use region::{Region, SpaceId};
-pub use store::{RegionStore, StoreTier};
+pub use store::RegionStore;
 
 /// `IntervalMap<()>` as a region set, driven the way the engine drives `pending_down` and
 /// `early_release`: union is `insert_range` + `coalesce_range`, removal is `drain_range`.

@@ -1,95 +1,29 @@
-//! [`RegionStore`]: a two-tier map from disjoint region fragments to values, optimised for the
-//! exact-match access pattern of the dependency engine's bottom maps.
+//! [`RegionStore`]: the dependency engine's bottom map — one [`IntervalMap`] per space.
 //!
-//! Blocked kernels (axpy, gauss_seidel, sort_scan — §VII of the paper) declare whole-block
-//! dependencies that recur with **identical** regions: wave after wave, the bottom map is
-//! queried and updated with exactly the same `[start, end)` keys. A plain [`IntervalMap`]
-//! pays the full fragmentation machinery (ordered range search, entry splitting) on every one
-//! of those updates even though no fragmentation ever happens.
+//! A bottom map sends every region fragment of a dependency domain to its latest accessors.
+//! Blocked kernels re-declare the same blocks wave after wave, and their first wave carves its
+//! blocks out of the parent's whole-array accesses. Both shapes cost one binary search over
+//! the space's sorted run: an update matching a stored fragment exactly is overwritten in
+//! place, and a block carved from a larger fragment splits it once (`docs/matching.md` has the
+//! design and its measurements).
 //!
-//! `RegionStore` splits the storage into two tiers:
-//!
-//! * the **exact tier** — a hash map keyed by the full [`Region`], plus a lightweight per-space
-//!   ordered index of its keys (`start → end`) used only on misses to detect overlap. A lookup
-//!   that hits a key exactly is O(1) and allocation-free.
-//! * the **fragmented tier** — one [`IntervalMap`] per space, carrying every region that has
-//!   ever been involved in a *partial* overlap.
-//!
-//! A space's key index and its fragmented map sit in one per-space entry, so a miss on the
-//! exact tier costs one space lookup.
-//!
-//! Exactness is tracked **per base region**: a region enters the exact tier when it is first
-//! stored and nothing it overlaps is present, and it is *promoted* (moved to the fragmented
-//! tier) the first time an update partially overlaps it. Promotion is per-region, so one
-//! partially-overlapped allocation does not tax the exact-matching traffic of the others.
-//! Semantics are identical to one `IntervalMap` per space receiving the same updates — the
-//! `proptest_region_store` suite asserts observational equivalence — because a region sits in
-//! the exact tier only while no update has ever split it, which is exactly when the general
-//! machinery would have kept it as a single fragment too.
-//!
-//! Under [`RegionStore::update`] promotion is one-way. [`RegionStore::update_coalescing`] —
-//! the variant the dependency engine's bottom maps use since the allocation-free interval-tier
-//! rework — adds the reverse transition: after the update it coalesces the touched
-//! neighbourhood of the fragmented tier, and if the updated base region has healed into a
-//! single fragment exactly matching it, the region is **demoted** back to the exact tier. A
-//! region whose accesses go partial-overlap transiently (one sliding stencil pass, say) stops
-//! paying the fragmentation tax as soon as its live coverage is pairwise-exact again.
-
-use std::collections::BTreeMap;
-use std::ops::Bound::{Excluded, Included};
-
-use smallvec::SmallVec;
+//! Every update reports its [`Fit`], so the engine keeps its matching counters without the
+//! store owning any statistics, and [`RegionStore::update_coalescing`] merges the equal-valued
+//! fragments an update leaves behind.
 
 use crate::hash::FxHashMap;
-use crate::{IntervalMap, RangeUpdate, Region, SpaceId};
+use crate::{Fit, IntervalMap, RangeUpdate, Region, SpaceId};
 
-/// Which tier served a [`RegionStore`] operation. Returned so callers (the dependency engine)
-/// can keep visibility counters without the store owning any statistics.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum StoreTier {
-    /// The region matched an exact-tier key (or was empty): O(1), no fragmentation.
-    ExactHit,
-    /// The region overlapped nothing and was admitted to (or bypassed) the exact tier.
-    ExactNew,
-    /// The update partially overlapped exact-tier entries, which were promoted to the
-    /// fragmented tier first; the update then ran there.
-    Promoted,
-    /// The update ran on the fragmented tier (its overlaps were already promoted earlier).
-    Fragmented,
-}
-
-/// A two-tier map from disjoint [`Region`] fragments to values. See the module docs.
-///
-/// Invariants:
-/// * exact-tier keys are pairwise disjoint, and disjoint from the fragmented tier's coverage;
-/// * each space's `index` mirrors the exact tier's keys in that space, exactly (one
-///   `start → end` entry per key);
-/// * a region is promoted out of the exact tier the first time an update partially overlaps it;
-///   [`RegionStore::update`] never demotes, [`RegionStore::update_coalescing`] demotes a base
-///   region back as soon as it holds exactly one fragment matching it.
+/// A map from disjoint [`Region`] fragments to values: one [`IntervalMap`] per space.
+/// Fragments of one space never overlap; fragments of different spaces are unrelated.
 #[derive(Debug, Clone)]
 pub struct RegionStore<V> {
-    exact: FxHashMap<Region, V>,
-    spaces: FxHashMap<SpaceId, SpaceTiers<V>>,
-}
-
-/// One space's share of a [`RegionStore`] beside the exact tier's values.
-#[derive(Debug, Clone)]
-struct SpaceTiers<V> {
-    /// The exact tier's keys in this space, `start → end`.
-    index: BTreeMap<usize, usize>,
-    fragmented: IntervalMap<V>,
-}
-
-impl<V> Default for SpaceTiers<V> {
-    fn default() -> Self {
-        SpaceTiers { index: BTreeMap::new(), fragmented: IntervalMap::new() }
-    }
+    spaces: FxHashMap<SpaceId, IntervalMap<V>>,
 }
 
 impl<V> Default for RegionStore<V> {
     fn default() -> Self {
-        RegionStore { exact: FxHashMap::default(), spaces: FxHashMap::default() }
+        RegionStore { spaces: FxHashMap::default() }
     }
 }
 
@@ -99,62 +33,28 @@ impl<V> RegionStore<V> {
         Self::default()
     }
 
-    /// Number of stored fragments across both tiers.
+    /// Number of stored fragments.
     pub fn len(&self) -> usize {
-        self.exact.len() + self.fragmented_len()
+        self.spaces.values().map(IntervalMap::len).sum()
     }
 
     /// `true` if no fragment is stored.
     pub fn is_empty(&self) -> bool {
-        self.exact.is_empty() && self.spaces.values().all(|tiers| tiers.fragmented.is_empty())
+        self.spaces.values().all(IntervalMap::is_empty)
     }
 
-    /// Number of entries currently held by the exact tier.
-    pub fn exact_len(&self) -> usize {
-        self.exact.len()
-    }
-
-    /// Number of fragments currently held by the fragmented tier.
-    pub fn fragmented_len(&self) -> usize {
-        self.spaces.values().map(|tiers| tiers.fragmented.len()).sum()
-    }
-
-    /// Removes every fragment from both tiers.
-    pub fn clear(&mut self) {
-        self.exact.clear();
-        self.spaces.clear();
-    }
-
-    /// Iterates over all stored fragments as `(Region, &value)`. Order is unspecified (the
-    /// exact tier is hashed); sort if determinism is needed.
+    /// Iterates over all stored fragments as `(Region, &value)`: ascending within a space,
+    /// spaces in unspecified order (sort if determinism is needed).
     pub fn iter(&self) -> impl Iterator<Item = (Region, &V)> {
-        let fragmented = self.spaces.iter().flat_map(|(&space, tiers)| {
-            tiers.fragmented.iter().map(move |(s, e, v)| (Region::new(space, s, e), v))
-        });
-        self.exact.iter().map(|(&r, v)| (r, v)).chain(fragmented)
+        self.spaces.iter().flat_map(|(&space, map)| {
+            map.iter().map(move |(s, e, v)| (Region::new(space, s, e), v))
+        })
     }
 
-    /// Visits all stored fragments overlapping `region`, clipped to it. Exact-tier fragments
-    /// are visited before fragmented-tier ones; within a tier, order follows the underlying
-    /// container.
+    /// Visits all stored fragments overlapping `region`, clipped to it, in ascending order.
     pub fn query(&self, region: &Region, mut f: impl FnMut(Region, &V)) {
-        if region.is_empty() {
-            return;
-        }
-        if let Some(value) = self.exact.get(region) {
-            // Exact hit: by the disjointness invariant this is the only overlap anywhere.
-            f(*region, value);
-            return;
-        }
-        let Some(tiers) = self.spaces.get(&region.space) else { return };
-        for (&start, &end) in overlapping(&tiers.index, region) {
-            let key = Region::new(region.space, start, end);
-            let clipped = key.intersection(region).expect("indexed key overlaps");
-            f(clipped, &self.exact[&key]);
-        }
-        tiers.fragmented.query_range(region.start, region.end, |s, e, v| {
-            f(Region::new(region.space, s, e), v)
-        });
+        let Some(map) = self.spaces.get(&region.space) else { return };
+        map.query_range(region.start, region.end, |s, e, v| f(Region::new(region.space, s, e), v));
     }
 
     /// `true` if at least one stored coordinate of `region` is covered.
@@ -165,130 +65,51 @@ impl<V> RegionStore<V> {
     }
 }
 
-/// The exact-tier keys of `idx` overlapping `region`, as `(&start, &end)` pairs: the (at most
-/// one) predecessor straddling `region.start`, then every key starting inside the region.
-fn overlapping<'a>(
-    idx: &'a BTreeMap<usize, usize>,
-    region: &Region,
-) -> impl Iterator<Item = (&'a usize, &'a usize)> {
-    let straddler = idx
-        .range(..=region.start)
-        .next_back()
-        .filter(|&(_, &end)| end > region.start);
-    let inside = idx.range((Excluded(region.start), Included(region.end.saturating_sub(1))));
-    straddler.into_iter().chain(inside)
-}
-
 impl<V: Clone> RegionStore<V> {
     /// Fragment-and-visit update over `region`, with [`IntervalMap::update_range`] semantics:
     /// the visitor sees every maximal fragment of `region` (stored or gap, clipped) and decides
-    /// per fragment. Returns the tier that served the update.
-    ///
-    /// The fast path — `region` equals an exact-tier key, or overlaps nothing at all — runs
-    /// without touching the interval machinery. A partial overlap with exact-tier entries
-    /// promotes exactly those entries, then delegates to the fragmented tier.
+    /// per fragment. Returns how `region` met the stored fragments.
     pub fn update(
         &mut self,
         region: &Region,
         mut f: impl FnMut(Region, Option<&V>) -> RangeUpdate<V>,
-    ) -> StoreTier {
+    ) -> Fit {
         if region.is_empty() {
-            return StoreTier::ExactHit;
+            return Fit::Exact;
         }
         let space = region.space;
-        if let Some(value) = self.exact.get_mut(region) {
-            match f(*region, Some(value)) {
-                RangeUpdate::Keep => {}
-                RangeUpdate::Set(new_value) => *value = new_value,
-                RangeUpdate::Remove => {
-                    self.exact.remove(region);
-                    let tiers = self.spaces.get_mut(&space).expect("exact key outside its space");
-                    tiers.index.remove(&region.start);
-                }
-            }
-            return StoreTier::ExactHit;
-        }
-        let tiers = self.spaces.entry(space).or_default();
-        let overlaps_exact = overlapping(&tiers.index, region).next().is_some();
-        if !overlaps_exact {
-            let mut overlaps_fragmented = false;
-            tiers.fragmented.query_range(region.start, region.end, |_, _, _| {
-                overlaps_fragmented = true
-            });
-            if !overlaps_fragmented {
-                // The whole query is one gap: admit the region to the exact tier if the
-                // visitor stores a value.
-                if let RangeUpdate::Set(value) = f(*region, None) {
-                    self.exact.insert(*region, value);
-                    tiers.index.insert(region.start, region.end);
-                }
-                return StoreTier::ExactNew;
-            }
-        }
-        if overlaps_exact {
-            // Move every exact-tier entry overlapping `region` into the fragmented tier. Inline
-            // scratch: an update rarely straddles more than a handful of exact keys.
-            let keys: SmallVec<[(usize, usize); 8]> =
-                overlapping(&tiers.index, region).map(|(&s, &e)| (s, e)).collect();
-            for (start, end) in keys {
-                tiers.index.remove(&start);
-                let value = self
-                    .exact
-                    .remove(&Region::new(space, start, end))
-                    .expect("index names a missing exact entry");
-                tiers.fragmented.insert_range(start, end, value);
-            }
-        }
-        tiers.fragmented.update_range(region.start, region.end, |s, e, v| {
-            f(Region::new(space, s, e), v)
-        });
-        if overlaps_exact {
-            StoreTier::Promoted
-        } else {
-            StoreTier::Fragmented
-        }
+        self.spaces
+            .entry(space)
+            .or_default()
+            .update_range(region.start, region.end, |s, e, v| f(Region::new(space, s, e), v))
     }
 
     /// Sets `region` to `value`, overwriting any overlapping fragments.
-    pub fn insert(&mut self, region: &Region, value: V) -> StoreTier {
+    pub fn insert(&mut self, region: &Region, value: V) -> Fit {
         self.update(region, |_, _| RangeUpdate::Set(value.clone()))
     }
 }
 
 impl<V: Clone + PartialEq> RegionStore<V> {
-    /// [`RegionStore::update`], plus fragment healing: after a fragmented-tier update the
-    /// touched neighbourhood is coalesced, and if the updated base region now holds exactly one
-    /// fragment matching it, that fragment is **demoted** back to the exact tier.
-    ///
-    /// Returns the tier that served the update (same meaning as [`RegionStore::update`] —
-    /// `Promoted` / `Fragmented` still report where the update *ran*) and whether a demotion
-    /// followed it. Callers keeping promotion/demotion counters get `promotions >= demotions`
-    /// for free: every demoted fragment was put in the fragmented tier by an earlier (or this
-    /// very) promotion.
+    /// [`RegionStore::update`], then — unless the update was [`Fit::Exact`], which leaves one
+    /// fragment where there was one — merges the equal-valued neighbours in the touched
+    /// neighbourhood, so a region a write carved up heals back into one fragment. Returns the
+    /// update's fit and whether any fragments merged.
     pub fn update_coalescing(
         &mut self,
         region: &Region,
         f: impl FnMut(Region, Option<&V>) -> RangeUpdate<V>,
-    ) -> (StoreTier, bool) {
-        let tier = self.update(region, f);
-        if matches!(tier, StoreTier::ExactHit | StoreTier::ExactNew) {
-            return (tier, false);
+    ) -> (Fit, bool) {
+        let fit = self.update(region, f);
+        if fit == Fit::Exact {
+            return (fit, false);
         }
-        let tiers = self.spaces.get_mut(&region.space).expect("fragmented tier of the space");
-        tiers.fragmented.coalesce_range(region.start, region.end);
-        let Some(value) = tiers.fragmented.take_exact(region.start, region.end) else {
-            return (tier, false);
-        };
-        // The region healed into a single exactly-matching fragment: by tier disjointness
-        // nothing else overlaps it, so it is admissible to the exact tier as-is.
-        debug_assert!(overlapping(&tiers.index, region).next().is_none());
-        self.exact.insert(*region, value);
-        tiers.index.insert(region.start, region.end);
-        (tier, true)
+        let map = self.spaces.get_mut(&region.space).expect("an update creates its space");
+        (fit, map.coalesce_range(region.start, region.end))
     }
 
-    /// [`RegionStore::insert`] through the coalescing/demoting path.
-    pub fn insert_coalescing(&mut self, region: &Region, value: V) -> (StoreTier, bool) {
+    /// [`RegionStore::insert`] through [`RegionStore::update_coalescing`].
+    pub fn insert_coalescing(&mut self, region: &Region, value: V) -> (Fit, bool) {
         self.update_coalescing(region, |_, _| RangeUpdate::Set(value.clone()))
     }
 }
@@ -311,11 +132,10 @@ mod tests {
     #[test]
     fn disjoint_inserts_stay_exact() {
         let mut s = RegionStore::new();
-        assert_eq!(s.insert(&r(1, 0, 8), 'a'), StoreTier::ExactNew);
-        assert_eq!(s.insert(&r(1, 8, 16), 'b'), StoreTier::ExactNew);
-        assert_eq!(s.insert(&r(2, 0, 8), 'c'), StoreTier::ExactNew);
-        assert_eq!(s.exact_len(), 3);
-        assert_eq!(s.fragmented_len(), 0);
+        assert_eq!(s.insert(&r(1, 0, 8), 'a'), Fit::Exact);
+        assert_eq!(s.insert(&r(1, 8, 16), 'b'), Fit::Exact);
+        assert_eq!(s.insert(&r(2, 0, 8), 'c'), Fit::Exact);
+        assert_eq!(s.len(), 3);
         assert_eq!(
             sorted_fragments(&s),
             vec![(r(1, 0, 8), 'a'), (r(1, 8, 16), 'b'), (r(2, 0, 8), 'c')]
@@ -327,9 +147,9 @@ mod tests {
         let mut s = RegionStore::new();
         s.insert(&r(1, 0, 8), 0);
         for i in 1..100 {
-            assert_eq!(s.insert(&r(1, 0, 8), i), StoreTier::ExactHit);
+            assert_eq!(s.insert(&r(1, 0, 8), i), Fit::Exact);
         }
-        assert_eq!(s.exact_len(), 1);
+        assert_eq!(s.len(), 1);
         assert_eq!(sorted_fragments(&s), vec![(r(1, 0, 8), 99)]);
     }
 
@@ -338,9 +158,8 @@ mod tests {
         let mut s = RegionStore::new();
         s.insert(&r(1, 0, 8), 'a');
         s.insert(&r(1, 8, 16), 'b');
-        // Overlaps [0,8) only: that entry is promoted, [8,16) stays exact.
-        assert_eq!(s.insert(&r(1, 4, 6), 'c'), StoreTier::Promoted);
-        assert_eq!(s.exact_len(), 1);
+        // Strictly inside [0,8): that fragment splits in three, [8,16) is untouched.
+        assert_eq!(s.insert(&r(1, 4, 6), 'c'), Fit::Split);
         assert_eq!(
             sorted_fragments(&s),
             vec![
@@ -350,10 +169,9 @@ mod tests {
                 (r(1, 8, 16), 'b')
             ]
         );
-        // [8,16) continues to hit the exact tier after its neighbour was promoted.
-        assert_eq!(s.insert(&r(1, 8, 16), 'd'), StoreTier::ExactHit);
-        // Follow-up updates over the promoted range run fragmented (no second promotion).
-        assert_eq!(s.insert(&r(1, 0, 4), 'e'), StoreTier::Fragmented);
+        // [8,16) still matches exactly after its neighbour split, and so do the split parts.
+        assert_eq!(s.insert(&r(1, 8, 16), 'd'), Fit::Exact);
+        assert_eq!(s.insert(&r(1, 0, 4), 'e'), Fit::Exact);
     }
 
     #[test]
@@ -362,13 +180,13 @@ mod tests {
         s.insert(&r(1, 0, 8), 'a');
         s.insert(&r(1, 8, 16), 'b');
         s.insert(&r(1, 20, 24), 'c');
-        // [4, 22) straddles all three.
+        // [4, 22) straddles all three and splits the two at its ends.
         let mut visited = Vec::new();
-        let tier = s.update(&r(1, 4, 22), |region, v| {
+        let fit = s.update(&r(1, 4, 22), |region, v| {
             visited.push((region, v.copied()));
             RangeUpdate::Keep
         });
-        assert_eq!(tier, StoreTier::Promoted);
+        assert_eq!(fit, Fit::Split);
         assert_eq!(
             visited,
             vec![
@@ -378,23 +196,23 @@ mod tests {
                 (r(1, 20, 22), Some('c')),
             ]
         );
-        assert_eq!(s.exact_len(), 0);
+        assert_eq!(s.len(), 5);
     }
 
     #[test]
     fn update_visits_gap_and_admits_to_exact_tier() {
         let mut s: RegionStore<u32> = RegionStore::new();
         let mut visited = Vec::new();
-        let tier = s.update(&r(1, 10, 20), |region, v| {
+        let fit = s.update(&r(1, 10, 20), |region, v| {
             visited.push((region, v.copied()));
             RangeUpdate::Set(7)
         });
-        assert_eq!(tier, StoreTier::ExactNew);
+        assert_eq!(fit, Fit::Exact);
         assert_eq!(visited, vec![(r(1, 10, 20), None)]);
-        assert_eq!(s.exact_len(), 1);
+        assert_eq!(s.len(), 1);
         // Keep on a gap stores nothing.
         let mut s2: RegionStore<u32> = RegionStore::new();
-        assert_eq!(s2.update(&r(1, 0, 4), |_, _| RangeUpdate::Keep), StoreTier::ExactNew);
+        assert_eq!(s2.update(&r(1, 0, 4), |_, _| RangeUpdate::Keep), Fit::Exact);
         assert!(s2.is_empty());
     }
 
@@ -402,19 +220,19 @@ mod tests {
     fn remove_on_exact_hit_clears_entry_and_index() {
         let mut s = RegionStore::new();
         s.insert(&r(1, 0, 8), 'a');
-        assert_eq!(s.update(&r(1, 0, 8), |_, _| RangeUpdate::Remove), StoreTier::ExactHit);
+        assert_eq!(s.update(&r(1, 0, 8), |_, _| RangeUpdate::Remove), Fit::Exact);
         assert!(s.is_empty());
-        // The index no longer names the removed key: a later overlapping insert is ExactNew.
-        assert_eq!(s.insert(&r(1, 4, 12), 'b'), StoreTier::ExactNew);
+        // Nothing of the removed fragment is left: a later overlapping insert lands in one gap.
+        assert_eq!(s.insert(&r(1, 4, 12), 'b'), Fit::Exact);
     }
 
     #[test]
     fn containment_counts_as_overlap() {
         let mut s = RegionStore::new();
         s.insert(&r(1, 2, 4), 'a');
-        // The query strictly contains the stored key. Like `IntervalMap`, the store keeps the
-        // update-boundary splits (no automatic coalescing).
-        assert_eq!(s.insert(&r(1, 0, 8), 'b'), StoreTier::Promoted);
+        // The update strictly contains the stored fragment: nothing splits, but it spans three
+        // fragments. Like `IntervalMap`, `update` keeps the visit boundaries (no coalescing).
+        assert_eq!(s.insert(&r(1, 0, 8), 'b'), Fit::Spanning);
         assert_eq!(
             sorted_fragments(&s),
             vec![(r(1, 0, 2), 'b'), (r(1, 2, 4), 'b'), (r(1, 4, 8), 'b')]
@@ -425,8 +243,8 @@ mod tests {
     fn adjacent_regions_do_not_promote() {
         let mut s = RegionStore::new();
         s.insert(&r(1, 0, 8), 'a');
-        assert_eq!(s.insert(&r(1, 8, 16), 'b'), StoreTier::ExactNew);
-        assert_eq!(s.exact_len(), 2);
+        assert_eq!(s.insert(&r(1, 8, 16), 'b'), Fit::Exact);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
@@ -434,10 +252,9 @@ mod tests {
         let mut s = RegionStore::new();
         s.insert(&r(1, 0, 8), 'a');
         s.insert(&r(1, 16, 24), 'b');
-        s.insert(&r(1, 4, 6), 'c'); // promotes [0,8)
+        s.insert(&r(1, 4, 6), 'c'); // splits [0,8)
         let mut seen = Vec::new();
         s.query(&r(1, 2, 20), |region, v| seen.push((region, *v)));
-        seen.sort_by_key(|(region, _)| region.start);
         assert_eq!(
             seen,
             vec![
@@ -455,7 +272,7 @@ mod tests {
     #[test]
     fn empty_region_is_a_noop() {
         let mut s: RegionStore<u8> = RegionStore::new();
-        assert_eq!(s.update(&r(1, 5, 5), |_, _| panic!("must not visit")), StoreTier::ExactHit);
+        assert_eq!(s.update(&r(1, 5, 5), |_, _| panic!("must not visit")), Fit::Exact);
         s.query(&r(1, 5, 5), |_, _| panic!("must not visit"));
         assert!(s.is_empty());
     }
@@ -464,20 +281,14 @@ mod tests {
     fn coalescing_insert_demotes_a_healed_region() {
         let mut s = RegionStore::new();
         s.insert(&r(1, 0, 8), 'a');
-        // Partial overlap promotes [0,8) — and the wholesale write over [4,12) immediately
-        // coalesces to exactly its own extent, so the *written* region demotes while the
-        // [0,4) leftover stays fragmented.
-        assert_eq!(s.insert_coalescing(&r(1, 4, 12), 'b'), (StoreTier::Promoted, true));
-        assert_eq!(s.exact_len(), 1);
-        assert_eq!(s.fragmented_len(), 1);
-        // The demoted extent now hits the exact tier again.
-        assert_eq!(s.insert_coalescing(&r(1, 4, 12), 'c'), (StoreTier::ExactHit, false));
-        // A spanning write re-promotes it, heals the whole span and demotes that.
-        let (tier, demoted) = s.insert_coalescing(&r(1, 0, 12), 'd');
-        assert_eq!(tier, StoreTier::Promoted);
-        assert!(demoted);
-        assert_eq!(s.exact_len(), 1);
-        assert_eq!(s.fragmented_len(), 0);
+        // The write over [4,12) splits [0,8) and fills the gap [8,12): both parts hold 'b'
+        // and merge, leaving the written region one fragment beside the [0,4) leftover.
+        assert_eq!(s.insert_coalescing(&r(1, 4, 12), 'b'), (Fit::Split, true));
+        assert_eq!(sorted_fragments(&s), vec![(r(1, 0, 4), 'a'), (r(1, 4, 12), 'b')]);
+        // The healed extent matches exactly again, and an exact update merges nothing.
+        assert_eq!(s.insert_coalescing(&r(1, 4, 12), 'c'), (Fit::Exact, false));
+        // A write over both fragments spans them without splitting and heals the whole span.
+        assert_eq!(s.insert_coalescing(&r(1, 0, 12), 'd'), (Fit::Spanning, true));
         assert_eq!(sorted_fragments(&s), vec![(r(1, 0, 12), 'd')]);
     }
 
@@ -485,13 +296,8 @@ mod tests {
     fn containment_can_promote_and_demote_in_one_update() {
         let mut s = RegionStore::new();
         s.insert(&r(1, 2, 4), 'a');
-        // The spanning write promotes [2,4), runs fragmented, coalesces the three equal-valued
-        // splits back into [0,8) and demotes it — all in one call.
-        let (tier, demoted) = s.insert_coalescing(&r(1, 0, 8), 'b');
-        assert_eq!(tier, StoreTier::Promoted);
-        assert!(demoted);
-        assert_eq!(s.exact_len(), 1);
-        assert_eq!(s.fragmented_len(), 0);
+        // The containing write visits three fragments and coalesces them back into [0,8).
+        assert_eq!(s.insert_coalescing(&r(1, 0, 8), 'b'), (Fit::Spanning, true));
         assert_eq!(sorted_fragments(&s), vec![(r(1, 0, 8), 'b')]);
     }
 
@@ -499,21 +305,16 @@ mod tests {
     fn unequal_values_keep_the_remainder_fragmented() {
         let mut s = RegionStore::new();
         s.insert(&r(1, 0, 8), 1u32);
-        // The inner write demotes its own extent; the unequal-valued [0,4) / [6,8) remainders
-        // cannot heal and stay fragmented.
-        assert_eq!(s.insert_coalescing(&r(1, 4, 6), 2), (StoreTier::Promoted, true));
-        assert_eq!(s.fragmented_len(), 2);
-        assert_eq!(s.exact_len(), 1);
-        // A visitor that keeps the distinct values in place heals nothing: no demotion.
-        let (tier, demoted) =
-            s.update_coalescing(&r(1, 0, 8), |_, _| RangeUpdate::<u32>::Keep);
-        assert_eq!(tier, StoreTier::Promoted); // the demoted [4,6) key was promoted back first
-        assert!(!demoted);
-        // Removing the region through the coalescing path leaves nothing to demote either.
-        let (tier, demoted) =
-            s.update_coalescing(&r(1, 0, 8), |_, _| RangeUpdate::<u32>::Remove);
-        assert_eq!(tier, StoreTier::Fragmented);
-        assert!(!demoted);
+        // The inner write splits [0,8); the unequal-valued [0,4) / [6,8) remainders cannot
+        // merge with it.
+        assert_eq!(s.insert_coalescing(&r(1, 4, 6), 2), (Fit::Split, false));
+        assert_eq!(s.len(), 3);
+        // A visitor that keeps the distinct values in place heals nothing.
+        let fit = s.update_coalescing(&r(1, 0, 8), |_, _| RangeUpdate::<u32>::Keep);
+        assert_eq!(fit, (Fit::Spanning, false));
+        // Removing the region through the coalescing path leaves nothing to merge either.
+        let fit = s.update_coalescing(&r(1, 0, 8), |_, _| RangeUpdate::<u32>::Remove);
+        assert_eq!(fit, (Fit::Spanning, false));
         assert!(s.is_empty());
     }
 
@@ -523,14 +324,12 @@ mod tests {
         s.insert(&r(1, 0, 8), 'a');
         s.insert_coalescing(&r(1, 4, 12), 'b');
         assert!(s.insert_coalescing(&r(1, 0, 12), 'c').1);
-        // Cycle: the healed region fragments again — and the overlapping write itself coalesces
-        // to exactly its own extent, so *it* demotes while the remainder stays fragmented.
-        assert_eq!(s.insert_coalescing(&r(1, 6, 20), 'd'), (StoreTier::Promoted, true));
-        assert_eq!(s.exact_len(), 1);
-        assert_eq!(s.fragmented_len(), 1); // the [0,6) leftover of 'c'
+        // Cycle: the healed region splits again, and the overlapping write heals its own
+        // extent while the [0,6) remainder of 'c' stays apart.
+        assert_eq!(s.insert_coalescing(&r(1, 6, 20), 'd'), (Fit::Split, true));
+        assert_eq!(sorted_fragments(&s), vec![(r(1, 0, 6), 'c'), (r(1, 6, 20), 'd')]);
         assert!(s.insert_coalescing(&r(1, 0, 20), 'e').1);
         assert_eq!(sorted_fragments(&s), vec![(r(1, 0, 20), 'e')]);
-        assert_eq!(s.exact_len(), 1);
     }
 
     /// Mirrors one `IntervalMap` per space over a mixed update sequence (the unit-level version

@@ -50,7 +50,7 @@ unsafe impl GlobalAlloc for ThreadCountingAllocator {
 static ALLOCATOR: ThreadCountingAllocator = ThreadCountingAllocator;
 
 /// Heap allocations the calling thread performs while running `f`.
-fn allocations_in(f: impl FnOnce()) -> usize {
+fn allocations_in<R>(f: impl FnOnce() -> R) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before

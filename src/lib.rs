@@ -50,7 +50,7 @@ pub use weakdep_threadpool as threadpool;
 pub use weakdep_trace as trace;
 
 pub use weakdep_core::{
-    AccessType, AdmissionStats, CapacityStats, Depend, JobError, JobHandle, JobOptions,
+    AccessType, AdmissionStats, CapacityStats, Clauses, Depend, JobError, JobHandle, JobOptions,
     JobStats, LoopView, LoopViewMut, PanicPolicy, Region, Runtime, RuntimeConfig,
     RuntimeObserver, RuntimeStats, SchedulingPolicy, SharedSlice, SpaceId, StaleTaskId,
     TaskBuilder, TaskCtx, TaskId, TaskSpec, WaitMode,

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use weakdep::{Runtime, SharedSlice};
+use weakdep::{Runtime, RuntimeConfig, SchedulingPolicy, SharedSlice};
 use weakdep_kernels::axpy::{self, AxpyConfig, AxpyVariant};
 use weakdep_kernels::gauss_seidel::{self, GsConfig, GsVariant};
 use weakdep_kernels::sort_scan::{self, SortScanConfig, SortScanVariant};
@@ -21,6 +21,39 @@ fn axpy_all_variants_all_worker_counts() {
                 "axpy {} with {workers} workers",
                 variant.name()
             );
+        }
+    }
+}
+
+/// The axpy block waves go through `spawn_each`: every Table I variant under every scheduling
+/// policy must reproduce the sequential reference bit for bit — with an uneven last block, and
+/// with an empty vector, whose waves spawn nothing.
+#[test]
+fn axpy_spawn_each_waves_match_the_reference_under_every_policy() {
+    let configs = [
+        AxpyConfig { n: 1 << 13, calls: 3, task_size: 1 << 10, alpha: 1.25 },
+        AxpyConfig { n: 10_007, calls: 3, task_size: 1024, alpha: 0.75 },
+        AxpyConfig { n: 0, calls: 2, task_size: 1024, alpha: 2.0 },
+    ];
+    for policy in SchedulingPolicy::all() {
+        let rt = Runtime::new(RuntimeConfig::new().workers(2).scheduling_policy(policy));
+        for cfg in &configs {
+            let expected: Vec<u64> = axpy::reference(cfg).iter().map(|v| v.to_bits()).collect();
+            for variant in AxpyVariant::all() {
+                let registered = rt.stats().engine.tasks_registered;
+                let (_run, result) = axpy::run(&rt, variant, cfg);
+                let bits: Vec<u64> = result.iter().map(|v| v.to_bits()).collect();
+                assert!(
+                    bits == expected,
+                    "axpy {} under {} with n = {}",
+                    variant.name(),
+                    policy.name(),
+                    cfg.n
+                );
+                // The root, the outer tasks of the nested variants, and one task per block.
+                let spawned = cfg.calls * (cfg.blocks() + usize::from(variant.nested()));
+                assert_eq!(rt.stats().engine.tasks_registered - registered, 1 + spawned);
+            }
         }
     }
 }

@@ -132,7 +132,10 @@ proptest! {
                 .collect();
             for (decls, handle) in jobs.iter().zip(handles) {
                 let job_stats = handle.stats();
-                let snapshot = handle.wait().expect("an uncancelled job returns its value");
+                let snapshot = handle
+                    .wait_result()
+                    .expect("an uncancelled job succeeds")
+                    .expect("an uncancelled job returns its value");
                 prop_assert_eq!(
                     snapshot,
                     run_isolated(decls),
@@ -198,9 +201,9 @@ proptest! {
             }
         }
         for (handle, _) in handles {
-            // Cancelled roots may or may not have produced a value (the root body might have
-            // finished before cancel); either way the job drains and wait() returns.
-            let _ = handle.wait();
+            // A cancelled job reports `Cancelled`, an uncancelled one its value; either way the
+            // job drains and wait_result() returns.
+            let _ = handle.wait_result();
         }
         prop_assert_eq!(
             violations.load(Ordering::SeqCst), 0,

@@ -1,21 +1,21 @@
-//! Property-based equivalence suite for the two-tier region store.
+//! Property-based equivalence suite for the region store (the engine's bottom maps).
 //!
 //! Two independent layers:
 //!
 //! 1. **Container equivalence** — under random region/update sequences, [`RegionStore`] must be
 //!    observationally equivalent to an independent reference model — one plain [`IntervalMap`]
-//!    per space: identical visit sequences during every update, identical stored fragments,
-//!    identical query results. The exact tier and its lazy promotion are pure optimisations;
-//!    any divergence is a bug.
+//!    per space, indexed by space id: identical visit sequences during every update, identical
+//!    stored fragments, identical query results, and the same [`Fit`] reported as the
+//!    reference's own `update_range` returns.
 //! 2. **Engine equivalence** — under random mixes of exact-matching and partially-overlapping
 //!    dependencies, the engine built on the store must still execute every task and respect
-//!    program order between conflicting accesses, and its matching-tier counters must account
-//!    for every registered access.
+//!    program order between conflicting accesses, and its matching counters must account for
+//!    every registered access.
 
 use proptest::prelude::*;
 
 use weakdep::core::DependencyEngine;
-use weakdep::regions::{IntervalMap, RangeUpdate, Region, RegionStore, SpaceId};
+use weakdep::regions::{Fit, IntervalMap, RangeUpdate, Region, RegionStore, SpaceId};
 use weakdep::{AccessType, Depend, WaitMode};
 
 /// One randomly generated store operation.
@@ -57,10 +57,10 @@ fn reference_update(
     reference: &mut Reference,
     region: &Region,
     mut f: impl FnMut(Region, Option<&u32>) -> RangeUpdate<u32>,
-) {
+) -> Fit {
     let space = region.space;
     reference[space.0 as usize]
-        .update_range(region.start, region.end, |s, e, v| f(Region::new(space, s, e), v));
+        .update_range(region.start, region.end, |s, e, v| f(Region::new(space, s, e), v))
 }
 
 /// Every fragment of the reference, as `(Region, value)`.
@@ -83,8 +83,8 @@ impl Lcg {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The two-tier store and the pure interval-map reference must agree on every visit, every
-    /// stored fragment and every query, whatever mix of exact matches, partial overlaps,
+    /// The store and the pure interval-map reference must agree on every visit, every fit,
+    /// every stored fragment and every query, whatever mix of exact matches, partial overlaps,
     /// removals and read-only visits the sequence throws at them.
     #[test]
     fn store_matches_region_map_reference(
@@ -97,7 +97,7 @@ proptest! {
             let region = op_region(op);
             let mut store_visits: Vec<(Region, Option<u32>)> = Vec::new();
             let mut reference_visits: Vec<(Region, Option<u32>)> = Vec::new();
-            store.update(&region, |fragment, existing| {
+            let store_fit = store.update(&region, |fragment, existing| {
                 store_visits.push((fragment, existing.copied()));
                 match op.kind {
                     0 => RangeUpdate::Set(op.value),
@@ -105,7 +105,7 @@ proptest! {
                     _ => RangeUpdate::Keep,
                 }
             });
-            reference_update(&mut reference, &region, |fragment, existing| {
+            let reference_fit = reference_update(&mut reference, &region, |fragment, existing| {
                 reference_visits.push((fragment, existing.copied()));
                 match op.kind {
                     0 => RangeUpdate::Set(op.value),
@@ -115,8 +115,14 @@ proptest! {
             });
             prop_assert_eq!(&store_visits, &reference_visits,
                 "visit sequences diverged on {:?}", op);
+            prop_assert_eq!(store_fit, reference_fit, "fits diverged on {:?}", op);
+            // An exact fit is one whole-region visit (so is a region carved out of one larger
+            // fragment, which splits it).
+            if store_fit == Fit::Exact {
+                prop_assert_eq!(&store_visits[..], &[(region, store_visits[0].1)][..]);
+            }
 
-            // Stored fragments agree after every operation (sorted: the exact tier is hashed).
+            // Stored fragments agree after every operation (sorted: spaces are hashed).
             let store_now = sorted_fragments(store.iter().map(|(r, v)| (r, *v)));
             let reference_now = sorted_fragments(reference_fragments(&reference));
             prop_assert_eq!(&store_now, &reference_now, "fragments diverged after {:?}", op);
@@ -143,17 +149,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Demotion oracle at the store level: under random coalescing updates, the two-tier store
-    /// must stay observationally equivalent to a pure reference (a per-space `IntervalMap`
-    /// update followed by the same local coalesce), and every update that reports `demoted`
-    /// must leave the region served by the exact tier — a read-only probe of the same extent
-    /// returns `ExactHit`.
+    /// Coalescing oracle at the store level: under random coalescing updates, the store must
+    /// stay observationally equivalent to a pure reference (a per-space `IntervalMap` update
+    /// followed, unless the update was exact, by the same local coalesce), report merges exactly
+    /// when the reference merged, and leave a written region healed: after a non-exact `Set`,
+    /// the region lies inside one stored fragment, so a query over it sees one hit.
     #[test]
     fn coalescing_updates_match_reference_and_demote_to_exact(
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        use weakdep::regions::StoreTier;
-
         let mut store: RegionStore<u32> = RegionStore::new();
         let mut reference = Reference::default();
 
@@ -161,7 +165,7 @@ proptest! {
             let region = op_region(op);
             let mut store_visits: Vec<(Region, Option<u32>)> = Vec::new();
             let mut reference_visits: Vec<(Region, Option<u32>)> = Vec::new();
-            let (tier, demoted) = store.update_coalescing(&region, |fragment, existing| {
+            let (fit, merged) = store.update_coalescing(&region, |fragment, existing| {
                 store_visits.push((fragment, existing.copied()));
                 match op.kind {
                     0 => RangeUpdate::Set(op.value),
@@ -169,7 +173,7 @@ proptest! {
                     _ => RangeUpdate::Keep,
                 }
             });
-            reference_update(&mut reference, &region, |fragment, existing| {
+            let reference_fit = reference_update(&mut reference, &region, |fragment, existing| {
                 reference_visits.push((fragment, existing.copied()));
                 match op.kind {
                     0 => RangeUpdate::Set(op.value),
@@ -177,33 +181,31 @@ proptest! {
                     _ => RangeUpdate::Keep,
                 }
             });
-            // Mirror the store's eager local coalesce, which only runs when the update reached
-            // the fragmented tier (exact-tier entries are never merged with their neighbours).
-            // Demotion itself only moves a fragment between tiers, which `iter` flattens away.
-            if matches!(tier, StoreTier::Promoted | StoreTier::Fragmented) {
-                reference[region.space.0 as usize].coalesce_range(region.start, region.end);
-            }
+            // Mirror the store's local coalesce, which an exact update skips: it leaves one
+            // fragment where there was one.
+            let reference_merged = reference_fit != Fit::Exact
+                && reference[region.space.0 as usize].coalesce_range(region.start, region.end);
             prop_assert_eq!(&store_visits, &reference_visits,
                 "visit sequences diverged on {:?}", op);
+            prop_assert_eq!((fit, merged), (reference_fit, reference_merged),
+                "fit or merge diverged on {:?}", op);
 
             let store_now = sorted_fragments(store.iter().map(|(r, v)| (r, *v)));
             let reference_now = sorted_fragments(reference_fragments(&reference));
             prop_assert_eq!(&store_now, &reference_now, "fragments diverged after {:?}", op);
 
-            if demoted {
-                // A demoted extent must be back on the exact tier: a read-only update of the
-                // same region is an exact hit (and mutates nothing).
-                let probe = store.update(&region, |_, _| RangeUpdate::Keep);
-                prop_assert_eq!(probe, StoreTier::ExactHit,
-                    "demoted extent not served exactly after {:?}", op);
+            if op.kind == 0 {
+                // A wholesale write heals: the region is one fragment, or inside one.
+                let mut hits = 0;
+                store.query(&region, |_, _| hits += 1);
+                prop_assert_eq!(hits, 1, "written region not healed after {:?}", op);
             }
         }
     }
 }
 
 /// One randomly declared flat task: 1–3 accesses drawn from a pool that mixes aligned blocks
-/// (exact-tier traffic) with misaligned half-overlapping ranges (promotion + fragmented-tier
-/// traffic).
+/// (exact hits) with misaligned half-overlapping ranges (splits and spanning updates).
 #[derive(Clone, Debug)]
 struct Decl {
     accesses: Vec<(u8, u8)>, // (region selector 0..12, access-type selector 0..3)
@@ -219,7 +221,7 @@ fn pool_region(selector: u8) -> Region {
         // Aligned block: always matches itself exactly.
         Region::new(SpaceId(1), i * 10, i * 10 + 10)
     } else {
-        // Misaligned: straddles two aligned blocks, forcing promotion and fragmentation.
+        // Misaligned: straddles two aligned blocks, forcing splits and fragmentation.
         Region::new(SpaceId(1), i * 10 + 5, i * 10 + 15)
     }
 }
@@ -243,7 +245,7 @@ proptest! {
 
     /// End-to-end through the engine: random exact/overlapping dependency mixes executed in a
     /// random legal order must run every task, respect program order between conflicting
-    /// accesses, and account for every access in the matching-tier counters.
+    /// accesses, and account for every access in the matching counters.
     #[test]
     fn engine_ordering_is_unchanged_by_the_two_tier_store(
         decls in proptest::collection::vec(decl_strategy(), 1..25),
@@ -280,7 +282,7 @@ proptest! {
             }
         }
 
-        // Program order between conflicting accesses survives whatever tier served them.
+        // Program order between conflicting accesses survives whatever fit they had.
         for i in 0..decls.len() {
             for j in (i + 1)..decls.len() {
                 let conflict = deps_of(&decls[i]).iter().any(|a| {
@@ -299,12 +301,12 @@ proptest! {
             }
         }
 
-        // Every registered access was served by exactly one tier.
+        // Every registered access was counted once, exact or fragmented.
         let stats = engine.stats();
         prop_assert_eq!(
             stats.exact_hits + stats.fragmented_updates,
             stats.accesses_registered,
-            "tier counters must account for every access (promotions: {})",
+            "matching counters must account for every access (promotions: {})",
             stats.promotions
         );
     }
@@ -313,11 +315,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Demotion oracle at the engine level: random promote → fragment → coalesce → demote
-    /// cycles over disjoint windows. Each cycle writes a window (exact tier), straddles it
-    /// (promotion), rewrites the full window (the coalescing write heals the extent, demoting
-    /// it back to the exact hash tier) and then rewrites it once more — which **must** be
-    /// served as an exact hit: `EngineStats::exact_hits` resumes counting after demotion.
+    /// Healing oracle at the engine level: random split → coalesce → exact-hit cycles over
+    /// disjoint windows. Each cycle writes a window, straddles it (a split: `promotions`),
+    /// rewrites the full window (the coalescing write merges the carved parts: `demotions`)
+    /// and then rewrites it once more — which **must** be an exact hit: `EngineStats::exact_hits`
+    /// resumes counting once the window is one fragment again.
     /// The whole graph must still drain in a random legal order.
     #[test]
     fn demoted_windows_resume_exact_hits(
@@ -347,36 +349,36 @@ proptest! {
             let window = Region::new(SpaceId(1), base, base + 10);
             let straddler = Region::new(SpaceId(1), base + 5, base + 15);
 
-            // Exact-tier write (ExactNew on the first cycle of a window, a hit afterwards).
+            // Window write (into a gap on the first cycle of a window, an exact match later).
             register(window, &mut ready, &mut ids);
 
-            // Straddling write: promotes the window extent to the fragmented tier.
+            // Straddling write: splits the window's fragment.
             let promotions_before = engine.stats().promotions;
             register(straddler, &mut ready, &mut ids);
             prop_assert!(engine.stats().promotions > promotions_before,
                 "straddling write of window {} did not promote", win);
 
-            // Full-window rewrite: the coalescing write heals the extent and demotes it.
+            // Full-window rewrite: the coalescing write merges the carved parts again.
             let demotions_before = engine.stats().demotions;
             register(window, &mut ready, &mut ids);
             prop_assert!(engine.stats().demotions > demotions_before,
                 "healing write of window {} did not demote", win);
 
-            // The demoted extent must be served by the exact tier again.
+            // The healed window must match exactly again.
             let exact_before = engine.stats().exact_hits;
             register(window, &mut ready, &mut ids);
             prop_assert_eq!(engine.stats().exact_hits, exact_before + 1,
                 "post-demotion write of window {} was not an exact hit", win);
         }
 
-        // Accounting holds after arbitrary cycle interleavings: a demotion is produced by (at
-        // most) the coalescing pass of one fragmented-tier update.
+        // Accounting holds after arbitrary cycle interleavings: a merge is produced by (at
+        // most) the coalescing pass of one non-exact update.
         let stats = engine.stats();
         prop_assert!(stats.demotions <= stats.fragmented_updates,
             "demotions ({}) exceed fragmented updates ({})",
             stats.demotions, stats.fragmented_updates);
         prop_assert_eq!(stats.exact_hits + stats.fragmented_updates, stats.accesses_registered,
-            "tier counters must account for every access");
+            "matching counters must account for every access");
 
         // The graph drains: every task runs, in some random legal order.
         let mut finished = 0usize;

@@ -122,7 +122,7 @@ fn concurrent_jobs_with_identical_footprints_are_clean() {
         })
         .collect();
     for handle in handles {
-        assert_eq!(handle.wait(), Some(1));
+        assert_eq!(handle.wait_result().expect("no sentinel report"), Some(1));
     }
     assert_eq!(arrived.load(Ordering::SeqCst), 3, "the tenants' writers must have overlapped");
 }
@@ -161,6 +161,25 @@ fn wave_ordering_mutation_is_caught() {
     });
 }
 
+/// The seeded bug sits in the wave registration `spawn_batch` and `spawn_each` share, so a
+/// `spawn_each` wave of conflicting writers is caught the same way.
+#[test]
+#[should_panic(expected = "sentinel: region conflict")]
+fn wave_ordering_mutation_is_caught_on_a_spawn_each_wave() {
+    let rt = Runtime::new(RuntimeConfig::new().workers(4).seed_wave_ordering_bug(true));
+    let data = SharedSlice::<u64>::filled(64, 0);
+    let arrived = Arc::new(AtomicUsize::new(0));
+    rt.run(move |ctx| {
+        ctx.spawn_each(
+            2,
+            |_, c| {
+                c.inout(data.region(0..64)).label("conflicting-writer");
+            },
+            move |_t, _| rendezvous(&arrived, 2, Duration::from_secs(2)),
+        );
+    });
+}
+
 /// Same seeded bug, single-worker edition: even when the conflicting siblings can never
 /// actually overlap in time (one worker), the sentinel catches the mis-schedule the moment the
 /// second writer starts while the first is still *registered* as running — only if they truly
@@ -193,6 +212,28 @@ fn wave_ordering_mutation_single_worker_completes() {
 // ---------------------------------------------------------------------------------------------
 // Out-of-footprint accesses: the data-layer instrumentation.
 // ---------------------------------------------------------------------------------------------
+
+/// A `spawn_each` child's footprint is exactly what the wave's rule wrote for it: a body that
+/// writes its neighbour's block is stopped at the access.
+#[test]
+#[should_panic(expected = "without a covering strong write dependency")]
+fn spawn_each_access_outside_the_rule_is_caught() {
+    let rt = Runtime::with_workers(2);
+    let data = SharedSlice::<u64>::filled(64, 0);
+    let d = data.clone();
+    rt.run(move |ctx| {
+        ctx.spawn_each(
+            4,
+            |i, c| {
+                c.inout(data.region(i * 16..i * 16 + 16)).label("block");
+            },
+            move |t, i| {
+                let next = (i + 1) % 4 * 16;
+                d.write(t, next..next + 16)[0] = 1;
+            },
+        );
+    });
+}
 
 /// Accessing a region after `release`-ing it must panic: the static footprint assert cannot
 /// catch this (the dependency *was* declared); the sentinel's live-footprint check does.

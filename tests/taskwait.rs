@@ -68,7 +68,7 @@ fn a_worker_parked_in_taskwait_assists_a_loop() {
             });
         });
     });
-    handle.wait();
+    handle.wait_result().expect("the job succeeds");
     assert!(
         rt.stats().assist_chunks >= 1,
         "the worker parked in taskwait ran no chunk of the child's loop"
@@ -99,8 +99,8 @@ fn a_worker_parked_in_taskwait_is_recruited_by_another_jobs_submission() {
     std::thread::sleep(Duration::from_millis(20));
     let f = Arc::clone(&flag);
     let job_b = rt.submit(move |_| f.store(true, SeqCst));
-    job_b.wait();
-    job_a.wait();
+    job_b.wait_result().expect("the job succeeds");
+    job_a.wait_result().expect("the job succeeds");
     assert!(released.load(SeqCst), "job B never ran while job A's child held the other worker");
 }
 
@@ -126,6 +126,6 @@ fn taskwait_parks_are_pool_sleeps() {
     go.store(true, SeqCst);
     let parked = spin_until(|| rt.stats().sleeps > before);
     release.store(true, SeqCst);
-    job.wait();
+    job.wait_result().expect("the job succeeds");
     assert!(parked, "RuntimeStats::sleeps did not move across a parked taskwait");
 }

@@ -16,8 +16,7 @@
 //!   whole soak finishes within the harness deadline — an injected fault must never wedge the
 //!   service.
 //!
-//! Results are spliced into `BENCH_overheads.json` as the `"chaos"` section (kept between
-//! `"mixed_tenant"` and `"policies"` by `overheads_json::splice_chaos`). Without
+//! Prints the fleet's outcome counts, clean-job latency and admission counters. Without
 //! `--features faults` the binary compiles to a stub so `--all-targets` builds stay clean.
 
 #[cfg(feature = "faults")]
@@ -390,7 +389,7 @@ mod harness {
             clean_latencies[idx].as_secs_f64() * 1e3
         };
         println!(
-            "chaos: seed {SEED:#x}, {total_jobs} jobs ({clean} clean, {panicked} panicked, 2 deadline, 2 cancelled) / {total_tasks} tasks on {workers} workers in {total_secs:.3}s"
+            "chaos: seed {SEED:#x}, panic rate {PANIC_RATE}, {total_jobs} jobs ({clean} clean, {panicked} panicked, 2 deadline, 2 cancelled) / {total_tasks} tasks on {workers} workers in {total_secs:.3}s"
         );
         println!(
             "  clean-job latency p50={:.2}ms p99={:.2}ms  admission admitted={} blocked={} high_water={}  table slots={}",
@@ -402,35 +401,6 @@ mod harness {
             capacity.task_table_slots,
         );
         println!("  all isolation invariants held");
-
-        // ---- Splice the chaos record into BENCH_overheads.json. ----
-        let section = format!(
-            concat!(
-                "  \"chaos\": {{\"quick\": {}, \"seed\": {}, \"workers\": {}, ",
-                "\"panic_rate\": {}, \"jobs\": {}, \"clean_jobs\": {}, \"panicked_jobs\": {}, ",
-                "\"deadline_jobs\": 2, \"cancelled_jobs\": 2, \"tasks\": {}, ",
-                "\"total_secs\": {:.6}, \"clean_job_latency_p50_ms\": {:.3}, ",
-                "\"clean_job_latency_p99_ms\": {:.3}, \"admission_blocked\": {}, ",
-                "\"invariants\": \"held\"}}"
-            ),
-            args.quick,
-            SEED,
-            workers,
-            PANIC_RATE,
-            total_jobs,
-            clean,
-            panicked,
-            total_tasks,
-            total_secs,
-            pct(50.0),
-            pct(99.0),
-            stats.admission.blocked,
-        );
-        let path = "BENCH_overheads.json";
-        let existing = std::fs::read_to_string(path).ok();
-        let merged = weakdep_bench::overheads_json::splice_chaos(existing.as_deref(), &section);
-        std::fs::write(path, merged).expect("failed to write BENCH_overheads.json");
-        eprintln!("updated {path} (chaos section)");
     }
 }
 

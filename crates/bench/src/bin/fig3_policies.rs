@@ -1,6 +1,6 @@
 //! **Policy ablation of Figure 3**: sweeps every [`SchedulingPolicy`] over the Multiple AXPY
-//! and Gauss-Seidel variants, recording GFlop/s and the simulated L2 miss ratio per
-//! (policy, kernel, variant) cell into `BENCH_overheads.json` (`"policies"` section).
+//! and Gauss-Seidel variants, printing GFlop/s and the simulated L2 miss ratio per
+//! (policy, kernel, variant) cell (`--csv` for CSV).
 //!
 //! The paper's Figure 3 effect is a *scheduling* effect: §VIII-A's "dispatch a successor to
 //! the same core that released its dependency" is what lowers the miss ratio of the variants
@@ -11,7 +11,7 @@
 //! sees only the (task → worker, footprint, order) schedule, so the ordering is reproducible
 //! on this 1-CPU container even though wall-clock contention effects are not.
 
-use weakdep_bench::{emit, overheads_json, CommonArgs, InstrumentedRuntime};
+use weakdep_bench::{emit, CommonArgs, InstrumentedRuntime};
 use weakdep_core::{SchedulingPolicy, SharedSlice};
 use weakdep_kernels::axpy::{self, AxpyConfig, AxpyVariant};
 use weakdep_kernels::gauss_seidel::{self, GsConfig, GsVariant};
@@ -171,27 +171,7 @@ fn main() {
         if ordering_ok { "OK" } else { "VIOLATED" }
     );
 
-    // Splice the section into BENCH_overheads.json, preserving every other section.
-    let mut section = format!(
-        "  \"policies\": {{\"workers\": {}, \"quick\": {}, \"axpy_n\": {n}, \"axpy_calls\": {calls}, \"fig3_ordering_ok\": {ordering_ok}, \"rows\": [",
-        args.cores, args.quick
-    );
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            section.push_str(", ");
-        }
-        section.push_str(&format!(
-            "{{\"policy\": \"{}\", \"kernel\": \"{}\", \"variant\": \"{}\", \"task_size\": {}, \"gflops\": {:.3}, \"miss_ratio\": {:.4}}}",
-            r.policy, r.kernel, r.variant, r.task_size, r.gflops, r.miss_ratio
-        ));
-    }
-    section.push_str("]}");
-    let path = "BENCH_overheads.json";
-    let existing = std::fs::read_to_string(path).ok();
-    let merged = overheads_json::splice_policies(existing.as_deref(), &section);
-    std::fs::write(path, merged).expect("failed to write BENCH_overheads.json");
-    eprintln!("wrote {path} (policies section)");
     // The hard assertion on this ordering lives in `tests/policy_ablation.rs`, which pins the
-    // deterministic single-worker configuration; here the outcome is recorded
-    // (`fig3_ordering_ok`) so sweeps at other worker counts stay observable without flaking.
+    // deterministic single-worker configuration; here the outcome is printed so sweeps at other
+    // worker counts stay observable without flaking.
 }

@@ -16,19 +16,20 @@
 //! and the p50/p99 latency of the *clean* jobs is recorded — the isolation headline (a
 //! neighbouring tenant's crash must not distort the latency tail of everyone else).
 //!
-//! Results are spliced into `BENCH_overheads.json` as the `"mixed_tenant"` section (kept
-//! before `"chaos"`, `"policies"` and `"soak"` by `overheads_json::splice_mixed_tenants`).
+//! Prints one table row per configuration (`--csv` for CSV); the run's set-up and, with
+//! `--features count-allocs`, its allocations per task go to stderr.
 
 use std::time::{Duration, Instant};
 
-use weakdep_bench::CommonArgs;
+use weakdep_bench::alloc_counter::{check_budget, enforce_budgets, per_unit};
+use weakdep_bench::{emit, CommonArgs};
 use weakdep_core::{
     JobError, JobOptions, PanicPolicy, Runtime, RuntimeConfig, SchedulingPolicy, SharedSlice,
     TaskCtx, TaskSpec,
 };
 
-/// With `--features count-allocs`, heap allocations are counted and the section records
-/// allocations per task across the whole soak; `--enforce-alloc-budget` then gates on
+/// With `--features count-allocs`, heap allocations are counted and the run reports
+/// allocations per task across the whole soak; `--enforce-alloc-budget` gates on
 /// [`ALLOC_BUDGET`].
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
@@ -368,7 +369,7 @@ fn main() {
     let budget = (jobs / 4).max(2);
 
     let allocs_before = weakdep_bench::alloc_counter::allocations();
-    let rows = vec![
+    let rows = [
         run_row(SchedulingPolicy::LocalitySlot, None, None, jobs, scale, workers),
         run_row(SchedulingPolicy::FairShare, None, None, jobs, scale, workers),
         run_row(SchedulingPolicy::FairShare, Some(budget), None, jobs, scale, workers),
@@ -378,89 +379,53 @@ fn main() {
     ];
     let alloc_delta = weakdep_bench::alloc_counter::allocations() - allocs_before;
     let total_tasks: usize = rows.iter().map(|r| r.tasks).sum();
-    // `0` means the counting allocator is not installed (the default build).
-    let allocs_per_task = (alloc_delta > 0).then(|| alloc_delta as f64 / total_tasks as f64);
+    let allocs_per_task = per_unit(alloc_delta, total_tasks);
 
-    println!("mixed_tenant: {jobs} concurrent jobs/row, {workers} workers, scale {scale}");
-    for row in &rows {
-        println!(
-            "  {:>14}{}{}: {} jobs ({} faulty) / {} tasks in {:.3}s ({:.0} tasks/s)  clean-job latency p50={:.2}ms p99={:.2}ms  admission admitted={} blocked={} high_water={}",
-            row.policy.name(),
-            row.budget.map_or(String::new(), |b| format!("(budget {b})")),
-            row.panic_policy
-                .map_or(String::new(), |p| format!("(panics, {})", policy_label(Some(p)))),
-            row.jobs,
-            row.faulty,
-            row.tasks,
-            row.total_secs,
-            row.tasks as f64 / row.total_secs.max(1e-12),
-            row.latency_p50_ms,
-            row.latency_p99_ms,
-            row.admitted,
-            row.blocked,
-            row.admission_high_water,
-        );
-    }
-    if let Some(a) = allocs_per_task {
-        println!("  allocs/task: {a:.1}");
-    }
-
-    // ---- Splice the mixed_tenant record into BENCH_overheads.json. ----
-    let row_json: Vec<String> = rows
+    eprintln!("mixed_tenant: {jobs} concurrent jobs/row, {workers} workers, scale {scale}");
+    let headers = [
+        "policy",
+        "live_task_budget",
+        "panic_policy",
+        "jobs",
+        "faulty_jobs",
+        "tasks",
+        "total_s",
+        "jobs_per_s",
+        "tasks_per_s",
+        "clean_p50_ms",
+        "clean_p99_ms",
+        "admitted",
+        "blocked",
+        "high_water",
+    ];
+    let table: Vec<Vec<String>> = rows
         .iter()
         .map(|row| {
-            format!(
-                concat!(
-                    "{{\"policy\": \"{}\", \"live_task_budget\": {}, \"panic_policy\": \"{}\", ",
-                    "\"jobs\": {}, \"faulty_jobs\": {}, \"tasks\": {}, ",
-                    "\"total_secs\": {:.6}, \"jobs_per_sec\": {:.1}, \"tasks_per_sec\": {:.0}, ",
-                    "\"clean_job_latency_p50_ms\": {:.3}, \"clean_job_latency_p99_ms\": {:.3}, ",
-                    "\"admission_admitted\": {}, \"admission_blocked\": {}, \"admission_high_water\": {}}}"
-                ),
-                row.policy.name(),
-                row.budget.map_or("null".to_string(), |b| b.to_string()),
-                policy_label(row.panic_policy),
-                row.jobs,
-                row.faulty,
-                row.tasks,
-                row.total_secs,
-                row.jobs as f64 / row.total_secs.max(1e-12),
-                row.tasks as f64 / row.total_secs.max(1e-12),
-                row.latency_p50_ms,
-                row.latency_p99_ms,
-                row.admitted,
-                row.blocked,
-                row.admission_high_water,
-            )
+            vec![
+                row.policy.name().to_string(),
+                row.budget.map_or("-".to_string(), |b| b.to_string()),
+                policy_label(row.panic_policy).to_string(),
+                row.jobs.to_string(),
+                row.faulty.to_string(),
+                row.tasks.to_string(),
+                format!("{:.3}", row.total_secs),
+                format!("{:.1}", row.jobs as f64 / row.total_secs.max(1e-12)),
+                format!("{:.0}", row.tasks as f64 / row.total_secs.max(1e-12)),
+                format!("{:.2}", row.latency_p50_ms),
+                format!("{:.2}", row.latency_p99_ms),
+                row.admitted.to_string(),
+                row.blocked.to_string(),
+                row.admission_high_water.to_string(),
+            ]
         })
         .collect();
-    let section = format!(
-        "  \"mixed_tenant\": {{\"quick\": {}, \"workers\": {}, \"allocs_per_task\": {}, \"rows\": [{}]}}",
-        args.quick,
-        workers,
-        allocs_per_task.map_or("null".to_string(), |a| format!("{a:.1}")),
-        row_json.join(", "),
-    );
-    let path = "BENCH_overheads.json";
-    let existing = std::fs::read_to_string(path).ok();
-    let merged =
-        weakdep_bench::overheads_json::splice_mixed_tenants(existing.as_deref(), &section);
-    std::fs::write(path, merged).expect("failed to write BENCH_overheads.json");
-    eprintln!("updated {path} (mixed_tenant section)");
+    emit(args.csv, &headers, &table);
+    if let Some(a) = allocs_per_task {
+        eprintln!("allocs/task: {a:.1}");
+    }
 
     // ---- CI gate: allocations per task across the multi-tenant soak. ----
     if args.enforce_alloc_budget {
-        match allocs_per_task {
-            None => eprintln!(
-                "mixed_tenant: --enforce-alloc-budget without --features count-allocs; nothing to check"
-            ),
-            Some(a) if a > ALLOC_BUDGET => {
-                eprintln!("ALLOC BUDGET VIOLATION: mixed_tenant {a:.1} allocs/task > budget {ALLOC_BUDGET}");
-                std::process::exit(1);
-            }
-            Some(a) => {
-                println!("alloc budget ok: {a:.1} <= {ALLOC_BUDGET} allocs/task");
-            }
-        }
+        enforce_budgets([check_budget("mixed_tenant allocs/task", allocs_per_task, ALLOC_BUDGET)]);
     }
 }

@@ -17,35 +17,35 @@
 //!   each spawning children into its *own* dependency domain (the access pattern per-domain
 //!   locking parallelises).
 //!
-//! Every sample also records the matching counters (`exact_hits` / `promotions` /
-//! `fragmented_updates` / `demotions`) so the JSON shows how each scenario's accesses met the
-//! bottom map, and
-//! — when built with `--features count-allocs` — heap allocations per task. With
-//! `--enforce-alloc-budget` the run fails if a budgeted scenario exceeds its allocs/task
-//! ceiling (the CI regression guard for the allocation-free spawn and matching paths).
+//! Every sample also records the engine's matching counters (`exact_hits` / `promotions` /
+//! `fragmented_updates` / `demotions`, defined in `docs/matching.md`) so the table shows how each
+//! scenario's accesses met the bottom map, and — when built with `--features count-allocs` —
+//! heap allocations per task. With `--enforce-alloc-budget` the run fails if a budgeted
+//! scenario exceeds its allocs/task ceiling or was not measured (the CI regression guard for the
+//! allocation-free spawn and matching paths).
 //!
-//! Writes `BENCH_overheads.json` in the current directory so the performance trajectory stays
-//! machine-readable across PRs, and prints a table. `--quick` shrinks the task counts for smoke
-//! testing.
+//! Prints a table (`--csv` for CSV). `--quick` shrinks the task counts for smoke testing.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use weakdep_bench::alloc_counter::{check_budget, enforce_budgets, per_unit};
 use weakdep_bench::{emit, CommonArgs};
 use weakdep_core::{Runtime, SharedSlice, TaskSpec};
 
-/// With `--features count-allocs`, every heap allocation is counted and the table/JSON gain an
+/// With `--features count-allocs`, every heap allocation is counted and the table gains an
 /// allocs-per-task column (the denominator of the allocation-slimming work on the spawn path).
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
 static ALLOC: weakdep_bench::alloc_counter::CountingAllocator =
     weakdep_bench::alloc_counter::CountingAllocator;
 
-/// Matching counters of one run: `(exact_hits, promotions, fragmented_updates, demotions)` from
-/// the engine's bottom maps.
-type Tiers = (usize, usize, usize, usize);
+/// The engine's matching counters after one run: `(exact_hits, promotions, fragmented_updates,
+/// demotions)` — accesses that fit one fragment or gap, fragments split, accesses that split or
+/// spanned, and updates that merged (`docs/matching.md`).
+type MatchCounts = (usize, usize, usize, usize);
 
-fn tiers(rt: &Runtime) -> Tiers {
+fn match_counts(rt: &Runtime) -> MatchCounts {
     let engine = rt.stats().engine;
     (
         engine.exact_hits,
@@ -68,9 +68,8 @@ struct Sample {
     /// figure is scale-independent (minimum across repetitions). `None` when the counting
     /// allocator is not installed.
     allocs_per_task: Option<f64>,
-    /// Matching-tier counters of the best run, so the JSON shows which tier served each
-    /// scenario's registrations.
-    tiers: Tiers,
+    /// Matching counters of the best run.
+    matching: MatchCounts,
 }
 
 impl Sample {
@@ -93,8 +92,9 @@ fn allocs_now() -> u64 {
 }
 
 /// Root context spawns `tasks` empty-bodied tasks with disjoint `inout` dependencies, one
-/// `spawn` call per task. Returns (spawn-loop seconds, total seconds, tier counters).
-fn flat_unbatched(workers: usize, tasks: usize) -> (f64, f64, Tiers, u64) {
+/// `spawn` call per task. Returns (spawn-loop seconds, total seconds, matching counters,
+/// allocation delta).
+fn flat_unbatched(workers: usize, tasks: usize) -> (f64, f64, MatchCounts, u64) {
     let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u8>::new(tasks);
     let allocs0 = allocs_now();
@@ -107,13 +107,13 @@ fn flat_unbatched(workers: usize, tasks: usize) -> (f64, f64, Tiers, u64) {
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), tiers(&rt), allocs_now() - allocs0)
+    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
 }
 
 /// Pure spawn-path overhead: `tasks` dependency-free empty tasks, one `spawn` call each (the
 /// per-task lock acquisition, record hand-off and worker wake-up, with no dependency
 /// registration mixed in).
-fn nodeps_unbatched(workers: usize, tasks: usize) -> (f64, f64, Tiers, u64) {
+fn nodeps_unbatched(workers: usize, tasks: usize) -> (f64, f64, MatchCounts, u64) {
     let rt = Runtime::with_workers(workers);
     let allocs0 = allocs_now();
     let total_start = Instant::now();
@@ -124,11 +124,11 @@ fn nodeps_unbatched(workers: usize, tasks: usize) -> (f64, f64, Tiers, u64) {
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), tiers(&rt), allocs_now() - allocs0)
+    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
 }
 
 /// The same dependency-free workload through `spawn_batch`.
-fn nodeps_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, u64) {
+fn nodeps_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, MatchCounts, u64) {
     let rt = Runtime::with_workers(workers);
     let allocs0 = allocs_now();
     let total_start = Instant::now();
@@ -144,13 +144,13 @@ fn nodeps_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), tiers(&rt), allocs_now() - allocs0)
+    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
 }
 
 /// Partial-overlap dependency pattern: every task's region covers half of its predecessor's, so
 /// every bottom-map registration splits a stored fragment — the scenario that keeps the
 /// matching path honest about fragmentation. Batched waves, like `flat_batched`.
-fn fragmented_deps(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, u64) {
+fn fragmented_deps(workers: usize, tasks: usize, wave: usize) -> (f64, f64, MatchCounts, u64) {
     let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u8>::new(2 * tasks + 2);
     let allocs0 = allocs_now();
@@ -174,7 +174,7 @@ fn fragmented_deps(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tier
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), tiers(&rt), allocs_now() - allocs0)
+    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
 }
 
 /// Demotion churn: pairs of tasks over a sliding window. The first task of each pair writes a
@@ -182,7 +182,7 @@ fn fragmented_deps(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tier
 /// immediately coalesces its own extent back to one fragment; the second task writes the
 /// *same* window and must be an exact hit. Exercises the split → coalesce → exact-hit cycle
 /// (and the fragmented-state arena recycling behind it) end to end.
-fn fragmented_demote(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, u64) {
+fn fragmented_demote(workers: usize, tasks: usize, wave: usize) -> (f64, f64, MatchCounts, u64) {
     let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u8>::new(tasks + 8);
     let allocs0 = allocs_now();
@@ -207,11 +207,11 @@ fn fragmented_demote(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Ti
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), tiers(&rt), allocs_now() - allocs0)
+    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
 }
 
 /// The same workload registered through `spawn_batch`, in waves of `wave` tasks.
-fn flat_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, u64) {
+fn flat_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, MatchCounts, u64) {
     let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u8>::new(tasks);
     let allocs0 = allocs_now();
@@ -230,11 +230,11 @@ fn flat_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, 
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), tiers(&rt), allocs_now() - allocs0)
+    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
 }
 
 /// The same workload registered through `spawn_each`, in waves of `wave` tasks.
-fn flat_each(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, u64) {
+fn flat_each(workers: usize, tasks: usize, wave: usize) -> (f64, f64, MatchCounts, u64) {
     let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u8>::new(tasks);
     let allocs0 = allocs_now();
@@ -255,7 +255,7 @@ fn flat_each(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Tiers, u64
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), tiers(&rt), allocs_now() - allocs0)
+    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
 }
 
 /// `spawners` tasks run concurrently on the pool; each spawns `children` tasks into its own
@@ -266,7 +266,7 @@ fn nested(
     spawners: usize,
     children: usize,
     batched: bool,
-) -> (f64, f64, Tiers, u64) {
+) -> (f64, f64, MatchCounts, u64) {
     let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u8>::new(spawners * children);
     let spawn_ns = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -318,22 +318,25 @@ fn nested(
     // spawners (they run in parallel, so the average models the per-domain critical path).
     let avg_spawn = spawn_ns.load(std::sync::atomic::Ordering::Relaxed) as f64 / 1e9
         / spawners.max(1) as f64;
-    (avg_spawn, total, tiers(&rt), allocs_now() - allocs0)
+    (avg_spawn, total, match_counts(&rt), allocs_now() - allocs0)
 }
 
 /// Best (by spawn time) of `repeat` runs, plus the minimum allocation delta across runs (the
 /// minimum filters warm-up noise such as lazily grown thread-local buffers). The delta is
 /// `None` when the counting allocator is not installed — the counter then never moves.
-fn measure(repeat: usize, f: impl Fn() -> (f64, f64, Tiers, u64)) -> (f64, f64, Option<u64>, Tiers) {
+fn measure(
+    repeat: usize,
+    f: impl Fn() -> (f64, f64, MatchCounts, u64),
+) -> (f64, f64, Option<u64>, MatchCounts) {
     let mut best = (f64::INFINITY, f64::INFINITY, (0, 0, 0, 0));
     let mut min_allocs: Option<u64> = None;
     for _ in 0..repeat {
-        let (spawn, total, tiers, delta) = f();
+        let (spawn, total, matching, delta) = f();
         if delta > 0 {
             min_allocs = Some(min_allocs.map_or(delta, |m| m.min(delta)));
         }
         if spawn < best.0 {
-            best = (spawn, total, tiers);
+            best = (spawn, total, matching);
         }
     }
     (best.0, best.1, min_allocs, best.2)
@@ -349,15 +352,15 @@ fn main() {
 
     let mut samples: Vec<Sample> = Vec::new();
     for &workers in &worker_counts {
-        let mut push = |scenario: &'static str, tasks: usize, m: (f64, f64, Option<u64>, Tiers)| {
+        let mut push = |scenario: &'static str, tasks: usize, m: (f64, f64, Option<u64>, MatchCounts)| {
             samples.push(Sample {
                 scenario,
                 workers,
                 tasks,
                 spawn_secs: m.0,
                 total_secs: m.1,
-                allocs_per_task: m.2.map(|a| a as f64 / tasks as f64),
-                tiers: m.3,
+                allocs_per_task: m.2.and_then(|a| per_unit(a, tasks)),
+                matching: m.3,
             });
         };
         push("spawn-unbatched", tasks, measure(args.repeat, || flat_unbatched(workers, tasks)));
@@ -399,10 +402,10 @@ fn main() {
                 format!("{:.0}", s.spawn_rate()),
                 format!("{:.0}", s.total_rate()),
                 s.allocs_per_task.map_or_else(|| "-".to_string(), |a| format!("{a:.1}")),
-                s.tiers.0.to_string(),
-                s.tiers.1.to_string(),
-                s.tiers.2.to_string(),
-                s.tiers.3.to_string(),
+                s.matching.0.to_string(),
+                s.matching.1.to_string(),
+                s.matching.2.to_string(),
+                s.matching.3.to_string(),
             ]
         })
         .collect();
@@ -427,111 +430,12 @@ fn main() {
         );
     }
 
-    // Machine-readable trajectory file. An existing "soak" section (spliced in by the `soak`
-    // binary) and the one-off pre-two-tier allocation baseline are preserved — regenerating
-    // the samples must not drop the other sections of the artifact.
-    let path = "BENCH_overheads.json";
-    let existing = std::fs::read_to_string(path).ok();
-    let soak_section = existing
-        .as_deref()
-        .and_then(weakdep_bench::overheads_json::extract_soak);
-    let baseline_section = existing
-        .as_deref()
-        .and_then(weakdep_bench::overheads_json::extract_alloc_baseline);
-    let frag_baseline_section = existing
-        .as_deref()
-        .and_then(weakdep_bench::overheads_json::extract_fragmented_baseline);
-    let policies_section = existing
-        .as_deref()
-        .and_then(weakdep_bench::overheads_json::extract_policies);
-    let mixed_tenant_section = existing
-        .as_deref()
-        .and_then(weakdep_bench::overheads_json::extract_mixed_tenants);
-    let chaos_section = existing
-        .as_deref()
-        .and_then(weakdep_bench::overheads_json::extract_chaos);
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"benchmark\": \"runtime_overheads\",\n  \"quick\": {},\n  \"repeat\": {},\n  \"samples\": [\n",
-        args.quick, args.repeat
-    ));
-    for (i, s) in samples.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"workers\": {}, \"tasks\": {}, \"spawn_secs\": {:.6}, \"total_secs\": {:.6}, \"spawn_tasks_per_sec\": {:.0}, \"total_tasks_per_sec\": {:.0}, \"allocs_per_task\": {}, \"exact_hits\": {}, \"promotions\": {}, \"fragmented_updates\": {}, \"demotions\": {}}}{}\n",
-            s.scenario,
-            s.workers,
-            s.tasks,
-            s.spawn_secs,
-            s.total_secs,
-            s.spawn_rate(),
-            s.total_rate(),
-            s.allocs_per_task.map_or_else(|| "null".to_string(), |a| format!("{a:.1}")),
-            s.tiers.0,
-            s.tiers.1,
-            s.tiers.2,
-            s.tiers.3,
-            if i + 1 < samples.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]");
-    // Carry the historical allocation baseline forward (recorded once, when the two-tier store
-    // landed, on the pre-two-tier engine), so the allocs/task reduction stays visible next to
-    // the current numbers without any rerun re-stamping a stale measurement as fresh.
-    for section in [&baseline_section, &frag_baseline_section].into_iter().flatten() {
-        json.push_str(",\n");
-        json.push_str(section);
-    }
-    // The faults-off guard: this binary is the default (fault-free) build of the runtime, so
-    // its single-worker spawn-batched allocs/task, stamped next to whether the `faults`
-    // feature was compiled in, proves the chaos plumbing costs nothing when compiled out —
-    // the chaos bin's number can be compared against this one.
-    let spawn_batched_allocs = samples
-        .iter()
-        .find(|s| s.scenario == "spawn-batched" && s.workers == 1)
-        .and_then(|s| s.allocs_per_task);
-    json.push_str(&format!(
-        ",\n  \"faults_off_guard\": {{\"faults_compiled\": {}, \"spawn_batched_allocs_per_task\": {}}}",
-        cfg!(feature = "faults"),
-        spawn_batched_allocs.map_or_else(|| "null".to_string(), |a| format!("{a:.1}")),
-    ));
-    json.push('\n');
-    json.push_str("}\n");
-    // Re-attach the preserved mixed_tenant, chaos, policies and soak sections through the same
-    // tested splices the `mixed_tenant`, `chaos`, `fig3_policies` and `soak` binaries use, so
-    // the merge format lives in exactly one place. Applied in the sections' ordering so each
-    // splice lands after the previously re-attached ones.
-    let json = match mixed_tenant_section {
-        Some(section) => {
-            weakdep_bench::overheads_json::splice_mixed_tenants(Some(&json), &section)
-        }
-        None => json,
-    };
-    let json = match chaos_section {
-        Some(section) => weakdep_bench::overheads_json::splice_chaos(Some(&json), &section),
-        None => json,
-    };
-    let json = match policies_section {
-        Some(section) => weakdep_bench::overheads_json::splice_policies(Some(&json), &section),
-        None => json,
-    };
-    let json = match soak_section {
-        Some(section) => weakdep_bench::overheads_json::splice_soak(
-            Some(&json),
-            &format!("{section}\n"),
-        ),
-        None => json,
-    };
-    std::fs::write(path, &json).expect("failed to write BENCH_overheads.json");
-    eprintln!("wrote {path}");
-
     // Keep the run honest: a sample that spawned nothing or measured nothing indicates a broken
     // harness rather than a fast one.
     assert!(samples.iter().all(|s| s.spawn_secs > 0.0 && s.total_secs > 0.0));
 
     // CI allocation-budget guard (`--enforce-alloc-budget`): the single-worker allocs/task of
-    // the budgeted scenarios must stay under their ceilings. Requires the counting allocator
-    // (`--features count-allocs`) — without it the counters never move and the guard would
-    // silently pass, so a missing measurement is itself a failure.
+    // the budgeted scenarios must stay under their ceilings.
     if args.enforce_alloc_budget {
         // Ceilings are the steady-state targets rounded up to the next whole allocation above
         // the 2 000-task `--quick` value, which carries 0.2–3/task of log-scale warm-up (slab
@@ -553,27 +457,12 @@ fn main() {
             ("nested-batched", 5.0),
             ("nodeps-batched", if args.quick { 2.5 } else { 2.1 }),
         ];
-        let mut violations = Vec::new();
-        for &(scenario, ceiling) in budgets {
+        enforce_budgets(budgets.iter().map(|&(scenario, ceiling)| {
             let sample = samples
                 .iter()
                 .find(|s| s.scenario == scenario && s.workers == 1)
                 .unwrap_or_else(|| panic!("budgeted scenario '{scenario}' was not measured"));
-            match sample.allocs_per_task {
-                None => violations.push(format!(
-                    "{scenario}: allocs/task not measured (build with --features count-allocs)"
-                )),
-                Some(a) if a > ceiling => {
-                    violations.push(format!("{scenario}: {a:.1} allocs/task > budget {ceiling:.1}"))
-                }
-                Some(a) => eprintln!("alloc budget ok: {scenario} {a:.1} <= {ceiling:.1}"),
-            }
-        }
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("alloc budget exceeded: {v}");
-            }
-            std::process::exit(1);
-        }
+            check_budget(&format!("{scenario} allocs/task"), sample.allocs_per_task, ceiling)
+        }));
     }
 }

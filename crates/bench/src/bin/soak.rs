@@ -10,8 +10,7 @@
 //! and recycle edges/nodes, not just table slots), separated by `taskwait` inside a single
 //! `run` — the shape of a service draining request batches forever. After each wave the
 //! capacity counters (and RSS, when `/proc` is available) are sampled; at the end the plateau
-//! is asserted and a `"soak"` section is spliced into `BENCH_overheads.json` next to the
-//! spawn-throughput samples emitted by the `overheads` binary.
+//! is asserted and the samples' first, last and maximum are printed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -20,8 +19,8 @@ use std::time::Instant;
 use weakdep_bench::CommonArgs;
 use weakdep_core::{CapacityStats, Runtime, SharedSlice, TaskSpec};
 
-/// With `--features count-allocs`, heap allocations are counted and the soak section of
-/// `BENCH_overheads.json` records steady-state allocations per task.
+/// With `--features count-allocs`, heap allocations are counted and the soak reports
+/// steady-state allocations per task.
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
 static ALLOC: weakdep_bench::alloc_counter::CountingAllocator =
@@ -83,9 +82,7 @@ fn main() {
     }
     let elapsed = start.elapsed().as_secs_f64();
     let alloc_delta = weakdep_bench::alloc_counter::allocations() - allocs_before;
-    // `0` means the counting allocator is not installed (the default build).
-    let allocs_per_task =
-        (alloc_delta > 0).then(|| alloc_delta as f64 / total_tasks as f64);
+    let allocs_per_task = weakdep_bench::alloc_counter::per_unit(alloc_delta, total_tasks);
 
     // ---- Verification: throughput sanity and the capacity plateau. ----
     assert_eq!(executed.load(Ordering::Relaxed), total_tasks);
@@ -117,9 +114,10 @@ fn main() {
     );
 
     println!(
-        "soak: {} tasks in {} waves through one runtime ({} workers) in {:.2}s ({:.0} tasks/s)",
+        "soak: {} tasks in {} waves of {} through one runtime ({} workers) in {:.2}s ({:.0} tasks/s)",
         total_tasks,
         waves,
+        wave_size,
         workers,
         elapsed,
         total_tasks as f64 / elapsed.max(1e-12)
@@ -137,34 +135,4 @@ fn main() {
     if let Some(a) = allocs_per_task {
         println!("  allocs/task: {a:.1}");
     }
-
-    // ---- Splice the soak record into BENCH_overheads.json. ----
-    let soak = format!(
-        concat!(
-            "  \"soak\": {{\"tasks\": {}, \"waves\": {}, \"wave_size\": {}, \"workers\": {}, ",
-            "\"quick\": {}, \"elapsed_secs\": {:.6}, \"tasks_per_sec\": {:.0}, ",
-            "\"table_slots_wave0\": {}, \"table_slots_final\": {}, \"table_slots_max\": {}, ",
-            "\"rss_kb_wave0\": {}, \"rss_kb_final\": {}, \"tasks_retired\": {}, ",
-            "\"allocs_per_task\": {}}}\n"
-        ),
-        total_tasks,
-        waves,
-        wave_size,
-        workers,
-        args.quick,
-        elapsed,
-        total_tasks as f64 / elapsed.max(1e-12),
-        first.capacity.task_table_slots,
-        last.capacity.task_table_slots,
-        max_table,
-        first.rss_kb.map_or("null".to_string(), |v| v.to_string()),
-        last.rss_kb.map_or("null".to_string(), |v| v.to_string()),
-        stats.engine.tasks_retired,
-        allocs_per_task.map_or("null".to_string(), |a| format!("{a:.1}")),
-    );
-    let path = "BENCH_overheads.json";
-    let existing = std::fs::read_to_string(path).ok();
-    let merged = weakdep_bench::overheads_json::splice_soak(existing.as_deref(), &soak);
-    std::fs::write(path, merged).expect("failed to write BENCH_overheads.json");
-    eprintln!("updated {path} (soak section)");
 }

@@ -11,9 +11,8 @@
 //!
 //! At large grain the per-chunk overhead is amortised and the two run neck-and-neck; at
 //! small grain the spawn/match cost dominates the task variant and the assist variant pulls
-//! ahead — the crossover the work-assisting design exists for. Results are spliced into
-//! `BENCH_overheads.json` as the `"tasks_vs_assist"` section (kept before `"mixed_tenant"`
-//! by `overheads_json::splice_tasks_vs_assist`).
+//! ahead — the crossover the work-assisting design exists for. Prints one table row per grain
+//! (`--csv` for CSV).
 //!
 //! With `--features count-allocs` the bench also records allocations per chunk (assist) and
 //! per task (tasks); `--enforce-alloc-budget` gates on [`ASSIST_ALLOC_BUDGET`] and
@@ -21,7 +20,8 @@
 
 use std::time::Duration;
 
-use weakdep_bench::CommonArgs;
+use weakdep_bench::alloc_counter::{check_budget, enforce_budgets, per_unit};
+use weakdep_bench::{emit, CommonArgs};
 use weakdep_core::{Runtime, RuntimeConfig, SchedulingPolicy, SharedSlice};
 use weakdep_kernels::parallel_loops::{
     initialize_u64, reduce_assist, reduce_reference, reduce_tasks, LoopConfig,
@@ -113,17 +113,13 @@ fn run_row(cfg: LoopConfig, input_data: &[u64], workers: usize, repeat: usize) -
     let tasks_alloc_delta = weakdep_bench::alloc_counter::allocations() - tasks_allocs_before;
     drop(rt);
 
-    // `0` means the counting allocator is not installed (the default build).
-    let per = |delta: u64, units: usize| {
-        (delta > 0 && units > 0).then(|| delta as f64 / units as f64)
-    };
     Row {
         chunk: cfg.chunk,
         chunks,
         assist_secs,
         tasks_secs,
-        assist_allocs_per_chunk: per(assist_alloc_delta, chunks * assist_reps),
-        tasks_allocs_per_task: per(tasks_alloc_delta, chunks * tasks_reps),
+        assist_allocs_per_chunk: per_unit(assist_alloc_delta, chunks * assist_reps),
+        tasks_allocs_per_task: per_unit(tasks_alloc_delta, chunks * tasks_reps),
         assist_chunks: stats.assist_chunks,
         assisted_loops: stats.assisted_loops,
         assist_steals: stats.assist_steals,
@@ -155,104 +151,62 @@ fn main() {
         .map(|&chunk| run_row(LoopConfig { n, chunk }, &input_data, workers, repeat))
         .collect();
 
-    println!("tasks_vs_assist: reduce over {n} u64s, {workers} workers, best of {repeat}");
-    for row in &rows {
-        let assist_eps = n as f64 / row.assist_secs.max(1e-12);
-        let tasks_eps = n as f64 / row.tasks_secs.max(1e-12);
-        println!(
-            "  chunk {:>5} ({:>6} chunks): assist {:>10.0} elems/s vs tasks {:>10.0} elems/s  speedup {:>5.2}x  allocs/chunk {}  allocs/task {}  assists: chunks={} loops={} steals={}",
-            row.chunk,
-            row.chunks,
-            assist_eps,
-            tasks_eps,
-            assist_eps / tasks_eps.max(1e-12),
-            row.assist_allocs_per_chunk.map_or("n/a".into(), |a| format!("{a:.3}")),
-            row.tasks_allocs_per_task.map_or("n/a".into(), |a| format!("{a:.1}")),
-            row.assist_chunks,
-            row.assisted_loops,
-            row.assist_steals,
-        );
-    }
-
-    // ---- Splice the tasks_vs_assist record into BENCH_overheads.json. ----
-    let row_json: Vec<String> = rows
+    eprintln!("tasks_vs_assist: reduce over {n} u64s, {workers} workers, best of {repeat}");
+    let headers = [
+        "chunk",
+        "chunks",
+        "assist_elems_per_s",
+        "tasks_elems_per_s",
+        "assist_speedup",
+        "assist_allocs_per_chunk",
+        "tasks_allocs_per_task",
+        "assist_chunks",
+        "assisted_loops",
+        "assist_steals",
+    ];
+    let table: Vec<Vec<String>> = rows
         .iter()
         .map(|row| {
             let assist_eps = n as f64 / row.assist_secs.max(1e-12);
             let tasks_eps = n as f64 / row.tasks_secs.max(1e-12);
-            format!(
-                concat!(
-                    "{{\"chunk\": {}, \"chunks\": {}, \"assist_elems_per_sec\": {:.0}, ",
-                    "\"tasks_elems_per_sec\": {:.0}, \"assist_speedup\": {:.2}, ",
-                    "\"assist_allocs_per_chunk\": {}, \"tasks_allocs_per_task\": {}, ",
-                    "\"assist_chunks\": {}, \"assisted_loops\": {}, \"assist_steals\": {}}}"
-                ),
-                row.chunk,
-                row.chunks,
-                assist_eps,
-                tasks_eps,
-                assist_eps / tasks_eps.max(1e-12),
-                row.assist_allocs_per_chunk.map_or("null".to_string(), |a| format!("{a:.3}")),
-                row.tasks_allocs_per_task.map_or("null".to_string(), |a| format!("{a:.1}")),
-                row.assist_chunks,
-                row.assisted_loops,
-                row.assist_steals,
-            )
+            vec![
+                row.chunk.to_string(),
+                row.chunks.to_string(),
+                format!("{assist_eps:.0}"),
+                format!("{tasks_eps:.0}"),
+                format!("{:.2}", assist_eps / tasks_eps.max(1e-12)),
+                row.assist_allocs_per_chunk.map_or("-".into(), |a| format!("{a:.3}")),
+                row.tasks_allocs_per_task.map_or("-".into(), |a| format!("{a:.1}")),
+                row.assist_chunks.to_string(),
+                row.assisted_loops.to_string(),
+                row.assist_steals.to_string(),
+            ]
         })
         .collect();
-    let section = format!(
-        "  \"tasks_vs_assist\": {{\"quick\": {}, \"workers\": {}, \"n\": {}, \"rows\": [{}]}}",
-        args.quick,
-        workers,
-        n,
-        row_json.join(", "),
-    );
-    let path = "BENCH_overheads.json";
-    let existing = std::fs::read_to_string(path).ok();
-    let merged =
-        weakdep_bench::overheads_json::splice_tasks_vs_assist(existing.as_deref(), &section);
-    std::fs::write(path, merged).expect("failed to write BENCH_overheads.json");
-    eprintln!("updated {path} (tasks_vs_assist section)");
+    emit(args.csv, &headers, &table);
 
     // ---- CI gate: per-chunk / per-task allocation ceilings. The *throughput ratio* is
-    // recorded but not gated — CI machines are too noisy to pin a speedup. ----
+    // printed but not gated — CI machines are too noisy to pin a speedup. ----
     if args.enforce_alloc_budget {
-        let mut violated = false;
-        let mut gated = 0usize;
-        for row in rows.iter().filter(|row| row.chunks >= MIN_CHUNKS_FOR_BUDGET) {
-            gated += 1;
-            match row.assist_allocs_per_chunk {
-                None => {
-                    eprintln!(
-                        "tasks_vs_assist: --enforce-alloc-budget without --features count-allocs; nothing to check"
-                    );
-                    return;
-                }
-                Some(a) if a > ASSIST_ALLOC_BUDGET => {
-                    eprintln!(
-                        "ALLOC BUDGET VIOLATION: assist chunk {} costs {a:.3} allocs/chunk > budget {ASSIST_ALLOC_BUDGET}",
-                        row.chunk
-                    );
-                    violated = true;
-                }
-                Some(_) => {}
-            }
-            if let Some(a) = row.tasks_allocs_per_task {
-                if a > TASK_ALLOC_BUDGET {
-                    eprintln!(
-                        "ALLOC BUDGET VIOLATION: task-spawned chunk {} costs {a:.1} allocs/task > budget {TASK_ALLOC_BUDGET}",
-                        row.chunk
-                    );
-                    violated = true;
-                }
-            }
-        }
-        if violated {
-            std::process::exit(1);
-        }
-        assert!(gated > 0, "no row had >= {MIN_CHUNKS_FOR_BUDGET} chunks — the guard checked nothing");
-        println!(
-            "alloc budget ok ({gated} amortised row(s)): assist <= {ASSIST_ALLOC_BUDGET} allocs/chunk, tasks <= {TASK_ALLOC_BUDGET} allocs/task"
+        let gated: Vec<&Row> =
+            rows.iter().filter(|row| row.chunks >= MIN_CHUNKS_FOR_BUDGET).collect();
+        assert!(
+            !gated.is_empty(),
+            "no row had >= {MIN_CHUNKS_FOR_BUDGET} chunks — the guard checked nothing"
         );
+        enforce_budgets(gated.iter().flat_map(|row| {
+            [
+                check_budget(
+                    &format!("assist chunk {} allocs/chunk", row.chunk),
+                    row.assist_allocs_per_chunk,
+                    ASSIST_ALLOC_BUDGET,
+                ),
+                check_budget(
+                    &format!("task-spawned chunk {} allocs/task", row.chunk),
+                    row.tasks_allocs_per_task,
+                    TASK_ALLOC_BUDGET,
+                ),
+            ]
+        }));
     }
 }

@@ -11,9 +11,9 @@
 //! from one thread at a time — all shipped kernels and the chaos shapes do.)
 //!
 //! Zero-cost when the feature is off: this module, the `TaskRecord` ordinal field and every
-//! injection site are `#[cfg(feature = "faults")]`-gated, which the `faults_off_guard`
-//! section of `BENCH_overheads.json` pins (allocs/task bit-identical with the feature
-//! compiled out). See `docs/robustness.md` for harness usage.
+//! injection site are `#[cfg(feature = "faults")]`-gated; CI's default-feature `overheads
+//! --enforce-alloc-budget` run holds that build to its allocs/task ceilings. See
+//! `docs/robustness.md` for harness usage.
 
 use std::time::Duration;
 

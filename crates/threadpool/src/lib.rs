@@ -114,7 +114,7 @@ impl SchedulingPolicy {
         ]
     }
 
-    /// The name used in benchmark output and `BENCH_overheads.json`.
+    /// The name used in benchmark and bench-binary output.
     pub fn name(&self) -> &'static str {
         match self {
             SchedulingPolicy::LocalitySlot => "locality-slot",

@@ -59,8 +59,10 @@
 //!   record) until the task turns ready — readiness is decided under that same lock, so it
 //!   moves the payload out on the spot and nothing else keeps a second copy of the task;
 //! * the **lower half** ([`OwnAccess`]) lives in the task's own domain, where *its* children
-//!   link against it: the `pending_down` satisfaction mirror, downward satisfaction edges,
-//!   live-child coverage and `release`-directive state.
+//!   link against it: the `pending_down` satisfaction mirror (weak accesses only: a strong one
+//!   is satisfied before the body that registers children starts), downward satisfaction edges
+//!   and `release`-directive state. Which parts live children still cover is not stored: the
+//!   bottom map answers it ([`Domain::uncovered_parts`]).
 //!
 //! Access nodes and per-child scheduling records — the bulky, per-dependency state — are
 //! slab-allocated inside each domain and recycled (guarded by slot generations) once the owning
@@ -333,13 +335,11 @@ struct AccessNode {
     weak: bool,
     /// `true` if the owning task's domain mirrors part of this access as unsatisfied
     /// (`OwnAccess::pending_down` started non-empty), so satisfaction must be forwarded down.
+    /// Only weak accesses are mirrored (see [`DependencyEngine::register_task`]).
     has_mirror: bool,
     /// Per-fragment dependency state: compact while the region transitions as one unit,
     /// promoted to the general containers on the first partial-fragment operation.
     state: NodeState,
-    /// Own accesses of this domain's owner whose coverage this access contributes to, with the
-    /// overlap region (the §V hand-over bookkeeping).
-    parent_coverage: SmallVec<[(u32, Region); 2]>,
 }
 
 /// Per-fragment state of an access node.
@@ -782,21 +782,21 @@ struct ChildSched<P> {
 /// The lower half of one of the domain owner's own accesses: the state the owner's *children*
 /// link against.
 ///
-/// All four containers are interval maps over `region.space`; the methods check a part's space
+/// All three containers are interval maps over `region.space`; the methods check a part's space
 /// once at their boundary, as [`AccessNode`] does for its [`FragCell`] map.
 #[derive(Debug)]
 struct OwnAccess {
     region: Region,
     /// Mirror of the node half's `unsatisfied` fragments, maintained by `SatisfyDown` messages.
     /// Children that link against this access inherit a dependency on exactly these fragments.
+    /// Empty for a strong access: its task runs, and registers children, only once it is
+    /// fully satisfied.
     pending_down: IntervalMap<()>,
     /// Downward satisfaction edges: child access nodes (in this domain) waiting for fragments of
     /// this access to be satisfied, keyed by pending fragment so satisfying one fragment only
     /// touches the successors that overlap it. The common case is 1–2 successors per fragment,
     /// which `SmallVec` keeps allocation-free.
     satisfaction_edges: IntervalMap<SmallVec<[u32; 2]>>,
-    /// Number of live child accesses covering each fragment of this access.
-    child_coverage: IntervalMap<u32>,
     /// Fragments armed for early completion by the `release` directive.
     early_release: IntervalMap<()>,
 }
@@ -818,7 +818,6 @@ impl OwnAccess {
             region,
             pending_down,
             satisfaction_edges: IntervalMap::new(),
-            child_coverage: IntervalMap::new(),
             early_release: IntervalMap::new(),
         }
     }
@@ -828,15 +827,6 @@ impl OwnAccess {
         if over.space == self.region.space {
             let space = over.space;
             set.query_range(over.start, over.end, |s, e, _| out.push(Region::new(space, s, e)));
-        }
-    }
-
-    /// Appends the parts of `over` not covered by a live child access.
-    fn uncovered_parts(&self, over: &Region, out: &mut Parts) {
-        if over.space == self.region.space {
-            let space = over.space;
-            self.child_coverage
-                .for_each_gap(over.start, over.end, |s, e| out.push(Region::new(space, s, e)));
         }
     }
 
@@ -864,32 +854,6 @@ impl OwnAccess {
             satisfaction_edges.drain_range(s, e, |fs, fe, targets| {
                 fire(Region::new(space, fs, fe), targets)
             });
-        });
-    }
-
-    /// One more live child access covers `part`.
-    fn cover(&mut self, part: &Region) {
-        if part.space == self.region.space {
-            self.child_coverage.update_range(part.start, part.end, |_, _, count| {
-                RangeUpdate::Set(count.map_or(1, |&n| n + 1))
-            });
-        }
-    }
-
-    /// One live child access over `part` is gone; appends the fragments no child covers any
-    /// more to `zeroed` (only *transitions* to zero: uncovered coordinates are ignored).
-    fn uncover(&mut self, part: &Region, zeroed: &mut Parts) {
-        if part.space != self.region.space {
-            return;
-        }
-        let space = part.space;
-        self.child_coverage.update_range(part.start, part.end, |s, e, count| match count {
-            Some(&n) if n > 1 => RangeUpdate::Set(n - 1),
-            Some(_) => {
-                zeroed.push(Region::new(space, s, e));
-                RangeUpdate::Remove
-            }
-            None => RangeUpdate::Keep,
         });
     }
 
@@ -1032,6 +996,38 @@ impl<P> Domain<P> {
         slot.node.as_ref()
     }
 
+    /// Appends the parts of `over` that no live child access covers any more — the §V
+    /// hand-over, read from the bottom map. A fragment is uncovered where every `Child`
+    /// accessor its entry records (the last writer and all readers) has released it; a stale
+    /// reference was fully released before its slot was recycled. The entry is enough: a child
+    /// access it no longer records was superseded by a later accessor of the fragment, which is
+    /// satisfied only by that access's release and so cannot release before it. `over` lies
+    /// inside the owner's own accesses, which the bottom map covers from seeding on.
+    fn uncovered_parts(&self, over: &Region, out: &mut Parts) {
+        self.bottom_map.query(over, |fragment, entry| {
+            let mut open: Parts = smallvec![fragment];
+            for accessor in entry.last_writer.iter().chain(&entry.readers) {
+                let &Accessor::Child(node_ref) = accessor else { continue };
+                let Some(node) = self.resolve(node_ref) else { continue };
+                let mut held: Parts = SmallVec::new();
+                node.unreleased_parts(&self.frag, &fragment, &mut held);
+                for part in &held {
+                    let mut rest: Parts = SmallVec::new();
+                    for piece in &open {
+                        piece.subtract_each(part, |remains| rest.push(remains));
+                    }
+                    open = rest;
+                }
+                if open.is_empty() {
+                    return; // the whole fragment is covered
+                }
+            }
+            for part in &open {
+                out.push(*part);
+            }
+        });
+    }
+
     fn alloc_node(&mut self, node: AccessNode) -> NodeRef {
         match self.free_nodes.pop() {
             Some(idx) => {
@@ -1132,8 +1128,8 @@ struct TaskEntry<P> {
 /// processed under that domain's lock only, by the thread draining the outbox — never while the
 /// producing domain's lock is still held.
 enum Message<P> {
-    /// Fragments of `target`'s own access `own_idx` became satisfied in the parent's domain:
-    /// update the `pending_down` mirror and fire downward satisfaction edges.
+    /// Fragments of `target`'s own weak access `own_idx` became satisfied in the parent's
+    /// domain: update the `pending_down` mirror and fire downward satisfaction edges.
     SatisfyDown { target: Arc<TaskEntry<P>>, own_idx: u32, parts: Parts },
     /// Fragments of `task`'s own access `own_idx` completed from below (weakwait hand-over or
     /// `release` directive): complete them on the node half in the parent's domain `target`.
@@ -1281,6 +1277,10 @@ impl<P: From<TaskId> + 'static> DependencyEngine<P> {
     /// task is immediately ready to run, or [`StaleTaskId`] if `parent` has been retired
     /// (spawning from a live body makes that a caller bug, but the engine reports it as a
     /// defined error like the rest of the query API instead of panicking).
+    ///
+    /// `parent` must already have been reported ready (a root always is): children are created
+    /// by a running body. So every strong access of the parent is fully satisfied, and only its
+    /// weak accesses pass pending predecessors on to the child. Debug builds assert it.
     pub fn register_task(
         &self,
         parent: TaskId,
@@ -1295,13 +1295,15 @@ impl<P: From<TaskId> + 'static> DependencyEngine<P> {
     ///
     /// `deps` must be [`normalize_deps`] output: pairwise disjoint regions sorted by
     /// `(space, start)`. The task's children find the accesses they cover by binary search over
-    /// that order; debug builds assert it.
+    /// that order; debug builds assert it. As for `register_task`, `parent` must already have
+    /// been reported ready.
     pub fn register_task_normalized(
         &self,
         parent: TaskId,
         deps: &[NormalizedDep],
         wait_mode: WaitMode,
     ) -> Result<(TaskId, bool), StaleTaskId> {
+        debug_assert!(self.is_scheduled(parent), "{parent:?} has children before it is ready");
         let parent_entry = self.entry(parent)?;
         let id = self.reserve_id();
         let mut domain = parent_entry.domain.lock();
@@ -1312,13 +1314,15 @@ impl<P: From<TaskId> + 'static> DependencyEngine<P> {
     /// Registers a batch of sibling tasks under a **single** acquisition of the parent's domain
     /// lock, amortising lock traffic for loop-spawn patterns. Each task's dependencies must be
     /// [`normalize_deps`] output (pairwise disjoint, sorted by `(space, start)`), as for
-    /// [`DependencyEngine::register_task_normalized`]. Returns `(id, ready)` per task, in order,
-    /// or [`StaleTaskId`] if `parent` has been retired.
+    /// [`DependencyEngine::register_task_normalized`], and `parent` must already have been
+    /// reported ready. Returns `(id, ready)` per task, in order, or [`StaleTaskId`] if `parent`
+    /// has been retired.
     pub fn register_batch<'a>(
         &self,
         parent: TaskId,
         specs: impl IntoIterator<Item = (&'a [NormalizedDep], WaitMode)>,
     ) -> Result<Vec<(TaskId, bool)>, StaleTaskId> {
+        debug_assert!(self.is_scheduled(parent), "{parent:?} has children before it is ready");
         let parent_entry = self.entry(parent)?;
         let mut domain = parent_entry.domain.lock();
         Ok(specs
@@ -1450,8 +1454,9 @@ impl<P: 'static> DependencyEngine<P> {
     /// dependencies out of its payload. A task ready at registration never parks: its payload
     /// goes straight to `ready` (called under the parent's lock, so it must only move the
     /// payload). Every other payload parks in the task's scheduling record until the readiness
-    /// that releases it moves it into [`Effects::ready`]. Errors with [`StaleTaskId`] if
-    /// `parent` has been retired.
+    /// that releases it moves it into [`Effects::ready`]. `parent` must already have been
+    /// reported ready, as for [`DependencyEngine::register_task`]. Errors with [`StaleTaskId`]
+    /// if `parent` has been retired.
     pub(crate) fn register_payloads<D: Copy + Into<NormalizedDep>>(
         &self,
         parent: TaskId,
@@ -1459,6 +1464,7 @@ impl<P: 'static> DependencyEngine<P> {
         deps: impl Fn(&P) -> &[D],
         mut ready: impl FnMut(P),
     ) -> Result<(), StaleTaskId> {
+        debug_assert!(self.is_scheduled(parent), "{parent:?} has children before it is ready");
         let parent_entry = self.entry(parent)?;
         let mut domain = parent_entry.domain.lock();
         for (id, payload, wait_mode) in tasks {
@@ -1528,7 +1534,6 @@ impl<P: 'static> DependencyEngine<P> {
                     unreleased: true,
                     release_edges: SmallVec::new(),
                 }),
-                parent_coverage: SmallVec::new(),
             });
             domain.sched[sched_idx as usize]
                 .as_mut()
@@ -1536,15 +1541,16 @@ impl<P: 'static> DependencyEngine<P> {
                 .live_nodes += 1;
 
             self.link_into_domain(domain, node_ref, dep.region, dep.is_write);
-            register_parent_coverage(domain, node_ref.idx, dep.region);
 
             // Stage the seed of the child's own domain: its future children link to this access
-            // (the cross-domain linking point of §VI). The pending-down mirror starts as the set
-            // of fragments currently unsatisfied; it is kept current by `SatisfyDown` messages.
-            // The seed is only expanded into live structures if the child ever needs a domain
-            // (`Domain::ensure_seeded`).
+            // (the cross-domain linking point of §VI). A weak access's pending-down mirror starts
+            // as the set of fragments currently unsatisfied and is kept current by `SatisfyDown`
+            // messages. A strong access has none: the child registers children only from its
+            // body, which starts once the access is fully satisfied. The seed is only expanded
+            // into live structures if the child ever needs a domain (`Domain::ensure_seeded`).
             let node = domain.node(node_ref.idx).expect("node just allocated");
-            let pending_down = node.unsatisfied_parts(&domain.frag);
+            let pending_down =
+                if dep.weak { node.unsatisfied_parts(&domain.frag) } else { SmallVec::new() };
             let has_mirror = !pending_down.is_empty();
             domain.node_mut(node_ref.idx).expect("node just allocated").has_mirror = has_mirror;
             child_seeds.push((dep.region, pending_down));
@@ -1743,10 +1749,11 @@ impl<P: 'static> DependencyEngine<P> {
             domain.body_finished = true;
 
             match (domain.wait_mode, domain.parent_arc()) {
-                (WaitMode::None, Some(target)) => {
-                    // OpenMP default: the task's dependencies are released when the body
-                    // finishes. Leaf tasks usually still carry the unexpanded seed; either
-                    // representation yields the declared regions.
+                // OpenMP default: the task's dependencies are released when the body finishes.
+                // A leaf deep-completes right below, and its `ChildDone` completes every access.
+                (WaitMode::None, Some(target)) if domain.live_children > 0 => {
+                    // The task usually still carries the unexpanded seed; either representation
+                    // yields the declared regions.
                     let mut emit = |own_idx: usize, region: Region| {
                         outbox.push_back(Message::CompleteUp {
                             target: Arc::clone(&target),
@@ -1768,16 +1775,13 @@ impl<P: 'static> DependencyEngine<P> {
                         }
                     }
                 }
-                (WaitMode::Wait, _) => {
-                    // All dependencies are held until deep completion (handled below / later).
-                }
                 (WaitMode::WeakWait, Some(target)) => {
                     // Fine-grained release: fragments not covered by live child accesses
                     // complete now; covered fragments are handed over to the children.
                     domain.ensure_seeded();
                     for (own_idx, own) in domain.own.iter().enumerate() {
                         let mut uncovered: Parts = SmallVec::new();
-                        own.uncovered_parts(&own.region, &mut uncovered);
+                        domain.uncovered_parts(&own.region, &mut uncovered);
                         if !uncovered.is_empty() {
                             AtomicStats::bump(&self.stats.incremental_releases, uncovered.len());
                             outbox.push_back(Message::CompleteUp {
@@ -1789,8 +1793,9 @@ impl<P: 'static> DependencyEngine<P> {
                         }
                     }
                 }
-                // A root has no parent domain to complete into (and no own accesses).
-                (_, None) => {}
+                // `Wait` holds every dependency until deep completion, which also completes a
+                // `None` leaf's; a root has no parent domain to complete into.
+                _ => {}
             }
 
             if domain.live_children == 0 {
@@ -1826,7 +1831,7 @@ impl<P: 'static> DependencyEngine<P> {
                 };
                 own.arm_release(&overlap);
                 let mut uncovered: Parts = SmallVec::new();
-                own.uncovered_parts(&overlap, &mut uncovered);
+                domain.uncovered_parts(&overlap, &mut uncovered);
                 if !uncovered.is_empty() {
                     AtomicStats::bump(&self.stats.incremental_releases, uncovered.len());
                     outbox.push_back(Message::CompleteUp {
@@ -1851,12 +1856,12 @@ impl<P: 'static> DependencyEngine<P> {
     /// further messages, which are processed until the outbox runs dry.
     ///
     /// Messages already queued for the domain just locked are applied under the same lock
-    /// acquisition (the common retire cascade — `CompleteUp` followed by `ChildDone` to the
-    /// same parent — costs one lock instead of two). This preserves relative order *per target
-    /// domain*, which is the order that matters: a `CompleteUp` emitted before a `ChildDone`
-    /// for the same task is applied first, so the node slots it references have not been
-    /// recycled yet (stale references are dropped via the slot generation as a second line of
-    /// defence).
+    /// acquisition (a weakwait task's last `CompleteUp` hand-over followed by its `ChildDone`
+    /// to the same parent costs one lock instead of two). This preserves relative order *per
+    /// target domain*, which is the order that matters: a `CompleteUp` emitted before a
+    /// `ChildDone` for the same task is applied first, so the node slots it references have not
+    /// been recycled yet (stale references are dropped via the slot generation as a second line
+    /// of defence). A leaf sends its parent one message, the `ChildDone`.
     ///
     /// `queue` is the event queue every message of the drain shares (it is always empty between
     /// `apply` calls); both queues come from the calling thread's [`CascadeScratch`].
@@ -1870,8 +1875,8 @@ impl<P: 'static> DependencyEngine<P> {
             let target = Arc::clone(message.target());
             let mut domain = target.domain.lock();
             self.apply(&mut domain, message, queue, effects, outbox);
-            // Apply consecutive messages for the same domain while we hold its lock. The common
-            // retire cascade emits `CompleteUp` immediately followed by `ChildDone` for the same
+            // Apply consecutive messages for the same domain while we hold its lock. A
+            // hand-over emits `CompleteUp` immediately followed by `ChildDone` for the same
             // parent, so checking only the queue front captures it at O(1) per message (scanning
             // the whole outbox would make wide fan-out drains quadratic).
             while outbox
@@ -1953,18 +1958,18 @@ impl<P: 'static> DependencyEngine<P> {
                     reclaimed = Some(entry.id);
                 }
 
-                // Whatever has not completed yet completes now (Wait mode releases everything
-                // here; WeakWait may have residual fragments if a child declared less than it
-                // covered).
+                // Whatever has not completed yet completes now (a leaf and Wait mode release
+                // everything here; WeakWait may have residual fragments if a child declared less
+                // than it covered), one access and its cascade after the other.
                 for node_ref in &entry.nodes_in_parent {
                     if let Some(node) = domain.resolve(*node_ref) {
                         queue.push_back(Event::Complete {
                             node: node_ref.idx,
                             parts: smallvec![node.region],
                         });
+                        self.process_local(domain, queue, effects, outbox);
                     }
                 }
-                self.process_local(domain, queue, effects, outbox);
 
                 // Recycle fully released nodes (the rest are reaped by `try_release` when their
                 // last fragment goes out).
@@ -2147,35 +2152,35 @@ impl<P: 'static> DependencyEngine<P> {
             }
         }
 
-        // Hand-over bookkeeping: this access no longer covers the overlapping parts of the
-        // domain owner's accesses. Fragments whose coverage drops to zero may complete on the
-        // owner's access if its policy allows it (weakwait after body end, or the release
-        // directive); that completion lives in the owner's parent's domain, so it travels as a
-        // `CompleteUp` message.
-        let parent_coverage = {
-            let node = domain.node(idx).expect("checked above");
-            node.parent_coverage.clone()
-        };
+        // Hand-over: the released parts of the domain owner's accesses that no other child
+        // covers may complete on the owner's access if its policy allows it (weakwait after body
+        // end, or the release directive even while the body runs); that completion lives in the
+        // owner's parent's domain, so it travels as a `CompleteUp` message. The owner's accesses
+        // are disjoint and sorted by `(space, start)`, so one binary search finds the first one
+        // the node overlaps (a root domain has none).
         let weakwait_active = domain.body_finished && domain.wait_mode == WaitMode::WeakWait;
-        for (own_idx, overlap) in parent_coverage.iter() {
-            let own = &mut domain.own[*own_idx as usize];
-            let mut zeroed_all: Parts = SmallVec::new();
-            for part in &actually_released {
-                if let Some(sub) = overlap.intersection(part) {
-                    own.uncover(&sub, &mut zeroed_all);
-                }
+        let region = domain.node(idx).expect("checked above").region;
+        let first = domain
+            .own
+            .partition_point(|o| (o.region.space, o.region.end) <= (region.space, region.start));
+        for (own_idx, own) in domain.own.iter().enumerate().skip(first) {
+            if !own.region.intersects(&region) {
+                break;
             }
-            if zeroed_all.is_empty() {
+            if !weakwait_active && own.early_release.is_empty() {
                 continue;
             }
             let mut completable: Parts = SmallVec::new();
-            for part in &zeroed_all {
+            for part in &actually_released {
+                let Some(sub) = own.region.intersection(part) else { continue };
                 if weakwait_active {
-                    completable.push(*part);
+                    domain.uncovered_parts(&sub, &mut completable);
                 } else {
-                    // Early-release armed fragments complete as soon as coverage drops, even if
-                    // the body is still running.
-                    own.stored_parts(&own.early_release, part, &mut completable);
+                    let mut armed: Parts = SmallVec::new();
+                    own.stored_parts(&own.early_release, &sub, &mut armed);
+                    for part in &armed {
+                        domain.uncovered_parts(part, &mut completable);
+                    }
                 }
             }
             if !completable.is_empty() {
@@ -2186,7 +2191,7 @@ impl<P: 'static> DependencyEngine<P> {
                     outbox.push_back(Message::CompleteUp {
                         target,
                         task: domain.owner_entry(),
-                        own_idx: *own_idx,
+                        own_idx: own_idx as u32,
                         parts: completable,
                     });
                 }
@@ -2314,26 +2319,6 @@ impl<P: 'static> DependencyEngine<P> {
         let registered = self.stats.roots_registered.load(Ordering::Relaxed);
         let completed = self.stats.roots_completed.load(Ordering::Relaxed);
         registered.saturating_sub(completed)
-    }
-}
-
-/// Records that the new node covers parts of the domain owner's own accesses (used for the
-/// fine-grained hand-over of §V). The own accesses are disjoint and sorted by `(space, start)`,
-/// so one binary search finds the first overlap and the overlapping ones follow it (there are
-/// none in root domains — the flat-spawn fast path).
-fn register_parent_coverage<P>(domain: &mut Domain<P>, idx: u32, region: Region) {
-    let Domain { own, nodes, .. } = domain;
-    let first =
-        own.partition_point(|o| (o.region.space, o.region.end) <= (region.space, region.start));
-    for (own_idx, o) in own.iter_mut().enumerate().skip(first) {
-        let Some(overlap) = o.region.intersection(&region) else { break };
-        o.cover(&overlap);
-        nodes[idx as usize]
-            .node
-            .as_mut()
-            .expect("node just allocated")
-            .parent_coverage
-            .push((own_idx as u32, overlap));
     }
 }
 
@@ -3083,6 +3068,20 @@ mod tests {
             weak: false,
         };
         let _ = engine.register_task_normalized(root, &[dep(8, 16), dep(0, 10)], WaitMode::None);
+    }
+
+    /// A task's children are registered by its running body, so its strong accesses are
+    /// satisfied and need no pending-down mirror; debug builds reject a child registered under
+    /// a parent whose strong access still waits for a writer.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "before it is ready")]
+    fn registering_under_a_parent_that_is_not_ready_is_rejected() {
+        let mut h = Harness::new();
+        let _writer = h.spawn_root(&[dep(AccessType::Out, A)], WaitMode::None);
+        let parent = h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::None);
+        assert!(!h.is_ready(parent));
+        let _ = h.engine.register_task(parent, &[dep(AccessType::In, A)], WaitMode::None);
     }
 
     /// Randomised single-domain dependency check: execute tasks in any legal engine order and

@@ -3,7 +3,7 @@
 //!
 //! This is the crate's one interval container: each space of the dependency engine's *bottom
 //! maps*, and every per-access map of the engine (fragment state, satisfaction mirror and
-//! edges, child coverage, `release` arming). Updating a range that partially overlaps existing
+//! edges, `release` arming). Updating a range that partially overlaps existing
 //! entries splits those entries at the update boundaries, so the caller always observes maximal
 //! fragments that are either fully inside one existing entry or fully inside a gap.
 //!

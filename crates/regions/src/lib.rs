@@ -8,7 +8,7 @@
 //! * fragment a region against a set of previously registered regions,
 //! * keep a per-domain *bottom map* from region fragments to their latest accessors, and
 //! * track per-fragment state of one declared access: which sub-ranges are still unsatisfied,
-//!   covered by live child accesses, or armed for early release.
+//!   unreleased, or armed for early release.
 //!
 //! This crate provides those containers free of any runtime concerns so they can be tested and
 //! property-checked in isolation:
@@ -17,8 +17,7 @@
 //! * [`IntervalMap`] — an ordered map from disjoint ranges of a *single* space to values, with
 //!   fragmentation on update. A declared access is one region in one space, so every
 //!   per-access container of the engine is an `IntervalMap` over its access's space: a set is
-//!   an `IntervalMap<()>`, a coverage count an `IntervalMap<u32>` whose visitors report the
-//!   fragments that drop to zero.
+//!   an `IntervalMap<()>`, a per-fragment record an `IntervalMap` of that record.
 //! * [`RegionStore`] — the engine's bottom maps: one `IntervalMap` per space, reporting how
 //!   each update met the stored fragments ([`Fit`]). It is the only container spanning several
 //!   spaces.
@@ -128,7 +127,7 @@ mod set {
     }
 }
 
-/// `IntervalMap<u32>` as a coverage counter, driven the way the engine drives `child_coverage`:
+/// `IntervalMap<u32>` as a coverage counter, the update pattern of any per-fragment count:
 /// increment sets `count + 1` over the range, decrement sets `count - 1` and removes (and
 /// reports) the fragments that reach zero.
 #[cfg(test)]

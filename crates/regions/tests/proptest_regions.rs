@@ -3,8 +3,8 @@
 //! The reference model for every container is a plain per-coordinate representation
 //! (`Vec<Option<V>>` / `Vec<bool>` / `Vec<usize>`): slow, but obviously correct. All operations
 //! on the real container must agree with the model coordinate by coordinate. `IntervalMap` is
-//! also driven through the closures the dependency engine uses for its per-access containers: a
-//! region set (union, removal) and a coverage counter (increment, decrement to zero).
+//! also driven as a region set (union, removal), through the closures the dependency engine
+//! uses for its per-access sets, and as a coverage counter (increment, decrement to zero).
 
 use proptest::prelude::*;
 use weakdep_regions::{IntervalMap, RangeUpdate, Region, SpaceId};
@@ -193,8 +193,8 @@ proptest! {
     }
 
     /// `IntervalMap<u32>` as a coverage counter — increment sets `count + 1`, decrement sets
-    /// `count - 1` and removes the fragments reaching zero, as the engine's `child_coverage` —
-    /// agrees with a per-coordinate count model and reports exactly the transitions to zero.
+    /// `count - 1` and removes the fragments reaching zero — agrees with a per-coordinate count
+    /// model and reports exactly the transitions to zero.
     #[test]
     fn coverage_counter_matches_model(ops in proptest::collection::vec(
         (any::<bool>(), region_strategy()), 0..40)

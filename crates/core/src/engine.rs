@@ -68,12 +68,22 @@
 //! slab-allocated inside each domain and recycled (guarded by slot generations) once the owning
 //! task has deeply completed and the access is fully released. The per-task [`TaskEntry`]
 //! shells are recycled through the same discipline one level up: a task is **retired** — its
-//! task-table slot freed and the slot generation bumped — the moment its scheduling record in
-//! the parent's domain is reclaimed (which requires deep completion *and* full release of every
-//! declared access), and roots retire at deep completion. [`TaskId`]s are generational, so a
-//! handle held past retirement is detected ([`StaleTaskId`]) instead of aliasing a younger task
-//! that reuses the slot. Under steady-state load the task table therefore plateaus at the
-//! live-task high-water mark instead of growing with every task ever spawned.
+//! task-table slot emptied, the slot generation bumped and the id filed under the retiring
+//! thread's home free list — the moment its scheduling record in the parent's domain is
+//! reclaimed (which requires deep completion *and* full release of every declared access), and
+//! roots retire at deep completion. [`TaskId`]s are generational, so a handle held past
+//! retirement is detected ([`StaleTaskId`]) instead of aliasing a younger task that reuses the
+//! slot. Under steady-state load the task table therefore plateaus at the live-task high-water
+//! mark instead of growing with every task ever spawned.
+//!
+//! # Two ways in
+//!
+//! Every [`TaskId`] function (registration, [`DependencyEngine::body_finished`],
+//! [`DependencyEngine::release_region`] and the queries) resolves its id through the task table
+//! once and then runs the entry-based code. The runtime skips that lookup: registration hands
+//! each new task's payload (the runtime's task record) the task's own entry, and the record
+//! spawns children, retires, waits and releases through it. The table serves the id API and
+//! nothing else.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -946,10 +956,13 @@ impl<P> Domain<P> {
         self.self_entry.upgrade().expect("task entry outlives its domain")
     }
 
-    /// The parent's entry: `None` for roots, and also `None` once the parent has been retired.
-    /// The latter is only reachable after this domain's owner deeply completed and its residual
-    /// fragments were absorbed in the parent's domain, so any upward message that would have
-    /// been addressed at the parent is moot and may be dropped.
+    /// The parent's entry: `None` for roots, and also `None` once the parent has been retired
+    /// and its entry freed. The latter is only reachable after this domain's owner deeply
+    /// completed and its residual fragments were absorbed in the parent's domain, so any upward
+    /// message that would have been addressed at the parent is moot and may be dropped. A
+    /// retired parent whose task record still holds its entry answers `Some`; the hand-over
+    /// it then receives is moot the same way, and the node generations drop or absorb it
+    /// (`docs/locking.md`, "Retired parents").
     fn parent_arc(&self) -> Option<Arc<TaskEntry<P>>> {
         self.parent_entry.as_ref().and_then(Weak::upgrade)
     }
@@ -1111,9 +1124,11 @@ impl<P> Domain<P> {
     }
 }
 
-/// One task: its identity, its links into its parent's domain and its own domain.
-struct TaskEntry<P> {
-    id: TaskId,
+/// One task: its identity, its links into its parent's domain and its own domain. The task
+/// table holds it until the task retires; the runtime's task record holds it too, and reaches
+/// the task through it without a table lookup.
+pub(crate) struct TaskEntry<P> {
+    pub(crate) id: TaskId,
     parent: Option<TaskId>,
     /// References to this task's access nodes in the parent's domain, parallel to the `own`
     /// vector of this task's domain. Immutable after registration; inline for the common 1–2
@@ -1122,6 +1137,26 @@ struct TaskEntry<P> {
     /// Slot of this task's [`ChildSched`] record in the parent's domain (unused for roots).
     sched_in_parent: u32,
     domain: Mutex<Domain<P>>,
+}
+
+impl<P> TaskEntry<P> {
+    /// Number of direct children of the task that have not yet deeply completed.
+    pub(crate) fn live_children(&self) -> usize {
+        self.domain.lock().live_children
+    }
+
+    /// [`DependencyEngine::is_scheduled`] for this task. A retired parent answers `true` too:
+    /// it deeply completed, so its children all ran.
+    fn is_scheduled(&self) -> bool {
+        let Some(parent) = self.domain.lock().parent_arc() else { return true };
+        let domain = parent.domain.lock();
+        match domain.sched.get(self.sched_in_parent as usize).and_then(Option::as_ref) {
+            // A recycled slot (or one reused by a later task) means this task deeply completed,
+            // which implies it was scheduled.
+            Some(sched) if sched.task == self.id => sched.payload.is_none(),
+            _ => true,
+        }
+    }
 }
 
 /// Cross-domain propagation messages. Each message is addressed to exactly one domain and is
@@ -1208,10 +1243,33 @@ struct TableSlot<P> {
     entry: Option<Arc<TaskEntry<P>>>,
 }
 
-/// One stripe of the task table: its slots plus the free list of retired slot positions.
-struct TableStripe<P> {
-    slots: Vec<TableSlot<P>>,
-    free: Vec<u32>,
+/// Number of free lists of retired ids. Each thread retires onto its home list (see
+/// [`home_list`]), so a handful of lists keeps the workers of one pool off each other's locks.
+const FREE_LISTS: usize = 16;
+
+/// One free list of retired ids, each id already carrying its slot's next generation, padded
+/// to its own cache lines so neighbouring homes do not share one.
+#[repr(align(128))]
+#[derive(Default)]
+struct FreeList {
+    /// Mirror of `ids.len()`, written under the lock; a relaxed read lets `reserve_id` skip an
+    /// empty list without locking it.
+    len: AtomicUsize,
+    ids: Mutex<Vec<TaskId>>,
+}
+
+/// Hands each thread its home free list, round-robin in thread start order.
+static NEXT_HOME: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's home free list. Not keyed to an engine: every engine the thread uses
+    /// files its retired ids under the same index.
+    static HOME: usize = NEXT_HOME.fetch_add(1, Ordering::Relaxed) % FREE_LISTS;
+}
+
+/// The calling thread's home free list (list 0 during thread teardown).
+fn home_list() -> usize {
+    HOME.try_with(|home| *home).unwrap_or(0)
 }
 
 /// The dependency engine. See the module documentation for the model and `docs/locking.md` for
@@ -1224,18 +1282,18 @@ struct TableStripe<P> {
 /// records instead, so a ready task's record comes straight out of the engine.
 pub struct DependencyEngine<P = TaskId> {
     /// Task table: index `i` lives in stripe `i % TABLE_SHARDS` at position `i / TABLE_SHARDS`.
-    /// Retired slots go onto the owning stripe's free list and are reused by later
-    /// registrations, so the table's footprint plateaus at the live-task high-water mark.
-    table: Vec<Mutex<TableStripe<P>>>,
-    /// High-water allocator for fresh indexes (used only when no retired slot is available).
+    /// It serves the [`TaskId`] API only; the runtime reaches each task through the entry its
+    /// record holds.
+    table: Vec<Mutex<Vec<TableSlot<P>>>>,
+    /// Retired ids, ready for reuse; a retire files its id under the retiring thread's home
+    /// list. The table's footprint therefore plateaus at the live-task high-water mark.
+    free: [FreeList; FREE_LISTS],
+    /// High-water allocator for fresh indexes (used only when every free list is empty).
     next_index: AtomicUsize,
-    /// Approximate number of retired slots across all stripes. Kept outside the stripe locks so
-    /// the common no-free-slot registration path costs one relaxed load, not 64 lock
-    /// acquisitions.
-    free_slots: AtomicUsize,
-    /// Round-robin cursor distributing slot-reuse scans across stripes.
-    alloc_cursor: AtomicUsize,
     stats: AtomicStats,
+    /// Calls of [`DependencyEngine::entry`]: the runtime's per-task paths must make none.
+    #[cfg(test)]
+    pub(crate) lookups: AtomicUsize,
 }
 
 impl<P> std::fmt::Debug for DependencyEngine<P> {
@@ -1251,13 +1309,12 @@ impl<P> std::fmt::Debug for DependencyEngine<P> {
 impl<P> Default for DependencyEngine<P> {
     fn default() -> Self {
         DependencyEngine {
-            table: (0..TABLE_SHARDS)
-                .map(|_| Mutex::new(TableStripe { slots: Vec::new(), free: Vec::new() }))
-                .collect(),
+            table: (0..TABLE_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            free: Default::default(),
             next_index: AtomicUsize::new(0),
-            free_slots: AtomicUsize::new(0),
-            alloc_cursor: AtomicUsize::new(0),
             stats: AtomicStats::default(),
+            #[cfg(test)]
+            lookups: AtomicUsize::new(0),
         }
     }
 }
@@ -1303,11 +1360,11 @@ impl<P: From<TaskId> + 'static> DependencyEngine<P> {
         deps: &[NormalizedDep],
         wait_mode: WaitMode,
     ) -> Result<(TaskId, bool), StaleTaskId> {
-        debug_assert!(self.is_scheduled(parent), "{parent:?} has children before it is ready");
-        let parent_entry = self.entry(parent)?;
+        let parent = self.entry(parent)?;
+        debug_assert!(parent.is_scheduled(), "{:?} has children before it is ready", parent.id);
         let id = self.reserve_id();
-        let mut domain = parent_entry.domain.lock();
-        let sched = self.register_locked(&parent_entry, &mut domain, id, deps, wait_mode);
+        let mut domain = parent.domain.lock();
+        let (sched, _) = self.register_locked(&parent, &mut domain, id, deps, wait_mode);
         Ok((id, domain.park(sched, P::from(id)).is_some()))
     }
 
@@ -1322,14 +1379,14 @@ impl<P: From<TaskId> + 'static> DependencyEngine<P> {
         parent: TaskId,
         specs: impl IntoIterator<Item = (&'a [NormalizedDep], WaitMode)>,
     ) -> Result<Vec<(TaskId, bool)>, StaleTaskId> {
-        debug_assert!(self.is_scheduled(parent), "{parent:?} has children before it is ready");
-        let parent_entry = self.entry(parent)?;
-        let mut domain = parent_entry.domain.lock();
+        let parent = self.entry(parent)?;
+        debug_assert!(parent.is_scheduled(), "{:?} has children before it is ready", parent.id);
+        let mut domain = parent.domain.lock();
         Ok(specs
             .into_iter()
             .map(|(deps, wait_mode)| {
                 let id = self.reserve_id();
-                let sched = self.register_locked(&parent_entry, &mut domain, id, deps, wait_mode);
+                let (sched, _) = self.register_locked(&parent, &mut domain, id, deps, wait_mode);
                 (id, domain.park(sched, P::from(id)).is_some())
             })
             .collect())
@@ -1337,44 +1394,41 @@ impl<P: From<TaskId> + 'static> DependencyEngine<P> {
 }
 
 impl<P: 'static> DependencyEngine<P> {
-    /// Reserves the id of a task about to be registered: a retired table slot if one is
-    /// available (its current generation becomes the id's generation), a fresh index otherwise.
-    /// The scan over stripes is bounded; if concurrent allocators race it away, the reservation
-    /// is refunded and a fresh index is used — capacity may transiently overshoot but
-    /// correctness never depends on winning the race.
+    /// Reserves the id of a task about to be registered, trying in order the calling thread's
+    /// home free list, the other free lists (an empty one is skipped on a relaxed read of its
+    /// length, without locking it) and a fresh index. A recycled id already carries its slot's
+    /// next generation, so reserving one touches no table stripe and no engine-wide counter.
+    /// A list emptied between the length read and the lock is simply passed over; the worst a
+    /// race costs is a fresh index while a retired one waits, never a wrong id.
     ///
     /// The id is known before the task is registered, so the caller can build the payload
     /// around it and announce the task before registration lets it run. Every reserved id must
     /// be registered: an id that never is keeps its table slot out of use for good.
     pub(crate) fn reserve_id(&self) -> TaskId {
-        let reserved = self
-            .free_slots
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok();
-        if reserved {
-            let start = self.alloc_cursor.fetch_add(1, Ordering::Relaxed);
-            for probe in 0..2 * TABLE_SHARDS {
-                let shard = (start + probe) % TABLE_SHARDS;
-                let mut stripe = self.table[shard].lock();
-                if let Some(pos) = stripe.free.pop() {
-                    let gen = stripe.slots[pos as usize].gen;
-                    drop(stripe);
-                    let index = pos as usize * TABLE_SHARDS + shard;
-                    return TaskId {
-                        index: u32::try_from(index).expect("task index overflow"),
-                        generation: gen,
-                    };
-                }
+        let home = home_list();
+        for offset in 0..FREE_LISTS {
+            let list = &self.free[(home + offset) % FREE_LISTS];
+            if list.len.load(Ordering::Relaxed) == 0 {
+                continue;
             }
-            self.free_slots.fetch_add(1, Ordering::Relaxed);
+            let mut ids = list.ids.lock();
+            let id = ids.pop();
+            list.len.store(ids.len(), Ordering::Relaxed);
+            drop(ids);
+            if let Some(id) = id {
+                return id;
+            }
         }
         let index = self.next_index.fetch_add(1, Ordering::Relaxed);
         TaskId { index: u32::try_from(index).expect("task index overflow"), generation: 0 }
     }
 
+    /// Resolves an id through the task table: the front of every [`TaskId`] function.
     fn entry(&self, task: TaskId) -> Result<Arc<TaskEntry<P>>, StaleTaskId> {
+        #[cfg(test)]
+        self.lookups.fetch_add(1, Ordering::Relaxed);
         let stripe = self.table[task.index() % TABLE_SHARDS].lock();
-        match stripe.slots.get(task.index() / TABLE_SHARDS) {
+        match stripe.get(task.index() / TABLE_SHARDS) {
             Some(slot) if slot.gen == task.generation => {
                 slot.entry.clone().ok_or(StaleTaskId(task))
             }
@@ -1386,43 +1440,43 @@ impl<P: 'static> DependencyEngine<P> {
         let id = entry.id;
         let mut stripe = self.table[id.index() % TABLE_SHARDS].lock();
         let pos = id.index() / TABLE_SHARDS;
-        if stripe.slots.len() <= pos {
-            stripe.slots.resize_with(pos + 1, || TableSlot { gen: 0, entry: None });
+        if stripe.len() <= pos {
+            stripe.resize_with(pos + 1, || TableSlot { gen: 0, entry: None });
         }
-        let slot = &mut stripe.slots[pos];
+        let slot = &mut stripe[pos];
         debug_assert_eq!(slot.gen, id.generation(), "publish into a slot of another generation");
         debug_assert!(slot.entry.is_none(), "publish into an occupied slot");
         slot.entry = Some(entry);
     }
 
-    /// Retires a task: frees its table slot for reuse and bumps the slot generation so stale
-    /// ids are detected. Called exactly once per task, when its last bookkeeping in the
-    /// parent's domain (the scheduling record) is reclaimed — or at deep completion for roots.
-    /// May run while a domain lock is held (stripe locks nest inside domain locks); the entry
-    /// `Arc` itself is dropped after the stripe lock is released, since dropping the last
-    /// reference tears down the whole `TaskEntry`.
+    /// Retires a task: empties its table slot, bumps the slot generation so stale ids are
+    /// detected, and files the id with its new generation under the calling thread's home free
+    /// list. Called exactly once per task, when its last bookkeeping in the parent's domain
+    /// (the scheduling record) is reclaimed — or at deep completion for roots. May run while a
+    /// domain lock is held: the stripe lock and then the free-list lock nest inside it, one
+    /// after the other, and take no further lock. The table's `Arc` is dropped after both are
+    /// released; a task record may still hold the entry, which then outlives retirement until
+    /// the record goes.
     ///
     /// A slot whose generation space is exhausted (the bump would reach the reserved
     /// [`TaskId::SYNTHETIC_GENERATION`]) is **permanently** retired instead of recycled:
     /// generations never wrap, so a stale id can never alias a younger task no matter how long
     /// the engine lives. The cost is one leaked slot per `u32::MAX` reuses of the same slot.
     fn retire(&self, task: TaskId) {
-        let (entry, recycled) = {
+        let (entry, generation) = {
             let mut stripe = self.table[task.index() % TABLE_SHARDS].lock();
-            let pos = task.index() / TABLE_SHARDS;
-            let slot = &mut stripe.slots[pos];
+            let slot = &mut stripe[task.index() / TABLE_SHARDS];
             debug_assert_eq!(slot.gen, task.generation(), "double retire of {task:?}");
             let entry = slot.entry.take();
             debug_assert!(entry.is_some(), "retire of an empty slot {task:?}");
             slot.gen = slot.gen.wrapping_add(1);
-            let recycled = slot.gen != TaskId::SYNTHETIC_GENERATION;
-            if recycled {
-                stripe.free.push(pos as u32);
-            }
-            (entry, recycled)
+            (entry, slot.gen)
         };
-        if recycled {
-            self.free_slots.fetch_add(1, Ordering::Relaxed);
+        if generation != TaskId::SYNTHETIC_GENERATION {
+            let list = &self.free[home_list()];
+            let mut ids = list.ids.lock();
+            ids.push(TaskId { index: task.index, generation });
+            list.len.store(ids.len(), Ordering::Relaxed);
         }
         AtomicStats::bump(&self.stats.tasks_retired, 1);
         drop(entry);
@@ -1430,6 +1484,12 @@ impl<P: 'static> DependencyEngine<P> {
 
     /// Registers a root task: no parent, no dependencies, its body is about to run.
     pub fn register_root(&self) -> TaskId {
+        self.register_root_entry().id
+    }
+
+    /// [`DependencyEngine::register_root`], answering with the root's entry, through which the
+    /// runtime finishes the root and registers its children.
+    pub(crate) fn register_root_entry(&self) -> Arc<TaskEntry<P>> {
         let id = self.reserve_id();
         let mut domain = Domain::new(id, None, WaitMode::Wait);
         let entry = Arc::new_cyclic(|weak| {
@@ -1442,43 +1502,45 @@ impl<P: 'static> DependencyEngine<P> {
                 domain: Mutex::new(domain),
             }
         });
-        self.publish(entry);
+        self.publish(Arc::clone(&entry));
         AtomicStats::bump(&self.stats.tasks_registered, 1);
         AtomicStats::bump(&self.stats.roots_registered, 1);
-        id
+        entry
     }
 
-    /// Registers sibling tasks under a **single** acquisition of the parent's domain lock, each
-    /// carrying its payload: `(id, payload, wait mode)` per task, the id from
+    /// Registers sibling tasks under a **single** acquisition of the `parent` entry's domain
+    /// lock, each carrying its payload: `(id, payload, wait mode)` per task, the id from
     /// [`DependencyEngine::reserve_id`]. `deps` reads a task's [`normalize_deps`]-ordered
-    /// dependencies out of its payload. A task ready at registration never parks: its payload
-    /// goes straight to `ready` (called under the parent's lock, so it must only move the
-    /// payload). Every other payload parks in the task's scheduling record until the readiness
-    /// that releases it moves it into [`Effects::ready`]. `parent` must already have been
-    /// reported ready, as for [`DependencyEngine::register_task`]. Errors with [`StaleTaskId`]
-    /// if `parent` has been retired.
+    /// dependencies out of its payload, and `attach` hands the payload its task's new entry
+    /// before the payload can leave registration (both run under the parent's lock, so they
+    /// must only read and move). A task ready at registration never parks: its payload goes
+    /// straight to `ready` (likewise under the lock). Every other payload parks in the task's
+    /// scheduling record until the readiness that releases it moves it into
+    /// [`Effects::ready`]. `parent` must already have been reported ready, as for
+    /// [`DependencyEngine::register_task`].
     pub(crate) fn register_payloads<D: Copy + Into<NormalizedDep>>(
         &self,
-        parent: TaskId,
+        parent: &Arc<TaskEntry<P>>,
         tasks: impl IntoIterator<Item = (TaskId, P, WaitMode)>,
         deps: impl Fn(&P) -> &[D],
+        mut attach: impl FnMut(&mut P, Arc<TaskEntry<P>>),
         mut ready: impl FnMut(P),
-    ) -> Result<(), StaleTaskId> {
-        debug_assert!(self.is_scheduled(parent), "{parent:?} has children before it is ready");
-        let parent_entry = self.entry(parent)?;
-        let mut domain = parent_entry.domain.lock();
-        for (id, payload, wait_mode) in tasks {
-            let sched =
-                self.register_locked(&parent_entry, &mut domain, id, deps(&payload), wait_mode);
+    ) {
+        debug_assert!(parent.is_scheduled(), "{:?} has children before it is ready", parent.id);
+        let mut domain = parent.domain.lock();
+        for (id, mut payload, wait_mode) in tasks {
+            let (sched, entry) =
+                self.register_locked(parent, &mut domain, id, deps(&payload), wait_mode);
+            attach(&mut payload, entry);
             if let Some(payload) = domain.park(sched, payload) {
                 ready(payload);
             }
         }
-        Ok(())
     }
 
     /// The registration core, with the parent's domain already locked: links task `id` and
-    /// returns the slot of its scheduling record, where [`Domain::park`] leaves its payload.
+    /// returns the slot of its scheduling record, where [`Domain::park`] leaves its payload,
+    /// and the task's new entry.
     fn register_locked<D: Copy + Into<NormalizedDep>>(
         &self,
         parent_entry: &Arc<TaskEntry<P>>,
@@ -1486,7 +1548,7 @@ impl<P: 'static> DependencyEngine<P> {
         id: TaskId,
         deps: &[D],
         wait_mode: WaitMode,
-    ) -> u32 {
+    ) -> (u32, Arc<TaskEntry<P>>) {
         assert!(
             !domain.deeply_completed,
             "cannot create a child of a deeply completed task"
@@ -1586,8 +1648,8 @@ impl<P: 'static> DependencyEngine<P> {
         if sched.pending_strong == 0 {
             AtomicStats::bump(&self.stats.ready_at_registration, 1);
         }
-        self.publish(entry);
-        sched_idx
+        self.publish(Arc::clone(&entry));
+        (sched_idx, entry)
     }
 
     /// Links a freshly created access node into the (locked) domain's bottom map, fragmenting
@@ -1727,20 +1789,18 @@ impl<P: 'static> DependencyEngine<P> {
     /// effects, or [`StaleTaskId`] if `task` has already been retired (a double
     /// `body_finished` through a stale id is a caller bug, reported as a defined error).
     pub fn body_finished(&self, task: TaskId) -> Result<Effects<P>, StaleTaskId> {
+        let entry = self.entry(task)?;
         let mut effects = Effects::default();
-        self.body_finished_into(task, &mut effects)?;
+        self.body_finished_into(&entry, &mut effects);
         Ok(effects)
     }
 
-    /// [`DependencyEngine::body_finished`] into the caller's empty `effects`, so a caller that
-    /// drains and keeps one buffer retires tasks without allocating effect vectors.
-    pub(crate) fn body_finished_into(
-        &self,
-        task: TaskId,
-        effects: &mut Effects<P>,
-    ) -> Result<(), StaleTaskId> {
+    /// [`DependencyEngine::body_finished`] for the task `entry` belongs to, into the caller's
+    /// empty `effects`, so a caller that drains and keeps one buffer retires tasks without
+    /// allocating effect vectors.
+    pub(crate) fn body_finished_into(&self, entry: &Arc<TaskEntry<P>>, effects: &mut Effects<P>) {
         debug_assert!(effects.is_empty(), "effects buffer handed in with leftovers");
-        let entry = self.entry(task)?;
+        let task = entry.id;
         let mut scratch = CascadeScratch::take();
         let CascadeScratch { outbox, queue } = &mut *scratch;
         {
@@ -1757,7 +1817,7 @@ impl<P: 'static> DependencyEngine<P> {
                     let mut emit = |own_idx: usize, region: Region| {
                         outbox.push_back(Message::CompleteUp {
                             target: Arc::clone(&target),
-                            task: Arc::clone(&entry),
+                            task: Arc::clone(entry),
                             own_idx: own_idx as u32,
                             parts: smallvec![region],
                         });
@@ -1786,7 +1846,7 @@ impl<P: 'static> DependencyEngine<P> {
                             AtomicStats::bump(&self.stats.incremental_releases, uncovered.len());
                             outbox.push_back(Message::CompleteUp {
                                 target: Arc::clone(&target),
-                                task: Arc::clone(&entry),
+                                task: Arc::clone(entry),
                                 own_idx: own_idx as u32,
                                 parts: uncovered,
                             });
@@ -1804,7 +1864,6 @@ impl<P: 'static> DependencyEngine<P> {
         }
         self.pump(outbox, queue, effects);
         scratch.put_back();
-        Ok(())
     }
 
     /// The `release` directive (§V): the running task asserts it (and its *future* subtasks) will
@@ -1812,7 +1871,15 @@ impl<P: 'static> DependencyEngine<P> {
     /// for early completion; fragments not covered by live child accesses complete immediately.
     /// Returns [`StaleTaskId`] if `task` has already been retired.
     pub fn release_region(&self, task: TaskId, region: Region) -> Result<Effects<P>, StaleTaskId> {
-        let entry = self.entry(task)?;
+        Ok(self.release_region_of(&self.entry(task)?, region))
+    }
+
+    /// [`DependencyEngine::release_region`] for the task `entry` belongs to.
+    pub(crate) fn release_region_of(
+        &self,
+        entry: &Arc<TaskEntry<P>>,
+        region: Region,
+    ) -> Effects<P> {
         let mut effects = Effects::default();
         let mut scratch = CascadeScratch::take();
         let CascadeScratch { outbox, queue } = &mut *scratch;
@@ -1820,7 +1887,7 @@ impl<P: 'static> DependencyEngine<P> {
             let mut domain = entry.domain.lock();
             let Some(target) = domain.parent_arc() else {
                 scratch.put_back();
-                return Ok(effects);
+                return effects;
             };
             domain.ensure_seeded();
             for own_idx in 0..domain.own.len() {
@@ -1836,7 +1903,7 @@ impl<P: 'static> DependencyEngine<P> {
                     AtomicStats::bump(&self.stats.incremental_releases, uncovered.len());
                     outbox.push_back(Message::CompleteUp {
                         target: Arc::clone(&target),
-                        task: Arc::clone(&entry),
+                        task: Arc::clone(entry),
                         own_idx: own_idx as u32,
                         parts: uncovered,
                     });
@@ -1845,7 +1912,7 @@ impl<P: 'static> DependencyEngine<P> {
         }
         self.pump(outbox, queue, &mut effects);
         scratch.put_back();
-        Ok(effects)
+        effects
     }
 
     // ------------------------------------------------------------------------------------------
@@ -2213,7 +2280,7 @@ impl<P: 'static> DependencyEngine<P> {
     /// Number of direct children of `task` that have not yet deeply completed.
     /// Errors for a stale id (a retired task has no live children by construction).
     pub fn try_live_children(&self, task: TaskId) -> Result<usize, StaleTaskId> {
-        Ok(self.entry(task)?.domain.lock().live_children)
+        Ok(self.entry(task)?.live_children())
     }
 
     /// Number of direct children of `task` that have not yet deeply completed; `0` for stale
@@ -2239,16 +2306,7 @@ impl<P: 'static> DependencyEngine<P> {
     /// `true` if the task has been reported ready (or executed). Stale ids answer `true`
     /// (retirement implies the task ran to deep completion).
     pub fn is_scheduled(&self, task: TaskId) -> bool {
-        let Ok(entry) = self.entry(task) else { return true };
-        let Some(parent) = entry.parent else { return true };
-        let Ok(parent_entry) = self.entry(parent) else { return true };
-        let domain = parent_entry.domain.lock();
-        match domain.sched.get(entry.sched_in_parent as usize).and_then(Option::as_ref) {
-            // A recycled slot (or one reused by a later task) means this task deeply completed,
-            // which implies it was scheduled.
-            Some(sched) if sched.task == task => sched.payload.is_none(),
-            _ => true,
-        }
+        self.entry(task).map_or(true, |entry| entry.is_scheduled())
     }
 
     /// The parent of `task`: `None` for roots and for stale ids.
@@ -2301,7 +2359,7 @@ impl<P: 'static> DependencyEngine<P> {
     /// plateaus at roughly the live-task high-water mark instead of tracking the total number
     /// of tasks ever registered — the reclamation property the soak tests assert.
     pub fn table_capacity(&self) -> usize {
-        self.table.iter().map(|stripe| stripe.lock().slots.len()).sum()
+        self.table.iter().map(|stripe| stripe.lock().len()).sum()
     }
 
     /// Number of live (not yet retired) tasks. Computed in O(1) from the registration and
@@ -3003,6 +3061,45 @@ mod tests {
         assert_eq!(h.engine.try_is_deeply_completed(t1), Err(StaleTaskId(t1)));
     }
 
+    /// A retire files the id under the retiring thread's home free list, and a thread whose
+    /// home is another list still reuses it: the slot comes back with its generation bumped,
+    /// and the retired id turns stale.
+    #[test]
+    fn an_id_retired_on_one_thread_is_reused_on_another() {
+        let engine = DependencyEngine::new();
+        let root = engine.register_root();
+        let (task, ready) = engine.register_task(root, &[], WaitMode::None).expect("live root");
+        assert!(ready);
+        let retired_home = std::thread::scope(|s| {
+            s.spawn(|| {
+                engine.body_finished(task).expect("live task");
+                home_list()
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(engine.try_is_deeply_completed(task), Err(StaleTaskId(task)));
+        // Homes are handed out round-robin, so one of the next `FREE_LISTS` threads has another.
+        let reused = std::thread::scope(|s| loop {
+            let other = s
+                .spawn(|| {
+                    (home_list() != retired_home).then(|| {
+                        engine.register_task(root, &[], WaitMode::None).expect("live root").0
+                    })
+                })
+                .join()
+                .unwrap();
+            if let Some(id) = other {
+                break id;
+            }
+        });
+        assert_eq!(reused.index(), task.index(), "the retired slot is reused");
+        assert_eq!(reused.generation(), task.generation() + 1);
+        assert_eq!(engine.try_is_deeply_completed(task), Err(StaleTaskId(task)));
+        assert_eq!(engine.try_is_deeply_completed(reused), Ok(false));
+        assert_eq!(engine.table_capacity(), 2, "no fresh index was minted");
+    }
+
     /// Steady-state spawn/finish through one engine keeps the task table at the live high-water
     /// mark instead of growing with every task ever registered.
     #[test]
@@ -3021,7 +3118,7 @@ mod tests {
             .engine
             .table
             .iter()
-            .map(|stripe| stripe.lock().slots.iter().filter(|s| s.entry.is_some()).count())
+            .map(|stripe| stripe.lock().iter().filter(|s| s.entry.is_some()).count())
             .sum();
         assert_eq!(occupied, h.engine.live_tasks(), "live_tasks must agree with occupancy");
         assert!(
@@ -3170,6 +3267,8 @@ mod tests {
     struct Counted {
         id: TaskId,
         deps: Vec<NormalizedDep>,
+        /// Attached by registration, as the runtime's task record holds its entry.
+        entry: Option<Arc<TaskEntry<Counted>>>,
         drops: Arc<AtomicUsize>,
     }
 
@@ -3230,34 +3329,50 @@ mod tests {
             queue.extend(by_id.body_finished(task).expect("live task").ready);
         }
 
+        // The runtime's way: every call goes through an entry, never through the table.
         let engine: DependencyEngine<Counted> = DependencyEngine::default();
         let drops = Arc::new(AtomicUsize::new(0));
-        let root = engine.register_root();
-        let mut ids: Vec<TaskId> = Vec::new();
+        let root = engine.register_root_entry();
+        let mut entries: Vec<Arc<TaskEntry<Counted>>> = Vec::new();
         let mut queue: VecDeque<Counted> = VecDeque::new();
         for (parent, deps, mode) in &graph {
-            let parent = parent.map_or(root, |p| ids[p]);
+            let parent = Arc::clone(parent.map_or(&root, |p| &entries[p]));
             let id = engine.reserve_id();
-            let payload = Counted { id, deps: normalize_deps(deps), drops: Arc::clone(&drops) };
+            let payload =
+                Counted { id, deps: normalize_deps(deps), entry: None, drops: Arc::clone(&drops) };
             let mut ready = None;
-            engine
-                .register_payloads(parent, [(id, payload, *mode)], |p| &p.deps, |p| ready = Some(p))
-                .expect("live parent");
+            engine.register_payloads(
+                &parent,
+                [(id, payload, *mode)],
+                |p| &p.deps,
+                |p, entry| {
+                    entries.push(Arc::clone(&entry));
+                    p.entry = Some(entry);
+                },
+                |p| ready = Some(p),
+            );
             if let Some(payload) = ready {
                 assert_eq!(payload.id, id, "a ready task's own payload comes back");
                 queue.push_back(payload);
             }
-            ids.push(id);
         }
         assert_eq!(drops.load(Ordering::Relaxed), 0, "registration drops no payload");
         assert_eq!(queue.len(), engine.stats().ready_at_registration);
         assert!(queue.len() < graph.len(), "some payloads park");
-        let mut order = vec![root];
-        queue.extend(engine.body_finished(root).expect("live root").ready);
+        let mut order = vec![root.id];
+        let finish = |entry: &Arc<TaskEntry<Counted>>| {
+            let mut effects = Effects::default();
+            engine.body_finished_into(entry, &mut effects);
+            effects.ready
+        };
+        queue.extend(finish(&root));
         while let Some(payload) = queue.pop_front() {
             order.push(payload.id);
-            queue.extend(engine.body_finished(payload.id).expect("live task").ready);
+            let entry = payload.entry.as_ref().expect("registration attached the entry");
+            assert_eq!(entry.id, payload.id);
+            queue.extend(finish(entry));
         }
+        assert_eq!(engine.lookups.load(Ordering::Relaxed), 0, "no task-table lookup");
         assert_eq!(order, expected, "same finish order as the TaskId engine");
         assert_eq!(order.len(), graph.len() + 1, "the graph drains");
         assert_eq!(drops.load(Ordering::Relaxed), graph.len(), "each payload dropped once");

@@ -67,7 +67,7 @@ use crate::faults::FaultPlan;
 use crate::job::{JobError, JobHandle, JobOptions, JobState, JobStats};
 
 use crate::access::{normalize_deps, AccessType, Depend, WaitMode};
-use crate::engine::{DependencyEngine, Effects, StaleTaskId, TaskId};
+use crate::engine::{DependencyEngine, Effects, StaleTaskId, TaskEntry, TaskId};
 use crate::observer::{FootprintEntry, RuntimeObserver, TaskExecution, TaskInfo};
 
 /// Configuration for [`Runtime::new`].
@@ -295,6 +295,10 @@ impl Body {
 /// runs it.
 pub(crate) struct TaskRecord {
     id: TaskId,
+    /// The task's engine entry, attached by registration (a root's by `create_job`) before the
+    /// record can run: spawn, retire, `taskwait` and `release` reach the engine through it,
+    /// never through the engine's task table.
+    entry: Option<Entry>,
     label: &'static str,
     body: Option<Body>,
     /// The normalised dependencies (the first `deps` entries, which the engine links) followed
@@ -308,6 +312,16 @@ pub(crate) struct TaskRecord {
     /// streams. Compiled out without the `faults` feature so the record layout is unchanged.
     #[cfg(feature = "faults")]
     ordinal: u32,
+}
+
+/// A task's engine entry, as its [`TaskRecord`] holds it.
+type Entry = Arc<TaskEntry<Box<TaskRecord>>>;
+
+impl TaskRecord {
+    /// The task's engine entry.
+    fn entry(&self) -> &Entry {
+        self.entry.as_ref().expect("registration attaches the entry before the task runs")
+    }
 }
 
 /// Cumulative phase timers (nanoseconds), kept with relaxed atomics: they are statistics, not
@@ -451,9 +465,10 @@ impl Runtime {
     /// If any task body panics, the panic is captured, the remaining tasks are still executed
     /// (so the runtime stays consistent) and the panic is re-raised here.
     pub fn run<R>(&self, body: impl FnOnce(&TaskCtx<'_>) -> R) -> R {
-        let job = create_job(&self.inner, JobOptions::new());
+        let (job, root_entry) = create_job(&self.inner, JobOptions::new());
         let root_record = TaskRecord {
             id: job.root,
+            entry: Some(root_entry),
             label: "root",
             body: None,
             footprint: Vec::new(),
@@ -472,8 +487,8 @@ impl Runtime {
         }
         let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
 
-        let mut effects =
-            self.inner.engine.body_finished(job.root).expect("the root is live until here");
+        let mut effects = Effects::default();
+        self.inner.engine.body_finished_into(root_record.entry(), &mut effects);
         schedule_effects(&self.inner, &mut effects, None, &job);
 
         // Wait until the root (and therefore every descendant) deeply completes; the job's
@@ -534,11 +549,12 @@ impl Runtime {
         F: FnOnce(&TaskCtx<'_>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        let job = create_job(&self.inner, options);
+        let (job, root_entry) = create_job(&self.inner, options);
         let result: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
         let slot = Arc::clone(&result);
         let root_record = Box::new(TaskRecord {
             id: job.root,
+            entry: Some(root_entry),
             label: "root",
             body: Some(Body::Once(Box::new(move |ctx: &TaskCtx<'_>| {
                 *slot.lock() = Some(body(ctx));
@@ -645,8 +661,9 @@ impl Drop for Runtime {
 /// Admits a new job against the live-task budget (blocking — must only be called from
 /// non-worker threads, see [`RuntimeConfig::live_task_budget`]), registers its root domain in
 /// the engine and publishes it in the service registry. Starts the watchdog lazily when the
-/// job carries a deadline or the service has stall detection configured.
-fn create_job(inner: &Arc<Inner>, options: JobOptions) -> Arc<JobState> {
+/// job carries a deadline or the service has stall detection configured. Returns the job and
+/// its root's engine entry.
+fn create_job(inner: &Arc<Inner>, options: JobOptions) -> (Arc<JobState>, Entry) {
     let id = inner.next_job_id.fetch_add(1, SeqCst);
     #[cfg(feature = "faults")]
     if let Some(stall) = inner.fault_plan.as_ref().and_then(|plan| plan.submission_stall(id)) {
@@ -655,7 +672,8 @@ fn create_job(inner: &Arc<Inner>, options: JobOptions) -> Arc<JobState> {
         std::thread::sleep(stall);
     }
     inner.admission.admit(|| inner.engine.live_tasks());
-    let root = inner.engine.register_root();
+    let root_entry = inner.engine.register_root_entry();
+    let root = root_entry.id;
     let deadline = options.deadline.map(|d| Instant::now() + d);
     let job = Arc::new(JobState::new(
         id,
@@ -681,7 +699,7 @@ fn create_job(inner: &Arc<Inner>, options: JobOptions) -> Arc<JobState> {
         // its current sleep target cannot be slept past.
         inner.watchdog.poke();
     }
-    job
+    (job, root_entry)
 }
 
 /// Per-job progress tracking of the watchdog's stall pass (thread-local to the watchdog).
@@ -905,16 +923,14 @@ impl<'a> TaskCtx<'a> {
         let drop_deps = self.inner.seed_wave_ordering_bug;
         #[cfg(not(feature = "sentinel"))]
         let drop_deps = false;
-        self.inner
-            .engine
-            .register_payloads(
-                self.record.id,
-                tasks,
-                |record| &record.footprint[..if drop_deps { 0 } else { record.deps }],
-                // `ready` has room for the whole wave: no allocation under the domain lock.
-                |record| ready.push(record),
-            )
-            .expect("the spawning task is live, so its id cannot be stale");
+        self.inner.engine.register_payloads(
+            self.record.entry(),
+            tasks,
+            |record| &record.footprint[..if drop_deps { 0 } else { record.deps }],
+            |record, entry| record.entry = Some(entry),
+            // `ready` has room for the whole wave: no allocation under the domain lock.
+            |record| ready.push(record),
+        );
         match self.worker {
             // Spawned-ready waves are not successor waves: the spawner is still running, so
             // the policy's wave queue applies to all.
@@ -934,7 +950,8 @@ impl<'a> TaskCtx<'a> {
         // Flips are announced by `schedule_effects` (`taskwaits_unblocked`) to both
         // populations. The pool ends the wait early only when it shuts down, which
         // `Drop for Runtime` does not let happen under a live job.
-        let drained = || self.inner.engine.live_children(self.record.id) == 0;
+        let entry = self.record.entry();
+        let drained = || entry.live_children() == 0;
         match self.worker {
             Some(worker) => worker.work_until(drained),
             None => self.record.job.gate.wait_until(drained),
@@ -948,11 +965,7 @@ impl<'a> TaskCtx<'a> {
     /// Tasks made ready here are pushed onto the local deque (not the immediate-successor slot):
     /// the current task is still running, so other workers must be able to steal them.
     pub fn release(&self, region: Region) {
-        let mut effects = self
-            .inner
-            .engine
-            .release_region(self.record.id, region)
-            .expect("the releasing task is live, so its id cannot be stale");
+        let mut effects = self.inner.engine.release_region_of(self.record.entry(), region);
         // Shrink the task's live declared footprint *before* dispatching successors: a released
         // region is no longer ours, so a successor starting on it must not conflict with us,
         // and our own later accesses to it must trip `check_access`.
@@ -1417,15 +1430,13 @@ impl<'a> TaskBuilder<'a> {
         let (record, wait_mode) = spec_record(ctx, spec);
         let id = record.id;
         let mut ready = None;
-        ctx.inner
-            .engine
-            .register_payloads(
-                ctx.record.id,
-                [(id, record, wait_mode)],
-                |record| &record.footprint[..record.deps],
-                |record| ready = Some(record),
-            )
-            .expect("the spawning task is live, so its id cannot be stale");
+        ctx.inner.engine.register_payloads(
+            ctx.record.entry(),
+            [(id, record, wait_mode)],
+            |record| &record.footprint[..record.deps],
+            |record, entry| record.entry = Some(entry),
+            |record| ready = Some(record),
+        );
         if let Some(record) = ready {
             match ctx.worker {
                 Some(worker) => worker.dispatch_spawned(record),
@@ -1479,6 +1490,7 @@ fn new_record(
     let _ordinal = ctx.record.job.registered.fetch_add(1, SeqCst);
     let record = Box::new(TaskRecord {
         id,
+        entry: None,
         label,
         body,
         footprint,
@@ -1610,10 +1622,7 @@ fn execute_task(
     #[cfg(feature = "sentinel")]
     inner.sentinel.task_finished(sentinel_key(record.id));
     let mut effects = RETIRE_EFFECTS.try_with(Cell::take).ok().flatten().unwrap_or_default();
-    inner
-        .engine
-        .body_finished_into(record.id, &mut effects)
-        .expect("a task retires exactly once, so its id cannot be stale here");
+    inner.engine.body_finished_into(record.entry(), &mut effects);
     schedule_effects(inner, &mut effects, Some((wctx, true)), job);
     let _ = RETIRE_EFFECTS.try_with(|cell| cell.set(Some(effects)));
     PhaseTimers::add(&inner.timers.retire_ns, retire_start);
@@ -2431,6 +2440,64 @@ mod tests {
         for (i, v) in result.iter().enumerate() {
             assert_eq!(*v, 2 * i as u64, "cell {i}");
         }
+    }
+
+    /// Spawn, retire, `taskwait` and `release` reach the engine through the entry each task
+    /// record holds: a job of about 1 000 tasks costs the engine's task table a constant number
+    /// of lookups, where a path keyed by `TaskId` would cost one or more per task.
+    #[test]
+    fn per_task_paths_make_no_task_table_lookups() {
+        let rt = Runtime::with_workers(2);
+        let cells = 256;
+        let data = SharedSlice::<u64>::new(cells);
+        let d = data.clone();
+        rt.run(move |ctx| {
+            // One `spawn` per cell; each task releases its cell before its body ends.
+            for i in 0..cells {
+                let d2 = d.clone();
+                ctx.task().inout(d.region(i..i + 1)).spawn(move |t| {
+                    d2.write(t, i..i + 1)[0] += 1;
+                    t.release(d2.region(i..i + 1));
+                });
+            }
+            let specs = (0..cells)
+                .map(|i| {
+                    let d2 = d.clone();
+                    ctx.task()
+                        .inout(d.region(i..i + 1))
+                        .stage(move |t| d2.write(t, i..i + 1)[0] += 1)
+                })
+                .collect();
+            ctx.spawn_batch(specs);
+            // A weakwait parent: its children come from `spawn_each`, and it waits for them
+            // on a worker.
+            let d2 = d.clone();
+            ctx.task().weak_inout(d.region(0..cells)).weakwait().spawn(move |t| {
+                let d3 = d2.clone();
+                t.spawn_each(
+                    cells,
+                    |i, c| {
+                        c.inout(d2.region(i..i + 1));
+                    },
+                    move |t, i| d3.write(t, i..i + 1)[0] += 1,
+                );
+                t.taskwait();
+            });
+            // The inline root waits on the job's gate, then spawns one more wave.
+            ctx.taskwait();
+            let d2 = d.clone();
+            ctx.spawn_each(
+                cells,
+                |i, c| {
+                    c.inout(d.region(i..i + 1));
+                },
+                move |t, i| d2.write(t, i..i + 1)[0] += 1,
+            );
+        });
+        assert!(data.snapshot().iter().all(|&v| v == 4), "every cell written by four tasks");
+        assert_eq!(rt.stats().engine.tasks_registered, 1 + 4 * cells + 1);
+        let lookups = rt.inner.engine.lookups.load(Ordering::Relaxed);
+        assert!(lookups <= 2, "{lookups} task-table lookups for one job of {} tasks", 4 * cells);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //!   - `call-while-locked`: no domain-lock guard may be live across the message pump or any
 //!     scheduler dispatch/wake call — effects are dispatched strictly after every engine lock
 //!     is dropped.
+//!
+//!   and the **free lists of retired ids** (`….ids.lock()`), which a retire takes while a
+//!   domain lock is held:
+//!   - `leaf-lock`: only the push or pop of one id runs under it — no other lock;
+//!   - `call-while-locked`: the same patterns as the domain lock.
 //! * `crates/threadpool/src/sleep.rs` — the **epoch mutex** (`….epoch.lock()`) and the **gate
 //!   mutex** (`….mutex.lock()`, the one `Gate` type behind job completion and admission):
 //!   - `leaf-lock`: both are leaves of the lock hierarchy — no other lock may be acquired
@@ -89,6 +94,15 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         forbidden_calls: WAKE_OR_DISPATCH,
         forbid_nested_same_class: true,
         leaf: false,
+    };
+    const FREE_LIST: LockClass = LockClass {
+        name: "free-list",
+        acquire: ".ids.lock()",
+        // `retire` files an id under a free list while a domain lock may be held, so the list
+        // must be a leaf: one push or pop under it, nothing else (docs/locking.md).
+        forbidden_calls: WAKE_OR_DISPATCH,
+        forbid_nested_same_class: true,
+        leaf: true,
     };
     const EPOCH: LockClass = LockClass {
         name: "epoch",
@@ -185,7 +199,7 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         forbid_nested_same_class: true,
         leaf: true,
     };
-    const DOMAIN_CLASSES: &[LockClass] = &[DOMAIN];
+    const DOMAIN_CLASSES: &[LockClass] = &[DOMAIN, FREE_LIST];
     const SLEEP_CLASSES: &[LockClass] = &[EPOCH, GATE];
     const REGISTRY_CLASSES: &[LockClass] = &[REGISTRY];
     const FAIR_CLASSES: &[LockClass] = &[FAIR];
@@ -581,6 +595,30 @@ mod tests {
         assert!(
             violations.iter().any(|v| v.rule == "leaf-lock"),
             "leaf-lock not flagged: {violations:?}"
+        );
+    }
+
+    #[test]
+    fn free_list_is_a_leaf_that_may_nest_inside_a_domain_lock() {
+        let clean = r#"
+            fn retire(&self) {
+                let domain = entry.domain.lock();
+                let mut ids = list.ids.lock();
+                ids.push(id);
+            }
+        "#;
+        assert!(scan_source("engine.rs", clean, domain_classes()).is_empty());
+
+        let dirty = r#"
+            fn reserve(&self) {
+                let mut ids = list.ids.lock();
+                let domain = entry.domain.lock();
+            }
+        "#;
+        let violations = scan_source("engine.rs", dirty, domain_classes());
+        assert!(
+            violations.iter().any(|v| v.rule == "leaf-lock" && v.function == "reserve"),
+            "domain lock under a free-list guard not flagged: {violations:?}"
         );
     }
 

@@ -121,3 +121,37 @@ fn stale_ids_error_after_retirement_and_reuse() {
         assert_eq!(rt.try_is_deeply_completed(id), Err(weakdep::StaleTaskId(id)));
     }
 }
+
+/// The inline root of `Runtime::run` spawns every wave on the calling thread while the workers
+/// retire the leaves, so the ids a wave frees sit on the workers' free lists. The next wave,
+/// spawned on the calling thread, must still find them: the table holds one root plus one live wave, and a bound of two waves
+/// leaves room for scheduling slack while a table that missed the workers' ids would grow by a
+/// wave per wave (`WAVES × WAVE` slots).
+#[test]
+fn inline_root_waves_reuse_ids_retired_on_workers() {
+    const WAVES: usize = 200;
+    const WAVE: usize = 64;
+    let rt = Runtime::with_workers(2);
+    let data = SharedSlice::<u64>::new(WAVE);
+    let d = data.clone();
+    let max_table = rt.run(|ctx| {
+        let mut max_table = 0;
+        for _ in 0..WAVES {
+            for i in 0..WAVE {
+                let d2 = d.clone();
+                ctx.task().inout(d.region(i..i + 1)).label("leaf").spawn(move |t| {
+                    d2.write(t, i..i + 1)[0] += 1;
+                });
+            }
+            ctx.taskwait();
+            max_table = max_table.max(rt.capacity().task_table_slots);
+        }
+        max_table
+    });
+    assert!(data.snapshot().iter().all(|&v| v == WAVES as u64));
+    assert!(
+        max_table <= 2 * WAVE + 1,
+        "task table grew to {max_table} slots for waves of {WAVE} (bound {})",
+        2 * WAVE + 1
+    );
+}

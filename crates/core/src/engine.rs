@@ -94,6 +94,7 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 use smallvec::{smallvec, SmallVec};
 use weakdep_regions::{Fit, IntervalMap, RangeUpdate, Region, RegionStore};
+use weakdep_threadpool::{thread_slot, Striped, THREAD_SLOTS};
 
 use crate::access::{normalize_deps, Depend, NormalizedDep, WaitMode};
 
@@ -248,47 +249,23 @@ pub struct EngineStats {
     pub roots_completed: usize,
 }
 
-#[derive(Default)]
-struct AtomicStats {
-    tasks_registered: AtomicUsize,
-    accesses_registered: AtomicUsize,
-    release_edges: AtomicUsize,
-    satisfaction_edges: AtomicUsize,
-    ready_at_registration: AtomicUsize,
-    incremental_releases: AtomicUsize,
-    tasks_deeply_completed: AtomicUsize,
-    tasks_retired: AtomicUsize,
-    exact_hits: AtomicUsize,
-    promotions: AtomicUsize,
-    fragmented_updates: AtomicUsize,
-    demotions: AtomicUsize,
-    roots_registered: AtomicUsize,
-    roots_completed: AtomicUsize,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> EngineStats {
-        EngineStats {
-            tasks_registered: self.tasks_registered.load(Ordering::Relaxed),
-            accesses_registered: self.accesses_registered.load(Ordering::Relaxed),
-            release_edges: self.release_edges.load(Ordering::Relaxed),
-            satisfaction_edges: self.satisfaction_edges.load(Ordering::Relaxed),
-            ready_at_registration: self.ready_at_registration.load(Ordering::Relaxed),
-            incremental_releases: self.incremental_releases.load(Ordering::Relaxed),
-            tasks_deeply_completed: self.tasks_deeply_completed.load(Ordering::Relaxed),
-            tasks_retired: self.tasks_retired.load(Ordering::Relaxed),
-            exact_hits: self.exact_hits.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            fragmented_updates: self.fragmented_updates.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-            roots_registered: self.roots_registered.load(Ordering::Relaxed),
-            roots_completed: self.roots_completed.load(Ordering::Relaxed),
-        }
-    }
-
-    fn bump(counter: &AtomicUsize, by: usize) {
-        counter.fetch_add(by, Ordering::Relaxed);
-    }
+/// Indexes of the engine's counters in its [`Striped`] block, one per [`EngineStats`] field.
+mod stat {
+    pub(super) const TASKS_REGISTERED: usize = 0;
+    pub(super) const ACCESSES_REGISTERED: usize = 1;
+    pub(super) const RELEASE_EDGES: usize = 2;
+    pub(super) const SATISFACTION_EDGES: usize = 3;
+    pub(super) const READY_AT_REGISTRATION: usize = 4;
+    pub(super) const INCREMENTAL_RELEASES: usize = 5;
+    pub(super) const TASKS_DEEPLY_COMPLETED: usize = 6;
+    pub(super) const TASKS_RETIRED: usize = 7;
+    pub(super) const EXACT_HITS: usize = 8;
+    pub(super) const PROMOTIONS: usize = 9;
+    pub(super) const FRAGMENTED_UPDATES: usize = 10;
+    pub(super) const DEMOTIONS: usize = 11;
+    pub(super) const ROOTS_REGISTERED: usize = 12;
+    pub(super) const ROOTS_COMPLETED: usize = 13;
+    pub(super) const COUNT: usize = 14;
 }
 
 /// Generation-checked reference to an access node slot inside one domain's slab.
@@ -1243,12 +1220,9 @@ struct TableSlot<P> {
     entry: Option<Arc<TaskEntry<P>>>,
 }
 
-/// Number of free lists of retired ids. Each thread retires onto its home list (see
-/// [`home_list`]), so a handful of lists keeps the workers of one pool off each other's locks.
-const FREE_LISTS: usize = 16;
-
 /// One free list of retired ids, each id already carrying its slot's next generation, padded
-/// to its own cache lines so neighbouring homes do not share one.
+/// to its own cache lines so neighbouring homes do not share one. The engine keeps one list per
+/// [`thread_slot`]: a thread's home list is the one its slot names.
 #[repr(align(128))]
 #[derive(Default)]
 struct FreeList {
@@ -1256,20 +1230,6 @@ struct FreeList {
     /// empty list without locking it.
     len: AtomicUsize,
     ids: Mutex<Vec<TaskId>>,
-}
-
-/// Hands each thread its home free list, round-robin in thread start order.
-static NEXT_HOME: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's home free list. Not keyed to an engine: every engine the thread uses
-    /// files its retired ids under the same index.
-    static HOME: usize = NEXT_HOME.fetch_add(1, Ordering::Relaxed) % FREE_LISTS;
-}
-
-/// The calling thread's home free list (list 0 during thread teardown).
-fn home_list() -> usize {
-    HOME.try_with(|home| *home).unwrap_or(0)
 }
 
 /// The dependency engine. See the module documentation for the model and `docs/locking.md` for
@@ -1287,10 +1247,13 @@ pub struct DependencyEngine<P = TaskId> {
     table: Vec<Mutex<Vec<TableSlot<P>>>>,
     /// Retired ids, ready for reuse; a retire files its id under the retiring thread's home
     /// list. The table's footprint therefore plateaus at the live-task high-water mark.
-    free: [FreeList; FREE_LISTS],
+    free: [FreeList; THREAD_SLOTS],
     /// High-water allocator for fresh indexes (used only when every free list is empty).
     next_index: AtomicUsize,
-    stats: AtomicStats,
+    /// The [`EngineStats`] counters, indexed by the `stat` constants. Each is bumped on the
+    /// registering or retiring thread's own stripe, so no two workers write one cache line for
+    /// them; sums are exact at quiescence (see [`Striped`]).
+    stats: Striped<{ stat::COUNT }>,
     /// Calls of [`DependencyEngine::entry`]: the runtime's per-task paths must make none.
     #[cfg(test)]
     pub(crate) lookups: AtomicUsize,
@@ -1299,8 +1262,8 @@ pub struct DependencyEngine<P = TaskId> {
 impl<P> std::fmt::Debug for DependencyEngine<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DependencyEngine")
-            .field("tasks_registered", &self.stats.tasks_registered.load(Ordering::Relaxed))
-            .field("tasks_retired", &self.stats.tasks_retired.load(Ordering::Relaxed))
+            .field("tasks_registered", &self.stats.get(stat::TASKS_REGISTERED))
+            .field("tasks_retired", &self.stats.get(stat::TASKS_RETIRED))
             .finish()
     }
 }
@@ -1312,7 +1275,7 @@ impl<P> Default for DependencyEngine<P> {
             table: (0..TABLE_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             free: Default::default(),
             next_index: AtomicUsize::new(0),
-            stats: AtomicStats::default(),
+            stats: Striped::new(),
             #[cfg(test)]
             lookups: AtomicUsize::new(0),
         }
@@ -1405,9 +1368,9 @@ impl<P: 'static> DependencyEngine<P> {
     /// around it and announce the task before registration lets it run. Every reserved id must
     /// be registered: an id that never is keeps its table slot out of use for good.
     pub(crate) fn reserve_id(&self) -> TaskId {
-        let home = home_list();
-        for offset in 0..FREE_LISTS {
-            let list = &self.free[(home + offset) % FREE_LISTS];
+        let home = thread_slot();
+        for offset in 0..THREAD_SLOTS {
+            let list = &self.free[(home + offset) % THREAD_SLOTS];
             if list.len.load(Ordering::Relaxed) == 0 {
                 continue;
             }
@@ -1473,12 +1436,12 @@ impl<P: 'static> DependencyEngine<P> {
             (entry, slot.gen)
         };
         if generation != TaskId::SYNTHETIC_GENERATION {
-            let list = &self.free[home_list()];
+            let list = &self.free[thread_slot()];
             let mut ids = list.ids.lock();
             ids.push(TaskId { index: task.index, generation });
             list.len.store(ids.len(), Ordering::Relaxed);
         }
-        AtomicStats::bump(&self.stats.tasks_retired, 1);
+        self.stats.add(stat::TASKS_RETIRED, 1);
         drop(entry);
     }
 
@@ -1503,8 +1466,8 @@ impl<P: 'static> DependencyEngine<P> {
             }
         });
         self.publish(Arc::clone(&entry));
-        AtomicStats::bump(&self.stats.tasks_registered, 1);
-        AtomicStats::bump(&self.stats.roots_registered, 1);
+        self.stats.add(stat::TASKS_REGISTERED, 1);
+        self.stats.add(stat::ROOTS_REGISTERED, 1);
         entry
     }
 
@@ -1560,7 +1523,7 @@ impl<P: 'static> DependencyEngine<P> {
             }),
             "dependencies must be normalize_deps output: disjoint, sorted by (space, start)"
         );
-        AtomicStats::bump(&self.stats.tasks_registered, 1);
+        self.stats.add(stat::TASKS_REGISTERED, 1);
         domain.ensure_seeded();
 
         let sched_idx = domain.alloc_sched(ChildSched {
@@ -1578,9 +1541,9 @@ impl<P: 'static> DependencyEngine<P> {
         let mut child_seeds = child_domain.own_seed.take().expect("fresh domain is unseeded");
         let mut nodes_in_parent: SmallVec<[NodeRef; 2]> = SmallVec::new();
 
+        self.stats.add(stat::ACCESSES_REGISTERED, deps.len() as u64);
         for (own_idx, &dep) in deps.iter().enumerate() {
             let dep: NormalizedDep = dep.into();
-            AtomicStats::bump(&self.stats.accesses_registered, 1);
             let node_ref = domain.alloc_node(AccessNode {
                 task: id,
                 sched: sched_idx,
@@ -1646,7 +1609,7 @@ impl<P: 'static> DependencyEngine<P> {
         let sched = domain.sched[sched_idx as usize].as_mut().expect("sched slot just allocated");
         sched.entry = Arc::downgrade(&entry);
         if sched.pending_strong == 0 {
-            AtomicStats::bump(&self.stats.ready_at_registration, 1);
+            self.stats.add(stat::READY_AT_REGISTRATION, 1);
         }
         self.publish(Arc::clone(&entry));
         (sched_idx, entry)
@@ -1721,15 +1684,15 @@ impl<P: 'static> DependencyEngine<P> {
             RangeUpdate::Set(new_entry)
         });
         match fit {
-            Fit::Exact => AtomicStats::bump(&self.stats.exact_hits, 1),
+            Fit::Exact => self.stats.add(stat::EXACT_HITS, 1),
             Fit::Split => {
-                AtomicStats::bump(&self.stats.promotions, 1);
-                AtomicStats::bump(&self.stats.fragmented_updates, 1);
+                self.stats.add(stat::PROMOTIONS, 1);
+                self.stats.add(stat::FRAGMENTED_UPDATES, 1);
             }
-            Fit::Spanning => AtomicStats::bump(&self.stats.fragmented_updates, 1),
+            Fit::Spanning => self.stats.add(stat::FRAGMENTED_UPDATES, 1),
         }
         if merged {
-            AtomicStats::bump(&self.stats.demotions, 1);
+            self.stats.add(stat::DEMOTIONS, 1);
         }
 
         for edge in planned.drain(..) {
@@ -1767,14 +1730,14 @@ impl<P: 'static> DependencyEngine<P> {
         }
         match from {
             Accessor::Own(own_idx) => {
-                AtomicStats::bump(&self.stats.satisfaction_edges, 1);
+                self.stats.add(stat::SATISFACTION_EDGES, 1);
                 let own = &mut domain.own[own_idx as usize];
                 for part in &pending {
                     own.add_satisfaction_edge(part, to);
                 }
             }
             Accessor::Child(source) => {
-                AtomicStats::bump(&self.stats.release_edges, 1);
+                self.stats.add(stat::RELEASE_EDGES, 1);
                 let (node, frag) =
                     domain.node_and_frag_mut(source.idx).expect("resolved above");
                 for part in &pending {
@@ -1843,7 +1806,7 @@ impl<P: 'static> DependencyEngine<P> {
                         let mut uncovered: Parts = SmallVec::new();
                         domain.uncovered_parts(&own.region, &mut uncovered);
                         if !uncovered.is_empty() {
-                            AtomicStats::bump(&self.stats.incremental_releases, uncovered.len());
+                            self.stats.add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
                             outbox.push_back(Message::CompleteUp {
                                 target: Arc::clone(&target),
                                 task: Arc::clone(entry),
@@ -1900,7 +1863,7 @@ impl<P: 'static> DependencyEngine<P> {
                 let mut uncovered: Parts = SmallVec::new();
                 domain.uncovered_parts(&overlap, &mut uncovered);
                 if !uncovered.is_empty() {
-                    AtomicStats::bump(&self.stats.incremental_releases, uncovered.len());
+                    self.stats.add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
                     outbox.push_back(Message::CompleteUp {
                         target: Arc::clone(&target),
                         task: Arc::clone(entry),
@@ -2254,7 +2217,7 @@ impl<P: 'static> DependencyEngine<P> {
                 // A retired parent (possible only for moot hand-overs, see `parent_arc`) gets
                 // no message — and no stat: the counter tracks *delivered* completions.
                 if let Some(target) = domain.parent_arc() {
-                    AtomicStats::bump(&self.stats.incremental_releases, completable.len());
+                    self.stats.add(stat::INCREMENTAL_RELEASES, completable.len() as u64);
                     outbox.push_back(Message::CompleteUp {
                         target,
                         task: domain.owner_entry(),
@@ -2314,9 +2277,25 @@ impl<P: 'static> DependencyEngine<P> {
         self.entry(task).ok().and_then(|entry| entry.parent)
     }
 
-    /// Engine statistics (a snapshot of the internal atomic counters).
+    /// Engine statistics: the sums of the engine's striped counters.
     pub fn stats(&self) -> EngineStats {
-        self.stats.snapshot()
+        let get = |counter| self.stats.get(counter) as usize;
+        EngineStats {
+            tasks_registered: get(stat::TASKS_REGISTERED),
+            accesses_registered: get(stat::ACCESSES_REGISTERED),
+            release_edges: get(stat::RELEASE_EDGES),
+            satisfaction_edges: get(stat::SATISFACTION_EDGES),
+            ready_at_registration: get(stat::READY_AT_REGISTRATION),
+            incremental_releases: get(stat::INCREMENTAL_RELEASES),
+            tasks_deeply_completed: get(stat::TASKS_DEEPLY_COMPLETED),
+            tasks_retired: get(stat::TASKS_RETIRED),
+            exact_hits: get(stat::EXACT_HITS),
+            promotions: get(stat::PROMOTIONS),
+            fragmented_updates: get(stat::FRAGMENTED_UPDATES),
+            demotions: get(stat::DEMOTIONS),
+            roots_registered: get(stat::ROOTS_REGISTERED),
+            roots_completed: get(stat::ROOTS_COMPLETED),
+        }
     }
 
     /// Asserts the engine's counter identities. Sound only at **quiescence** (e.g. after a
@@ -2327,7 +2306,7 @@ impl<P: 'static> DependencyEngine<P> {
         if !cfg!(debug_assertions) {
             return;
         }
-        let stats = self.stats.snapshot();
+        let stats = self.stats();
         // Every registered access went through the bottom map exactly once, and was either an
         // exact hit or not (docs/matching.md).
         debug_assert_eq!(
@@ -2352,7 +2331,7 @@ impl<P: 'static> DependencyEngine<P> {
 
     /// Number of tasks ever registered.
     pub fn task_count(&self) -> usize {
-        self.stats.tasks_registered.load(Ordering::Relaxed)
+        self.stats.get(stat::TASKS_REGISTERED) as usize
     }
 
     /// Total task-table slots currently allocated (live + free). Under steady-state load this
@@ -2366,17 +2345,17 @@ impl<P: 'static> DependencyEngine<P> {
     /// retirement counters (a racy-but-consistent snapshot, like every other statistic) rather
     /// than scanning the table under its stripe locks.
     pub fn live_tasks(&self) -> usize {
-        let registered = self.stats.tasks_registered.load(Ordering::Relaxed);
-        let retired = self.stats.tasks_retired.load(Ordering::Relaxed);
-        registered.saturating_sub(retired)
+        let registered = self.stats.get(stat::TASKS_REGISTERED);
+        let retired = self.stats.get(stat::TASKS_RETIRED);
+        registered.saturating_sub(retired) as usize
     }
 
     /// Number of live root tasks — jobs whose graphs have not yet fully drained. Same
     /// racy-but-consistent counter arithmetic as [`DependencyEngine::live_tasks`].
     pub fn live_roots(&self) -> usize {
-        let registered = self.stats.roots_registered.load(Ordering::Relaxed);
-        let completed = self.stats.roots_completed.load(Ordering::Relaxed);
-        registered.saturating_sub(completed)
+        let registered = self.stats.get(stat::ROOTS_REGISTERED);
+        let completed = self.stats.get(stat::ROOTS_COMPLETED);
+        registered.saturating_sub(completed) as usize
     }
 }
 
@@ -2394,12 +2373,12 @@ fn deep_complete_locked<P: 'static>(
     debug_assert!(domain.body_finished);
     debug_assert_eq!(domain.live_children, 0);
     domain.deeply_completed = true;
-    AtomicStats::bump(&engine.stats.tasks_deeply_completed, 1);
+    engine.stats.add(stat::TASKS_DEEPLY_COMPLETED, 1);
     effects.deeply_completed.push(domain.owner);
     match &domain.parent_entry {
         None => {
             effects.root_completed = true;
-            AtomicStats::bump(&engine.stats.roots_completed, 1);
+            engine.stats.add(stat::ROOTS_COMPLETED, 1);
             engine.retire(domain.owner);
         }
         Some(weak) => {
@@ -3073,17 +3052,17 @@ mod tests {
         let retired_home = std::thread::scope(|s| {
             s.spawn(|| {
                 engine.body_finished(task).expect("live task");
-                home_list()
+                thread_slot()
             })
             .join()
             .unwrap()
         });
         assert_eq!(engine.try_is_deeply_completed(task), Err(StaleTaskId(task)));
-        // Homes are handed out round-robin, so one of the next `FREE_LISTS` threads has another.
+        // Homes are handed out round-robin, so one of the next `THREAD_SLOTS` threads has another.
         let reused = std::thread::scope(|s| loop {
             let other = s
                 .spawn(|| {
-                    (home_list() != retired_home).then(|| {
+                    (thread_slot() != retired_home).then(|| {
                         engine.register_task(root, &[], WaitMode::None).expect("live root").0
                     })
                 })

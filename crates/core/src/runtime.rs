@@ -56,8 +56,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use weakdep_regions::{IntervalMap, Region};
 use weakdep_threadpool::{
-    AdmissionGate, AdmissionStats, LoopDescriptor, SchedulingPolicy, ThreadPool, Tick, Watchdog,
-    WorkerContext,
+    thread_slot, AdmissionGate, AdmissionStats, LoopDescriptor, SchedulingPolicy, Striped,
+    ThreadPool, Tick, Watchdog, WorkerContext,
 };
 
 use crate::data::SharedSlice;
@@ -249,6 +249,9 @@ pub struct RuntimeStats {
     /// Idle-path assist engagements (one per worker-visit that claimed ≥ 1 chunk of a loop).
     pub assist_steals: usize,
     /// Cumulative wall time spent creating tasks (dependency registration included), in ns.
+    /// Every `spawn_batch` / `spawn_each` wave is timed; a single `spawn` call is timed on a
+    /// per-thread random 1-in-8 sample and counted 8 times, so this part is an unbiased estimate
+    /// that needs many spawns to settle (see `docs/runtime.md`, "Phase timers").
     pub spawn_ns: u64,
     /// Cumulative wall time from the start to the end of each task body, in ns: the difference
     /// of the two clock reads observers see as [`TaskExecution`]'s `start` and `end`. Not
@@ -258,7 +261,9 @@ pub struct RuntimeStats {
     pub body_ns: u64,
     /// Cumulative wall time spent retiring tasks (dependency release + scheduling), in ns. It
     /// runs from the end of the body — or, with observers installed, from the return of their
-    /// `task_executed` calls — to the end of the retire.
+    /// `task_executed` calls — to the end of the retire. Without observers a retire is timed on
+    /// a per-thread random 1-in-8 sample and counted 8 times (an unbiased estimate); with
+    /// observers every retire is timed once.
     pub retire_ns: u64,
     /// Jobs submitted to the service (via [`Runtime::run`] or [`Runtime::submit`]).
     pub jobs_submitted: usize,
@@ -324,26 +329,66 @@ impl TaskRecord {
     }
 }
 
-/// Cumulative phase timers (nanoseconds), kept with relaxed atomics: they are statistics, not
-/// synchronisation.
-#[derive(Default)]
-struct PhaseTimers {
-    spawn_ns: std::sync::atomic::AtomicU64,
-    body_ns: std::sync::atomic::AtomicU64,
-    retire_ns: std::sync::atomic::AtomicU64,
+/// The phase timers (cumulative nanoseconds): a [`Striped`] block per thread slot, so a
+/// worker's additions stay on cache lines of its own. Indexed by the `*_NS` constants.
+type PhaseTimers = Striped<3>;
+
+/// [`RuntimeStats::spawn_ns`]'s timer.
+const SPAWN_NS: usize = 0;
+/// [`RuntimeStats::body_ns`]'s timer.
+const BODY_NS: usize = 1;
+/// [`RuntimeStats::retire_ns`]'s timer.
+const RETIRE_NS: usize = 2;
+
+/// One single `spawn` and one retire in `SAMPLE_PERIOD` (on average, per thread) is timed,
+/// and its span counts `SAMPLE_PERIOD` times: the per-task clock reads a sampled phase saves
+/// are worth more than its exactness (see `docs/runtime.md`, "Phase timers").
+const SAMPLE_PERIOD: u64 = 8;
+
+/// Adds `weight × (end − start)` to the phase timer `phase`.
+fn add_span(timers: &PhaseTimers, phase: usize, start: Instant, end: Instant, weight: u64) {
+    timers.add(phase, weight * end.duration_since(start).as_nanos() as u64);
 }
 
-impl PhaseTimers {
-    fn add(counter: &std::sync::atomic::AtomicU64, start: Instant) {
-        Self::add_span(counter, start, Instant::now());
+/// A xorshift32 stream of sampling decisions, true with probability `1 / SAMPLE_PERIOD`. Each
+/// decision is a fresh draw, so calls that alternate on one thread — a worker's spawns and
+/// retires — are sampled alike; a stride (`tick % SAMPLE_PERIOD == 0`) would time only one
+/// of them.
+#[derive(Copy, Clone)]
+struct Sampler(u32);
+
+impl Sampler {
+    /// A stream for thread slot `slot` (any value gives a valid, non-zero state).
+    fn for_slot(slot: usize) -> Self {
+        Sampler((slot as u32).wrapping_add(1).wrapping_mul(0x9E37_79B9) | 1)
     }
 
-    fn add_span(counter: &std::sync::atomic::AtomicU64, start: Instant, end: Instant) {
-        counter.fetch_add(
-            end.duration_since(start).as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+    fn draw(&mut self) -> bool {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        self.0 = x;
+        u64::from(x) < (1u64 << 32) / SAMPLE_PERIOD
     }
+}
+
+thread_local! {
+    /// This thread's sampler; 0 until its first draw seeds it from the thread's slot.
+    static SAMPLER: Cell<Sampler> = const { Cell::new(Sampler(0)) };
+}
+
+/// Whether the calling thread times the span it is about to start (see [`SAMPLE_PERIOD`]).
+fn sampled() -> bool {
+    SAMPLER.with(|cell| {
+        let mut sampler = cell.get();
+        if sampler.0 == 0 {
+            sampler = Sampler::for_slot(thread_slot());
+        }
+        let hit = sampler.draw();
+        cell.set(sampler);
+        hit
+    })
 }
 
 struct Inner {
@@ -429,7 +474,7 @@ impl Runtime {
                 jobs_completed: AtomicUsize::new(0),
                 jobs_cancelled: AtomicUsize::new(0),
                 observers,
-                timers: PhaseTimers::default(),
+                timers: PhaseTimers::new(),
                 #[cfg(feature = "sentinel")]
                 sentinel: weakdep_sentinel::Sentinel::new(),
                 #[cfg(feature = "sentinel")]
@@ -589,23 +634,23 @@ impl Runtime {
         RuntimeStats {
             engine: self.inner.engine.stats(),
             policy: self.inner.pool.policy().name(),
-            tasks_executed: pool_stats.executed.load(Ordering::Relaxed),
-            successor_slot_hits: pool_stats.from_successor_slot.load(Ordering::Relaxed),
-            local_pops: pool_stats.from_local.load(Ordering::Relaxed),
-            injector_pops: pool_stats.from_injector.load(Ordering::Relaxed),
-            steals: pool_stats.stolen.load(Ordering::Relaxed),
-            steals_same_domain: pool_stats.stolen_same_domain.load(Ordering::Relaxed),
-            steals_cross_domain: pool_stats.stolen_cross_domain.load(Ordering::Relaxed),
-            successor_displacements: pool_stats.successor_displacements.load(Ordering::Relaxed),
-            targeted_wakes: pool_stats.targeted_wakes.load(Ordering::Relaxed),
-            fallback_wakes: pool_stats.fallback_wakes.load(Ordering::Relaxed),
+            tasks_executed: pool_stats.executed_jobs(),
+            successor_slot_hits: pool_stats.from_successor_slot(),
+            local_pops: pool_stats.from_local(),
+            injector_pops: pool_stats.from_injector(),
+            steals: pool_stats.stolen(),
+            steals_same_domain: pool_stats.stolen_same_domain(),
+            steals_cross_domain: pool_stats.stolen_cross_domain(),
+            successor_displacements: pool_stats.successor_displacements(),
+            targeted_wakes: pool_stats.targeted_wakes(),
+            fallback_wakes: pool_stats.fallback_wakes(),
             sleeps: pool_stats.sleeps.load(Ordering::Relaxed),
             assist_chunks: pool_stats.assist_chunks.load(Ordering::Relaxed),
             assisted_loops: pool_stats.assisted_loops.load(Ordering::Relaxed),
             assist_steals: pool_stats.assist_steals.load(Ordering::Relaxed),
-            spawn_ns: self.inner.timers.spawn_ns.load(Ordering::Relaxed),
-            body_ns: self.inner.timers.body_ns.load(Ordering::Relaxed),
-            retire_ns: self.inner.timers.retire_ns.load(Ordering::Relaxed),
+            spawn_ns: self.inner.timers.get(SPAWN_NS),
+            body_ns: self.inner.timers.get(BODY_NS),
+            retire_ns: self.inner.timers.get(RETIRE_NS),
             jobs_submitted: self.inner.jobs_submitted.load(Ordering::Relaxed),
             jobs_completed: self.inner.jobs_completed.load(Ordering::Relaxed),
             jobs_cancelled: self.inner.jobs_cancelled.load(Ordering::Relaxed),
@@ -937,7 +982,7 @@ impl<'a> TaskCtx<'a> {
             Some(worker) => worker.dispatch_ready(ready, false),
             None => self.inner.pool.submit_batch(ready),
         }
-        PhaseTimers::add(&self.inner.timers.spawn_ns, spawn_start);
+        add_span(&self.inner.timers, SPAWN_NS, spawn_start, Instant::now(), 1);
         ids
     }
 
@@ -1426,7 +1471,7 @@ impl<'a> TaskBuilder<'a> {
     pub fn spawn(self, body: impl FnOnce(&TaskCtx<'_>) + Send + 'static) -> TaskId {
         let TaskBuilder { ctx, spec } = self;
         let spec = spec.body(body);
-        let spawn_start = Instant::now();
+        let spawn_start = sampled().then(Instant::now);
         let (record, wait_mode) = spec_record(ctx, spec);
         let id = record.id;
         let mut ready = None;
@@ -1443,7 +1488,9 @@ impl<'a> TaskBuilder<'a> {
                 None => ctx.inner.pool.submit(record),
             }
         }
-        PhaseTimers::add(&ctx.inner.timers.spawn_ns, spawn_start);
+        if let Some(start) = spawn_start {
+            add_span(&ctx.inner.timers, SPAWN_NS, start, Instant::now(), SAMPLE_PERIOD);
+        }
         id
     }
 }
@@ -1539,56 +1586,57 @@ fn execute_task(
     mut record: Box<TaskRecord>,
     wctx: &WorkerContext<'_, Box<TaskRecord>>,
 ) {
-    let start = Instant::now();
     let body = record.body.take();
     let job = &record.job;
     // Cancellation bracket (`SeqCst`, see `crate::job`'s ordering argument): the increment
     // happens *before* the cancelled-load, so a canceller that stores the flag and then reads
     // `running == 0` knows no body it did not wait out will ever start.
     job.running.fetch_add(1, SeqCst);
-    if !job.is_aborted() {
-        if let Some(body) = body {
-            #[cfg(feature = "faults")]
-            if let Some(delay) =
-                inner.fault_plan.as_ref().and_then(|p| p.dispatch_delay(job.id, record.ordinal))
-            {
-                // Injected dispatch delay: perturbs timing (and widens abort/cancel races)
-                // without changing any output.
-                std::thread::sleep(delay);
-            }
-            let ctx = TaskCtx { inner, record: &record, worker: Some(wctx) };
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                // Inside the catch so a sentinel conflict panic is captured into the job's
-                // failure slot and re-raised by `run`/`wait` instead of tearing down the
-                // worker thread.
-                #[cfg(feature = "sentinel")]
-                inner.sentinel.task_started(sentinel_key(record.id));
-                #[cfg(feature = "faults")]
-                if inner
-                    .fault_plan
-                    .as_ref()
-                    .is_some_and(|p| p.would_panic(job.id, record.ordinal))
-                {
-                    // Injected task-body panic: raised inside the catch_unwind so it flows
-                    // through the exact production failure path (record_panic, fail-fast
-                    // containment, wait_result delivery).
-                    panic!("injected fault: job {} task ordinal {}", job.id, record.ordinal);
-                }
-                body.call(&ctx)
-            }));
-            if let Err(payload) = outcome {
-                // Note the explicit reborrow: `&payload` would coerce the `Box` itself into
-                // `&dyn Any` and make every downcast fail.
-                let message = panic_message(&*payload);
-                job.record_panic(payload, message);
-            }
-            job.executed.fetch_add(1, SeqCst);
+    let body = match body {
+        Some(_) if job.is_aborted() => {
+            // The body is dropped unexecuted (cancel / fail-fast / deadline); the task still
+            // retires through the engine below, so the job's graph drains and its regions are
+            // released.
+            job.skipped.fetch_add(1, SeqCst);
+            None
         }
-    } else if body.is_some() {
-        // The body was taken and dropped unexecuted (cancel / fail-fast / deadline); the task
-        // still retires through the engine below, so the job's graph drains and its regions
-        // are released.
-        job.skipped.fetch_add(1, SeqCst);
+        body => body,
+    };
+    #[cfg(feature = "faults")]
+    if let Some(delay) = body
+        .as_ref()
+        .and_then(|_| inner.fault_plan.as_ref()?.dispatch_delay(job.id, record.ordinal))
+    {
+        // Injected dispatch delay: perturbs timing (and widens abort/cancel races) without
+        // changing any output. It precedes the body's first clock read, so neither `body_ns`
+        // nor `TaskExecution::start` contains it.
+        std::thread::sleep(delay);
+    }
+    let start = Instant::now();
+    if let Some(body) = body {
+        let ctx = TaskCtx { inner, record: &record, worker: Some(wctx) };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            // Inside the catch so a sentinel conflict panic is captured into the job's
+            // failure slot and re-raised by `run`/`wait` instead of tearing down the
+            // worker thread.
+            #[cfg(feature = "sentinel")]
+            inner.sentinel.task_started(sentinel_key(record.id));
+            #[cfg(feature = "faults")]
+            if inner.fault_plan.as_ref().is_some_and(|p| p.would_panic(job.id, record.ordinal)) {
+                // Injected task-body panic: raised inside the catch_unwind so it flows
+                // through the exact production failure path (record_panic, fail-fast
+                // containment, wait_result delivery).
+                panic!("injected fault: job {} task ordinal {}", job.id, record.ordinal);
+            }
+            body.call(&ctx)
+        }));
+        if let Err(payload) = outcome {
+            // Note the explicit reborrow: `&payload` would coerce the `Box` itself into
+            // `&dyn Any` and make every downcast fail.
+            let message = panic_message(&*payload);
+            job.record_panic(payload, message);
+        }
+        job.executed.fetch_add(1, SeqCst);
     }
     let prev_running = job.running.fetch_sub(1, SeqCst);
     if prev_running == 1 && job.is_aborted() {
@@ -1597,11 +1645,13 @@ fn execute_task(
         job.gate.notify();
     }
     let end = Instant::now();
-    PhaseTimers::add_span(&inner.timers.body_ns, start, end);
+    add_span(&inner.timers, BODY_NS, start, end, 1);
 
-    // Without observers the retire phase starts where the body ended: one clock read fewer.
+    // The retire span and its weight, if this retire is timed. Without observers a sampled
+    // retire starts where the body ended (no clock read of its own); with observers every
+    // retire is timed, from the return of their `task_executed` calls.
     let retire_start = if inner.observers.is_empty() {
-        end
+        sampled().then_some((end, SAMPLE_PERIOD))
     } else {
         let execution = TaskExecution {
             id: record.id,
@@ -1614,7 +1664,7 @@ fn execute_task(
         for obs in &inner.observers {
             obs.task_executed(&execution);
         }
-        Instant::now()
+        Some((Instant::now(), 1))
     };
     // Retire from the shadow table strictly *before* `body_finished` can make successors
     // ready: a successor starting concurrently with this (finished) task is legal and must not
@@ -1625,7 +1675,9 @@ fn execute_task(
     inner.engine.body_finished_into(record.entry(), &mut effects);
     schedule_effects(inner, &mut effects, Some((wctx, true)), job);
     let _ = RETIRE_EFFECTS.try_with(|cell| cell.set(Some(effects)));
-    PhaseTimers::add(&inner.timers.retire_ns, retire_start);
+    if let Some((start, weight)) = retire_start {
+        add_span(&inner.timers, RETIRE_NS, start, Instant::now(), weight);
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -2594,5 +2646,84 @@ mod tests {
             ctx.spawn_batch(specs);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 100);
+    }
+
+    /// The sampler times one span in `SAMPLE_PERIOD`, and draws are independent of their
+    /// position: two kinds of span alternating on one thread (a worker's spawns and retires)
+    /// get half the samples each. A stride sampler passes the rate check and fails the split.
+    #[test]
+    fn the_phase_sampler_keeps_its_rate_and_splits_alternating_spans_evenly() {
+        const DRAWS: u64 = 80_000;
+        for slot in [0, 1, 7, weakdep_threadpool::THREAD_SLOTS - 1] {
+            let mut sampler = Sampler::for_slot(slot);
+            let mut hits = [0u64; 2];
+            for draw in 0..DRAWS {
+                if sampler.draw() {
+                    hits[(draw % 2) as usize] += 1;
+                }
+            }
+            let total = hits[0] + hits[1];
+            let expected = DRAWS / SAMPLE_PERIOD;
+            assert!(
+                total.abs_diff(expected) * 10 <= expected,
+                "slot {slot}: {total} samples in {DRAWS} draws, expected {expected} ± 10 %"
+            );
+            let share = hits[0] as f64 / total as f64;
+            assert!(
+                (0.45..=0.55).contains(&share),
+                "slot {slot}: even draws took {:.1} % of the samples",
+                100.0 * share
+            );
+        }
+    }
+
+    /// `body_ns` is exact: it advances by exactly the `end − start` of every execution the
+    /// observers see, to the nanosecond. (`run`'s root body runs inline on the caller and is
+    /// neither timed nor observed.)
+    #[test]
+    fn body_ns_is_the_sum_of_the_observed_execution_spans() {
+        #[derive(Default)]
+        struct SpanSum(std::sync::atomic::AtomicU64);
+        impl RuntimeObserver for SpanSum {
+            fn task_executed(&self, execution: &TaskExecution<'_>) {
+                let span = execution.end.duration_since(execution.start).as_nanos() as u64;
+                self.0.fetch_add(span, Ordering::SeqCst);
+            }
+        }
+        let spans = Arc::new(SpanSum::default());
+        let observer: Arc<dyn RuntimeObserver> = spans.clone();
+        let rt = Runtime::new(RuntimeConfig::new().workers(2).observer(observer));
+        let before = rt.stats().body_ns;
+        rt.run(|ctx| {
+            for i in 0..200u64 {
+                ctx.task().spawn(move |ctx| {
+                    if i % 10 == 0 {
+                        ctx.task().spawn(|_| {});
+                    }
+                });
+            }
+        });
+        let stats = rt.stats();
+        assert_eq!(stats.tasks_executed, 220);
+        assert_eq!(stats.body_ns - before, spans.0.load(Ordering::SeqCst));
+        assert!(stats.retire_ns > 0, "with observers every retire is timed");
+    }
+
+    /// An injected dispatch delay is not body time: the clock that starts `body_ns` and
+    /// `TaskExecution::start` is read after the delay.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn an_injected_dispatch_delay_is_not_counted_as_body_time() {
+        let delay = Duration::from_millis(20);
+        let plan = FaultPlan::seeded(1).pre_dispatch_delay(1.0, delay);
+        let rt = Runtime::new(RuntimeConfig::new().workers(1).fault_plan(plan));
+        let started = Instant::now();
+        rt.run(|ctx| {
+            ctx.task().spawn(|_| {});
+            ctx.task().spawn(|_| {});
+        });
+        assert!(started.elapsed() >= 2 * delay, "both tasks were delayed");
+        let body_ns = rt.stats().body_ns;
+        assert!(body_ns < delay.as_nanos() as u64, "body_ns {body_ns} includes the delay");
     }
 }

@@ -27,10 +27,12 @@
 pub mod admission;
 pub mod assist;
 pub mod sleep;
+pub mod striped;
 pub mod watchdog;
 
 pub use admission::{AdmissionGate, AdmissionStats};
 pub use assist::{AssistRegistry, LoopDescriptor};
+pub use striped::{thread_slot, Striped, THREAD_SLOTS};
 pub use watchdog::{Tick, Watchdog};
 
 use std::cell::{Cell, RefCell};
@@ -228,35 +230,36 @@ pub enum StealOrder {
     },
 }
 
+/// Indexes of the dispatch-path counters in [`PoolStats`]' striped block.
+mod counter {
+    pub(crate) const EXECUTED: usize = 0;
+    pub(crate) const FROM_SUCCESSOR_SLOT: usize = 1;
+    pub(crate) const FROM_LOCAL: usize = 2;
+    pub(crate) const FROM_INJECTOR: usize = 3;
+    pub(crate) const STOLEN: usize = 4;
+    pub(crate) const STOLEN_SAME_DOMAIN: usize = 5;
+    pub(crate) const STOLEN_CROSS_DOMAIN: usize = 6;
+    pub(crate) const SUCCESSOR_DISPLACEMENTS: usize = 7;
+    pub(crate) const TARGETED_WAKES: usize = 8;
+    pub(crate) const FALLBACK_WAKES: usize = 9;
+    pub(crate) const COUNT: usize = 10;
+}
+
 /// Statistics counters exposed by the pool (all monotonically increasing).
 ///
-/// Accounting invariant (asserted by tests): `executed == from_successor_slot + from_local +
-/// from_injector + stolen` — every executed job was acquired from exactly one source.
+/// The counters the dispatch path bumps for every job live in one [`Striped`] block per thread
+/// slot, so a worker's bump stays on cache lines of its own; read them through the accessor
+/// methods, which sum the slots. Every counter here is relaxed, so the identities below hold
+/// at quiescence: after [`ThreadPool::shutdown`], or once the reader has synchronised with the
+/// completion of the last job it counts.
+///
+/// Accounting invariant (asserted by tests): `executed_jobs() == from_successor_slot() +
+/// from_local() + from_injector() + stolen()` — every executed job was acquired from exactly
+/// one source.
 #[derive(Debug, Default)]
 pub struct PoolStats {
-    /// Jobs executed, across all workers.
-    pub executed: AtomicUsize,
-    /// Jobs taken from the immediate-successor slot.
-    pub from_successor_slot: AtomicUsize,
-    /// Jobs popped from the worker's own deque.
-    pub from_local: AtomicUsize,
-    /// Jobs taken from the global injector.
-    pub from_injector: AtomicUsize,
-    /// Jobs stolen from another worker.
-    pub stolen: AtomicUsize,
-    /// Subset of `stolen` taken from a victim in the thief's own locality domain (all steals,
-    /// for single-domain policies).
-    pub stolen_same_domain: AtomicUsize,
-    /// Subset of `stolen` taken from a victim in another locality domain (hierarchical policy
-    /// only; always the batch-steal path).
-    pub stolen_cross_domain: AtomicUsize,
-    /// Jobs displaced out of the successor slot by a newer successor (each was re-dispatched
-    /// through the policy's wave placement).
-    pub successor_displacements: AtomicUsize,
-    /// Domain-preferring wake-ups that woke a sleeper of the preferred domain.
-    pub targeted_wakes: AtomicUsize,
-    /// Domain-preferring wake-ups that fell back to a sleeper of another domain.
-    pub fallback_wakes: AtomicUsize,
+    /// The dispatch-path counters, indexed by the `counter` constants.
+    dispatch: Striped<{ counter::COUNT }>,
     /// Times a worker went to sleep — at the top of its loop or inside
     /// [`WorkerContext::work_until`] (a parked `taskwait`).
     pub sleeps: AtomicUsize,
@@ -282,9 +285,67 @@ impl PoolStats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot of the executed-jobs counter.
+    /// Adds one to the dispatch-path counter `counter` in the calling thread's slot.
+    fn count(&self, counter: usize) {
+        self.dispatch.add(counter, 1);
+    }
+
+    fn sum(&self, counter: usize) -> usize {
+        self.dispatch.get(counter) as usize
+    }
+
+    /// Jobs executed, across all workers.
     pub fn executed_jobs(&self) -> usize {
-        self.executed.load(Ordering::Relaxed)
+        self.sum(counter::EXECUTED)
+    }
+
+    /// Jobs taken from the immediate-successor slot.
+    pub fn from_successor_slot(&self) -> usize {
+        self.sum(counter::FROM_SUCCESSOR_SLOT)
+    }
+
+    /// Jobs popped from the worker's own deque.
+    pub fn from_local(&self) -> usize {
+        self.sum(counter::FROM_LOCAL)
+    }
+
+    /// Jobs taken from the global injector (or, under [`SchedulingPolicy::FairShare`], from
+    /// the tenant rotation).
+    pub fn from_injector(&self) -> usize {
+        self.sum(counter::FROM_INJECTOR)
+    }
+
+    /// Jobs stolen from another worker.
+    pub fn stolen(&self) -> usize {
+        self.sum(counter::STOLEN)
+    }
+
+    /// Subset of [`PoolStats::stolen`] taken from a victim in the thief's own locality domain
+    /// (all steals, for single-domain policies).
+    pub fn stolen_same_domain(&self) -> usize {
+        self.sum(counter::STOLEN_SAME_DOMAIN)
+    }
+
+    /// Subset of [`PoolStats::stolen`] taken from a victim in another locality domain
+    /// (hierarchical policy only; always the batch-steal path).
+    pub fn stolen_cross_domain(&self) -> usize {
+        self.sum(counter::STOLEN_CROSS_DOMAIN)
+    }
+
+    /// Jobs displaced out of the successor slot by a newer successor (each was re-dispatched
+    /// through the policy's wave placement).
+    pub fn successor_displacements(&self) -> usize {
+        self.sum(counter::SUCCESSOR_DISPLACEMENTS)
+    }
+
+    /// Domain-preferring wake-ups that woke a sleeper of the preferred domain.
+    pub fn targeted_wakes(&self) -> usize {
+        self.sum(counter::TARGETED_WAKES)
+    }
+
+    /// Domain-preferring wake-ups that fell back to a sleeper of another domain.
+    pub fn fallback_wakes(&self) -> usize {
+        self.sum(counter::FALLBACK_WAKES)
     }
 }
 
@@ -369,8 +430,8 @@ impl<T: Send + 'static> Shared<T> {
     fn wake(&self, count: usize, prefer: Option<usize>) {
         let (hit, fallback) = self.sleep.notify_many(count, prefer);
         if prefer.is_some() && hit + fallback > 0 {
-            self.stats.targeted_wakes.fetch_add(hit, Ordering::Relaxed);
-            self.stats.fallback_wakes.fetch_add(fallback, Ordering::Relaxed);
+            self.stats.dispatch.add(counter::TARGETED_WAKES, hit as u64);
+            self.stats.dispatch.add(counter::FALLBACK_WAKES, fallback as u64);
         }
     }
 
@@ -584,19 +645,18 @@ impl<T: Send + 'static> ThreadPool<T> {
         if !_detached {
             use std::sync::atomic::Ordering::Relaxed;
             let stats = &self.shared.stats;
-            let executed = stats.executed.load(Relaxed);
-            let sourced = stats.from_successor_slot.load(Relaxed)
-                + stats.from_local.load(Relaxed)
-                + stats.from_injector.load(Relaxed)
-                + stats.stolen.load(Relaxed);
+            let executed = stats.executed_jobs();
+            let sourced = stats.from_successor_slot()
+                + stats.from_local()
+                + stats.from_injector()
+                + stats.stolen();
             debug_assert_eq!(
                 executed, sourced,
                 "pool accounting: every executed job must come from exactly one source \
                  (slot + local + injector + stolen)"
             );
-            let stolen = stats.stolen.load(Relaxed);
-            let split = stats.stolen_same_domain.load(Relaxed)
-                + stats.stolen_cross_domain.load(Relaxed);
+            let stolen = stats.stolen();
+            let split = stats.stolen_same_domain() + stats.stolen_cross_domain();
             debug_assert_eq!(
                 stolen, split,
                 "pool accounting: every steal is either same-domain or cross-domain"
@@ -671,7 +731,7 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         let mut queued = self.shared.enqueue(Some(self.deque), jobs, false);
         if let Some(successor) = successor {
             if let Some(displaced) = self.successor_slot.replace(Some(successor)) {
-                PoolStats::bump(&self.shared.stats.successor_displacements);
+                self.shared.stats.count(counter::SUCCESSOR_DISPLACEMENTS);
                 queued += self.shared.enqueue(Some(self.deque), std::iter::once(displaced), true);
             }
         }
@@ -771,7 +831,7 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
     }
 
     fn run(&self, job: T) {
-        PoolStats::bump(&self.shared.stats.executed);
+        self.shared.stats.count(counter::EXECUTED);
         (self.executor)(job, self);
     }
 
@@ -779,11 +839,11 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
     /// rotation), then steal in the placement's victim order.
     fn find_work(&self) -> Option<T> {
         if let Some(job) = self.successor_slot.take() {
-            PoolStats::bump(&self.shared.stats.from_successor_slot);
+            self.shared.stats.count(counter::FROM_SUCCESSOR_SLOT);
             return Some(job);
         }
         if let Some(job) = self.deque.pop() {
-            PoolStats::bump(&self.shared.stats.from_local);
+            self.shared.stats.count(counter::FROM_LOCAL);
             return Some(job);
         }
         let Placement { wave, injector_take, .. } = self.shared.placement;
@@ -801,7 +861,7 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
             };
             match taken {
                 Steal::Success(job) => {
-                    PoolStats::bump(&self.shared.stats.from_injector);
+                    self.shared.stats.count(counter::FROM_INJECTOR);
                     return Some(job);
                 }
                 Steal::Retry => retry = true,
@@ -823,12 +883,11 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         if victims <= 1 {
             return None;
         }
-        let stats = &self.shared.stats;
         let is_self = |victim| victim == self.index;
         match self.shared.placement.steal {
             StealOrder::None => None,
             StealOrder::Flat => {
-                self.steal_pass(retry, 0..victims, true, is_self, &stats.stolen_same_domain)
+                self.steal_pass(retry, 0..victims, true, is_self, counter::STOLEN_SAME_DOMAIN)
             }
             StealOrder::Nearest { domain_size } => {
                 let size = domain_size.clamp(1, victims);
@@ -837,17 +896,18 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
                 // victim's backlog — and its locality — mostly intact), then batch migration
                 // across domains (amortise the cross-domain traffic by moving a chunk of the
                 // victim's backlog over in one steal).
-                self.steal_pass(retry, own.clone(), false, is_self, &stats.stolen_same_domain)
+                self.steal_pass(retry, own.clone(), false, is_self, counter::STOLEN_SAME_DOMAIN)
                     .or_else(|| {
                         let in_own = |victim| own.contains(&victim);
-                        self.steal_pass(retry, 0..victims, true, in_own, &stats.stolen_cross_domain)
+                        let cross = counter::STOLEN_CROSS_DOMAIN;
+                        self.steal_pass(retry, 0..victims, true, in_own, cross)
                     })
             }
         }
     }
 
     /// One randomized sweep over `victims`, skipping those `skip` rejects: single-job steals,
-    /// or (`batch`) steals that also refill this worker's deque. `counter` is the
+    /// or (`batch`) steals that also refill this worker's deque. `split` is the
     /// same/cross-domain sub-counter a successful steal is attributed to.
     fn steal_pass(
         &self,
@@ -855,7 +915,7 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         victims: Range<usize>,
         batch: bool,
         skip: impl Fn(usize) -> bool,
-        counter: &AtomicUsize,
+        split: usize,
     ) -> Option<T> {
         let start = self.rng.borrow_mut().gen_range(0..victims.len());
         for offset in 0..victims.len() {
@@ -868,8 +928,8 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
                 if batch { stealer.steal_batch_and_pop(self.deque) } else { stealer.steal() };
             match stolen {
                 Steal::Success(job) => {
-                    PoolStats::bump(&self.shared.stats.stolen);
-                    PoolStats::bump(counter);
+                    self.shared.stats.count(counter::STOLEN);
+                    self.shared.stats.count(split);
                     return Some(job);
                 }
                 Steal::Retry => *retry = true,
@@ -960,17 +1020,16 @@ mod tests {
         assert!(wait_for(|| counter.load(Ordering::SeqCst) == 500, Duration::from_secs(5)));
         pool.shutdown();
         let stats = pool.stats();
-        let executed = stats.executed.load(Ordering::Relaxed);
+        let executed = stats.executed_jobs();
         assert_eq!(executed, 500);
-        let sourced = stats.from_successor_slot.load(Ordering::Relaxed)
-            + stats.from_local.load(Ordering::Relaxed)
-            + stats.from_injector.load(Ordering::Relaxed)
-            + stats.stolen.load(Ordering::Relaxed);
+        let sourced = stats.from_successor_slot()
+            + stats.from_local()
+            + stats.from_injector()
+            + stats.stolen();
         assert_eq!(executed, sourced, "each job comes from exactly one source");
         assert_eq!(
-            stats.stolen.load(Ordering::Relaxed),
-            stats.stolen_same_domain.load(Ordering::Relaxed)
-                + stats.stolen_cross_domain.load(Ordering::Relaxed),
+            stats.stolen(),
+            stats.stolen_same_domain() + stats.stolen_cross_domain(),
             "each steal is same-domain or cross-domain"
         );
     }
@@ -1082,12 +1141,8 @@ mod tests {
         // The per-source counters are relaxed: read them only after the workers are joined.
         pool.shutdown();
         let stats = pool.stats();
-        assert_eq!(stats.executed.load(Ordering::Relaxed), 50);
-        assert!(
-            stats.from_injector.load(Ordering::Relaxed) + stats.from_local.load(Ordering::Relaxed)
-                + stats.stolen.load(Ordering::Relaxed)
-                >= 50
-        );
+        assert_eq!(stats.executed_jobs(), 50);
+        assert!(stats.from_injector() + stats.from_local() + stats.stolen() >= 50);
     }
 
     /// The accounting identity behind `RuntimeStats`: every executed job was acquired from
@@ -1112,21 +1167,18 @@ mod tests {
             // Quiescence: `executed` and the per-source counters are separate relaxed atomics.
             pool.shutdown();
             let s = pool.stats();
-            let acquired = s.from_successor_slot.load(Ordering::Relaxed)
-                + s.from_local.load(Ordering::Relaxed)
-                + s.from_injector.load(Ordering::Relaxed)
-                + s.stolen.load(Ordering::Relaxed);
+            let acquired =
+                s.from_successor_slot() + s.from_local() + s.from_injector() + s.stolen();
             assert_eq!(acquired, expected, "policy {}", policy.name());
             assert_eq!(
-                s.stolen.load(Ordering::Relaxed),
-                s.stolen_same_domain.load(Ordering::Relaxed)
-                    + s.stolen_cross_domain.load(Ordering::Relaxed),
+                s.stolen(),
+                s.stolen_same_domain() + s.stolen_cross_domain(),
                 "policy {}: steals must split into same- and cross-domain",
                 policy.name()
             );
             if !policy.uses_successor_slot() {
                 assert_eq!(
-                    s.from_successor_slot.load(Ordering::Relaxed),
+                    s.from_successor_slot(),
                     0,
                     "policy {} must never use the successor slot",
                     policy.name()
@@ -1155,7 +1207,7 @@ mod tests {
         pool.submit(0);
         assert!(wait_for(|| order.lock().len() == 7, Duration::from_secs(5)));
         assert_eq!(*order.lock(), vec![0, 4, 1, 6, 5, 3, 2]);
-        assert_eq!(pool.stats().successor_displacements.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.stats().successor_displacements(), 1);
     }
 
     /// Satellite: every undelivered job's destructor runs before `drop` returns — deque,
@@ -1282,10 +1334,10 @@ mod tests {
         assert!(wait_for(|| order.lock().len() == 12, Duration::from_secs(5)));
         assert_eq!(*order.lock(), vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 100, 101]);
         let stats = pool.stats();
-        assert_eq!(stats.from_successor_slot.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.from_local.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.stolen.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.from_injector.load(Ordering::Relaxed), 12);
+        assert_eq!(stats.from_successor_slot(), 0);
+        assert_eq!(stats.from_local(), 0);
+        assert_eq!(stats.stolen(), 0);
+        assert_eq!(stats.from_injector(), 12);
     }
 
     /// Fair-share round-robins across tenant queues: one job per tenant per turn, regardless
@@ -1318,10 +1370,10 @@ mod tests {
         assert!(wait_for(|| order.lock().len() == 5, Duration::from_secs(5)));
         assert_eq!(*order.lock(), vec![10, 20, 11, 21, 12]);
         let stats = pool.stats();
-        assert_eq!(stats.from_successor_slot.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.from_local.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.from_successor_slot(), 0);
+        assert_eq!(stats.from_local(), 0);
         assert_eq!(
-            stats.from_injector.load(Ordering::Relaxed),
+            stats.from_injector(),
             6,
             "six round-robin pops (job 0 included), counted as injector acquisitions"
         );
@@ -1364,8 +1416,8 @@ mod tests {
         assert!(wait_for(|| order.lock().len() == 9, Duration::from_secs(5)));
         assert_eq!(*order.lock(), vec![0, 4, 90, 1, 91, 2, 3, 5, 6]);
         let stats = pool.stats();
-        assert_eq!(stats.from_successor_slot.load(Ordering::Relaxed), 1, "4 came from the slot");
-        assert_eq!(stats.successor_displacements.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.from_successor_slot(), 1, "4 came from the slot");
+        assert_eq!(stats.successor_displacements(), 1);
     }
 
     /// The tenant is read from each job, so one wave may span tenants: it lands on one queue
@@ -1468,8 +1520,8 @@ mod tests {
         pool.submit(16);
         assert!(wait_for(|| done.load(Ordering::SeqCst) == 17, Duration::from_secs(5)));
         let stats = pool.stats();
-        assert_eq!(stats.from_successor_slot.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.from_local.load(Ordering::Relaxed), 16);
+        assert_eq!(stats.from_successor_slot(), 0);
+        assert_eq!(stats.from_local(), 16);
     }
 
     /// Hierarchical stealing keeps the counters consistent and executes everything; domain
@@ -1500,9 +1552,9 @@ mod tests {
         assert!(wait_for(|| done.load(Ordering::SeqCst) == expected, Duration::from_secs(10)));
         let s = pool.stats();
         assert_eq!(
-            s.stolen.load(Ordering::Relaxed),
-            s.stolen_same_domain.load(Ordering::Relaxed)
-                + s.stolen_cross_domain.load(Ordering::Relaxed)
+            s.stolen(),
+            s.stolen_same_domain()
+                + s.stolen_cross_domain()
         );
     }
 

@@ -8,6 +8,9 @@
 //!   (one parent-domain lock acquisition per wave);
 //! * `spawn-each`       — the same waves through `TaskCtx::spawn_each`: one shared body and
 //!   one reused clause buffer per wave, so a task costs its record and its footprint;
+//! * `stencil-each`     — `spawn_each` waves of Gauss–Seidel-shaped tiles over a block-major
+//!   grid: five accesses per task (top, left, centre, right, bottom), one sweep of the grid
+//!   per wave, each sweep ordered after the last;
 //! * `fragmented-deps`  — every task's region overlaps half of its predecessor's, so every
 //!   registration splits a bottom-map fragment (the slow-path guard for the matching path);
 //! * `fragmented-demote` — pairs of tasks per sliding window: the first splits the window and
@@ -258,6 +261,47 @@ fn flat_each(workers: usize, tasks: usize, wave: usize) -> (f64, f64, MatchCount
     (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
 }
 
+/// Side of the `stencil-each` grid in interior blocks, and elements per block.
+const STENCIL_BLOCKS: usize = 32;
+const STENCIL_BLOCK: usize = 4;
+
+/// `tasks` empty-bodied tiles through `spawn_each`, in waves of one sweep of a block-major
+/// `STENCIL_BLOCKS`² grid (a boundary ring around it): each tile reads its four neighbours and
+/// updates its own block, the clause of every Gauss–Seidel task.
+fn stencil_each(workers: usize, tasks: usize) -> (f64, f64, MatchCounts, u64) {
+    const SIDE: usize = STENCIL_BLOCKS + 2;
+    let rt = Runtime::with_workers(workers);
+    let data = SharedSlice::<u8>::new(SIDE * SIDE * STENCIL_BLOCK);
+    let allocs0 = allocs_now();
+    let total_start = Instant::now();
+    let d = data.clone();
+    let spawn_secs = rt.run(move |ctx| {
+        let block = |bi: usize, bj: usize| {
+            let first = (bi * SIDE + bj) * STENCIL_BLOCK;
+            d.region(first..first + STENCIL_BLOCK)
+        };
+        let spawn_start = Instant::now();
+        let sweep = STENCIL_BLOCKS * STENCIL_BLOCKS;
+        for first in (0..tasks).step_by(sweep) {
+            ctx.spawn_each(
+                sweep.min(tasks - first),
+                |i, c| {
+                    let (bi, bj) = (i / STENCIL_BLOCKS + 1, i % STENCIL_BLOCKS + 1);
+                    c.input(block(bi - 1, bj))
+                        .input(block(bi, bj - 1))
+                        .inout(block(bi, bj))
+                        .input(block(bi, bj + 1))
+                        .input(block(bi + 1, bj))
+                        .label("tile");
+                },
+                |_, _| {},
+            );
+        }
+        spawn_start.elapsed().as_secs_f64()
+    });
+    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
+}
+
 /// `spawners` tasks run concurrently on the pool; each spawns `children` tasks into its own
 /// dependency domain. `batched` selects the registration path. Returns the average
 /// spawner-loop seconds (the concurrent registration throughput) and the total wall time.
@@ -366,6 +410,7 @@ fn main() {
         push("spawn-unbatched", tasks, measure(args.repeat, || flat_unbatched(workers, tasks)));
         push("spawn-batched", tasks, measure(args.repeat, || flat_batched(workers, tasks, wave)));
         push("spawn-each", tasks, measure(args.repeat, || flat_each(workers, tasks, wave)));
+        push("stencil-each", tasks, measure(args.repeat, || stencil_each(workers, tasks)));
         push("nodeps-unbatched", tasks, measure(args.repeat, || nodeps_unbatched(workers, tasks)));
         push("nodeps-batched", tasks, measure(args.repeat, || nodeps_batched(workers, tasks, wave)));
         push("fragmented-deps", tasks, measure(args.repeat, || fragmented_deps(workers, tasks, wave)));
@@ -440,8 +485,10 @@ fn main() {
         // Ceilings are the steady-state targets rounded up to the next whole allocation above
         // the 2 000-task `--quick` value, which carries 0.2–3/task of log-scale warm-up (slab
         // and queue doubling growth amortises over task count) on top of the full-run steady
-        // state: spawn-batched 4.0 full / 4.3 quick, spawn-each 3.0 / 3.3, nested-batched
-        // 4.0 / 4.4. The fragmented rows vary from run to run with how far registration runs
+        // state: spawn-batched 4.0 full / 4.2 quick, spawn-each 3.0 / 3.2, nested-batched
+        // 4.0 / 4.3. `stencil-each` reads 5.5–5.6 quick: a five-access tile costs its footprint,
+        // record, entry and node list (4), and two sweeps amortise the growth of the grid's
+        // readers and edge lists. The fragmented rows vary from run to run with how far registration runs
         // ahead of retirement (fragmented-deps 6.6–8.4 full / 9.0–9.3 quick, fragmented-demote
         // 7.6–9.6 / 9.4–10.3), so they carry one allocation more. `nodeps-batched` sits exactly
         // at its 2.0 per-task steady state on full runs, plus a constant per-*job* slice (the
@@ -452,6 +499,7 @@ fn main() {
         let budgets: &[(&str, f64)] = &[
             ("spawn-batched", 5.0),
             ("spawn-each", 4.0),
+            ("stencil-each", 6.0),
             ("fragmented-deps", 11.0),
             ("fragmented-demote", 12.0),
             ("nested-batched", 5.0),

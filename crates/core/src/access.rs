@@ -123,51 +123,76 @@ pub struct NormalizedDep {
 /// combining them with an upgrade rule is the conservative choice and what the Nanos6 runtime
 /// does in practice.
 pub fn normalize_deps(deps: &[Depend]) -> Vec<NormalizedDep> {
-    normalize_disjoint(deps).unwrap_or_else(|| normalize_general(deps))
+    normalize_as(deps, 0)
+}
+
+/// [`normalize_deps`] into any representation of a normalised entry, with room for `extra`
+/// more entries after them: the runtime normalises a task's dependencies straight into its
+/// footprint, hints included, in one allocation.
+pub(crate) fn normalize_as<T>(deps: &[Depend], extra: usize) -> Vec<T>
+where
+    T: Copy + From<NormalizedDep> + Into<NormalizedDep>,
+{
+    let mut out = Vec::with_capacity(deps.len() + extra);
+    if !normalize_disjoint(deps, &mut out) {
+        normalize_general(deps, &mut out);
+    }
+    out
 }
 
 /// The fast path for the overwhelmingly common declarations: pairwise disjoint, non-empty
 /// regions — adjacent ones included, like the left / center / right blocks of a stencil. No
 /// fragmentation or combining can occur then, so the interval-map machinery (several
 /// allocations per call, on the task-creation hot path) is skipped: the candidate output is
-/// sorted, checked pair by pair, and adjacent neighbours of equal mode are merged in place —
-/// exactly what the general path's coalescing produces. One allocation, the output `Vec`.
-/// `None` sends the clause to [`normalize_general`].
-fn normalize_disjoint(deps: &[Depend]) -> Option<Vec<NormalizedDep>> {
+/// written to the empty `out`, sorted, checked pair by pair, and adjacent neighbours of equal
+/// mode are merged in place — exactly what the general path's coalescing produces. `false`
+/// leaves `out` empty and sends the clause to [`normalize_general`].
+fn normalize_disjoint<T>(deps: &[Depend], out: &mut Vec<T>) -> bool
+where
+    T: Copy + From<NormalizedDep> + Into<NormalizedDep>,
+{
+    debug_assert!(out.is_empty());
     if deps.is_empty() || deps.iter().any(|d| d.region.is_empty()) {
-        return None;
+        return false;
     }
-    let mut out: Vec<NormalizedDep> = deps
-        .iter()
-        .map(|d| NormalizedDep {
+    out.extend(deps.iter().map(|d| {
+        T::from(NormalizedDep {
             region: d.region,
             is_write: d.access.is_write(),
             weak: d.access.is_weak(),
         })
-        .collect();
-    out.sort_unstable_by_key(|d| (d.region.space, d.region.start));
+    }));
+    let dep = |entry: &T| -> NormalizedDep { (*entry).into() };
+    out.sort_unstable_by_key(|entry| {
+        let region = dep(entry).region;
+        (region.space, region.start)
+    });
     let disjoint = out.windows(2).all(|pair| {
-        pair[0].region.space != pair[1].region.space || pair[0].region.end <= pair[1].region.start
+        let (a, b) = (dep(&pair[0]).region, dep(&pair[1]).region);
+        a.space != b.space || a.end <= b.start
     });
     if !disjoint {
-        return None;
+        out.clear();
+        return false;
     }
     out.dedup_by(|next, prev| {
-        let merge = prev.region.space == next.region.space
-            && prev.region.end == next.region.start
-            && (prev.is_write, prev.weak) == (next.is_write, next.weak);
+        let (next, mut merged) = (dep(next), dep(prev));
+        let merge = merged.region.space == next.region.space
+            && merged.region.end == next.region.start
+            && (merged.is_write, merged.weak) == (next.is_write, next.weak);
         if merge {
-            prev.region.end = next.region.end;
+            merged.region.end = next.region.end;
+            *prev = T::from(merged);
         }
         merge
     });
-    Some(out)
+    true
 }
 
 /// The general path: fragments and combines the declarations of one space at a time in an
-/// interval map, then coalesces equal-mode neighbours. Spaces are visited in order and each
-/// map iterates by start, so the output comes out sorted.
-fn normalize_general(deps: &[Depend]) -> Vec<NormalizedDep> {
+/// interval map, then coalesces equal-mode neighbours, appending to `out`. Spaces are visited
+/// in order and each map iterates by start, so the output comes out sorted.
+fn normalize_general<T: From<NormalizedDep>>(deps: &[Depend], out: &mut Vec<T>) {
     #[derive(Clone, PartialEq)]
     struct Combined {
         is_write: bool,
@@ -178,7 +203,6 @@ fn normalize_general(deps: &[Depend]) -> Vec<NormalizedDep> {
     spaces.sort_unstable();
     spaces.dedup();
     let mut map: IntervalMap<Combined> = IntervalMap::new();
-    let mut out = Vec::new();
     for space in spaces {
         for dep in deps.iter().filter(|d| d.region.space == space) {
             let is_write = dep.access.is_write();
@@ -192,14 +216,15 @@ fn normalize_general(deps: &[Depend]) -> Vec<NormalizedDep> {
             });
         }
         map.coalesce();
-        out.extend(map.iter().map(|(start, end, c)| NormalizedDep {
-            region: Region::new(space, start, end),
-            is_write: c.is_write,
-            weak: c.weak,
+        out.extend(map.iter().map(|(start, end, c)| {
+            T::from(NormalizedDep {
+                region: Region::new(space, start, end),
+                is_write: c.is_write,
+                weak: c.weak,
+            })
         }));
         map.clear();
     }
-    out
 }
 
 #[cfg(test)]
@@ -208,6 +233,13 @@ mod tests {
 
     fn r(start: usize, end: usize) -> Region {
         Region::new(SpaceId(1), start, end)
+    }
+
+    /// The general path's output on its own.
+    fn general_path(deps: &[Depend]) -> Vec<NormalizedDep> {
+        let mut out = Vec::new();
+        normalize_general(deps, &mut out);
+        out
     }
 
     #[test]
@@ -356,8 +388,9 @@ mod tests {
                 let access = ACCESS_TYPES[rng.gen_range(0..ACCESS_TYPES.len())];
                 deps.push(Depend::new(access, Region::new(space, start, end)));
             }
-            let general = normalize_general(&deps);
-            if let Some(out) = normalize_disjoint(&deps) {
+            let general = general_path(&deps);
+            let mut out: Vec<NormalizedDep> = Vec::new();
+            if normalize_disjoint(&deps, &mut out) {
                 assert_eq!(out, general, "clause {deps:?}");
                 fast += 1;
                 merged += usize::from(out.len() < deps.len());
@@ -391,7 +424,7 @@ mod tests {
         let before = counting_alloc::allocations();
         let norm = normalize_deps(&deps);
         let allocations = counting_alloc::allocations() - before;
-        assert_eq!(norm, normalize_general(&deps));
+        assert_eq!(norm, general_path(&deps));
         assert_eq!(norm.len(), 5);
         assert_eq!(allocations, 1, "heap allocations normalising the stencil clause");
     }

@@ -304,8 +304,11 @@ type Parts = SmallVec<[Region; 1]>;
 /// was satisfied at registration) or the whole region, in the common case.
 type SeedParts = SmallVec<[Region; 1]>;
 
-/// The staged own-access seeds of a not-yet-expanded domain (see [`Domain::own_seed`]).
-type Seeds = SmallVec<[(Region, SeedParts); 2]>;
+/// The staged own-access seeds of a not-yet-expanded domain (see [`Domain::own_seed`]): the
+/// pending-down mirror of each weak access registered with unsatisfied fragments, keyed by its
+/// own index, in own-index order. Every other access starts with nothing pending, so a task
+/// with strong accesses only stages nothing; the regions come from its entry.
+type Seeds = SmallVec<[(u32, SeedParts); 1]>;
 
 /// The node half of an access: lives in the domain the access was registered in (the domain of
 /// its task's parent), where it participates in the dependency DAG.
@@ -866,11 +869,11 @@ struct Domain<P> {
     deeply_completed: bool,
     /// Direct children that have not yet deeply completed.
     live_children: usize,
-    /// Deferred construction of the own-access lower halves: `(region, initially unsatisfied
-    /// parts)` per access, expanded into `own`/`bottom_map` by [`Domain::ensure_seeded`]
-    /// the first time anything needs them. Most tasks are leaves that never spawn children nor
-    /// receive `SatisfyDown`, so the laziness keeps several container allocations and map inserts
-    /// off the per-spawn hot path.
+    /// Deferred construction of the own-access lower halves: the initially unsatisfied parts
+    /// of the weak accesses that have any, expanded with the entry's regions into
+    /// `own`/`bottom_map` by [`Domain::ensure_seeded`] the first time anything needs them. Most
+    /// tasks are leaves that never spawn children nor receive `SatisfyDown`, so the laziness
+    /// keeps several container allocations and map inserts off the per-spawn hot path.
     own_seed: Option<Seeds>,
     /// Lower halves of the owner's own accesses (parallel to `TaskEntry::nodes_in_parent`).
     /// Registration takes `normalize_deps` output, so the regions are pairwise disjoint and
@@ -944,11 +947,18 @@ impl<P> Domain<P> {
         self.parent_entry.as_ref().and_then(Weak::upgrade)
     }
 
-    /// Expands the deferred own-access seeds into the live lower-half structures. Idempotent;
-    /// must run before anything touches `own` or `bottom_map`.
-    fn ensure_seeded(&mut self) {
+    /// Expands the deferred own-access seeds into the live lower-half structures, one per
+    /// access of the owner's entry (`accesses`). Idempotent; must run before anything touches
+    /// `own` or `bottom_map`.
+    fn ensure_seeded(&mut self, accesses: &SmallVec<[InParent; 2]>) {
         let Some(seeds) = self.own_seed.take() else { return };
-        for (own_idx, (region, pending)) in seeds.into_iter().enumerate() {
+        let mut seeds = seeds.into_iter().peekable();
+        for (own_idx, access) in accesses.iter().enumerate() {
+            let region = access.region;
+            let pending = seeds
+                .next_if(|(idx, _)| *idx as usize == own_idx)
+                .map(|(_, pending)| pending)
+                .unwrap_or_default();
             self.own.push(OwnAccess::new(region, &pending));
             // Own regions are normalised (pairwise disjoint), so each seed fills a gap.
             let _ = self.bottom_map.insert(
@@ -1107,13 +1117,20 @@ impl<P> Domain<P> {
 pub(crate) struct TaskEntry<P> {
     pub(crate) id: TaskId,
     parent: Option<TaskId>,
-    /// References to this task's access nodes in the parent's domain, parallel to the `own`
-    /// vector of this task's domain. Immutable after registration; inline for the common 1–2
-    /// accesses.
-    nodes_in_parent: SmallVec<[NodeRef; 2]>,
+    /// This task's accesses in the parent's domain, parallel to the `own` vector of this
+    /// task's domain. Immutable after registration; inline for the common 1–2 accesses.
+    nodes_in_parent: SmallVec<[InParent; 2]>,
     /// Slot of this task's [`ChildSched`] record in the parent's domain (unused for roots).
     sched_in_parent: u32,
     domain: Mutex<Domain<P>>,
+}
+
+/// One access of a task as its entry keeps it: the access node in the parent's domain and the
+/// declared region, which also seeds the own access in the task's domain.
+#[derive(Copy, Clone, Debug)]
+struct InParent {
+    node: NodeRef,
+    region: Region,
 }
 
 impl<P> TaskEntry<P> {
@@ -1524,7 +1541,7 @@ impl<P: 'static> DependencyEngine<P> {
             "dependencies must be normalize_deps output: disjoint, sorted by (space, start)"
         );
         self.stats.add(stat::TASKS_REGISTERED, 1);
-        domain.ensure_seeded();
+        domain.ensure_seeded(&parent_entry.nodes_in_parent);
 
         let sched_idx = domain.alloc_sched(ChildSched {
             task: id,
@@ -1538,8 +1555,9 @@ impl<P: 'static> DependencyEngine<P> {
 
         let mut child_domain =
             Domain::new(id, Some(Arc::downgrade(parent_entry)), wait_mode);
-        let mut child_seeds = child_domain.own_seed.take().expect("fresh domain is unseeded");
-        let mut nodes_in_parent: SmallVec<[NodeRef; 2]> = SmallVec::new();
+        let mut child_seeds: Seeds = SmallVec::new();
+        // Built at its final size: one allocation beyond the inline capacity, none within it.
+        let mut nodes_in_parent: SmallVec<[InParent; 2]> = SmallVec::with_capacity(deps.len());
 
         self.stats.add(stat::ACCESSES_REGISTERED, deps.len() as u64);
         for (own_idx, &dep) in deps.iter().enumerate() {
@@ -1578,7 +1596,9 @@ impl<P: 'static> DependencyEngine<P> {
                 if dep.weak { node.unsatisfied_parts(&domain.frag) } else { SmallVec::new() };
             let has_mirror = !pending_down.is_empty();
             domain.node_mut(node_ref.idx).expect("node just allocated").has_mirror = has_mirror;
-            child_seeds.push((dep.region, pending_down));
+            if has_mirror {
+                child_seeds.push((own_idx as u32, pending_down));
+            }
 
             // Count the access towards readiness if it is strong and has pending predecessors.
             let node = domain.node(node_ref.idx).expect("node just allocated");
@@ -1588,7 +1608,7 @@ impl<P: 'static> DependencyEngine<P> {
                     .expect("sched slot just allocated")
                     .pending_strong += 1;
             }
-            nodes_in_parent.push(node_ref);
+            nodes_in_parent.push(InParent { node: node_ref, region: dep.region });
         }
 
         child_domain.own_seed = Some(child_seeds);
@@ -1775,33 +1795,19 @@ impl<P: 'static> DependencyEngine<P> {
                 // OpenMP default: the task's dependencies are released when the body finishes.
                 // A leaf deep-completes right below, and its `ChildDone` completes every access.
                 (WaitMode::None, Some(target)) if domain.live_children > 0 => {
-                    // The task usually still carries the unexpanded seed; either representation
-                    // yields the declared regions.
-                    let mut emit = |own_idx: usize, region: Region| {
+                    for (own_idx, access) in entry.nodes_in_parent.iter().enumerate() {
                         outbox.push_back(Message::CompleteUp {
                             target: Arc::clone(&target),
                             task: Arc::clone(entry),
                             own_idx: own_idx as u32,
-                            parts: smallvec![region],
+                            parts: smallvec![access.region],
                         });
-                    };
-                    match &domain.own_seed {
-                        Some(seeds) => {
-                            for (own_idx, (region, _)) in seeds.iter().enumerate() {
-                                emit(own_idx, *region);
-                            }
-                        }
-                        None => {
-                            for (own_idx, own) in domain.own.iter().enumerate() {
-                                emit(own_idx, own.region);
-                            }
-                        }
                     }
                 }
                 (WaitMode::WeakWait, Some(target)) => {
                     // Fine-grained release: fragments not covered by live child accesses
                     // complete now; covered fragments are handed over to the children.
-                    domain.ensure_seeded();
+                    domain.ensure_seeded(&entry.nodes_in_parent);
                     for (own_idx, own) in domain.own.iter().enumerate() {
                         let mut uncovered: Parts = SmallVec::new();
                         domain.uncovered_parts(&own.region, &mut uncovered);
@@ -1852,7 +1858,7 @@ impl<P: 'static> DependencyEngine<P> {
                 scratch.put_back();
                 return effects;
             };
-            domain.ensure_seeded();
+            domain.ensure_seeded(&entry.nodes_in_parent);
             for own_idx in 0..domain.own.len() {
                 let own = &mut domain.own[own_idx];
                 let overlap = match own.region.intersection(&region) {
@@ -1936,8 +1942,12 @@ impl<P: 'static> DependencyEngine<P> {
                 if let Some(seeds) = &mut domain.own_seed {
                     // The domain never had children, so no satisfaction edges exist to fire:
                     // shrink the staged mirror in place and keep the seed unexpanded (the
-                    // common dependent-leaf case stays allocation-free).
-                    let (_region, pending) = &mut seeds[own_idx as usize];
+                    // common dependent-leaf case stays allocation-free). Only an access staged
+                    // with a mirror is sent `SatisfyDown`.
+                    let seed = (0..seeds.len())
+                        .find(|&seed| seeds[seed].0 == own_idx)
+                        .expect("SatisfyDown targets a mirrored access");
+                    let (_, pending) = &mut seeds[seed];
                     for part in &parts {
                         let mut rest: SeedParts = SmallVec::new();
                         for fragment in pending.iter() {
@@ -1959,7 +1969,7 @@ impl<P: 'static> DependencyEngine<P> {
                 self.process_local(domain, queue, effects, outbox);
             }
             Message::CompleteUp { target: _, task, own_idx, parts } => {
-                let node_ref = task.nodes_in_parent[own_idx as usize];
+                let node_ref = task.nodes_in_parent[own_idx as usize].node;
                 // A recycled slot means the access was fully released already; the completion
                 // is moot.
                 if domain.resolve(node_ref).is_none() {
@@ -1991,7 +2001,7 @@ impl<P: 'static> DependencyEngine<P> {
                 // Whatever has not completed yet completes now (a leaf and Wait mode release
                 // everything here; WeakWait may have residual fragments if a child declared less
                 // than it covered), one access and its cascade after the other.
-                for node_ref in &entry.nodes_in_parent {
+                for InParent { node: node_ref, .. } in entry.nodes_in_parent.iter() {
                     if let Some(node) = domain.resolve(*node_ref) {
                         queue.push_back(Event::Complete {
                             node: node_ref.idx,
@@ -2003,7 +2013,7 @@ impl<P: 'static> DependencyEngine<P> {
 
                 // Recycle fully released nodes (the rest are reaped by `try_release` when their
                 // last fragment goes out).
-                for node_ref in &entry.nodes_in_parent {
+                for InParent { node: node_ref, .. } in entry.nodes_in_parent.iter() {
                     if domain.resolve(*node_ref).is_some() {
                         if let Some(task) = domain.try_free_node(node_ref.idx) {
                             debug_assert_eq!(task, entry.id);

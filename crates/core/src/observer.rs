@@ -30,6 +30,13 @@ impl From<FootprintEntry> for NormalizedDep {
     }
 }
 
+/// The runtime normalises a task's dependencies straight into its footprint.
+impl From<NormalizedDep> for FootprintEntry {
+    fn from(dep: NormalizedDep) -> Self {
+        FootprintEntry { region: dep.region, write: dep.is_write, weak: dep.weak }
+    }
+}
+
 /// Information about a task at creation time.
 #[derive(Clone, Debug)]
 pub struct TaskInfo<'a> {

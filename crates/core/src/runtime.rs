@@ -66,7 +66,7 @@ use crate::data::SharedSlice;
 use crate::faults::FaultPlan;
 use crate::job::{JobError, JobHandle, JobOptions, JobState, JobStats};
 
-use crate::access::{normalize_deps, AccessType, Depend, WaitMode};
+use crate::access::{normalize_as, AccessType, Depend, WaitMode};
 use crate::engine::{DependencyEngine, Effects, StaleTaskId, TaskEntry, TaskId};
 use crate::observer::{FootprintEntry, RuntimeObserver, TaskExecution, TaskInfo};
 
@@ -1509,10 +1509,7 @@ fn declared_footprint(
     deps: &[Depend],
     hints: Vec<FootprintEntry>,
 ) -> (Vec<FootprintEntry>, usize) {
-    let mut footprint: Vec<FootprintEntry> = normalize_deps(deps)
-        .into_iter()
-        .map(|d| FootprintEntry { region: d.region, write: d.is_write, weak: d.weak })
-        .collect();
+    let mut footprint: Vec<FootprintEntry> = normalize_as(deps, hints.len());
     let declared = footprint.len();
     footprint.extend(hints);
     (footprint, declared)

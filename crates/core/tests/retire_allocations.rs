@@ -12,7 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use weakdep_core::{
-    normalize_deps, AccessType, Depend, DependencyEngine, Region, SpaceId, TaskId, WaitMode,
+    normalize_deps, AccessType, Depend, DependencyEngine, NormalizedDep, Region, SpaceId, TaskId,
+    WaitMode,
 };
 
 thread_local! {
@@ -179,4 +180,47 @@ fn registering_the_first_child_of_a_weak_parent_allocates_a_pinned_count() {
     assert!(!ready, "the child waits for the writer through its parent");
     assert_eq!(engine.stats().satisfaction_edges, 1);
     assert_eq!(allocations, 14, "allocations registering the first child");
+}
+
+/// Registering a Gauss–Seidel tile — five strong accesses: the top, left, centre, right and
+/// bottom blocks of a block-major grid — allocates the task's entry and its list of access
+/// nodes, once each: the list is built at its final size, and a task with strong accesses only
+/// stages no own-access seed. (5 allocations while the node list and a seed list of every
+/// access each grew from their inline two to three and then six entries.) Earlier tasks,
+/// finished before the measured one, grow the root domain's slabs and bottom map and the
+/// thread's list of retired ids.
+#[test]
+fn registering_a_five_access_child_allocates_its_entry_and_node_list() {
+    let grid = SpaceId(3);
+    let engine = DependencyEngine::new();
+    let root = engine.register_root();
+    // A 3 × 3 block-major grid: the tile is block 4, its neighbours blocks 1, 3, 5 and 7.
+    let block = |b: usize| Region::new(grid, b * BLOCK, (b + 1) * BLOCK);
+    let deps = normalize_deps(&[
+        Depend::new(AccessType::In, block(1)),
+        Depend::new(AccessType::In, block(3)),
+        Depend::new(AccessType::InOut, block(4)),
+        Depend::new(AccessType::In, block(5)),
+        Depend::new(AccessType::In, block(7)),
+    ]);
+    assert_eq!(deps.len(), 5, "adjacent blocks of different modes stay apart");
+    // A writer of the five blocks after each earlier tile starts their reader lists afresh.
+    let writer: Vec<NormalizedDep> =
+        deps.iter().map(|dep| NormalizedDep { is_write: true, ..*dep }).collect();
+    for _ in 0..2 {
+        for clause in [&deps, &writer] {
+            let (task, ready) =
+                engine.register_task_normalized(root, clause, WaitMode::None).expect("live root");
+            assert!(ready);
+            engine.body_finished(task).expect("live child");
+        }
+    }
+
+    let before = ALLOCATIONS.with(Cell::get);
+    let (_tile, ready) =
+        engine.register_task_normalized(root, &deps, WaitMode::None).expect("live root");
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+
+    assert!(ready, "the earlier tiles finished");
+    assert_eq!(allocations, 2, "allocations registering a five-access child");
 }

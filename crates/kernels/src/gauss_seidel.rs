@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use weakdep_core::{Runtime, SharedSlice, TaskCtx, TaskSpec};
+use weakdep_core::{Clauses, Runtime, SharedSlice, TaskCtx};
 
 use crate::KernelRun;
 
@@ -212,49 +212,62 @@ pub fn tile_kernel(center: &mut [f64], top: &[f64], left: &[f64], right: &[f64],
     }
 }
 
-/// The staged spec of one tile task (the body of Listing 6's inner loop).
-fn tile_spec(ctx: &TaskCtx<'_>, grid: &Grid, bi: usize, bj: usize) -> TaskSpec {
-    let ts = grid.cfg.ts;
-    let g = grid.clone();
+/// The clauses of tile `(bi, bj)`, Listing 6's inner task: it reads its four neighbours and
+/// updates its own block.
+fn tile_clauses(grid: &Grid, bi: usize, bj: usize, clauses: &mut Clauses) {
     let data = grid.data();
-    ctx.task()
+    clauses
         .input(data.region(grid.block_range(bi - 1, bj))) // top
         .input(data.region(grid.block_range(bi, bj - 1))) // left
         .inout(data.region(grid.block_range(bi, bj))) // center
         .input(data.region(grid.block_range(bi, bj + 1))) // right
         .input(data.region(grid.block_range(bi + 1, bj))) // bottom
-        .label("gs-tile")
-        .stage(move |t| {
-            let d = g.data();
-            let center = d.write(t, g.block_range(bi, bj));
-            let top = d.read(t, g.block_range(bi - 1, bj));
-            let left = d.read(t, g.block_range(bi, bj - 1));
-            let right = d.read(t, g.block_range(bi, bj + 1));
-            let bottom = d.read(t, g.block_range(bi + 1, bj));
-            tile_kernel(center, top, left, right, bottom, ts);
-        })
+        .label("gs-tile");
 }
 
-/// Spawns the block tasks of one iteration as children of `ctx` (Listing 6's inner loop), as a
-/// single batched wave per iteration (one domain-lock acquisition for `blocks²` tasks).
+/// The body of tile `(bi, bj)`.
+fn tile_body(t: &TaskCtx<'_>, grid: &Grid, bi: usize, bj: usize) {
+    let d = grid.data();
+    let center = d.write(t, grid.block_range(bi, bj));
+    let top = d.read(t, grid.block_range(bi - 1, bj));
+    let left = d.read(t, grid.block_range(bi, bj - 1));
+    let right = d.read(t, grid.block_range(bi, bj + 1));
+    let bottom = d.read(t, grid.block_range(bi + 1, bj));
+    tile_kernel(center, top, left, right, bottom, grid.cfg.ts);
+}
+
+/// Spawns the block tasks of one iteration as children of `ctx` (Listing 6's inner loop): one
+/// congruent wave of `blocks²` tiles in row-major order, tile `i` at
+/// `(i / blocks + 1, i % blocks + 1)`, registered under one domain-lock acquisition.
 fn spawn_iteration(ctx: &TaskCtx<'_>, grid: &Grid) {
-    let cfg = grid.cfg;
-    let specs: Vec<TaskSpec> = (1..=cfg.blocks)
-        .flat_map(|bi| (1..=cfg.blocks).map(move |bj| (bi, bj)))
-        .map(|(bi, bj)| tile_spec(ctx, grid, bi, bj))
-        .collect();
-    ctx.spawn_batch(specs);
+    let blocks = grid.cfg.blocks;
+    let tile = move |i: usize| (i / blocks + 1, i % blocks + 1);
+    let g = grid.clone();
+    ctx.spawn_each(
+        blocks * blocks,
+        |i, clauses| {
+            let (bi, bj) = tile(i);
+            tile_clauses(grid, bi, bj, clauses);
+        },
+        move |t, i| {
+            let (bi, bj) = tile(i);
+            tile_body(t, &g, bi, bj);
+        },
+    );
 }
 
 /// Like [`spawn_iteration`] but additionally issues the `release` directive over each horizontal
-/// panel of blocks once no future subtask of this iteration can reference it. Tasks batch per
-/// row so the releases keep their place in the spawn order.
+/// panel of blocks once no future subtask of this iteration can reference it. One wave per row
+/// of blocks, tile `j` at `(bi, j + 1)`, so the releases keep their place in the spawn order.
 fn spawn_iteration_with_release(ctx: &TaskCtx<'_>, grid: &Grid) {
-    let cfg = grid.cfg;
-    for bi in 1..=cfg.blocks {
-        let specs: Vec<TaskSpec> =
-            (1..=cfg.blocks).map(|bj| tile_spec(ctx, grid, bi, bj)).collect();
-        ctx.spawn_batch(specs);
+    let blocks = grid.cfg.blocks;
+    for bi in 1..=blocks {
+        let g = grid.clone();
+        ctx.spawn_each(
+            blocks,
+            |j, clauses| tile_clauses(grid, bi, j + 1, clauses),
+            move |t, j| tile_body(t, &g, bi, j + 1),
+        );
         // Rows strictly above bi-1 are no longer referenced by the remaining (future) subtasks of
         // this iteration: row bi+1 tasks read rows bi..bi+2 only.
         if bi >= 2 {
@@ -349,7 +362,8 @@ pub fn verify(cfg: &GsConfig, result: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use weakdep_core::Runtime;
+    use crate::test_support::{held_run, registered_graph};
+    use weakdep_core::{Runtime, SchedulingPolicy, TaskSpec};
 
     #[test]
     fn config_arithmetic() {
@@ -451,6 +465,82 @@ mod tests {
     fn copy_free_reference_is_bit_identical_to_the_copying_one() {
         for cfg in [GsConfig::small(), GsConfig { blocks: 3, ts: 5, iterations: 4 }] {
             assert_bits_equal(&format!("{cfg:?}"), &reference_with_copies(&cfg), &reference(&cfg));
+        }
+    }
+
+    /// The staged spec of tile `(bi, bj)`, as the kernel built one per tile before its waves
+    /// became `spawn_each` waves.
+    fn tile_spec(ctx: &TaskCtx<'_>, grid: &Grid, bi: usize, bj: usize) -> TaskSpec {
+        let g = grid.clone();
+        let data = grid.data();
+        ctx.task()
+            .input(data.region(grid.block_range(bi - 1, bj)))
+            .input(data.region(grid.block_range(bi, bj - 1)))
+            .inout(data.region(grid.block_range(bi, bj)))
+            .input(data.region(grid.block_range(bi, bj + 1)))
+            .input(data.region(grid.block_range(bi + 1, bj)))
+            .label("gs-tile")
+            .stage(move |t| tile_body(t, &g, bi, bj))
+    }
+
+    /// [`spawn_iteration`] as one `spawn_batch` of staged specs.
+    fn spawn_iteration_specs(ctx: &TaskCtx<'_>, grid: &Grid) {
+        let blocks = grid.cfg.blocks;
+        let specs: Vec<TaskSpec> = (1..=blocks)
+            .flat_map(|bi| (1..=blocks).map(move |bj| (bi, bj)))
+            .map(|(bi, bj)| tile_spec(ctx, grid, bi, bj))
+            .collect();
+        ctx.spawn_batch(specs);
+    }
+
+    /// [`spawn_iteration_with_release`] as one `spawn_batch` of staged specs per row.
+    fn spawn_iteration_with_release_specs(ctx: &TaskCtx<'_>, grid: &Grid) {
+        let blocks = grid.cfg.blocks;
+        for bi in 1..=blocks {
+            ctx.spawn_batch((1..=blocks).map(|bj| tile_spec(ctx, grid, bi, bj)).collect());
+            if bi >= 2 {
+                ctx.release(grid.data().region(grid.row_range(bi - 2)));
+            }
+        }
+    }
+
+    /// Both iteration forms of the weak variants, as `spawn_each` waves and as staged specs,
+    /// give the engine the same graph — equal registration counters, edges, accesses and
+    /// ready-at-registration included — and the reference grid bit for bit, under every
+    /// scheduling policy. Each job is held until its whole graph is registered.
+    #[test]
+    fn spawn_each_iterations_register_the_graph_of_the_spec_iterations() {
+        type Spawn = fn(&TaskCtx<'_>, &Grid);
+        let cfg = GsConfig { blocks: 3, ts: 4, iterations: 3 };
+        let expected = reference(&cfg);
+        // The root, the holder, the iteration tasks and their tiles.
+        let tasks = 2 + cfg.task_count(GsVariant::NestWeak);
+        let forms: [(&str, Spawn, Spawn); 2] = [
+            ("nest-weak", spawn_iteration, spawn_iteration_specs),
+            ("nest-weak-release", spawn_iteration_with_release, spawn_iteration_with_release_specs),
+        ];
+        for (name, each, specs) in forms {
+            for policy in SchedulingPolicy::all() {
+                let [by_each, by_specs] = [each, specs].map(|spawn_iteration| {
+                    let grid = Grid::new(cfg);
+                    let whole = grid.data().full_region();
+                    let g = grid.clone();
+                    let stats = held_run(policy, whole, tasks, move |root| {
+                        for _ in 0..cfg.iterations {
+                            let g = g.clone();
+                            root.task()
+                                .weak_inout(whole)
+                                .weakwait()
+                                .spawn(move |outer| spawn_iteration(outer, &g));
+                        }
+                    });
+                    let what = format!("{name} under {policy:?}");
+                    assert_bits_equal(&what, &expected, &grid.snapshot());
+                    registered_graph(&stats)
+                });
+                assert_eq!(by_each[0], tasks, "{name} under {policy:?}: tasks registered");
+                assert_eq!(by_each, by_specs, "{name} under {policy:?}");
+            }
         }
     }
 

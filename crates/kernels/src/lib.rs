@@ -45,3 +45,55 @@ impl KernelRun {
         }
     }
 }
+
+/// Test harness shared by the kernels' wave-equivalence tests.
+#[cfg(test)]
+mod test_support {
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    use weakdep_core::{EngineStats, Region, Runtime, RuntimeConfig, SchedulingPolicy, TaskCtx};
+
+    /// Runs `spawn` as the root body of a job on a fresh two-worker runtime under `policy`,
+    /// with the job's whole graph registered before any task that accesses `whole` can run:
+    /// the root's first child writes `whole` and holds it until the engine has registered
+    /// `tasks` tasks, the root and the holder included (`0`: no hold). Only tasks with weak
+    /// accesses alone, which spawn the waves, run meanwhile, on the other worker. So the
+    /// registration cannot depend on timing. Returns the engine's counters after the job.
+    pub(crate) fn held_run(
+        policy: SchedulingPolicy,
+        whole: Region,
+        tasks: usize,
+        spawn: impl FnOnce(&TaskCtx<'_>),
+    ) -> EngineStats {
+        let rt = Arc::new(Runtime::new(RuntimeConfig::new().workers(2).scheduling_policy(policy)));
+        let holder_rt = Arc::clone(&rt);
+        rt.run(move |root| {
+            root.task().inout(whole).label("holder").spawn(move |_| {
+                // A wrong count must fail the caller's comparison, not hang the test.
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while holder_rt.stats().engine.tasks_registered < tasks && Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+            });
+            spawn(root);
+        });
+        rt.stats().engine
+    }
+
+    /// The counters that registration alone sets: what graph the engine was given.
+    pub(crate) fn registered_graph(stats: &EngineStats) -> [usize; 9] {
+        [
+            stats.tasks_registered,
+            stats.accesses_registered,
+            stats.release_edges,
+            stats.satisfaction_edges,
+            stats.ready_at_registration,
+            stats.exact_hits,
+            stats.promotions,
+            stats.fragmented_updates,
+            stats.demotions,
+        ]
+    }
+}

@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use weakdep_core::{Runtime, SharedSlice, TaskCtx, TaskSpec};
+use weakdep_core::{Runtime, SharedSlice, TaskCtx};
 
 use crate::KernelRun;
 
@@ -175,25 +175,13 @@ fn prefix_sum(
     if n == 0 {
         return;
     }
-    // Base case: a single task scanning the strided elements.
-    if n <= ts * stride {
-        if let Some(spec) = scan_block_spec(ctx, data, offset, n, stride) {
-            ctx.spawn_batch(vec![spec]);
-        }
+    // Compute the blocks independently, as one congruent wave of base-case tasks (a single
+    // domain-lock acquisition for the whole level; a single task in the base case).
+    let block = ts * stride;
+    spawn_scan_blocks(ctx, data, offset, n, stride, block);
+    if n <= block {
         return;
     }
-
-    // Compute the blocks independently, as one batched wave of base-case tasks (a single
-    // domain-lock acquisition for the whole level).
-    let block = ts * stride;
-    let mut specs: Vec<TaskSpec> = Vec::new();
-    let mut i = 0;
-    while i < n {
-        let size = block.min(n - i);
-        specs.extend(scan_block_spec(ctx, data, offset + i, size, stride));
-        i += block;
-    }
-    ctx.spawn_batch(specs);
 
     // Index of the last element of the first block.
     let substart = (ts - 1) * stride;
@@ -216,57 +204,67 @@ fn prefix_sum(
         });
     }
 
-    // Accumulate the last element of each block over the elements of the following block
-    // (batched: the accumulation tasks of one level register together).
-    let mut specs: Vec<TaskSpec> = Vec::new();
-    let mut i = substart;
-    while i + stride < n {
-        let size = block.min(n - i);
-        let d = data.clone();
-        specs.push(
-            ctx.task()
+    // Accumulate the last element of each block over the elements of the following block, as
+    // one congruent wave: task `k` adds element `i = substart + k·block` to the strided
+    // elements of `i + stride .. i + block.min(n - i)`.
+    let carry_at = move |k: usize| substart + k * block;
+    let span = move |i: usize| offset + i + stride..offset + i + block.min(n - i);
+    let d = data.clone();
+    ctx.spawn_each(
+        (substart..n - stride).step_by(block).len(),
+        |k, clauses| {
+            let i = carry_at(k);
+            clauses
                 .input(data.region(offset + i..offset + i + 1))
-                .inout(data.region(offset + i + stride..offset + i + size))
-                .label("accumulation")
-                .stage(move |t| {
-                    let carry = d.read(t, offset + i..offset + i + 1)[0];
-                    let block = d.write(t, offset + i + stride..offset + i + size);
-                    for value in block.iter_mut().step_by(stride) {
-                        *value += carry;
-                    }
-                }),
-        );
-        i += block;
-    }
-    ctx.spawn_batch(specs);
+                .inout(data.region(span(i)))
+                .label("accumulation");
+        },
+        move |t, k| {
+            let i = carry_at(k);
+            let carry = d.read(t, offset + i..offset + i + 1)[0];
+            for value in d.write(t, span(i)).iter_mut().step_by(stride) {
+                *value += carry;
+            }
+        },
+    );
 }
 
-/// The staged spec of one base-case scan task (`None` when the strided block has at most one
-/// element and there is nothing to scan).
-fn scan_block_spec(
+/// Spawns the base-case scan tasks over `offset..offset + n` in blocks of `block` elements, as
+/// one congruent wave: task `k` scans the strided elements of the block at `k·block`, seeded by
+/// the block's first element. A block of at most `stride` elements has nothing to scan and
+/// spawns no task; only the last block can be that short (or every block, when `block` is
+/// `stride`), so the tasks are the wave's first blocks.
+fn spawn_scan_blocks(
     ctx: &TaskCtx<'_>,
     data: &SharedSlice<Elem>,
     offset: usize,
     n: usize,
     stride: usize,
-) -> Option<TaskSpec> {
-    if n <= stride {
-        return None;
-    }
+    block: usize,
+) {
+    let span = move |k: usize| {
+        let i = k * block;
+        offset + i..offset + i + block.min(n - i)
+    };
     let d = data.clone();
-    Some(
-        ctx.task()
-            .input(data.region(offset..offset + 1))
-            .inout(data.region(offset + stride..offset + n))
-            .label("prefix_sum")
-            .stage(move |t| {
-                let mut carry = d.read(t, offset..offset + 1)[0];
-                for value in d.write(t, offset + stride..offset + n).iter_mut().step_by(stride) {
-                    *value += carry;
-                    carry = *value;
-                }
-            }),
-    )
+    ctx.spawn_each(
+        (0..n).step_by(block).take_while(|&i| block.min(n - i) > stride).count(),
+        |k, clauses| {
+            let span = span(k);
+            clauses
+                .input(data.region(span.start..span.start + 1))
+                .inout(data.region(span.start + stride..span.end))
+                .label("prefix_sum");
+        },
+        move |t, k| {
+            let span = span(k);
+            let mut carry = d.read(t, span.start..span.start + 1)[0];
+            for value in d.write(t, span.start + stride..span.end).iter_mut().step_by(stride) {
+                *value += carry;
+                carry = *value;
+            }
+        },
+    );
 }
 
 /// Runs the full benchmark (quicksort, then prefix sum, over the same array) in the given
@@ -349,7 +347,9 @@ pub fn verify(cfg: &SortScanConfig, result: &[Elem]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{held_run, registered_graph};
     use weakdep_core::Runtime;
+    use weakdep_core::{SchedulingPolicy, TaskSpec};
 
     /// Partitions `original` and checks the three bands, the median-of-three pivot and that the
     /// result is a permutation of the input.
@@ -437,6 +437,124 @@ mod tests {
             expected[i] += expected[i - 1];
         }
         assert_eq!(data.snapshot(), expected);
+    }
+
+    /// [`prefix_sum`] with its scan and accumulation waves as `spawn_batch`es of staged specs,
+    /// as the kernel spawned them before they became `spawn_each` waves.
+    fn prefix_sum_specs(
+        ctx: &TaskCtx<'_>,
+        data: &SharedSlice<Elem>,
+        offset: usize,
+        n: usize,
+        ts: usize,
+        stride: usize,
+    ) {
+        let scan_spec = |offset: usize, n: usize| {
+            let d = data.clone();
+            (n > stride).then(|| {
+                ctx.task()
+                    .input(data.region(offset..offset + 1))
+                    .inout(data.region(offset + stride..offset + n))
+                    .label("prefix_sum")
+                    .stage(move |t| {
+                        let mut carry = d.read(t, offset..offset + 1)[0];
+                        let span = d.write(t, offset + stride..offset + n);
+                        for value in span.iter_mut().step_by(stride) {
+                            *value += carry;
+                            carry = *value;
+                        }
+                    })
+            })
+        };
+        if n == 0 {
+            return;
+        }
+        if n <= ts * stride {
+            if let Some(spec) = scan_spec(offset, n) {
+                ctx.spawn_batch(vec![spec]);
+            }
+            return;
+        }
+        let block = ts * stride;
+        let mut specs: Vec<TaskSpec> = Vec::new();
+        let mut i = 0;
+        while i < n {
+            specs.extend(scan_spec(offset + i, block.min(n - i)));
+            i += block;
+        }
+        ctx.spawn_batch(specs);
+
+        let substart = (ts - 1) * stride;
+        let d = data.clone();
+        ctx.task()
+            .weak_inout(data.region(offset + substart..offset + n))
+            .weakwait()
+            .label("prefix_sum_rec")
+            .spawn(move |t| prefix_sum_specs(t, &d, offset + substart, n - substart, ts, block));
+
+        let mut specs: Vec<TaskSpec> = Vec::new();
+        let mut i = substart;
+        while i + stride < n {
+            let size = block.min(n - i);
+            let d = data.clone();
+            specs.push(
+                ctx.task()
+                    .input(data.region(offset + i..offset + i + 1))
+                    .inout(data.region(offset + i + stride..offset + i + size))
+                    .label("accumulation")
+                    .stage(move |t| {
+                        let carry = d.read(t, offset + i..offset + i + 1)[0];
+                        let span = d.write(t, offset + i + stride..offset + i + size);
+                        for value in span.iter_mut().step_by(stride) {
+                            *value += carry;
+                        }
+                    }),
+            );
+            i += block;
+        }
+        ctx.spawn_batch(specs);
+    }
+
+    /// The weak prefix sum's scan and accumulation waves, as `spawn_each` waves and as staged
+    /// specs, give the engine the same graph — equal registration counters, edges, accesses
+    /// and ready-at-registration included — and the same sums, under every scheduling policy.
+    /// The sizes leave a partial last block and, at `n = 513`, a last block of one element,
+    /// which has nothing to scan. Each job is held until its whole graph is registered.
+    #[test]
+    fn spawn_each_scan_waves_register_the_graph_of_the_spec_waves() {
+        type Scan = fn(&TaskCtx<'_>, &SharedSlice<Elem>, usize, usize, usize, usize);
+        let each: Scan =
+            |ctx, data, offset, n, ts, stride| prefix_sum(ctx, data, offset, n, ts, stride, true);
+        let mut rng = SmallRng::seed_from_u64(38);
+        for (n, ts) in [(512usize, 8usize), (513, 8), (1_000, 8), (77, 2)] {
+            let input: Vec<Elem> = (0..n).map(|_| rng.gen_range(-1_000..1_000)).collect();
+            let mut expected = input.clone();
+            for i in 1..n {
+                expected[i] += expected[i - 1];
+            }
+            let run = |policy, tasks, scan: Scan| {
+                let data = SharedSlice::from_vec(input.clone());
+                let whole = data.full_region();
+                let d = data.clone();
+                let stats = held_run(policy, whole, tasks, move |root| {
+                    root.task()
+                        .weak_inout(whole)
+                        .weakwait()
+                        .label("prefix_sum_root")
+                        .spawn(move |t| scan(t, &d, 0, n, ts, 1));
+                });
+                assert_eq!(data.snapshot(), expected, "n = {n}, ts = {ts} under {policy:?}");
+                stats
+            };
+            let tasks = run(SchedulingPolicy::default(), 0, prefix_sum_specs).tasks_registered;
+            for policy in SchedulingPolicy::all() {
+                let by_each = registered_graph(&run(policy, tasks, each));
+                let by_specs = registered_graph(&run(policy, tasks, prefix_sum_specs));
+                let what = format!("n = {n}, ts = {ts} under {policy:?}");
+                assert_eq!(by_each[0], tasks, "{what}: tasks registered");
+                assert_eq!(by_each, by_specs, "{what}");
+            }
+        }
     }
 
     #[test]

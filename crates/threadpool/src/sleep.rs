@@ -4,14 +4,18 @@
 //!
 //! The sleep protocol follows the classic epoch-guarded condition-variable pattern (see *Rust
 //! Atomics and Locks*, ch. 9): a worker records the wake epoch *before* scanning the queues; if
-//! the scan finds nothing it re-checks the epoch under the mutex and only then waits. Every
-//! submission bumps the epoch under the same mutex, so a submission that races with the scan
-//! either is seen by the scan or changes the epoch and prevents the sleep — wake-ups are never
-//! lost.
+//! the scan finds nothing it re-checks the epoch under the park mutex and only then waits. The
+//! epoch is an atomic: every submission bumps it with one `SeqCst` `fetch_add` and takes the
+//! park mutex only when a `SeqCst` read of the sleeper count is non-zero, so a busy pool
+//! dispatches without touching the mutex. A sleeper takes the mutex and registers in that count
+//! *before* it re-reads the epoch. By the store-buffer argument either the submitter's count
+//! read sees the registration — and then it takes the mutex, which the sleeper holds from its
+//! registration until the wait releases it, and notifies — or the sleeper's epoch re-read sees
+//! the bump and it does not wait. Wake-ups are never lost.
 //!
 //! For the hierarchical scheduling policy the sleepers are additionally grouped into **locality
 //! domains**: every worker waits on its domain's condition variable (all condvars share the one
-//! epoch mutex, so the lost-wake-up argument is unchanged), and a notify carrying a preferred
+//! park mutex, so the lost-wake-up argument is unchanged), and a notify carrying a preferred
 //! domain wakes a sleeper *from that domain* when one exists — the woken worker's first steal
 //! scan starts at the queues of the notifying worker's own domain, so the warm data stays
 //! inside the domain whenever it can. When the preferred domain has no sleeper the notify falls
@@ -24,10 +28,10 @@
 //! exists, so these sleepers register in a `SeqCst` counter *before* re-checking their
 //! predicate, and the flipper reads the counter *after* the flip: by the store-buffer argument
 //! either the sleeper's re-check sees the flip, or the flipper sees the registration and
-//! bumps the epoch under the mutex — which the sleeper (who read the epoch before its first
-//! predicate check) compares under the mutex before waiting — and notifies **all**: the woken
-//! sleeper need not be the one whose predicate flipped. The predicate itself runs outside the
-//! epoch mutex (it may take the caller's locks; the epoch mutex stays a leaf).
+//! bumps the epoch and notifies **all** under the park mutex — the sleeper (who read the epoch
+//! before its first predicate check) compares the epoch under that mutex before waiting. The
+//! woken sleeper need not be the one whose predicate flipped. The predicate itself runs outside
+//! the park mutex (it may take the caller's locks; the park mutex stays a leaf).
 
 // The protocol is written against this two-line sync shim so the `loom-model` feature can swap
 // in loom-lite's model-checked primitives; `tests/loom_model.rs` then explores every bounded
@@ -36,15 +40,15 @@
 #[cfg(not(feature = "loom-model"))]
 use parking_lot::{Condvar, Mutex};
 #[cfg(not(feature = "loom-model"))]
-use std::sync::atomic::{AtomicUsize, Ordering, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering, Ordering::SeqCst};
 
 #[cfg(feature = "loom-model")]
-use loom_lite::sync::atomic::{AtomicUsize, Ordering, Ordering::SeqCst};
+use loom_lite::sync::atomic::{AtomicU64, AtomicUsize, Ordering, Ordering::SeqCst};
 #[cfg(feature = "loom-model")]
 use loom_lite::sync::{Condvar, Mutex};
 
 /// Sleep state of one locality domain: its condvar plus the number of workers currently
-/// blocked on it. The counter is mutated only while the epoch mutex is held; it is an atomic
+/// blocked on it. The counter is mutated only while the park mutex is held; it is an atomic
 /// solely so `SleepState` stays `Sync` without wrapping the whole vector in the mutex.
 struct DomainSleep {
     condvar: Condvar,
@@ -53,7 +57,15 @@ struct DomainSleep {
 
 /// Shared sleep state for all workers of a pool.
 pub struct SleepState {
-    epoch: Mutex<u64>,
+    /// The wake epoch: bumped by every notify, read by workers before they scan.
+    epoch: AtomicU64,
+    /// Guards nothing but the sleeps: the domain condvars wait on it, and the per-domain
+    /// sleeper counts change only under it.
+    park: Mutex<()>,
+    /// Workers between their registration under `park` and their return from the wait, in
+    /// every domain. Notifies read it (`SeqCst`, after their epoch bump) to skip the mutex
+    /// while nobody sleeps.
+    sleepers: AtomicUsize,
     domains: Vec<DomainSleep>,
     /// Sleepers parked (or about to park) against an exit predicate of their caller's; see the
     /// module docs for the registration protocol.
@@ -65,7 +77,9 @@ impl SleepState {
     /// single domain, which makes every notify trivially "targeted").
     pub fn new(domains: usize) -> Self {
         SleepState {
-            epoch: Mutex::new(0),
+            epoch: AtomicU64::new(0),
+            park: Mutex::new(()),
+            sleepers: AtomicUsize::new(0),
             domains: (0..domains.max(1))
                 .map(|_| DomainSleep { condvar: Condvar::new(), sleepers: AtomicUsize::new(0) })
                 .collect(),
@@ -75,7 +89,7 @@ impl SleepState {
 
     /// The current wake epoch. Workers read this before scanning for work.
     pub fn current_epoch(&self) -> u64 {
-        *self.epoch.lock()
+        self.epoch.load(SeqCst)
     }
 
     /// Signals that `count` units of work became available, waking up to `count` workers —
@@ -83,13 +97,16 @@ impl SleepState {
     /// remaining domains: work is never stranded to preserve locality. Returns how many wakes
     /// landed in the preferred domain (all of them, without a preference) and how many fell
     /// back to another one; `(0, 0)` when nobody was asleep (the epoch bump alone prevents a
-    /// racing sleeper from blocking).
+    /// racing sleeper from blocking) — and then the park mutex is not taken.
     pub fn notify_many(&self, count: usize, preferred: Option<usize>) -> (usize, usize) {
         if count == 0 {
             return (0, 0);
         }
-        let mut epoch = self.epoch.lock();
-        *epoch += 1;
+        self.epoch.fetch_add(1, SeqCst);
+        if self.sleepers.load(SeqCst) == 0 {
+            return (0, 0);
+        }
+        let _park = self.park.lock();
         let n = self.domains.len();
         let start = preferred.unwrap_or(0).min(n - 1);
         let mut remaining = count;
@@ -123,8 +140,8 @@ impl SleepState {
 
     /// Wakes every worker in every domain (used for shutdown).
     pub fn notify_all(&self) {
-        let mut epoch = self.epoch.lock();
-        *epoch += 1;
+        self.epoch.fetch_add(1, SeqCst);
+        let _park = self.park.lock();
         for domain in &self.domains {
             domain.condvar.notify_all();
         }
@@ -156,12 +173,16 @@ impl SleepState {
             self.waiters.fetch_add(1, SeqCst);
         }
         if !should_exit() {
-            let mut epoch = self.epoch.lock();
-            if *epoch == seen_epoch {
+            let mut park = self.park.lock();
+            // Register before the epoch re-read: a notify that bumped the epoch after this
+            // registration sees it and blocks on `park` until the wait below releases it.
+            self.sleepers.fetch_add(1, SeqCst);
+            if self.epoch.load(SeqCst) == seen_epoch {
                 domain.sleepers.fetch_add(1, Ordering::Relaxed);
-                domain.condvar.wait(&mut epoch);
+                domain.condvar.wait(&mut park);
                 domain.sleepers.fetch_sub(1, Ordering::Relaxed);
             }
+            self.sleepers.fetch_sub(1, SeqCst);
         }
         if waiter {
             self.waiters.fetch_sub(1, SeqCst);

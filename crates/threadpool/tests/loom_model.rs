@@ -228,3 +228,79 @@ fn dropped_wake_fork_is_caught_as_deadlock() {
         "loom-lite failed to catch the seeded dropped-wake bug: {report:?}"
     );
 }
+
+mod late_registration {
+    //! The lock-free epoch of `SleepState` with its sleeper registration moved *after* the
+    //! epoch re-check: a notify whose bump lands between the re-check and the registration
+    //! reads a zero sleeper count, skips the park mutex and notifies nobody.
+
+    use loom_lite::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
+    use loom_lite::sync::{Condvar, Mutex};
+
+    pub struct LateRegistrationSleepState {
+        epoch: AtomicU64,
+        park: Mutex<()>,
+        sleepers: AtomicUsize,
+        condvar: Condvar,
+    }
+
+    impl LateRegistrationSleepState {
+        pub fn new() -> Self {
+            LateRegistrationSleepState {
+                epoch: AtomicU64::new(0),
+                park: Mutex::new(()),
+                sleepers: AtomicUsize::new(0),
+                condvar: Condvar::new(),
+            }
+        }
+
+        pub fn current_epoch(&self) -> u64 {
+            self.epoch.load(SeqCst)
+        }
+
+        pub fn notify_one(&self) {
+            self.epoch.fetch_add(1, SeqCst);
+            if self.sleepers.load(SeqCst) == 0 {
+                return;
+            }
+            let _park = self.park.lock();
+            self.condvar.notify_one();
+        }
+
+        /// BUG (deliberate): the sleeper registers only after it re-read the epoch.
+        pub fn sleep(&self, seen_epoch: u64) {
+            let mut park = self.park.lock();
+            if self.epoch.load(SeqCst) == seen_epoch {
+                self.sleepers.fetch_add(1, SeqCst);
+                self.condvar.wait(&mut park);
+                self.sleepers.fetch_sub(1, SeqCst);
+            }
+        }
+    }
+}
+
+/// The late-registration fork must be caught: a notify can bump the epoch and read the
+/// sleeper count between the worker's epoch re-check and its registration, so the worker
+/// waits for a notify that already passed.
+#[test]
+fn late_sleeper_registration_is_caught_as_deadlock() {
+    let report = Checker::new().preemption_bound(4).random_runs(0).check(|| {
+        let sleep = Arc::new(late_registration::LateRegistrationSleepState::new());
+        let work = Arc::new(AtomicBool::new(false));
+        let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
+        let worker = thread::spawn(move || loop {
+            let epoch = s2.current_epoch();
+            if w2.load(Ordering::SeqCst) {
+                return;
+            }
+            s2.sleep(epoch);
+        });
+        work.store(true, Ordering::SeqCst);
+        sleep.notify_one();
+        worker.join().unwrap();
+    });
+    assert!(
+        report.found_deadlock(),
+        "loom-lite failed to catch the seeded late-registration bug: {report:?}"
+    );
+}

@@ -13,8 +13,9 @@
 //!   domain lock is held:
 //!   - `leaf-lock`: only the push or pop of one id runs under it — no other lock;
 //!   - `call-while-locked`: the same patterns as the domain lock.
-//! * `crates/threadpool/src/sleep.rs` — the **epoch mutex** (`….epoch.lock()`) and the **gate
-//!   mutex** (`….mutex.lock()`, the one `Gate` type behind job completion and admission):
+//! * `crates/threadpool/src/sleep.rs` — the **park mutex** (`….park.lock()`, which the workers'
+//!   condvars wait on; the wake epoch itself is an atomic) and the **gate mutex**
+//!   (`….mutex.lock()`, the one `Gate` type behind job completion and admission):
 //!   - `leaf-lock`: both are leaves of the lock hierarchy — no other lock may be acquired
 //!     while one is held;
 //!   - `call-while-locked`: no pump/dispatch call under either. (Condvar notifies under them
@@ -104,10 +105,10 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         forbid_nested_same_class: true,
         leaf: true,
     };
-    const EPOCH: LockClass = LockClass {
-        name: "epoch",
-        acquire: ".epoch.lock()",
-        // Condvar notifies are deliberately absent: notifying *under* the epoch mutex is the
+    const PARK: LockClass = LockClass {
+        name: "park",
+        acquire: ".park.lock()",
+        // Condvar notifies are deliberately absent: notifying *under* the park mutex is the
         // lost-wake-up defence (docs/locking.md), not a violation.
         forbidden_calls: DISPATCH,
         forbid_nested_same_class: true,
@@ -116,7 +117,7 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
     const GATE: LockClass = LockClass {
         name: "gate",
         acquire: ".mutex.lock()",
-        // Like the epoch mutex, the condvar notify under the gate mutex is the lost-wake-up
+        // Like the park mutex, the condvar notify under the gate mutex is the lost-wake-up
         // defence and is deliberately allowed.
         forbidden_calls: DISPATCH,
         forbid_nested_same_class: true,
@@ -200,7 +201,7 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         leaf: true,
     };
     const DOMAIN_CLASSES: &[LockClass] = &[DOMAIN, FREE_LIST];
-    const SLEEP_CLASSES: &[LockClass] = &[EPOCH, GATE];
+    const SLEEP_CLASSES: &[LockClass] = &[PARK, GATE];
     const REGISTRY_CLASSES: &[LockClass] = &[REGISTRY];
     const FAIR_CLASSES: &[LockClass] = &[FAIR];
     const WATCHDOG_CLASSES: &[LockClass] = &[WATCHDOG];
@@ -492,7 +493,7 @@ mod tests {
         classes_for(&PathBuf::from("engine.rs"))
     }
 
-    fn epoch_classes() -> &'static [LockClass] {
+    fn sleep_classes() -> &'static [LockClass] {
         classes_for(&PathBuf::from("sleep.rs"))
     }
 
@@ -575,23 +576,22 @@ mod tests {
     }
 
     #[test]
-    fn epoch_is_a_leaf_lock_but_notifies_are_allowed() {
+    fn park_is_a_leaf_lock_but_notifies_are_allowed() {
         let clean = r#"
             fn notify_one(&self) {
-                let mut epoch = self.epoch.lock();
-                *epoch += 1;
+                let _park = self.park.lock();
                 self.domains[d].condvar.notify_one();
             }
         "#;
-        assert!(scan_source("sleep.rs", clean, epoch_classes()).is_empty());
+        assert!(scan_source("sleep.rs", clean, sleep_classes()).is_empty());
 
         let dirty = r#"
             fn nested(&self) {
-                let mut epoch = self.epoch.lock();
+                let _park = self.park.lock();
                 let stripe = self.table[0].lock();
             }
         "#;
-        let violations = scan_source("sleep.rs", dirty, epoch_classes());
+        let violations = scan_source("sleep.rs", dirty, sleep_classes());
         assert!(
             violations.iter().any(|v| v.rule == "leaf-lock"),
             "leaf-lock not flagged: {violations:?}"
@@ -669,7 +669,7 @@ mod tests {
             "wake under the fair-queue guard not flagged: {violations:?}"
         );
 
-        assert_eq!(epoch_classes().len(), 2, "sleep.rs must get the epoch + gate classes");
+        assert_eq!(sleep_classes().len(), 2, "sleep.rs must get the park + gate classes");
         let clean = r#"
             fn notify(&self) {
                 let _guard = self.mutex.lock();
@@ -677,7 +677,7 @@ mod tests {
             }
         "#;
         assert!(
-            scan_source("sleep.rs", clean, epoch_classes()).is_empty(),
+            scan_source("sleep.rs", clean, sleep_classes()).is_empty(),
             "the gate's condvar notify under its own mutex must stay allowed"
         );
         let dirty = r#"

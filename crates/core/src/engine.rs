@@ -1680,7 +1680,9 @@ impl<P: 'static> DependencyEngine<P> {
                         if let Some(w) = entry.last_writer {
                             planned.push(PlannedEdge { from: w, over: fragment });
                         }
-                        let mut readers = entry.readers.clone();
+                        // One allocation for a spilled group: the copy is built at its final size.
+                        let mut readers = SmallVec::with_capacity(entry.readers.len() + 1);
+                        readers.extend(entry.readers.iter().copied());
                         readers.push(Accessor::Child(node_ref));
                         BottomEntry { last_writer: entry.last_writer, readers }
                     }

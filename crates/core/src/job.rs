@@ -44,7 +44,6 @@
 //!
 //! [`Runtime::submit`]: crate::Runtime::submit
 
-use crate::engine::TaskId;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::fmt;
@@ -175,8 +174,6 @@ pub(crate) struct JobState {
     /// Service-unique job id (also the sentinel shadow-table qualifier and the fair-share
     /// tenant key).
     pub(crate) id: u64,
-    /// The job's root task in the engine.
-    pub(crate) root: TaskId,
     /// Per-job completion gate: what a thread that is **not** a pool worker blocks on — the
     /// root wait of [`Runtime::run`](crate::Runtime::run) and `JobHandle::wait*`, `cancel()`'s
     /// wait for in-flight bodies, and a `taskwait` called from the inline root body.
@@ -236,7 +233,6 @@ pub(crate) struct JobState {
 impl JobState {
     pub(crate) fn new(
         id: u64,
-        root: TaskId,
         admission: Arc<AdmissionGate>,
         panic_policy: PanicPolicy,
         deadline: Option<Instant>,
@@ -244,7 +240,6 @@ impl JobState {
     ) -> Self {
         JobState {
             id,
-            root,
             gate: Gate::new(),
             abort: AtomicBool::new(false),
             explicit_cancel: AtomicBool::new(false),

@@ -44,7 +44,6 @@
 //! see `docs/runtime.md` for the full tenancy model and `crate::job` for the cancellation
 //! protocol.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -174,7 +173,8 @@ impl RuntimeConfig {
     }
 
     /// **Test-only fault injection** (mutation regression for the race sentinel): registers
-    /// `spawn_batch` waves with their declared dependencies *dropped*, so the engine dispatches
+    /// every child — single `spawn`s and `spawn_batch` / `spawn_each` waves, which share one
+    /// registration step — with its declared dependencies *dropped*, so the engine dispatches
     /// all siblings of a wave concurrently — reintroducing the §VIII-A wave-ordering bug class
     /// fixed in PR 5 — while task records (and the sentinel's shadow table) keep the full
     /// declared footprints. The sentinel must then report a region conflict; see
@@ -238,7 +238,8 @@ pub struct RuntimeStats {
     /// Domain-preferring wake-ups that fell back to another domain's sleeper.
     pub fallback_wakes: usize,
     /// Times a worker parked in the pool's sleep state — idle at the top of its loop or
-    /// inside a `taskwait` (one population, one counter).
+    /// inside a `taskwait` (one population, one counter). Only sleeps that block count: a
+    /// sleep that returns at once because the epoch moved or the exit predicate held does not.
     pub sleeps: usize,
     /// Loop chunks executed by *assisting* workers (work-assisting data parallelism). Assist
     /// chunks are not pool jobs, so they stand beside — not inside — the `tasks_executed`
@@ -510,26 +511,10 @@ impl Runtime {
     /// If any task body panics, the panic is captured, the remaining tasks are still executed
     /// (so the runtime stays consistent) and the panic is re-raised here.
     pub fn run<R>(&self, body: impl FnOnce(&TaskCtx<'_>) -> R) -> R {
-        let (job, root_entry) = create_job(&self.inner, JobOptions::new());
-        let root_record = TaskRecord {
-            id: job.root,
-            entry: Some(root_entry),
-            label: "root",
-            body: None,
-            footprint: Vec::new(),
-            deps: 0,
-            job: Arc::clone(&job),
-            #[cfg(feature = "faults")]
-            ordinal: 0,
-        };
+        let (job, root_record) = create_job(&self.inner, JobOptions::new(), None);
         let ctx = TaskCtx { inner: &self.inner, record: &root_record, worker: None };
         #[cfg(feature = "sentinel")]
-        {
-            // The root declares nothing and conflicts with nothing, but it must be in the
-            // shadow table so its children can record it as their ancestor.
-            self.inner.sentinel.task_created(job.id, sentinel_key(job.root), None, "root", []);
-            self.inner.sentinel.task_started(sentinel_key(job.root));
-        }
+        self.inner.sentinel.task_started(sentinel_key(root_record.id));
         let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
 
         let mut effects = Effects::default();
@@ -545,7 +530,7 @@ impl Runtime {
         // Every descendant has retired (and left the shadow table); drop the root entry too so
         // the table holds only other jobs' live tasks.
         #[cfg(feature = "sentinel")]
-        self.inner.sentinel.task_finished(sentinel_key(job.root));
+        self.inner.sentinel.task_finished(sentinel_key(root_record.id));
         // Deep completion of the root is a quiescent point for the engine's accounting only
         // when no other job is in flight.
         if cfg!(debug_assertions) && self.inner.jobs.lock().is_empty() {
@@ -594,26 +579,12 @@ impl Runtime {
         F: FnOnce(&TaskCtx<'_>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        let (job, root_entry) = create_job(&self.inner, options);
         let result: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
         let slot = Arc::clone(&result);
-        let root_record = Box::new(TaskRecord {
-            id: job.root,
-            entry: Some(root_entry),
-            label: "root",
-            body: Some(Body::Once(Box::new(move |ctx: &TaskCtx<'_>| {
-                *slot.lock() = Some(body(ctx));
-            }))),
-            footprint: Vec::new(),
-            deps: 0,
-            job: Arc::clone(&job),
-            #[cfg(feature = "faults")]
-            ordinal: 0,
-        });
-        #[cfg(feature = "sentinel")]
-        self.inner.sentinel.task_created(job.id, sentinel_key(job.root), None, "root", []);
+        let body = Body::Once(Box::new(move |ctx: &TaskCtx<'_>| *slot.lock() = Some(body(ctx))));
+        let (job, root_record) = create_job(&self.inner, options, Some(body));
         // The root is ready by construction (no dependencies).
-        self.inner.pool.submit(root_record);
+        self.inner.pool.submit(Box::new(root_record));
         JobHandle { job, result }
     }
 
@@ -707,8 +678,13 @@ impl Drop for Runtime {
 /// non-worker threads, see [`RuntimeConfig::live_task_budget`]), registers its root domain in
 /// the engine and publishes it in the service registry. Starts the watchdog lazily when the
 /// job carries a deadline or the service has stall detection configured. Returns the job and
-/// its root's engine entry.
-fn create_job(inner: &Arc<Inner>, options: JobOptions) -> (Arc<JobState>, Entry) {
+/// the record of its root task, which runs `body` (`None`: the caller runs the root body
+/// inline) and is announced to the sentinel.
+fn create_job(
+    inner: &Arc<Inner>,
+    options: JobOptions,
+    body: Option<Body>,
+) -> (Arc<JobState>, TaskRecord) {
     let id = inner.next_job_id.fetch_add(1, SeqCst);
     #[cfg(feature = "faults")]
     if let Some(stall) = inner.fault_plan.as_ref().and_then(|plan| plan.submission_stall(id)) {
@@ -718,11 +694,9 @@ fn create_job(inner: &Arc<Inner>, options: JobOptions) -> (Arc<JobState>, Entry)
     }
     inner.admission.admit(|| inner.engine.live_tasks());
     let root_entry = inner.engine.register_root_entry();
-    let root = root_entry.id;
     let deadline = options.deadline.map(|d| Instant::now() + d);
     let job = Arc::new(JobState::new(
         id,
-        root,
         Arc::clone(&inner.admission),
         options.panic_policy,
         deadline,
@@ -744,7 +718,22 @@ fn create_job(inner: &Arc<Inner>, options: JobOptions) -> (Arc<JobState>, Entry)
         // its current sleep target cannot be slept past.
         inner.watchdog.poke();
     }
-    (job, root_entry)
+    // The root declares nothing and conflicts with nothing, but it must be in the shadow table
+    // so its children can record it as their ancestor.
+    #[cfg(feature = "sentinel")]
+    inner.sentinel.task_created(id, sentinel_key(root_entry.id), None, "root", []);
+    let record = TaskRecord {
+        id: root_entry.id,
+        entry: Some(root_entry),
+        label: "root",
+        body,
+        footprint: Vec::new(),
+        deps: 0,
+        job: Arc::clone(&job),
+        #[cfg(feature = "faults")]
+        ordinal: 0,
+    };
+    (job, record)
 }
 
 /// Per-job progress tracking of the watchdog's stall pass (thread-local to the watchdog).
@@ -883,7 +872,7 @@ pub struct TaskCtx<'a> {
 impl<'a> TaskCtx<'a> {
     /// Starts building a child task of the current task.
     pub fn task(&self) -> TaskBuilder<'_> {
-        TaskBuilder { ctx: self, spec: TaskSpec::new() }
+        TaskBuilder { ctx: self, clauses: Clauses::new() }
     }
 
     /// The current task's identifier.
@@ -912,7 +901,9 @@ impl<'a> TaskCtx<'a> {
     /// [`TaskBuilder::stage`]). Ready tasks are dispatched in batch after the lock is dropped.
     /// Returns the new task ids in order.
     pub fn spawn_batch(&self, specs: Vec<TaskSpec>) -> Vec<TaskId> {
-        self.spawn_wave(specs.into_iter().map(|spec| spec_record(self, spec)))
+        self.spawn_wave(specs.into_iter().map(|TaskSpec { clauses, body }| {
+            (new_record(self, &clauses, Body::Once(body)), clauses.wait_mode)
+        }))
     }
 
     /// Spawns `n` congruent children, the `taskloop` of this API: child `i` runs `body(ctx, i)`
@@ -935,9 +926,7 @@ impl<'a> TaskCtx<'a> {
         self.spawn_wave((0..n).map(|i| {
             clauses.reset();
             rule(i, &mut clauses);
-            let (footprint, declared) = declared_footprint(&clauses.deps, Vec::new());
-            let body = Body::Each(Arc::clone(&body), i);
-            (new_record(self, clauses.label, Some(body), footprint, declared), clauses.wait_mode)
+            (new_record(self, &clauses, Body::Each(Arc::clone(&body), i)), clauses.wait_mode)
         }))
     }
 
@@ -952,30 +941,12 @@ impl<'a> TaskCtx<'a> {
             return Vec::new();
         }
         let spawn_start = Instant::now();
-        let mut ids = Vec::with_capacity(records.len());
         let mut ready = Vec::with_capacity(records.len());
-        let tasks: Vec<(TaskId, Box<TaskRecord>, WaitMode)> = records
-            .map(|(record, wait_mode)| {
-                ids.push(record.id);
-                (record.id, record, wait_mode)
-            })
-            .collect();
-        // Seeded §VIII-A wave-ordering mutation (test-only, see
-        // `RuntimeConfig::seed_wave_ordering_bug`): register the wave's siblings dependency-free
-        // so they dispatch concurrently, while the records and the sentinel keep the declared
-        // footprints.
-        #[cfg(feature = "sentinel")]
-        let drop_deps = self.inner.seed_wave_ordering_bug;
-        #[cfg(not(feature = "sentinel"))]
-        let drop_deps = false;
-        self.inner.engine.register_payloads(
-            self.record.entry(),
-            tasks,
-            |record| &record.footprint[..if drop_deps { 0 } else { record.deps }],
-            |record, entry| record.entry = Some(entry),
-            // `ready` has room for the whole wave: no allocation under the domain lock.
-            |record| ready.push(record),
-        );
+        // Every record is built and announced before the domain lock is taken.
+        let tasks: Vec<(Box<TaskRecord>, WaitMode)> = records.collect();
+        let ids = tasks.iter().map(|(record, _)| record.id).collect();
+        // `ready` has room for the whole wave: no allocation under the domain lock.
+        self.register(tasks, |record| ready.push(record));
         match self.worker {
             // Spawned-ready waves are not successor waves: the spawner is still running, so
             // the policy's wave queue applies to all.
@@ -984,6 +955,31 @@ impl<'a> TaskCtx<'a> {
         }
         add_span(&self.inner.timers, SPAWN_NS, spawn_start, Instant::now(), 1);
         ids
+    }
+
+    /// Registers `tasks` as children of this task under one acquisition of its domain lock
+    /// (the registration of a single [`TaskBuilder::spawn`] and of every wave), handing each
+    /// record ready at registration to `ready`, under the lock.
+    fn register(
+        &self,
+        tasks: impl IntoIterator<Item = (Box<TaskRecord>, WaitMode)>,
+        ready: impl FnMut(Box<TaskRecord>),
+    ) {
+        // Seeded §VIII-A wave-ordering mutation (test-only, see
+        // `RuntimeConfig::seed_wave_ordering_bug`): register the children dependency-free so
+        // siblings dispatch concurrently, while the records and the sentinel keep the declared
+        // footprints.
+        #[cfg(feature = "sentinel")]
+        let drop_deps = self.inner.seed_wave_ordering_bug;
+        #[cfg(not(feature = "sentinel"))]
+        let drop_deps = false;
+        self.inner.engine.register_payloads(
+            self.record.entry(),
+            tasks.into_iter().map(|(record, wait_mode)| (record.id, record, wait_mode)),
+            |record| &record.footprint[..if drop_deps { 0 } else { record.deps }],
+            |record, entry| record.entry = Some(entry),
+            ready,
+        );
     }
 
     /// The OpenMP `taskwait`: blocks until every *direct child* created so far by the current
@@ -1057,16 +1053,14 @@ impl<'a> TaskCtx<'a> {
     where
         F: Fn(usize, usize) + Send + Sync + 'static,
     {
-        self.run_loop(range, chunk, None, move |_desc, chunk_start, chunk_end| {
-            body(chunk_start, chunk_end);
-        });
+        self.run_loop(range, chunk, body);
     }
 
     /// Work-assisting inclusive prefix scan of `input` into `output` under `combine`
     /// (`output[i] = input[0] ⊕ … ⊕ input[i]`), block-decomposed so idle workers assist both
     /// phases: phase 1 scans each block locally and records the block total, the owner
     /// exclusive-scans the totals into per-block offsets, and phase 2 folds each block's
-    /// offset in — the offsets ride the descriptor's *carry* state.
+    /// offset in, reading the offsets its chunk runner captured.
     ///
     /// `combine` must be associative and `identity` its left identity
     /// (`combine(identity, x) == x`); floating-point reassociation means non-associative
@@ -1107,7 +1101,7 @@ impl<'a> TaskCtx<'a> {
         {
             let (iv, ov, tv) = (input_view, output_view.clone(), totals_view.clone());
             let comb = combine.clone();
-            self.run_loop(0..n, chunk, None, move |_desc, chunk_start, chunk_end| {
+            self.run_loop(0..n, chunk, move |chunk_start, chunk_end| {
                 let inp = iv.get(chunk_start..chunk_end);
                 let out = ov.chunk(chunk_start..chunk_end);
                 let mut acc = inp[0];
@@ -1128,27 +1122,16 @@ impl<'a> TaskCtx<'a> {
             offsets.push(acc);
             acc = combine(acc, totals_view.chunk(b..b + 1)[0]);
         }
-        let offsets: Arc<Vec<T>> = Arc::new(offsets);
 
         // Phase 2: fold each block's offset in. Block 0's offset is `identity`, so it is
-        // skipped outright (the range starts at the second block). The offsets ride the
-        // descriptor's carry state — assisting workers read them through the descriptor.
-        let comb = combine;
-        self.run_loop(
-            chunk.min(n)..n,
-            chunk,
-            Some(Box::new(Arc::clone(&offsets))),
-            move |desc, chunk_start, chunk_end| {
-                let carry = desc
-                    .carry()
-                    .and_then(|c| c.downcast_ref::<Arc<Vec<T>>>())
-                    .expect("a phase-2 scan descriptor always carries the block offsets");
-                let offset = carry[chunk_start / chunk];
-                for v in output_view.chunk(chunk_start..chunk_end) {
-                    *v = comb(offset, *v);
-                }
-            },
-        );
+        // skipped outright (the range starts at the second block). The runner owns the
+        // offsets; assisting workers read them through it.
+        self.run_loop(chunk.min(n)..n, chunk, move |chunk_start, chunk_end| {
+            let offset = offsets[chunk_start / chunk];
+            for v in output_view.chunk(chunk_start..chunk_end) {
+                *v = combine(offset, *v);
+            }
+        });
     }
 
     /// The shared engine of [`TaskCtx::for_each`] and [`TaskCtx::scan`]: builds the
@@ -1156,26 +1139,16 @@ impl<'a> TaskCtx<'a> {
     /// domain = the registering worker's locality domain), publishes it so idle workers are
     /// recruited, drives chunks on the owner, waits for quiescence, retires the loop, folds
     /// the assist count into the job's stats slice, and re-raises the first chunk panic.
-    fn run_loop<R>(
-        &self,
-        range: Range<usize>,
-        chunk: usize,
-        carry: Option<Box<dyn Any + Send + Sync>>,
-        runner: R,
-    ) where
-        R: Fn(&LoopDescriptor, usize, usize) + Send + Sync + 'static,
+    fn run_loop<R>(&self, range: Range<usize>, chunk: usize, runner: R)
+    where
+        R: Fn(usize, usize) + Send + Sync + 'static,
     {
         let job = Arc::clone(&self.record.job);
         let probe_job = Arc::clone(&job);
         let domain = self.worker.map(|w| w.domain()).unwrap_or(0);
-        let mut desc =
-            LoopDescriptor::new(range, chunk, job.id, domain, runner, move || {
-                probe_job.is_aborted()
-            });
-        if let Some(carry) = carry {
-            desc = desc.with_carry(carry);
-        }
-        let desc = Arc::new(desc);
+        let desc = Arc::new(LoopDescriptor::new(range, chunk, job.id, domain, runner, move || {
+            probe_job.is_aborted()
+        }));
         match self.worker {
             Some(worker) => worker.publish_loop(Arc::clone(&desc)),
             None => self.inner.pool.publish_loop(Arc::clone(&desc)),
@@ -1233,24 +1206,28 @@ fn covered_by(footprint: &[FootprintEntry], region: &Region, needs_write: bool) 
     union.covers(region.start, region.end)
 }
 
-/// The clauses of one child task: its `depend` entries, wait mode and label. A
-/// [`TaskCtx::spawn_each`] rule writes each child's into one buffer the wave reuses, reset to
-/// no dependencies, [`WaitMode::None`] and label `"task"` before each child.
+/// The clause vocabulary of the extended `task` construct: a child's `depend` entries (the §VI
+/// weak variants included), its footprint hints, its wait mode and its label. The one
+/// implementation of every clause: [`TaskBuilder`] forwards to it, and a
+/// [`TaskCtx::spawn_each`] rule writes each child's clauses into one buffer the wave reuses,
+/// reset to no dependencies or hints, [`WaitMode::None`] and label `"task"` before each child.
 #[derive(Debug)]
 pub struct Clauses {
     deps: Vec<Depend>,
+    hints: Vec<FootprintEntry>,
     wait_mode: WaitMode,
     label: &'static str,
 }
 
 impl Clauses {
     fn new() -> Self {
-        Clauses { deps: Vec::new(), wait_mode: WaitMode::None, label: "task" }
+        Clauses { deps: Vec::new(), hints: Vec::new(), wait_mode: WaitMode::None, label: "task" }
     }
 
-    /// Back to [`Clauses::new`], keeping the dependency buffer's capacity.
+    /// Back to [`Clauses::new`], keeping the buffers' capacity.
     fn reset(&mut self) {
         self.deps.clear();
+        self.hints.clear();
         self.wait_mode = WaitMode::None;
         self.label = "task";
     }
@@ -1276,6 +1253,31 @@ impl Clauses {
         self.depend(AccessType::InOut, region)
     }
 
+    /// `depend(weakin: region)` — only subtasks read the region (§VI).
+    pub fn weak_input(&mut self, region: Region) -> &mut Self {
+        self.depend(AccessType::WeakIn, region)
+    }
+
+    /// `depend(weakout: region)` — only subtasks write the region (§VI).
+    pub fn weak_output(&mut self, region: Region) -> &mut Self {
+        self.depend(AccessType::WeakOut, region)
+    }
+
+    /// `depend(weakinout: region)` — only subtasks read/write the region (§VI).
+    pub fn weak_inout(&mut self, region: Region) -> &mut Self {
+        self.depend(AccessType::WeakInOut, region)
+    }
+
+    /// The `wait` clause (§IV): perform a detached taskwait when the body exits.
+    pub fn wait(&mut self) -> &mut Self {
+        self.wait_mode(WaitMode::Wait)
+    }
+
+    /// The `weakwait` clause (§V): release dependencies incrementally once the body exits.
+    pub fn weakwait(&mut self) -> &mut Self {
+        self.wait_mode(WaitMode::WeakWait)
+    }
+
     /// Sets the wait mode: the `wait` (§IV) or `weakwait` (§V) clause, or neither.
     pub fn wait_mode(&mut self, mode: WaitMode) -> &mut Self {
         self.wait_mode = mode;
@@ -1287,168 +1289,6 @@ impl Clauses {
         self.label = label;
         self
     }
-}
-
-/// A fully described child task, detached from any context: dependencies, clauses, label and
-/// body. Build one with [`TaskSpec::new`] + the builder methods, or via [`TaskBuilder::stage`];
-/// submit a wave of them with [`TaskCtx::spawn_batch`].
-pub struct TaskSpec {
-    clauses: Clauses,
-    hints: Vec<FootprintEntry>,
-    body: Option<BodyFn>,
-}
-
-impl Default for TaskSpec {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TaskSpec {
-    /// An empty spec: no dependencies, default wait mode, label `"task"`, no body yet.
-    pub fn new() -> Self {
-        TaskSpec { clauses: Clauses::new(), hints: Vec::new(), body: None }
-    }
-
-    /// Adds a dependency with an explicit access type.
-    pub fn depend(mut self, access: AccessType, region: Region) -> Self {
-        self.clauses.depend(access, region);
-        self
-    }
-
-    /// `depend(in: region)` — the task reads the region.
-    pub fn input(self, region: Region) -> Self {
-        self.depend(AccessType::In, region)
-    }
-
-    /// `depend(out: region)` — the task writes the region.
-    pub fn output(self, region: Region) -> Self {
-        self.depend(AccessType::Out, region)
-    }
-
-    /// `depend(inout: region)` — the task reads and writes the region.
-    pub fn inout(self, region: Region) -> Self {
-        self.depend(AccessType::InOut, region)
-    }
-
-    /// `depend(weakin: region)` — only subtasks read the region (§VI).
-    pub fn weak_input(self, region: Region) -> Self {
-        self.depend(AccessType::WeakIn, region)
-    }
-
-    /// `depend(weakout: region)` — only subtasks write the region (§VI).
-    pub fn weak_output(self, region: Region) -> Self {
-        self.depend(AccessType::WeakOut, region)
-    }
-
-    /// `depend(weakinout: region)` — only subtasks read/write the region (§VI).
-    pub fn weak_inout(self, region: Region) -> Self {
-        self.depend(AccessType::WeakInOut, region)
-    }
-
-    /// The `wait` clause (§IV).
-    pub fn wait(self) -> Self {
-        self.wait_mode(WaitMode::Wait)
-    }
-
-    /// The `weakwait` clause (§V).
-    pub fn weakwait(self) -> Self {
-        self.wait_mode(WaitMode::WeakWait)
-    }
-
-    /// Sets an explicit wait mode.
-    pub fn wait_mode(mut self, mode: WaitMode) -> Self {
-        self.clauses.wait_mode(mode);
-        self
-    }
-
-    /// Labels the task (used by traces, timelines and error messages).
-    pub fn label(mut self, label: &'static str) -> Self {
-        self.clauses.label(label);
-        self
-    }
-
-    /// Declares a region the task will touch *without* creating a dependency on it.
-    pub fn footprint_hint(mut self, region: Region, write: bool) -> Self {
-        self.hints.push(FootprintEntry { region, write, weak: false });
-        self
-    }
-
-    /// Attaches the task body.
-    pub fn body(mut self, body: impl FnOnce(&TaskCtx<'_>) + Send + 'static) -> Self {
-        self.body = Some(Box::new(body));
-        self
-    }
-}
-
-/// Builder for a child task; mirrors the clauses of the extended `task` construct.
-pub struct TaskBuilder<'a> {
-    ctx: &'a TaskCtx<'a>,
-    spec: TaskSpec,
-}
-
-impl<'a> TaskBuilder<'a> {
-    /// Applies one [`TaskSpec`] builder step (the spec holds the single implementation of
-    /// every clause; the builder only forwards).
-    fn map(mut self, f: impl FnOnce(TaskSpec) -> TaskSpec) -> Self {
-        self.spec = f(self.spec);
-        self
-    }
-
-    /// Adds a dependency with an explicit access type.
-    pub fn depend(self, access: AccessType, region: Region) -> Self {
-        self.map(|spec| spec.depend(access, region))
-    }
-
-    /// `depend(in: region)` — the task reads the region.
-    pub fn input(self, region: Region) -> Self {
-        self.map(|spec| spec.input(region))
-    }
-
-    /// `depend(out: region)` — the task writes the region.
-    pub fn output(self, region: Region) -> Self {
-        self.map(|spec| spec.output(region))
-    }
-
-    /// `depend(inout: region)` — the task reads and writes the region.
-    pub fn inout(self, region: Region) -> Self {
-        self.map(|spec| spec.inout(region))
-    }
-
-    /// `depend(weakin: region)` — only subtasks read the region (§VI).
-    pub fn weak_input(self, region: Region) -> Self {
-        self.map(|spec| spec.weak_input(region))
-    }
-
-    /// `depend(weakout: region)` — only subtasks write the region (§VI).
-    pub fn weak_output(self, region: Region) -> Self {
-        self.map(|spec| spec.weak_output(region))
-    }
-
-    /// `depend(weakinout: region)` — only subtasks read/write the region (§VI).
-    pub fn weak_inout(self, region: Region) -> Self {
-        self.map(|spec| spec.weak_inout(region))
-    }
-
-    /// The `wait` clause (§IV): perform a detached taskwait when the body exits.
-    pub fn wait(self) -> Self {
-        self.map(TaskSpec::wait)
-    }
-
-    /// The `weakwait` clause (§V): release dependencies incrementally once the body exits.
-    pub fn weakwait(self) -> Self {
-        self.map(TaskSpec::weakwait)
-    }
-
-    /// Sets an explicit wait mode.
-    pub fn wait_mode(self, mode: WaitMode) -> Self {
-        self.map(|spec| spec.wait_mode(mode))
-    }
-
-    /// Labels the task (used by traces, timelines and error messages).
-    pub fn label(self, label: &'static str) -> Self {
-        self.map(|spec| spec.label(label))
-    }
 
     /// Declares a region the task will touch *without* creating a dependency on it.
     ///
@@ -1456,32 +1296,114 @@ impl<'a> TaskBuilder<'a> {
     /// dependencies (e.g. the paper's `flat-taskwait` baseline): the data accessors and the
     /// observers (cache model, traces) still see the footprint, but the dependency engine does
     /// not order anything on it.
-    pub fn footprint_hint(self, region: Region, write: bool) -> Self {
-        self.map(|spec| spec.footprint_hint(region, write))
+    pub fn footprint_hint(&mut self, region: Region, write: bool) -> &mut Self {
+        self.hints.push(FootprintEntry { region, write, weak: false });
+        self
+    }
+}
+
+/// A staged child task, detached from any context: its clauses and its body. Only
+/// [`TaskBuilder::stage`] builds one; submit a wave of them with [`TaskCtx::spawn_batch`].
+pub struct TaskSpec {
+    clauses: Clauses,
+    body: BodyFn,
+}
+
+/// Builder for a child task; mirrors the clauses of the extended `task` construct, each
+/// forwarded to [`Clauses`].
+pub struct TaskBuilder<'a> {
+    ctx: &'a TaskCtx<'a>,
+    clauses: Clauses,
+}
+
+impl<'a> TaskBuilder<'a> {
+    /// [`Clauses::depend`].
+    pub fn depend(mut self, access: AccessType, region: Region) -> Self {
+        self.clauses.depend(access, region);
+        self
+    }
+
+    /// [`Clauses::input`]: `depend(in: region)`.
+    pub fn input(mut self, region: Region) -> Self {
+        self.clauses.input(region);
+        self
+    }
+
+    /// [`Clauses::output`]: `depend(out: region)`.
+    pub fn output(mut self, region: Region) -> Self {
+        self.clauses.output(region);
+        self
+    }
+
+    /// [`Clauses::inout`]: `depend(inout: region)`.
+    pub fn inout(mut self, region: Region) -> Self {
+        self.clauses.inout(region);
+        self
+    }
+
+    /// [`Clauses::weak_input`]: `depend(weakin: region)` (§VI).
+    pub fn weak_input(mut self, region: Region) -> Self {
+        self.clauses.weak_input(region);
+        self
+    }
+
+    /// [`Clauses::weak_output`]: `depend(weakout: region)` (§VI).
+    pub fn weak_output(mut self, region: Region) -> Self {
+        self.clauses.weak_output(region);
+        self
+    }
+
+    /// [`Clauses::weak_inout`]: `depend(weakinout: region)` (§VI).
+    pub fn weak_inout(mut self, region: Region) -> Self {
+        self.clauses.weak_inout(region);
+        self
+    }
+
+    /// [`Clauses::wait`]: the `wait` clause (§IV).
+    pub fn wait(mut self) -> Self {
+        self.clauses.wait();
+        self
+    }
+
+    /// [`Clauses::weakwait`]: the `weakwait` clause (§V).
+    pub fn weakwait(mut self) -> Self {
+        self.clauses.weakwait();
+        self
+    }
+
+    /// [`Clauses::wait_mode`].
+    pub fn wait_mode(mut self, mode: WaitMode) -> Self {
+        self.clauses.wait_mode(mode);
+        self
+    }
+
+    /// [`Clauses::label`].
+    pub fn label(mut self, label: &'static str) -> Self {
+        self.clauses.label(label);
+        self
+    }
+
+    /// [`Clauses::footprint_hint`]: a region the task touches without a dependency on it.
+    pub fn footprint_hint(mut self, region: Region, write: bool) -> Self {
+        self.clauses.footprint_hint(region, write);
+        self
     }
 
     /// Detaches the builder into a [`TaskSpec`] carrying `body`, for batched submission with
     /// [`TaskCtx::spawn_batch`].
     pub fn stage(self, body: impl FnOnce(&TaskCtx<'_>) + Send + 'static) -> TaskSpec {
-        self.spec.body(body)
+        TaskSpec { clauses: self.clauses, body: Box::new(body) }
     }
 
     /// Creates the task. The body runs asynchronously once all strong dependencies are
     /// satisfied. Returns the new task's id.
     pub fn spawn(self, body: impl FnOnce(&TaskCtx<'_>) + Send + 'static) -> TaskId {
-        let TaskBuilder { ctx, spec } = self;
-        let spec = spec.body(body);
+        let TaskBuilder { ctx, clauses } = self;
         let spawn_start = sampled().then(Instant::now);
-        let (record, wait_mode) = spec_record(ctx, spec);
+        let record = new_record(ctx, &clauses, Body::Once(Box::new(body)));
         let id = record.id;
         let mut ready = None;
-        ctx.inner.engine.register_payloads(
-            ctx.record.entry(),
-            [(id, record, wait_mode)],
-            |record| &record.footprint[..record.deps],
-            |record, entry| record.entry = Some(entry),
-            |record| ready = Some(record),
-        );
+        ctx.register([(record, clauses.wait_mode)], |record| ready = Some(record));
         if let Some(record) = ready {
             match ctx.worker {
                 Some(worker) => worker.dispatch_spawned(record),
@@ -1495,38 +1417,15 @@ impl<'a> TaskBuilder<'a> {
     }
 }
 
-/// Builds the record of the task `spec` describes, a new child of `ctx`'s task, with
-/// [`new_record`]. Returns the record and the spec's wait mode.
-fn spec_record(ctx: &TaskCtx<'_>, spec: TaskSpec) -> (Box<TaskRecord>, WaitMode) {
-    let TaskSpec { clauses: Clauses { deps, wait_mode, label }, hints, body } = spec;
-    let (footprint, declared) = declared_footprint(&deps, hints);
-    (new_record(ctx, label, body.map(Body::Once), footprint, declared), wait_mode)
-}
-
-/// A task's footprint: its normalised dependencies, then its `hints`. Returns the footprint and
-/// the number of dependencies at its front.
-fn declared_footprint(
-    deps: &[Depend],
-    hints: Vec<FootprintEntry>,
-) -> (Vec<FootprintEntry>, usize) {
-    let mut footprint: Vec<FootprintEntry> = normalize_as(deps, hints.len());
-    let declared = footprint.len();
-    footprint.extend(hints);
-    (footprint, declared)
-}
-
-/// Builds the record of a new child of `ctx`'s task, whose first `deps` footprint entries are
-/// the dependencies the engine links: reserves the task's id, and announces the task to the
-/// sentinel and the observers — all before registration can make it runnable. Every spawn path
-/// creates its records here.
-fn new_record(
-    ctx: &TaskCtx<'_>,
-    label: &'static str,
-    body: Option<Body>,
-    footprint: Vec<FootprintEntry>,
-    deps: usize,
-) -> Box<TaskRecord> {
-    let id = ctx.inner.engine.reserve_id();
+/// Builds the record of a new child of `ctx`'s task under `clauses`: its footprint is the
+/// normalised dependencies (which the engine links) followed by the hints. Reserves the task's
+/// id, and announces the task to the sentinel and the observers — all before registration can
+/// make it runnable. Every spawn path creates its records here.
+fn new_record(ctx: &TaskCtx<'_>, clauses: &Clauses, body: Body) -> Box<TaskRecord> {
+    let mut footprint: Vec<FootprintEntry> = normalize_as(&clauses.deps, clauses.hints.len());
+    let deps = footprint.len();
+    footprint.extend_from_slice(&clauses.hints);
+    let (id, label) = (ctx.inner.engine.reserve_id(), clauses.label);
 
     // The pre-increment count is the task's job-local registration ordinal — the key of the
     // fault plan's per-task decision streams — so the counter is bumped before the record is
@@ -1536,7 +1435,7 @@ fn new_record(
         id,
         entry: None,
         label,
-        body,
+        body: Some(body),
         footprint,
         deps,
         job: Arc::clone(&ctx.record.job),
@@ -2625,6 +2524,73 @@ mod tests {
         assert_eq!(stats.tasks_registered, 17); // root + 16
         assert_eq!(stats.tasks_deeply_completed, 17, "the wave drains");
         assert_eq!(stats.tasks_executed, 17, "run-to-completion runs every sibling");
+    }
+
+    /// The three spawn entry points build their records through one constructor: one clause
+    /// set — dependencies, a weak access, `weakwait` and two hints — announces the same
+    /// footprint (the normalised dependencies, then the hints in order) and registers the same
+    /// graph through a single `spawn`, a `spawn_batch` of one staged builder and a `spawn_each`
+    /// rule.
+    #[test]
+    fn the_spawn_entry_points_announce_and_register_alike() {
+        #[derive(Default)]
+        struct Footprints(Mutex<Vec<Vec<FootprintEntry>>>);
+        impl RuntimeObserver for Footprints {
+            fn task_created(&self, info: &TaskInfo<'_>) {
+                self.0.lock().push(info.footprint.to_vec());
+            }
+        }
+        fn builder<'a>(b: TaskBuilder<'a>, d: &SharedSlice<u64>) -> TaskBuilder<'a> {
+            b.inout(d.region(4..8))
+                .input(d.region(0..4))
+                .weak_inout(d.region(8..12))
+                .weakwait()
+                .footprint_hint(d.region(14..16), false)
+                .footprint_hint(d.region(12..14), true)
+        }
+        fn rule(c: &mut Clauses, d: &SharedSlice<u64>) {
+            c.inout(d.region(4..8))
+                .input(d.region(0..4))
+                .weak_inout(d.region(8..12))
+                .weakwait()
+                .footprint_hint(d.region(14..16), false)
+                .footprint_hint(d.region(12..14), true);
+        }
+        let d = SharedSlice::<u64>::new(16);
+        let entry = |region: Range<usize>, write, weak| FootprintEntry {
+            region: d.region(region),
+            write,
+            weak,
+        };
+        let expected = vec![
+            entry(0..4, false, false),
+            entry(4..8, true, false),
+            entry(8..12, true, true),
+            entry(14..16, false, false),
+            entry(12..14, true, false),
+        ];
+        let spawns: [&dyn Fn(&TaskCtx<'_>); 3] = [
+            &|ctx| {
+                builder(ctx.task(), &d).spawn(|_| {});
+            },
+            &|ctx| {
+                ctx.spawn_batch(vec![builder(ctx.task(), &d).stage(|_| {})]);
+            },
+            &|ctx| {
+                ctx.spawn_each(1, |_, c| rule(c, &d), |_, _| {});
+            },
+        ];
+        let mut graphs = Vec::new();
+        for spawn in spawns {
+            let seen = Arc::new(Footprints::default());
+            let observer: Arc<dyn RuntimeObserver> = seen.clone();
+            let rt = Runtime::new(RuntimeConfig::new().workers(1).observer(observer));
+            rt.run(spawn);
+            assert_eq!(*seen.0.lock(), std::slice::from_ref(&expected));
+            graphs.push(format!("{:?}", rt.stats().engine));
+        }
+        assert_eq!(graphs[0], graphs[1], "spawn vs spawn_batch");
+        assert_eq!(graphs[0], graphs[2], "spawn vs spawn_each");
     }
 
     #[test]

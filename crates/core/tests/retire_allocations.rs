@@ -1,9 +1,10 @@
 //! The retire cascade — the messages and events `DependencyEngine::body_finished` drains after a
 //! task ends — allocates only the `Effects` it returns: its outbox and event queue are lent by
 //! the calling thread and keep their capacity between calls. And registering a weak parent's
-//! first child allocates a pinned count, so a container added to that path is measured. An
-//! engine whose payload is not the task id (the runtime parks its task records) lends its
-//! cascade queues the same way, so its cascade allocates what the id engine's does.
+//! first child allocates a pinned count, so a container added to that path is measured, and a
+//! long chain of readers copies its reader group once per registration. An engine whose
+//! payload is not the task id (the runtime parks its task records) lends its cascade queues
+//! the same way, so its cascade allocates what the id engine's does.
 //!
 //! This binary installs its own counting global allocator. The count is per thread, so the test
 //! harness's other threads never disturb a measurement taken around one call.
@@ -223,4 +224,33 @@ fn registering_a_five_access_child_allocates_its_entry_and_node_list() {
 
     assert!(ready, "the earlier tiles finished");
     assert_eq!(allocations, 2, "allocations registering a five-access child");
+}
+
+/// A long read-only chain under one parent: each reader of one region joins the bottom map's
+/// reader group, which keeps the finished readers until the next writer, so every registration
+/// copies the group. The copy is built at its final size — one allocation for a spilled group,
+/// beside the reader's entry — so 4 096 readers, each finished before the next registers,
+/// allocate 2 per registration (8 196 in all; 45 064 while the vendored `SmallVec::clone`
+/// pushed element by element and the copy then grew by one more push).
+#[test]
+fn a_long_reader_chain_copies_each_reader_group_once() {
+    const READERS: usize = 4096;
+    let engine = DependencyEngine::new();
+    let root = engine.register_root();
+    let deps = normalize_deps(&[Depend::new(AccessType::In, Region::new(SpaceId(4), 0, BLOCK))]);
+
+    let mut allocations = 0;
+    for _ in 0..READERS {
+        let before = ALLOCATIONS.with(Cell::get);
+        let (reader, ready) =
+            engine.register_task_normalized(root, &deps, WaitMode::None).expect("live root");
+        allocations += ALLOCATIONS.with(Cell::get) - before;
+        assert!(ready, "readers never wait for each other");
+        engine.body_finished(reader).expect("live reader");
+    }
+
+    assert!(
+        allocations <= 3 * READERS,
+        "{allocations} allocations registering {READERS} readers"
+    );
 }

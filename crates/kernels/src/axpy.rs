@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use weakdep_core::{Runtime, SharedSlice, TaskCtx, TaskSpec};
+use weakdep_core::{Runtime, SharedSlice, TaskCtx};
 
 use crate::KernelRun;
 
@@ -127,16 +127,31 @@ impl AxpyConfig {
 }
 
 /// Spawns the block tasks of one axpy call as children of `ctx`, as one `spawn_each` wave (one
-/// dependency-domain lock acquisition for the whole call): block `i` declares `in x[block]` and
-/// `inout y[block]`, and every block runs the one shared body.
-fn spawn_blocks(ctx: &TaskCtx<'_>, x: &SharedSlice<f64>, y: &SharedSlice<f64>, cfg: &AxpyConfig) {
+/// dependency-domain lock acquisition for the whole call); every block runs the one shared
+/// body. With `depend`, block `i` declares `in x[block]` and `inout y[block]`. Without it (the
+/// `flat-taskwait` variant: no `depend` clauses at all, so no dependency-calculation overhead)
+/// it declares the same two regions as footprint hints, so the cache model and the accessors
+/// still see what the task touches.
+fn spawn_blocks(
+    ctx: &TaskCtx<'_>,
+    x: &SharedSlice<f64>,
+    y: &SharedSlice<f64>,
+    cfg: &AxpyConfig,
+    depend: bool,
+) {
     let (n, ts, alpha) = (cfg.n, cfg.task_size, cfg.alpha);
     let block = move |i: usize| i * ts..((i + 1) * ts).min(n);
     let (xi, yi) = (x.clone(), y.clone());
     ctx.spawn_each(
         cfg.blocks(),
         |i, c| {
-            c.input(x.region(block(i))).inout(y.region(block(i))).label("axpy-block");
+            let (xr, yr) = (x.region(block(i)), y.region(block(i)));
+            if depend {
+                c.input(xr).inout(yr);
+            } else {
+                c.footprint_hint(xr, false).footprint_hint(yr, true);
+            }
+            c.label("axpy-block");
         },
         move |t, i| {
             let xs = xi.read(t, block(i));
@@ -146,39 +161,6 @@ fn spawn_blocks(ctx: &TaskCtx<'_>, x: &SharedSlice<f64>, y: &SharedSlice<f64>, c
             }
         },
     );
-}
-
-/// Spawns the block tasks of one call *without any dependencies* (the `flat-taskwait` variant:
-/// no `depend` clauses at all, so no dependency-calculation overhead).
-fn spawn_blocks_without_deps(
-    ctx: &TaskCtx<'_>,
-    x: &SharedSlice<f64>,
-    y: &SharedSlice<f64>,
-    cfg: &AxpyConfig,
-) {
-    let n = cfg.n;
-    let alpha = cfg.alpha;
-    let specs: Vec<TaskSpec> = (0..n)
-        .step_by(cfg.task_size)
-        .map(|start| {
-            let end = (start + cfg.task_size).min(n);
-            let (xi, yi) = (x.clone(), y.clone());
-            // The footprint hints let the cache model and the accessors see what the task
-            // touches, without registering any dependency (the paper's variant declares none).
-            ctx.task()
-                .footprint_hint(x.region(start..end), false)
-                .footprint_hint(y.region(start..end), true)
-                .label("axpy-block")
-                .stage(move |t| {
-                    let xs = xi.read(t, start..end);
-                    let ys = yi.write(t, start..end);
-                    for (yv, xv) in ys.iter_mut().zip(xs) {
-                        *yv += alpha * *xv;
-                    }
-                })
-        })
-        .collect();
-    ctx.spawn_batch(specs);
 }
 
 /// Runs the Multiple AXPY benchmark in the given variant on `rt`, using the provided vectors
@@ -210,7 +192,7 @@ pub fn run_on(
                         .spawn(move |outer| {
                             // One wave per call: all block tasks register under a single
                             // acquisition of the outer task's domain lock.
-                            spawn_blocks(outer, &xo, &yo, &cfg);
+                            spawn_blocks(outer, &xo, &yo, &cfg, true);
                             if release {
                                 // nest-weak-release: the outer task asserts it will no longer
                                 // reference the blocks it has created tasks for (§V release
@@ -232,15 +214,15 @@ pub fn run_on(
                         .inout(y.region(0..cfg.n))
                         .label("axpy-outer")
                         .spawn(move |outer| {
-                            spawn_blocks(outer, &xo, &yo, &cfg);
+                            spawn_blocks(outer, &xo, &yo, &cfg, true);
                             outer.taskwait();
                         });
                 }
                 AxpyVariant::FlatDepend => {
-                    spawn_blocks(root, &x, &y, &cfg);
+                    spawn_blocks(root, &x, &y, &cfg, true);
                 }
                 AxpyVariant::FlatTaskwait => {
-                    spawn_blocks_without_deps(root, &x, &y, &cfg);
+                    spawn_blocks(root, &x, &y, &cfg, false);
                     root.taskwait();
                 }
             }
@@ -298,7 +280,7 @@ pub fn verify(cfg: &AxpyConfig, result: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use weakdep_core::Runtime;
+    use weakdep_core::{Runtime, RuntimeConfig, SchedulingPolicy};
 
     #[test]
     fn table1_metadata_matches_the_paper() {
@@ -325,6 +307,24 @@ mod tests {
         for variant in AxpyVariant::all() {
             let (_run, result) = run(&rt, variant, &cfg);
             assert!(verify(&cfg, &result), "variant {} produced a wrong result", variant.name());
+        }
+    }
+
+    /// Every variant's blocks are one `spawn_each` wave per call — `flat-taskwait`'s rule
+    /// writes footprint hints where the others write `in`/`inout` — and each computes the
+    /// reference bit for bit under every scheduling policy.
+    #[test]
+    fn every_variant_computes_the_reference_under_every_policy() {
+        let cfg = AxpyConfig { n: 10_007, calls: 3, task_size: 512, alpha: 0.75 };
+        for policy in SchedulingPolicy::all() {
+            let rt = Runtime::new(RuntimeConfig::new().workers(2).scheduling_policy(policy));
+            for variant in AxpyVariant::all() {
+                let before = rt.stats().tasks_executed;
+                let (run, result) = run(&rt, variant, &cfg);
+                let what = format!("variant {} under {policy:?}", variant.name());
+                assert!(verify(&cfg, &result), "{what}");
+                assert_eq!(rt.stats().tasks_executed - before, run.tasks, "{what}");
+            }
         }
     }
 

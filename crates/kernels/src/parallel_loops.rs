@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use weakdep_core::{Runtime, SharedSlice, TaskSpec};
+use weakdep_core::{Runtime, SharedSlice};
 
 use crate::axpy::AxpyConfig;
 use crate::KernelRun;
@@ -109,29 +109,28 @@ pub fn scan_tasks(
     let (xi, yi) = (input.clone(), output.clone());
     rt.run(move |root| {
         let totals = SharedSlice::<u64>::new(blocks);
+        let block = move |b: usize| b * chunk..((b + 1) * chunk).min(n);
         // Phase 1: local inclusive scan of each block + its total, one task per block.
-        let phase1: Vec<TaskSpec> = (0..blocks)
-            .map(|b| {
-                let (s, e) = (b * chunk, ((b + 1) * chunk).min(n));
-                let (x, y, tt) = (xi.clone(), yi.clone(), totals.clone());
-                root.task()
-                    .input(xi.region(s..e))
-                    .output(yi.region(s..e))
+        let (x, y, tt) = (xi.clone(), yi.clone(), totals.clone());
+        root.spawn_each(
+            blocks,
+            |b, c| {
+                c.input(xi.region(block(b)))
+                    .output(yi.region(block(b)))
                     .output(totals.region(b..b + 1))
-                    .label("scan-block")
-                    .stage(move |t| {
-                        let inp = x.read(t, s..e);
-                        let out = y.write(t, s..e);
-                        let mut acc = 0u64;
-                        for (o, &v) in out.iter_mut().zip(inp) {
-                            acc = acc.wrapping_add(v);
-                            *o = acc;
-                        }
-                        tt.write(t, b..b + 1)[0] = acc;
-                    })
-            })
-            .collect();
-        root.spawn_batch(phase1);
+                    .label("scan-block");
+            },
+            move |t, b| {
+                let inp = x.read(t, block(b));
+                let out = y.write(t, block(b));
+                let mut acc = 0u64;
+                for (o, &v) in out.iter_mut().zip(inp) {
+                    acc = acc.wrapping_add(v);
+                    *o = acc;
+                }
+                tt.write(t, b..b + 1)[0] = acc;
+            },
+        );
         // Combine: exclusive-scan the block totals into per-block offsets, in place.
         {
             let tt = totals.clone();
@@ -147,24 +146,23 @@ pub fn scan_tasks(
                 },
             );
         }
-        // Phase 2: fold each block's offset in (block 0's offset is zero — skipped).
-        let phase2: Vec<TaskSpec> = (1..blocks)
-            .map(|b| {
-                let (s, e) = (b * chunk, ((b + 1) * chunk).min(n));
-                let (y, tt) = (yi.clone(), totals.clone());
-                root.task()
-                    .input(totals.region(b..b + 1))
-                    .inout(yi.region(s..e))
-                    .label("scan-offset")
-                    .stage(move |t| {
-                        let offset = tt.read(t, b..b + 1)[0];
-                        for v in y.write(t, s..e) {
-                            *v = offset.wrapping_add(*v);
-                        }
-                    })
-            })
-            .collect();
-        root.spawn_batch(phase2);
+        // Phase 2: fold each block's offset in (block 0's offset is zero — skipped): child
+        // `k` of the wave folds block `k + 1`.
+        let (y, tt) = (yi.clone(), totals.clone());
+        root.spawn_each(
+            blocks.saturating_sub(1),
+            |k, c| {
+                c.input(totals.region(k + 1..k + 2))
+                    .inout(yi.region(block(k + 1)))
+                    .label("scan-offset");
+            },
+            move |t, k| {
+                let offset = tt.read(t, k + 1..k + 2)[0];
+                for v in y.write(t, block(k + 1)) {
+                    *v = offset.wrapping_add(*v);
+                }
+            },
+        );
     });
     KernelRun {
         elapsed: start.elapsed(),
@@ -223,20 +221,17 @@ pub fn reduce_tasks(rt: &Runtime, cfg: &LoopConfig, input: &SharedSlice<u64>) ->
     let xi = input.clone();
     let value = rt.run(move |root| {
         let partials = SharedSlice::<u64>::new(blocks);
-        let specs: Vec<TaskSpec> = (0..cfg.blocks())
-            .map(|b| {
-                let (s, e) = (b * chunk, ((b + 1) * chunk).min(n));
-                let (x, pp) = (xi.clone(), partials.clone());
-                root.task()
-                    .input(xi.region(s..e))
+        let (x, pp) = (xi.clone(), partials.clone());
+        let block = move |b: usize| b * chunk..((b + 1) * chunk).min(n);
+        root.spawn_each(
+            cfg.blocks(),
+            |b, c| {
+                c.input(xi.region(block(b)))
                     .output(partials.region(b..b + 1))
-                    .label("reduce-block")
-                    .stage(move |t| {
-                        pp.write(t, b..b + 1)[0] = reduce_reference(x.read(t, s..e));
-                    })
-            })
-            .collect();
-        root.spawn_batch(specs);
+                    .label("reduce-block");
+            },
+            move |t, b| pp.write(t, b..b + 1)[0] = reduce_reference(x.read(t, block(b))),
+        );
         root.taskwait();
         reduce_reference(&partials.snapshot())
     });
@@ -290,7 +285,7 @@ pub fn axpy_assist_on(
 mod tests {
     use super::*;
     use crate::axpy;
-    use weakdep_core::Runtime;
+    use weakdep_core::{Runtime, RuntimeConfig, SchedulingPolicy};
 
     #[test]
     fn scan_variants_match_the_oracle_bitwise() {
@@ -307,6 +302,27 @@ mod tests {
         let out_tasks = SharedSlice::<u64>::new(cfg.n);
         scan_tasks(&rt, &cfg, &input, &out_tasks);
         assert_eq!(out_tasks.snapshot(), expected, "task-spawned scan");
+    }
+
+    /// The task-spawned baselines are `spawn_each` waves; they match the oracle bit for bit
+    /// under every scheduling policy, with one task per block (and the scan's combine task).
+    #[test]
+    fn task_variants_match_the_oracle_under_every_policy() {
+        let cfg = LoopConfig { n: 10_007, chunk: 256 };
+        let input = SharedSlice::<u64>::new(cfg.n);
+        initialize_u64(&input);
+        let scanned = scan_reference(&input.snapshot());
+        let sum = reduce_reference(&input.snapshot());
+        for policy in SchedulingPolicy::all() {
+            let rt = Runtime::new(RuntimeConfig::new().workers(2).scheduling_policy(policy));
+            let out = SharedSlice::<u64>::new(cfg.n);
+            let run = scan_tasks(&rt, &cfg, &input, &out);
+            assert_eq!(out.snapshot(), scanned, "task-spawned scan under {policy:?}");
+            assert_eq!(rt.stats().tasks_executed, run.tasks, "{policy:?}");
+            let (run, via_tasks) = reduce_tasks(&rt, &cfg, &input);
+            assert_eq!(via_tasks, sum, "task-spawned reduction under {policy:?}");
+            assert_eq!(rt.stats().tasks_executed, 2 * cfg.blocks() + run.tasks, "{policy:?}");
+        }
     }
 
     #[test]

@@ -38,9 +38,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-/// The per-chunk runner: called once per claimed chunk with the descriptor (for carry state)
-/// and the chunk's `[start, end)` bounds.
-pub type ChunkRunner = dyn Fn(&LoopDescriptor, usize, usize) + Send + Sync;
+/// The per-chunk runner: called once per claimed chunk with the chunk's `[start, end)` bounds.
+/// State the chunks share (a scan's block offsets) is captured by the runner.
+pub type ChunkRunner = dyn Fn(usize, usize) + Send + Sync;
 
 /// The abort probe: polled at every chunk boundary; `true` stops the loop issuing chunks.
 pub type AbortProbe = dyn Fn() -> bool + Send + Sync;
@@ -71,10 +71,6 @@ pub struct LoopDescriptor {
     /// First panic payload unwound out of a chunk runner; re-raised by the owner after
     /// quiescence so a chunk panic flows through the job's normal containment path.
     poison: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Optional carry-propagation state for scans: phase 2 of a block scan reads the
-    /// owner-computed block offsets through the descriptor (`Any`-erased so the pool stays
-    /// non-generic).
-    carry: Option<Box<dyn Any + Send + Sync>>,
     runner: Box<ChunkRunner>,
     abort: Box<AbortProbe>,
 }
@@ -84,7 +80,7 @@ impl LoopDescriptor {
     /// job `tenant` from a worker in locality `domain`.
     pub fn new<R, A>(range: Range<usize>, chunk: usize, tenant: u64, domain: usize, runner: R, abort: A) -> Self
     where
-        R: Fn(&LoopDescriptor, usize, usize) + Send + Sync + 'static,
+        R: Fn(usize, usize) + Send + Sync + 'static,
         A: Fn() -> bool + Send + Sync + 'static,
     {
         let chunk = chunk.max(1);
@@ -99,21 +95,9 @@ impl LoopDescriptor {
             assisted: AtomicBool::new(false),
             assist_chunks: AtomicUsize::new(0),
             poison: Mutex::new(None),
-            carry: None,
             runner: Box::new(runner),
             abort: Box::new(abort),
         }
-    }
-
-    /// Attaches carry-propagation state (builder style, before the descriptor is shared).
-    pub fn with_carry(mut self, carry: Box<dyn Any + Send + Sync>) -> Self {
-        self.carry = Some(carry);
-        self
-    }
-
-    /// The carry-propagation state, if any (scans: the owner-computed block offsets).
-    pub fn carry(&self) -> Option<&(dyn Any + Send + Sync)> {
-        self.carry.as_deref()
     }
 
     /// Job id of the registering task.
@@ -150,7 +134,7 @@ impl LoopDescriptor {
     /// and counting completion. Every claimed chunk **must** be passed here exactly once.
     pub fn run_chunk(&self, chunk_start: usize, chunk_end: usize) {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            (self.runner)(self, chunk_start, chunk_end);
+            (self.runner)(chunk_start, chunk_end);
         }));
         if let Err(payload) = result {
             let mut poison = self.poison.lock();
@@ -341,7 +325,7 @@ mod tests {
             chunk,
             7,
             0,
-            move |_d, start, end| {
+            move |start, end| {
                 s.fetch_add(end - start, Ordering::Relaxed);
             },
             || false,
@@ -383,7 +367,7 @@ mod tests {
             16,
             1,
             0,
-            move |_d, s, e| {
+            move |s, e| {
                 let mut guard = h.lock();
                 for i in s..e {
                     guard[i] += 1;
@@ -415,7 +399,7 @@ mod tests {
             10,
             1,
             0,
-            move |_d, _s, _e| {
+            move |_s, _e| {
                 r.fetch_add(1, Ordering::Relaxed);
             },
             move || s.load(Ordering::Relaxed),
@@ -435,7 +419,7 @@ mod tests {
             1,
             1,
             0,
-            |_d, s, _e| {
+            |s, _e| {
                 if s == 2 {
                     panic!("chunk 2 exploded");
                 }
@@ -447,31 +431,6 @@ mod tests {
         let payload = desc.take_poison().expect("the panic must be captured");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk 2 exploded"));
         assert!(desc.take_poison().is_none(), "poison is taken once");
-    }
-
-    #[test]
-    fn carry_state_rides_the_descriptor() {
-        let offsets: Arc<Vec<u64>> = Arc::new(vec![0, 10, 30]);
-        let seen = Arc::new(AtomicUsize::new(0));
-        let s = Arc::clone(&seen);
-        let desc = LoopDescriptor::new(
-            0..3,
-            1,
-            1,
-            0,
-            move |d, start, _end| {
-                let carry = d
-                    .carry()
-                    .and_then(|c| c.downcast_ref::<Arc<Vec<u64>>>())
-                    .expect("phase-2 runner reads the owner's block offsets");
-                s.fetch_add(carry[start] as usize, Ordering::Relaxed);
-            },
-            || false,
-        )
-        .with_carry(Box::new(Arc::clone(&offsets)));
-        desc.drive();
-        desc.wait_quiescent();
-        assert_eq!(seen.load(Ordering::Relaxed), 40);
     }
 
     #[test]
@@ -501,8 +460,8 @@ mod tests {
     #[test]
     fn select_prefers_the_requested_domain() {
         let registry = AssistRegistry::new();
-        let far = Arc::new(LoopDescriptor::new(0..10, 1, 1, 1, |_d, _s, _e| {}, || false));
-        let near = Arc::new(LoopDescriptor::new(0..10, 1, 2, 0, |_d, _s, _e| {}, || false));
+        let far = Arc::new(LoopDescriptor::new(0..10, 1, 1, 1, |_s, _e| {}, || false));
+        let near = Arc::new(LoopDescriptor::new(0..10, 1, 2, 0, |_s, _e| {}, || false));
         registry.publish(Arc::clone(&far));
         registry.publish(Arc::clone(&near));
         for _ in 0..4 {

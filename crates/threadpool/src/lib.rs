@@ -260,8 +260,9 @@ mod counter {
 pub struct PoolStats {
     /// The dispatch-path counters, indexed by the `counter` constants.
     dispatch: Striped<{ counter::COUNT }>,
-    /// Times a worker went to sleep — at the top of its loop or inside
-    /// [`WorkerContext::work_until`] (a parked `taskwait`).
+    /// Times a worker parked — blocked in the sleep state at the top of its loop or inside
+    /// [`WorkerContext::work_until`] (a parked `taskwait`). A sleep that returns at once,
+    /// because the epoch moved or the exit predicate held, is not counted.
     pub sleeps: AtomicUsize,
     /// Loop chunks executed by *assisting* workers (idle-path acquisitions from the
     /// [`AssistRegistry`]; owner-driven chunks are not counted). Chunks are not pool jobs, so
@@ -774,8 +775,9 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
             if self.assist_once() {
                 continue;
             }
-            PoolStats::bump(&shared.stats.sleeps);
-            shared.sleep.sleep(self.domain, epoch, waiter, exit);
+            shared.sleep.sleep(self.domain, epoch, waiter, exit, || {
+                PoolStats::bump(&shared.stats.sleeps)
+            });
         }
     }
 
@@ -1465,7 +1467,7 @@ mod tests {
                 4,
                 1,
                 ctx.domain(),
-                move |_d, s, e| {
+                move |s, e| {
                     sum.fetch_add(e - s, Ordering::Relaxed);
                     std::thread::sleep(Duration::from_micros(200));
                 },

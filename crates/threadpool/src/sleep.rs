@@ -157,6 +157,8 @@ impl SleepState {
 
     /// Blocks the current worker (a member of `domain`) until the epoch advances past
     /// `seen_epoch` (or immediately returns if it already has, or if `should_exit` is true).
+    /// `on_park` runs once, under the park mutex, right before the worker blocks — never when
+    /// the call returns at once — so a park is counted while it lasts.
     ///
     /// `waiter` marks `should_exit` as a predicate of the caller's, whose flips are announced
     /// by [`Self::wake_waiters`]; without it the only event that may flip `should_exit` is one
@@ -167,6 +169,7 @@ impl SleepState {
         seen_epoch: u64,
         waiter: bool,
         should_exit: impl Fn() -> bool,
+        on_park: impl FnOnce(),
     ) {
         let domain = &self.domains[domain.min(self.domains.len() - 1)];
         if waiter {
@@ -178,6 +181,7 @@ impl SleepState {
             // registration sees it and blocks on `park` until the wait below releases it.
             self.sleepers.fetch_add(1, SeqCst);
             if self.epoch.load(SeqCst) == seen_epoch {
+                on_park();
                 domain.sleepers.fetch_add(1, Ordering::Relaxed);
                 domain.condvar.wait(&mut park);
                 domain.sleepers.fetch_sub(1, Ordering::Relaxed);
@@ -277,20 +281,27 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// Whether `sleep` blocked: it ran its `on_park` hook.
+    fn parks(sleep: impl FnOnce(&dyn Fn())) -> bool {
+        let parked = std::cell::Cell::new(false);
+        sleep(&|| parked.set(true));
+        parked.get()
+    }
+
     #[test]
     fn sleep_returns_when_epoch_already_advanced() {
         let s = SleepState::new(1);
         let epoch = s.current_epoch();
         s.notify_many(1, None);
-        // Must not block.
-        s.sleep(0, epoch, false, || false);
+        // Must not block, and is not a park.
+        assert!(!parks(|on_park| s.sleep(0, epoch, false, || false, on_park)));
     }
 
     #[test]
     fn sleep_returns_when_exit_requested() {
         let s = SleepState::new(2);
         let epoch = s.current_epoch();
-        s.sleep(1, epoch, false, || true);
+        assert!(!parks(|on_park| s.sleep(1, epoch, false, || true, on_park)));
     }
 
     #[test]
@@ -299,12 +310,12 @@ mod tests {
         let s2 = Arc::clone(&s);
         let handle = std::thread::spawn(move || {
             let epoch = s2.current_epoch();
-            s2.sleep(0, epoch, false, || false);
+            parks(|on_park| s2.sleep(0, epoch, false, || false, on_park))
         });
         // Give the thread a moment to actually sleep, then wake it.
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(s.notify_many(1, None), (1, 0));
-        handle.join().unwrap();
+        assert!(handle.join().unwrap(), "the woken sleeper had parked");
     }
 
     #[test]
@@ -315,7 +326,7 @@ mod tests {
             let s2 = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
                 let epoch = s2.current_epoch();
-                s2.sleep(domain % 2, epoch, false, || false);
+                s2.sleep(domain % 2, epoch, false, || false, || {});
             }));
         }
         std::thread::sleep(Duration::from_millis(50));
@@ -332,7 +343,7 @@ mod tests {
         let s2 = Arc::clone(&s);
         let handle = std::thread::spawn(move || {
             let epoch = s2.current_epoch();
-            s2.sleep(1, epoch, false, || false);
+            s2.sleep(1, epoch, false, || false, || {});
         });
         std::thread::sleep(Duration::from_millis(50));
         // The only sleeper lives in domain 1: preferring 0 falls back to it (work must never

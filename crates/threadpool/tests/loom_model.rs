@@ -24,7 +24,7 @@ fn worker_loop(sleep: &SleepState, domain: usize, work: &AtomicBool) {
         if work.load(Ordering::SeqCst) {
             return;
         }
-        sleep.sleep(domain, epoch, false, || false);
+        sleep.sleep(domain, epoch, false, || false, || {});
     }
 }
 
@@ -37,7 +37,7 @@ fn waiter_loop(sleep: &SleepState, done: &AtomicBool, registered: bool) {
         if done.load(Ordering::SeqCst) {
             return;
         }
-        sleep.sleep(0, epoch, registered, || done.load(Ordering::SeqCst));
+        sleep.sleep(0, epoch, registered, || done.load(Ordering::SeqCst), || {});
     }
 }
 

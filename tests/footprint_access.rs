@@ -12,7 +12,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
-use weakdep::{JobError, Runtime, SharedSlice, TaskCtx, TaskSpec};
+use weakdep::{Clauses, JobError, Runtime, SharedSlice, TaskCtx};
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
@@ -126,19 +126,24 @@ fn a_read_across_two_adjacent_strong_entries_is_covered() {
     assert_eq!(sums[1].load(SeqCst), 28);
 }
 
-/// Runs one task declared by `declare` whose body calls `access`, and returns its panic message.
+/// Runs one task, the only child of a `spawn_each` wave, declared by `declare` and whose body
+/// calls `access`, and returns its panic message.
 fn refused_access(
-    declare: impl FnOnce(TaskSpec, &SharedSlice<u64>) -> TaskSpec + Send + 'static,
-    access: impl FnOnce(&TaskCtx<'_>, &SharedSlice<u64>) + Send + 'static,
+    declare: impl Fn(&mut Clauses, &SharedSlice<u64>) + Send + 'static,
+    access: impl Fn(&TaskCtx<'_>, &SharedSlice<u64>) + Send + Sync + 'static,
 ) -> String {
     let rt = Runtime::with_workers(2);
     let data = SharedSlice::<u64>::new(8);
     let handle = rt.submit(move |root| {
         let d = data.clone();
-        let spec = declare(TaskSpec::new(), &data)
-            .label("refused")
-            .body(move |t| access(t, &d));
-        root.spawn_batch(vec![spec]);
+        root.spawn_each(
+            1,
+            |_, c| {
+                declare(c, &data);
+                c.label("refused");
+            },
+            move |t, _| access(t, &d),
+        );
     });
     match handle.wait_result() {
         Err(JobError::Panicked { message, .. }) => message,
@@ -149,7 +154,9 @@ fn refused_access(
 #[test]
 fn weak_and_read_only_covers_are_refused() {
     let weak_only = refused_access(
-        |b, d| b.weak_inout(d.region(0..8)),
+        |c, d| {
+            c.weak_inout(d.region(0..8));
+        },
         |t, d| {
             let _ = d.read(t, 0..8);
         },
@@ -160,7 +167,9 @@ fn weak_and_read_only_covers_are_refused() {
     );
 
     let read_only = refused_access(
-        |b, d| b.input(d.region(0..8)),
+        |c, d| {
+            c.input(d.region(0..8));
+        },
         |t, d| {
             let _ = d.write(t, 0..8);
         },
@@ -172,7 +181,9 @@ fn weak_and_read_only_covers_are_refused() {
 
     // A write across a read-only and a write-capable neighbour: the union path refuses it too.
     let mixed = refused_access(
-        |b, d| b.input(d.region(0..4)).inout(d.region(4..8)),
+        |c, d| {
+            c.input(d.region(0..4)).inout(d.region(4..8));
+        },
         |t, d| {
             let _ = d.write(t, 0..8);
         },

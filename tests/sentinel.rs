@@ -161,7 +161,7 @@ fn wave_ordering_mutation_is_caught() {
     });
 }
 
-/// The seeded bug sits in the wave registration `spawn_batch` and `spawn_each` share, so a
+/// The seeded bug sits in the registration step every spawn path shares, so a
 /// `spawn_each` wave of conflicting writers is caught the same way.
 #[test]
 #[should_panic(expected = "sentinel: region conflict")]

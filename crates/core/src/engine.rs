@@ -88,7 +88,7 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
@@ -767,6 +767,10 @@ struct ChildSched<P> {
     live_nodes: usize,
     /// Set when the child's deep completion has been processed in this domain.
     deeply_completed: bool,
+    /// Set once a later sibling linked a release edge to one of the child's accesses, when the
+    /// child's [`TaskEntry::successor_linked`] was raised (raised once, so linking a second
+    /// edge costs no entry upgrade).
+    successor_linked: bool,
 }
 
 /// The lower half of one of the domain owner's own accesses: the state the owner's *children*
@@ -1122,6 +1126,11 @@ pub(crate) struct TaskEntry<P> {
     nodes_in_parent: SmallVec<[InParent; 2]>,
     /// Slot of this task's [`ChildSched`] record in the parent's domain (unused for roots).
     sched_in_parent: u32,
+    /// Raised (under the parent's domain lock) when a later sibling links a release edge to one
+    /// of this task's accesses: its retire then makes a sibling ready. Read without a lock by
+    /// the runtime's retire batching; a sibling that links after the read only waits for the
+    /// batch's flush.
+    successor_linked: AtomicBool,
     domain: Mutex<Domain<P>>,
 }
 
@@ -1134,6 +1143,17 @@ struct InParent {
 }
 
 impl<P> TaskEntry<P> {
+    /// The task's parent, `None` for a root.
+    pub(crate) fn parent_id(&self) -> Option<TaskId> {
+        self.parent
+    }
+
+    /// Whether a later sibling has linked a release edge to one of this task's accesses (see
+    /// the field). Monotonic: once `true`, it stays `true`.
+    pub(crate) fn successor_linked(&self) -> bool {
+        self.successor_linked.load(Ordering::Relaxed)
+    }
+
     /// Number of direct children of the task that have not yet deeply completed.
     pub(crate) fn live_children(&self) -> usize {
         self.domain.lock().live_children
@@ -1202,8 +1222,24 @@ thread_local! {
 /// (a thread-local cannot be generic over the payload, so it holds the box as `dyn Any`); a
 /// thread that switches to an engine of another payload type starts a fresh pair.
 struct CascadeScratch<P> {
-    outbox: VecDeque<Message<P>>,
+    outbox: Outbox<P>,
     queue: VecDeque<Event>,
+}
+
+/// Cross-domain messages a retire left to deliver, in the order they were produced: the
+/// caller of [`DependencyEngine::finish_body`] holds them until it drains them with
+/// [`DependencyEngine::pump_outbox`].
+pub(crate) struct Outbox<P>(VecDeque<Message<P>>);
+
+impl<P> Outbox<P> {
+    /// An empty outbox (no allocation until the first message).
+    pub(crate) const fn new() -> Self {
+        Outbox(VecDeque::new())
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 impl<P: 'static> CascadeScratch<P> {
@@ -1215,7 +1251,7 @@ impl<P: 'static> CascadeScratch<P> {
             .flatten()
             .and_then(|scratch| scratch.downcast().ok())
             .unwrap_or_else(|| {
-                Box::new(CascadeScratch { outbox: VecDeque::new(), queue: VecDeque::new() })
+                Box::new(CascadeScratch { outbox: Outbox::new(), queue: VecDeque::new() })
             })
     }
 
@@ -1479,6 +1515,7 @@ impl<P: 'static> DependencyEngine<P> {
                 parent: None,
                 nodes_in_parent: SmallVec::new(),
                 sched_in_parent: 0,
+                successor_linked: AtomicBool::new(false),
                 domain: Mutex::new(domain),
             }
         });
@@ -1550,6 +1587,7 @@ impl<P: 'static> DependencyEngine<P> {
             pending_strong: 0,
             live_nodes: 0,
             deeply_completed: false,
+            successor_linked: false,
         });
         domain.live_children += 1;
 
@@ -1623,6 +1661,7 @@ impl<P: 'static> DependencyEngine<P> {
                 parent: Some(parent_entry.id),
                 nodes_in_parent,
                 sched_in_parent: sched_idx,
+                successor_linked: AtomicBool::new(false),
                 domain: Mutex::new(child_domain),
             }
         });
@@ -1650,6 +1689,15 @@ impl<P: 'static> DependencyEngine<P> {
     ) {
         let mut planned = std::mem::take(&mut domain.scratch_edges);
         debug_assert!(planned.is_empty());
+        let nodes = &domain.nodes;
+        // A reader whose node no longer resolves was fully released: it contributes no edge,
+        // so the copy below leaves it out and a long read-only chain keeps a short group.
+        let live = |accessor: &&Accessor| match accessor {
+            Accessor::Child(node) => {
+                nodes.get(node.idx as usize).is_some_and(|slot| slot.gen == node.gen)
+            }
+            Accessor::Own(_) => true,
+        };
 
         // First pass: fragment the region against the bottom map, record which edges to create
         // and compute the new entry for every fragment. (The scratch is taken out of the domain
@@ -1680,9 +1728,11 @@ impl<P: 'static> DependencyEngine<P> {
                         if let Some(w) = entry.last_writer {
                             planned.push(PlannedEdge { from: w, over: fragment });
                         }
-                        // One allocation for a spilled group: the copy is built at its final size.
-                        let mut readers = SmallVec::with_capacity(entry.readers.len() + 1);
-                        readers.extend(entry.readers.iter().copied());
+                        // One allocation for a spilled group: the copy is built at its final
+                        // size, the live readers and this one.
+                        let kept = entry.readers.iter().filter(live).count();
+                        let mut readers = SmallVec::with_capacity(kept + 1);
+                        readers.extend(entry.readers.iter().filter(live).copied());
                         readers.push(Accessor::Child(node_ref));
                         BottomEntry { last_writer: entry.last_writer, readers }
                     }
@@ -1765,6 +1815,14 @@ impl<P: 'static> DependencyEngine<P> {
                 for part in &pending {
                     node.add_release_edge(frag, part, to);
                 }
+                let sched_idx = node.sched as usize;
+                let sched = domain.sched[sched_idx].as_mut().expect("a live node has its sched");
+                if !sched.successor_linked {
+                    sched.successor_linked = true;
+                    if let Some(entry) = sched.entry.upgrade() {
+                        entry.successor_linked.store(true, Ordering::Relaxed);
+                    }
+                }
             }
         }
     }
@@ -1782,58 +1840,84 @@ impl<P: 'static> DependencyEngine<P> {
 
     /// [`DependencyEngine::body_finished`] for the task `entry` belongs to, into the caller's
     /// empty `effects`, so a caller that drains and keeps one buffer retires tasks without
-    /// allocating effect vectors.
+    /// allocating effect vectors: [`DependencyEngine::finish_body`] into this thread's
+    /// scratch outbox, then [`DependencyEngine::pump`] over it.
     pub(crate) fn body_finished_into(&self, entry: &Arc<TaskEntry<P>>, effects: &mut Effects<P>) {
         debug_assert!(effects.is_empty(), "effects buffer handed in with leftovers");
-        let task = entry.id;
         let mut scratch = CascadeScratch::take();
         let CascadeScratch { outbox, queue } = &mut *scratch;
-        {
-            let mut domain = entry.domain.lock();
-            assert!(!domain.body_finished, "body_finished called twice for {task:?}");
-            domain.body_finished = true;
+        self.finish_body(entry, outbox, effects);
+        self.pump(&mut outbox.0, queue, effects);
+        scratch.put_back();
+    }
 
-            match (domain.wait_mode, domain.parent_arc()) {
-                // OpenMP default: the task's dependencies are released when the body finishes.
-                // A leaf deep-completes right below, and its `ChildDone` completes every access.
-                (WaitMode::None, Some(target)) if domain.live_children > 0 => {
-                    for (own_idx, access) in entry.nodes_in_parent.iter().enumerate() {
+    /// The own-domain step of [`DependencyEngine::body_finished`]: marks the body finished
+    /// under the task's own domain lock and appends the messages that follow to `outbox`, which
+    /// the caller drains with [`DependencyEngine::pump_outbox`] — at once, or later together
+    /// with other retires' messages. Returns `true` when the step's only message is the task's
+    /// `ChildDone` (a leaf that deep-completed; its deep completion is already in `effects`):
+    /// the one kind of message the runtime's retire batching holds back.
+    pub(crate) fn finish_body(
+        &self,
+        entry: &Arc<TaskEntry<P>>,
+        outbox: &mut Outbox<P>,
+        effects: &mut Effects<P>,
+    ) -> bool {
+        let task = entry.id;
+        let outbox = &mut outbox.0;
+        let before = outbox.len();
+        let mut domain = entry.domain.lock();
+        assert!(!domain.body_finished, "body_finished called twice for {task:?}");
+        domain.body_finished = true;
+
+        match (domain.wait_mode, domain.parent_arc()) {
+            // OpenMP default: the task's dependencies are released when the body finishes.
+            // A leaf deep-completes right below, and its `ChildDone` completes every access.
+            (WaitMode::None, Some(target)) if domain.live_children > 0 => {
+                for (own_idx, access) in entry.nodes_in_parent.iter().enumerate() {
+                    outbox.push_back(Message::CompleteUp {
+                        target: Arc::clone(&target),
+                        task: Arc::clone(entry),
+                        own_idx: own_idx as u32,
+                        parts: smallvec![access.region],
+                    });
+                }
+            }
+            (WaitMode::WeakWait, Some(target)) => {
+                // Fine-grained release: fragments not covered by live child accesses
+                // complete now; covered fragments are handed over to the children.
+                domain.ensure_seeded(&entry.nodes_in_parent);
+                for (own_idx, own) in domain.own.iter().enumerate() {
+                    let mut uncovered: Parts = SmallVec::new();
+                    domain.uncovered_parts(&own.region, &mut uncovered);
+                    if !uncovered.is_empty() {
+                        self.stats.add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
                         outbox.push_back(Message::CompleteUp {
                             target: Arc::clone(&target),
                             task: Arc::clone(entry),
                             own_idx: own_idx as u32,
-                            parts: smallvec![access.region],
+                            parts: uncovered,
                         });
                     }
                 }
-                (WaitMode::WeakWait, Some(target)) => {
-                    // Fine-grained release: fragments not covered by live child accesses
-                    // complete now; covered fragments are handed over to the children.
-                    domain.ensure_seeded(&entry.nodes_in_parent);
-                    for (own_idx, own) in domain.own.iter().enumerate() {
-                        let mut uncovered: Parts = SmallVec::new();
-                        domain.uncovered_parts(&own.region, &mut uncovered);
-                        if !uncovered.is_empty() {
-                            self.stats.add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
-                            outbox.push_back(Message::CompleteUp {
-                                target: Arc::clone(&target),
-                                task: Arc::clone(entry),
-                                own_idx: own_idx as u32,
-                                parts: uncovered,
-                            });
-                        }
-                    }
-                }
-                // `Wait` holds every dependency until deep completion, which also completes a
-                // `None` leaf's; a root has no parent domain to complete into.
-                _ => {}
             }
-
-            if domain.live_children == 0 {
-                deep_complete_locked(self, &mut domain, effects, outbox);
-            }
+            // `Wait` holds every dependency until deep completion, which also completes a
+            // `None` leaf's; a root has no parent domain to complete into.
+            _ => {}
         }
-        self.pump(outbox, queue, effects);
+
+        if domain.live_children == 0 {
+            deep_complete_locked(self, &mut domain, effects, outbox);
+        }
+        outbox.len() == before + 1
+            && matches!(outbox.back(), Some(Message::ChildDone { child, .. }) if Arc::ptr_eq(child, entry))
+    }
+
+    /// Drains `outbox` (see [`DependencyEngine::pump`]) into `effects`, with this thread's
+    /// scratch event queue.
+    pub(crate) fn pump_outbox(&self, outbox: &mut Outbox<P>, effects: &mut Effects<P>) {
+        let mut scratch = CascadeScratch::<P>::take();
+        self.pump(&mut outbox.0, &mut scratch.queue, effects);
         scratch.put_back();
     }
 
@@ -1853,7 +1937,7 @@ impl<P: 'static> DependencyEngine<P> {
     ) -> Effects<P> {
         let mut effects = Effects::default();
         let mut scratch = CascadeScratch::take();
-        let CascadeScratch { outbox, queue } = &mut *scratch;
+        let CascadeScratch { outbox: Outbox(outbox), queue } = &mut *scratch;
         {
             let mut domain = entry.domain.lock();
             let Some(target) = domain.parent_arc() else {

@@ -44,7 +44,7 @@
 //! see `docs/runtime.md` for the full tenancy model and `crate::job` for the cancellation
 //! protocol.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -66,7 +66,7 @@ use crate::faults::FaultPlan;
 use crate::job::{JobError, JobHandle, JobOptions, JobState, JobStats};
 
 use crate::access::{normalize_as, AccessType, Depend, WaitMode};
-use crate::engine::{DependencyEngine, Effects, StaleTaskId, TaskEntry, TaskId};
+use crate::engine::{DependencyEngine, Effects, Outbox, StaleTaskId, TaskEntry, TaskId};
 use crate::observer::{FootprintEntry, RuntimeObserver, TaskExecution, TaskInfo};
 
 /// Configuration for [`Runtime::new`].
@@ -264,8 +264,16 @@ pub struct RuntimeStats {
     /// runs from the end of the body — or, with observers installed, from the return of their
     /// `task_executed` calls — to the end of the retire. Without observers a retire is timed on
     /// a per-thread random 1-in-8 sample and counted 8 times (an unbiased estimate); with
-    /// observers every retire is timed once.
+    /// observers every retire is timed once. The flushes of deferred retires a worker makes
+    /// outside any retire (idle, or before it runs a task of another parent) are timed every
+    /// time.
     pub retire_ns: u64,
+    /// Finished leaves whose `ChildDone` waited in their worker's retire batch instead of being
+    /// applied at once (see `docs/runtime.md`, "Retire batching").
+    pub retires_deferred: usize,
+    /// Retire batches applied, each under one acquisition of the leaves' parent domain:
+    /// `retires_deferred / retire_flushes` is the mean batch size.
+    pub retire_flushes: usize,
     /// Jobs submitted to the service (via [`Runtime::run`] or [`Runtime::submit`]).
     pub jobs_submitted: usize,
     /// Jobs whose root deeply completed (includes cancelled jobs, which still drain).
@@ -330,9 +338,10 @@ impl TaskRecord {
     }
 }
 
-/// The phase timers (cumulative nanoseconds): a [`Striped`] block per thread slot, so a
-/// worker's additions stay on cache lines of its own. Indexed by the `*_NS` constants.
-type PhaseTimers = Striped<3>;
+/// The phase timers (cumulative nanoseconds) and the retire-batch counts: a [`Striped`] block
+/// per thread slot, so a worker's additions stay on cache lines of its own. Indexed by the
+/// `*_NS` constants and [`RETIRES_DEFERRED`] / [`RETIRE_FLUSHES`].
+type PhaseTimers = Striped<5>;
 
 /// [`RuntimeStats::spawn_ns`]'s timer.
 const SPAWN_NS: usize = 0;
@@ -340,6 +349,10 @@ const SPAWN_NS: usize = 0;
 const BODY_NS: usize = 1;
 /// [`RuntimeStats::retire_ns`]'s timer.
 const RETIRE_NS: usize = 2;
+/// [`RuntimeStats::retires_deferred`]'s counter.
+const RETIRES_DEFERRED: usize = 3;
+/// [`RuntimeStats::retire_flushes`]'s counter.
+const RETIRE_FLUSHES: usize = 4;
 
 /// One single `spawn` and one retire in `SAMPLE_PERIOD` (on average, per thread) is timed,
 /// and its span counts `SAMPLE_PERIOD` times: the per-task clock reads a sampled phase saves
@@ -447,7 +460,8 @@ impl Runtime {
         let observers = config.observers.clone();
         let inner = Arc::new_cyclic(|weak: &std::sync::Weak<Inner>| {
             let weak_for_pool = weak.clone();
-            let pool = ThreadPool::<Box<TaskRecord>>::with_tenants(
+            let weak_for_idle = weak.clone();
+            let pool = ThreadPool::<Box<TaskRecord>>::with_idle_hook(
                 config.workers,
                 config.scheduling,
                 // The tenant of a task is its job: FairShare round-robins across live jobs.
@@ -456,6 +470,14 @@ impl Runtime {
                     if let Some(inner) = weak_for_pool.upgrade() {
                         execute_task(&inner, record, wctx);
                     }
+                },
+                // An idle worker applies the retires it deferred before it assists or sleeps.
+                move |wctx| {
+                    Retirer::holds_batch()
+                        && weak_for_idle.upgrade().is_some_and(|inner| {
+                            RETIRER.with_borrow_mut(|r| r.timed_flush(&inner, wctx));
+                            true
+                        })
                 },
             );
             Inner {
@@ -622,6 +644,8 @@ impl Runtime {
             spawn_ns: self.inner.timers.get(SPAWN_NS),
             body_ns: self.inner.timers.get(BODY_NS),
             retire_ns: self.inner.timers.get(RETIRE_NS),
+            retires_deferred: self.inner.timers.get(RETIRES_DEFERRED) as usize,
+            retire_flushes: self.inner.timers.get(RETIRE_FLUSHES) as usize,
             jobs_submitted: self.inner.jobs_submitted.load(Ordering::Relaxed),
             jobs_completed: self.inner.jobs_completed.load(Ordering::Relaxed),
             jobs_cancelled: self.inner.jobs_cancelled.load(Ordering::Relaxed),
@@ -1468,12 +1492,175 @@ fn new_record(ctx: &TaskCtx<'_>, clauses: &Clauses, body: Body) -> Box<TaskRecor
     record
 }
 
+/// A retire batch holds at most this many deferred `ChildDone`s (rule (d) of [`defers_retire`]).
+const RETIRE_BATCH_CAP: usize = 32;
+
+/// The retire batching rule: whether a finished leaf's `ChildDone` may wait in its worker's
+/// batch, to be applied later together with its siblings' under one acquisition of their
+/// parent's domain (see `docs/runtime.md`, "Retire batching"). It reads only what the runtime
+/// observes. It holds when
+/// (a) the body ran shorter than `retire_estimate_ns`, the worker's running estimate of an
+///     unbatched retire — so a long body, whose successor chain (§VIII-A) is worth more than
+///     the lock it would save, never waits;
+/// (b) no later sibling has linked a release edge to the task — its retire would make that
+///     sibling ready;
+/// (c) the worker's next local job is a sibling (the batch is also flushed before a task of
+///     another parent runs, since the forecast can miss), asked last as it is the one probe
+///     that touches a queue;
+/// (d) the batch holds fewer than [`RETIRE_BATCH_CAP`] messages.
+fn defers_retire(
+    body_ns: u64,
+    retire_estimate_ns: u64,
+    successor_linked: bool,
+    next_is_sibling: impl FnOnce() -> bool,
+    batch_len: usize,
+) -> bool {
+    body_ns < retire_estimate_ns
+        && !successor_linked
+        && batch_len < RETIRE_BATCH_CAP
+        && next_is_sibling()
+}
+
+/// A worker's retire state: the batch of deferred `ChildDone`s — all for one parent, so all of
+/// one job — with the effects their own-domain steps produced, and the estimate rule (a)
+/// compares bodies against. Non-deferred retires use the same outbox and effects buffer, which
+/// keep their capacity, so a retire allocates no message or effect vectors once they grew.
+struct Retirer {
+    outbox: Outbox<Box<TaskRecord>>,
+    effects: Effects<Box<TaskRecord>>,
+    /// `ChildDone`s held back in `outbox`; the batch is empty when this is 0.
+    held: usize,
+    /// The parent of the held leaves: the target of every held message.
+    target: Option<TaskId>,
+    /// The held leaves' job, whose `schedule_effects` the flush runs.
+    job: Option<Arc<JobState>>,
+    /// Running mean (weight 1/8) of this worker's timed retires that applied nothing held
+    /// back, in ns; 0 until the first one, which defers nothing.
+    estimate_ns: u64,
+}
+
 thread_local! {
-    /// This worker's retire buffer: `execute_task` lends it to the engine's `body_finished`,
-    /// `schedule_effects` drains it, and it keeps its capacity, so retiring a task allocates no
-    /// effect vectors once the buffer has grown. Taken out for the call and put back after it,
-    /// so a retire that never returns (a panic) only costs the buffer.
-    static RETIRE_EFFECTS: Cell<Option<Effects<Box<TaskRecord>>>> = const { Cell::new(None) };
+    /// This worker's [`Retirer`]. Borrowed only between bodies — never across one — so the
+    /// nested `execute_task` of a `taskwait` finds it free.
+    static RETIRER: RefCell<Retirer> = const { RefCell::new(Retirer::new()) };
+}
+
+impl Retirer {
+    const fn new() -> Self {
+        Retirer {
+            outbox: Outbox::new(),
+            effects: Effects {
+                ready: Vec::new(),
+                deeply_completed: Vec::new(),
+                taskwaits_unblocked: Vec::new(),
+                root_completed: false,
+            },
+            held: 0,
+            target: None,
+            job: None,
+            estimate_ns: 0,
+        }
+    }
+
+    /// Whether this thread holds deferred retires (one borrow; `false` off the workers).
+    fn holds_batch() -> bool {
+        RETIRER.try_with(|r| r.borrow().held > 0).unwrap_or(false)
+    }
+
+    /// Retires the task `record` ran, its body having taken `body_ns`: either defers its
+    /// `ChildDone` into the batch or applies it, together with a batch of its siblings.
+    /// Returns whether the retire applied nothing held back (a sample for the estimate).
+    fn retire(
+        &mut self,
+        inner: &Arc<Inner>,
+        record: &TaskRecord,
+        wctx: &WorkerContext<'_, Box<TaskRecord>>,
+        body_ns: u64,
+    ) -> bool {
+        let entry = record.entry();
+        let parent = entry.parent_id();
+        if self.held > 0 && self.target != parent {
+            // Held back for another parent (a `taskwait` inside the body ran other tasks).
+            self.flush(inner, wctx);
+        }
+        // Held leaves are this task's siblings, so they belong to its job.
+        debug_assert!(
+            self.job.as_ref().is_none_or(|job| Arc::ptr_eq(job, &record.job)),
+            "a retire batch mixes jobs"
+        );
+        let leaf = inner.engine.finish_body(entry, &mut self.outbox, &mut self.effects);
+        // A leaf deep-completed in its own domain: count it now, before its `ChildDone` can
+        // reach the root, so a finished job never reads a completion short (a batch applies
+        // the `ChildDone` later, and another worker may complete the root meanwhile).
+        let completed = self.effects.deeply_completed.len();
+        if completed > 0 {
+            record.job.deeply_completed.fetch_add(completed, SeqCst);
+            self.effects.deeply_completed.clear();
+        }
+        if leaf
+            && defers_retire(
+                body_ns,
+                self.estimate_ns,
+                entry.successor_linked(),
+                || wctx.next_local_is(|next| next.entry().parent_id() == parent),
+                self.held,
+            )
+        {
+            if self.held == 0 {
+                self.target = parent;
+                self.job = Some(Arc::clone(&record.job));
+            }
+            self.held += 1;
+            inner.timers.add(RETIRES_DEFERRED, 1);
+            return false;
+        }
+        let solo = self.held == 0;
+        // A held batch is this task's siblings': one pump applies both, and the job is theirs.
+        self.apply(inner, wctx, &record.job);
+        solo
+    }
+
+    /// Pumps the outbox and schedules the effects with `job`, emptying the batch.
+    fn apply(
+        &mut self,
+        inner: &Arc<Inner>,
+        wctx: &WorkerContext<'_, Box<TaskRecord>>,
+        job: &Arc<JobState>,
+    ) {
+        inner.engine.pump_outbox(&mut self.outbox, &mut self.effects);
+        schedule_effects(inner, &mut self.effects, Some((wctx, true)), job);
+        if self.held > 0 {
+            inner.timers.add(RETIRE_FLUSHES, 1);
+            self.held = 0;
+            self.target = None;
+            self.job = None;
+        }
+    }
+
+    /// Applies the held batch, if any.
+    fn flush(&mut self, inner: &Arc<Inner>, wctx: &WorkerContext<'_, Box<TaskRecord>>) {
+        if let Some(job) = self.job.clone() {
+            self.apply(inner, wctx, &job);
+        }
+    }
+
+    /// [`Retirer::flush`] outside any retire — the worker went idle, or is about to run a
+    /// task of another parent — timed under [`RETIRE_NS`].
+    fn timed_flush(&mut self, inner: &Arc<Inner>, wctx: &WorkerContext<'_, Box<TaskRecord>>) {
+        let start = Instant::now();
+        self.flush(inner, wctx);
+        add_span(&inner.timers, RETIRE_NS, start, Instant::now(), 1);
+    }
+
+    /// Folds a timed retire that applied nothing held back into the estimate. A sample is
+    /// clipped at twice the estimate, so one preempted retire cannot open the gate to long
+    /// bodies.
+    fn observe(&mut self, retire_ns: u64) {
+        self.estimate_ns = match self.estimate_ns {
+            0 => retire_ns,
+            estimate => estimate - estimate / 8 + retire_ns.min(2 * estimate) / 8,
+        };
+    }
 }
 
 /// Executes one task body on a worker and feeds the outcome back into the dependency engine.
@@ -1482,6 +1669,15 @@ fn execute_task(
     mut record: Box<TaskRecord>,
     wctx: &WorkerContext<'_, Box<TaskRecord>>,
 ) {
+    if Retirer::holds_batch() {
+        // The batch waits only behind siblings of its leaves.
+        let parent = record.entry().parent_id();
+        RETIRER.with_borrow_mut(|r| {
+            if r.target != parent {
+                r.timed_flush(inner, wctx);
+            }
+        });
+    }
     let body = record.body.take();
     let job = &record.job;
     // Cancellation bracket (`SeqCst`, see `crate::job`'s ordering argument): the increment
@@ -1567,13 +1763,17 @@ fn execute_task(
     // be flagged against its still-registered footprint.
     #[cfg(feature = "sentinel")]
     inner.sentinel.task_finished(sentinel_key(record.id));
-    let mut effects = RETIRE_EFFECTS.try_with(Cell::take).ok().flatten().unwrap_or_default();
-    inner.engine.body_finished_into(record.entry(), &mut effects);
-    schedule_effects(inner, &mut effects, Some((wctx, true)), job);
-    let _ = RETIRE_EFFECTS.try_with(|cell| cell.set(Some(effects)));
-    if let Some((start, weight)) = retire_start {
-        add_span(&inner.timers, RETIRE_NS, start, Instant::now(), weight);
-    }
+    let body_ns = end.duration_since(start).as_nanos() as u64;
+    RETIRER.with_borrow_mut(|r| {
+        let solo = r.retire(inner, &record, wctx, body_ns);
+        if let Some((start, weight)) = retire_start {
+            let span = Instant::now().duration_since(start).as_nanos() as u64;
+            inner.timers.add(RETIRE_NS, weight * span);
+            if solo {
+                r.observe(span);
+            }
+        }
+    });
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1621,10 +1821,11 @@ fn schedule_effects(
     if !effects.deeply_completed.is_empty() {
         job.deeply_completed.fetch_add(effects.deeply_completed.len(), SeqCst);
         effects.deeply_completed.clear();
-        // Live-task load just dropped: let a blocked submission re-probe the budget. Cheap
-        // (one atomic load) when nothing is blocked.
-        inner.admission.notify_release();
     }
+    // Live-task load may just have dropped (a worker's retire counts its own deep completion
+    // before the pump retires the task): let a blocked submission re-probe the budget. Cheap
+    // (one atomic load) when nothing is blocked.
+    inner.admission.notify_release();
 
     let root_completed = std::mem::take(&mut effects.root_completed);
     if root_completed {
@@ -2688,5 +2889,162 @@ mod tests {
         assert!(started.elapsed() >= 2 * delay, "both tasks were delayed");
         let body_ns = rt.stats().body_ns;
         assert!(body_ns < delay.as_nanos() as u64, "body_ns {body_ns} includes the delay");
+    }
+
+    #[test]
+    fn the_deferral_rule_is_a_pure_function_of_what_the_runtime_observes() {
+        let estimate = 4_000;
+        assert!(defers_retire(1_000, estimate, false, || true, 0));
+        // (a) A body at or above the estimate never waits, whatever else holds; nor does any
+        // body before the worker has an estimate.
+        for body_ns in [estimate, estimate + 1, 100 * estimate] {
+            for linked in [false, true] {
+                for sibling in [false, true] {
+                    for len in [0, 1, RETIRE_BATCH_CAP - 1, RETIRE_BATCH_CAP] {
+                        assert!(!defers_retire(body_ns, estimate, linked, || sibling, len));
+                    }
+                }
+            }
+        }
+        assert!(!defers_retire(0, 0, false, || true, 0));
+        // (b) A linked sibling successor, (c) a next local job of another parent (or none).
+        assert!(!defers_retire(1_000, estimate, true, || true, 0));
+        assert!(!defers_retire(1_000, estimate, false, || false, 0));
+        // (d) The cap.
+        assert!(defers_retire(1_000, estimate, false, || true, RETIRE_BATCH_CAP - 1));
+        assert!(!defers_retire(1_000, estimate, false, || true, RETIRE_BATCH_CAP));
+        // The queue probe is asked last, only when everything else holds.
+        assert!(!defers_retire(estimate, estimate, false, || panic!("probed"), 0));
+        assert!(!defers_retire(1_000, estimate, true, || panic!("probed"), 0));
+    }
+
+    #[test]
+    fn one_slow_retire_moves_the_estimate_by_at_most_an_eighth() {
+        let mut retirer = Retirer::new();
+        retirer.observe(2_000);
+        assert_eq!(retirer.estimate_ns, 2_000, "the first sample sets the estimate");
+        retirer.observe(1_000_000);
+        assert_eq!(retirer.estimate_ns, 2_000 - 250 + 500, "a sample is clipped at 2×");
+        retirer.observe(0);
+        assert_eq!(retirer.estimate_ns, 2_250 - 281);
+    }
+
+    #[test]
+    fn a_taskwait_over_ten_thousand_fine_leaves_completes() {
+        let rt = Runtime::with_workers(2);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&ran);
+        let handle = rt.submit(move |ctx| {
+            ctx.task().spawn(move |parent| {
+                let bumped = Arc::clone(&counted);
+                parent.spawn_each(
+                    10_000,
+                    |_, _| {},
+                    move |_, _| {
+                        bumped.fetch_add(1, Ordering::Relaxed);
+                    },
+                );
+                parent.taskwait();
+                assert_eq!(counted.load(Ordering::Relaxed), 10_000);
+            });
+        });
+        let outcome = loop {
+            match handle.try_wait_result() {
+                Some(outcome) => break outcome,
+                None => std::thread::yield_now(),
+            }
+        };
+        assert!(outcome.is_ok());
+        let stats = handle.stats();
+        assert_eq!(stats.tasks_registered, 10_002);
+        assert_eq!(stats.tasks_deeply_completed, stats.tasks_registered);
+        assert_eq!(ran.load(Ordering::Relaxed), 10_000);
+        // The sentinel's shadow-table check runs inside the body span and scans every live
+        // task, so its leaves are not short and rule (a) rightly defers none of them.
+        if cfg!(not(feature = "sentinel")) {
+            let runtime = rt.stats();
+            assert!(runtime.retires_deferred > 0, "fine leaves without successors are batched");
+            assert!(runtime.retire_flushes > 0);
+            assert!(runtime.retire_flushes <= runtime.retires_deferred);
+        }
+    }
+
+    #[test]
+    fn leaves_with_sibling_successors_defer_nothing() {
+        let rt = Runtime::with_workers(2);
+        // A chain of `inout` on one cell, registered as one wave: every link but the last has
+        // its successor linked, and the last has no sibling left to run after it.
+        let cell = SharedSlice::<u64>::new(1);
+        let c = cell.clone();
+        rt.run(|ctx| {
+            ctx.spawn_each(
+                1_000,
+                |_, clauses| {
+                    clauses.inout(cell.region(0..1));
+                },
+                move |t, _| c.write(t, 0..1)[0] += 1,
+            );
+        });
+        assert_eq!(cell.snapshot()[0], 1_000);
+        // An 8 × 8 wavefront in one wave: tile (i, j) reads its upper and left neighbours and
+        // writes itself, so every tile but the last has a sibling successor.
+        let grid = SharedSlice::<u64>::new(64);
+        let g = grid.clone();
+        rt.run(|ctx| {
+            ctx.spawn_each(
+                64,
+                |k, clauses| {
+                    clauses.inout(grid.region(k..k + 1));
+                    if k >= 8 {
+                        clauses.input(grid.region(k - 8..k - 7));
+                    }
+                    if k % 8 > 0 {
+                        clauses.input(grid.region(k - 1..k));
+                    }
+                },
+                move |t, k| {
+                    let up = if k >= 8 { g.read(t, k - 8..k - 7)[0] } else { 0 };
+                    let left = if k % 8 > 0 { g.read(t, k - 1..k)[0] } else { 0 };
+                    g.write(t, k..k + 1)[0] = up.max(left) + 1;
+                },
+            );
+        });
+        assert_eq!(grid.snapshot()[63], 15, "the wavefront ran in dependency order");
+        assert_eq!(rt.stats().retires_deferred, 0);
+    }
+
+    #[test]
+    fn concurrent_jobs_retire_in_batches_of_their_own() {
+        // Four jobs of fine leaves at once: a batch holds one parent's leaves, so one job's;
+        // `Retirer::retire` asserts it in debug builds, and each job's own count of
+        // deep completions (kept by the `schedule_effects` of its batches) must match.
+        let rt = Runtime::with_workers(2);
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                rt.submit(|ctx| {
+                    for _ in 0..4 {
+                        ctx.task().spawn(|parent| {
+                            parent.spawn_each(500, |_, _| {}, |_, _| {});
+                            parent.taskwait();
+                        });
+                    }
+                })
+            })
+            .collect();
+        for handle in &handles {
+            let outcome = loop {
+                match handle.try_wait_result() {
+                    Some(outcome) => break outcome,
+                    None => std::thread::yield_now(),
+                }
+            };
+            assert!(outcome.is_ok());
+            let stats = handle.stats();
+            assert_eq!(stats.tasks_registered, 1 + 4 + 4 * 500);
+            assert_eq!(stats.tasks_deeply_completed, stats.tasks_registered);
+        }
+        if cfg!(not(feature = "sentinel")) {
+            assert!(rt.stats().retires_deferred > 0, "the jobs' leaves were batched");
+        }
     }
 }

@@ -227,11 +227,12 @@ fn registering_a_five_access_child_allocates_its_entry_and_node_list() {
 }
 
 /// A long read-only chain under one parent: each reader of one region joins the bottom map's
-/// reader group, which keeps the finished readers until the next writer, so every registration
-/// copies the group. The copy is built at its final size — one allocation for a spilled group,
-/// beside the reader's entry — so 4 096 readers, each finished before the next registers,
-/// allocate 2 per registration (8 196 in all; 45 064 while the vendored `SmallVec::clone`
-/// pushed element by element and the copy then grew by one more push).
+/// reader group, and every registration copies the group. The copy leaves out the readers that
+/// were fully released, so 4 096 readers, each finished before the next registers, keep a
+/// group of one (inline, no allocation) and allocate only their entry: 4 102 in all. While
+/// finished readers stayed in the group until the next writer, the copy grew with the chain:
+/// 8 196 allocations and O(n²) element copies, 45 064 allocations before the vendored
+/// `SmallVec::clone` reserved its length once.
 #[test]
 fn a_long_reader_chain_copies_each_reader_group_once() {
     const READERS: usize = 4096;
@@ -250,7 +251,7 @@ fn a_long_reader_chain_copies_each_reader_group_once() {
     }
 
     assert!(
-        allocations <= 3 * READERS,
+        allocations <= READERS + 16,
         "{allocations} allocations registering {READERS} readers"
     );
 }

@@ -53,6 +53,11 @@ use sleep::SleepState;
 /// The executor callback: invoked once per job on a worker thread.
 pub type Executor<T> = dyn Fn(T, &WorkerContext<'_, T>) + Send + Sync;
 
+/// The idle callback: invoked on a worker whose search for work came back empty, before it
+/// assists a loop or sleeps. Returns whether it did anything — it may have made jobs ready —
+/// in which case the worker searches again first.
+pub type IdleHook<T> = dyn Fn(&WorkerContext<'_, T>) -> bool + Send + Sync;
+
 /// How the pool places ready jobs and searches for work. Every policy is *observationally
 /// equivalent* on data results — policies reorder execution, they never change what executes —
 /// but they produce very different (task → worker) schedules, which is exactly the Figure 3
@@ -465,6 +470,7 @@ pub struct ThreadPool<T: Send + 'static> {
 pub struct WorkerContext<'a, T: Send + 'static> {
     shared: &'a Shared<T>,
     executor: &'a Executor<T>,
+    idle: &'a IdleHook<T>,
     deque: &'a Deque<T>,
     successor_slot: &'a Cell<Option<T>>,
     rng: &'a RefCell<SmallRng>,
@@ -506,6 +512,22 @@ impl<T: Send + 'static> ThreadPool<T> {
     where
         F: Fn(T, &WorkerContext<'_, T>) + Send + Sync + 'static,
     {
+        Self::with_idle_hook(workers, policy, tenant_of, executor, |_| false)
+    }
+
+    /// [`ThreadPool::with_tenants`] with an [`IdleHook`] the workers run whenever their search
+    /// for work comes back empty.
+    pub fn with_idle_hook<F, I>(
+        workers: usize,
+        policy: SchedulingPolicy,
+        tenant_of: fn(&T) -> u64,
+        executor: F,
+        idle: I,
+    ) -> Self
+    where
+        F: Fn(T, &WorkerContext<'_, T>) + Send + Sync + 'static,
+        I: Fn(&WorkerContext<'_, T>) -> bool + Send + Sync + 'static,
+    {
         let workers = workers.max(1);
         let deques: Vec<Deque<T>> = (0..workers).map(|_| Deque::new_lifo()).collect();
         let stealers = deques.iter().map(Deque::stealer).collect();
@@ -523,14 +545,16 @@ impl<T: Send + 'static> ThreadPool<T> {
             assist: AssistRegistry::new(),
         });
         let executor: Arc<Executor<T>> = Arc::new(executor);
+        let idle: Arc<IdleHook<T>> = Arc::new(idle);
 
         let mut handles = Vec::with_capacity(workers);
         for (index, deque) in deques.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
             let executor = Arc::clone(&executor);
+            let idle = Arc::clone(&idle);
             let handle = std::thread::Builder::new()
                 .name(format!("weakdep-worker-{index}"))
-                .spawn(move || worker_main(index, deque, shared, executor))
+                .spawn(move || worker_main(index, deque, shared, executor, idle))
                 .expect("failed to spawn worker thread");
             handles.push(handle);
         }
@@ -739,11 +763,32 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         self.shared.wake(queued, (wave == WaveQueue::Local).then_some(self.domain));
     }
 
+    /// Whether `pred` holds for the job this worker takes next from its own structures: the
+    /// successor slot's job, or else the top of its deque (popped and pushed back, so it stays
+    /// on top). `false` when both are empty. A thief may still take a deque's last job before
+    /// the owner does, so the answer is a forecast, not a promise.
+    pub fn next_local_is(&self, pred: impl FnOnce(&T) -> bool) -> bool {
+        if let Some(job) = self.successor_slot.take() {
+            let answer = pred(&job);
+            self.successor_slot.set(Some(job));
+            return answer;
+        }
+        match self.deque.pop() {
+            Some(job) => {
+                let answer = pred(&job);
+                self.deque.push(job);
+                answer
+            }
+            None => false,
+        }
+    }
+
     /// The worker's one idle loop, callable from inside a job: keeps this worker acquiring
-    /// and running work — successor slot → local deque → shared queue → steal → **assist** a
-    /// published loop (see `docs/scheduling.md`) — and parks it in the pool's sleep state when
-    /// there is none, until `done()` holds (or the pool shuts down). This is how a job waits
-    /// for a condition without blocking the OS thread (the runtime's `taskwait`).
+    /// and running work — successor slot → local deque → shared queue → steal → the pool's
+    /// [`IdleHook`] → **assist** a published loop (see `docs/scheduling.md`) — and parks it in
+    /// the pool's sleep state when there is none, until `done()` holds (or the pool shuts
+    /// down). This is how a job waits for a condition without blocking the OS thread (the
+    /// runtime's `taskwait`).
     ///
     /// Whoever flips `done` must call [`ThreadPool::wake_waiters`] afterwards; every ordinary
     /// dispatch wake reaches the parked worker as well.
@@ -770,6 +815,9 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
             }
             if let Some(job) = self.find_work() {
                 self.run(job);
+                continue;
+            }
+            if (self.idle)(self) {
                 continue;
             }
             if self.assist_once() {
@@ -947,12 +995,14 @@ fn worker_main<T: Send + 'static>(
     deque: Deque<T>,
     shared: Arc<Shared<T>>,
     executor: Arc<Executor<T>>,
+    idle: Arc<IdleHook<T>>,
 ) {
     let successor_slot = Cell::new(None);
     let rng = RefCell::new(SmallRng::seed_from_u64(0x9E3779B97F4A7C15 ^ index as u64));
     let ctx = WorkerContext {
         shared: &shared,
         executor: executor.as_ref(),
+        idle: idle.as_ref(),
         deque: &deque,
         successor_slot: &successor_slot,
         rng: &rng,

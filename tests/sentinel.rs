@@ -71,6 +71,45 @@ fn nested_weak_workload_is_clean() {
     assert!(data.snapshot().iter().all(|&v| v == 9));
 }
 
+/// Retire batching at 2 workers: the fine blocks of axpy-like weak outer tasks (four calls
+/// per run, each block `inout` on its slice) hold their `ChildDone`s back in batches. The
+/// successor blocks a flush releases must still start only after their predecessors left the
+/// shadow table, so the run stays clean.
+#[test]
+fn batched_retires_are_clean() {
+    let rt = Runtime::with_workers(2);
+    let data = SharedSlice::<u64>::filled(4096, 0);
+    for _ in 0..20 {
+        let outer_data = data.clone();
+        rt.run(move |ctx| {
+            let n = outer_data.len();
+            for _ in 0..4 {
+                let inner_data = outer_data.clone();
+                ctx.task()
+                    .weak_inout(outer_data.region(0..n))
+                    .weakwait()
+                    .label("outer")
+                    .spawn(move |outer| {
+                        let block = inner_data.clone();
+                        outer.spawn_each(
+                            n / 64,
+                            |i, clauses| {
+                                clauses.inout(inner_data.region(i * 64..(i + 1) * 64)).label("block");
+                            },
+                            move |t, i| {
+                                for v in block.write(t, i * 64..(i + 1) * 64) {
+                                    *v += 1;
+                                }
+                            },
+                        );
+                    });
+            }
+        });
+    }
+    assert!(data.snapshot().iter().all(|&v| v == 80));
+    assert!(rt.stats().retires_deferred > 0, "the blocks' retires were batched");
+}
+
 /// A chain of dependent writers over one region: the engine serialises them, so the sentinel
 /// must never see two of them running at once — across many repetitions.
 #[test]

@@ -12,7 +12,7 @@
 //!   explicitly cancelled jobs with `Cancelled` — exactly as injected;
 //! * every job drains: `registered == deeply_completed` and `executed + skipped ==
 //!   registered` per job and in the engine aggregate;
-//! * capacity plateaus (task-table slots recycle instead of tracking the task total) and the
+//! * capacity plateaus (task ids recycle instead of tracking the task total) and the
 //!   whole soak finishes within the harness deadline — an injected fault must never wedge the
 //!   service.
 //!
@@ -373,7 +373,7 @@ mod harness {
         assert_eq!(capacity.live_jobs, 0, "no live jobs after the soak");
         assert!(
             capacity.task_table_slots < total_tasks,
-            "task table ({} slots) tracked the task total ({total_tasks}) instead of \
+            "minted ids ({}) tracked the task total ({total_tasks}) instead of \
              plateauing at the live high-water mark",
             capacity.task_table_slots
         );
@@ -392,7 +392,7 @@ mod harness {
             "chaos: seed {SEED:#x}, panic rate {PANIC_RATE}, {total_jobs} jobs ({clean} clean, {panicked} panicked, 2 deadline, 2 cancelled) / {total_tasks} tasks on {workers} workers in {total_secs:.3}s"
         );
         println!(
-            "  clean-job latency p50={:.2}ms p99={:.2}ms  admission admitted={} blocked={} high_water={}  table slots={}",
+            "  clean-job latency p50={:.2}ms p99={:.2}ms  admission admitted={} blocked={} high_water={}  ids minted={}",
             pct(50.0),
             pct(99.0),
             stats.admission.admitted,

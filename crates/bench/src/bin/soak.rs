@@ -1,13 +1,14 @@
 //! Long-lived steady-state soak: pushes ≥1M tasks through **one** `Runtime` and records that
-//! task-table capacity plateaus at the live-task high-water mark instead of growing linearly
-//! with the total number of tasks — the property the generation-based id-retirement scheme
-//! provides. (A not-yet-ready task's record is parked in its scheduling record in the parent's
-//! domain, which is freed when the task retires, so the task-table plateau covers it too.) A
+//! the task ids minted (`CapacityStats::task_table_slots`) plateau at the live-task high-water
+//! mark instead of growing linearly with the total number of tasks — the property the
+//! generation-based id-retirement scheme provides. (A not-yet-ready task's record is parked in
+//! its scheduling record in the parent's domain, which is freed when the task retires, so the
+//! id plateau covers it too.) A
 //! long-running server leaks without it (the state the pre-retirement design retained was
 //! ~hundreds of bytes per task ever spawned).
 //!
 //! The workload is waves of dependent tasks over a fixed region set (so dependency chains form
-//! and recycle edges/nodes, not just table slots), separated by `taskwait` inside a single
+//! and recycle edges/nodes, not just ids), separated by `taskwait` inside a single
 //! `run` — the shape of a service draining request batches forever. After each wave the
 //! capacity counters (and RSS, when `/proc` is available) are sampled; at the end the plateau
 //! is asserted and the samples' first, last and maximum are printed.
@@ -93,7 +94,7 @@ fn main() {
     );
     assert_eq!(
         stats.engine.tasks_registered, stats.engine.tasks_retired,
-        "every deeply completed task must have its slot retired"
+        "every deeply completed task must be retired"
     );
     assert_eq!(data.snapshot().iter().sum::<u64>(), total_tasks as u64);
 
@@ -104,13 +105,13 @@ fn main() {
     // first-wave high-water mark, and nowhere near linear in the task count.
     assert!(
         max_table <= first.capacity.task_table_slots * 3 + 1024,
-        "task table must plateau: first wave {} slots, max {} slots",
+        "minted ids must plateau: first wave {} ids, max {} ids",
         first.capacity.task_table_slots,
         max_table
     );
     assert!(
         max_table < total_tasks / 10,
-        "task table grew with total tasks ({max_table} slots for {total_tasks} tasks)"
+        "minted ids grew with total tasks ({max_table} ids for {total_tasks} tasks)"
     );
 
     println!(
@@ -123,7 +124,7 @@ fn main() {
         total_tasks as f64 / elapsed.max(1e-12)
     );
     println!(
-        "  table slots: wave0={} final={} max={}",
+        "  ids minted: wave0={} final={} max={}",
         first.capacity.task_table_slots,
         last.capacity.task_table_slots,
         max_table

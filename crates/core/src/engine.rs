@@ -15,7 +15,8 @@
 //! deep-completion flowing *up*) is expressed as a small message protocol ([`Message`]) between
 //! domains instead of mutations under a shared lock. Messages are drained by whichever thread
 //! produced them, after releasing the lock that produced them, holding at most one domain lock
-//! at a time — see `docs/locking.md` for the full hierarchy and the no-deadlock argument.
+//! at a time and no other lock while it holds one — see `docs/locking.md` for the no-deadlock
+//! argument.
 //!
 //! # Model
 //!
@@ -66,24 +67,20 @@
 //!
 //! Access nodes and per-child scheduling records — the bulky, per-dependency state — are
 //! slab-allocated inside each domain and recycled (guarded by slot generations) once the owning
-//! task has deeply completed and the access is fully released. The per-task [`TaskEntry`]
-//! shells are recycled through the same discipline one level up: a task is **retired** — its
-//! task-table slot emptied, the slot generation bumped and the id filed under the retiring
-//! thread's home free list — the moment its scheduling record in the parent's domain is
-//! reclaimed (which requires deep completion *and* full release of every declared access), and
-//! roots retire at deep completion. [`TaskId`]s are generational, so a handle held past
-//! retirement is detected ([`StaleTaskId`]) instead of aliasing a younger task that reuses the
-//! slot. Under steady-state load the task table therefore plateaus at the live-task high-water
-//! mark instead of growing with every task ever spawned.
+//! task has deeply completed and the access is fully released. Task ids are recycled one level
+//! up: a task is **retired** — its id reported in [`Effects::retired`], which the drain files
+//! for reuse with a bumped generation — the moment its scheduling record in the parent's
+//! domain is reclaimed (deep completion *and* full release of every declared access); roots
+//! retire at deep completion. A [`TaskId`] held past retirement is detected ([`StaleTaskId`])
+//! instead of aliasing a younger task that reuses the index.
 //!
 //! # Two ways in
 //!
-//! Every [`TaskId`] function (registration, [`DependencyEngine::body_finished`],
-//! [`DependencyEngine::release_region`] and the queries) resolves its id through the task table
-//! once and then runs the entry-based code. The runtime skips that lookup: registration hands
-//! each new task's payload (the runtime's task record) the task's own entry, and the record
-//! spawns children, retires, waits and releases through it. The table serves the id API and
-//! nothing else.
+//! A task is reached through its entry, which the scheduling record in its parent's domain
+//! holds until the task retires (a root's registrant holds a root). The runtime keeps no
+//! id → entry map: each task record holds its task's entry and reaches the engine through it.
+//! Every [`TaskId`] function resolves its id through the id index, which only the id API's own
+//! registrations fill, and then runs the entry-based code.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -100,12 +97,11 @@ use crate::access::{normalize_deps, Depend, NormalizedDep, WaitMode};
 
 /// Identifier of a task inside the engine (and the runtime).
 ///
-/// Ids are *generational*: the slot `index` into the task table is dense and **recycled** once
-/// the task is retired (deeply completed, every access fully released, all bookkeeping in the
-/// parent's domain reclaimed), and each reuse bumps the slot's `generation`. A `TaskId` held
-/// past its task's retirement is therefore detectable: the query API returns a defined
-/// [`StaleTaskId`] error for it instead of reporting the state of whichever younger task now
-/// occupies the slot.
+/// Ids are *generational*: the `index` is dense and **recycled** once the task is retired
+/// (deeply completed, every access fully released, all bookkeeping in the parent's domain
+/// reclaimed), and each reuse bumps the `generation`. A `TaskId` held past its task's
+/// retirement is therefore detectable: the query API returns a defined [`StaleTaskId`] error
+/// for it instead of reporting the state of whichever younger task now uses the index.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct TaskId {
     index: u32,
@@ -113,19 +109,19 @@ pub struct TaskId {
 }
 
 impl TaskId {
-    /// The dense slot index in the task table. Unique among *live* tasks only — retired tasks'
-    /// indexes are reused (with a different [`TaskId::generation`]).
+    /// The dense index of the id. Unique among *live* tasks only — retired tasks' indexes are
+    /// reused (with a different [`TaskId::generation`]).
     pub fn index(self) -> usize {
         self.index as usize
     }
 
-    /// The slot generation this id was minted with.
+    /// The generation this id was minted with.
     pub fn generation(self) -> u32 {
         self.generation
     }
 
     /// Fabricates an id for observer tests and imported traces. Synthetic ids carry the
-    /// reserved generation [`TaskId::SYNTHETIC_GENERATION`], which no engine ever mints (slots
+    /// reserved generation [`TaskId::SYNTHETIC_GENERATION`], which no engine ever mints (indexes
     /// are permanently retired before reaching it), so they are guaranteed to be stale handles
     /// into any live engine — they can never alias a real task.
     pub fn synthetic(index: usize) -> TaskId {
@@ -136,8 +132,8 @@ impl TaskId {
     }
 
     /// The generation reserved for [`TaskId::synthetic`] ids. [`DependencyEngine`] stops
-    /// recycling a slot whose generation would reach this value (leaking one table slot per
-    /// `u32::MAX` reuses of the same slot — unreachable in practice, and the price of making
+    /// recycling an index whose generation would reach this value (leaking one index per
+    /// `u32::MAX` reuses of the same index — unreachable in practice, and the price of making
     /// generation wrap-around aliasing impossible).
     pub const SYNTHETIC_GENERATION: u32 = u32::MAX;
 }
@@ -149,8 +145,8 @@ impl std::fmt::Display for TaskId {
 }
 
 /// Error returned by the `try_*` query API for a [`TaskId`] this engine does not currently
-/// track: either the task was retired (its table slot recycled — which implies it deeply
-/// completed) or the id was never issued by this engine.
+/// track through its id index: either the task was retired (which implies it deeply completed)
+/// or the id was never issued by this engine's id API.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct StaleTaskId(pub TaskId);
 
@@ -185,6 +181,10 @@ pub struct Effects<P = TaskId> {
     pub taskwaits_unblocked: Vec<TaskId>,
     /// A root task deeply completed — the condition `Runtime::run` blocks on.
     pub root_completed: bool,
+    /// Tasks retired: their last bookkeeping in the parent's domain was reclaimed (a root's at
+    /// deep completion). Their ids are filed for reuse after every lock is released (the id
+    /// API has filed them before it returns).
+    pub retired: Vec<TaskId>,
 }
 
 impl<P> Default for Effects<P> {
@@ -194,6 +194,7 @@ impl<P> Default for Effects<P> {
             deeply_completed: Vec::new(),
             taskwaits_unblocked: Vec::new(),
             root_completed: false,
+            retired: Vec::new(),
         }
     }
 }
@@ -205,6 +206,7 @@ impl<P> Effects<P> {
             && self.deeply_completed.is_empty()
             && self.taskwaits_unblocked.is_empty()
             && !self.root_completed
+            && self.retired.is_empty()
     }
 }
 
@@ -225,8 +227,8 @@ pub struct EngineStats {
     pub incremental_releases: usize,
     /// Tasks that deeply completed (body finished and all descendants deeply complete).
     pub tasks_deeply_completed: usize,
-    /// Tasks whose table slot has been retired (recycled for reuse). Under steady-state load
-    /// this tracks `tasks_deeply_completed`; the difference is the not-yet-reclaimed tail.
+    /// Tasks retired (their ids reported for reuse). Under steady-state load this tracks
+    /// `tasks_deeply_completed`; the difference is the not-yet-reclaimed tail.
     pub tasks_retired: usize,
     /// Bottom-map registrations that split no stored fragment and touched at most one
     /// fragment: the declared region matched one stored fragment exactly or lay in one gap
@@ -755,8 +757,8 @@ struct NodeSlot {
 struct ChildSched<P> {
     task: TaskId,
     /// Entry of the child (set right after the entry is created during registration): the
-    /// target of the `SatisfyDown` messages its access nodes forward.
-    entry: Weak<TaskEntry<P>>,
+    /// target of the `SatisfyDown` messages its access nodes forward. Held until it retires.
+    entry: Option<Arc<TaskEntry<P>>>,
     /// What the runtime runs once the child is ready, parked here until then. Readiness moves
     /// it out into [`Effects::ready`], so `None` means the child was reported ready (or was
     /// ready at registration and never parked).
@@ -769,7 +771,7 @@ struct ChildSched<P> {
     deeply_completed: bool,
     /// Set once a later sibling linked a release edge to one of the child's accesses, when the
     /// child's [`TaskEntry::successor_linked`] was raised (raised once, so linking a second
-    /// edge costs no entry upgrade).
+    /// edge touches no entry).
     successor_linked: bool,
 }
 
@@ -865,8 +867,7 @@ struct Domain<P> {
     /// The entry owning this domain (always upgradable while the engine lives; weak only to
     /// avoid a strong self-cycle through `TaskEntry::domain`).
     self_entry: Weak<TaskEntry<P>>,
-    /// Entry of the owner's parent (`None` for roots); the target of upward messages. Caching it
-    /// here keeps task-table lookups off the retire hot path.
+    /// Entry of the owner's parent (`None` for roots); the target of upward messages.
     parent_entry: Option<Weak<TaskEntry<P>>>,
     wait_mode: WaitMode,
     body_finished: bool,
@@ -1077,7 +1078,7 @@ impl<P> Domain<P> {
     /// Frees `idx` if its node is fully released and its task has deeply completed; also frees
     /// the scheduling record once its last node is gone. Returns the task whose scheduling
     /// record was just freed, if any — that task has no state left in this domain and the
-    /// caller must retire its table slot.
+    /// caller must retire it.
     fn try_free_node(&mut self, idx: u32) -> Option<TaskId> {
         let node = self.node(idx)?;
         if !node.fully_released(&self.frag) {
@@ -1115,9 +1116,8 @@ impl<P> Domain<P> {
     }
 }
 
-/// One task: its identity, its links into its parent's domain and its own domain. The task
-/// table holds it until the task retires; the runtime's task record holds it too, and reaches
-/// the task through it without a table lookup.
+/// One task: its identity, its links into its parent's domain and its own domain. Held by its
+/// scheduling record in the parent's domain until it retires, and by the runtime's task record.
 pub(crate) struct TaskEntry<P> {
     pub(crate) id: TaskId,
     parent: Option<TaskId>,
@@ -1189,8 +1189,8 @@ enum Message<P> {
 }
 
 impl<P> Message<P> {
-    /// The domain this message must be applied under. Messages carry resolved entries so the
-    /// pump never goes through the task table.
+    /// The domain this message must be applied under. Messages carry resolved entries, so an
+    /// entry stays alive while a message can still name it.
     fn target(&self) -> &Arc<TaskEntry<P>> {
         match self {
             Message::SatisfyDown { target, .. } => target,
@@ -1262,18 +1262,7 @@ impl<P: 'static> CascadeScratch<P> {
     }
 }
 
-/// Number of stripes in the task table. Lookups take a stripe lock only long enough to clone an
-/// `Arc`, so this mostly bounds allocation contention during bursts of registration.
-const TABLE_SHARDS: usize = 64;
-
-/// One slot of the task table. The generation is bumped on retirement, so a reused slot never
-/// answers for a stale [`TaskId`].
-struct TableSlot<P> {
-    gen: u32,
-    entry: Option<Arc<TaskEntry<P>>>,
-}
-
-/// One free list of retired ids, each id already carrying its slot's next generation, padded
+/// One free list of retired ids, each id already carrying its next generation, padded
 /// to its own cache lines so neighbouring homes do not share one. The engine keeps one list per
 /// [`thread_slot`]: a thread's home list is the one its slot names.
 #[repr(align(128))]
@@ -1294,12 +1283,10 @@ struct FreeList {
 /// (`P = TaskId`, the default), so `Effects::ready` lists ids; the runtime parks its task
 /// records instead, so a ready task's record comes straight out of the engine.
 pub struct DependencyEngine<P = TaskId> {
-    /// Task table: index `i` lives in stripe `i % TABLE_SHARDS` at position `i / TABLE_SHARDS`.
-    /// It serves the [`TaskId`] API only; the runtime reaches each task through the entry its
-    /// record holds.
-    table: Vec<Mutex<Vec<TableSlot<P>>>>,
-    /// Retired ids, ready for reuse; a retire files its id under the retiring thread's home
-    /// list. The table's footprint therefore plateaus at the live-task high-water mark.
+    /// The id index: slot `i` holds the live task with id index `i` that the id API registered.
+    /// Only the [`TaskId`] functions use it; the runtime never fills it.
+    index: Mutex<Vec<Option<Arc<TaskEntry<P>>>>>,
+    /// Retired ids, ready for reuse, filed under the home list of the thread that drained them.
     free: [FreeList; THREAD_SLOTS],
     /// High-water allocator for fresh indexes (used only when every free list is empty).
     next_index: AtomicUsize,
@@ -1307,9 +1294,6 @@ pub struct DependencyEngine<P = TaskId> {
     /// registering or retiring thread's own stripe, so no two workers write one cache line for
     /// them; sums are exact at quiescence (see [`Striped`]).
     stats: Striped<{ stat::COUNT }>,
-    /// Calls of [`DependencyEngine::entry`]: the runtime's per-task paths must make none.
-    #[cfg(test)]
-    pub(crate) lookups: AtomicUsize,
 }
 
 impl<P> std::fmt::Debug for DependencyEngine<P> {
@@ -1325,12 +1309,10 @@ impl<P> std::fmt::Debug for DependencyEngine<P> {
 impl<P> Default for DependencyEngine<P> {
     fn default() -> Self {
         DependencyEngine {
-            table: (0..TABLE_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            index: Mutex::new(Vec::new()),
             free: Default::default(),
             next_index: AtomicUsize::new(0),
             stats: Striped::new(),
-            #[cfg(test)]
-            lookups: AtomicUsize::new(0),
         }
     }
 }
@@ -1379,9 +1361,13 @@ impl<P: From<TaskId> + 'static> DependencyEngine<P> {
         let parent = self.entry(parent)?;
         debug_assert!(parent.is_scheduled(), "{:?} has children before it is ready", parent.id);
         let id = self.reserve_id();
-        let mut domain = parent.domain.lock();
-        let (sched, _) = self.register_locked(&parent, &mut domain, id, deps, wait_mode);
-        Ok((id, domain.park(sched, P::from(id)).is_some()))
+        let (entry, ready) = {
+            let mut domain = parent.domain.lock();
+            let (sched, entry) = self.register_locked(&parent, &mut domain, id, deps, wait_mode);
+            (entry, domain.park(sched, P::from(id)).is_some())
+        };
+        self.index([entry]);
+        Ok((id, ready))
     }
 
     /// Registers a batch of sibling tasks under a **single** acquisition of the parent's domain
@@ -1398,28 +1384,33 @@ impl<P: From<TaskId> + 'static> DependencyEngine<P> {
         let parent = self.entry(parent)?;
         debug_assert!(parent.is_scheduled(), "{:?} has children before it is ready", parent.id);
         let mut domain = parent.domain.lock();
-        Ok(specs
+        let registered: Vec<_> = specs
             .into_iter()
             .map(|(deps, wait_mode)| {
                 let id = self.reserve_id();
-                let (sched, _) = self.register_locked(&parent, &mut domain, id, deps, wait_mode);
-                (id, domain.park(sched, P::from(id)).is_some())
+                let (sched, entry) =
+                    self.register_locked(&parent, &mut domain, id, deps, wait_mode);
+                ((id, domain.park(sched, P::from(id)).is_some()), entry)
             })
-            .collect())
+            .collect();
+        drop(domain);
+        let ids = registered.iter().map(|(id, _)| *id).collect();
+        self.index(registered.into_iter().map(|(_, entry)| entry));
+        Ok(ids)
     }
 }
 
 impl<P: 'static> DependencyEngine<P> {
     /// Reserves the id of a task about to be registered, trying in order the calling thread's
     /// home free list, the other free lists (an empty one is skipped on a relaxed read of its
-    /// length, without locking it) and a fresh index. A recycled id already carries its slot's
-    /// next generation, so reserving one touches no table stripe and no engine-wide counter.
-    /// A list emptied between the length read and the lock is simply passed over; the worst a
-    /// race costs is a fresh index while a retired one waits, never a wrong id.
+    /// length, without locking it) and a fresh index. A recycled id already carries its next
+    /// generation, so reserving one touches no engine-wide counter. A list emptied
+    /// between the length read and the lock is simply passed over; the worst a race costs is a
+    /// fresh index while a retired one waits, never a wrong id.
     ///
     /// The id is known before the task is registered, so the caller can build the payload
     /// around it and announce the task before registration lets it run. Every reserved id must
-    /// be registered: an id that never is keeps its table slot out of use for good.
+    /// be registered: an id that never is keeps its index out of use for good.
     pub(crate) fn reserve_id(&self) -> TaskId {
         let home = thread_slot();
         for offset in 0..THREAD_SLOTS {
@@ -1439,68 +1430,66 @@ impl<P: 'static> DependencyEngine<P> {
         TaskId { index: u32::try_from(index).expect("task index overflow"), generation: 0 }
     }
 
-    /// Resolves an id through the task table: the front of every [`TaskId`] function.
+    /// Files a drain's [`Effects::retired`] for reuse under the calling thread's home free list
+    /// (one lock), generations bumped; call it with no lock held. An id whose bump would reach
+    /// [`TaskId::SYNTHETIC_GENERATION`] is retired for good, so generations never wrap.
+    pub(crate) fn recycle(&self, retired: &[TaskId]) {
+        if retired.is_empty() {
+            return;
+        }
+        let list = &self.free[thread_slot()];
+        let mut ids = list.ids.lock();
+        ids.extend(retired.iter().filter_map(|task| {
+            let generation = task.generation.wrapping_add(1);
+            (generation != TaskId::SYNTHETIC_GENERATION)
+                .then_some(TaskId { index: task.index, generation })
+        }));
+        list.len.store(ids.len(), Ordering::Relaxed);
+    }
+
+    /// Resolves an id through the id index: the front of every [`TaskId`] function.
     fn entry(&self, task: TaskId) -> Result<Arc<TaskEntry<P>>, StaleTaskId> {
-        #[cfg(test)]
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let stripe = self.table[task.index() % TABLE_SHARDS].lock();
-        match stripe.get(task.index() / TABLE_SHARDS) {
-            Some(slot) if slot.gen == task.generation => {
-                slot.entry.clone().ok_or(StaleTaskId(task))
-            }
-            _ => Err(StaleTaskId(task)),
+        let index = self.index.lock();
+        let entry = index.get(task.index()).and_then(Option::as_ref).filter(|e| e.id == task);
+        entry.cloned().ok_or(StaleTaskId(task))
+    }
+
+    /// Adds entries the id API registered to the id index.
+    fn index(&self, entries: impl IntoIterator<Item = Arc<TaskEntry<P>>>) {
+        let mut index = self.index.lock();
+        for entry in entries {
+            let at = entry.id.index();
+            let len = index.len().max(at + 1);
+            index.resize_with(len, || None);
+            index[at] = Some(entry);
         }
     }
 
-    fn publish(&self, entry: Arc<TaskEntry<P>>) {
-        let id = entry.id;
-        let mut stripe = self.table[id.index() % TABLE_SHARDS].lock();
-        let pos = id.index() / TABLE_SHARDS;
-        if stripe.len() <= pos {
-            stripe.resize_with(pos + 1, || TableSlot { gen: 0, entry: None });
+    /// The id API's end of a transition: drops its retired tasks from the id index, then files
+    /// their ids.
+    fn unindex(&self, effects: &Effects<P>) {
+        let mut index = self.index.lock();
+        for task in &effects.retired {
+            index.get_mut(task.index()).and_then(|slot| slot.take_if(|e| e.id == *task));
         }
-        let slot = &mut stripe[pos];
-        debug_assert_eq!(slot.gen, id.generation(), "publish into a slot of another generation");
-        debug_assert!(slot.entry.is_none(), "publish into an occupied slot");
-        slot.entry = Some(entry);
+        drop(index);
+        self.recycle(&effects.retired);
     }
 
-    /// Retires a task: empties its table slot, bumps the slot generation so stale ids are
-    /// detected, and files the id with its new generation under the calling thread's home free
-    /// list. Called exactly once per task, when its last bookkeeping in the parent's domain
-    /// (the scheduling record) is reclaimed — or at deep completion for roots. May run while a
-    /// domain lock is held: the stripe lock and then the free-list lock nest inside it, one
-    /// after the other, and take no further lock. The table's `Arc` is dropped after both are
-    /// released; a task record may still hold the entry, which then outlives retirement until
-    /// the record goes.
-    ///
-    /// A slot whose generation space is exhausted (the bump would reach the reserved
-    /// [`TaskId::SYNTHETIC_GENERATION`]) is **permanently** retired instead of recycled:
-    /// generations never wrap, so a stale id can never alias a younger task no matter how long
-    /// the engine lives. The cost is one leaked slot per `u32::MAX` reuses of the same slot.
-    fn retire(&self, task: TaskId) {
-        let (entry, generation) = {
-            let mut stripe = self.table[task.index() % TABLE_SHARDS].lock();
-            let slot = &mut stripe[task.index() / TABLE_SHARDS];
-            debug_assert_eq!(slot.gen, task.generation(), "double retire of {task:?}");
-            let entry = slot.entry.take();
-            debug_assert!(entry.is_some(), "retire of an empty slot {task:?}");
-            slot.gen = slot.gen.wrapping_add(1);
-            (entry, slot.gen)
-        };
-        if generation != TaskId::SYNTHETIC_GENERATION {
-            let list = &self.free[thread_slot()];
-            let mut ids = list.ids.lock();
-            ids.push(TaskId { index: task.index, generation });
-            list.len.store(ids.len(), Ordering::Relaxed);
-        }
+    /// Retires a task: counts it and reports its id in `effects`. Called exactly once per task,
+    /// when its scheduling record in the parent's domain is reclaimed (a root's at deep
+    /// completion), under that domain's lock, so it takes no lock.
+    fn retire(&self, task: TaskId, effects: &mut Effects<P>) {
         self.stats.add(stat::TASKS_RETIRED, 1);
-        drop(entry);
+        effects.retired.push(task);
     }
 
     /// Registers a root task: no parent, no dependencies, its body is about to run.
     pub fn register_root(&self) -> TaskId {
-        self.register_root_entry().id
+        let entry = self.register_root_entry();
+        let id = entry.id;
+        self.index([entry]);
+        id
     }
 
     /// [`DependencyEngine::register_root`], answering with the root's entry, through which the
@@ -1519,7 +1508,6 @@ impl<P: 'static> DependencyEngine<P> {
                 domain: Mutex::new(domain),
             }
         });
-        self.publish(Arc::clone(&entry));
         self.stats.add(stat::TASKS_REGISTERED, 1);
         self.stats.add(stat::ROOTS_REGISTERED, 1);
         entry
@@ -1582,7 +1570,7 @@ impl<P: 'static> DependencyEngine<P> {
 
         let sched_idx = domain.alloc_sched(ChildSched {
             task: id,
-            entry: Weak::new(),
+            entry: None,
             payload: None,
             pending_strong: 0,
             live_nodes: 0,
@@ -1651,9 +1639,8 @@ impl<P: 'static> DependencyEngine<P> {
 
         child_domain.own_seed = Some(child_seeds);
 
-        // Publish while still holding the parent's lock: the moment another thread can observe
-        // the new nodes (and address messages at the new task), the entry must be resolvable.
-        // The table stripe lock nests strictly inside domain locks and takes no further locks.
+        // The scheduling record holds the entry before the parent's lock is released: the moment
+        // another thread can observe the new nodes, messages may be addressed at the new task.
         let entry = Arc::new_cyclic(|weak| {
             child_domain.self_entry = weak.clone();
             TaskEntry {
@@ -1666,11 +1653,10 @@ impl<P: 'static> DependencyEngine<P> {
             }
         });
         let sched = domain.sched[sched_idx as usize].as_mut().expect("sched slot just allocated");
-        sched.entry = Arc::downgrade(&entry);
+        sched.entry = Some(Arc::clone(&entry));
         if sched.pending_strong == 0 {
             self.stats.add(stat::READY_AT_REGISTRATION, 1);
         }
-        self.publish(Arc::clone(&entry));
         (sched_idx, entry)
     }
 
@@ -1819,7 +1805,7 @@ impl<P: 'static> DependencyEngine<P> {
                 let sched = domain.sched[sched_idx].as_mut().expect("a live node has its sched");
                 if !sched.successor_linked {
                     sched.successor_linked = true;
-                    if let Some(entry) = sched.entry.upgrade() {
+                    if let Some(entry) = &sched.entry {
                         entry.successor_linked.store(true, Ordering::Relaxed);
                     }
                 }
@@ -1835,13 +1821,15 @@ impl<P: 'static> DependencyEngine<P> {
         let entry = self.entry(task)?;
         let mut effects = Effects::default();
         self.body_finished_into(&entry, &mut effects);
+        self.unindex(&effects);
         Ok(effects)
     }
 
     /// [`DependencyEngine::body_finished`] for the task `entry` belongs to, into the caller's
     /// empty `effects`, so a caller that drains and keeps one buffer retires tasks without
     /// allocating effect vectors: [`DependencyEngine::finish_body`] into this thread's
-    /// scratch outbox, then [`DependencyEngine::pump`] over it.
+    /// scratch outbox, then [`DependencyEngine::pump`] over it. The caller files
+    /// [`Effects::retired`] ([`DependencyEngine::recycle`]).
     pub(crate) fn body_finished_into(&self, entry: &Arc<TaskEntry<P>>, effects: &mut Effects<P>) {
         debug_assert!(effects.is_empty(), "effects buffer handed in with leftovers");
         let mut scratch = CascadeScratch::take();
@@ -1926,7 +1914,9 @@ impl<P: 'static> DependencyEngine<P> {
     /// for early completion; fragments not covered by live child accesses complete immediately.
     /// Returns [`StaleTaskId`] if `task` has already been retired.
     pub fn release_region(&self, task: TaskId, region: Region) -> Result<Effects<P>, StaleTaskId> {
-        Ok(self.release_region_of(&self.entry(task)?, region))
+        let effects = self.release_region_of(&self.entry(task)?, region);
+        self.unindex(&effects);
+        Ok(effects)
     }
 
     /// [`DependencyEngine::release_region`] for the task `entry` belongs to.
@@ -2107,10 +2097,10 @@ impl<P: 'static> DependencyEngine<P> {
                         }
                     }
                 }
-                // The child's last bookkeeping in this domain is gone: retire its table slot.
+                // The child's last bookkeeping in this domain is gone: retire it.
                 // (`process_local` above may already have retired it through `try_release`.)
                 if let Some(task) = reclaimed {
-                    self.retire(task);
+                    self.retire(task, effects);
                 }
 
                 debug_assert!(domain.live_children > 0);
@@ -2146,7 +2136,7 @@ impl<P: 'static> DependencyEngine<P> {
                     self.do_satisfy(domain, node, &parts, queue, effects, outbox)
                 }
                 Event::Complete { node, parts } => {
-                    self.do_complete(domain, node, &parts, queue, outbox)
+                    self.do_complete(domain, node, &parts, queue, effects, outbox)
                 }
             }
         }
@@ -2200,12 +2190,12 @@ impl<P: 'static> DependencyEngine<P> {
         // Forward the satisfaction into the task's own domain (its children inherited this
         // dependency through the pending-down mirror).
         if has_mirror {
-            let target = sched.entry.upgrade().expect("task entry outlives its nodes");
+            let target = Arc::clone(sched.entry.as_ref().expect("set at registration"));
             outbox.push_back(Message::SatisfyDown { target, own_idx, parts: newly.clone() });
         }
 
         // Fragments that were already completed can now be released.
-        self.try_release(domain, idx, &newly, queue, outbox);
+        self.try_release(domain, idx, &newly, queue, effects, outbox);
     }
 
     /// Marks `parts` of node `idx` as completed (the task and its live children will no longer
@@ -2216,6 +2206,7 @@ impl<P: 'static> DependencyEngine<P> {
         idx: u32,
         parts: &Parts,
         queue: &mut VecDeque<Event>,
+        effects: &mut Effects<P>,
         outbox: &mut VecDeque<Message<P>>,
     ) {
         let Some((node, frag)) = domain.node_and_frag_mut(idx) else { return };
@@ -2226,7 +2217,7 @@ impl<P: 'static> DependencyEngine<P> {
         if newly.is_empty() {
             return;
         }
-        self.try_release(domain, idx, &newly, queue, outbox);
+        self.try_release(domain, idx, &newly, queue, effects, outbox);
     }
 
     /// Releases the fragments of `candidates` that are both satisfied and completed, notifying
@@ -2240,6 +2231,7 @@ impl<P: 'static> DependencyEngine<P> {
         idx: u32,
         candidates: &Parts,
         queue: &mut VecDeque<Event>,
+        effects: &mut Effects<P>,
         outbox: &mut VecDeque<Message<P>>,
     ) {
         // releasable = candidate ∩ unreleased ∩ !unsatisfied ∩ !uncompleted
@@ -2326,9 +2318,9 @@ impl<P: 'static> DependencyEngine<P> {
 
         // A fully released access whose task has already deeply completed can be recycled; if
         // that reclaimed the task's scheduling record too, nothing in this domain references
-        // the task any more and its table slot is retired.
+        // the task any more and it is retired.
         if let Some(task) = domain.try_free_node(idx) {
-            self.retire(task);
+            self.retire(task, effects);
         }
     }
 
@@ -2425,34 +2417,26 @@ impl<P: 'static> DependencyEngine<P> {
         );
     }
 
-    /// Number of tasks ever registered.
-    pub fn task_count(&self) -> usize {
-        self.stats.get(stat::TASKS_REGISTERED) as usize
+    /// Ids minted so far: the live ones and the retired ones awaiting reuse. Under steady load
+    /// this plateaus at roughly the live-task high-water mark (the soak tests assert it).
+    pub fn ids_minted(&self) -> usize {
+        self.next_index.load(Ordering::Relaxed)
     }
 
-    /// Total task-table slots currently allocated (live + free). Under steady-state load this
-    /// plateaus at roughly the live-task high-water mark instead of tracking the total number
-    /// of tasks ever registered — the reclamation property the soak tests assert.
-    pub fn table_capacity(&self) -> usize {
-        self.table.iter().map(|stripe| stripe.lock().len()).sum()
+    /// Tasks the id index holds.
+    #[cfg(test)]
+    pub(crate) fn indexed(&self) -> usize {
+        self.index.lock().iter().flatten().count()
     }
 
     /// Number of live (not yet retired) tasks. Computed in O(1) from the registration and
-    /// retirement counters (a racy-but-consistent snapshot, like every other statistic) rather
-    /// than scanning the table under its stripe locks.
+    /// retirement counters (a racy-but-consistent snapshot, like every other statistic).
     pub fn live_tasks(&self) -> usize {
         let registered = self.stats.get(stat::TASKS_REGISTERED);
         let retired = self.stats.get(stat::TASKS_RETIRED);
         registered.saturating_sub(retired) as usize
     }
 
-    /// Number of live root tasks — jobs whose graphs have not yet fully drained. Same
-    /// racy-but-consistent counter arithmetic as [`DependencyEngine::live_tasks`].
-    pub fn live_roots(&self) -> usize {
-        let registered = self.stats.get(stat::ROOTS_REGISTERED);
-        let completed = self.stats.get(stat::ROOTS_COMPLETED);
-        registered.saturating_sub(completed) as usize
-    }
 }
 
 /// Marks the (locked) domain's owner deeply complete and notifies the parent domain. The
@@ -2475,7 +2459,7 @@ fn deep_complete_locked<P: 'static>(
         None => {
             effects.root_completed = true;
             engine.stats.add(stat::ROOTS_COMPLETED, 1);
-            engine.retire(domain.owner);
+            engine.retire(domain.owner, effects);
         }
         Some(weak) => {
             // The parent cannot have been retired yet: its own deep completion requires this
@@ -3077,7 +3061,7 @@ mod tests {
         );
     }
 
-    /// Retirement: a deeply completed, fully released task loses its table slot; its id turns
+    /// Retirement: a deeply completed, fully released task leaves the id index; its id turns
     /// stale with defined semantics instead of panicking or aliasing.
     #[test]
     fn retired_ids_report_stale_with_defined_semantics() {
@@ -3125,8 +3109,8 @@ mod tests {
         let t1 = h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::None);
         h.finish(t1);
         let t2 = h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::None);
-        // Single-threaded: the only free slot is t1's, so t2 must reuse it.
-        assert_eq!(t2.index(), t1.index(), "t2 must recycle t1's table slot");
+        // Single-threaded: the only free id is t1's, so t2 must reuse its index.
+        assert_eq!(t2.index(), t1.index(), "t2 must recycle t1's index");
         assert_ne!(t2.generation(), t1.generation());
         assert_ne!(t1, t2);
         // t2 is live and not completed; t1 stays stale — never Ok(false) through t2's slot.
@@ -3172,13 +3156,14 @@ mod tests {
         assert_eq!(reused.generation(), task.generation() + 1);
         assert_eq!(engine.try_is_deeply_completed(task), Err(StaleTaskId(task)));
         assert_eq!(engine.try_is_deeply_completed(reused), Ok(false));
-        assert_eq!(engine.table_capacity(), 2, "no fresh index was minted");
+        assert_eq!(engine.ids_minted(), 2, "no fresh index was minted");
     }
 
-    /// Steady-state spawn/finish through one engine keeps the task table at the live high-water
-    /// mark instead of growing with every task ever registered.
+    /// Steady-state spawn/finish through one engine keeps the minted ids at the live high-water
+    /// mark instead of growing with every task ever registered, and the id index holds exactly
+    /// the live tasks.
     #[test]
-    fn table_capacity_plateaus_under_steady_state() {
+    fn minted_ids_plateau_under_steady_state() {
         let mut h = Harness::new();
         for _ in 0..1_000 {
             let t = h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::None);
@@ -3188,18 +3173,12 @@ mod tests {
         assert_eq!(stats.tasks_registered, 1_001); // root + 1000
         assert_eq!(stats.tasks_retired, 1_000); // everything but the live root
         assert_eq!(h.engine.live_tasks(), 1);
-        // Cross-check the counter-derived live count against actual slot occupancy.
-        let occupied: usize = h
-            .engine
-            .table
-            .iter()
-            .map(|stripe| stripe.lock().iter().filter(|s| s.entry.is_some()).count())
-            .sum();
-        assert_eq!(occupied, h.engine.live_tasks(), "live_tasks must agree with occupancy");
+        // Cross-check the counter-derived live count against the id index's occupancy.
+        assert_eq!(h.engine.indexed(), h.engine.live_tasks(), "the index holds the live tasks");
         assert!(
-            h.engine.table_capacity() <= 16,
-            "table must plateau at the live high-water mark (got {} slots for 1000 tasks)",
-            h.engine.table_capacity()
+            h.engine.ids_minted() <= 16,
+            "ids must plateau at the live high-water mark (got {} for 1000 tasks)",
+            h.engine.ids_minted()
         );
     }
 
@@ -3438,6 +3417,7 @@ mod tests {
         let finish = |entry: &Arc<TaskEntry<Counted>>| {
             let mut effects = Effects::default();
             engine.body_finished_into(entry, &mut effects);
+            engine.recycle(&effects.retired);
             effects.ready
         };
         queue.extend(finish(&root));
@@ -3447,11 +3427,39 @@ mod tests {
             assert_eq!(entry.id, payload.id);
             queue.extend(finish(entry));
         }
-        assert_eq!(engine.lookups.load(Ordering::Relaxed), 0, "no task-table lookup");
+        assert_eq!(engine.indexed(), 0, "the runtime's way fills no id index");
         assert_eq!(order, expected, "same finish order as the TaskId engine");
         assert_eq!(order.len(), graph.len() + 1, "the graph drains");
         assert_eq!(drops.load(Ordering::Relaxed), graph.len(), "each payload dropped once");
         drop(engine);
         assert_eq!(drops.load(Ordering::Relaxed), graph.len(), "the engine kept no payload");
+    }
+
+    /// Over a drained replay each task is retired exactly once: its id appears once in the
+    /// `retired` lists of the effects, those lists add up to `tasks_retired`, and the id index
+    /// is empty at the end.
+    #[test]
+    fn each_task_is_reported_retired_exactly_once() {
+        let engine = DependencyEngine::new();
+        let root = engine.register_root();
+        let mut ids = vec![root];
+        let mut queue: VecDeque<TaskId> = VecDeque::from([root]);
+        for (parent, deps, mode) in payload_graph() {
+            let parent = parent.map_or(root, |p| ids[p + 1]);
+            let (id, ready) = engine.register_task(parent, &deps, mode).expect("live parent");
+            ids.push(id);
+            queue.extend(ready.then_some(id));
+        }
+        let mut retired = Vec::new();
+        while let Some(task) = queue.pop_front() {
+            let effects = engine.body_finished(task).expect("live task");
+            queue.extend(effects.ready);
+            retired.extend(effects.retired);
+        }
+        assert_eq!(retired.len(), engine.stats().tasks_retired);
+        retired.sort();
+        ids.sort();
+        assert_eq!(retired, ids, "every task retired, each once");
+        assert_eq!(engine.indexed(), 0, "retired tasks leave the id index");
     }
 }

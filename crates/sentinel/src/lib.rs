@@ -29,7 +29,7 @@
 #![forbid(unsafe_code)]
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use weakdep_regions::Region;
 
 /// One declared access of a task's footprint, as forwarded by the core hooks.
@@ -58,16 +58,24 @@ struct ShadowTask {
     /// Every ancestor task key, root first. Ancestors are alive while this task is (children
     /// are spawned only from running bodies, and bodies outlive their children's creation).
     ancestors: Vec<u64>,
-    /// `true` between `task_started` and `task_finished`.
-    running: bool,
+}
+
+/// The shadow table's state, under the sentinel's one lock.
+#[derive(Default)]
+struct Shadow {
+    /// Every live (created, not yet finished) task.
+    tasks: HashMap<u64, ShadowTask>,
+    /// Per job, the keys of its tasks between `task_started` and `task_finished`: a start is
+    /// compared against these only, so it costs O(running tasks of its job), not O(live tasks).
+    running: HashMap<u64, HashSet<u64>>,
 }
 
 /// The shadow table. One per `Runtime`; all methods take `&self` (internal mutex).
 ///
 /// Keys are `TaskId`s packed as `generation << 32 | index` by the core hooks — unique for the
-/// lifetime of the table even across slot reuse.
+/// lifetime of the table even across id reuse.
 pub struct Sentinel {
-    tasks: Mutex<HashMap<u64, ShadowTask>>,
+    shadow: Mutex<Shadow>,
 }
 
 impl Default for Sentinel {
@@ -79,7 +87,7 @@ impl Default for Sentinel {
 impl Sentinel {
     /// Creates an empty shadow table.
     pub fn new() -> Self {
-        Sentinel { tasks: Mutex::new(HashMap::new()) }
+        Sentinel { shadow: Mutex::new(Shadow::default()) }
     }
 
     /// Records a task at registration time (before it can run). `job` is the owning job's
@@ -105,7 +113,7 @@ impl Sentinel {
         }
         reads.sort_unstable_by_key(|r| (r.space, r.start));
         writes.sort_unstable_by_key(|r| (r.space, r.start));
-        let mut tasks = self.tasks.lock();
+        let tasks = &mut self.shadow.lock().tasks;
         let ancestors = match parent {
             Some(p) => {
                 let parent_entry = tasks
@@ -117,39 +125,29 @@ impl Sentinel {
             }
             None => Vec::new(),
         };
-        let previous = tasks
-            .insert(key, ShadowTask { job, label, reads, writes, ancestors, running: false });
+        let previous = tasks.insert(key, ShadowTask { job, label, reads, writes, ancestors });
         assert!(previous.is_none(), "sentinel: task key {key:#x} registered twice");
     }
 
     /// Marks a task as executing and checks its strong footprint against every other running,
-    /// non-ancestor-related task. Panics on a writer-overlapping pair — the dependency engine
-    /// scheduled a race.
+    /// non-ancestor-related task of its job (another job's tree is independent by
+    /// construction, never compared). Panics on a writer-overlapping pair — the dependency
+    /// engine scheduled a race.
     pub fn task_started(&self, key: u64) {
-        let mut tasks = self.tasks.lock();
-        let entry = tasks.get(&key).expect("sentinel: unknown task started");
-        let (job, label, reads, writes, ancestors) = (
-            entry.job,
-            entry.label,
-            entry.reads.clone(),
-            entry.writes.clone(),
-            entry.ancestors.clone(),
-        );
-        for (&other_key, other) in tasks.iter() {
-            if other_key == key || !other.running {
-                continue;
-            }
-            // Another job's tree: independent by construction, never compared.
-            if other.job != job {
-                continue;
-            }
+        let mut shadow = self.shadow.lock();
+        let Shadow { tasks, running } = &mut *shadow;
+        let ShadowTask { job, label, reads, writes, ancestors } =
+            tasks.get(&key).expect("sentinel: unknown task started");
+        let running = running.entry(*job).or_default();
+        for &other_key in running.iter() {
+            let other = &tasks[&other_key];
             // One ancestor chain ⇒ legitimate concurrency (parent body vs child).
             if ancestors.contains(&other_key) || other.ancestors.contains(&key) {
                 continue;
             }
             // Writer overlap in either direction. reads ⊇ writes, so this covers
             // write-write as well.
-            for w in &writes {
+            for w in writes {
                 if other.reads.iter().any(|r| r.intersects(w)) {
                     panic!(
                         "sentinel: region conflict — starting task '{label}' ({key:#x}) \
@@ -168,20 +166,25 @@ impl Sentinel {
                 }
             }
         }
-        tasks.get_mut(&key).expect("sentinel: unknown task started").running = true;
+        running.insert(key);
     }
 
     /// Removes a finished task from the running set and drops its entry.
     pub fn task_finished(&self, key: u64) {
-        let removed = self.tasks.lock().remove(&key);
-        assert!(removed.is_some(), "sentinel: unknown task finished");
+        let mut shadow = self.shadow.lock();
+        let removed = shadow.tasks.remove(&key).expect("sentinel: unknown task finished");
+        if let Some(running) = shadow.running.get_mut(&removed.job) {
+            running.remove(&key);
+            if running.is_empty() {
+                shadow.running.remove(&removed.job);
+            }
+        }
     }
 
     /// Shrinks a task's live footprint after the `release` directive: the task asserted it
     /// will no longer access `region`, so later accesses inside it must panic.
     pub fn released(&self, key: u64, region: &Region) {
-        let mut tasks = self.tasks.lock();
-        if let Some(entry) = tasks.get_mut(&key) {
+        if let Some(entry) = self.shadow.lock().tasks.get_mut(&key) {
             subtract(&mut entry.reads, region);
             subtract(&mut entry.writes, region);
         }
@@ -195,8 +198,8 @@ impl Sentinel {
     /// in `SharedSlice` either — coverage is enforced there only for tasks with declared
     /// dependencies, and the core hooks only route declared tasks here.
     pub fn check_access(&self, key: u64, region: &Region, write: bool) -> Option<String> {
-        let tasks = self.tasks.lock();
-        let entry = tasks.get(&key)?;
+        let shadow = self.shadow.lock();
+        let entry = shadow.tasks.get(&key)?;
         let covering = if write { &entry.writes } else { &entry.reads };
         if covers(covering, region) {
             return None;
@@ -211,7 +214,7 @@ impl Sentinel {
 
     /// Number of live (created, unfinished) tasks — test hook.
     pub fn live_tasks(&self) -> usize {
-        self.tasks.lock().len()
+        self.shadow.lock().tasks.len()
     }
 }
 

@@ -2,9 +2,9 @@
 //! submissions back while the pool's live-task load sits above a budget.
 //!
 //! The budget is meant to be keyed off the capacity plateau the reclamation machinery already
-//! maintains (the task-table slot count plateaus at the live-task high-water mark): admitting a
-//! new root graph while the live-task count exceeds the budget would push the plateau — and
-//! therefore the permanently allocated slot capacity — higher for the rest of the process
+//! maintains (the count of task ids minted plateaus at the live-task high-water mark): admitting
+//! a new root graph while the live-task count exceeds the budget would push the plateau — and
+//! therefore the ids and per-id capacity kept for reuse — higher for the rest of the process
 //! lifetime. Refusing admission until in-flight work drains keeps the high-water
 //! mark (and tail latency for already-admitted jobs) bounded.
 //!

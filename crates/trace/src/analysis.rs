@@ -33,7 +33,10 @@ pub struct TraceSummary {
     pub tasks: usize,
     /// Wall-clock span covered by the trace, in nanoseconds (first start to last end).
     pub span_ns: u64,
-    /// Sum of all task durations, in nanoseconds.
+    /// Time the workers spent inside task bodies, in nanoseconds: per worker, the length of the
+    /// union of its events. A body blocked in `taskwait` runs other tasks on the same worker
+    /// meanwhile, so its event contains theirs; the union counts that stretch once. A body
+    /// parked in `taskwait` with nothing to run still counts as busy for as long as it waits.
     pub busy_ns: u64,
     /// Effective parallelism: `busy_ns / span_ns` (the metric of Figure 6).
     pub effective_parallelism: f64,
@@ -55,7 +58,7 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
     let start = events.iter().map(|e| e.start_ns).min().unwrap_or(0);
     let end = events.iter().map(|e| e.end_ns).max().unwrap_or(0);
     let span_ns = end.saturating_sub(start);
-    let busy_ns: u64 = events.iter().map(TraceEvent::duration_ns).sum();
+    let busy_ns: u64 = busy_intervals(events).iter().map(|(start, end)| end - start).sum();
     let effective_parallelism = if span_ns == 0 { 0.0 } else { busy_ns as f64 / span_ns as f64 };
 
     let mut by_label: BTreeMap<&str, (usize, u64)> = BTreeMap::new();
@@ -77,12 +80,30 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
     TraceSummary { tasks: events.len(), span_ns, busy_ns, effective_parallelism, labels }
 }
 
+/// The stretches of time each worker spent inside task bodies (see [`TraceSummary::busy_ns`]):
+/// per worker, the union of its events as disjoint `(start_ns, end_ns)` intervals, the
+/// workers' lists concatenated.
+fn busy_intervals(events: &[TraceEvent]) -> Vec<(u64, u64)> {
+    let mut spans: Vec<(usize, u64, u64)> =
+        events.iter().map(|e| (e.worker, e.start_ns, e.end_ns)).collect();
+    spans.sort_unstable();
+    let mut merged: Vec<(usize, u64, u64)> = Vec::with_capacity(spans.len());
+    for (worker, start, end) in spans {
+        match merged.last_mut() {
+            Some(last) if last.0 == worker && start <= last.2 => last.2 = last.2.max(end),
+            _ => merged.push((worker, start, end)),
+        }
+    }
+    merged.into_iter().map(|(_, start, end)| (start, end)).collect()
+}
+
 /// Effective parallelism of a set of events (`busy / span`), the Figure 6 metric.
 pub fn effective_parallelism(events: &[TraceEvent]) -> f64 {
     summarize(events).effective_parallelism
 }
 
-/// Computes a concurrency-over-time profile with `buckets` buckets.
+/// Computes a concurrency-over-time profile with `buckets` buckets: how many workers were busy
+/// (as [`TraceSummary::busy_ns`] counts it) on average during each bucket.
 pub fn parallelism_profile(events: &[TraceEvent], buckets: usize) -> ParallelismProfile {
     if events.is_empty() || buckets == 0 {
         return ParallelismProfile { bucket_ns: 0, concurrency: Vec::new() };
@@ -92,12 +113,12 @@ pub fn parallelism_profile(events: &[TraceEvent], buckets: usize) -> Parallelism
     let span = (end - start).max(1);
     let bucket_ns = span.div_ceil(buckets as u64).max(1);
     let mut busy = vec![0u64; buckets];
-    for e in events {
-        let mut cursor = e.start_ns;
-        while cursor < e.end_ns {
+    for (interval_start, interval_end) in busy_intervals(events) {
+        let mut cursor = interval_start;
+        while cursor < interval_end {
             let bucket = ((cursor - start) / bucket_ns).min(buckets as u64 - 1) as usize;
             let bucket_end = start + (bucket as u64 + 1) * bucket_ns;
-            let slice_end = e.end_ns.min(bucket_end);
+            let slice_end = interval_end.min(bucket_end);
             busy[bucket] += slice_end - cursor;
             cursor = slice_end;
         }
@@ -136,6 +157,18 @@ mod tests {
         let events = vec![ev(0, "a", 0, 100), ev(0, "a", 100, 200)];
         let p = effective_parallelism(&events);
         assert!((p - 1.0).abs() < 1e-9, "got {p}");
+    }
+
+    /// An outer task in `taskwait` runs its two children on its own worker, inside its own
+    /// event: one worker is busy once, not three times over.
+    #[test]
+    fn nested_events_on_one_worker_count_once() {
+        let events = vec![ev(0, "outer", 0, 100), ev(0, "child", 10, 40), ev(0, "child", 50, 90)];
+        let s = summarize(&events);
+        assert_eq!(s.busy_ns, 100);
+        assert!(s.effective_parallelism <= 1.0, "got {}", s.effective_parallelism);
+        let profile = parallelism_profile(&events, 4);
+        assert!(profile.concurrency.iter().all(|&c| c <= 1.0 + 1e-9), "{profile:?}");
     }
 
     #[test]

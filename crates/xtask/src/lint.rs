@@ -3,15 +3,16 @@
 //! slip would be a deadlock or a lost wake-up:
 //!
 //! * `crates/core/src/engine.rs` — **domain locks** (`….domain.lock()`):
-//!   - `nested-lock`: no thread ever holds two domain locks at once (the acyclic-hierarchy
-//!     rule; cross-domain work goes through the outbox/`pump` protocol instead);
-//!   - `call-while-locked`: no domain-lock guard may be live across the message pump or any
-//!     scheduler dispatch/wake call — effects are dispatched strictly after every engine lock
-//!     is dropped.
+//!   - `nested-lock`: no thread ever holds two domain locks at once (cross-domain work goes
+//!     through the outbox/`pump` protocol instead);
+//!   - `leaf-lock`: no lock of any kind is taken while a domain lock is held;
+//!   - `call-while-locked`: no domain-lock guard may be live across the message pump, the
+//!     filing of retired ids (`recycle`, which takes a free list) or any scheduler
+//!     dispatch/wake call — effects are dispatched strictly after every engine lock is
+//!     dropped.
 //!
-//!   and the **free lists of retired ids** (`….ids.lock()`), which a retire takes while a
-//!   domain lock is held:
-//!   - `leaf-lock`: only the push or pop of one id runs under it — no other lock;
+//!   and the **free lists of retired ids** (`….ids.lock()`):
+//!   - `leaf-lock`: only the pushes or the pop of one drain run under it — no other lock;
 //!   - `call-while-locked`: the same patterns as the domain lock.
 //! * `crates/threadpool/src/sleep.rs` — the **park mutex** (`….park.lock()`, which the workers'
 //!   condvars wait on; the wake epoch itself is an atomic) and the **gate mutex**
@@ -76,9 +77,10 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
     const DISPATCH: &[&str] =
         &[".pump(", ".submit(", ".submit_batch(", ".dispatch_ready(", ".dispatch_spawned("];
     // `DISPATCH` plus every sleep-protocol wake — and `work_until`, which sleeps *and* runs
-    // arbitrary tasks.
+    // arbitrary tasks, and `recycle`, which files retired ids under a free list.
     const WAKE_OR_DISPATCH: &[&str] = &[
         ".pump(",
+        ".recycle(",
         ".notify_one(",
         ".notify_all(",
         ".notify_many(",
@@ -92,15 +94,16 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
     const DOMAIN: LockClass = LockClass {
         name: "domain",
         acquire: ".domain.lock()",
+        // A leaf: no lock is ever taken while a domain lock is held, neither here nor through
+        // the calls that take one (docs/locking.md).
         forbidden_calls: WAKE_OR_DISPATCH,
         forbid_nested_same_class: true,
-        leaf: false,
+        leaf: true,
     };
     const FREE_LIST: LockClass = LockClass {
         name: "free-list",
         acquire: ".ids.lock()",
-        // `retire` files an id under a free list while a domain lock may be held, so the list
-        // must be a leaf: one push or pop under it, nothing else (docs/locking.md).
+        // One drain's pushes or one pop under it, nothing else (docs/locking.md).
         forbidden_calls: WAKE_OR_DISPATCH,
         forbid_nested_same_class: true,
         leaf: true,
@@ -599,15 +602,42 @@ mod tests {
     }
 
     #[test]
-    fn free_list_is_a_leaf_that_may_nest_inside_a_domain_lock() {
+    fn free_list_and_domain_are_leaves_that_never_nest() {
         let clean = r#"
-            fn retire(&self) {
-                let domain = entry.domain.lock();
+            fn drain(&self) {
+                {
+                    let domain = entry.domain.lock();
+                    domain.retired.push(id);
+                }
+                self.recycle(&effects.retired);
                 let mut ids = list.ids.lock();
                 ids.push(id);
             }
         "#;
         assert!(scan_source("engine.rs", clean, domain_classes()).is_empty());
+
+        let nested = r#"
+            fn retire(&self) {
+                let domain = entry.domain.lock();
+                let mut ids = list.ids.lock();
+                ids.push(id);
+            }
+            fn file_under_lock(&self) {
+                let domain = entry.domain.lock();
+                self.recycle(&retired);
+            }
+        "#;
+        let violations = scan_source("engine.rs", nested, domain_classes());
+        assert!(
+            violations.iter().any(|v| v.rule == "leaf-lock" && v.function == "retire"),
+            "a free list taken under a domain guard not flagged: {violations:?}"
+        );
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.rule == "call-while-locked" && v.function == "file_under_lock"),
+            "filing ids under a domain guard not flagged: {violations:?}"
+        );
 
         let dirty = r#"
             fn reserve(&self) {

@@ -1,5 +1,5 @@
 //! Property-based tests of the id-retirement protocol: under randomly shaped dependency graphs,
-//! random wait modes and random (legal) completion interleavings, recycled task-table slots must
+//! random wait modes and random (legal) completion interleavings, recycled ids must
 //! never alias — a stale `TaskId` of a completed task always yields the defined `StaleTaskId`
 //! error, and capacity plateaus instead of tracking the total task count.
 
@@ -122,8 +122,8 @@ proptest! {
         prop_assert_eq!(stats.tasks_retired, total, "every finished task must retire");
         // Capacity plateaus at the per-round high-water mark, not the running total.
         prop_assert!(
-            engine.table_capacity() <= 12 + 4,
-            "table capacity {} exceeds the live high-water bound", engine.table_capacity()
+            engine.ids_minted() <= 12 + 4,
+            "{} ids minted, above the live high-water bound", engine.ids_minted()
         );
     }
 }

@@ -3,8 +3,10 @@
 //!
 //! The shape to look for: the two weak variants (and `flat-depend`) keep scaling with the core
 //! count, while `nest-depend` and `flat-taskwait` flatten early.
+//!
+//! Each point is the median of `--repeat` runs, printed with their interquartile range.
 
-use weakdep_bench::{emit, CommonArgs};
+use weakdep_bench::{emit, CommonArgs, Spread};
 use weakdep_core::{Runtime, SharedSlice};
 use weakdep_kernels::axpy::{self, AxpyConfig, AxpyVariant};
 
@@ -32,7 +34,7 @@ fn main() {
         "fig4: axpy strong scaling, n = {n}, {calls} calls, task size {task_size}, cores {core_counts:?}"
     );
 
-    let headers = ["cores", "variant", "gflops"];
+    let headers = ["cores", "variant", "gflops", "iqr"];
     let mut rows = Vec::new();
     let x = SharedSlice::<f64>::new(n);
     let y = SharedSlice::<f64>::new(n);
@@ -40,14 +42,24 @@ fn main() {
         let rt = Runtime::with_workers(cores);
         for variant in AxpyVariant::all() {
             let cfg = AxpyConfig { n, calls, task_size, alpha: 1.000001 };
-            let mut best = 0.0f64;
-            for _ in 0..args.repeat {
-                axpy::initialize(&x, &y);
-                let run = axpy::run_on(&rt, variant, &cfg, &x, &y);
-                best = best.max(run.gops());
-            }
-            rows.push(vec![cores.to_string(), variant.name().to_string(), format!("{best:.3}")]);
-            eprintln!("  {cores:>3} cores  {:<18} {best:>7.3} GFlop/s", variant.name());
+            let gops: Vec<f64> = (0..args.repeat)
+                .map(|_| {
+                    axpy::initialize(&x, &y);
+                    axpy::run_on(&rt, variant, &cfg, &x, &y).gops()
+                })
+                .collect();
+            let spread = Spread::of(&gops);
+            let (median, iqr) = (spread.median, spread.iqr());
+            rows.push(vec![
+                cores.to_string(),
+                variant.name().to_string(),
+                format!("{median:.3}"),
+                format!("{iqr:.3}"),
+            ]);
+            eprintln!(
+                "  {cores:>3} cores  {:<18} {median:>7.3} GFlop/s (IQR {iqr:.3})",
+                variant.name()
+            );
         }
     }
     emit(args.csv, &headers, &rows);

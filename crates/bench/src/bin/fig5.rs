@@ -7,9 +7,10 @@
 //! rather than helping (as the paper reports for this benchmark).
 //!
 //! Every repetition's final grid is asserted bit-identical to the sequential reference, computed
-//! once per task size.
+//! once per task size. Each point is the median of `--repeat` runs, printed with their
+//! interquartile range.
 
-use weakdep_bench::{emit, CommonArgs};
+use weakdep_bench::{emit, CommonArgs, Spread};
 use weakdep_core::Runtime;
 use weakdep_kernels::gauss_seidel::{self, GsConfig, GsVariant};
 
@@ -30,7 +31,7 @@ fn main() {
     );
 
     let rt = Runtime::with_workers(args.cores);
-    let headers = ["task_size", "variant", "gflops"];
+    let headers = ["task_size", "variant", "gflops", "iqr"];
     let mut rows = Vec::new();
     for &ts in &task_sides {
         if side % ts != 0 {
@@ -41,23 +42,30 @@ fn main() {
         let grid = gauss_seidel::Grid::new(cfg);
         let expected: Vec<u64> = gauss_seidel::reference(&cfg).iter().map(|v| v.to_bits()).collect();
         for variant in GsVariant::all() {
-            let mut best = 0.0f64;
-            for _ in 0..args.repeat {
-                grid.reset();
-                let run = gauss_seidel::run_on(&rt, variant, &grid);
-                best = best.max(run.gops());
-                assert!(
-                    grid.snapshot().iter().map(|v| v.to_bits()).eq(expected.iter().copied()),
-                    "{ts}x{ts} {}: the final grid differs from the reference",
-                    variant.name()
-                );
-            }
+            let gops: Vec<f64> = (0..args.repeat)
+                .map(|_| {
+                    grid.reset();
+                    let run = gauss_seidel::run_on(&rt, variant, &grid);
+                    assert!(
+                        grid.snapshot().iter().map(|v| v.to_bits()).eq(expected.iter().copied()),
+                        "{ts}x{ts} {}: the final grid differs from the reference",
+                        variant.name()
+                    );
+                    run.gops()
+                })
+                .collect();
+            let spread = Spread::of(&gops);
+            let (median, iqr) = (spread.median, spread.iqr());
             rows.push(vec![
                 format!("{ts}x{ts}"),
                 variant.name().to_string(),
-                format!("{best:.3}"),
+                format!("{median:.3}"),
+                format!("{iqr:.3}"),
             ]);
-            eprintln!("  {ts:>3}x{ts:<3}  {:<18} {best:>8.3} GFlop/s", variant.name());
+            eprintln!(
+                "  {ts:>3}x{ts:<3}  {:<18} {median:>8.3} GFlop/s (IQR {iqr:.3})",
+                variant.name()
+            );
         }
     }
     emit(args.csv, &headers, &rows);

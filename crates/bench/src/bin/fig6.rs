@@ -4,8 +4,10 @@
 //!
 //! The shape to look for: the variants without weak dependencies stop scaling at a small core
 //! count, while `nest-weak` keeps scaling to the full machine.
+//!
+//! Each point is the median of `--repeat` runs, printed with their interquartile range.
 
-use weakdep_bench::{emit, CommonArgs, InstrumentedRuntime};
+use weakdep_bench::{emit, CommonArgs, InstrumentedRuntime, Spread};
 use weakdep_kernels::gauss_seidel::{self, GsConfig, GsVariant};
 
 fn main() {
@@ -31,7 +33,7 @@ fn main() {
         "fig6: gauss-seidel effective parallelism, grid {side}x{side}, {iterations} iterations, cores {core_counts:?}"
     );
 
-    let headers = ["task_size", "cores", "variant", "effective_parallelism"];
+    let headers = ["task_size", "cores", "variant", "effective_parallelism", "iqr"];
     let mut rows = Vec::new();
     for &ts in &task_sides {
         if side % ts != 0 {
@@ -43,22 +45,25 @@ fn main() {
             let inst = InstrumentedRuntime::new(cores);
             let grid = gauss_seidel::Grid::new(cfg);
             for variant in GsVariant::all() {
-                let mut best = 0.0f64;
-                for _ in 0..args.repeat {
-                    grid.reset();
-                    inst.reset_observers();
-                    gauss_seidel::run_on(&inst.runtime, variant, &grid);
-                    let summary = weakdep_trace::summarize(&inst.trace.events());
-                    best = best.max(summary.effective_parallelism);
-                }
+                let parallelism: Vec<f64> = (0..args.repeat)
+                    .map(|_| {
+                        grid.reset();
+                        inst.reset_observers();
+                        gauss_seidel::run_on(&inst.runtime, variant, &grid);
+                        weakdep_trace::summarize(&inst.trace.events()).effective_parallelism
+                    })
+                    .collect();
+                let spread = Spread::of(&parallelism);
+                let (median, iqr) = (spread.median, spread.iqr());
                 rows.push(vec![
                     format!("{ts}x{ts}"),
                     cores.to_string(),
                     variant.name().to_string(),
-                    format!("{best:.2}"),
+                    format!("{median:.2}"),
+                    format!("{iqr:.2}"),
                 ]);
                 eprintln!(
-                    "  {ts:>3}x{ts:<3} {cores:>3} cores  {:<18} parallelism {best:>6.2}",
+                    "  {ts:>3}x{ts:<3} {cores:>3} cores  {:<18} parallelism {median:>6.2} (IQR {iqr:.2})",
                     variant.name()
                 );
             }

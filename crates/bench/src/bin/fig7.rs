@@ -6,9 +6,14 @@
 //! worker, one symbol per task kind). The property to look for: in the weak variant, prefix-sum
 //! and accumulation tasks appear *interleaved* with quicksort tasks (the two algorithms overlap),
 //! while in the strong variant the prefix sum only starts after the last sort task finished
-//! (asserted, as is each variant's result).
+//! (asserted in every run, as is each run's result).
+//!
+//! The weak variant's overlap depends on timing: over a few `--quick` runs of one binary on a
+//! 2-worker host it ranges from 0 % to over 80 %. So each variant runs `--repeat` times (at
+//! least 5 with `--quick`); the bin prints the median, minimum and maximum overlap and the
+//! timeline of the median run.
 
-use weakdep_bench::{CommonArgs, InstrumentedRuntime};
+use weakdep_bench::{CommonArgs, InstrumentedRuntime, Spread};
 use weakdep_kernels::sort_scan::{self, SortScanConfig, SortScanVariant};
 use weakdep_trace::{render_timeline, TimelineOptions};
 
@@ -55,30 +60,42 @@ fn main() {
         cfg.n, cfg.ts, args.cores
     );
 
+    let runs = if args.quick { args.repeat.max(5) } else { args.repeat };
     let inst = InstrumentedRuntime::new(args.cores);
     for variant in [SortScanVariant::Weak, SortScanVariant::Strong] {
-        inst.reset_observers();
-        let (run, result) = sort_scan::run(&inst.runtime, variant, &cfg);
-        assert!(sort_scan::verify(&cfg, &result), "result verification failed");
-        let events = inst.trace.events();
-        let overlap = overlap_fraction(&events);
+        // (overlap, elapsed ms, tasks, trace) of each run.
+        let mut samples = Vec::with_capacity(runs);
+        for _ in 0..runs {
+            inst.reset_observers();
+            let (run, result) = sort_scan::run(&inst.runtime, variant, &cfg);
+            assert!(sort_scan::verify(&cfg, &result), "result verification failed");
+            let events = inst.trace.events();
+            let overlap = overlap_fraction(&events);
+            // The prefix-sum root's strong inout waits for the sort wrapper, whose body ends
+            // after its taskwait; the weak variant's overlap depends on timing and is not
+            // asserted.
+            assert!(
+                variant == SortScanVariant::Weak || overlap == 0.0,
+                "the strong variant overlapped sort and scan ({:.1}%)",
+                overlap * 100.0
+            );
+            samples.push((overlap, run.elapsed.as_secs_f64() * 1e3, run.tasks, events));
+        }
+        let overlaps: Vec<f64> = samples.iter().map(|sample| sample.0).collect();
+        let spread = Spread::of(&overlaps);
+        samples.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (_, elapsed_ms, tasks, events) = &samples[(samples.len() - 1) / 2];
         println!("=== {} ===", variant.name());
         println!(
-            "elapsed: {:.3} ms, tasks: {}, sort/scan overlap: {:.1}% of the span",
-            run.elapsed.as_secs_f64() * 1e3,
-            run.tasks,
-            overlap * 100.0
+            "sort/scan overlap over {runs} runs: median {:.1}%, min {:.1}%, max {:.1}% of the span",
+            spread.median * 100.0,
+            spread.min * 100.0,
+            spread.max * 100.0
         );
-        // The prefix-sum root's strong inout waits for the sort wrapper, whose body ends after
-        // its taskwait; the weak variant's overlap depends on timing and is not asserted.
-        assert!(
-            variant == SortScanVariant::Weak || overlap == 0.0,
-            "the strong variant overlapped sort and scan ({:.1}%)",
-            overlap * 100.0
-        );
+        println!("median run: elapsed {elapsed_ms:.3} ms, tasks: {tasks}");
         print!(
             "{}",
-            render_timeline(&events, &TimelineOptions { width: 110, legend: true })
+            render_timeline(events, &TimelineOptions { width: 110, legend: true })
         );
         println!();
     }

@@ -6,8 +6,9 @@
 //! * `--full` — paper-scale problem sizes (the defaults are laptop-scale);
 //! * `--quick` — extra-small sizes for smoke testing;
 //! * `--csv` — machine-readable CSV on stdout instead of the formatted table;
-//! * `--repeat N` — repetitions per configuration (the best run is reported, as is customary
-//!   for throughput benchmarks).
+//! * `--repeat N` — repetitions per configuration. `fig4`–`fig7` report the median of the
+//!   runs with its spread ([`Spread`]), since the best of a few runs on a shared host reads
+//!   a lucky outlier as the figure; `fig3` and `fig3_policies` still report the best run.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -177,9 +178,62 @@ pub fn emit(csv: bool, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// The median, quartiles and extremes of a sample of repeated runs (quartiles by linear
+/// interpolation between the sorted values).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// The median.
+    pub median: f64,
+    /// The first quartile.
+    pub q1: f64,
+    /// The third quartile.
+    pub q3: f64,
+    /// The smallest value.
+    pub min: f64,
+    /// The largest value.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `samples`, which must not be empty.
+    pub fn of(samples: &[f64]) -> Spread {
+        assert!(!samples.is_empty(), "a spread needs at least one sample");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let quantile = |p: f64| {
+            let at = p * (sorted.len() - 1) as f64;
+            let (low, high) = (at.floor() as usize, at.ceil() as usize);
+            sorted[low] + (sorted[high] - sorted[low]) * (at - low as f64)
+        };
+        Spread {
+            median: quantile(0.5),
+            q1: quantile(0.25),
+            q3: quantile(0.75),
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+        }
+    }
+
+    /// The interquartile range, `q3 - q1`.
+    pub fn iqr(&self) -> f64 {
+        self.q3 - self.q1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_spread_reads_the_median_quartiles_and_extremes() {
+        let spread = Spread::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!(spread, Spread { median: 3.0, q1: 2.0, q3: 4.0, min: 1.0, max: 5.0 });
+        assert_eq!(spread.iqr(), 2.0);
+        let even = Spread::of(&[4.0, 1.0, 2.0, 3.0]);
+        assert_eq!((even.median, even.q1, even.q3), (2.5, 1.75, 3.25));
+        let one = Spread::of(&[7.0]);
+        assert_eq!((one.median, one.iqr(), one.min, one.max), (7.0, 0.0, 7.0, 7.0));
+    }
 
     #[test]
     fn default_args_are_sane() {

@@ -48,7 +48,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -206,6 +206,9 @@ pub struct CapacityStats {
     pub pending_slots: usize,
     /// Jobs currently live in the service registry (submitted and not yet finished).
     pub live_jobs: usize,
+    /// Finished task records parked in the workers' return bins, waiting for the worker that
+    /// spawned them to reuse them. Bounded per worker (see `docs/runtime.md`, "Task memory").
+    pub returned_records: usize,
 }
 
 /// Snapshot of runtime-wide statistics.
@@ -275,6 +278,12 @@ pub struct RuntimeStats {
     /// Retire batches applied, each under one acquisition of the leaves' parent domain:
     /// `retires_deferred / retire_flushes` is the mean batch size.
     pub retire_flushes: usize,
+    /// Finished task records a worker handed back to the worker that spawned them, through
+    /// that worker's return bin (see `docs/runtime.md`, "Task memory").
+    pub records_returned: usize,
+    /// Task records built in a spare record of the spawning worker instead of a new
+    /// allocation.
+    pub records_reused: usize,
     /// Jobs submitted to the service (via [`Runtime::run`] or [`Runtime::submit`]).
     pub jobs_submitted: usize,
     /// Jobs whose root deeply completed (includes cancelled jobs, which still drain).
@@ -318,7 +327,10 @@ pub(crate) struct TaskRecord {
     /// The normalised dependencies (the first `deps` entries, which the engine links) followed
     /// by the footprint hints.
     footprint: Vec<FootprintEntry>,
-    deps: usize,
+    deps: u32,
+    /// The index of the worker that spawned the task, or [`OFF_POOL`]: a worker other than
+    /// its home hands the finished record back to it (see [`RecordCache`]).
+    home: u32,
     /// The job this task belongs to (an `Arc` clone per task — refcount only, no allocation,
     /// so the spawn path's allocs-per-task budget is unchanged).
     job: Arc<JobState>,
@@ -338,10 +350,11 @@ impl TaskRecord {
     }
 }
 
-/// The phase timers (cumulative nanoseconds) and the retire-batch counts: a [`Striped`] block
-/// per thread slot, so a worker's additions stay on cache lines of its own. Indexed by the
-/// `*_NS` constants and [`RETIRES_DEFERRED`] / [`RETIRE_FLUSHES`].
-type PhaseTimers = Striped<5>;
+/// The phase timers (cumulative nanoseconds), the retire-batch counts and the record-return
+/// counts: a [`Striped`] block per thread slot, so a worker's additions stay on cache lines of
+/// its own. Indexed by the `*_NS` constants, [`RETIRES_DEFERRED`] / [`RETIRE_FLUSHES`] and
+/// [`RECORDS_RETURNED`] / [`RECORDS_REUSED`].
+type PhaseTimers = Striped<7>;
 
 /// [`RuntimeStats::spawn_ns`]'s timer.
 const SPAWN_NS: usize = 0;
@@ -353,6 +366,10 @@ const RETIRE_NS: usize = 2;
 const RETIRES_DEFERRED: usize = 3;
 /// [`RuntimeStats::retire_flushes`]'s counter.
 const RETIRE_FLUSHES: usize = 4;
+/// [`RuntimeStats::records_returned`]'s counter.
+const RECORDS_RETURNED: usize = 5;
+/// [`RuntimeStats::records_reused`]'s counter.
+const RECORDS_REUSED: usize = 6;
 
 /// One single `spawn` and one retire in `SAMPLE_PERIOD` (on average, per thread) is timed,
 /// and its span counts `SAMPLE_PERIOD` times: the per-task clock reads a sampled phase saves
@@ -408,6 +425,9 @@ fn sampled() -> bool {
 struct Inner {
     pool: ThreadPool<Box<TaskRecord>>,
     engine: DependencyEngine<Box<TaskRecord>>,
+    /// One [`ReturnBin`] per worker, indexed by [`TaskRecord::home`]. Shared with the pool's
+    /// idle hook, which checks a bin without reaching for `Inner`.
+    return_bins: Arc<[ReturnBin]>,
     /// Live-job registry: each live job with its root's engine entry, which a root, having no
     /// parent domain to hold it, needs held until it retires. **Leaf-like lock**: only
     /// insert/remove/Arc-clone under it — never a gate notify, an engine call or a queue
@@ -463,6 +483,9 @@ impl Runtime {
         let inner = Arc::new_cyclic(|weak: &std::sync::Weak<Inner>| {
             let weak_for_pool = weak.clone();
             let weak_for_idle = weak.clone();
+            let return_bins: Arc<[ReturnBin]> =
+                (0..config.workers.max(1)).map(|_| ReturnBin::default()).collect();
+            let bins_for_idle = Arc::clone(&return_bins);
             let pool = ThreadPool::<Box<TaskRecord>>::with_idle_hook(
                 config.workers,
                 config.scheduling,
@@ -473,18 +496,27 @@ impl Runtime {
                         execute_task(&inner, record, wctx);
                     }
                 },
-                // An idle worker applies the retires it deferred before it assists or sleeps.
+                // An idle worker applies the retires it deferred, hands its partial record
+                // batches home and takes in its own bin before it assists or sleeps. Only the
+                // retires can make jobs ready.
                 move |wctx| {
-                    Retirer::holds_batch()
+                    let flushed = Retirer::holds_batch()
                         && weak_for_idle.upgrade().is_some_and(|inner| {
                             RETIRER.with_borrow_mut(|r| r.timed_flush(&inner, wctx));
                             true
-                        })
+                        });
+                    if RecordCache::idle_work(&bins_for_idle, wctx.index()) {
+                        if let Some(inner) = weak_for_idle.upgrade() {
+                            RECORDS.with_borrow_mut(|cache| cache.idle(&inner, wctx.index()));
+                        }
+                    }
+                    flushed
                 },
             );
             Inner {
                 pool,
                 engine: DependencyEngine::default(),
+                return_bins,
                 jobs: Mutex::new(HashMap::new()),
                 next_job_id: AtomicU64::new(0),
                 admission: Arc::new(AdmissionGate::new(
@@ -648,6 +680,8 @@ impl Runtime {
             retire_ns: self.inner.timers.get(RETIRE_NS),
             retires_deferred: self.inner.timers.get(RETIRES_DEFERRED) as usize,
             retire_flushes: self.inner.timers.get(RETIRE_FLUSHES) as usize,
+            records_returned: self.inner.timers.get(RECORDS_RETURNED) as usize,
+            records_reused: self.inner.timers.get(RECORDS_REUSED) as usize,
             jobs_submitted: self.inner.jobs_submitted.load(Ordering::Relaxed),
             jobs_completed: self.inner.jobs_completed.load(Ordering::Relaxed),
             jobs_cancelled: self.inner.jobs_cancelled.load(Ordering::Relaxed),
@@ -662,6 +696,7 @@ impl Runtime {
             live_tasks: self.inner.engine.live_tasks(),
             pending_slots: 0,
             live_jobs: self.inner.jobs.lock().len(),
+            returned_records: self.inner.return_bins.iter().map(ReturnBin::len).sum(),
         }
     }
 }
@@ -748,6 +783,7 @@ fn create_job(
         body,
         footprint: Vec::new(),
         deps: 0,
+        home: OFF_POOL,
         job: Arc::clone(&job),
         #[cfg(feature = "faults")]
         ordinal: 0,
@@ -996,7 +1032,7 @@ impl<'a> TaskCtx<'a> {
         self.inner.engine.register_payloads(
             self.record.entry(),
             tasks.into_iter().map(|(record, wait_mode)| (record.id, record, wait_mode)),
-            |record| &record.footprint[..if drop_deps { 0 } else { record.deps }],
+            |record| &record.footprint[..if drop_deps { 0 } else { record.deps as usize }],
             |record, entry| record.entry = Some(entry),
             ready,
         );
@@ -1451,17 +1487,27 @@ fn new_record(ctx: &TaskCtx<'_>, clauses: &Clauses, body: Body) -> Box<TaskRecor
     // fault plan's per-task decision streams — so the counter is bumped before the record is
     // built (same single atomic op either way).
     let _ordinal = ctx.record.job.registered.fetch_add(1, SeqCst);
-    let record = Box::new(TaskRecord {
+    let fresh = TaskRecord {
         id,
         entry: None,
         label,
         body: Some(body),
         footprint,
-        deps,
+        deps: deps as u32,
+        home: ctx.worker.map_or(OFF_POOL, |worker| worker.index() as u32),
         job: Arc::clone(&ctx.record.job),
         #[cfg(feature = "faults")]
         ordinal: _ordinal as u32,
-    });
+    };
+    // On a worker, the record is built in one of its spares when it has one.
+    let record = match ctx.worker.and_then(|worker| RecordCache::spare(ctx.inner, worker.index())) {
+        Some(mut spare) => {
+            *spare = fresh;
+            ctx.inner.timers.add(RECORDS_REUSED, 1);
+            spare
+        }
+        None => Box::new(fresh),
+    };
 
     // Register the declared footprint in the sentinel's shadow table before the task can
     // possibly dispatch. The footprint includes the hints: a `footprint_hint` is a claim the
@@ -1660,6 +1706,151 @@ impl Retirer {
     }
 }
 
+/// A worker hands the finished records of another worker home in batches of this many: one
+/// acquisition of the home's [`ReturnBin`] per batch.
+const RETURN_BATCH: usize = 32;
+
+/// A worker keeps at most this many spare records, and its [`ReturnBin`] takes a batch only
+/// while it holds fewer; past either bound a finished record is freed where it is.
+const SPARE_CAP: usize = 1024;
+
+/// The [`TaskRecord::home`] of a record spawned off the pool — a root, or a child of an inline
+/// root body. Such a record is freed by the worker that runs it.
+const OFF_POOL: u32 = u32::MAX;
+
+/// Where the other workers hand a worker the finished records it spawned (see
+/// `docs/runtime.md`, "Task memory"). **Leaf lock**: only a batch's append or the move of the
+/// whole bin runs under it — no other lock, and no record is dropped under it
+/// (`docs/locking.md`).
+// The boxes are what travels: each is an allocation its home reuses.
+#[allow(clippy::vec_box)]
+#[derive(Default)]
+#[repr(align(128))]
+struct ReturnBin {
+    parked: Mutex<Vec<Box<TaskRecord>>>,
+    /// `parked.len()`, stored after every change so that a check takes no lock. Relaxed: a
+    /// stale read only delays a take, or lets one more batch in past [`SPARE_CAP`].
+    len: AtomicUsize,
+}
+
+#[allow(clippy::vec_box)]
+impl ReturnBin {
+    fn len(&self) -> usize {
+        self.len.load(Relaxed)
+    }
+
+    /// Moves `batch` into the bin, keeping `batch`'s capacity, and counts the records under
+    /// [`RECORDS_RETURNED`]. A bin holding [`SPARE_CAP`] records or more takes none: they are
+    /// dropped here.
+    fn put(&self, batch: &mut Vec<Box<TaskRecord>>, timers: &PhaseTimers) {
+        if self.len() >= SPARE_CAP {
+            batch.clear();
+            return;
+        }
+        timers.add(RECORDS_RETURNED, batch.len() as u64);
+        let mut parked = self.parked.lock();
+        parked.append(batch);
+        self.len.store(parked.len(), Relaxed);
+    }
+
+    /// Moves every record of the bin to the end of `spares`: when `spares` is empty, by
+    /// exchanging the two vectors, so that the bin keeps a buffer.
+    fn take_into(&self, spares: &mut Vec<Box<TaskRecord>>) {
+        let mut parked = self.parked.lock();
+        if spares.is_empty() {
+            std::mem::swap(&mut *parked, spares);
+        } else {
+            spares.append(&mut parked);
+        }
+        self.len.store(0, Relaxed);
+    }
+}
+
+/// A worker's task-record traffic (see `docs/runtime.md`, "Task memory"): a record is
+/// allocated by the worker that spawns the task and, once the task ran elsewhere, comes back
+/// to it to be reused, so that its allocations are freed or reused by the thread that made them.
+#[allow(clippy::vec_box)]
+struct RecordCache {
+    /// Finished records of this worker, hollow — no body, no entry — for [`new_record`].
+    spares: Vec<Box<TaskRecord>>,
+    /// Finished records bound for other workers, one batch per home.
+    outgoing: Vec<Vec<Box<TaskRecord>>>,
+    /// Records waiting in `outgoing`.
+    pending: usize,
+}
+
+thread_local! {
+    /// This worker's [`RecordCache`]. Borrowed only outside task bodies.
+    static RECORDS: RefCell<RecordCache> = const {
+        RefCell::new(RecordCache { spares: Vec::new(), outgoing: Vec::new(), pending: 0 })
+    };
+}
+
+impl RecordCache {
+    /// A spare record of worker `home`, which is the calling thread; when it has none left,
+    /// it takes in its whole return bin first.
+    fn spare(inner: &Inner, home: usize) -> Option<Box<TaskRecord>> {
+        RECORDS.with_borrow_mut(|cache| {
+            let bin = &inner.return_bins[home];
+            if cache.spares.is_empty() && bin.len() > 0 {
+                cache.take_bin(bin);
+            }
+            cache.spares.pop()
+        })
+    }
+
+    /// Takes in `bin`, this worker's own. The entries of the records taken are dropped now, so
+    /// a `TaskEntry` is freed on the thread that allocated it too; spares past [`SPARE_CAP`]
+    /// are freed.
+    fn take_bin(&mut self, bin: &ReturnBin) {
+        let kept = self.spares.len();
+        bin.take_into(&mut self.spares);
+        for record in &mut self.spares[kept..] {
+            record.entry = None;
+        }
+        self.spares.truncate(SPARE_CAP);
+    }
+
+    /// Queues the finished `record` for its home worker, handing the batch over once it is
+    /// full.
+    fn send_home(&mut self, inner: &Inner, record: Box<TaskRecord>) {
+        let home = record.home as usize;
+        if self.outgoing.len() <= home {
+            self.outgoing.resize_with(inner.return_bins.len(), Vec::new);
+        }
+        let batch = &mut self.outgoing[home];
+        batch.push(record);
+        self.pending += 1;
+        if batch.len() == RETURN_BATCH {
+            self.pending -= RETURN_BATCH;
+            inner.return_bins[home].put(batch, &inner.timers);
+        }
+    }
+
+    /// Whether worker `index`, the calling thread, has partial batches to hand over or records
+    /// in its own bin.
+    fn idle_work(bins: &[ReturnBin], index: usize) -> bool {
+        bins[index].len() > 0 || RECORDS.with_borrow(|cache| cache.pending > 0)
+    }
+
+    /// The idle worker `index` hands every partial batch home and takes in its own bin, so
+    /// that a pool gone idle parks at most one batch per worker in a bin.
+    fn idle(&mut self, inner: &Inner, index: usize) {
+        if self.pending > 0 {
+            for (home, batch) in self.outgoing.iter_mut().enumerate() {
+                if !batch.is_empty() {
+                    inner.return_bins[home].put(batch, &inner.timers);
+                }
+            }
+            self.pending = 0;
+        }
+        let bin = &inner.return_bins[index];
+        if bin.len() > 0 {
+            self.take_bin(bin);
+        }
+    }
+}
+
 /// Executes one task body on a worker and feeds the outcome back into the dependency engine.
 fn execute_task(
     inner: &Arc<Inner>,
@@ -1771,6 +1962,9 @@ fn execute_task(
             }
         }
     });
+    if record.home != OFF_POOL && record.home as usize != wctx.index() {
+        RECORDS.with_borrow_mut(|cache| cache.send_home(inner, record));
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -3042,5 +3236,91 @@ mod tests {
             assert_eq!(stats.tasks_deeply_completed, stats.tasks_registered);
         }
         assert!(rt.stats().retires_deferred > 0, "the jobs' leaves were batched");
+    }
+
+    /// The record stays at 104 bytes: the same fields laid out in 120 bytes, with no other
+    /// change, cost `service_mix` ~10 % of its `jobs_per_s` (2 workers, 2-vCPU VM, seed 1, 5 of
+    /// 5 alternating pairs lost).
+    #[cfg(not(feature = "faults"))]
+    #[test]
+    fn the_task_record_stays_within_104_bytes() {
+        assert!(std::mem::size_of::<TaskRecord>() <= 104, "{}", std::mem::size_of::<TaskRecord>());
+    }
+
+    /// Polls `done` for up to ten seconds. What the return tests check is done by the pool's
+    /// idle hook, which every worker runs before it sleeps, and a pool left without work
+    /// sleeps; so `done` holds once the pool is idle, and the bound only ends a failing run.
+    fn eventually(done: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    /// Runs one job on `rt` in which a task spawns `leaves` empty leaves one `spawn` at a time
+    /// and waits until one of them ran on another worker, so that records cross workers.
+    fn spawn_leaves_from_a_task(rt: &Runtime, leaves: usize) -> usize {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let elsewhere = Arc::new(AtomicUsize::new(0));
+        let (counted, crossed) = (Arc::clone(&ran), Arc::clone(&elsewhere));
+        rt.run(move |root| {
+            root.task().spawn(move |spawner| {
+                let home = spawner.worker_index();
+                for _ in 0..leaves {
+                    let (counted, crossed) = (Arc::clone(&counted), Arc::clone(&crossed));
+                    spawner.task().spawn(move |leaf| {
+                        counted.fetch_add(1, Ordering::Relaxed);
+                        if leaf.worker_index() != home {
+                            crossed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+                while spawner.worker_count() > 1 && crossed.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                spawner.taskwait();
+            });
+        });
+        assert!(rt.worker_count() == 1 || elsewhere.load(Ordering::Relaxed) > 0);
+        ran.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn records_that_finish_on_another_worker_go_home() {
+        let rt = Runtime::with_workers(2);
+        assert_eq!(spawn_leaves_from_a_task(&rt, 10_000), 10_000);
+        assert!(
+            eventually(|| rt.stats().records_returned > 0),
+            "no record reached its home: {:?}",
+            rt.stats()
+        );
+        let stats = rt.stats();
+        // A spare comes only out of a return bin.
+        assert!(stats.records_reused <= stats.records_returned, "{stats:?}");
+
+        let single = Runtime::with_workers(1);
+        assert_eq!(spawn_leaves_from_a_task(&single, 1_000), 1_000);
+        let stats = single.stats();
+        assert_eq!((stats.records_returned, stats.records_reused), (0, 0), "nothing is routed");
+    }
+
+    #[test]
+    fn an_idle_pool_parks_at_most_one_batch_per_worker_in_a_bin() {
+        let rt = Runtime::with_workers(2);
+        for _ in 0..3 {
+            assert_eq!(spawn_leaves_from_a_task(&rt, 10_000), 10_000);
+        }
+        let bound = RETURN_BATCH * rt.worker_count();
+        let bins = || rt.inner.return_bins.iter().map(ReturnBin::len).collect::<Vec<_>>();
+        assert!(
+            eventually(|| bins().iter().all(|&len| len <= bound)),
+            "return bins of an idle pool: {:?} records, bound {bound}",
+            bins()
+        );
+        assert_eq!(rt.capacity().returned_records, bins().iter().sum::<usize>());
     }
 }

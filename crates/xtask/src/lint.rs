@@ -26,6 +26,11 @@
 //!   - `leaf-lock`: only insert/remove/`Arc`-clone run under it — no other lock;
 //!   - `call-while-locked`: no gate notify/wait, scheduler dispatch or admission call while
 //!     the registry guard is live (clone the job `Arc`s out, drop the guard, then notify).
+//!
+//!   and the workers' **return bins** of finished task records (`….parked.lock()`):
+//!   - `leaf-lock`: only a batch's append or the move of a whole bin runs under it — no other
+//!     lock; the domain class applies here too, so a bin taken under a domain guard is flagged;
+//!   - `call-while-locked`: no dispatch, wake, pump or id filing under it.
 //! * `crates/threadpool/src/lib.rs` — the **fair-share queue mutex** (`….fair.lock()`):
 //!   - `leaf-lock` + `call-while-locked`: queue rotation only; sleep-protocol notifies happen
 //!     strictly after the push returns.
@@ -203,9 +208,19 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         forbid_nested_same_class: true,
         leaf: true,
     };
+    const RETURN_BIN: LockClass = LockClass {
+        name: "return-bin",
+        acquire: ".parked.lock()",
+        // A batch's append or the move of a whole bin, nothing else (docs/locking.md).
+        forbidden_calls: WAKE_OR_DISPATCH,
+        forbid_nested_same_class: true,
+        leaf: true,
+    };
     const DOMAIN_CLASSES: &[LockClass] = &[DOMAIN, FREE_LIST];
+    // The domain class has no acquisition in the runtime; it is listed so that a return bin
+    // (or any other lock) taken under a domain guard there would be flagged as well.
+    const RUNTIME_CLASSES: &[LockClass] = &[REGISTRY, RETURN_BIN, DOMAIN];
     const SLEEP_CLASSES: &[LockClass] = &[PARK, GATE];
-    const REGISTRY_CLASSES: &[LockClass] = &[REGISTRY];
     const FAIR_CLASSES: &[LockClass] = &[FAIR];
     const WATCHDOG_CLASSES: &[LockClass] = &[WATCHDOG];
     const ASSIST_CLASSES: &[LockClass] = &[ASSIST, POISON];
@@ -216,8 +231,9 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         DOMAIN_CLASSES
     } else if name.contains("sleep") {
         SLEEP_CLASSES
-    } else if name.contains("runtime") || name.contains("registry") {
-        REGISTRY_CLASSES
+    } else if name.contains("runtime") || name.contains("registry") || name.contains("return_bin")
+    {
+        RUNTIME_CLASSES
     } else if name.contains("watchdog") {
         WATCHDOG_CLASSES
     } else if name.contains("assist") {
@@ -680,6 +696,35 @@ mod tests {
             violations.iter().any(|v| v.rule == "call-while-locked"),
             "notify under the registry guard not flagged: {violations:?}"
         );
+    }
+
+    #[test]
+    fn return_bin_fixture_is_flagged() {
+        let src = include_str!("../fixtures/return_bin_under_lock.rs");
+        let path = PathBuf::from("return_bin_under_lock.rs");
+        let violations = scan_source("return_bin_under_lock.rs", src, classes_for(&path));
+        for function in ["registry_under_bin", "bin_under_domain"] {
+            assert!(
+                violations.iter().any(|v| v.rule == "leaf-lock" && v.function == function),
+                "{function} not flagged: {violations:?}"
+            );
+        }
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.rule == "call-while-locked" && v.function == "dispatch_under_bin"),
+            "a dispatch under a return-bin guard not flagged: {violations:?}"
+        );
+        let clean = r#"
+            fn put(&self, batch: &mut Vec<Box<TaskRecord>>, timers: &PhaseTimers) {
+                timers.add(RECORDS_RETURNED, batch.len() as u64);
+                let mut parked = self.parked.lock();
+                parked.append(batch);
+                self.len.store(parked.len(), Relaxed);
+            }
+        "#;
+        assert!(scan_source("runtime.rs", clean, classes_for(&PathBuf::from("runtime.rs")))
+            .is_empty());
     }
 
     #[test]

@@ -40,7 +40,7 @@ fn rendezvous(arrived: &AtomicUsize, expected: usize, deadline: Duration) {
 /// hold regions against anyone.
 #[test]
 fn nested_weak_workload_is_clean() {
-    let rt = Runtime::with_workers(4);
+    let rt = Runtime::with_workers(2);
     let data = SharedSlice::<u64>::filled(1024, 1);
     for _ in 0..8 {
         let outer_data = data.clone();
@@ -114,7 +114,7 @@ fn batched_retires_are_clean() {
 /// must never see two of them running at once — across many repetitions.
 #[test]
 fn dependent_chain_is_clean() {
-    let rt = Runtime::with_workers(4);
+    let rt = Runtime::with_workers(2);
     let data = SharedSlice::<u64>::filled(64, 0);
     for _ in 0..50 {
         let d = data.clone();
@@ -138,7 +138,7 @@ fn dependent_chain_is_clean() {
 /// time, which without the job qualifier would look exactly like the flagged races below.
 #[test]
 fn concurrent_jobs_with_identical_footprints_are_clean() {
-    let rt = Runtime::with_workers(4);
+    let rt = Runtime::with_workers(2);
     let arrived = Arc::new(AtomicUsize::new(0));
     let handles: Vec<_> = (0..3)
         .map(|_| {
@@ -178,7 +178,7 @@ fn concurrent_jobs_with_identical_footprints_are_clean() {
 #[test]
 #[should_panic(expected = "sentinel: region conflict")]
 fn wave_ordering_mutation_is_caught() {
-    let rt = Runtime::new(RuntimeConfig::new().workers(4).seed_wave_ordering_bug(true));
+    let rt = Runtime::new(RuntimeConfig::new().workers(2).seed_wave_ordering_bug(true));
     let data = SharedSlice::<u64>::filled(64, 0);
     let arrived = Arc::new(AtomicUsize::new(0));
     rt.run(move |ctx| {
@@ -205,7 +205,7 @@ fn wave_ordering_mutation_is_caught() {
 #[test]
 #[should_panic(expected = "sentinel: region conflict")]
 fn wave_ordering_mutation_is_caught_on_a_spawn_each_wave() {
-    let rt = Runtime::new(RuntimeConfig::new().workers(4).seed_wave_ordering_bug(true));
+    let rt = Runtime::new(RuntimeConfig::new().workers(2).seed_wave_ordering_bug(true));
     let data = SharedSlice::<u64>::filled(64, 0);
     let arrived = Arc::new(AtomicUsize::new(0));
     rt.run(move |ctx| {

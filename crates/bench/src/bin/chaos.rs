@@ -69,13 +69,14 @@ mod harness {
                     let data = SharedSlice::<u64>::filled(64, 0);
                     for _ in 0..n {
                         let d = data.clone();
-                        ctx.task().inout(data.region(0..64)).label("chaos-link").spawn(
-                            move |t| {
+                        ctx.task()
+                            .inout(data.region(0..64))
+                            .label("chaos-link")
+                            .spawn(move |t| {
                                 for v in d.write(t, 0..64) {
                                     *v += 1;
                                 }
-                            },
-                        );
+                            });
                     }
                     ctx.taskwait();
                     data.snapshot().iter().sum()
@@ -84,11 +85,12 @@ mod harness {
                     let data = SharedSlice::<u64>::filled(n, 0);
                     for i in 0..n {
                         let d = data.clone();
-                        ctx.task().inout(data.region(i..i + 1)).label("chaos-cell").spawn(
-                            move |t| {
+                        ctx.task()
+                            .inout(data.region(i..i + 1))
+                            .label("chaos-cell")
+                            .spawn(move |t| {
                                 d.write(t, i..i + 1)[0] = 1;
-                            },
-                        );
+                            });
                     }
                     ctx.taskwait();
                     data.snapshot().iter().sum()
@@ -144,9 +146,11 @@ mod harness {
     fn install_panic_filter() {
         let default_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let message = info.payload().downcast_ref::<&str>().map(|s| s.to_string()).or_else(
-                || info.payload().downcast_ref::<String>().cloned(),
-            );
+            let message = info
+                .payload()
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| info.payload().downcast_ref::<String>().cloned());
             if message.is_some_and(|m| m.starts_with("injected fault")) {
                 return;
             }
@@ -161,8 +165,11 @@ mod harness {
         // rate (1 - 0.88^129 ≈ 1) and exercise containment under load; *small* ones keep a
         // meaningful un-targeted fraction (0.88^9 ≈ 32%) so the oracle-equality half of the
         // isolation invariant is actually exercised. The seed is fixed, so the split is too.
-        let (large_jobs, large_tasks, small_jobs, small_tasks) =
-            if args.quick { (8, 48, 32, 8) } else { (32, 128, 96, 8) };
+        let (large_jobs, large_tasks, small_jobs, small_tasks) = if args.quick {
+            (8, 48, 32, 8)
+        } else {
+            (32, 128, 96, 8)
+        };
         let budget = ((large_jobs * large_tasks + small_jobs * small_tasks) / 16).max(64);
         install_panic_filter();
 
@@ -189,7 +196,11 @@ mod harness {
             .chain(std::iter::repeat_n(small_tasks, small_jobs));
         for (i, n) in sizes.enumerate() {
             let shape = SHAPES[i % SHAPES.len()];
-            let policy = if i % 2 == 0 { PanicPolicy::FailFast } else { PanicPolicy::RunToCompletion };
+            let policy = if i % 2 == 0 {
+                PanicPolicy::FailFast
+            } else {
+                PanicPolicy::RunToCompletion
+            };
             let options = JobOptions::new().panic_policy(policy).label("chaos-soak");
             let submitted = Instant::now();
             let handle = rt.submit_with(options, move |ctx| shape.run(ctx, n));
@@ -207,17 +218,21 @@ mod harness {
         // Deadline jobs: a serial chain of sleeping tasks under a deadline it cannot meet.
         for _ in 0..2 {
             let links = 200usize;
-            let options =
-                JobOptions::new().deadline(Duration::from_millis(5)).label("chaos-deadline");
+            let options = JobOptions::new()
+                .deadline(Duration::from_millis(5))
+                .label("chaos-deadline");
             let submitted = Instant::now();
             let handle = rt.submit_with(options, move |ctx| {
                 let data = SharedSlice::<u64>::filled(1, 0);
                 for _ in 0..links {
                     let d = data.clone();
-                    ctx.task().inout(data.region(0..1)).label("chaos-sleep").spawn(move |t| {
-                        std::thread::sleep(Duration::from_millis(1));
-                        d.write(t, 0..1)[0] += 1;
-                    });
+                    ctx.task()
+                        .inout(data.region(0..1))
+                        .label("chaos-sleep")
+                        .spawn(move |t| {
+                            std::thread::sleep(Duration::from_millis(1));
+                            d.write(t, 0..1)[0] += 1;
+                        });
                 }
                 ctx.taskwait();
                 data.snapshot()[0]
@@ -242,12 +257,13 @@ mod harness {
                 let data = SharedSlice::<u64>::filled(n, 0);
                 for i in 0..n {
                     let d = data.clone();
-                    ctx.task().inout(data.region(i..i + 1)).label("chaos-doomed").spawn(
-                        move |t| {
+                    ctx.task()
+                        .inout(data.region(i..i + 1))
+                        .label("chaos-doomed")
+                        .spawn(move |t| {
                             std::thread::sleep(Duration::from_micros(300));
                             d.write(t, i..i + 1)[0] = 1;
-                        },
-                    );
+                        });
                 }
                 ctx.taskwait();
                 data.snapshot().iter().sum()
@@ -306,7 +322,10 @@ mod harness {
                         clean_latencies.push(*latency);
                     }
                     Err(error) => {
-                        assert!(p.targeted, "{label}: failed without an injected fault: {error}");
+                        assert!(
+                            p.targeted,
+                            "{label}: failed without an injected fault: {error}"
+                        );
                         assert!(
                             matches!(error, JobError::Panicked { .. }),
                             "{label}: a targeted job must report its panic, got {error}"
@@ -349,7 +368,10 @@ mod harness {
         let total_jobs = pending.len();
         let total_tasks: usize = pending.iter().map(|p| p.tasks + 1).sum();
         assert_eq!(stats.jobs_submitted, total_jobs);
-        assert_eq!(stats.jobs_completed, total_jobs, "every job drains to completion");
+        assert_eq!(
+            stats.jobs_completed, total_jobs,
+            "every job drains to completion"
+        );
         // `jobs_cancelled` counts jobs whose explicit cancel landed before root completion.
         // A *targeted* cancel job can abort on its injected panic and finish before the
         // harness's `cancel()` call, so the exact count floats between "every job that

@@ -12,17 +12,25 @@
 //!   scheduler (`nest-weak*`, `flat-depend`).
 
 use weakdep_bench::{emit, CommonArgs, InstrumentedRuntime};
-use weakdep_kernels::axpy::{self, AxpyConfig, AxpyVariant};
 use weakdep_core::SharedSlice;
+use weakdep_kernels::axpy::{self, AxpyConfig, AxpyVariant};
 
 fn main() {
     let args = CommonArgs::parse();
     let (n, calls, task_sizes): (usize, usize, Vec<usize>) = if args.full {
-        (384 << 20, 20, vec![4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10])
+        (
+            384 << 20,
+            20,
+            vec![4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10],
+        )
     } else if args.quick {
         (1 << 18, 5, vec![4 << 10, 16 << 10])
     } else {
-        (8 << 20, 10, vec![4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10])
+        (
+            8 << 20,
+            10,
+            vec![4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10],
+        )
     };
 
     eprintln!(
@@ -38,7 +46,12 @@ fn main() {
     let mut rows = Vec::new();
     for &task_size in &task_sizes {
         for variant in AxpyVariant::all() {
-            let cfg = AxpyConfig { n, calls, task_size, alpha: 1.000001 };
+            let cfg = AxpyConfig {
+                n,
+                calls,
+                task_size,
+                alpha: 1.000001,
+            };
             let mut best_gflops = 0.0f64;
             let mut best_miss = 1.0f64;
             for _ in 0..args.repeat {

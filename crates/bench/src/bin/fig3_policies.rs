@@ -42,11 +42,23 @@ fn main() {
         (1 << 20, 16, 4 << 10)
     };
     let gs_cfg = if args.full {
-        GsConfig { blocks: 16, ts: 64, iterations: 48 }
+        GsConfig {
+            blocks: 16,
+            ts: 64,
+            iterations: 48,
+        }
     } else if args.quick {
-        GsConfig { blocks: 4, ts: 16, iterations: 6 }
+        GsConfig {
+            blocks: 4,
+            ts: 16,
+            iterations: 6,
+        }
     } else {
-        GsConfig { blocks: 8, ts: 32, iterations: 12 }
+        GsConfig {
+            blocks: 8,
+            ts: 32,
+            iterations: 12,
+        }
     };
 
     eprintln!(
@@ -61,7 +73,12 @@ fn main() {
         let x = SharedSlice::<f64>::new(n);
         let y = SharedSlice::<f64>::new(n);
         for variant in AxpyVariant::all() {
-            let cfg = AxpyConfig { n, calls, task_size, alpha: 1.000001 };
+            let cfg = AxpyConfig {
+                n,
+                calls,
+                task_size,
+                alpha: 1.000001,
+            };
             let mut best_gflops = 0.0f64;
             let mut best_miss = 1.0f64;
             for repeat in 0..args.repeat {
@@ -133,7 +150,14 @@ fn main() {
         }
     }
 
-    let headers = ["policy", "kernel", "variant", "task_size", "gflops", "l2_miss_ratio"];
+    let headers = [
+        "policy",
+        "kernel",
+        "variant",
+        "task_size",
+        "gflops",
+        "l2_miss_ratio",
+    ];
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

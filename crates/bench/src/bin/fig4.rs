@@ -41,7 +41,12 @@ fn main() {
     for &cores in &core_counts {
         let rt = Runtime::with_workers(cores);
         for variant in AxpyVariant::all() {
-            let cfg = AxpyConfig { n, calls, task_size, alpha: 1.000001 };
+            let cfg = AxpyConfig {
+                n,
+                calls,
+                task_size,
+                alpha: 1.000001,
+            };
             let gops: Vec<f64> = (0..args.repeat)
                 .map(|_| {
                     axpy::initialize(&x, &y);

@@ -38,16 +38,26 @@ fn main() {
             eprintln!("  skipping task size {ts} (does not divide the grid side {side})");
             continue;
         }
-        let cfg = GsConfig { blocks: side / ts, ts, iterations };
+        let cfg = GsConfig {
+            blocks: side / ts,
+            ts,
+            iterations,
+        };
         let grid = gauss_seidel::Grid::new(cfg);
-        let expected: Vec<u64> = gauss_seidel::reference(&cfg).iter().map(|v| v.to_bits()).collect();
+        let expected: Vec<u64> = gauss_seidel::reference(&cfg)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
         for variant in GsVariant::all() {
             let gops: Vec<f64> = (0..args.repeat)
                 .map(|_| {
                     grid.reset();
                     let run = gauss_seidel::run_on(&rt, variant, &grid);
                     assert!(
-                        grid.snapshot().iter().map(|v| v.to_bits()).eq(expected.iter().copied()),
+                        grid.snapshot()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .eq(expected.iter().copied()),
                         "{ts}x{ts} {}: the final grid differs from the reference",
                         variant.name()
                     );

@@ -33,14 +33,24 @@ fn main() {
         "fig6: gauss-seidel effective parallelism, grid {side}x{side}, {iterations} iterations, cores {core_counts:?}"
     );
 
-    let headers = ["task_size", "cores", "variant", "effective_parallelism", "iqr"];
+    let headers = [
+        "task_size",
+        "cores",
+        "variant",
+        "effective_parallelism",
+        "iqr",
+    ];
     let mut rows = Vec::new();
     for &ts in &task_sides {
         if side % ts != 0 {
             eprintln!("  skipping task size {ts} (does not divide {side})");
             continue;
         }
-        let cfg = GsConfig { blocks: side / ts, ts, iterations };
+        let cfg = GsConfig {
+            blocks: side / ts,
+            ts,
+            iterations,
+        };
         for &cores in &core_counts {
             let inst = InstrumentedRuntime::new(cores);
             let grid = gauss_seidel::Grid::new(cfg);

@@ -20,7 +20,12 @@ use weakdep_trace::{render_timeline, TimelineOptions};
 /// Fraction of the total span during which tasks of both algorithms were in flight.
 fn overlap_fraction(events: &[weakdep_trace::TraceEvent]) -> f64 {
     let sort_labels = ["quick_sort", "insertion_sort"];
-    let scan_labels = ["prefix_sum", "prefix_sum_rec", "prefix_sum_root", "accumulation"];
+    let scan_labels = [
+        "prefix_sum",
+        "prefix_sum_rec",
+        "prefix_sum_root",
+        "accumulation",
+    ];
     let span_start = events.iter().map(|e| e.start_ns).min().unwrap_or(0);
     let span_end = events.iter().map(|e| e.end_ns).max().unwrap_or(0);
     if span_end <= span_start {
@@ -48,9 +53,17 @@ fn overlap_fraction(events: &[weakdep_trace::TraceEvent]) -> f64 {
 fn main() {
     let args = CommonArgs::parse();
     let cfg = if args.full {
-        SortScanConfig { n: 1 << 24, ts: 1 << 15, seed: 7 }
+        SortScanConfig {
+            n: 1 << 24,
+            ts: 1 << 15,
+            seed: 7,
+        }
     } else if args.quick {
-        SortScanConfig { n: 1 << 16, ts: 1 << 11, seed: 7 }
+        SortScanConfig {
+            n: 1 << 16,
+            ts: 1 << 11,
+            seed: 7,
+        }
     } else {
         SortScanConfig::default_bench()
     };
@@ -60,7 +73,11 @@ fn main() {
         cfg.n, cfg.ts, args.cores
     );
 
-    let runs = if args.quick { args.repeat.max(5) } else { args.repeat };
+    let runs = if args.quick {
+        args.repeat.max(5)
+    } else {
+        args.repeat
+    };
     let inst = InstrumentedRuntime::new(args.cores);
     for variant in [SortScanVariant::Weak, SortScanVariant::Strong] {
         // (overlap, elapsed ms, tasks, trace) of each run.
@@ -68,7 +85,10 @@ fn main() {
         for _ in 0..runs {
             inst.reset_observers();
             let (run, result) = sort_scan::run(&inst.runtime, variant, &cfg);
-            assert!(sort_scan::verify(&cfg, &result), "result verification failed");
+            assert!(
+                sort_scan::verify(&cfg, &result),
+                "result verification failed"
+            );
             let events = inst.trace.events();
             let overlap = overlap_fraction(&events);
             // The prefix-sum root's strong inout waits for the sort wrapper, whose body ends
@@ -95,7 +115,13 @@ fn main() {
         println!("median run: elapsed {elapsed_ms:.3} ms, tasks: {tasks}");
         print!(
             "{}",
-            render_timeline(events, &TimelineOptions { width: 110, legend: true })
+            render_timeline(
+                events,
+                &TimelineOptions {
+                    width: 110,
+                    legend: true
+                }
+            )
         );
         println!();
     }

@@ -83,11 +83,14 @@ impl Shape {
                 let data = SharedSlice::<u64>::filled(64, 0);
                 for _ in 0..links {
                     let d = data.clone();
-                    ctx.task().inout(data.region(0..64)).label("chain-link").spawn(move |t| {
-                        for v in d.write(t, 0..64) {
-                            *v += 1;
-                        }
-                    });
+                    ctx.task()
+                        .inout(data.region(0..64))
+                        .label("chain-link")
+                        .spawn(move |t| {
+                            for v in d.write(t, 0..64) {
+                                *v += 1;
+                            }
+                        });
                 }
                 ctx.taskwait();
                 data.snapshot().iter().sum()
@@ -97,9 +100,12 @@ impl Shape {
                 let data = SharedSlice::<u64>::filled(tasks, 0);
                 for i in 0..tasks {
                     let d = data.clone();
-                    ctx.task().inout(data.region(i..i + 1)).label("fanout-cell").spawn(move |t| {
-                        d.write(t, i..i + 1)[0] = 1;
-                    });
+                    ctx.task()
+                        .inout(data.region(i..i + 1))
+                        .label("fanout-cell")
+                        .spawn(move |t| {
+                            d.write(t, i..i + 1)[0] = 1;
+                        });
                 }
                 ctx.taskwait();
                 data.snapshot().iter().sum()
@@ -211,12 +217,15 @@ fn faulty_body(ctx: &TaskCtx<'_>, scale: usize) -> u64 {
     let data = SharedSlice::<u64>::filled(tasks, 0);
     for i in 0..tasks {
         let d = data.clone();
-        ctx.task().inout(data.region(i..i + 1)).label("faulty-cell").spawn(move |t| {
-            if i == 0 {
-                panic!("deliberate tenant fault");
-            }
-            d.write(t, i..i + 1)[0] = 1;
-        });
+        ctx.task()
+            .inout(data.region(i..i + 1))
+            .label("faulty-cell")
+            .spawn(move |t| {
+                if i == 0 {
+                    panic!("deliberate tenant fault");
+                }
+                d.write(t, i..i + 1)[0] = 1;
+            });
     }
     ctx.taskwait();
     data.snapshot().iter().sum()
@@ -230,7 +239,9 @@ fn run_row(
     scale: usize,
     workers: usize,
 ) -> Row {
-    let mut config = RuntimeConfig::new().workers(workers).scheduling_policy(policy);
+    let mut config = RuntimeConfig::new()
+        .workers(workers)
+        .scheduling_policy(policy);
     if let Some(b) = budget {
         config = config.live_task_budget(b);
     }
@@ -266,7 +277,13 @@ fn run_row(
             } else {
                 rt.submit_with(options, move |ctx| shape.run(ctx, scale))
             };
-            PendingJob { shape, faulty, submitted, handle, done: None }
+            PendingJob {
+                shape,
+                faulty,
+                submitted,
+                handle,
+                done: None,
+            }
         })
         .collect();
     // Poll every handle so each job's completion time is observed promptly, not serialised
@@ -317,15 +334,24 @@ fn run_row(
 
     let stats = rt.stats();
     assert_eq!(stats.jobs_submitted, jobs);
-    assert_eq!(stats.jobs_completed, jobs, "failed jobs still drain to completion");
+    assert_eq!(
+        stats.jobs_completed, jobs,
+        "failed jobs still drain to completion"
+    );
     assert_eq!(stats.jobs_cancelled, 0);
     assert_eq!(
         stats.engine.tasks_registered, stats.engine.tasks_deeply_completed,
         "aggregate accounting must balance once every job retired"
     );
     let capacity = rt.capacity();
-    assert_eq!(capacity.live_tasks, 0, "no live tasks after all jobs finished");
-    assert_eq!(capacity.live_jobs, 0, "no live jobs after all jobs finished");
+    assert_eq!(
+        capacity.live_tasks, 0,
+        "no live tasks after all jobs finished"
+    );
+    assert_eq!(
+        capacity.live_jobs, 0,
+        "no live jobs after all jobs finished"
+    );
 
     Row {
         policy,
@@ -370,12 +396,47 @@ fn main() {
 
     let allocs_before = weakdep_bench::alloc_counter::allocations();
     let rows = [
-        run_row(SchedulingPolicy::LocalitySlot, None, None, jobs, scale, workers),
-        run_row(SchedulingPolicy::FairShare, None, None, jobs, scale, workers),
-        run_row(SchedulingPolicy::FairShare, Some(budget), None, jobs, scale, workers),
+        run_row(
+            SchedulingPolicy::LocalitySlot,
+            None,
+            None,
+            jobs,
+            scale,
+            workers,
+        ),
+        run_row(
+            SchedulingPolicy::FairShare,
+            None,
+            None,
+            jobs,
+            scale,
+            workers,
+        ),
+        run_row(
+            SchedulingPolicy::FairShare,
+            Some(budget),
+            None,
+            jobs,
+            scale,
+            workers,
+        ),
         // Failure-model rows: every 8th job crashes; percentiles cover the clean jobs.
-        run_row(SchedulingPolicy::FairShare, None, Some(PanicPolicy::FailFast), jobs, scale, workers),
-        run_row(SchedulingPolicy::FairShare, None, Some(PanicPolicy::RunToCompletion), jobs, scale, workers),
+        run_row(
+            SchedulingPolicy::FairShare,
+            None,
+            Some(PanicPolicy::FailFast),
+            jobs,
+            scale,
+            workers,
+        ),
+        run_row(
+            SchedulingPolicy::FairShare,
+            None,
+            Some(PanicPolicy::RunToCompletion),
+            jobs,
+            scale,
+            workers,
+        ),
     ];
     let alloc_delta = weakdep_bench::alloc_counter::allocations() - allocs_before;
     let total_tasks: usize = rows.iter().map(|r| r.tasks).sum();
@@ -426,6 +487,10 @@ fn main() {
 
     // ---- CI gate: allocations per task across the multi-tenant soak. ----
     if args.enforce_alloc_budget {
-        enforce_budgets([check_budget("mixed_tenant allocs/task", allocs_per_task, ALLOC_BUDGET)]);
+        enforce_budgets([check_budget(
+            "mixed_tenant allocs/task",
+            allocs_per_task,
+            ALLOC_BUDGET,
+        )]);
     }
 }

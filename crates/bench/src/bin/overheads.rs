@@ -106,11 +106,19 @@ fn flat_unbatched(workers: usize, tasks: usize) -> (f64, f64, MatchCounts, u64) 
     let spawn_secs = rt.run(move |ctx| {
         let spawn_start = Instant::now();
         for i in 0..tasks {
-            ctx.task().inout(d.region(i..i + 1)).label("bench").spawn(|_| {});
+            ctx.task()
+                .inout(d.region(i..i + 1))
+                .label("bench")
+                .spawn(|_| {});
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
+    (
+        spawn_secs,
+        total_start.elapsed().as_secs_f64(),
+        match_counts(&rt),
+        allocs_now() - allocs0,
+    )
 }
 
 /// Pure spawn-path overhead: `tasks` dependency-free empty tasks, one `spawn` call each (the
@@ -127,7 +135,12 @@ fn nodeps_unbatched(workers: usize, tasks: usize) -> (f64, f64, MatchCounts, u64
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
+    (
+        spawn_secs,
+        total_start.elapsed().as_secs_f64(),
+        match_counts(&rt),
+        allocs_now() - allocs0,
+    )
 }
 
 /// The same dependency-free workload through `spawn_batch`.
@@ -140,14 +153,20 @@ fn nodeps_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Match
         let mut i = 0;
         while i < tasks {
             let end = (i + wave).min(tasks);
-            let specs: Vec<TaskSpec> =
-                (i..end).map(|_| ctx.task().label("bench").stage(|_| {})).collect();
+            let specs: Vec<TaskSpec> = (i..end)
+                .map(|_| ctx.task().label("bench").stage(|_| {}))
+                .collect();
             ctx.spawn_batch(specs);
             i = end;
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
+    (
+        spawn_secs,
+        total_start.elapsed().as_secs_f64(),
+        match_counts(&rt),
+        allocs_now() - allocs0,
+    )
 }
 
 /// Partial-overlap dependency pattern: every task's region covers half of its predecessor's, so
@@ -177,7 +196,12 @@ fn fragmented_deps(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Matc
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
+    (
+        spawn_secs,
+        total_start.elapsed().as_secs_f64(),
+        match_counts(&rt),
+        allocs_now() - allocs0,
+    )
 }
 
 /// Demotion churn: pairs of tasks over a sliding window. The first task of each pair writes a
@@ -210,7 +234,12 @@ fn fragmented_demote(workers: usize, tasks: usize, wave: usize) -> (f64, f64, Ma
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
+    (
+        spawn_secs,
+        total_start.elapsed().as_secs_f64(),
+        match_counts(&rt),
+        allocs_now() - allocs0,
+    )
 }
 
 /// The same workload registered through `spawn_batch`, in waves of `wave` tasks.
@@ -226,14 +255,24 @@ fn flat_batched(workers: usize, tasks: usize, wave: usize) -> (f64, f64, MatchCo
         while i < tasks {
             let end = (i + wave).min(tasks);
             let specs: Vec<TaskSpec> = (i..end)
-                .map(|k| ctx.task().inout(d.region(k..k + 1)).label("bench").stage(|_| {}))
+                .map(|k| {
+                    ctx.task()
+                        .inout(d.region(k..k + 1))
+                        .label("bench")
+                        .stage(|_| {})
+                })
                 .collect();
             ctx.spawn_batch(specs);
             i = end;
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
+    (
+        spawn_secs,
+        total_start.elapsed().as_secs_f64(),
+        match_counts(&rt),
+        allocs_now() - allocs0,
+    )
 }
 
 /// The same workload registered through `spawn_each`, in waves of `wave` tasks.
@@ -258,7 +297,12 @@ fn flat_each(workers: usize, tasks: usize, wave: usize) -> (f64, f64, MatchCount
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
+    (
+        spawn_secs,
+        total_start.elapsed().as_secs_f64(),
+        match_counts(&rt),
+        allocs_now() - allocs0,
+    )
 }
 
 /// Side of the `stencil-each` grid in interior blocks, and elements per block.
@@ -299,7 +343,12 @@ fn stencil_each(workers: usize, tasks: usize) -> (f64, f64, MatchCounts, u64) {
         }
         spawn_start.elapsed().as_secs_f64()
     });
-    (spawn_secs, total_start.elapsed().as_secs_f64(), match_counts(&rt), allocs_now() - allocs0)
+    (
+        spawn_secs,
+        total_start.elapsed().as_secs_f64(),
+        match_counts(&rt),
+        allocs_now() - allocs0,
+    )
 }
 
 /// `spawners` tasks run concurrently on the pool; each spawns `children` tasks into its own
@@ -360,8 +409,8 @@ fn nested(
     let total = total_start.elapsed().as_secs_f64();
     // Average concurrent spawner time: total spawner-loop nanoseconds divided by the number of
     // spawners (they run in parallel, so the average models the per-domain critical path).
-    let avg_spawn = spawn_ns.load(std::sync::atomic::Ordering::Relaxed) as f64 / 1e9
-        / spawners.max(1) as f64;
+    let avg_spawn =
+        spawn_ns.load(std::sync::atomic::Ordering::Relaxed) as f64 / 1e9 / spawners.max(1) as f64;
     (avg_spawn, total, match_counts(&rt), allocs_now() - allocs0)
 }
 
@@ -396,29 +445,70 @@ fn main() {
 
     let mut samples: Vec<Sample> = Vec::new();
     for &workers in &worker_counts {
-        let mut push = |scenario: &'static str, tasks: usize, m: (f64, f64, Option<u64>, MatchCounts)| {
-            samples.push(Sample {
-                scenario,
-                workers,
-                tasks,
-                spawn_secs: m.0,
-                total_secs: m.1,
-                allocs_per_task: m.2.and_then(|a| per_unit(a, tasks)),
-                matching: m.3,
-            });
-        };
-        push("spawn-unbatched", tasks, measure(args.repeat, || flat_unbatched(workers, tasks)));
-        push("spawn-batched", tasks, measure(args.repeat, || flat_batched(workers, tasks, wave)));
-        push("spawn-each", tasks, measure(args.repeat, || flat_each(workers, tasks, wave)));
-        push("stencil-each", tasks, measure(args.repeat, || stencil_each(workers, tasks)));
-        push("nodeps-unbatched", tasks, measure(args.repeat, || nodeps_unbatched(workers, tasks)));
-        push("nodeps-batched", tasks, measure(args.repeat, || nodeps_batched(workers, tasks, wave)));
-        push("fragmented-deps", tasks, measure(args.repeat, || fragmented_deps(workers, tasks, wave)));
-        push("fragmented-demote", tasks, measure(args.repeat, || fragmented_demote(workers, tasks, wave)));
+        let mut push =
+            |scenario: &'static str, tasks: usize, m: (f64, f64, Option<u64>, MatchCounts)| {
+                samples.push(Sample {
+                    scenario,
+                    workers,
+                    tasks,
+                    spawn_secs: m.0,
+                    total_secs: m.1,
+                    allocs_per_task: m.2.and_then(|a| per_unit(a, tasks)),
+                    matching: m.3,
+                });
+            };
+        push(
+            "spawn-unbatched",
+            tasks,
+            measure(args.repeat, || flat_unbatched(workers, tasks)),
+        );
+        push(
+            "spawn-batched",
+            tasks,
+            measure(args.repeat, || flat_batched(workers, tasks, wave)),
+        );
+        push(
+            "spawn-each",
+            tasks,
+            measure(args.repeat, || flat_each(workers, tasks, wave)),
+        );
+        push(
+            "stencil-each",
+            tasks,
+            measure(args.repeat, || stencil_each(workers, tasks)),
+        );
+        push(
+            "nodeps-unbatched",
+            tasks,
+            measure(args.repeat, || nodeps_unbatched(workers, tasks)),
+        );
+        push(
+            "nodeps-batched",
+            tasks,
+            measure(args.repeat, || nodeps_batched(workers, tasks, wave)),
+        );
+        push(
+            "fragmented-deps",
+            tasks,
+            measure(args.repeat, || fragmented_deps(workers, tasks, wave)),
+        );
+        push(
+            "fragmented-demote",
+            tasks,
+            measure(args.repeat, || fragmented_demote(workers, tasks, wave)),
+        );
 
         let nested_tasks = spawners * children;
-        push("nested-unbatched", nested_tasks, measure(args.repeat, || nested(workers, spawners, children, false)));
-        push("nested-batched", nested_tasks, measure(args.repeat, || nested(workers, spawners, children, true)));
+        push(
+            "nested-unbatched",
+            nested_tasks,
+            measure(args.repeat, || nested(workers, spawners, children, false)),
+        );
+        push(
+            "nested-batched",
+            nested_tasks,
+            measure(args.repeat, || nested(workers, spawners, children, true)),
+        );
     }
 
     let headers = [
@@ -446,7 +536,8 @@ fn main() {
                 format!("{:.2}", s.total_secs * 1e3),
                 format!("{:.0}", s.spawn_rate()),
                 format!("{:.0}", s.total_rate()),
-                s.allocs_per_task.map_or_else(|| "-".to_string(), |a| format!("{a:.1}")),
+                s.allocs_per_task
+                    .map_or_else(|| "-".to_string(), |a| format!("{a:.1}")),
                 s.matching.0.to_string(),
                 s.matching.1.to_string(),
                 s.matching.2.to_string(),
@@ -460,7 +551,9 @@ fn main() {
     // (what batching targets).
     let top = *worker_counts.last().unwrap_or(&1);
     let sample = |scenario: &str| {
-        samples.iter().find(|s| s.scenario == scenario && s.workers == top)
+        samples
+            .iter()
+            .find(|s| s.scenario == scenario && s.workers == top)
     };
     if let (Some(unbatched), Some(batched)) = (sample("spawn-unbatched"), sample("spawn-batched")) {
         eprintln!(
@@ -468,7 +561,8 @@ fn main() {
             batched.spawn_rate() / unbatched.spawn_rate()
         );
     }
-    if let (Some(unbatched), Some(batched)) = (sample("nodeps-unbatched"), sample("nodeps-batched")) {
+    if let (Some(unbatched), Some(batched)) = (sample("nodeps-unbatched"), sample("nodeps-batched"))
+    {
         eprintln!(
             "batched / unbatched spawn throughput (no deps) at {top} workers: {:.2}x",
             batched.spawn_rate() / unbatched.spawn_rate()
@@ -477,7 +571,9 @@ fn main() {
 
     // Keep the run honest: a sample that spawned nothing or measured nothing indicates a broken
     // harness rather than a fast one.
-    assert!(samples.iter().all(|s| s.spawn_secs > 0.0 && s.total_secs > 0.0));
+    assert!(samples
+        .iter()
+        .all(|s| s.spawn_secs > 0.0 && s.total_secs > 0.0));
 
     // CI allocation-budget guard (`--enforce-alloc-budget`): the single-worker allocs/task of
     // the budgeted scenarios must stay under their ceilings.
@@ -510,7 +606,11 @@ fn main() {
                 .iter()
                 .find(|s| s.scenario == scenario && s.workers == 1)
                 .unwrap_or_else(|| panic!("budgeted scenario '{scenario}' was not measured"));
-            check_budget(&format!("{scenario} allocs/task"), sample.allocs_per_task, ceiling)
+            check_budget(
+                &format!("{scenario} allocs/task"),
+                sample.allocs_per_task,
+                ceiling,
+            )
         }));
     }
 }

@@ -57,10 +57,13 @@ fn spawn_wave(
             let cell = (wave * wave_size + i) % cells;
             let d2 = data.clone();
             let ex2 = Arc::clone(executed);
-            ctx.task().inout(data.region(cell..cell + 1)).label("soak").stage(move |t| {
-                d2.write(t, cell..cell + 1)[0] += 1;
-                ex2.fetch_add(1, Ordering::Relaxed);
-            })
+            ctx.task()
+                .inout(data.region(cell..cell + 1))
+                .label("soak")
+                .stage(move |t| {
+                    d2.write(t, cell..cell + 1)[0] += 1;
+                    ex2.fetch_add(1, Ordering::Relaxed);
+                })
         })
         .collect();
     ctx.spawn_batch(specs);
@@ -93,7 +96,10 @@ fn soak_phase(
             } else {
                 spawn_wave(ctx, data, executed, shape);
             }
-            samples.push(WaveSample { capacity: rt.capacity(), rss_kb: rss_kb() });
+            samples.push(WaveSample {
+                capacity: rt.capacity(),
+                rss_kb: rss_kb(),
+            });
         }
     });
     samples
@@ -101,7 +107,11 @@ fn soak_phase(
 
 fn main() {
     let args = CommonArgs::parse();
-    let (waves, wave_size) = if args.quick { (40, 2_500) } else { (100, 10_000) };
+    let (waves, wave_size) = if args.quick {
+        (40, 2_500)
+    } else {
+        (100, 10_000)
+    };
     let cells = 512usize;
     let workers = args.cores.min(8);
     let total_tasks = 2 * waves * wave_size;
@@ -135,7 +145,11 @@ fn main() {
 
     let first = &samples[0];
     let last = samples.last().expect("at least one wave");
-    let max_table = samples.iter().map(|s| s.capacity.task_table_slots).max().unwrap();
+    let max_table = samples
+        .iter()
+        .map(|s| s.capacity.task_table_slots)
+        .max()
+        .unwrap();
     // Plateau: capacity anywhere in the soak stays within a small constant factor of the
     // first-wave high-water mark, and nowhere near linear in the task count.
     assert!(
@@ -151,7 +165,11 @@ fn main() {
     // The same plateau for the finished records parked in return bins, measured against the
     // first waves of the phase whose spawner is a task (before it, no record crosses workers).
     let returned = |s: &WaveSample| s.capacity.returned_records;
-    let early_returned = samples[waves..waves + waves / 4].iter().map(returned).max().unwrap();
+    let early_returned = samples[waves..waves + waves / 4]
+        .iter()
+        .map(returned)
+        .max()
+        .unwrap();
     let max_returned = samples.iter().map(returned).max().unwrap();
     assert!(
         max_returned <= early_returned * 3 + 1024,
@@ -173,9 +191,7 @@ fn main() {
     );
     println!(
         "  ids minted: wave0={} final={} max={}",
-        first.capacity.task_table_slots,
-        last.capacity.task_table_slots,
-        max_table
+        first.capacity.task_table_slots, last.capacity.task_table_slots, max_table
     );
     println!(
         "  records in return bins: phase-2 first waves={early_returned} final={} max={max_returned}",
@@ -184,7 +200,10 @@ fn main() {
     if let (Some(r0), Some(r1)) = (first.rss_kb, last.rss_kb) {
         println!("  rss: wave0={r0} KiB final={r1} KiB");
     }
-    println!("  retired: {} / registered: {}", stats.engine.tasks_retired, stats.engine.tasks_registered);
+    println!(
+        "  retired: {} / registered: {}",
+        stats.engine.tasks_retired, stats.engine.tasks_registered
+    );
     if let Some(a) = allocs_per_task {
         println!("  allocs/task: {a:.1}");
     }

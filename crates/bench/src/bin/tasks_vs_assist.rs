@@ -65,7 +65,11 @@ struct Row {
 }
 
 fn best_of<F: FnMut() -> Duration>(repeat: usize, mut run: F) -> f64 {
-    (0..repeat.max(1)).map(|_| run()).min().unwrap_or_default().as_secs_f64()
+    (0..repeat.max(1))
+        .map(|_| run())
+        .min()
+        .unwrap_or_default()
+        .as_secs_f64()
 }
 
 fn run_row(cfg: LoopConfig, input_data: &[u64], workers: usize, repeat: usize) -> Row {
@@ -78,7 +82,9 @@ fn run_row(cfg: LoopConfig, input_data: &[u64], workers: usize, repeat: usize) -
     let input = SharedSlice::from_vec(input_data.to_vec());
 
     let rt = Runtime::new(
-        RuntimeConfig::new().workers(workers).scheduling_policy(SchedulingPolicy::LocalitySlot),
+        RuntimeConfig::new()
+            .workers(workers)
+            .scheduling_policy(SchedulingPolicy::LocalitySlot),
     );
     let assist_allocs_before = weakdep_bench::alloc_counter::allocations();
     let mut assist_reps = 0usize;
@@ -100,7 +106,9 @@ fn run_row(cfg: LoopConfig, input_data: &[u64], workers: usize, repeat: usize) -
     drop(rt);
 
     let rt = Runtime::new(
-        RuntimeConfig::new().workers(workers).scheduling_policy(SchedulingPolicy::LocalitySlot),
+        RuntimeConfig::new()
+            .workers(workers)
+            .scheduling_policy(SchedulingPolicy::LocalitySlot),
     );
     let tasks_allocs_before = weakdep_bench::alloc_counter::allocations();
     let mut tasks_reps = 0usize;
@@ -175,8 +183,10 @@ fn main() {
                 format!("{assist_eps:.0}"),
                 format!("{tasks_eps:.0}"),
                 format!("{:.2}", assist_eps / tasks_eps.max(1e-12)),
-                row.assist_allocs_per_chunk.map_or("-".into(), |a| format!("{a:.3}")),
-                row.tasks_allocs_per_task.map_or("-".into(), |a| format!("{a:.1}")),
+                row.assist_allocs_per_chunk
+                    .map_or("-".into(), |a| format!("{a:.3}")),
+                row.tasks_allocs_per_task
+                    .map_or("-".into(), |a| format!("{a:.1}")),
                 row.assist_chunks.to_string(),
                 row.assisted_loops.to_string(),
                 row.assist_steals.to_string(),
@@ -188,8 +198,10 @@ fn main() {
     // ---- CI gate: per-chunk / per-task allocation ceilings. The *throughput ratio* is
     // printed but not gated — CI machines are too noisy to pin a speedup. ----
     if args.enforce_alloc_budget {
-        let gated: Vec<&Row> =
-            rows.iter().filter(|row| row.chunks >= MIN_CHUNKS_FOR_BUDGET).collect();
+        let gated: Vec<&Row> = rows
+            .iter()
+            .filter(|row| row.chunks >= MIN_CHUNKS_FOR_BUDGET)
+            .collect();
         assert!(
             !gated.is_empty(),
             "no row had >= {MIN_CHUNKS_FOR_BUDGET} chunks — the guard checked nothing"

@@ -43,7 +43,9 @@ pub struct CommonArgs {
 impl Default for CommonArgs {
     fn default() -> Self {
         CommonArgs {
-            cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            cores: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
             full: false,
             quick: false,
             csv: false,
@@ -93,7 +95,9 @@ impl CommonArgs {
 
 fn usage(message: &str) -> ! {
     eprintln!("error: {message}");
-    eprintln!("options: [--cores N] [--full] [--quick] [--csv] [--repeat N] [--enforce-alloc-budget]");
+    eprintln!(
+        "options: [--cores N] [--full] [--quick] [--csv] [--repeat N] [--enforce-alloc-budget]"
+    );
     std::process::exit(2);
 }
 
@@ -125,7 +129,11 @@ impl InstrumentedRuntime {
                 .observer(cachesim.clone())
                 .observer(trace.clone()),
         );
-        InstrumentedRuntime { runtime, cachesim, trace }
+        InstrumentedRuntime {
+            runtime,
+            cachesim,
+            trace,
+        }
     }
 
     /// Clears the observers (between repetitions / configurations).
@@ -227,12 +235,24 @@ mod tests {
     #[test]
     fn a_spread_reads_the_median_quartiles_and_extremes() {
         let spread = Spread::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
-        assert_eq!(spread, Spread { median: 3.0, q1: 2.0, q3: 4.0, min: 1.0, max: 5.0 });
+        assert_eq!(
+            spread,
+            Spread {
+                median: 3.0,
+                q1: 2.0,
+                q3: 4.0,
+                min: 1.0,
+                max: 5.0
+            }
+        );
         assert_eq!(spread.iqr(), 2.0);
         let even = Spread::of(&[4.0, 1.0, 2.0, 3.0]);
         assert_eq!((even.median, even.q1, even.q3), (2.5, 1.75, 3.25));
         let one = Spread::of(&[7.0]);
-        assert_eq!((one.median, one.iqr(), one.min, one.max), (7.0, 0.0, 7.0, 7.0));
+        assert_eq!(
+            (one.median, one.iqr(), one.min, one.max),
+            (7.0, 0.0, 7.0, 7.0)
+        );
     }
 
     #[test]
@@ -249,9 +269,12 @@ mod tests {
         inst.runtime.run(|ctx| {
             let data = weakdep_core::SharedSlice::<f64>::new(1024);
             let d = data.clone();
-            ctx.task().inout(data.region(0..1024)).label("bench-smoke").spawn(move |t| {
-                d.write(t, 0..1024)[0] = 1.0;
-            });
+            ctx.task()
+                .inout(data.region(0..1024))
+                .label("bench-smoke")
+                .spawn(move |t| {
+                    d.write(t, 0..1024)[0] = 1.0;
+                });
         });
         assert_eq!(inst.trace.len(), 1);
         assert!(inst.cachesim.total_stats().accesses() > 0);
@@ -337,7 +360,9 @@ pub mod alloc_counter {
     /// on a counter that never moved. Returns the line to report either way.
     pub fn check_budget(what: &str, measured: Option<f64>, ceiling: f64) -> Result<String, String> {
         match measured {
-            None => Err(format!("{what}: not measured (build with --features count-allocs)")),
+            None => Err(format!(
+                "{what}: not measured (build with --features count-allocs)"
+            )),
             Some(a) if a > ceiling => Err(format!("{what}: {a:.3} > budget {ceiling}")),
             Some(a) => Ok(format!("{what}: {a:.3} <= {ceiling}")),
         }

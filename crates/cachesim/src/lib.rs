@@ -41,7 +41,11 @@ impl Default for CacheConfig {
     fn default() -> Self {
         // Loosely modelled after the per-core share of the ThunderX's 16 MiB L2 across 48 cores,
         // rounded to a power of two: 256 KiB, 16-way, 128-byte lines (the ThunderX line size).
-        CacheConfig { line_size: 128, size_bytes: 256 * 1024, associativity: 16 }
+        CacheConfig {
+            line_size: 128,
+            size_bytes: 256 * 1024,
+            associativity: 16,
+        }
     }
 }
 
@@ -96,7 +100,11 @@ pub struct Cache {
 impl Cache {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        Cache { config, sets: vec![Vec::new(); config.sets()], stats: CacheStats::default() }
+        Cache {
+            config,
+            sets: vec![Vec::new(); config.sets()],
+            stats: CacheStats::default(),
+        }
     }
 
     /// The cache geometry.
@@ -161,7 +169,10 @@ pub struct CacheSimObserver {
 impl CacheSimObserver {
     /// Creates the observer with the given cache geometry.
     pub fn new(config: CacheConfig) -> Self {
-        CacheSimObserver { config, caches: Mutex::new(HashMap::new()) }
+        CacheSimObserver {
+            config,
+            caches: Mutex::new(HashMap::new()),
+        }
     }
 
     /// Creates the observer with the default geometry, wrapped in an [`std::sync::Arc`].
@@ -186,7 +197,11 @@ impl CacheSimObserver {
 
     /// Per-worker counters, keyed by worker index.
     pub fn per_worker_stats(&self) -> HashMap<usize, CacheStats> {
-        self.caches.lock().iter().map(|(&w, c)| (w, c.stats())).collect()
+        self.caches
+            .lock()
+            .iter()
+            .map(|(&w, c)| (w, c.stats()))
+            .collect()
     }
 
     /// Clears every worker's cache and counters (use between benchmark repetitions).
@@ -222,14 +237,22 @@ mod tests {
 
     #[test]
     fn config_geometry() {
-        let c = CacheConfig { line_size: 64, size_bytes: 64 * 1024, associativity: 8 };
+        let c = CacheConfig {
+            line_size: 64,
+            size_bytes: 64 * 1024,
+            associativity: 8,
+        };
         assert_eq!(c.sets(), 128);
         assert_eq!(CacheConfig::default().sets(), 128);
     }
 
     #[test]
     fn repeated_access_hits() {
-        let mut cache = Cache::new(CacheConfig { line_size: 64, size_bytes: 4096, associativity: 4 });
+        let mut cache = Cache::new(CacheConfig {
+            line_size: 64,
+            size_bytes: 4096,
+            associativity: 4,
+        });
         assert!(!cache.access_line(1, 0));
         assert!(cache.access_line(1, 0));
         assert_eq!(cache.stats().hits, 1);
@@ -240,7 +263,11 @@ mod tests {
     #[test]
     fn lru_eviction_is_in_recency_order() {
         // Single set with 2 ways: lines 0, N, 2N map to the same set when sets == 1.
-        let mut cache = Cache::new(CacheConfig { line_size: 64, size_bytes: 128, associativity: 2 });
+        let mut cache = Cache::new(CacheConfig {
+            line_size: 64,
+            size_bytes: 128,
+            associativity: 2,
+        });
         assert_eq!(cache.config().sets(), 1);
         cache.access_line(1, 0); // miss
         cache.access_line(1, 1); // miss
@@ -252,7 +279,11 @@ mod tests {
 
     #[test]
     fn region_streaming_counts_every_line_once() {
-        let mut cache = Cache::new(CacheConfig { line_size: 64, size_bytes: 1 << 20, associativity: 16 });
+        let mut cache = Cache::new(CacheConfig {
+            line_size: 64,
+            size_bytes: 1 << 20,
+            associativity: 16,
+        });
         cache.access_region(&region(1, 0, 64 * 10));
         assert_eq!(cache.stats().accesses(), 10);
         assert_eq!(cache.stats().misses, 10);
@@ -275,19 +306,34 @@ mod tests {
 
     #[test]
     fn different_spaces_do_not_alias() {
-        let mut cache = Cache::new(CacheConfig { line_size: 64, size_bytes: 1 << 20, associativity: 16 });
+        let mut cache = Cache::new(CacheConfig {
+            line_size: 64,
+            size_bytes: 1 << 20,
+            associativity: 16,
+        });
         cache.access_line(1, 5);
-        assert!(!cache.access_line(2, 5), "same line index in another space must miss");
+        assert!(
+            !cache.access_line(2, 5),
+            "same line index in another space must miss"
+        );
     }
 
     #[test]
     fn observer_tracks_per_worker_locality() {
+        use std::time::Instant;
         use weakdep_core::FootprintEntry;
         use weakdep_core::TaskExecution;
-        use std::time::Instant;
 
-        let sim = CacheSimObserver::new(CacheConfig { line_size: 64, size_bytes: 1 << 20, associativity: 16 });
-        let footprint = [FootprintEntry { region: region(1, 0, 640), write: true, weak: false }];
+        let sim = CacheSimObserver::new(CacheConfig {
+            line_size: 64,
+            size_bytes: 1 << 20,
+            associativity: 16,
+        });
+        let footprint = [FootprintEntry {
+            region: region(1, 0, 640),
+            write: true,
+            weak: false,
+        }];
         let now = Instant::now();
         let exec = |worker| TaskExecution {
             id: weakdep_core::TaskId::synthetic(1),
@@ -313,10 +359,14 @@ mod tests {
 
     #[test]
     fn weak_footprint_entries_are_skipped() {
-        use weakdep_core::FootprintEntry;
         use std::time::Instant;
+        use weakdep_core::FootprintEntry;
         let sim = CacheSimObserver::new(CacheConfig::default());
-        let footprint = [FootprintEntry { region: region(1, 0, 1024), write: true, weak: true }];
+        let footprint = [FootprintEntry {
+            region: region(1, 0, 1024),
+            write: true,
+            weak: true,
+        }];
         let now = Instant::now();
         sim.task_executed(&weakdep_core::TaskExecution {
             id: weakdep_core::TaskId::synthetic(7),
@@ -342,10 +392,13 @@ mod tests {
         rt.run(move |ctx| {
             for _ in 0..10 {
                 let d2 = d.clone();
-                ctx.task().inout(d.region(0..4096)).label("chain").spawn(move |c| {
-                    let s = d2.write(c, 0..4096);
-                    s[0] += 1.0;
-                });
+                ctx.task()
+                    .inout(d.region(0..4096))
+                    .label("chain")
+                    .spawn(move |c| {
+                        let s = d2.write(c, 0..4096);
+                        s[0] += 1.0;
+                    });
             }
         });
         let stats = sim.total_stats();

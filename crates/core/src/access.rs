@@ -29,17 +29,17 @@ pub enum AccessType {
 impl AccessType {
     /// `true` for the weak variants (the task does not access the data directly).
     pub fn is_weak(self) -> bool {
-        matches!(self, AccessType::WeakIn | AccessType::WeakOut | AccessType::WeakInOut)
+        matches!(
+            self,
+            AccessType::WeakIn | AccessType::WeakOut | AccessType::WeakInOut
+        )
     }
 
     /// `true` if the access type implies a write for dependency-ordering purposes.
     pub fn is_write(self) -> bool {
         matches!(
             self,
-            AccessType::Out
-                | AccessType::InOut
-                | AccessType::WeakOut
-                | AccessType::WeakInOut
+            AccessType::Out | AccessType::InOut | AccessType::WeakOut | AccessType::WeakInOut
         )
     }
 
@@ -207,13 +207,17 @@ fn normalize_general<T: From<NormalizedDep>>(deps: &[Depend], out: &mut Vec<T>) 
         for dep in deps.iter().filter(|d| d.region.space == space) {
             let is_write = dep.access.is_write();
             let weak = dep.access.is_weak();
-            map.update_range(dep.region.start, dep.region.end, |_, _, existing| match existing {
-                Some(prev) => RangeUpdate::Set(Combined {
-                    is_write: prev.is_write || is_write,
-                    weak: prev.weak && weak,
-                }),
-                None => RangeUpdate::Set(Combined { is_write, weak }),
-            });
+            map.update_range(
+                dep.region.start,
+                dep.region.end,
+                |_, _, existing| match existing {
+                    Some(prev) => RangeUpdate::Set(Combined {
+                        is_write: prev.is_write || is_write,
+                        weak: prev.weak && weak,
+                    }),
+                    None => RangeUpdate::Set(Combined { is_write, weak }),
+                },
+            );
         }
         map.coalesce();
         out.extend(map.iter().map(|(start, end, c)| {
@@ -269,8 +273,16 @@ mod tests {
         assert_eq!(
             norm,
             vec![
-                NormalizedDep { region: r(0, 10), is_write: false, weak: false },
-                NormalizedDep { region: r(20, 30), is_write: true, weak: false },
+                NormalizedDep {
+                    region: r(0, 10),
+                    is_write: false,
+                    weak: false
+                },
+                NormalizedDep {
+                    region: r(20, 30),
+                    is_write: true,
+                    weak: false
+                },
             ]
         );
     }
@@ -286,9 +298,21 @@ mod tests {
         assert_eq!(
             norm,
             vec![
-                NormalizedDep { region: r(0, 5), is_write: false, weak: false },
-                NormalizedDep { region: r(5, 10), is_write: true, weak: false },
-                NormalizedDep { region: r(10, 15), is_write: true, weak: true },
+                NormalizedDep {
+                    region: r(0, 5),
+                    is_write: false,
+                    weak: false
+                },
+                NormalizedDep {
+                    region: r(5, 10),
+                    is_write: true,
+                    weak: false
+                },
+                NormalizedDep {
+                    region: r(10, 15),
+                    is_write: true,
+                    weak: true
+                },
             ]
         );
     }
@@ -300,7 +324,14 @@ mod tests {
             Depend::new(AccessType::In, r(10, 20)),
         ];
         let norm = normalize_deps(&deps);
-        assert_eq!(norm, vec![NormalizedDep { region: r(0, 20), is_write: false, weak: false }]);
+        assert_eq!(
+            norm,
+            vec![NormalizedDep {
+                region: r(0, 20),
+                is_write: false,
+                weak: false
+            }]
+        );
     }
 
     #[test]
@@ -350,7 +381,14 @@ mod tests {
             Depend::new(AccessType::WeakOut, r(0, 10)),
         ];
         let norm = normalize_deps(&deps);
-        assert_eq!(norm, vec![NormalizedDep { region: r(0, 10), is_write: true, weak: true }]);
+        assert_eq!(
+            norm,
+            vec![NormalizedDep {
+                region: r(0, 10),
+                is_write: true,
+                weak: true
+            }]
+        );
     }
 
     #[test]
@@ -399,8 +437,14 @@ mod tests {
             assert_eq!(normalize_deps(&deps), general, "clause {deps:?}");
         }
         assert!(fast > 2_000, "fast path taken only {fast} times");
-        assert!(merged > 200, "adjacent equal-mode merges drawn only {merged} times");
-        assert!(second_space > 200, "second-space clauses drawn only {second_space} times");
+        assert!(
+            merged > 200,
+            "adjacent equal-mode merges drawn only {merged} times"
+        );
+        assert!(
+            second_space > 200,
+            "second-space clauses drawn only {second_space} times"
+        );
     }
 
     /// A `gs_wavefront` tile's clause — top / left / center / right / bottom blocks of a
@@ -426,7 +470,10 @@ mod tests {
         let allocations = counting_alloc::allocations() - before;
         assert_eq!(norm, general_path(&deps));
         assert_eq!(norm.len(), 5);
-        assert_eq!(allocations, 1, "heap allocations normalising the stencil clause");
+        assert_eq!(
+            allocations, 1,
+            "heap allocations normalising the stencil clause"
+        );
     }
 }
 

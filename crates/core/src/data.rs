@@ -57,7 +57,9 @@ pub struct SharedSlice<T> {
 
 impl<T> Clone for SharedSlice<T> {
     fn clone(&self) -> Self {
-        SharedSlice { inner: Arc::clone(&self.inner) }
+        SharedSlice {
+            inner: Arc::clone(&self.inner),
+        }
     }
 }
 
@@ -116,8 +118,11 @@ impl<T> SharedSlice<T> {
     /// Regions are expressed in bytes so that differently sized element types and the cache
     /// simulator agree on footprints.
     pub fn region(&self, range: Range<usize>) -> Region {
-        assert!(range.start <= range.end && range.end <= self.len(),
-            "region {range:?} out of bounds for slice of length {}", self.len());
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "region {range:?} out of bounds for slice of length {}",
+            self.len()
+        );
         let elem = std::mem::size_of::<T>().max(1);
         Region::new(self.inner.space, range.start * elem, range.end * elem)
     }
@@ -231,7 +236,11 @@ impl<T> SharedSlice<T> {
         );
         #[cfg(feature = "sentinel")]
         ctx.sentinel_check_access(&region, false);
-        LoopView { inner: Arc::clone(&self.inner), start: range.start, end: range.end }
+        LoopView {
+            inner: Arc::clone(&self.inner),
+            start: range.start,
+            end: range.end,
+        }
     }
 
     /// Creates a pre-validated **write** view over `range` for a work-assisted loop (see
@@ -255,7 +264,11 @@ impl<T> SharedSlice<T> {
         );
         #[cfg(feature = "sentinel")]
         ctx.sentinel_check_access(&region, true);
-        LoopViewMut { inner: Arc::clone(&self.inner), start: range.start, end: range.end }
+        LoopViewMut {
+            inner: Arc::clone(&self.inner),
+            start: range.start,
+            end: range.end,
+        }
     }
 
     /// Unchecked write view over the whole slice, for runtime-internal loop state (the scan
@@ -264,7 +277,11 @@ impl<T> SharedSlice<T> {
     where
         T: Send + Sync,
     {
-        LoopViewMut { inner: Arc::clone(&self.inner), start: 0, end: self.len() }
+        LoopViewMut {
+            inner: Arc::clone(&self.inner),
+            start: 0,
+            end: self.len(),
+        }
     }
 
     /// Fills the whole slice with `value`. Must only be called while no task is accessing the
@@ -319,7 +336,11 @@ pub struct LoopView<T> {
 
 impl<T> Clone for LoopView<T> {
     fn clone(&self) -> Self {
-        LoopView { inner: Arc::clone(&self.inner), start: self.start, end: self.end }
+        LoopView {
+            inner: Arc::clone(&self.inner),
+            start: self.start,
+            end: self.end,
+        }
     }
 }
 
@@ -368,7 +389,11 @@ pub struct LoopViewMut<T> {
 
 impl<T> Clone for LoopViewMut<T> {
     fn clone(&self) -> Self {
-        LoopViewMut { inner: Arc::clone(&self.inner), start: self.start, end: self.end }
+        LoopViewMut {
+            inner: Arc::clone(&self.inner),
+            start: self.start,
+            end: self.end,
+        }
     }
 }
 

@@ -152,7 +152,11 @@ pub struct StaleTaskId(pub TaskId);
 
 impl std::fmt::Display for StaleTaskId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "stale task id {} (task retired, or id from another engine)", self.0)
+        write!(
+            f,
+            "stale task id {} (task retired, or id from another engine)",
+            self.0
+        )
     }
 }
 
@@ -451,7 +455,9 @@ impl AccessNode {
     /// the first operation that does not cover the whole region. The containers come cleared
     /// from the pool, so a recycled slot fills without allocating.
     fn promote(&mut self, frag: &mut FragArena) {
-        let NodeState::Compact(c) = &mut self.state else { return };
+        let NodeState::Compact(c) = &mut self.state else {
+            return;
+        };
         let fi = frag.alloc();
         let cell = FragCell {
             unsatisfied: c.unsatisfied,
@@ -498,11 +504,12 @@ impl AccessNode {
             NodeState::Fragmented(fi) => {
                 let mut parts: SeedParts = SmallVec::new();
                 let space = self.region.space;
-                frag.get(*fi).query_range(self.region.start, self.region.end, |s, e, c| {
-                    if c.unsatisfied > 0 {
-                        parts.push(Region::new(space, s, e));
-                    }
-                });
+                frag.get(*fi)
+                    .query_range(self.region.start, self.region.end, |s, e, c| {
+                        if c.unsatisfied > 0 {
+                            parts.push(Region::new(space, s, e));
+                        }
+                    });
                 parts
             }
         }
@@ -517,15 +524,18 @@ impl AccessNode {
             }
             self.promote(frag);
         }
-        let NodeState::Fragmented(fi) = self.state else { unreachable!() };
+        let NodeState::Fragmented(fi) = self.state else {
+            unreachable!()
+        };
         if part.space != self.region.space {
             return;
         }
-        frag.get_mut(fi).update_range(part.start, part.end, |_, _, cell| {
-            let mut c = cell.cloned().unwrap_or_default();
-            c.unsatisfied += 1;
-            RangeUpdate::Set(c)
-        });
+        frag.get_mut(fi)
+            .update_range(part.start, part.end, |_, _, cell| {
+                let mut c = cell.cloned().unwrap_or_default();
+                c.unsatisfied += 1;
+                RangeUpdate::Set(c)
+            });
     }
 
     /// Registers a same-domain successor edge over `part`.
@@ -537,15 +547,18 @@ impl AccessNode {
             }
             self.promote(frag);
         }
-        let NodeState::Fragmented(fi) = self.state else { unreachable!() };
+        let NodeState::Fragmented(fi) = self.state else {
+            unreachable!()
+        };
         if part.space != self.region.space {
             return;
         }
-        frag.get_mut(fi).update_range(part.start, part.end, |_, _, cell| {
-            let mut c = cell.cloned().unwrap_or_default();
-            c.release_edges.push(to);
-            RangeUpdate::Set(c)
-        });
+        frag.get_mut(fi)
+            .update_range(part.start, part.end, |_, _, cell| {
+                let mut c = cell.cloned().unwrap_or_default();
+                c.release_edges.push(to);
+                RangeUpdate::Set(c)
+            });
     }
 
     /// Appends the not-yet-released parts of `over` to `out` (the pending extent of a new edge
@@ -591,7 +604,9 @@ impl AccessNode {
             }
             self.promote(frag);
         }
-        let NodeState::Fragmented(fi) = self.state else { unreachable!() };
+        let NodeState::Fragmented(fi) = self.state else {
+            unreachable!()
+        };
         if part.space != self.region.space {
             return;
         }
@@ -627,7 +642,9 @@ impl AccessNode {
             }
             self.promote(frag);
         }
-        let NodeState::Fragmented(fi) = self.state else { unreachable!() };
+        let NodeState::Fragmented(fi) = self.state else {
+            unreachable!()
+        };
         if part.space != self.region.space {
             return;
         }
@@ -647,7 +664,12 @@ impl AccessNode {
 
     /// Appends the sub-parts of `candidate` that are releasable *now* (unreleased, fully
     /// satisfied and completed) to `out`.
-    fn releasable_parts(&self, frag: &FragArena, candidate: &Region, out: &mut SmallVec<[Region; 4]>) {
+    fn releasable_parts(
+        &self,
+        frag: &FragArena,
+        candidate: &Region,
+        out: &mut SmallVec<[Region; 4]>,
+    ) {
         match &self.state {
             NodeState::Compact(c) => {
                 // Compact state is all-or-nothing: the region is releasable exactly when the
@@ -666,11 +688,12 @@ impl AccessNode {
                 // facets live in one fragment map, so this is a single clipped scan with a
                 // per-cell predicate — no subtract chains, no scratch.
                 let space = self.region.space;
-                frag.get(*fi).query_range(candidate.start, candidate.end, |s, e, c| {
-                    if c.unreleased && c.unsatisfied == 0 && !c.uncompleted {
-                        out.push(Region::new(space, s, e));
-                    }
-                });
+                frag.get(*fi)
+                    .query_range(candidate.start, candidate.end, |s, e, c| {
+                        if c.unreleased && c.unsatisfied == 0 && !c.uncompleted {
+                            out.push(Region::new(space, s, e));
+                        }
+                    });
             }
         }
     }
@@ -690,7 +713,9 @@ impl AccessNode {
             }
             self.promote(frag);
         }
-        let NodeState::Fragmented(fi) = self.state else { unreachable!() };
+        let NodeState::Fragmented(fi) = self.state else {
+            unreachable!()
+        };
         if part.space != self.region.space {
             return;
         }
@@ -733,7 +758,10 @@ impl AccessNode {
                 f.update_range(part.start, part.end, |s, e, cell| match cell {
                     Some(c) if !c.release_edges.is_empty() => {
                         let mut c2 = c.clone();
-                        deliver(Region::new(space, s, e), std::mem::take(&mut c2.release_edges));
+                        deliver(
+                            Region::new(space, s, e),
+                            std::mem::take(&mut c2.release_edges),
+                        );
                         c2.commit()
                     }
                     _ => RangeUpdate::Keep,
@@ -822,7 +850,9 @@ impl OwnAccess {
     fn stored_parts(&self, set: &IntervalMap<()>, over: &Region, out: &mut Parts) {
         if over.space == self.region.space {
             let space = over.space;
-            set.query_range(over.start, over.end, |s, e, _| out.push(Region::new(space, s, e)));
+            set.query_range(over.start, over.end, |s, e, _| {
+                out.push(Region::new(space, s, e))
+            });
         }
     }
 
@@ -831,11 +861,12 @@ impl OwnAccess {
         if part.space != self.region.space {
             return;
         }
-        self.satisfaction_edges.update_range(part.start, part.end, |_, _, existing| {
-            let mut targets = existing.cloned().unwrap_or_default();
-            targets.push(to);
-            RangeUpdate::Set(targets)
-        });
+        self.satisfaction_edges
+            .update_range(part.start, part.end, |_, _, existing| {
+                let mut targets = existing.cloned().unwrap_or_default();
+                targets.push(to);
+                RangeUpdate::Set(targets)
+            });
     }
 
     /// `part` was satisfied upstream: removes it from the pending-down mirror and hands the
@@ -845,7 +876,11 @@ impl OwnAccess {
             return;
         }
         let space = part.space;
-        let OwnAccess { pending_down, satisfaction_edges, .. } = self;
+        let OwnAccess {
+            pending_down,
+            satisfaction_edges,
+            ..
+        } = self;
         pending_down.drain_range(part.start, part.end, |s, e, ()| {
             satisfaction_edges.drain_range(s, e, |fs, fe, targets| {
                 fire(Region::new(space, fs, fe), targets)
@@ -938,7 +973,9 @@ impl<P> Domain<P> {
 
     /// The owner's entry (infallible while the engine is alive).
     fn owner_entry(&self) -> Arc<TaskEntry<P>> {
-        self.self_entry.upgrade().expect("task entry outlives its domain")
+        self.self_entry
+            .upgrade()
+            .expect("task entry outlives its domain")
     }
 
     /// The parent's entry: `None` for roots, and also `None` once the parent has been retired
@@ -956,7 +993,9 @@ impl<P> Domain<P> {
     /// access of the owner's entry (`accesses`). Idempotent; must run before anything touches
     /// `own` or `bottom_map`.
     fn ensure_seeded(&mut self, accesses: &SmallVec<[InParent; 2]>) {
-        let Some(seeds) = self.own_seed.take() else { return };
+        let Some(seeds) = self.own_seed.take() else {
+            return;
+        };
         let mut seeds = seeds.into_iter().peekable();
         for (own_idx, access) in accesses.iter().enumerate() {
             let region = access.region;
@@ -977,11 +1016,15 @@ impl<P> Domain<P> {
     }
 
     fn node(&self, idx: u32) -> Option<&AccessNode> {
-        self.nodes.get(idx as usize).and_then(|slot| slot.node.as_ref())
+        self.nodes
+            .get(idx as usize)
+            .and_then(|slot| slot.node.as_ref())
     }
 
     fn node_mut(&mut self, idx: u32) -> Option<&mut AccessNode> {
-        self.nodes.get_mut(idx as usize).and_then(|slot| slot.node.as_mut())
+        self.nodes
+            .get_mut(idx as usize)
+            .and_then(|slot| slot.node.as_mut())
     }
 
     /// Simultaneous mutable access to a node and the fragmented-state pool. The two live in
@@ -1012,8 +1055,12 @@ impl<P> Domain<P> {
         self.bottom_map.query(over, |fragment, entry| {
             let mut open: Parts = smallvec![fragment];
             for accessor in entry.last_writer.iter().chain(&entry.readers) {
-                let &Accessor::Child(node_ref) = accessor else { continue };
-                let Some(node) = self.resolve(node_ref) else { continue };
+                let &Accessor::Child(node_ref) = accessor else {
+                    continue;
+                };
+                let Some(node) = self.resolve(node_ref) else {
+                    continue;
+                };
                 let mut held: Parts = SmallVec::new();
                 node.unreleased_parts(&self.frag, &fragment, &mut held);
                 for part in &held {
@@ -1043,7 +1090,10 @@ impl<P> Domain<P> {
             }
             None => {
                 let idx = self.nodes.len() as u32;
-                self.nodes.push(NodeSlot { gen: 0, node: Some(node) });
+                self.nodes.push(NodeSlot {
+                    gen: 0,
+                    node: Some(node),
+                });
                 NodeRef { idx, gen: 0 }
             }
         }
@@ -1067,7 +1117,9 @@ impl<P> Domain<P> {
     /// Leaves `payload` in the scheduling record `sched_idx` of a child just registered, or
     /// hands it back if the child is ready already: a ready child never parks.
     fn park(&mut self, sched_idx: u32, payload: P) -> Option<P> {
-        let sched = self.sched[sched_idx as usize].as_mut().expect("sched slot just allocated");
+        let sched = self.sched[sched_idx as usize]
+            .as_mut()
+            .expect("sched slot just allocated");
         if sched.pending_strong == 0 {
             return Some(payload);
         }
@@ -1103,7 +1155,9 @@ impl<P> Domain<P> {
         slot.node = None;
         slot.gen = slot.gen.wrapping_add(1);
         self.free_nodes.push(idx);
-        let sched = self.sched[sched_idx as usize].as_mut().expect("sched freed before node");
+        let sched = self.sched[sched_idx as usize]
+            .as_mut()
+            .expect("sched freed before node");
         debug_assert!(sched.live_nodes > 0);
         sched.live_nodes -= 1;
         if sched.live_nodes == 0 {
@@ -1162,9 +1216,15 @@ impl<P> TaskEntry<P> {
     /// [`DependencyEngine::is_scheduled`] for this task. A retired parent answers `true` too:
     /// it deeply completed, so its children all ran.
     fn is_scheduled(&self) -> bool {
-        let Some(parent) = self.domain.lock().parent_arc() else { return true };
+        let Some(parent) = self.domain.lock().parent_arc() else {
+            return true;
+        };
         let domain = parent.domain.lock();
-        match domain.sched.get(self.sched_in_parent as usize).and_then(Option::as_ref) {
+        match domain
+            .sched
+            .get(self.sched_in_parent as usize)
+            .and_then(Option::as_ref)
+        {
             // A recycled slot (or one reused by a later task) means this task deeply completed,
             // which implies it was scheduled.
             Some(sched) if sched.task == self.id => sched.payload.is_none(),
@@ -1179,13 +1239,25 @@ impl<P> TaskEntry<P> {
 enum Message<P> {
     /// Fragments of `target`'s own weak access `own_idx` became satisfied in the parent's
     /// domain: update the `pending_down` mirror and fire downward satisfaction edges.
-    SatisfyDown { target: Arc<TaskEntry<P>>, own_idx: u32, parts: Parts },
+    SatisfyDown {
+        target: Arc<TaskEntry<P>>,
+        own_idx: u32,
+        parts: Parts,
+    },
     /// Fragments of `task`'s own access `own_idx` completed from below (weakwait hand-over or
     /// `release` directive): complete them on the node half in the parent's domain `target`.
-    CompleteUp { target: Arc<TaskEntry<P>>, task: Arc<TaskEntry<P>>, own_idx: u32, parts: Parts },
+    CompleteUp {
+        target: Arc<TaskEntry<P>>,
+        task: Arc<TaskEntry<P>>,
+        own_idx: u32,
+        parts: Parts,
+    },
     /// `child` deeply completed: complete its remaining fragments in the parent's domain
     /// `target`, decrement the parent's live-child count and recycle the child's slots.
-    ChildDone { target: Arc<TaskEntry<P>>, child: Arc<TaskEntry<P>> },
+    ChildDone {
+        target: Arc<TaskEntry<P>>,
+        child: Arc<TaskEntry<P>>,
+    },
 }
 
 impl<P> Message<P> {
@@ -1251,7 +1323,10 @@ impl<P: 'static> CascadeScratch<P> {
             .flatten()
             .and_then(|scratch| scratch.downcast().ok())
             .unwrap_or_else(|| {
-                Box::new(CascadeScratch { outbox: Outbox::new(), queue: VecDeque::new() })
+                Box::new(CascadeScratch {
+                    outbox: Outbox::new(),
+                    queue: VecDeque::new(),
+                })
             })
     }
 
@@ -1359,7 +1434,11 @@ impl<P: From<TaskId> + 'static> DependencyEngine<P> {
         wait_mode: WaitMode,
     ) -> Result<(TaskId, bool), StaleTaskId> {
         let parent = self.entry(parent)?;
-        debug_assert!(parent.is_scheduled(), "{:?} has children before it is ready", parent.id);
+        debug_assert!(
+            parent.is_scheduled(),
+            "{:?} has children before it is ready",
+            parent.id
+        );
         let id = self.reserve_id();
         let (entry, ready) = {
             let mut domain = parent.domain.lock();
@@ -1382,7 +1461,11 @@ impl<P: From<TaskId> + 'static> DependencyEngine<P> {
         specs: impl IntoIterator<Item = (&'a [NormalizedDep], WaitMode)>,
     ) -> Result<Vec<(TaskId, bool)>, StaleTaskId> {
         let parent = self.entry(parent)?;
-        debug_assert!(parent.is_scheduled(), "{:?} has children before it is ready", parent.id);
+        debug_assert!(
+            parent.is_scheduled(),
+            "{:?} has children before it is ready",
+            parent.id
+        );
         let mut domain = parent.domain.lock();
         let registered: Vec<_> = specs
             .into_iter()
@@ -1427,7 +1510,10 @@ impl<P: 'static> DependencyEngine<P> {
             }
         }
         let index = self.next_index.fetch_add(1, Ordering::Relaxed);
-        TaskId { index: u32::try_from(index).expect("task index overflow"), generation: 0 }
+        TaskId {
+            index: u32::try_from(index).expect("task index overflow"),
+            generation: 0,
+        }
     }
 
     /// Files a drain's [`Effects::retired`] for reuse under the calling thread's home free list
@@ -1441,8 +1527,10 @@ impl<P: 'static> DependencyEngine<P> {
         let mut ids = list.ids.lock();
         ids.extend(retired.iter().filter_map(|task| {
             let generation = task.generation.wrapping_add(1);
-            (generation != TaskId::SYNTHETIC_GENERATION)
-                .then_some(TaskId { index: task.index, generation })
+            (generation != TaskId::SYNTHETIC_GENERATION).then_some(TaskId {
+                index: task.index,
+                generation,
+            })
         }));
         list.len.store(ids.len(), Ordering::Relaxed);
     }
@@ -1450,7 +1538,10 @@ impl<P: 'static> DependencyEngine<P> {
     /// Resolves an id through the id index: the front of every [`TaskId`] function.
     fn entry(&self, task: TaskId) -> Result<Arc<TaskEntry<P>>, StaleTaskId> {
         let index = self.index.lock();
-        let entry = index.get(task.index()).and_then(Option::as_ref).filter(|e| e.id == task);
+        let entry = index
+            .get(task.index())
+            .and_then(Option::as_ref)
+            .filter(|e| e.id == task);
         entry.cloned().ok_or(StaleTaskId(task))
     }
 
@@ -1470,7 +1561,9 @@ impl<P: 'static> DependencyEngine<P> {
     fn unindex(&self, effects: &Effects<P>) {
         let mut index = self.index.lock();
         for task in &effects.retired {
-            index.get_mut(task.index()).and_then(|slot| slot.take_if(|e| e.id == *task));
+            index
+                .get_mut(task.index())
+                .and_then(|slot| slot.take_if(|e| e.id == *task));
         }
         drop(index);
         self.recycle(&effects.retired);
@@ -1531,7 +1624,11 @@ impl<P: 'static> DependencyEngine<P> {
         mut attach: impl FnMut(&mut P, Arc<TaskEntry<P>>),
         mut ready: impl FnMut(P),
     ) {
-        debug_assert!(parent.is_scheduled(), "{:?} has children before it is ready", parent.id);
+        debug_assert!(
+            parent.is_scheduled(),
+            "{:?} has children before it is ready",
+            parent.id
+        );
         let mut domain = parent.domain.lock();
         for (id, mut payload, wait_mode) in tasks {
             let (sched, entry) =
@@ -1579,8 +1676,7 @@ impl<P: 'static> DependencyEngine<P> {
         });
         domain.live_children += 1;
 
-        let mut child_domain =
-            Domain::new(id, Some(Arc::downgrade(parent_entry)), wait_mode);
+        let mut child_domain = Domain::new(id, Some(Arc::downgrade(parent_entry)), wait_mode);
         let mut child_seeds: Seeds = SmallVec::new();
         // Built at its final size: one allocation beyond the inline capacity, none within it.
         let mut nodes_in_parent: SmallVec<[InParent; 2]> = SmallVec::with_capacity(deps.len());
@@ -1618,10 +1714,16 @@ impl<P: 'static> DependencyEngine<P> {
             // body, which starts once the access is fully satisfied. The seed is only expanded
             // into live structures if the child ever needs a domain (`Domain::ensure_seeded`).
             let node = domain.node(node_ref.idx).expect("node just allocated");
-            let pending_down =
-                if dep.weak { node.unsatisfied_parts(&domain.frag) } else { SmallVec::new() };
+            let pending_down = if dep.weak {
+                node.unsatisfied_parts(&domain.frag)
+            } else {
+                SmallVec::new()
+            };
             let has_mirror = !pending_down.is_empty();
-            domain.node_mut(node_ref.idx).expect("node just allocated").has_mirror = has_mirror;
+            domain
+                .node_mut(node_ref.idx)
+                .expect("node just allocated")
+                .has_mirror = has_mirror;
             if has_mirror {
                 child_seeds.push((own_idx as u32, pending_down));
             }
@@ -1634,7 +1736,10 @@ impl<P: 'static> DependencyEngine<P> {
                     .expect("sched slot just allocated")
                     .pending_strong += 1;
             }
-            nodes_in_parent.push(InParent { node: node_ref, region: dep.region });
+            nodes_in_parent.push(InParent {
+                node: node_ref,
+                region: dep.region,
+            });
         }
 
         child_domain.own_seed = Some(child_seeds);
@@ -1652,7 +1757,9 @@ impl<P: 'static> DependencyEngine<P> {
                 domain: Mutex::new(child_domain),
             }
         });
-        let sched = domain.sched[sched_idx as usize].as_mut().expect("sched slot just allocated");
+        let sched = domain.sched[sched_idx as usize]
+            .as_mut()
+            .expect("sched slot just allocated");
         sched.entry = Some(Arc::clone(&entry));
         if sched.pending_strong == 0 {
             self.stats.add(stat::READY_AT_REGISTRATION, 1);
@@ -1679,9 +1786,9 @@ impl<P: 'static> DependencyEngine<P> {
         // A reader whose node no longer resolves was fully released: it contributes no edge,
         // so the copy below leaves it out and a long read-only chain keeps a short group.
         let live = |accessor: &&Accessor| match accessor {
-            Accessor::Child(node) => {
-                nodes.get(node.idx as usize).is_some_and(|slot| slot.gen == node.gen)
-            }
+            Accessor::Child(node) => nodes
+                .get(node.idx as usize)
+                .is_some_and(|slot| slot.gen == node.gen),
             Accessor::Own(_) => true,
         };
 
@@ -1690,57 +1797,74 @@ impl<P: 'static> DependencyEngine<P> {
         // so the closure only captures locals.) The coalescing update merges the equal-valued
         // fragments this access just wrote, so the next access over the same region is an
         // exact hit again.
-        let (fit, merged) = domain.bottom_map.update_coalescing(&region, |fragment, existing| {
-            let new_entry = match existing {
-                Some(entry) => {
-                    if is_write {
-                        // A writer waits for the readers since the last writer, or for the last
-                        // writer when there are none.
-                        if entry.readers.is_empty() {
-                            if let Some(w) = entry.last_writer {
-                                planned.push(PlannedEdge { from: w, over: fragment });
+        let (fit, merged) = domain
+            .bottom_map
+            .update_coalescing(&region, |fragment, existing| {
+                let new_entry = match existing {
+                    Some(entry) => {
+                        if is_write {
+                            // A writer waits for the readers since the last writer, or for the last
+                            // writer when there are none.
+                            if entry.readers.is_empty() {
+                                if let Some(w) = entry.last_writer {
+                                    planned.push(PlannedEdge {
+                                        from: w,
+                                        over: fragment,
+                                    });
+                                }
+                            } else {
+                                for &r in &entry.readers {
+                                    planned.push(PlannedEdge {
+                                        from: r,
+                                        over: fragment,
+                                    });
+                                }
+                            }
+                            BottomEntry {
+                                last_writer: Some(Accessor::Child(node_ref)),
+                                readers: SmallVec::new(),
                             }
                         } else {
-                            for &r in &entry.readers {
-                                planned.push(PlannedEdge { from: r, over: fragment });
+                            // A reader waits for the last writer only; concurrent readers group.
+                            if let Some(w) = entry.last_writer {
+                                planned.push(PlannedEdge {
+                                    from: w,
+                                    over: fragment,
+                                });
+                            }
+                            // One allocation for a spilled group: the copy is built at its final
+                            // size, the live readers and this one.
+                            let kept = entry.readers.iter().filter(live).count();
+                            let mut readers = SmallVec::with_capacity(kept + 1);
+                            readers.extend(entry.readers.iter().filter(live).copied());
+                            readers.push(Accessor::Child(node_ref));
+                            BottomEntry {
+                                last_writer: entry.last_writer,
+                                readers,
                             }
                         }
-                        BottomEntry {
-                            last_writer: Some(Accessor::Child(node_ref)),
-                            readers: SmallVec::new(),
-                        }
-                    } else {
-                        // A reader waits for the last writer only; concurrent readers group.
-                        if let Some(w) = entry.last_writer {
-                            planned.push(PlannedEdge { from: w, over: fragment });
-                        }
-                        // One allocation for a spilled group: the copy is built at its final
-                        // size, the live readers and this one.
-                        let kept = entry.readers.iter().filter(live).count();
-                        let mut readers = SmallVec::with_capacity(kept + 1);
-                        readers.extend(entry.readers.iter().filter(live).copied());
-                        readers.push(Accessor::Child(node_ref));
-                        BottomEntry { last_writer: entry.last_writer, readers }
                     }
-                }
-                None => {
-                    // Nothing accessed this fragment in this domain before: there is no
-                    // predecessor (the owner's own accesses are pre-seeded, so a gap really
-                    // means "untracked by the owner").
-                    if is_write {
-                        BottomEntry {
-                            last_writer: Some(Accessor::Child(node_ref)),
-                            readers: SmallVec::new(),
+                    None => {
+                        // Nothing accessed this fragment in this domain before: there is no
+                        // predecessor (the owner's own accesses are pre-seeded, so a gap really
+                        // means "untracked by the owner").
+                        if is_write {
+                            BottomEntry {
+                                last_writer: Some(Accessor::Child(node_ref)),
+                                readers: SmallVec::new(),
+                            }
+                        } else {
+                            let mut readers = SmallVec::new();
+                            readers.push(Accessor::Child(node_ref));
+                            BottomEntry {
+                                last_writer: None,
+                                readers,
+                            }
                         }
-                    } else {
-                        let mut readers = SmallVec::new();
-                        readers.push(Accessor::Child(node_ref));
-                        BottomEntry { last_writer: None, readers }
                     }
-                }
-            };
-            RangeUpdate::Set(new_entry)
-        });
+                };
+                RangeUpdate::Set(new_entry)
+            });
         match fit {
             Fit::Exact => self.stats.add(stat::EXACT_HITS, 1),
             Fit::Split => {
@@ -1796,13 +1920,16 @@ impl<P: 'static> DependencyEngine<P> {
             }
             Accessor::Child(source) => {
                 self.stats.add(stat::RELEASE_EDGES, 1);
-                let (node, frag) =
-                    domain.node_and_frag_mut(source.idx).expect("resolved above");
+                let (node, frag) = domain
+                    .node_and_frag_mut(source.idx)
+                    .expect("resolved above");
                 for part in &pending {
                     node.add_release_edge(frag, part, to);
                 }
                 let sched_idx = node.sched as usize;
-                let sched = domain.sched[sched_idx].as_mut().expect("a live node has its sched");
+                let sched = domain.sched[sched_idx]
+                    .as_mut()
+                    .expect("a live node has its sched");
                 if !sched.successor_linked {
                     sched.successor_linked = true;
                     if let Some(entry) = &sched.entry {
@@ -1831,7 +1958,10 @@ impl<P: 'static> DependencyEngine<P> {
     /// scratch outbox, then [`DependencyEngine::pump`] over it. The caller files
     /// [`Effects::retired`] ([`DependencyEngine::recycle`]).
     pub(crate) fn body_finished_into(&self, entry: &Arc<TaskEntry<P>>, effects: &mut Effects<P>) {
-        debug_assert!(effects.is_empty(), "effects buffer handed in with leftovers");
+        debug_assert!(
+            effects.is_empty(),
+            "effects buffer handed in with leftovers"
+        );
         let mut scratch = CascadeScratch::take();
         let CascadeScratch { outbox, queue } = &mut *scratch;
         self.finish_body(entry, outbox, effects);
@@ -1855,7 +1985,10 @@ impl<P: 'static> DependencyEngine<P> {
         let outbox = &mut outbox.0;
         let before = outbox.len();
         let mut domain = entry.domain.lock();
-        assert!(!domain.body_finished, "body_finished called twice for {task:?}");
+        assert!(
+            !domain.body_finished,
+            "body_finished called twice for {task:?}"
+        );
         domain.body_finished = true;
 
         match (domain.wait_mode, domain.parent_arc()) {
@@ -1879,7 +2012,8 @@ impl<P: 'static> DependencyEngine<P> {
                     let mut uncovered: Parts = SmallVec::new();
                     domain.uncovered_parts(&own.region, &mut uncovered);
                     if !uncovered.is_empty() {
-                        self.stats.add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
+                        self.stats
+                            .add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
                         outbox.push_back(Message::CompleteUp {
                             target: Arc::clone(&target),
                             task: Arc::clone(entry),
@@ -1927,7 +2061,10 @@ impl<P: 'static> DependencyEngine<P> {
     ) -> Effects<P> {
         let mut effects = Effects::default();
         let mut scratch = CascadeScratch::take();
-        let CascadeScratch { outbox: Outbox(outbox), queue } = &mut *scratch;
+        let CascadeScratch {
+            outbox: Outbox(outbox),
+            queue,
+        } = &mut *scratch;
         {
             let mut domain = entry.domain.lock();
             let Some(target) = domain.parent_arc() else {
@@ -1945,7 +2082,8 @@ impl<P: 'static> DependencyEngine<P> {
                 let mut uncovered: Parts = SmallVec::new();
                 domain.uncovered_parts(&overlap, &mut uncovered);
                 if !uncovered.is_empty() {
-                    self.stats.add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
+                    self.stats
+                        .add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
                     outbox.push_back(Message::CompleteUp {
                         target: Arc::clone(&target),
                         task: Arc::clone(entry),
@@ -2013,7 +2151,11 @@ impl<P: 'static> DependencyEngine<P> {
     ) {
         debug_assert!(queue.is_empty());
         match message {
-            Message::SatisfyDown { target, own_idx, parts } => {
+            Message::SatisfyDown {
+                target,
+                own_idx,
+                parts,
+            } => {
                 debug_assert_eq!(domain.owner, target.id);
                 if let Some(seeds) = &mut domain.own_seed {
                     // The domain never had children, so no satisfaction edges exist to fire:
@@ -2044,14 +2186,22 @@ impl<P: 'static> DependencyEngine<P> {
                 }
                 self.process_local(domain, queue, effects, outbox);
             }
-            Message::CompleteUp { target: _, task, own_idx, parts } => {
+            Message::CompleteUp {
+                target: _,
+                task,
+                own_idx,
+                parts,
+            } => {
                 let node_ref = task.nodes_in_parent[own_idx as usize].node;
                 // A recycled slot means the access was fully released already; the completion
                 // is moot.
                 if domain.resolve(node_ref).is_none() {
                     return;
                 }
-                queue.push_back(Event::Complete { node: node_ref.idx, parts });
+                queue.push_back(Event::Complete {
+                    node: node_ref.idx,
+                    parts,
+                });
                 self.process_local(domain, queue, effects, outbox);
             }
             Message::ChildDone { target: _, child } => {
@@ -2153,7 +2303,9 @@ impl<P: 'static> DependencyEngine<P> {
         effects: &mut Effects<P>,
         outbox: &mut VecDeque<Message<P>>,
     ) {
-        let Some((node, frag)) = domain.node_and_frag_mut(idx) else { return };
+        let Some((node, frag)) = domain.node_and_frag_mut(idx) else {
+            return;
+        };
         let mut newly: Parts = SmallVec::new();
         for part in parts {
             node.satisfy_part(frag, part, &mut newly);
@@ -2179,7 +2331,10 @@ impl<P: 'static> DependencyEngine<P> {
             .as_mut()
             .expect("sched freed while node satisfiable");
         if !weak && fully_satisfied {
-            debug_assert!(sched.pending_strong > 0, "pending_strong underflow for {task:?}");
+            debug_assert!(
+                sched.pending_strong > 0,
+                "pending_strong underflow for {task:?}"
+            );
             sched.pending_strong -= 1;
             if sched.pending_strong == 0 {
                 // The task turns ready here, and only here: its parked payload leaves.
@@ -2191,7 +2346,11 @@ impl<P: 'static> DependencyEngine<P> {
         // dependency through the pending-down mirror).
         if has_mirror {
             let target = Arc::clone(sched.entry.as_ref().expect("set at registration"));
-            outbox.push_back(Message::SatisfyDown { target, own_idx, parts: newly.clone() });
+            outbox.push_back(Message::SatisfyDown {
+                target,
+                own_idx,
+                parts: newly.clone(),
+            });
         }
 
         // Fragments that were already completed can now be released.
@@ -2209,7 +2368,9 @@ impl<P: 'static> DependencyEngine<P> {
         effects: &mut Effects<P>,
         outbox: &mut VecDeque<Message<P>>,
     ) {
-        let Some((node, frag)) = domain.node_and_frag_mut(idx) else { return };
+        let Some((node, frag)) = domain.node_and_frag_mut(idx) else {
+            return;
+        };
         let mut newly: Parts = SmallVec::new();
         for part in parts {
             node.complete_part(frag, part, &mut newly);
@@ -2264,7 +2425,10 @@ impl<P: 'static> DependencyEngine<P> {
             for part in &actually_released {
                 node.take_release_edges(frag, part, |fragment, targets| {
                     for &to in targets.iter() {
-                        queue.push_back(Event::Satisfy { node: to, parts: smallvec![fragment] });
+                        queue.push_back(Event::Satisfy {
+                            node: to,
+                            parts: smallvec![fragment],
+                        });
                     }
                 });
             }
@@ -2290,7 +2454,9 @@ impl<P: 'static> DependencyEngine<P> {
             }
             let mut completable: Parts = SmallVec::new();
             for part in &actually_released {
-                let Some(sub) = own.region.intersection(part) else { continue };
+                let Some(sub) = own.region.intersection(part) else {
+                    continue;
+                };
                 if weakwait_active {
                     domain.uncovered_parts(&sub, &mut completable);
                 } else {
@@ -2305,7 +2471,8 @@ impl<P: 'static> DependencyEngine<P> {
                 // A retired parent (possible only for moot hand-overs, see `parent_arc`) gets
                 // no message — and no stat: the counter tracks *delivered* completions.
                 if let Some(target) = domain.parent_arc() {
-                    self.stats.add(stat::INCREMENTAL_RELEASES, completable.len() as u64);
+                    self.stats
+                        .add(stat::INCREMENTAL_RELEASES, completable.len() as u64);
                     outbox.push_back(Message::CompleteUp {
                         target,
                         task: domain.owner_entry(),
@@ -2436,7 +2603,6 @@ impl<P: 'static> DependencyEngine<P> {
         let retired = self.stats.get(stat::TASKS_RETIRED);
         registered.saturating_sub(retired) as usize
     }
-
 }
 
 /// Marks the (locked) domain's owner deeply complete and notifies the parent domain. The
@@ -2464,8 +2630,13 @@ fn deep_complete_locked<P: 'static>(
         Some(weak) => {
             // The parent cannot have been retired yet: its own deep completion requires this
             // task's `ChildDone` (not yet sent) to have been processed.
-            let target = weak.upgrade().expect("parent entry outlives incomplete children");
-            outbox.push_back(Message::ChildDone { target, child: domain.owner_entry() });
+            let target = weak
+                .upgrade()
+                .expect("parent entry outlives incomplete children");
+            outbox.push_back(Message::ChildDone {
+                target,
+                child: domain.owner_entry(),
+            });
         }
     }
 }
@@ -2496,12 +2667,19 @@ mod tests {
         fn new() -> Self {
             let engine = DependencyEngine::new();
             let root = engine.register_root();
-            Harness { engine, root, ready: Vec::new(), completed: Vec::new() }
+            Harness {
+                engine,
+                root,
+                ready: Vec::new(),
+                completed: Vec::new(),
+            }
         }
 
         fn spawn(&mut self, parent: TaskId, deps: &[Depend], mode: WaitMode) -> TaskId {
-            let (id, ready) =
-                self.engine.register_task(parent, deps, mode).expect("live parent");
+            let (id, ready) = self
+                .engine
+                .register_task(parent, deps, mode)
+                .expect("live parent");
             if ready {
                 self.ready.push(id);
             }
@@ -2529,10 +2707,26 @@ mod tests {
         }
     }
 
-    const A: Region = Region { space: SpaceId(1), start: 0, end: 8 };
-    const B: Region = Region { space: SpaceId(1), start: 8, end: 16 };
-    const C: Region = Region { space: SpaceId(1), start: 16, end: 24 };
-    const D: Region = Region { space: SpaceId(1), start: 24, end: 32 };
+    const A: Region = Region {
+        space: SpaceId(1),
+        start: 0,
+        end: 8,
+    };
+    const B: Region = Region {
+        space: SpaceId(1),
+        start: 8,
+        end: 16,
+    };
+    const C: Region = Region {
+        space: SpaceId(1),
+        start: 16,
+        end: 24,
+    };
+    const D: Region = Region {
+        space: SpaceId(1),
+        start: 24,
+        end: 32,
+    };
 
     #[test]
     fn independent_tasks_are_ready_at_registration() {
@@ -2561,7 +2755,11 @@ mod tests {
     #[test]
     fn matching_tier_accounting_identity() {
         let mut h = Harness::new();
-        let half = Region { space: SpaceId(1), start: 4, end: 12 };
+        let half = Region {
+            space: SpaceId(1),
+            start: 4,
+            end: 12,
+        };
         let w = h.spawn_root(&[dep(AccessType::Out, A)], WaitMode::None);
         let exact = h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::None);
         let partial = h.spawn_root(&[dep(AccessType::In, half)], WaitMode::None);
@@ -2570,10 +2768,22 @@ mod tests {
             h.finish(t);
         }
         let stats = h.engine.stats();
-        assert_eq!(stats.exact_hits, 2, "the first write fills a gap, the second matches it");
-        assert_eq!(stats.promotions, 1, "the partial read splits the stored fragment");
-        assert_eq!(stats.fragmented_updates, 2, "the split read and the spanning write");
-        assert_eq!(stats.demotions, 1, "the spanning write heals the split region");
+        assert_eq!(
+            stats.exact_hits, 2,
+            "the first write fills a gap, the second matches it"
+        );
+        assert_eq!(
+            stats.promotions, 1,
+            "the partial read splits the stored fragment"
+        );
+        assert_eq!(
+            stats.fragmented_updates, 2,
+            "the split read and the spanning write"
+        );
+        assert_eq!(
+            stats.demotions, 1,
+            "the spanning write heals the split region"
+        );
         assert_eq!(
             stats.exact_hits + stats.fragmented_updates,
             stats.accesses_registered,
@@ -2656,7 +2866,10 @@ mod tests {
 
         // T1.1 finishes: the dependency T1 -> T2 over `a` has become T1.1 -> T2 and is released.
         h.finish(t11);
-        assert!(h.is_ready(t2), "T2 must be ready once T1.1 finished (fine-grained release)");
+        assert!(
+            h.is_ready(t2),
+            "T2 must be ready once T1.1 finished (fine-grained release)"
+        );
         assert!(!h.is_ready(t3), "T3 still waits for T1.2");
 
         h.finish(t12);
@@ -2680,7 +2893,10 @@ mod tests {
         let t12 = h.spawn(t1, &[dep(AccessType::InOut, B)], WaitMode::None);
         h.finish(t1);
         h.finish(t11);
-        assert!(!h.is_ready(t2), "wait clause must not release a before every child finished");
+        assert!(
+            !h.is_ready(t2),
+            "wait clause must not release a before every child finished"
+        );
         assert!(!h.is_ready(t3));
         h.finish(t12);
         assert!(h.is_ready(t2));
@@ -2701,14 +2917,20 @@ mod tests {
 
         // T2 starts and creates T2.1 (in a): it must NOT be ready (inherits the dependency on T1).
         let t21 = h.spawn(t2, &[dep(AccessType::In, A)], WaitMode::None);
-        assert!(!h.is_ready(t21), "the child's strong access inherits the outer dependency");
+        assert!(
+            !h.is_ready(t21),
+            "the child's strong access inherits the outer dependency"
+        );
 
         // T1 spawns its own child that writes `a` and uses weakwait.
         let t11 = h.spawn(t1, &[dep(AccessType::InOut, A)], WaitMode::None);
         h.finish(t1);
         assert!(!h.is_ready(t21));
         h.finish(t11);
-        assert!(h.is_ready(t21), "satisfaction must propagate through the weak access to T2.1");
+        assert!(
+            h.is_ready(t21),
+            "satisfaction must propagate through the weak access to T2.1"
+        );
     }
 
     /// Listing 3 / Figure 2 of the paper (reduced to the a/c chain): the behaviour must be
@@ -2766,12 +2988,18 @@ mod tests {
         // T1.1 finishes -> only T2.1 (which needs `a`) becomes ready (Fig. 2c).
         h.finish(t11);
         assert!(h.is_ready(t21), "T2.1 must be ready right after T1.1");
-        assert!(!h.is_ready(t22), "T2.2 needs b which is still being written by T1.2");
+        assert!(
+            !h.is_ready(t22),
+            "T2.2 needs b which is still being written by T1.2"
+        );
         assert!(!h.is_ready(t41));
 
         // T2.1 finishes -> c is released through T2's weakout -> T4.1 becomes ready.
         h.finish(t21);
-        assert!(h.is_ready(t41), "T4.1 must see c through the weak accesses of T2 and T4");
+        assert!(
+            h.is_ready(t41),
+            "T4.1 must see c through the weak accesses of T2 and T4"
+        );
         assert!(!h.is_ready(t42));
 
         // The remaining chain: T1.2 -> T2.2 -> T4.2.
@@ -2793,14 +3021,24 @@ mod tests {
     #[test]
     fn strong_nesting_defers_outer_task_instantiation() {
         let mut h = Harness::new();
-        let t1 = h.spawn_root(&[dep(AccessType::InOut, A), dep(AccessType::InOut, B)], WaitMode::None);
+        let t1 = h.spawn_root(
+            &[dep(AccessType::InOut, A), dep(AccessType::InOut, B)],
+            WaitMode::None,
+        );
         // T2 declares strong in over a and b (it only needs them for its subtasks).
         let t2 = h.spawn_root(
-            &[dep(AccessType::In, A), dep(AccessType::In, B), dep(AccessType::Out, C)],
+            &[
+                dep(AccessType::In, A),
+                dep(AccessType::In, B),
+                dep(AccessType::Out, C),
+            ],
             WaitMode::None,
         );
         assert!(h.is_ready(t1));
-        assert!(!h.is_ready(t2), "strong outer dependencies defer the whole task");
+        assert!(
+            !h.is_ready(t2),
+            "strong outer dependencies defer the whole task"
+        );
         let t11 = h.spawn(t1, &[dep(AccessType::InOut, A)], WaitMode::None);
         h.finish(t11);
         assert!(!h.is_ready(t2), "t2 needs both a and b");
@@ -2814,7 +3052,10 @@ mod tests {
     #[test]
     fn release_directive_releases_early() {
         let mut h = Harness::new();
-        let t1 = h.spawn_root(&[dep(AccessType::InOut, A), dep(AccessType::InOut, B)], WaitMode::None);
+        let t1 = h.spawn_root(
+            &[dep(AccessType::InOut, A), dep(AccessType::InOut, B)],
+            WaitMode::None,
+        );
         let t2 = h.spawn_root(&[dep(AccessType::In, A)], WaitMode::None);
         let t3 = h.spawn_root(&[dep(AccessType::In, B)], WaitMode::None);
         assert!(!h.is_ready(t2) && !h.is_ready(t3));
@@ -2839,7 +3080,10 @@ mod tests {
         h.release(t1, A);
         assert!(!h.is_ready(t2));
         h.finish(t11);
-        assert!(h.is_ready(t2), "after the covering child finishes the hand-over completes");
+        assert!(
+            h.is_ready(t2),
+            "after the covering child finishes the hand-over completes"
+        );
         h.finish(t1);
     }
 
@@ -2864,7 +3108,10 @@ mod tests {
             .map(|b| h.spawn(outer2, &[dep(AccessType::InOut, *b)], WaitMode::None))
             .collect();
 
-        assert!(h.is_ready(outer1) && h.is_ready(outer2), "outer tasks carry only weak deps");
+        assert!(
+            h.is_ready(outer1) && h.is_ready(outer2),
+            "outer tasks carry only weak deps"
+        );
         for c in &children1 {
             assert!(h.is_ready(*c));
         }
@@ -2908,7 +3155,10 @@ mod tests {
         assert!(h.is_ready(middle));
         assert!(!h.is_ready(leaf));
         h.finish(producer);
-        assert!(h.is_ready(leaf), "satisfaction must traverse two weak levels");
+        assert!(
+            h.is_ready(leaf),
+            "satisfaction must traverse two weak levels"
+        );
         h.finish(leaf);
         h.finish(middle);
         h.finish(outer);
@@ -2927,7 +3177,10 @@ mod tests {
         h.finish(middle);
         assert!(!h.is_ready(successor), "the leaf still holds a");
         h.finish(leaf);
-        assert!(h.is_ready(successor), "release must climb from the leaf through both levels");
+        assert!(
+            h.is_ready(successor),
+            "release must climb from the leaf through both levels"
+        );
     }
 
     /// Deep completion: parents complete only after all descendants, and the effects report it.
@@ -3016,7 +3269,9 @@ mod tests {
             .engine
             .register_batch(
                 h.root,
-                normalized.iter().map(|(deps, mode)| (deps.as_slice(), *mode)),
+                normalized
+                    .iter()
+                    .map(|(deps, mode)| (deps.as_slice(), *mode)),
             )
             .expect("live parent");
         assert_eq!(results.len(), 3);
@@ -3127,7 +3382,9 @@ mod tests {
     fn an_id_retired_on_one_thread_is_reused_on_another() {
         let engine = DependencyEngine::new();
         let root = engine.register_root();
-        let (task, ready) = engine.register_task(root, &[], WaitMode::None).expect("live root");
+        let (task, ready) = engine
+            .register_task(root, &[], WaitMode::None)
+            .expect("live root");
         assert!(ready);
         let retired_home = std::thread::scope(|s| {
             s.spawn(|| {
@@ -3143,7 +3400,10 @@ mod tests {
             let other = s
                 .spawn(|| {
                     (thread_slot() != retired_home).then(|| {
-                        engine.register_task(root, &[], WaitMode::None).expect("live root").0
+                        engine
+                            .register_task(root, &[], WaitMode::None)
+                            .expect("live root")
+                            .0
                     })
                 })
                 .join()
@@ -3174,7 +3434,11 @@ mod tests {
         assert_eq!(stats.tasks_retired, 1_000); // everything but the live root
         assert_eq!(h.engine.live_tasks(), 1);
         // Cross-check the counter-derived live count against the id index's occupancy.
-        assert_eq!(h.engine.indexed(), h.engine.live_tasks(), "the index holds the live tasks");
+        assert_eq!(
+            h.engine.indexed(),
+            h.engine.live_tasks(),
+            "the index holds the live tasks"
+        );
         assert!(
             h.engine.ids_minted() <= 16,
             "ids must plateau at the live high-water mark (got {} for 1000 tasks)",
@@ -3187,7 +3451,10 @@ mod tests {
     fn unknown_ids_error_instead_of_panicking() {
         let engine = DependencyEngine::new();
         let foreign = TaskId::synthetic(12_345);
-        assert_eq!(engine.try_is_deeply_completed(foreign), Err(StaleTaskId(foreign)));
+        assert_eq!(
+            engine.try_is_deeply_completed(foreign),
+            Err(StaleTaskId(foreign))
+        );
         assert_eq!(engine.try_live_children(foreign), Err(StaleTaskId(foreign)));
         assert_eq!(engine.parent(foreign), None);
     }
@@ -3232,7 +3499,9 @@ mod tests {
         let _writer = h.spawn_root(&[dep(AccessType::Out, A)], WaitMode::None);
         let parent = h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::None);
         assert!(!h.is_ready(parent));
-        let _ = h.engine.register_task(parent, &[dep(AccessType::In, A)], WaitMode::None);
+        let _ = h
+            .engine
+            .register_task(parent, &[dep(AccessType::In, A)], WaitMode::None);
     }
 
     /// Randomised single-domain dependency check: execute tasks in any legal engine order and
@@ -3284,7 +3553,10 @@ mod tests {
                 finish_order.push(pick);
                 h.finish(ids[pick]);
             }
-            assert!(finished.iter().all(|&f| f), "seed {seed}: all tasks must eventually run");
+            assert!(
+                finished.iter().all(|&f| f),
+                "seed {seed}: all tasks must eventually run"
+            );
             // Check pairwise ordering of conflicting accesses: if task i precedes task j in
             // program order and they conflict (same region, at least one write), then i must
             // finish before j starts; since we only track finish order and tasks are atomic in
@@ -3340,8 +3612,16 @@ mod tests {
         vec![
             (None, vec![dep(AccessType::Out, x)], WaitMode::None),
             (None, vec![dep(AccessType::In, r(1, 0, 32))], WaitMode::None),
-            (None, vec![dep(AccessType::In, r(1, 16, 48))], WaitMode::None),
-            (None, vec![dep(AccessType::InOut, r(1, 8, 40))], WaitMode::None),
+            (
+                None,
+                vec![dep(AccessType::In, r(1, 16, 48))],
+                WaitMode::None,
+            ),
+            (
+                None,
+                vec![dep(AccessType::InOut, r(1, 8, 40))],
+                WaitMode::None,
+            ),
             (
                 None,
                 vec![dep(AccessType::WeakIn, x), dep(AccessType::WeakInOut, y)],
@@ -3349,11 +3629,22 @@ mod tests {
             ),
             (
                 Some(4),
-                vec![dep(AccessType::In, r(1, 0, 16)), dep(AccessType::InOut, r(2, 0, 32))],
+                vec![
+                    dep(AccessType::In, r(1, 0, 16)),
+                    dep(AccessType::InOut, r(2, 0, 32)),
+                ],
                 WaitMode::None,
             ),
-            (Some(4), vec![dep(AccessType::InOut, r(2, 32, 64))], WaitMode::None),
-            (Some(4), vec![dep(AccessType::InOut, r(2, 0, 64))], WaitMode::None),
+            (
+                Some(4),
+                vec![dep(AccessType::InOut, r(2, 32, 64))],
+                WaitMode::None,
+            ),
+            (
+                Some(4),
+                vec![dep(AccessType::InOut, r(2, 0, 64))],
+                WaitMode::None,
+            ),
             (None, vec![dep(AccessType::InOut, y)], WaitMode::Wait),
             (None, vec![], WaitMode::None),
         ]
@@ -3373,7 +3664,9 @@ mod tests {
         let mut queue: VecDeque<TaskId> = VecDeque::from([root]);
         for (parent, deps, mode) in &graph {
             let parent = parent.map_or(root, |p| ids[p]);
-            let (id, ready) = by_id.register_task(parent, deps, *mode).expect("live parent");
+            let (id, ready) = by_id
+                .register_task(parent, deps, *mode)
+                .expect("live parent");
             ids.push(id);
             queue.extend(ready.then_some(id));
         }
@@ -3392,8 +3685,12 @@ mod tests {
         for (parent, deps, mode) in &graph {
             let parent = Arc::clone(parent.map_or(&root, |p| &entries[p]));
             let id = engine.reserve_id();
-            let payload =
-                Counted { id, deps: normalize_deps(deps), entry: None, drops: Arc::clone(&drops) };
+            let payload = Counted {
+                id,
+                deps: normalize_deps(deps),
+                entry: None,
+                drops: Arc::clone(&drops),
+            };
             let mut ready = None;
             engine.register_payloads(
                 &parent,
@@ -3410,7 +3707,11 @@ mod tests {
                 queue.push_back(payload);
             }
         }
-        assert_eq!(drops.load(Ordering::Relaxed), 0, "registration drops no payload");
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            0,
+            "registration drops no payload"
+        );
         assert_eq!(queue.len(), engine.stats().ready_at_registration);
         assert!(queue.len() < graph.len(), "some payloads park");
         let mut order = vec![root.id];
@@ -3423,16 +3724,27 @@ mod tests {
         queue.extend(finish(&root));
         while let Some(payload) = queue.pop_front() {
             order.push(payload.id);
-            let entry = payload.entry.as_ref().expect("registration attached the entry");
+            let entry = payload
+                .entry
+                .as_ref()
+                .expect("registration attached the entry");
             assert_eq!(entry.id, payload.id);
             queue.extend(finish(entry));
         }
         assert_eq!(engine.indexed(), 0, "the runtime's way fills no id index");
         assert_eq!(order, expected, "same finish order as the TaskId engine");
         assert_eq!(order.len(), graph.len() + 1, "the graph drains");
-        assert_eq!(drops.load(Ordering::Relaxed), graph.len(), "each payload dropped once");
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            graph.len(),
+            "each payload dropped once"
+        );
         drop(engine);
-        assert_eq!(drops.load(Ordering::Relaxed), graph.len(), "the engine kept no payload");
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            graph.len(),
+            "the engine kept no payload"
+        );
     }
 
     /// Over a drained replay each task is retired exactly once: its id appears once in the
@@ -3446,7 +3758,9 @@ mod tests {
         let mut queue: VecDeque<TaskId> = VecDeque::from([root]);
         for (parent, deps, mode) in payload_graph() {
             let parent = parent.map_or(root, |p| ids[p + 1]);
-            let (id, ready) = engine.register_task(parent, &deps, mode).expect("live parent");
+            let (id, ready) = engine
+                .register_task(parent, &deps, mode)
+                .expect("live parent");
             ids.push(id);
             queue.extend(ready.then_some(id));
         }

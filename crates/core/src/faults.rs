@@ -36,7 +36,10 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan with the given seed and no faults enabled; chain the rate builders.
     pub fn seeded(seed: u64) -> Self {
-        FaultPlan { seed, ..FaultPlan::default() }
+        FaultPlan {
+            seed,
+            ..FaultPlan::default()
+        }
     }
 
     /// The plan's seed.
@@ -71,13 +74,25 @@ impl FaultPlan {
     /// Whether the task with registration ordinal `ordinal` of job `job` gets an injected
     /// panic. Public so harnesses can compute the expected targeted set up front.
     pub fn would_panic(&self, job: u64, ordinal: u32) -> bool {
-        decide(self.seed, SALT_PANIC, job, u64::from(ordinal), self.panic_rate)
+        decide(
+            self.seed,
+            SALT_PANIC,
+            job,
+            u64::from(ordinal),
+            self.panic_rate,
+        )
     }
 
     /// The pre-body delay for `(job, ordinal)`, if one is injected.
     pub(crate) fn dispatch_delay(&self, job: u64, ordinal: u32) -> Option<Duration> {
-        decide(self.seed, SALT_DELAY, job, u64::from(ordinal), self.delay_rate)
-            .then_some(self.delay)
+        decide(
+            self.seed,
+            SALT_DELAY,
+            job,
+            u64::from(ordinal),
+            self.delay_rate,
+        )
+        .then_some(self.delay)
     }
 
     /// The submission stall for `job`, if one is injected.
@@ -92,8 +107,7 @@ fn decide(seed: u64, salt: u64, job: u64, ordinal: u64, rate: f64) -> bool {
     if rate <= 0.0 {
         return false;
     }
-    let h = mix(seed ^ salt ^ job.wrapping_mul(0xA24B_AED4_963E_E407) ^ (ordinal << 32)
-        ^ ordinal);
+    let h = mix(seed ^ salt ^ job.wrapping_mul(0xA24B_AED4_963E_E407) ^ (ordinal << 32) ^ ordinal);
     // Top 53 bits → uniform in [0, 1).
     let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
     unit < rate
@@ -120,7 +134,10 @@ mod tests {
         let hits_b: Vec<bool> = (0..256).map(|o| b.would_panic(3, o)).collect();
         let hits_c: Vec<bool> = (0..256).map(|o| c.would_panic(3, o)).collect();
         assert_eq!(hits_a, hits_b, "same seed, same decisions");
-        assert_ne!(hits_a, hits_c, "a different seed must reshuffle the targets");
+        assert_ne!(
+            hits_a, hits_c,
+            "a different seed must reshuffle the targets"
+        );
     }
 
     #[test]

@@ -139,9 +139,10 @@ impl JobError {
 impl fmt::Debug for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JobError::Panicked { message, .. } => {
-                f.debug_struct("Panicked").field("message", message).finish_non_exhaustive()
-            }
+            JobError::Panicked { message, .. } => f
+                .debug_struct("Panicked")
+                .field("message", message)
+                .finish_non_exhaustive(),
             JobError::Cancelled => f.write_str("Cancelled"),
             JobError::DeadlineExceeded => f.write_str("DeadlineExceeded"),
         }
@@ -164,7 +165,10 @@ impl std::error::Error for JobError {}
 /// cancellation is *not* a failure — it is tracked by its own flag, so a panic or a deadline
 /// recorded for the job still wins over it in `wait_result()`.
 pub(crate) enum JobFailure {
-    Panicked { message: String, payload: Box<dyn Any + Send> },
+    Panicked {
+        message: String,
+        payload: Box<dyn Any + Send>,
+    },
     DeadlineExceeded,
 }
 
@@ -422,9 +426,16 @@ impl<R> JobHandle<R> {
     /// Not available under the `loom-model` feature (the model-checked condvar shim has no
     /// timed wait).
     #[cfg(not(feature = "loom-model"))]
-    pub fn wait_timeout(&self, timeout: std::time::Duration) -> Option<Result<Option<R>, JobError>> {
+    pub fn wait_timeout(
+        &self,
+        timeout: std::time::Duration,
+    ) -> Option<Result<Option<R>, JobError>> {
         let deadline = Instant::now() + timeout;
-        if !self.job.gate.wait_until_timeout(|| self.job.is_finished(), deadline) {
+        if !self
+            .job
+            .gate
+            .wait_until_timeout(|| self.job.is_finished(), deadline)
+        {
             return None;
         }
         Some(self.resolve_finished())

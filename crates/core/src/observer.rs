@@ -26,14 +26,22 @@ pub struct FootprintEntry {
 /// The engine links a task record's dependencies straight from its footprint.
 impl From<FootprintEntry> for NormalizedDep {
     fn from(entry: FootprintEntry) -> Self {
-        NormalizedDep { region: entry.region, is_write: entry.write, weak: entry.weak }
+        NormalizedDep {
+            region: entry.region,
+            is_write: entry.write,
+            weak: entry.weak,
+        }
     }
 }
 
 /// The runtime normalises a task's dependencies straight into its footprint.
 impl From<NormalizedDep> for FootprintEntry {
     fn from(dep: NormalizedDep) -> Self {
-        FootprintEntry { region: dep.region, write: dep.is_write, weak: dep.weak }
+        FootprintEntry {
+            region: dep.region,
+            write: dep.is_write,
+            weak: dep.weak,
+        }
     }
 }
 

@@ -87,7 +87,9 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         RuntimeConfig {
             workers,
             observers: Vec::new(),
@@ -346,7 +348,9 @@ type Entry = Arc<TaskEntry<Box<TaskRecord>>>;
 impl TaskRecord {
     /// The task's engine entry.
     fn entry(&self) -> &Entry {
-        self.entry.as_ref().expect("registration attaches the entry before the task runs")
+        self.entry
+            .as_ref()
+            .expect("registration attaches the entry before the task runs")
     }
 }
 
@@ -463,6 +467,14 @@ struct Inner {
     seed_wave_ordering_bug: bool,
 }
 
+impl Inner {
+    /// The live jobs, their `Arc`s cloned out under the registry lock.
+    fn live_jobs(&self) -> Vec<Arc<JobState>> {
+        let jobs = self.jobs.lock();
+        jobs.values().map(|(job, _)| Arc::clone(job)).collect()
+    }
+}
+
 /// Shadow-table key for a task: generation-qualified so a recycled [`TaskId::index`] can never
 /// be confused with its previous occupant.
 #[cfg(feature = "sentinel")]
@@ -483,8 +495,9 @@ impl Runtime {
         let inner = Arc::new_cyclic(|weak: &std::sync::Weak<Inner>| {
             let weak_for_pool = weak.clone();
             let weak_for_idle = weak.clone();
-            let return_bins: Arc<[ReturnBin]> =
-                (0..config.workers.max(1)).map(|_| ReturnBin::default()).collect();
+            let return_bins: Arc<[ReturnBin]> = (0..config.workers.max(1))
+                .map(|_| ReturnBin::default())
+                .collect();
             let bins_for_idle = Arc::clone(&return_bins);
             let pool = ThreadPool::<Box<TaskRecord>>::with_idle_hook(
                 config.workers,
@@ -568,13 +581,21 @@ impl Runtime {
     /// (so the runtime stays consistent) and the panic is re-raised here.
     pub fn run<R>(&self, body: impl FnOnce(&TaskCtx<'_>) -> R) -> R {
         let (job, root_record) = create_job(&self.inner, JobOptions::new(), None);
-        let ctx = TaskCtx { inner: &self.inner, record: &root_record, worker: None };
+        let ctx = TaskCtx {
+            inner: &self.inner,
+            record: &root_record,
+            worker: None,
+        };
         #[cfg(feature = "sentinel")]
-        self.inner.sentinel.task_started(sentinel_key(root_record.id));
+        self.inner
+            .sentinel
+            .task_started(sentinel_key(root_record.id));
         let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
 
         let mut effects = Effects::default();
-        self.inner.engine.body_finished_into(root_record.entry(), &mut effects);
+        self.inner
+            .engine
+            .body_finished_into(root_record.entry(), &mut effects);
         schedule_effects(&self.inner, &mut effects, None, &job);
 
         // Wait until the root (and therefore every descendant) deeply completes; the job's
@@ -586,7 +607,9 @@ impl Runtime {
         // Every descendant has retired (and left the shadow table); drop the root entry too so
         // the table holds only other jobs' live tasks.
         #[cfg(feature = "sentinel")]
-        self.inner.sentinel.task_finished(sentinel_key(root_record.id));
+        self.inner
+            .sentinel
+            .task_finished(sentinel_key(root_record.id));
         // Deep completion of the root is a quiescent point for the engine's accounting only
         // when no other job is in flight.
         if cfg!(debug_assertions) && self.inner.jobs.lock().is_empty() {
@@ -637,7 +660,9 @@ impl Runtime {
     {
         let result: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
         let slot = Arc::clone(&result);
-        let body = Body::Once(Box::new(move |ctx: &TaskCtx<'_>| *slot.lock() = Some(body(ctx))));
+        let body = Body::Once(Box::new(move |ctx: &TaskCtx<'_>| {
+            *slot.lock() = Some(body(ctx))
+        }));
         let (job, root_record) = create_job(&self.inner, options, Some(body));
         // The root is ready by construction (no dependencies).
         self.inner.pool.submit(Box::new(root_record));
@@ -648,8 +673,7 @@ impl Runtime {
     /// leaves the registry; the aggregate view is [`Runtime::stats`]). A [`JobHandle`] offers
     /// the same slice for a specific job, live or finished.
     pub fn job_stats(&self) -> Vec<JobStats> {
-        let mut out: Vec<JobStats> =
-            self.inner.jobs.lock().values().map(|(job, _)| job.stats()).collect();
+        let mut out: Vec<JobStats> = self.inner.live_jobs().iter().map(|j| j.stats()).collect();
         out.sort_by_key(|s| s.job_id);
         out
     }
@@ -713,8 +737,7 @@ impl Drop for Runtime {
         // no wake-up, on the job's gate or in the pool: no waiter's predicate flips here, and
         // every queued task was announced to the pool's sleepers when it was enqueued — the
         // workers that run them now skip the bodies.
-        let live: Vec<Arc<JobState>> =
-            self.inner.jobs.lock().values().map(|(job, _)| Arc::clone(job)).collect();
+        let live = self.inner.live_jobs();
         for job in &live {
             job.explicit_cancel.store(true, SeqCst);
             job.abort.store(true, SeqCst);
@@ -741,7 +764,11 @@ fn create_job(
 ) -> (Arc<JobState>, TaskRecord) {
     let id = inner.next_job_id.fetch_add(1, SeqCst);
     #[cfg(feature = "faults")]
-    if let Some(stall) = inner.fault_plan.as_ref().and_then(|plan| plan.submission_stall(id)) {
+    if let Some(stall) = inner
+        .fault_plan
+        .as_ref()
+        .and_then(|plan| plan.submission_stall(id))
+    {
         // Injected slow submitter: the stall sits *before* the admission probe, so the job
         // still contends for admission like a well-behaved late arrival.
         std::thread::sleep(stall);
@@ -757,12 +784,16 @@ fn create_job(
         options.label,
     ));
     job.registered.fetch_add(1, SeqCst); // the root itself (fault-injection ordinal 0)
-    inner.jobs.lock().insert(id, (Arc::clone(&job), Arc::clone(&root_entry)));
+    let held = (Arc::clone(&job), Arc::clone(&root_entry));
+    inner.jobs.lock().insert(id, held);
     inner.jobs_submitted.fetch_add(1, SeqCst);
     if deadline.is_some() || inner.stall_tick.is_some() {
         if !inner.watchdog.is_running() {
             let weak = Arc::downgrade(inner);
-            let mut stalls = StallState { tracks: HashMap::new(), last_sweep: None };
+            let mut stalls = StallState {
+                tracks: HashMap::new(),
+                last_sweep: None,
+            };
             inner.watchdog.ensure_started(move || match weak.upgrade() {
                 Some(inner) => watchdog_tick(&inner, &mut stalls),
                 None => Tick::Idle,
@@ -775,7 +806,9 @@ fn create_job(
     // The root declares nothing and conflicts with nothing, but it must be in the shadow table
     // so its children can record it as their ancestor.
     #[cfg(feature = "sentinel")]
-    inner.sentinel.task_created(id, sentinel_key(root_entry.id), None, "root", []);
+    inner
+        .sentinel
+        .task_created(id, sentinel_key(root_entry.id), None, "root", []);
     let record = TaskRecord {
         id: root_entry.id,
         entry: Some(root_entry),
@@ -812,8 +845,7 @@ struct StallState {
 /// locks taken are the jobs registry (Arc clones only) and, transitively, the pool's queue
 /// mutexes while sampling depths for a report.
 fn watchdog_tick(inner: &Arc<Inner>, stalls: &mut StallState) -> Tick {
-    let live: Vec<Arc<JobState>> =
-        inner.jobs.lock().values().map(|(job, _)| Arc::clone(job)).collect();
+    let live = inner.live_jobs();
     let now = Instant::now();
     let mut next: Option<Instant> = None;
     for job in &live {
@@ -860,7 +892,9 @@ fn watchdog_tick(inner: &Arc<Inner>, stalls: &mut StallState) -> Tick {
             let wake = stalls.last_sweep.expect("set on the first sweep above") + tick;
             next = Some(next.map_or(wake, |n| n.min(wake)));
         }
-        stalls.tracks.retain(|id, _| live.iter().any(|job| job.id == *id));
+        stalls
+            .tracks
+            .retain(|id, _| live.iter().any(|job| job.id == *id));
     }
     match next {
         Some(instant) => Tick::SleepUntil(instant),
@@ -928,7 +962,10 @@ pub struct TaskCtx<'a> {
 impl<'a> TaskCtx<'a> {
     /// Starts building a child task of the current task.
     pub fn task(&self) -> TaskBuilder<'_> {
-        TaskBuilder { ctx: self, clauses: Clauses::new() }
+        TaskBuilder {
+            ctx: self,
+            clauses: Clauses::new(),
+        }
     }
 
     /// The current task's identifier.
@@ -958,7 +995,10 @@ impl<'a> TaskCtx<'a> {
     /// Returns the new task ids in order.
     pub fn spawn_batch(&self, specs: Vec<TaskSpec>) -> Vec<TaskId> {
         self.spawn_wave(specs.into_iter().map(|TaskSpec { clauses, body }| {
-            (new_record(self, &clauses, Body::Once(body)), clauses.wait_mode)
+            (
+                new_record(self, &clauses, Body::Once(body)),
+                clauses.wait_mode,
+            )
         }))
     }
 
@@ -982,7 +1022,10 @@ impl<'a> TaskCtx<'a> {
         self.spawn_wave((0..n).map(|i| {
             clauses.reset();
             rule(i, &mut clauses);
-            (new_record(self, &clauses, Body::Each(Arc::clone(&body), i)), clauses.wait_mode)
+            (
+                new_record(self, &clauses, Body::Each(Arc::clone(&body), i)),
+                clauses.wait_mode,
+            )
         }))
     }
 
@@ -1031,7 +1074,9 @@ impl<'a> TaskCtx<'a> {
         let drop_deps = false;
         self.inner.engine.register_payloads(
             self.record.entry(),
-            tasks.into_iter().map(|(record, wait_mode)| (record.id, record, wait_mode)),
+            tasks
+                .into_iter()
+                .map(|(record, wait_mode)| (record.id, record, wait_mode)),
             |record| &record.footprint[..if drop_deps { 0 } else { record.deps as usize }],
             |record, entry| record.entry = Some(entry),
             ready,
@@ -1062,12 +1107,17 @@ impl<'a> TaskCtx<'a> {
     /// Tasks made ready here are pushed onto the local deque (not the immediate-successor slot):
     /// the current task is still running, so other workers must be able to steal them.
     pub fn release(&self, region: Region) {
-        let mut effects = self.inner.engine.release_region_of(self.record.entry(), region);
+        let mut effects = self
+            .inner
+            .engine
+            .release_region_of(self.record.entry(), region);
         // Shrink the task's live declared footprint *before* dispatching successors: a released
         // region is no longer ours, so a successor starting on it must not conflict with us,
         // and our own later accesses to it must trip `check_access`.
         #[cfg(feature = "sentinel")]
-        self.inner.sentinel.released(sentinel_key(self.record.id), &region);
+        self.inner
+            .sentinel
+            .released(sentinel_key(self.record.id), &region);
         schedule_effects(
             self.inner,
             &mut effects,
@@ -1138,7 +1188,11 @@ impl<'a> TaskCtx<'a> {
         F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
     {
         let n = input.len();
-        assert_eq!(n, output.len(), "scan input and output must have equal length");
+        assert_eq!(
+            n,
+            output.len(),
+            "scan input and output must have equal length"
+        );
         let chunk = chunk.max(1);
         // Footprint + sentinel checks once, against the registering task (this one).
         let input_view = input.loop_view(self, 0..n);
@@ -1202,9 +1256,14 @@ impl<'a> TaskCtx<'a> {
         let job = Arc::clone(&self.record.job);
         let probe_job = Arc::clone(&job);
         let domain = self.worker.map(|w| w.domain()).unwrap_or(0);
-        let desc = Arc::new(LoopDescriptor::new(range, chunk, job.id, domain, runner, move || {
-            probe_job.is_aborted()
-        }));
+        let desc = Arc::new(LoopDescriptor::new(
+            range,
+            chunk,
+            job.id,
+            domain,
+            runner,
+            move || probe_job.is_aborted(),
+        ));
         match self.worker {
             Some(worker) => worker.publish_loop(Arc::clone(&desc)),
             None => self.inner.pool.publish_loop(Arc::clone(&desc)),
@@ -1215,7 +1274,8 @@ impl<'a> TaskCtx<'a> {
             Some(worker) => worker.retire_loop(&desc),
             None => self.inner.pool.retire_loop(&desc),
         }
-        job.assist_chunks.fetch_add(desc.assist_chunk_count(), SeqCst);
+        job.assist_chunks
+            .fetch_add(desc.assist_chunk_count(), SeqCst);
         if let Some(payload) = desc.take_poison() {
             resume_unwind(payload);
         }
@@ -1238,7 +1298,9 @@ impl<'a> TaskCtx<'a> {
     #[cfg(feature = "sentinel")]
     pub(crate) fn sentinel_check_access(&self, region: &Region, write: bool) {
         if let Some(message) =
-            self.inner.sentinel.check_access(sentinel_key(self.record.id), region, write)
+            self.inner
+                .sentinel
+                .check_access(sentinel_key(self.record.id), region, write)
         {
             panic!("{message}");
         }
@@ -1251,7 +1313,9 @@ impl<'a> TaskCtx<'a> {
 /// the union of the qualifying entries in its space. (Hints leave the footprint unsorted, so
 /// the union is built in an interval map rather than swept.)
 fn covered_by(footprint: &[FootprintEntry], region: &Region, needs_write: bool) -> bool {
-    let qualifying = footprint.iter().filter(|e| !e.weak && (e.write || !needs_write));
+    let qualifying = footprint
+        .iter()
+        .filter(|e| !e.weak && (e.write || !needs_write));
     if qualifying.clone().any(|e| e.region.contains_region(region)) {
         return true;
     }
@@ -1277,7 +1341,12 @@ pub struct Clauses {
 
 impl Clauses {
     fn new() -> Self {
-        Clauses { deps: Vec::new(), hints: Vec::new(), wait_mode: WaitMode::None, label: "task" }
+        Clauses {
+            deps: Vec::new(),
+            hints: Vec::new(),
+            wait_mode: WaitMode::None,
+            label: "task",
+        }
     }
 
     /// Back to [`Clauses::new`], keeping the buffers' capacity.
@@ -1353,7 +1422,11 @@ impl Clauses {
     /// observers (cache model, traces) still see the footprint, but the dependency engine does
     /// not order anything on it.
     pub fn footprint_hint(&mut self, region: Region, write: bool) -> &mut Self {
-        self.hints.push(FootprintEntry { region, write, weak: false });
+        self.hints.push(FootprintEntry {
+            region,
+            write,
+            weak: false,
+        });
         self
     }
 }
@@ -1448,7 +1521,10 @@ impl<'a> TaskBuilder<'a> {
     /// Detaches the builder into a [`TaskSpec`] carrying `body`, for batched submission with
     /// [`TaskCtx::spawn_batch`].
     pub fn stage(self, body: impl FnOnce(&TaskCtx<'_>) + Send + 'static) -> TaskSpec {
-        TaskSpec { clauses: self.clauses, body: Box::new(body) }
+        TaskSpec {
+            clauses: self.clauses,
+            body: Box::new(body),
+        }
     }
 
     /// Creates the task. The body runs asynchronously once all strong dependencies are
@@ -1467,7 +1543,13 @@ impl<'a> TaskBuilder<'a> {
             }
         }
         if let Some(start) = spawn_start {
-            add_span(&ctx.inner.timers, SPAWN_NS, start, Instant::now(), SAMPLE_PERIOD);
+            add_span(
+                &ctx.inner.timers,
+                SPAWN_NS,
+                start,
+                Instant::now(),
+                SAMPLE_PERIOD,
+            );
         }
         id
     }
@@ -1500,7 +1582,10 @@ fn new_record(ctx: &TaskCtx<'_>, clauses: &Clauses, body: Body) -> Box<TaskRecor
         ordinal: _ordinal as u32,
     };
     // On a worker, the record is built in one of its spares when it has one.
-    let record = match ctx.worker.and_then(|worker| RecordCache::spare(ctx.inner, worker.index())) {
+    let record = match ctx
+        .worker
+        .and_then(|worker| RecordCache::spare(ctx.inner, worker.index()))
+    {
         Some(mut spare) => {
             *spare = fresh;
             ctx.inner.timers.add(RECORDS_REUSED, 1);
@@ -1520,14 +1605,22 @@ fn new_record(ctx: &TaskCtx<'_>, clauses: &Clauses, body: Body) -> Box<TaskRecor
         sentinel_key(id),
         Some(sentinel_key(ctx.record.id)),
         label,
-        record.footprint.iter().map(|entry| weakdep_sentinel::DeclaredAccess {
-            region: entry.region,
-            write: entry.write,
-            weak: entry.weak,
-        }),
+        record
+            .footprint
+            .iter()
+            .map(|entry| weakdep_sentinel::DeclaredAccess {
+                region: entry.region,
+                write: entry.write,
+                weak: entry.weak,
+            }),
     );
 
-    let info = TaskInfo { id, label, parent: Some(ctx.record.id), footprint: &record.footprint };
+    let info = TaskInfo {
+        id,
+        label,
+        parent: Some(ctx.record.id),
+        footprint: &record.footprint,
+    };
     for obs in &ctx.inner.observers {
         obs.task_created(&info);
     }
@@ -1628,10 +1721,14 @@ impl Retirer {
         }
         // Held leaves are this task's siblings, so they belong to its job.
         debug_assert!(
-            self.job.as_ref().is_none_or(|job| Arc::ptr_eq(job, &record.job)),
+            self.job
+                .as_ref()
+                .is_none_or(|job| Arc::ptr_eq(job, &record.job)),
             "a retire batch mixes jobs"
         );
-        let leaf = inner.engine.finish_body(entry, &mut self.outbox, &mut self.effects);
+        let leaf = inner
+            .engine
+            .finish_body(entry, &mut self.outbox, &mut self.effects);
         // A leaf deep-completed in its own domain: count it now, before its `ChildDone` can
         // reach the root, so a finished job never reads a completion short (a batch applies
         // the `ChildDone` later, and another worker may complete the root meanwhile).
@@ -1670,7 +1767,9 @@ impl Retirer {
         wctx: &WorkerContext<'_, Box<TaskRecord>>,
         job: &Arc<JobState>,
     ) {
-        inner.engine.pump_outbox(&mut self.outbox, &mut self.effects);
+        inner
+            .engine
+            .pump_outbox(&mut self.outbox, &mut self.effects);
         schedule_effects(inner, &mut self.effects, Some((wctx, true)), job);
         if self.held > 0 {
             inner.timers.add(RETIRE_FLUSHES, 1);
@@ -1883,10 +1982,12 @@ fn execute_task(
         body => body,
     };
     #[cfg(feature = "faults")]
-    if let Some(delay) = body
-        .as_ref()
-        .and_then(|_| inner.fault_plan.as_ref()?.dispatch_delay(job.id, record.ordinal))
-    {
+    if let Some(delay) = body.as_ref().and_then(|_| {
+        inner
+            .fault_plan
+            .as_ref()?
+            .dispatch_delay(job.id, record.ordinal)
+    }) {
         // Injected dispatch delay: perturbs timing (and widens abort/cancel races) without
         // changing any output. It precedes the body's first clock read, so neither `body_ns`
         // nor `TaskExecution::start` contains it.
@@ -1894,7 +1995,11 @@ fn execute_task(
     }
     let start = Instant::now();
     if let Some(body) = body {
-        let ctx = TaskCtx { inner, record: &record, worker: Some(wctx) };
+        let ctx = TaskCtx {
+            inner,
+            record: &record,
+            worker: Some(wctx),
+        };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // Inside the catch so a sentinel conflict panic is captured into the job's
             // failure slot and re-raised by `run`/`wait` instead of tearing down the
@@ -1902,11 +2007,18 @@ fn execute_task(
             #[cfg(feature = "sentinel")]
             inner.sentinel.task_started(sentinel_key(record.id));
             #[cfg(feature = "faults")]
-            if inner.fault_plan.as_ref().is_some_and(|p| p.would_panic(job.id, record.ordinal)) {
+            if inner
+                .fault_plan
+                .as_ref()
+                .is_some_and(|p| p.would_panic(job.id, record.ordinal))
+            {
                 // Injected task-body panic: raised inside the catch_unwind so it flows
                 // through the exact production failure path (record_panic, fail-fast
                 // containment, wait_result delivery).
-                panic!("injected fault: job {} task ordinal {}", job.id, record.ordinal);
+                panic!(
+                    "injected fault: job {} task ordinal {}",
+                    job.id, record.ordinal
+                );
             }
             body.call(&ctx)
         }));
@@ -2010,7 +2122,8 @@ fn schedule_effects(
     }
 
     if !effects.deeply_completed.is_empty() {
-        job.deeply_completed.fetch_add(effects.deeply_completed.len(), SeqCst);
+        job.deeply_completed
+            .fetch_add(effects.deeply_completed.len(), SeqCst);
         effects.deeply_completed.clear();
     }
     // File the retired ids for reuse, under this thread's home free list.
@@ -2146,12 +2259,18 @@ mod tests {
                     .label("T1")
                     .spawn(move |tctx| {
                         let (a3, b3) = (a2.clone(), b2.clone());
-                        tctx.task().inout(a2.region(0..1)).label("T1.1").spawn(move |c| {
-                            a3.write(c, 0..1)[0] += 100;
-                        });
-                        tctx.task().inout(b2.region(0..1)).label("T1.2").spawn(move |c| {
-                            b3.write(c, 0..1)[0] += 200;
-                        });
+                        tctx.task()
+                            .inout(a2.region(0..1))
+                            .label("T1.1")
+                            .spawn(move |c| {
+                                a3.write(c, 0..1)[0] += 100;
+                            });
+                        tctx.task()
+                            .inout(b2.region(0..1))
+                            .label("T1.2")
+                            .spawn(move |c| {
+                                b3.write(c, 0..1)[0] += 200;
+                            });
                     });
                 let (a4, oa) = (a.clone(), out_a.clone());
                 ctx.task()
@@ -2241,7 +2360,9 @@ mod tests {
         let rt = Runtime::with_workers(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
             rt.run(|ctx| {
-                ctx.task().label("boom").spawn(|_| panic!("deliberate failure"));
+                ctx.task()
+                    .label("boom")
+                    .spawn(|_| panic!("deliberate failure"));
             });
         }));
         assert!(result.is_err(), "the panic must propagate out of run()");
@@ -2266,7 +2387,9 @@ mod tests {
     /// The plain answer `covered_by` must agree with, coordinate by coordinate: every point of
     /// the region lies in some qualifying entry.
     fn union_covers(footprint: &[FootprintEntry], region: &Region, needs_write: bool) -> bool {
-        let qualifying = footprint.iter().filter(|e| !e.weak && (e.write || !needs_write));
+        let qualifying = footprint
+            .iter()
+            .filter(|e| !e.weak && (e.write || !needs_write));
         (region.start..region.end).all(|point| {
             qualifying
                 .clone()
@@ -2369,9 +2492,12 @@ mod tests {
             rt.run(move |ctx| {
                 for _ in 0..64 {
                     let d2 = d.clone();
-                    ctx.task().inout(d.region(0..1)).label("chain").spawn(move |t| {
-                        d2.write(t, 0..1)[0] += 1;
-                    });
+                    ctx.task()
+                        .inout(d.region(0..1))
+                        .label("chain")
+                        .spawn(move |t| {
+                            d2.write(t, 0..1)[0] += 1;
+                        });
                 }
             });
             assert_eq!(data.snapshot()[0], 64, "policy {}", policy.name());
@@ -2386,7 +2512,8 @@ mod tests {
                 );
             } else {
                 assert_eq!(
-                    stats.successor_slot_hits, 0,
+                    stats.successor_slot_hits,
+                    0,
                     "policy {}: the slot must stay unused",
                     policy.name()
                 );
@@ -2398,7 +2525,9 @@ mod tests {
     fn fifo_policy_keeps_the_successor_slot_unused() {
         // The no-locality baseline routes every ready task through the injector.
         let rt = Runtime::new(
-            RuntimeConfig::new().workers(2).scheduling_policy(SchedulingPolicy::Fifo),
+            RuntimeConfig::new()
+                .workers(2)
+                .scheduling_policy(SchedulingPolicy::Fifo),
         );
         assert_eq!(rt.scheduling_policy(), SchedulingPolicy::Fifo);
         let data = SharedSlice::<u64>::new(1);
@@ -2406,9 +2535,12 @@ mod tests {
         rt.run(move |ctx| {
             for _ in 0..16 {
                 let d2 = d.clone();
-                ctx.task().inout(d.region(0..1)).label("chain").spawn(move |t| {
-                    d2.write(t, 0..1)[0] += 1;
-                });
+                ctx.task()
+                    .inout(d.region(0..1))
+                    .label("chain")
+                    .spawn(move |t| {
+                        d2.write(t, 0..1)[0] += 1;
+                    });
             }
         });
         assert_eq!(data.snapshot()[0], 16);
@@ -2455,9 +2587,12 @@ mod tests {
                     let d = data.clone();
                     for _ in 0..20 {
                         let d2 = d.clone();
-                        ctx.task().inout(d.region(0..1)).label("chain").spawn(move |t| {
-                            d2.write(t, 0..1)[0] += k;
-                        });
+                        ctx.task()
+                            .inout(d.region(0..1))
+                            .label("chain")
+                            .spawn(move |t| {
+                                d2.write(t, 0..1)[0] += k;
+                            });
                     }
                     ctx.taskwait();
                     data.snapshot()[0]
@@ -2465,14 +2600,20 @@ mod tests {
             })
             .collect();
         for (k, handle) in handles.into_iter().enumerate() {
-            assert_eq!(handle.wait_result().expect("the job succeeds"), Some(20 * k as u64));
+            assert_eq!(
+                handle.wait_result().expect("the job succeeds"),
+                Some(20 * k as u64)
+            );
         }
         let stats = rt.stats();
         assert_eq!(stats.jobs_submitted, 6);
         assert_eq!(stats.jobs_completed, 6);
         assert_eq!(stats.jobs_cancelled, 0);
         assert_eq!(rt.capacity().live_jobs, 0);
-        assert!(rt.job_stats().is_empty(), "no job may outlive its completion in the registry");
+        assert!(
+            rt.job_stats().is_empty(),
+            "no job may outlive its completion in the registry"
+        );
     }
 
     #[test]
@@ -2521,10 +2662,17 @@ mod tests {
             matches!(b.wait_result(), Err(JobError::Cancelled)),
             "the cancelled root body must not produce a value"
         );
-        assert_eq!(b_ran.load(Ordering::SeqCst), 0, "no body of a cancelled job may run");
+        assert_eq!(
+            b_ran.load(Ordering::SeqCst),
+            0,
+            "no body of a cancelled job may run"
+        );
         let stats = rt.stats();
         assert_eq!(stats.jobs_cancelled, 1);
-        assert_eq!(stats.jobs_completed, 2, "a cancelled job still drains to completion");
+        assert_eq!(
+            stats.jobs_completed, 2,
+            "a cancelled job still drains to completion"
+        );
     }
 
     #[test]
@@ -2582,14 +2730,23 @@ mod tests {
                 });
             }
         });
-        let outcome = handle.wait_timeout(Duration::from_secs(60)).expect("job must finish");
+        let outcome = handle
+            .wait_timeout(Duration::from_secs(60))
+            .expect("job must finish");
         assert_eq!(outcome.unwrap_err().kind(), "panicked");
-        assert_eq!(ran.load(Ordering::SeqCst), 0, "no sibling body may run after the abort");
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            0,
+            "no sibling body may run after the abort"
+        );
         let stats = handle.stats();
         assert!(stats.failed);
         assert_eq!(stats.tasks_skipped, 16);
         assert_eq!(stats.tasks_registered, stats.tasks_deeply_completed);
-        assert_eq!(stats.tasks_executed + stats.tasks_skipped, stats.tasks_registered);
+        assert_eq!(
+            stats.tasks_executed + stats.tasks_skipped,
+            stats.tasks_registered
+        );
     }
 
     #[test]
@@ -2598,7 +2755,9 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         let r = Arc::clone(&ran);
         let handle = rt.submit_with(
-            JobOptions::new().panic_policy(PanicPolicy::RunToCompletion).label("tolerant"),
+            JobOptions::new()
+                .panic_policy(PanicPolicy::RunToCompletion)
+                .label("tolerant"),
             move |ctx| {
                 ctx.task().label("boom").spawn(|_| panic!("still reported"));
                 ctx.taskwait();
@@ -2611,7 +2770,11 @@ mod tests {
             },
         );
         let err = handle.wait_result().unwrap_err();
-        assert_eq!(err.kind(), "panicked", "the first panic is still the job's outcome");
+        assert_eq!(
+            err.kind(),
+            "panicked",
+            "the first panic is still the job's outcome"
+        );
         assert_eq!(
             ran.load(Ordering::SeqCst),
             8,
@@ -2624,21 +2787,32 @@ mod tests {
     fn deadline_aborts_an_overdue_job() {
         let rt = Runtime::with_workers(2);
         let handle = rt.submit_with(
-            JobOptions::new().deadline(Duration::from_millis(30)).label("overdue"),
+            JobOptions::new()
+                .deadline(Duration::from_millis(30))
+                .label("overdue"),
             |ctx| {
                 // 64 x 5ms over 2 workers is ≥160ms of wall time: far past the deadline.
                 for _ in 0..64 {
-                    ctx.task().spawn(|_| std::thread::sleep(Duration::from_millis(5)));
+                    ctx.task()
+                        .spawn(|_| std::thread::sleep(Duration::from_millis(5)));
                 }
                 ctx.taskwait();
             },
         );
-        let outcome = handle.wait_timeout(Duration::from_secs(60)).expect("abort must drain");
+        let outcome = handle
+            .wait_timeout(Duration::from_secs(60))
+            .expect("abort must drain");
         assert_eq!(outcome.unwrap_err().kind(), "deadline-exceeded");
         let stats = handle.stats();
         assert!(stats.failed);
-        assert!(stats.tasks_skipped > 0, "the abort must have skipped queued bodies");
-        assert_eq!(stats.tasks_registered, stats.tasks_deeply_completed, "the job drained");
+        assert!(
+            stats.tasks_skipped > 0,
+            "the abort must have skipped queued bodies"
+        );
+        assert_eq!(
+            stats.tasks_registered, stats.tasks_deeply_completed,
+            "the job drained"
+        );
     }
 
     #[test]
@@ -2648,7 +2822,8 @@ mod tests {
             JobOptions::new().deadline(Duration::from_millis(10)),
             |ctx| {
                 for _ in 0..64 {
-                    ctx.task().spawn(|_| std::thread::sleep(Duration::from_millis(5)));
+                    ctx.task()
+                        .spawn(|_| std::thread::sleep(Duration::from_millis(5)));
                 }
                 ctx.taskwait();
             },
@@ -2664,8 +2839,15 @@ mod tests {
             ctx.taskwait();
             counter.load(Ordering::SeqCst)
         });
-        assert_eq!(overdue.wait_result().unwrap_err().kind(), "deadline-exceeded");
-        assert_eq!(clean.wait_result().unwrap(), Some(32), "isolation: the clean job is whole");
+        assert_eq!(
+            overdue.wait_result().unwrap_err().kind(),
+            "deadline-exceeded"
+        );
+        assert_eq!(
+            clean.wait_result().unwrap(),
+            Some(32),
+            "isolation: the clean job is whole"
+        );
     }
 
     #[test]
@@ -2685,14 +2867,18 @@ mod tests {
             "a held job must time out, not resolve"
         );
         release.store(1, Ordering::SeqCst);
-        let outcome = handle.wait_timeout(Duration::from_secs(60)).expect("job finishes");
+        let outcome = handle
+            .wait_timeout(Duration::from_secs(60))
+            .expect("job finishes");
         assert_eq!(outcome.unwrap(), Some(7));
     }
 
     #[test]
     fn stall_watchdog_flags_a_blocked_job_and_recovers() {
         let rt = Runtime::new(
-            RuntimeConfig::new().workers(2).stall_watchdog(Duration::from_millis(5), 2),
+            RuntimeConfig::new()
+                .workers(2)
+                .stall_watchdog(Duration::from_millis(5), 2),
         );
         let release = Arc::new(AtomicUsize::new(0));
         let rel = Arc::clone(&release);
@@ -2816,17 +3002,20 @@ mod tests {
             // A weakwait parent: its children come from `spawn_each`, and it waits for them
             // on a worker.
             let d2 = d.clone();
-            ctx.task().weak_inout(d.region(0..cells)).weakwait().spawn(move |t| {
-                let d3 = d2.clone();
-                t.spawn_each(
-                    cells,
-                    |i, c| {
-                        c.inout(d2.region(i..i + 1));
-                    },
-                    move |t, i| d3.write(t, i..i + 1)[0] += 1,
-                );
-                t.taskwait();
-            });
+            ctx.task()
+                .weak_inout(d.region(0..cells))
+                .weakwait()
+                .spawn(move |t| {
+                    let d3 = d2.clone();
+                    t.spawn_each(
+                        cells,
+                        |i, c| {
+                            c.inout(d2.region(i..i + 1));
+                        },
+                        move |t, i| d3.write(t, i..i + 1)[0] += 1,
+                    );
+                    t.taskwait();
+                });
             // The inline root waits on the job's gate, then spawns one more wave.
             ctx.taskwait();
             let d2 = d.clone();
@@ -2838,11 +3027,21 @@ mod tests {
                 move |t, i| d2.write(t, i..i + 1)[0] += 1,
             );
         });
-        assert!(data.snapshot().iter().all(|&v| v == 4), "every cell written by four tasks");
+        assert!(
+            data.snapshot().iter().all(|&v| v == 4),
+            "every cell written by four tasks"
+        );
         let stats = rt.stats().engine;
         assert_eq!(stats.tasks_registered, 1 + 4 * cells + 1);
-        assert_eq!(stats.tasks_retired, stats.tasks_registered, "every task retired");
-        assert_eq!(rt.inner.engine.indexed(), 0, "the runtime fills no id index");
+        assert_eq!(
+            stats.tasks_retired, stats.tasks_registered,
+            "every task retired"
+        );
+        assert_eq!(
+            rt.inner.engine.indexed(),
+            0,
+            "the runtime fills no id index"
+        );
     }
 
     #[test]
@@ -2877,7 +3076,9 @@ mod tests {
                 },
                 move |t, i| d2.write(t, i..i + 1)[0] *= 2,
             );
-            assert!(ctx.spawn_each(0, |_, _| unreachable!(), |_, _| unreachable!()).is_empty());
+            assert!(ctx
+                .spawn_each(0, |_, _| unreachable!(), |_, _| unreachable!())
+                .is_empty());
         });
         let result = data.snapshot();
         for (i, v) in result.iter().enumerate() {
@@ -2920,7 +3121,10 @@ mod tests {
         let stats = handle.stats();
         assert_eq!(stats.tasks_registered, 17); // root + 16
         assert_eq!(stats.tasks_deeply_completed, 17, "the wave drains");
-        assert_eq!(stats.tasks_executed, 17, "run-to-completion runs every sibling");
+        assert_eq!(
+            stats.tasks_executed, 17,
+            "run-to-completion runs every sibling"
+        );
     }
 
     /// The three spawn entry points build their records through one constructor: one clause
@@ -3084,7 +3288,10 @@ mod tests {
         });
         assert!(started.elapsed() >= 2 * delay, "both tasks were delayed");
         let body_ns = rt.stats().body_ns;
-        assert!(body_ns < delay.as_nanos() as u64, "body_ns {body_ns} includes the delay");
+        assert!(
+            body_ns < delay.as_nanos() as u64,
+            "body_ns {body_ns} includes the delay"
+        );
     }
 
     #[test]
@@ -3107,20 +3314,51 @@ mod tests {
         assert!(!defers_retire(1_000, estimate, true, || true, 0));
         assert!(!defers_retire(1_000, estimate, false, || false, 0));
         // (d) The cap.
-        assert!(defers_retire(1_000, estimate, false, || true, RETIRE_BATCH_CAP - 1));
-        assert!(!defers_retire(1_000, estimate, false, || true, RETIRE_BATCH_CAP));
+        assert!(defers_retire(
+            1_000,
+            estimate,
+            false,
+            || true,
+            RETIRE_BATCH_CAP - 1
+        ));
+        assert!(!defers_retire(
+            1_000,
+            estimate,
+            false,
+            || true,
+            RETIRE_BATCH_CAP
+        ));
         // The queue probe is asked last, only when everything else holds.
-        assert!(!defers_retire(estimate, estimate, false, || panic!("probed"), 0));
-        assert!(!defers_retire(1_000, estimate, true, || panic!("probed"), 0));
+        assert!(!defers_retire(
+            estimate,
+            estimate,
+            false,
+            || panic!("probed"),
+            0
+        ));
+        assert!(!defers_retire(
+            1_000,
+            estimate,
+            true,
+            || panic!("probed"),
+            0
+        ));
     }
 
     #[test]
     fn one_slow_retire_moves_the_estimate_by_at_most_an_eighth() {
         let mut retirer = Retirer::new();
         retirer.observe(2_000);
-        assert_eq!(retirer.estimate_ns, 2_000, "the first sample sets the estimate");
+        assert_eq!(
+            retirer.estimate_ns, 2_000,
+            "the first sample sets the estimate"
+        );
         retirer.observe(1_000_000);
-        assert_eq!(retirer.estimate_ns, 2_000 - 250 + 500, "a sample is clipped at 2×");
+        assert_eq!(
+            retirer.estimate_ns,
+            2_000 - 250 + 500,
+            "a sample is clipped at 2×"
+        );
         retirer.observe(0);
         assert_eq!(retirer.estimate_ns, 2_250 - 281);
     }
@@ -3156,7 +3394,10 @@ mod tests {
         assert_eq!(stats.tasks_deeply_completed, stats.tasks_registered);
         assert_eq!(ran.load(Ordering::Relaxed), 10_000);
         let runtime = rt.stats();
-        assert!(runtime.retires_deferred > 0, "fine leaves without successors are batched");
+        assert!(
+            runtime.retires_deferred > 0,
+            "fine leaves without successors are batched"
+        );
         assert!(runtime.retire_flushes > 0);
         assert!(runtime.retire_flushes <= runtime.retires_deferred);
     }
@@ -3195,13 +3436,21 @@ mod tests {
                     }
                 },
                 move |t, k| {
-                    let up = if k >= 8 { g.read(t, k - 8..k - 7)[0] } else { 0 };
+                    let up = if k >= 8 {
+                        g.read(t, k - 8..k - 7)[0]
+                    } else {
+                        0
+                    };
                     let left = if k % 8 > 0 { g.read(t, k - 1..k)[0] } else { 0 };
                     g.write(t, k..k + 1)[0] = up.max(left) + 1;
                 },
             );
         });
-        assert_eq!(grid.snapshot()[63], 15, "the wavefront ran in dependency order");
+        assert_eq!(
+            grid.snapshot()[63],
+            15,
+            "the wavefront ran in dependency order"
+        );
         assert_eq!(rt.stats().retires_deferred, 0);
     }
 
@@ -3235,7 +3484,10 @@ mod tests {
             assert_eq!(stats.tasks_registered, 1 + 4 + 4 * 500);
             assert_eq!(stats.tasks_deeply_completed, stats.tasks_registered);
         }
-        assert!(rt.stats().retires_deferred > 0, "the jobs' leaves were batched");
+        assert!(
+            rt.stats().retires_deferred > 0,
+            "the jobs' leaves were batched"
+        );
     }
 
     /// The record stays at 104 bytes: the same fields laid out in 120 bytes, with no other
@@ -3244,7 +3496,11 @@ mod tests {
     #[cfg(not(feature = "faults"))]
     #[test]
     fn the_task_record_stays_within_104_bytes() {
-        assert!(std::mem::size_of::<TaskRecord>() <= 104, "{}", std::mem::size_of::<TaskRecord>());
+        assert!(
+            std::mem::size_of::<TaskRecord>() <= 104,
+            "{}",
+            std::mem::size_of::<TaskRecord>()
+        );
     }
 
     /// Polls `done` for up to ten seconds. What the return tests check is done by the pool's
@@ -3305,7 +3561,11 @@ mod tests {
         let single = Runtime::with_workers(1);
         assert_eq!(spawn_leaves_from_a_task(&single, 1_000), 1_000);
         let stats = single.stats();
-        assert_eq!((stats.records_returned, stats.records_reused), (0, 0), "nothing is routed");
+        assert_eq!(
+            (stats.records_returned, stats.records_reused),
+            (0, 0),
+            "nothing is routed"
+        );
     }
 
     #[test]
@@ -3315,7 +3575,13 @@ mod tests {
             assert_eq!(spawn_leaves_from_a_task(&rt, 10_000), 10_000);
         }
         let bound = RETURN_BATCH * rt.worker_count();
-        let bins = || rt.inner.return_bins.iter().map(ReturnBin::len).collect::<Vec<_>>();
+        let bins = || {
+            rt.inner
+                .return_bins
+                .iter()
+                .map(ReturnBin::len)
+                .collect::<Vec<_>>()
+        };
         assert!(
             eventually(|| bins().iter().all(|&len| len <= bound)),
             "return bins of an idle pool: {:?} records, bound {bound}",

@@ -25,47 +25,53 @@ use weakdep_threadpool::sleep::Gate;
 /// store-then-wait).
 #[test]
 fn no_body_starts_after_cancel_returns() {
-    let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let gate = Arc::new(Gate::new());
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let running = Arc::new(AtomicUsize::new(0));
-        let cancel_returned = Arc::new(AtomicBool::new(false));
+    let report = Checker::new()
+        .preemption_bound(4)
+        .random_runs(500)
+        .check(|| {
+            let gate = Arc::new(Gate::new());
+            let cancelled = Arc::new(AtomicBool::new(false));
+            let running = Arc::new(AtomicUsize::new(0));
+            let cancel_returned = Arc::new(AtomicBool::new(false));
 
-        let (g2, c2, r2, cr2) = (
-            Arc::clone(&gate),
-            Arc::clone(&cancelled),
-            Arc::clone(&running),
-            Arc::clone(&cancel_returned),
-        );
-        // Worker: the `execute_task` cancellation bracket — increment *before* the
-        // cancelled-load, decrement after, notify when possibly the last body of a cancelled
-        // job.
-        let worker = thread::spawn(move || {
-            r2.fetch_add(1, SeqCst);
-            if !c2.load(SeqCst) {
-                // Body starts here: by the SeqCst total order this can only happen if the
-                // increment above preceded the canceller's store, in which case the canceller
-                // still observes running > 0 and waits us out.
-                assert!(
-                    !cr2.load(SeqCst),
-                    "a task body started after cancel() returned"
-                );
-            }
-            let prev = r2.fetch_sub(1, SeqCst);
-            if prev == 1 && c2.load(SeqCst) {
-                g2.notify();
-            }
+            let (g2, c2, r2, cr2) = (
+                Arc::clone(&gate),
+                Arc::clone(&cancelled),
+                Arc::clone(&running),
+                Arc::clone(&cancel_returned),
+            );
+            // Worker: the `execute_task` cancellation bracket — increment *before* the
+            // cancelled-load, decrement after, notify when possibly the last body of a cancelled
+            // job.
+            let worker = thread::spawn(move || {
+                r2.fetch_add(1, SeqCst);
+                if !c2.load(SeqCst) {
+                    // Body starts here: by the SeqCst total order this can only happen if the
+                    // increment above preceded the canceller's store, in which case the canceller
+                    // still observes running > 0 and waits us out.
+                    assert!(
+                        !cr2.load(SeqCst),
+                        "a task body started after cancel() returned"
+                    );
+                }
+                let prev = r2.fetch_sub(1, SeqCst);
+                if prev == 1 && c2.load(SeqCst) {
+                    g2.notify();
+                }
+            });
+
+            // Canceller: `JobState::cancel`.
+            cancelled.store(true, SeqCst);
+            gate.wait_until(|| running.load(SeqCst) == 0);
+            cancel_returned.store(true, SeqCst);
+
+            worker.join().unwrap();
         });
-
-        // Canceller: `JobState::cancel`.
-        cancelled.store(true, SeqCst);
-        gate.wait_until(|| running.load(SeqCst) == 0);
-        cancel_returned.store(true, SeqCst);
-
-        worker.join().unwrap();
-    });
     report.assert_ok();
-    assert!(report.exhausted, "cancel bracket model should be exhaustible");
+    assert!(
+        report.exhausted,
+        "cancel bracket model should be exhaustible"
+    );
 }
 
 /// Mutation: the bracket with the order inverted — check `cancelled` *before* bumping
@@ -74,39 +80,42 @@ fn no_body_starts_after_cancel_returns() {
 /// and have the body start afterwards. loom-lite must find the violated assertion.
 #[test]
 fn inverted_bracket_fork_is_caught() {
-    let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let gate = Arc::new(Gate::new());
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let running = Arc::new(AtomicUsize::new(0));
-        let cancel_returned = Arc::new(AtomicBool::new(false));
+    let report = Checker::new()
+        .preemption_bound(4)
+        .random_runs(500)
+        .check(|| {
+            let gate = Arc::new(Gate::new());
+            let cancelled = Arc::new(AtomicBool::new(false));
+            let running = Arc::new(AtomicUsize::new(0));
+            let cancel_returned = Arc::new(AtomicBool::new(false));
 
-        let (g2, c2, r2, cr2) = (
-            Arc::clone(&gate),
-            Arc::clone(&cancelled),
-            Arc::clone(&running),
-            Arc::clone(&cancel_returned),
-        );
-        let worker = thread::spawn(move || {
-            // BUG (deliberate): load-then-increment.
-            if !c2.load(SeqCst) {
-                r2.fetch_add(1, SeqCst);
-                assert!(
-                    !cr2.load(SeqCst),
-                    "a task body started after cancel() returned"
-                );
-                let prev = r2.fetch_sub(1, SeqCst);
-                if prev == 1 && c2.load(SeqCst) {
-                    g2.notify();
+            let (g2, c2, r2, cr2) = (
+                Arc::clone(&gate),
+                Arc::clone(&cancelled),
+                Arc::clone(&running),
+                Arc::clone(&cancel_returned),
+            );
+            let worker = thread::spawn(move || {
+                // BUG (deliberate): load-then-increment.
+                if !c2.load(SeqCst) {
+                    r2.fetch_add(1, SeqCst);
+                    assert!(
+                        !cr2.load(SeqCst),
+                        "a task body started after cancel() returned"
+                    );
+                    let prev = r2.fetch_sub(1, SeqCst);
+                    if prev == 1 && c2.load(SeqCst) {
+                        g2.notify();
+                    }
                 }
-            }
+            });
+
+            cancelled.store(true, SeqCst);
+            gate.wait_until(|| running.load(SeqCst) == 0);
+            cancel_returned.store(true, SeqCst);
+
+            worker.join().unwrap();
         });
-
-        cancelled.store(true, SeqCst);
-        gate.wait_until(|| running.load(SeqCst) == 0);
-        cancel_returned.store(true, SeqCst);
-
-        worker.join().unwrap();
-    });
     assert!(
         report.found_panic(),
         "loom-lite failed to catch the seeded inverted-bracket bug: {report:?}"

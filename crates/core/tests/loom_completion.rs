@@ -22,39 +22,48 @@ use weakdep_threadpool::sleep::Gate;
 /// way it interleaves with the waiter's register-then-check-then-wait.
 #[test]
 fn root_completion_wake_is_never_lost() {
-    let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let gate = Arc::new(Gate::new());
-        let done = Arc::new(AtomicUsize::new(0));
-        let (g2, d2) = (Arc::clone(&gate), Arc::clone(&done));
-        // The finishing task: flip the predicate, then fire the gated notify — the order
-        // `schedule_effects` uses.
-        let finisher = thread::spawn(move || {
-            d2.store(1, Ordering::SeqCst);
-            g2.notify();
+    let report = Checker::new()
+        .preemption_bound(4)
+        .random_runs(500)
+        .check(|| {
+            let gate = Arc::new(Gate::new());
+            let done = Arc::new(AtomicUsize::new(0));
+            let (g2, d2) = (Arc::clone(&gate), Arc::clone(&done));
+            // The finishing task: flip the predicate, then fire the gated notify — the order
+            // `schedule_effects` uses.
+            let finisher = thread::spawn(move || {
+                d2.store(1, Ordering::SeqCst);
+                g2.notify();
+            });
+            // The `run` caller.
+            gate.wait_until(|| done.load(Ordering::SeqCst) == 1);
+            finisher.join().unwrap();
         });
-        // The `run` caller.
-        gate.wait_until(|| done.load(Ordering::SeqCst) == 1);
-        finisher.join().unwrap();
-    });
     report.assert_ok();
-    assert!(report.exhausted, "root-completion model should be exhaustible");
+    assert!(
+        report.exhausted,
+        "root-completion model should be exhaustible"
+    );
 }
 
 /// The `taskwait` of a non-worker (the inline root of `Runtime::run`): one child finishing
 /// must unblock it.
 #[test]
 fn taskwait_child_drain_wakes_nonworker() {
-    let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let gate = Arc::new(Gate::new());
-        let children = Arc::new(AtomicUsize::new(1));
-        let (g2, c2) = (Arc::clone(&gate), Arc::clone(&children));
-        let child = thread::spawn(move || {
-            c2.store(0, Ordering::SeqCst);
-            g2.notify();
+    let report = Checker::new()
+        .preemption_bound(4)
+        .random_runs(500)
+        .check(|| {
+            let gate = Arc::new(Gate::new());
+            let children = Arc::new(AtomicUsize::new(1));
+            let (g2, c2) = (Arc::clone(&gate), Arc::clone(&children));
+            let child = thread::spawn(move || {
+                c2.store(0, Ordering::SeqCst);
+                g2.notify();
+            });
+            gate.wait_until(|| children.load(Ordering::SeqCst) == 0);
+            child.join().unwrap();
         });
-        gate.wait_until(|| children.load(Ordering::SeqCst) == 0);
-        child.join().unwrap();
-    });
     report.assert_ok();
 }
 

@@ -31,7 +31,10 @@ struct Family {
 
 impl Family {
     fn new() -> Self {
-        Family { deque: Mutex::new(vec![2, 1]), live: AtomicUsize::new(2) }
+        Family {
+            deque: Mutex::new(vec![2, 1]),
+            live: AtomicUsize::new(2),
+        }
     }
 
     /// Applies `held` `ChildDone`s; the one that drains the parent announces it.
@@ -79,28 +82,31 @@ fn thief(family: &Family, announce: &(impl Fn() + ?Sized)) {
 
 /// Owner and thief against the job gate's waiter (`gate.wait_until(live == 0)`).
 fn gate_model(idle_flush: bool) -> Report {
-    Checker::new().preemption_bound(3).random_runs(500).check(move || {
-        let family = Arc::new(Family::new());
-        let gate = Arc::new(Gate::new());
-        let workers: Vec<_> = [true, false]
-            .into_iter()
-            .map(|is_owner| {
-                let (f, g) = (Arc::clone(&family), Arc::clone(&gate));
-                thread::spawn(move || {
-                    let announce = || g.notify();
-                    if is_owner {
-                        owner(&f, &announce, idle_flush)
-                    } else {
-                        thief(&f, &announce)
-                    }
+    Checker::new()
+        .preemption_bound(3)
+        .random_runs(500)
+        .check(move || {
+            let family = Arc::new(Family::new());
+            let gate = Arc::new(Gate::new());
+            let workers: Vec<_> = [true, false]
+                .into_iter()
+                .map(|is_owner| {
+                    let (f, g) = (Arc::clone(&family), Arc::clone(&gate));
+                    thread::spawn(move || {
+                        let announce = || g.notify();
+                        if is_owner {
+                            owner(&f, &announce, idle_flush)
+                        } else {
+                            thief(&f, &announce)
+                        }
+                    })
                 })
-            })
-            .collect();
-        gate.wait_until(|| family.live.load(SeqCst) == 0);
-        for worker in workers {
-            worker.join().unwrap();
-        }
-    })
+                .collect();
+            gate.wait_until(|| family.live.load(SeqCst) == 0);
+            for worker in workers {
+                worker.join().unwrap();
+            }
+        })
 }
 
 /// A job-gate waiter is released whichever way the thief's steal interleaves with the
@@ -109,7 +115,10 @@ fn gate_model(idle_flush: bool) -> Report {
 fn a_deferred_retire_reaches_the_job_gate() {
     let report = gate_model(true);
     report.assert_ok();
-    assert!(report.exhausted, "deferred-retire gate model should be exhaustible");
+    assert!(
+        report.exhausted,
+        "deferred-retire gate model should be exhaustible"
+    );
 }
 
 /// Mutation: the owner skips the idle flush. When the thief takes `c2` after the owner held
@@ -128,35 +137,38 @@ fn skipping_the_idle_flush_is_caught_as_deadlock() {
 /// `taskwaits_unblocked` effect).
 #[test]
 fn a_deferred_retire_wakes_a_taskwaiting_worker() {
-    let report = Checker::new().preemption_bound(3).random_runs(500).check(|| {
-        let family = Arc::new(Family::new());
-        let sleep = Arc::new(SleepState::new(1));
-        let workers: Vec<_> = [true, false]
-            .into_iter()
-            .map(|is_owner| {
-                let (f, s) = (Arc::clone(&family), Arc::clone(&sleep));
-                thread::spawn(move || {
-                    let announce = || s.wake_waiters();
-                    if is_owner {
-                        owner(&f, &announce, true)
-                    } else {
-                        thief(&f, &announce)
-                    }
+    let report = Checker::new()
+        .preemption_bound(3)
+        .random_runs(500)
+        .check(|| {
+            let family = Arc::new(Family::new());
+            let sleep = Arc::new(SleepState::new(1));
+            let workers: Vec<_> = [true, false]
+                .into_iter()
+                .map(|is_owner| {
+                    let (f, s) = (Arc::clone(&family), Arc::clone(&sleep));
+                    thread::spawn(move || {
+                        let announce = || s.wake_waiters();
+                        if is_owner {
+                            owner(&f, &announce, true)
+                        } else {
+                            thief(&f, &announce)
+                        }
+                    })
                 })
-            })
-            .collect();
-        // `WorkerContext::work_until`: read the epoch, check the predicate, sleep registered.
-        let done = || family.live.load(SeqCst) == 0;
-        loop {
-            let epoch = sleep.current_epoch();
-            if done() {
-                break;
+                .collect();
+            // `WorkerContext::work_until`: read the epoch, check the predicate, sleep registered.
+            let done = || family.live.load(SeqCst) == 0;
+            loop {
+                let epoch = sleep.current_epoch();
+                if done() {
+                    break;
+                }
+                sleep.sleep(0, epoch, true, done, || {});
             }
-            sleep.sleep(0, epoch, true, done, || {});
-        }
-        for worker in workers {
-            worker.join().unwrap();
-        }
-    });
+            for worker in workers {
+                worker.join().unwrap();
+            }
+        });
     report.assert_ok();
 }

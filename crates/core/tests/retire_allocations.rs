@@ -159,7 +159,10 @@ fn a_payload_engine_cascade_allocates_as_the_id_engine_does() {
     let (_, by_id) = child_cascades(&DependencyEngine::new());
     let (_, boxed) = child_cascades(&DependencyEngine::<Box<TaskId>>::default());
     assert_eq!(boxed, by_id, "allocations per child body_finished");
-    assert!(boxed.iter().all(|&allocations| allocations == 0), "{boxed:?}");
+    assert!(
+        boxed.iter().all(|&allocations| allocations == 0),
+        "{boxed:?}"
+    );
 }
 
 /// Registering the first child under a `weakwait` parent with one `weakinout` access expands the
@@ -181,9 +184,13 @@ fn registering_the_first_child_of_a_weak_parent_allocates_a_pinned_count() {
     // A writer ahead of the parent keeps the parent's access unsatisfied, so the child inherits
     // the pending dependency through a satisfaction edge.
     let writer = [Depend::new(AccessType::InOut, whole)];
-    engine.register_task(root, &writer, WaitMode::None).expect("live root");
+    engine
+        .register_task(root, &writer, WaitMode::None)
+        .expect("live root");
     let weak = [Depend::new(AccessType::WeakInOut, whole)];
-    let (parent, _) = engine.register_task(root, &weak, WaitMode::WeakWait).expect("live root");
+    let (parent, _) = engine
+        .register_task(root, &weak, WaitMode::WeakWait)
+        .expect("live root");
     let deps = normalize_deps(&[Depend::new(AccessType::InOut, Region::new(y, 0, BLOCK))]);
 
     let before = ALLOCATIONS.with(Cell::get);
@@ -218,26 +225,40 @@ fn registering_a_five_access_child_allocates_its_entry_and_node_list() {
         Depend::new(AccessType::In, block(5)),
         Depend::new(AccessType::In, block(7)),
     ]);
-    assert_eq!(deps.len(), 5, "adjacent blocks of different modes stay apart");
+    assert_eq!(
+        deps.len(),
+        5,
+        "adjacent blocks of different modes stay apart"
+    );
     // A writer of the five blocks after each earlier tile starts their reader lists afresh.
-    let writer: Vec<NormalizedDep> =
-        deps.iter().map(|dep| NormalizedDep { is_write: true, ..*dep }).collect();
+    let writer: Vec<NormalizedDep> = deps
+        .iter()
+        .map(|dep| NormalizedDep {
+            is_write: true,
+            ..*dep
+        })
+        .collect();
     for _ in 0..2 {
         for clause in [&deps, &writer] {
-            let (task, ready) =
-                engine.register_task_normalized(root, clause, WaitMode::None).expect("live root");
+            let (task, ready) = engine
+                .register_task_normalized(root, clause, WaitMode::None)
+                .expect("live root");
             assert!(ready);
             engine.body_finished(task).expect("live child");
         }
     }
 
     let before = ALLOCATIONS.with(Cell::get);
-    let (_tile, ready) =
-        engine.register_task_normalized(root, &deps, WaitMode::None).expect("live root");
+    let (_tile, ready) = engine
+        .register_task_normalized(root, &deps, WaitMode::None)
+        .expect("live root");
     let allocations = ALLOCATIONS.with(Cell::get) - before;
 
     assert!(ready, "the earlier tiles finished");
-    assert_eq!(allocations, 2, "allocations registering a five-access child");
+    assert_eq!(
+        allocations, 2,
+        "allocations registering a five-access child"
+    );
 }
 
 /// A long read-only chain under one parent: each reader of one region joins the bottom map's
@@ -252,13 +273,17 @@ fn a_long_reader_chain_copies_each_reader_group_once() {
     const READERS: usize = 4096;
     let engine = DependencyEngine::new();
     let root = engine.register_root();
-    let deps = normalize_deps(&[Depend::new(AccessType::In, Region::new(SpaceId(4), 0, BLOCK))]);
+    let deps = normalize_deps(&[Depend::new(
+        AccessType::In,
+        Region::new(SpaceId(4), 0, BLOCK),
+    )]);
 
     let mut allocations = 0;
     for _ in 0..READERS {
         let before = ALLOCATIONS.with(Cell::get);
-        let (reader, ready) =
-            engine.register_task_normalized(root, &deps, WaitMode::None).expect("live root");
+        let (reader, ready) = engine
+            .register_task_normalized(root, &deps, WaitMode::None)
+            .expect("live root");
         allocations += ALLOCATIONS.with(Cell::get) - before;
         assert!(ready, "readers never wait for each other");
         engine.body_finished(reader).expect("live reader");

@@ -107,12 +107,22 @@ pub struct AxpyConfig {
 impl AxpyConfig {
     /// A configuration sized for unit tests and quick runs.
     pub fn small() -> Self {
-        AxpyConfig { n: 1 << 14, calls: 5, task_size: 1 << 10, alpha: 1.5 }
+        AxpyConfig {
+            n: 1 << 14,
+            calls: 5,
+            task_size: 1 << 10,
+            alpha: 1.5,
+        }
     }
 
     /// The paper's configuration (384·2²⁰ elements, 20 calls).
     pub fn paper(task_size: usize) -> Self {
-        AxpyConfig { n: 384 << 20, calls: 20, task_size, alpha: 1.000001 }
+        AxpyConfig {
+            n: 384 << 20,
+            calls: 20,
+            task_size,
+            alpha: 1.000001,
+        }
     }
 
     /// Number of leaf tasks per call.
@@ -288,14 +298,22 @@ mod tests {
         assert_eq!(AxpyVariant::NestWeak.name(), "nest-weak");
         assert!(AxpyVariant::NestWeak.nested());
         assert!(!AxpyVariant::FlatDepend.nested());
-        assert_eq!(AxpyVariant::NestWeakRelease.synchronization(), "weakwait and release directive");
+        assert_eq!(
+            AxpyVariant::NestWeakRelease.synchronization(),
+            "weakwait and release directive"
+        );
         assert_eq!(AxpyVariant::FlatTaskwait.inner_dependencies(), "no");
         assert_eq!(AxpyVariant::NestDepend.outer_dependencies(), "regular");
     }
 
     #[test]
     fn config_helpers() {
-        let cfg = AxpyConfig { n: 1000, calls: 3, task_size: 300, alpha: 2.0 };
+        let cfg = AxpyConfig {
+            n: 1000,
+            calls: 3,
+            task_size: 300,
+            alpha: 2.0,
+        };
         assert_eq!(cfg.blocks(), 4);
         assert_eq!(cfg.flops(), 6000.0);
     }
@@ -306,7 +324,11 @@ mod tests {
         let cfg = AxpyConfig::small();
         for variant in AxpyVariant::all() {
             let (_run, result) = run(&rt, variant, &cfg);
-            assert!(verify(&cfg, &result), "variant {} produced a wrong result", variant.name());
+            assert!(
+                verify(&cfg, &result),
+                "variant {} produced a wrong result",
+                variant.name()
+            );
         }
     }
 
@@ -315,7 +337,12 @@ mod tests {
     /// reference bit for bit under every scheduling policy.
     #[test]
     fn every_variant_computes_the_reference_under_every_policy() {
-        let cfg = AxpyConfig { n: 10_007, calls: 3, task_size: 512, alpha: 0.75 };
+        let cfg = AxpyConfig {
+            n: 10_007,
+            calls: 3,
+            task_size: 512,
+            alpha: 0.75,
+        };
         for policy in SchedulingPolicy::all() {
             let rt = Runtime::new(RuntimeConfig::new().workers(2).scheduling_policy(policy));
             for variant in AxpyVariant::all() {
@@ -332,18 +359,31 @@ mod tests {
     fn uneven_block_sizes_are_handled() {
         let rt = Runtime::with_workers(2);
         // n is deliberately not a multiple of the task size.
-        let cfg = AxpyConfig { n: 10_007, calls: 3, task_size: 1024, alpha: 0.75 };
+        let cfg = AxpyConfig {
+            n: 10_007,
+            calls: 3,
+            task_size: 1024,
+            alpha: 0.75,
+        };
         for variant in [AxpyVariant::NestWeak, AxpyVariant::FlatDepend] {
             let (run, result) = run(&rt, variant, &cfg);
             assert!(verify(&cfg, &result), "variant {}", variant.name());
-            assert_eq!(run.tasks, cfg.calls * (cfg.blocks() + 1).min(cfg.blocks() + usize::from(variant.nested())));
+            assert_eq!(
+                run.tasks,
+                cfg.calls * (cfg.blocks() + 1).min(cfg.blocks() + usize::from(variant.nested()))
+            );
         }
     }
 
     #[test]
     fn single_worker_still_produces_correct_results() {
         let rt = Runtime::with_workers(1);
-        let cfg = AxpyConfig { n: 4096, calls: 4, task_size: 512, alpha: 1.25 };
+        let cfg = AxpyConfig {
+            n: 4096,
+            calls: 4,
+            task_size: 512,
+            alpha: 1.25,
+        };
         for variant in AxpyVariant::all() {
             let (_run, result) = run(&rt, variant, &cfg);
             assert!(verify(&cfg, &result), "variant {}", variant.name());

@@ -40,7 +40,12 @@ pub enum GsVariant {
 impl GsVariant {
     /// All variants, in the order plotted in Figure 5.
     pub fn all() -> [GsVariant; 4] {
-        [GsVariant::NestWeak, GsVariant::NestWeakRelease, GsVariant::FlatDepend, GsVariant::NestDepend]
+        [
+            GsVariant::NestWeak,
+            GsVariant::NestWeakRelease,
+            GsVariant::FlatDepend,
+            GsVariant::NestDepend,
+        ]
     }
 
     /// The name used in the paper's figures.
@@ -68,14 +73,22 @@ pub struct GsConfig {
 impl GsConfig {
     /// A configuration sized for unit tests.
     pub fn small() -> Self {
-        GsConfig { blocks: 4, ts: 8, iterations: 4 }
+        GsConfig {
+            blocks: 4,
+            ts: 8,
+            iterations: 4,
+        }
     }
 
     /// A configuration with the paper's iteration count and a grid that fits in a laptop's
     /// memory (the paper's grid is 27648², i.e. ~6 GiB).
     pub fn default_bench(ts: usize) -> Self {
         let side = 2048usize;
-        GsConfig { blocks: (side / ts).max(1), ts, iterations: 48 }
+        GsConfig {
+            blocks: (side / ts).max(1),
+            ts,
+            iterations: 48,
+        }
     }
 
     /// Blocks per side including the boundary ring.
@@ -186,11 +199,22 @@ impl Grid {
 /// neighbour off the critical path of the row's recurrence and measured faster still (2.08–2.23
 /// µs against 2.95–3.09 µs per 32 × 32 tile, isolated with a hot L1, on a 2-vCPU Xeon VM), but
 /// it changes output bits, so it is not done here.
-pub fn tile_kernel(center: &mut [f64], top: &[f64], left: &[f64], right: &[f64], bottom: &[f64], ts: usize) {
+pub fn tile_kernel(
+    center: &mut [f64],
+    top: &[f64],
+    left: &[f64],
+    right: &[f64],
+    bottom: &[f64],
+    ts: usize,
+) {
     let be = ts * ts;
     assert!(ts >= 1, "tile side must be at least 1");
     assert!(
-        center.len() == be && top.len() == be && left.len() == be && right.len() == be && bottom.len() == be,
+        center.len() == be
+            && top.len() == be
+            && left.len() == be
+            && right.len() == be
+            && bottom.len() == be,
         "every tile slice must hold ts × ts = {be} elements"
     );
     let top_last = &top[be - ts..];
@@ -198,8 +222,16 @@ pub fn tile_kernel(center: &mut [f64], top: &[f64], left: &[f64], right: &[f64],
     for r in 0..ts {
         let (above, rest) = center.split_at_mut(r * ts);
         let (row, below) = rest.split_at_mut(ts);
-        let up_row = if r == 0 { top_last } else { &above[(r - 1) * ts..] };
-        let dn_row = if r == ts - 1 { bottom_first } else { &below[..ts] };
+        let up_row = if r == 0 {
+            top_last
+        } else {
+            &above[(r - 1) * ts..]
+        };
+        let dn_row = if r == ts - 1 {
+            bottom_first
+        } else {
+            &below[..ts]
+        };
         let (up_row, dn_row) = (&up_row[..ts], &dn_row[..ts]);
         let mut lf = left[r * ts + ts - 1];
         for c in 0..ts - 1 {
@@ -317,7 +349,11 @@ pub fn run_on(rt: &Runtime, variant: GsVariant, grid: &Grid) -> KernelRun {
         }
     });
     let elapsed = start_time.elapsed();
-    KernelRun { elapsed, operations: cfg.flops(), tasks: cfg.task_count(variant) }
+    KernelRun {
+        elapsed,
+        operations: cfg.flops(),
+        tasks: cfg.task_count(variant),
+    }
 }
 
 /// Allocates a grid, runs the benchmark and returns the result and the final grid contents.
@@ -342,7 +378,9 @@ pub fn reference(cfg: &GsConfig) -> Vec<f64> {
                 let center_range = grid.block_range(bi, bj);
                 let (before, rest) = data.split_at_mut(center_range.start);
                 let (center, after) = rest.split_at_mut(center_range.len());
-                let in_after = |r: std::ops::Range<usize>| r.start - center_range.end..r.end - center_range.end;
+                let in_after = |r: std::ops::Range<usize>| {
+                    r.start - center_range.end..r.end - center_range.end
+                };
                 let top = &before[grid.block_range(bi - 1, bj)];
                 let left = &before[grid.block_range(bi, bj - 1)];
                 let right = &after[in_after(grid.block_range(bi, bj + 1))];
@@ -367,7 +405,11 @@ mod tests {
 
     #[test]
     fn config_arithmetic() {
-        let cfg = GsConfig { blocks: 4, ts: 8, iterations: 3 };
+        let cfg = GsConfig {
+            blocks: 4,
+            ts: 8,
+            iterations: 3,
+        };
         assert_eq!(cfg.blocks_with_halo(), 6);
         assert_eq!(cfg.block_elems(), 64);
         assert_eq!(cfg.total_elems(), 6 * 6 * 64);
@@ -379,7 +421,11 @@ mod tests {
 
     #[test]
     fn grid_layout_is_block_major() {
-        let cfg = GsConfig { blocks: 2, ts: 4, iterations: 1 };
+        let cfg = GsConfig {
+            blocks: 2,
+            ts: 4,
+            iterations: 1,
+        };
         let grid = Grid::new(cfg);
         let r00 = grid.block_range(0, 0);
         let r01 = grid.block_range(0, 1);
@@ -405,13 +451,36 @@ mod tests {
     }
 
     /// The element-wise form of [`tile_kernel`]: four data-dependent branches per element.
-    fn tile_kernel_naive(center: &mut [f64], top: &[f64], left: &[f64], right: &[f64], bottom: &[f64], ts: usize) {
+    fn tile_kernel_naive(
+        center: &mut [f64],
+        top: &[f64],
+        left: &[f64],
+        right: &[f64],
+        bottom: &[f64],
+        ts: usize,
+    ) {
         for r in 0..ts {
             for c in 0..ts {
-                let up = if r == 0 { top[(ts - 1) * ts + c] } else { center[(r - 1) * ts + c] };
-                let lf = if c == 0 { left[r * ts + ts - 1] } else { center[r * ts + c - 1] };
-                let rt = if c == ts - 1 { right[r * ts] } else { center[r * ts + c + 1] };
-                let dn = if r == ts - 1 { bottom[c] } else { center[(r + 1) * ts + c] };
+                let up = if r == 0 {
+                    top[(ts - 1) * ts + c]
+                } else {
+                    center[(r - 1) * ts + c]
+                };
+                let lf = if c == 0 {
+                    left[r * ts + ts - 1]
+                } else {
+                    center[r * ts + c - 1]
+                };
+                let rt = if c == ts - 1 {
+                    right[r * ts]
+                } else {
+                    center[r * ts + c + 1]
+                };
+                let dn = if r == ts - 1 {
+                    bottom[c]
+                } else {
+                    center[(r + 1) * ts + c]
+                };
                 center[r * ts + c] = 0.25 * (up + lf + rt + dn);
             }
         }
@@ -429,7 +498,14 @@ mod tests {
                     let left = data[grid.block_range(bi, bj - 1)].to_vec();
                     let right = data[grid.block_range(bi, bj + 1)].to_vec();
                     let bottom = data[grid.block_range(bi + 1, bj)].to_vec();
-                    tile_kernel_naive(&mut data[center_range], &top, &left, &right, &bottom, cfg.ts);
+                    tile_kernel_naive(
+                        &mut data[center_range],
+                        &top,
+                        &left,
+                        &right,
+                        &bottom,
+                        cfg.ts,
+                    );
                 }
             }
         }
@@ -439,7 +515,11 @@ mod tests {
     fn assert_bits_equal(what: &str, expected: &[f64], actual: &[f64]) {
         assert_eq!(expected.len(), actual.len(), "{what}: lengths differ");
         for (i, (e, a)) in expected.iter().zip(actual).enumerate() {
-            assert_eq!(e.to_bits(), a.to_bits(), "{what}: element {i} is {a}, expected {e}");
+            assert_eq!(
+                e.to_bits(),
+                a.to_bits(),
+                "{what}: element {i} is {a}, expected {e}"
+            );
         }
     }
 
@@ -449,7 +529,11 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(26);
         for ts in [1usize, 2, 3, 8, 32, 64] {
-            let mut block = || (0..ts * ts).map(|_| 200.0 * rng.gen::<f64>() - 100.0).collect::<Vec<f64>>();
+            let mut block = || {
+                (0..ts * ts)
+                    .map(|_| 200.0 * rng.gen::<f64>() - 100.0)
+                    .collect::<Vec<f64>>()
+            };
             let (top, left, right, bottom) = (block(), block(), block(), block());
             let mut expected = block();
             let mut actual = expected.clone();
@@ -463,8 +547,19 @@ mod tests {
 
     #[test]
     fn copy_free_reference_is_bit_identical_to_the_copying_one() {
-        for cfg in [GsConfig::small(), GsConfig { blocks: 3, ts: 5, iterations: 4 }] {
-            assert_bits_equal(&format!("{cfg:?}"), &reference_with_copies(&cfg), &reference(&cfg));
+        for cfg in [
+            GsConfig::small(),
+            GsConfig {
+                blocks: 3,
+                ts: 5,
+                iterations: 4,
+            },
+        ] {
+            assert_bits_equal(
+                &format!("{cfg:?}"),
+                &reference_with_copies(&cfg),
+                &reference(&cfg),
+            );
         }
     }
 
@@ -497,7 +592,11 @@ mod tests {
     fn spawn_iteration_with_release_specs(ctx: &TaskCtx<'_>, grid: &Grid) {
         let blocks = grid.cfg.blocks;
         for bi in 1..=blocks {
-            ctx.spawn_batch((1..=blocks).map(|bj| tile_spec(ctx, grid, bi, bj)).collect());
+            ctx.spawn_batch(
+                (1..=blocks)
+                    .map(|bj| tile_spec(ctx, grid, bi, bj))
+                    .collect(),
+            );
             if bi >= 2 {
                 ctx.release(grid.data().region(grid.row_range(bi - 2)));
             }
@@ -511,13 +610,21 @@ mod tests {
     #[test]
     fn spawn_each_iterations_register_the_graph_of_the_spec_iterations() {
         type Spawn = fn(&TaskCtx<'_>, &Grid);
-        let cfg = GsConfig { blocks: 3, ts: 4, iterations: 3 };
+        let cfg = GsConfig {
+            blocks: 3,
+            ts: 4,
+            iterations: 3,
+        };
         let expected = reference(&cfg);
         // The root, the holder, the iteration tasks and their tiles.
         let tasks = 2 + cfg.task_count(GsVariant::NestWeak);
         let forms: [(&str, Spawn, Spawn); 2] = [
             ("nest-weak", spawn_iteration, spawn_iteration_specs),
-            ("nest-weak-release", spawn_iteration_with_release, spawn_iteration_with_release_specs),
+            (
+                "nest-weak-release",
+                spawn_iteration_with_release,
+                spawn_iteration_with_release_specs,
+            ),
         ];
         for (name, each, specs) in forms {
             for policy in SchedulingPolicy::all() {
@@ -538,7 +645,10 @@ mod tests {
                     assert_bits_equal(&what, &expected, &grid.snapshot());
                     registered_graph(&stats)
                 });
-                assert_eq!(by_each[0], tasks, "{name} under {policy:?}: tasks registered");
+                assert_eq!(
+                    by_each[0], tasks,
+                    "{name} under {policy:?}: tasks registered"
+                );
                 assert_eq!(by_each, by_specs, "{name} under {policy:?}");
             }
         }
@@ -550,19 +660,30 @@ mod tests {
         let cfg = GsConfig::small();
         for variant in GsVariant::all() {
             let (_run, result) = run(&rt, variant, &cfg);
-            assert!(verify(&cfg, &result), "variant {} diverged from the reference", variant.name());
+            assert!(
+                verify(&cfg, &result),
+                "variant {} diverged from the reference",
+                variant.name()
+            );
         }
     }
 
     #[test]
     fn heat_propagates_downwards_over_iterations() {
         let rt = Runtime::with_workers(2);
-        let cfg = GsConfig { blocks: 2, ts: 8, iterations: 20 };
+        let cfg = GsConfig {
+            blocks: 2,
+            ts: 8,
+            iterations: 20,
+        };
         let (_run, result) = run(&rt, GsVariant::NestWeak, &cfg);
         let grid = Grid::new(cfg);
         // The first interior block must have warmed up (top boundary is 100).
         let first_block = &result[grid.block_range(1, 1)];
-        assert!(first_block.iter().any(|&v| v > 1.0), "heat must have diffused into the interior");
+        assert!(
+            first_block.iter().any(|&v| v > 1.0),
+            "heat must have diffused into the interior"
+        );
         // Deeper rows stay cooler than the first interior row.
         let deep_block = &result[grid.block_range(2, 1)];
         let sum_first: f64 = first_block.iter().sum();
@@ -573,7 +694,11 @@ mod tests {
     #[test]
     fn single_worker_matches_reference() {
         let rt = Runtime::with_workers(1);
-        let cfg = GsConfig { blocks: 3, ts: 4, iterations: 5 };
+        let cfg = GsConfig {
+            blocks: 3,
+            ts: 4,
+            iterations: 5,
+        };
         for variant in [GsVariant::NestWeak, GsVariant::NestDepend] {
             let (_run, result) = run(&rt, variant, &cfg);
             assert!(verify(&cfg, &result), "variant {}", variant.name());

@@ -66,7 +66,9 @@ mod test_support {
         tasks: usize,
         spawn: impl FnOnce(&TaskCtx<'_>),
     ) -> EngineStats {
-        let rt = Arc::new(Runtime::new(RuntimeConfig::new().workers(2).scheduling_policy(policy)));
+        let rt = Arc::new(Runtime::new(
+            RuntimeConfig::new().workers(2).scheduling_policy(policy),
+        ));
         let holder_rt = Arc::clone(&rt);
         rt.run(move |root| {
             root.task().inout(whole).label("holder").spawn(move |_| {

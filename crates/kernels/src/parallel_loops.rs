@@ -36,7 +36,10 @@ pub struct LoopConfig {
 impl LoopConfig {
     /// A configuration sized for unit tests and quick runs.
     pub fn small() -> Self {
-        LoopConfig { n: 1 << 14, chunk: 1 << 9 }
+        LoopConfig {
+            n: 1 << 14,
+            chunk: 1 << 9,
+        }
     }
 
     /// Number of blocks/chunks the range decomposes into.
@@ -47,7 +50,11 @@ impl LoopConfig {
 
 /// Deterministic input used by all integer kernels and their references.
 pub fn initialize_u64(input: &SharedSlice<u64>) {
-    input.init_with(|i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17));
+    input.init_with(|i| {
+        (i as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(17)
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -88,7 +95,11 @@ pub fn scan_assist(
                 t.scan(&x, &y, chunk, 0u64, |a: u64, b: u64| a.wrapping_add(b));
             });
     });
-    KernelRun { elapsed: start.elapsed(), operations: 2.0 * n as f64, tasks: 1 }
+    KernelRun {
+        elapsed: start.elapsed(),
+        operations: 2.0 * n as f64,
+        tasks: 1,
+    }
 }
 
 /// Task-spawned inclusive scan: the same block decomposition expressed with one task per
@@ -134,8 +145,10 @@ pub fn scan_tasks(
         // Combine: exclusive-scan the block totals into per-block offsets, in place.
         {
             let tt = totals.clone();
-            root.task().inout(totals.region(0..blocks)).label("scan-combine").spawn(
-                move |t| {
+            root.task()
+                .inout(totals.region(0..blocks))
+                .label("scan-combine")
+                .spawn(move |t| {
                     let slots = tt.write(t, 0..blocks);
                     let mut acc = 0u64;
                     for slot in slots.iter_mut() {
@@ -143,8 +156,7 @@ pub fn scan_tasks(
                         *slot = acc;
                         acc = acc.wrapping_add(total);
                     }
-                },
-            );
+                });
         }
         // Phase 2: fold each block's offset in (block 0's offset is zero — skipped): child
         // `k` of the wave folds block `k + 1`.
@@ -208,7 +220,14 @@ pub fn reduce_assist(rt: &Runtime, cfg: &LoopConfig, input: &SharedSlice<u64>) -
         root.taskwait();
         reduce_reference(&partials.snapshot())
     });
-    (KernelRun { elapsed: start.elapsed(), operations: n as f64, tasks: 1 }, value)
+    (
+        KernelRun {
+            elapsed: start.elapsed(),
+            operations: n as f64,
+            tasks: 1,
+        },
+        value,
+    )
 }
 
 /// Task-spawned reduction baseline: one task per block writes its partial under declared
@@ -235,7 +254,14 @@ pub fn reduce_tasks(rt: &Runtime, cfg: &LoopConfig, input: &SharedSlice<u64>) ->
         root.taskwait();
         reduce_reference(&partials.snapshot())
     });
-    (KernelRun { elapsed: start.elapsed(), operations: n as f64, tasks: cfg.blocks() }, value)
+    (
+        KernelRun {
+            elapsed: start.elapsed(),
+            operations: n as f64,
+            tasks: cfg.blocks(),
+        },
+        value,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -278,7 +304,11 @@ pub fn axpy_assist_on(
                 });
         }
     });
-    KernelRun { elapsed: start.elapsed(), operations: cfg.flops(), tasks: cfg.calls }
+    KernelRun {
+        elapsed: start.elapsed(),
+        operations: cfg.flops(),
+        tasks: cfg.calls,
+    }
 }
 
 #[cfg(test)]
@@ -290,7 +320,10 @@ mod tests {
     #[test]
     fn scan_variants_match_the_oracle_bitwise() {
         let rt = Runtime::with_workers(2);
-        let cfg = LoopConfig { n: 10_007, chunk: 256 };
+        let cfg = LoopConfig {
+            n: 10_007,
+            chunk: 256,
+        };
         let input = SharedSlice::<u64>::new(cfg.n);
         initialize_u64(&input);
         let expected = scan_reference(&input.snapshot());
@@ -308,7 +341,10 @@ mod tests {
     /// under every scheduling policy, with one task per block (and the scan's combine task).
     #[test]
     fn task_variants_match_the_oracle_under_every_policy() {
-        let cfg = LoopConfig { n: 10_007, chunk: 256 };
+        let cfg = LoopConfig {
+            n: 10_007,
+            chunk: 256,
+        };
         let input = SharedSlice::<u64>::new(cfg.n);
         initialize_u64(&input);
         let scanned = scan_reference(&input.snapshot());
@@ -317,18 +353,29 @@ mod tests {
             let rt = Runtime::new(RuntimeConfig::new().workers(2).scheduling_policy(policy));
             let out = SharedSlice::<u64>::new(cfg.n);
             let run = scan_tasks(&rt, &cfg, &input, &out);
-            assert_eq!(out.snapshot(), scanned, "task-spawned scan under {policy:?}");
+            assert_eq!(
+                out.snapshot(),
+                scanned,
+                "task-spawned scan under {policy:?}"
+            );
             assert_eq!(rt.stats().tasks_executed, run.tasks, "{policy:?}");
             let (run, via_tasks) = reduce_tasks(&rt, &cfg, &input);
             assert_eq!(via_tasks, sum, "task-spawned reduction under {policy:?}");
-            assert_eq!(rt.stats().tasks_executed, 2 * cfg.blocks() + run.tasks, "{policy:?}");
+            assert_eq!(
+                rt.stats().tasks_executed,
+                2 * cfg.blocks() + run.tasks,
+                "{policy:?}"
+            );
         }
     }
 
     #[test]
     fn reduction_variants_match_the_oracle() {
         let rt = Runtime::with_workers(2);
-        let cfg = LoopConfig { n: 9_973, chunk: 128 };
+        let cfg = LoopConfig {
+            n: 9_973,
+            chunk: 128,
+        };
         let input = SharedSlice::<u64>::new(cfg.n);
         initialize_u64(&input);
         let expected = reduce_reference(&input.snapshot());
@@ -341,7 +388,12 @@ mod tests {
     #[test]
     fn axpy_assist_matches_the_sequential_reference() {
         let rt = Runtime::with_workers(2);
-        let cfg = AxpyConfig { n: 4_099, calls: 3, task_size: 512, alpha: 1.25 };
+        let cfg = AxpyConfig {
+            n: 4_099,
+            calls: 3,
+            task_size: 512,
+            alpha: 1.25,
+        };
         let x = SharedSlice::<f64>::new(cfg.n);
         let y = SharedSlice::<f64>::new(cfg.n);
         axpy::initialize(&x, &y);
@@ -352,7 +404,10 @@ mod tests {
     #[test]
     fn degenerate_sizes_are_handled() {
         let rt = Runtime::with_workers(1);
-        for cfg in [LoopConfig { n: 0, chunk: 8 }, LoopConfig { n: 5, chunk: 100 }] {
+        for cfg in [
+            LoopConfig { n: 0, chunk: 8 },
+            LoopConfig { n: 5, chunk: 100 },
+        ] {
             let input = SharedSlice::<u64>::new(cfg.n);
             initialize_u64(&input);
             let expected = scan_reference(&input.snapshot());

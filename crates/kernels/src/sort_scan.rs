@@ -70,12 +70,20 @@ pub struct SortScanConfig {
 impl SortScanConfig {
     /// A configuration sized for unit tests.
     pub fn small() -> Self {
-        SortScanConfig { n: 4_000, ts: 256, seed: 42 }
+        SortScanConfig {
+            n: 4_000,
+            ts: 256,
+            seed: 42,
+        }
     }
 
     /// A benchmark-sized configuration.
     pub fn default_bench() -> Self {
-        SortScanConfig { n: 1 << 21, ts: 1 << 14, seed: 7 }
+        SortScanConfig {
+            n: 1 << 21,
+            ts: 1 << 14,
+            seed: 7,
+        }
     }
 
     /// Element operations performed (n·log2(n) comparisons + n additions, used for rates only).
@@ -89,7 +97,9 @@ impl SortScanConfig {
 /// overflow an `i64`).
 pub fn generate_input(cfg: &SortScanConfig) -> Vec<Elem> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    (0..cfg.n).map(|_| rng.gen_range(0..1_000) as Elem).collect()
+    (0..cfg.n)
+        .map(|_| rng.gen_range(0..1_000) as Elem)
+        .collect()
 }
 
 fn median_of_three(a: Elem, b: Elem, c: Elem) -> Elem {
@@ -124,7 +134,14 @@ fn move_to_front(data: &mut [Elem], pred: impl Fn(Elem) -> bool) -> usize {
 ///
 /// `ctx` must hold a strong `inout` dependency over `data[offset..offset+n]` (the recursion
 /// spawns the nested tasks so that this always holds).
-fn quick_sort(ctx: &TaskCtx<'_>, data: &SharedSlice<Elem>, offset: usize, n: usize, ts: usize, weak: bool) {
+fn quick_sort(
+    ctx: &TaskCtx<'_>,
+    data: &SharedSlice<Elem>,
+    offset: usize,
+    n: usize,
+    ts: usize,
+    weak: bool,
+) {
     if n == 0 {
         return;
     }
@@ -150,7 +167,10 @@ fn quick_sort(ctx: &TaskCtx<'_>, data: &SharedSlice<Elem>, offset: usize, n: usi
             continue;
         }
         let d = data.clone();
-        let builder = ctx.task().inout(data.region(start..start + len)).label("quick_sort");
+        let builder = ctx
+            .task()
+            .inout(data.region(start..start + len))
+            .label("quick_sort");
         let builder = if weak { builder.weakwait() } else { builder };
         builder.spawn(move |t| {
             quick_sort(t, &d, start, len, ts, weak);
@@ -248,7 +268,10 @@ fn spawn_scan_blocks(
     };
     let d = data.clone();
     ctx.spawn_each(
-        (0..n).step_by(block).take_while(|&i| block.min(n - i) > stride).count(),
+        (0..n)
+            .step_by(block)
+            .take_while(|&i| block.min(n - i) > stride)
+            .count(),
         |k, clauses| {
             let span = span(k);
             clauses
@@ -259,7 +282,11 @@ fn spawn_scan_blocks(
         move |t, k| {
             let span = span(k);
             let mut carry = d.read(t, span.start..span.start + 1)[0];
-            for value in d.write(t, span.start + stride..span.end).iter_mut().step_by(stride) {
+            for value in d
+                .write(t, span.start + stride..span.end)
+                .iter_mut()
+                .step_by(stride)
+            {
                 *value += carry;
                 carry = *value;
             }
@@ -326,7 +353,11 @@ pub fn run_on(
         }
     });
     let tasks = rt.stats().tasks_executed - tasks_before;
-    KernelRun { elapsed: start_time.elapsed(), operations: cfg.operations(), tasks }
+    KernelRun {
+        elapsed: start_time.elapsed(),
+        operations: cfg.operations(),
+        tasks,
+    }
 }
 
 /// Sequential reference: sort the generated input and take inclusive prefix sums.
@@ -357,18 +388,30 @@ mod tests {
         let n = original.len();
         let mut v = original.clone();
         let (lt, gt) = partition(&mut v);
-        assert!(lt < gt && gt <= n, "{shape}, n={n}: empty pivot band {lt}..{gt}");
+        assert!(
+            lt < gt && gt <= n,
+            "{shape}, n={n}: empty pivot band {lt}..{gt}"
+        );
         let pivot = v[lt];
         let median = median_of_three(original[0], original[n / 2], original[n - 1]);
-        assert_eq!(pivot, median, "{shape}, n={n}: the pivot must be the median of three");
+        assert_eq!(
+            pivot, median,
+            "{shape}, n={n}: the pivot must be the median of three"
+        );
         let bands_hold = v[..lt].iter().all(|&x| x < pivot)
             && v[lt..gt].iter().all(|&x| x == pivot)
             && v[gt..].iter().all(|&x| x > pivot);
-        assert!(bands_hold, "{shape}, n={n}: bands violated: {original:?} -> {v:?} at {lt}..{gt}");
+        assert!(
+            bands_hold,
+            "{shape}, n={n}: bands violated: {original:?} -> {v:?} at {lt}..{gt}"
+        );
         let mut expected = original;
         v.sort_unstable();
         expected.sort_unstable();
-        assert_eq!(v, expected, "{shape}, n={n}: the partition must permute its input");
+        assert_eq!(
+            v, expected,
+            "{shape}, n={n}: the partition must permute its input"
+        );
     }
 
     #[test]
@@ -377,7 +420,10 @@ mod tests {
         for _ in 0..400 {
             let n = rng.gen_range(1..60);
             let keys = rng.gen_range(1..50);
-            check_partition("random", (0..n).map(|_| rng.gen_range(0..keys) as Elem).collect());
+            check_partition(
+                "random",
+                (0..n).map(|_| rng.gen_range(0..keys) as Elem).collect(),
+            );
         }
         for n in [1usize, 2, 3, 7, 64, 1_000, 1_023, 4_096] {
             let len = n as Elem;
@@ -387,7 +433,14 @@ mod tests {
                 ("reverse-sorted", (0..len).rev().collect()),
                 ("two alternating keys", (0..len).map(|i| i % 2).collect()),
                 ("organ-pipe", (0..len).map(|i| i.min(len - 1 - i)).collect()),
-                ("benchmark keys", generate_input(&SortScanConfig { n, ts: 1, seed: n as u64 })),
+                (
+                    "benchmark keys",
+                    generate_input(&SortScanConfig {
+                        n,
+                        ts: 1,
+                        seed: n as u64,
+                    }),
+                ),
             ];
             for (shape, v) in shapes {
                 check_partition(shape, v);
@@ -405,13 +458,26 @@ mod tests {
                 let pred = |x: Elem| x % m == 0;
                 let mut v = original.clone();
                 let front = move_to_front(&mut v, pred);
-                assert_eq!(front, original.iter().filter(|&&x| pred(x)).count(), "m={m}, n={n}");
-                assert!(v[..front].iter().all(|&x| pred(x)), "m={m}, n={n}: {v:?} at {front}");
-                assert!(!v[front..].iter().any(|&x| pred(x)), "m={m}, n={n}: {v:?} at {front}");
+                assert_eq!(
+                    front,
+                    original.iter().filter(|&&x| pred(x)).count(),
+                    "m={m}, n={n}"
+                );
+                assert!(
+                    v[..front].iter().all(|&x| pred(x)),
+                    "m={m}, n={n}: {v:?} at {front}"
+                );
+                assert!(
+                    !v[front..].iter().any(|&x| pred(x)),
+                    "m={m}, n={n}: {v:?} at {front}"
+                );
                 let mut expected = original.clone();
                 v.sort_unstable();
                 expected.sort_unstable();
-                assert_eq!(v, expected, "m={m}, n={n}: move_to_front must permute its input");
+                assert_eq!(
+                    v, expected,
+                    "m={m}, n={n}: move_to_front must permute its input"
+                );
             }
         }
     }
@@ -422,7 +488,11 @@ mod tests {
         // linear in n / ts (sort and scan together), not in n. The scan alone spawns a leaf per
         // block, which bounds the reported count from below.
         let rt = Runtime::with_workers(2);
-        let cfg = SortScanConfig { n: 4_096, ts: 64, seed: 0 };
+        let cfg = SortScanConfig {
+            n: 4_096,
+            ts: 64,
+            seed: 0,
+        };
         let input: Vec<Elem> = (0..cfg.n).map(|i| ((i * 7919) % 4) as Elem).collect();
         let data = SharedSlice::from_vec(input.clone());
         let tasks = run_on(&rt, SortScanVariant::Weak, &cfg, &data).tasks;
@@ -543,7 +613,11 @@ mod tests {
                         .label("prefix_sum_root")
                         .spawn(move |t| scan(t, &d, 0, n, ts, 1));
                 });
-                assert_eq!(data.snapshot(), expected, "n = {n}, ts = {ts} under {policy:?}");
+                assert_eq!(
+                    data.snapshot(),
+                    expected,
+                    "n = {n}, ts = {ts} under {policy:?}"
+                );
                 stats
             };
             let tasks = run(SchedulingPolicy::default(), 0, prefix_sum_specs).tasks_registered;
@@ -563,7 +637,11 @@ mod tests {
         let cfg = SortScanConfig::small();
         for variant in SortScanVariant::all() {
             let (_run, result) = run(&rt, variant, &cfg);
-            assert!(verify(&cfg, &result), "variant {} produced a wrong result", variant.name());
+            assert!(
+                verify(&cfg, &result),
+                "variant {} produced a wrong result",
+                variant.name()
+            );
         }
     }
 
@@ -581,7 +659,11 @@ mod tests {
     fn already_sorted_and_constant_inputs() {
         let rt = Runtime::with_workers(2);
         // Constant input exercises the pivot/partition edge cases.
-        let cfg = SortScanConfig { n: 2_048, ts: 64, seed: 0 };
+        let cfg = SortScanConfig {
+            n: 2_048,
+            ts: 64,
+            seed: 0,
+        };
         let data = SharedSlice::from_vec(vec![7 as Elem; cfg.n]);
         run_on(&rt, SortScanVariant::Weak, &cfg, &data);
         let expected: Vec<Elem> = (1..=cfg.n as Elem).map(|i| 7 * i).collect();
@@ -591,7 +673,11 @@ mod tests {
     #[test]
     fn single_worker_matches_reference() {
         let rt = Runtime::with_workers(1);
-        let cfg = SortScanConfig { n: 3_000, ts: 128, seed: 9 };
+        let cfg = SortScanConfig {
+            n: 3_000,
+            ts: 128,
+            seed: 9,
+        };
         for variant in SortScanVariant::all() {
             let (_run, result) = run(&rt, variant, &cfg);
             assert!(verify(&cfg, &result), "variant {}", variant.name());

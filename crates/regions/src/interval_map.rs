@@ -87,7 +87,11 @@ pub struct IntervalMap<V> {
 
 impl<V> Default for IntervalMap<V> {
     fn default() -> Self {
-        IntervalMap { run: Vec::new(), values: Vec::new(), free: Vec::new() }
+        IntervalMap {
+            run: Vec::new(),
+            values: Vec::new(),
+            free: Vec::new(),
+        }
     }
 }
 
@@ -121,7 +125,9 @@ impl<V> IntervalMap<V> {
 
     /// Iterates over all fragments as `(start, end, &value)` in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &V)> {
-        self.run.iter().map(|e| (e.start, e.end, self.value(e.slot)))
+        self.run
+            .iter()
+            .map(|e| (e.start, e.end, self.value(e.slot)))
     }
 
     /// Removes all fragments. Arena and run capacity is **retained**, so a cleared map performs
@@ -145,13 +151,18 @@ impl<V> IntervalMap<V> {
     }
 
     fn value(&self, slot: u32) -> &V {
-        self.values[slot as usize].as_ref().expect("run names a free slot")
+        self.values[slot as usize]
+            .as_ref()
+            .expect("run names a free slot")
     }
 
     fn alloc(&mut self, value: V) -> u32 {
         match self.free.pop() {
             Some(slot) => {
-                debug_assert!(self.values[slot as usize].is_none(), "free list names a live slot");
+                debug_assert!(
+                    self.values[slot as usize].is_none(),
+                    "free list names a live slot"
+                );
                 self.values[slot as usize] = Some(value);
                 slot
             }
@@ -166,7 +177,9 @@ impl<V> IntervalMap<V> {
     /// Returns the slot to the free list, taking its value. The caller removes it from `run`.
     fn free_slot(&mut self, slot: u32) -> V {
         self.free.push(slot);
-        self.values[slot as usize].take().expect("double free of an interval slot")
+        self.values[slot as usize]
+            .take()
+            .expect("double free of an interval slot")
     }
 
     /// Visits every part of `[start, end)` that overlaps a stored fragment, clipped to the query
@@ -250,7 +263,14 @@ impl<V: Clone> IntervalMap<V> {
         debug_assert!(e.start < at && at < e.end);
         let slot = self.alloc(self.value(e.slot).clone());
         self.run[pos].end = at;
-        self.run.insert(pos + 1, Entry { start: at, end: e.end, slot });
+        self.run.insert(
+            pos + 1,
+            Entry {
+                start: at,
+                end: e.end,
+                slot,
+            },
+        );
     }
 
     /// Splits the fragments straddling `start` and `end` and returns the run positions
@@ -305,7 +325,11 @@ impl<V: Clone> IntervalMap<V> {
             if cursor < gap_end {
                 visits += 1;
                 if let RangeUpdate::Set(value) = f(cursor, gap_end, None) {
-                    let entry = Entry { start: cursor, end: gap_end, slot: self.alloc(value) };
+                    let entry = Entry {
+                        start: cursor,
+                        end: gap_end,
+                        slot: self.alloc(value),
+                    };
                     if w < pos {
                         self.run[w] = entry;
                     } else {
@@ -453,7 +477,10 @@ mod tests {
         let mut m = IntervalMap::new();
         m.insert_range(0, 30, 'a');
         m.insert_range(10, 20, 'b');
-        assert_eq!(collect(&m), vec![(0, 10, 'a'), (10, 20, 'b'), (20, 30, 'a')]);
+        assert_eq!(
+            collect(&m),
+            vec![(0, 10, 'a'), (10, 20, 'b'), (20, 30, 'a')]
+        );
     }
 
     #[test]
@@ -483,7 +510,10 @@ mod tests {
         let mut m = IntervalMap::new();
         m.insert_range(0, 100, 'a');
         m.update_range(40, 60, |_, _, _| RangeUpdate::Set('b'));
-        assert_eq!(collect(&m), vec![(0, 40, 'a'), (40, 60, 'b'), (60, 100, 'a')]);
+        assert_eq!(
+            collect(&m),
+            vec![(0, 40, 'a'), (40, 60, 'b'), (60, 100, 'a')]
+        );
     }
 
     /// The in-place rewrite: removals leave slack that later gap-sets fill, gap-sets with no
@@ -580,7 +610,10 @@ mod tests {
         m.insert_range(40, 50, 'a');
         // Coalescing around [10, 20) merges the left pair but not the distant one.
         m.coalesce_range(10, 20);
-        assert_eq!(collect(&m), vec![(0, 20, 'a'), (30, 40, 'a'), (40, 50, 'a')]);
+        assert_eq!(
+            collect(&m),
+            vec![(0, 20, 'a'), (30, 40, 'a'), (40, 50, 'a')]
+        );
         // A left neighbour ending exactly at the range start absorbs rightwards.
         m.insert_range(20, 30, 'a');
         m.coalesce_range(20, 30);

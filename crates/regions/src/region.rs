@@ -47,7 +47,10 @@ impl Region {
     /// Creates a region. Panics if `start > end`.
     #[inline]
     pub fn new(space: SpaceId, start: usize, end: usize) -> Self {
-        assert!(start <= end, "region start {start} must not exceed end {end}");
+        assert!(
+            start <= end,
+            "region start {start} must not exceed end {end}"
+        );
         Region { space, start, end }
     }
 
@@ -192,7 +195,10 @@ mod tests {
         assert!(r(0, 10).contains_region(&r(2, 8)));
         assert!(r(0, 10).contains_region(&r(0, 10)));
         assert!(!r(0, 10).contains_region(&r(2, 11)));
-        assert!(r(0, 10).contains_region(&r(4, 4)), "empty region is contained");
+        assert!(
+            r(0, 10).contains_region(&r(4, 4)),
+            "empty region is contained"
+        );
         assert!(!r(0, 10).contains_region(&Region::new(SpaceId(9), 2, 3)));
     }
 
@@ -203,7 +209,10 @@ mod tests {
         assert_eq!(r(0, 10).subtract(&r(0, 4)), vec![r(4, 10)]);
         assert_eq!(r(0, 10).subtract(&r(6, 10)), vec![r(0, 6)]);
         assert_eq!(r(0, 10).subtract(&r(20, 30)), vec![r(0, 10)]);
-        assert_eq!(r(0, 10).subtract(&Region::new(SpaceId(7), 0, 10)), vec![r(0, 10)]);
+        assert_eq!(
+            r(0, 10).subtract(&Region::new(SpaceId(7), 0, 10)),
+            vec![r(0, 10)]
+        );
     }
 
     #[test]

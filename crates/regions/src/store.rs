@@ -23,7 +23,9 @@ pub struct RegionStore<V> {
 
 impl<V> Default for RegionStore<V> {
     fn default() -> Self {
-        RegionStore { spaces: FxHashMap::default() }
+        RegionStore {
+            spaces: FxHashMap::default(),
+        }
     }
 }
 
@@ -47,14 +49,19 @@ impl<V> RegionStore<V> {
     /// spaces in unspecified order (sort if determinism is needed).
     pub fn iter(&self) -> impl Iterator<Item = (Region, &V)> {
         self.spaces.iter().flat_map(|(&space, map)| {
-            map.iter().map(move |(s, e, v)| (Region::new(space, s, e), v))
+            map.iter()
+                .map(move |(s, e, v)| (Region::new(space, s, e), v))
         })
     }
 
     /// Visits all stored fragments overlapping `region`, clipped to it, in ascending order.
     pub fn query(&self, region: &Region, mut f: impl FnMut(Region, &V)) {
-        let Some(map) = self.spaces.get(&region.space) else { return };
-        map.query_range(region.start, region.end, |s, e, v| f(Region::new(region.space, s, e), v));
+        let Some(map) = self.spaces.get(&region.space) else {
+            return;
+        };
+        map.query_range(region.start, region.end, |s, e, v| {
+            f(Region::new(region.space, s, e), v)
+        });
     }
 
     /// `true` if at least one stored coordinate of `region` is covered.
@@ -81,7 +88,9 @@ impl<V: Clone> RegionStore<V> {
         self.spaces
             .entry(space)
             .or_default()
-            .update_range(region.start, region.end, |s, e, v| f(Region::new(space, s, e), v))
+            .update_range(region.start, region.end, |s, e, v| {
+                f(Region::new(space, s, e), v)
+            })
     }
 
     /// Sets `region` to `value`, overwriting any overlapping fragments.
@@ -104,7 +113,10 @@ impl<V: Clone + PartialEq> RegionStore<V> {
         if fit == Fit::Exact {
             return (fit, false);
         }
-        let map = self.spaces.get_mut(&region.space).expect("an update creates its space");
+        let map = self
+            .spaces
+            .get_mut(&region.space)
+            .expect("an update creates its space");
         (fit, map.coalesce_range(region.start, region.end))
     }
 
@@ -123,8 +135,10 @@ mod tests {
     }
 
     fn sorted_fragments<V: Clone>(store: &RegionStore<V>) -> Vec<(Region, V)> {
-        let mut out: Vec<(Region, V)> =
-            store.iter().map(|(region, v)| (region, v.clone())).collect();
+        let mut out: Vec<(Region, V)> = store
+            .iter()
+            .map(|(region, v)| (region, v.clone()))
+            .collect();
         out.sort_by_key(|(region, _)| (region.space, region.start));
         out
     }
@@ -220,7 +234,10 @@ mod tests {
     fn remove_on_exact_hit_clears_entry_and_index() {
         let mut s = RegionStore::new();
         s.insert(&r(1, 0, 8), 'a');
-        assert_eq!(s.update(&r(1, 0, 8), |_, _| RangeUpdate::Remove), Fit::Exact);
+        assert_eq!(
+            s.update(&r(1, 0, 8), |_, _| RangeUpdate::Remove),
+            Fit::Exact
+        );
         assert!(s.is_empty());
         // Nothing of the removed fragment is left: a later overlapping insert lands in one gap.
         assert_eq!(s.insert(&r(1, 4, 12), 'b'), Fit::Exact);
@@ -272,7 +289,10 @@ mod tests {
     #[test]
     fn empty_region_is_a_noop() {
         let mut s: RegionStore<u8> = RegionStore::new();
-        assert_eq!(s.update(&r(1, 5, 5), |_, _| panic!("must not visit")), Fit::Exact);
+        assert_eq!(
+            s.update(&r(1, 5, 5), |_, _| panic!("must not visit")),
+            Fit::Exact
+        );
         s.query(&r(1, 5, 5), |_, _| panic!("must not visit"));
         assert!(s.is_empty());
     }
@@ -284,11 +304,17 @@ mod tests {
         // The write over [4,12) splits [0,8) and fills the gap [8,12): both parts hold 'b'
         // and merge, leaving the written region one fragment beside the [0,4) leftover.
         assert_eq!(s.insert_coalescing(&r(1, 4, 12), 'b'), (Fit::Split, true));
-        assert_eq!(sorted_fragments(&s), vec![(r(1, 0, 4), 'a'), (r(1, 4, 12), 'b')]);
+        assert_eq!(
+            sorted_fragments(&s),
+            vec![(r(1, 0, 4), 'a'), (r(1, 4, 12), 'b')]
+        );
         // The healed extent matches exactly again, and an exact update merges nothing.
         assert_eq!(s.insert_coalescing(&r(1, 4, 12), 'c'), (Fit::Exact, false));
         // A write over both fragments spans them without splitting and heals the whole span.
-        assert_eq!(s.insert_coalescing(&r(1, 0, 12), 'd'), (Fit::Spanning, true));
+        assert_eq!(
+            s.insert_coalescing(&r(1, 0, 12), 'd'),
+            (Fit::Spanning, true)
+        );
         assert_eq!(sorted_fragments(&s), vec![(r(1, 0, 12), 'd')]);
     }
 
@@ -327,7 +353,10 @@ mod tests {
         // Cycle: the healed region splits again, and the overlapping write heals its own
         // extent while the [0,6) remainder of 'c' stays apart.
         assert_eq!(s.insert_coalescing(&r(1, 6, 20), 'd'), (Fit::Split, true));
-        assert_eq!(sorted_fragments(&s), vec![(r(1, 0, 6), 'c'), (r(1, 6, 20), 'd')]);
+        assert_eq!(
+            sorted_fragments(&s),
+            vec![(r(1, 0, 6), 'c'), (r(1, 6, 20), 'd')]
+        );
         assert!(s.insert_coalescing(&r(1, 0, 20), 'e').1);
         assert_eq!(sorted_fragments(&s), vec![(r(1, 0, 20), 'e')]);
     }
@@ -353,7 +382,9 @@ mod tests {
         }
         let expected: Vec<(Region, u32)> = (0..reference.len())
             .flat_map(|space| {
-                reference[space].iter().map(move |(s, e, v)| (r(space as u64, s, e), *v))
+                reference[space]
+                    .iter()
+                    .map(move |(s, e, v)| (r(space as u64, s, e), *v))
             })
             .collect();
         assert_eq!(sorted_fragments(&store), expected);

@@ -88,12 +88,20 @@ fn check_large_map(map: &IntervalMap<u8>, model: &[Option<u8>]) -> Result<(), Te
     let mut previous_end = 0;
     for (s, e, v) in map.iter() {
         prop_assert!(s < e, "empty fragment [{}, {})", s, e);
-        prop_assert!(s >= previous_end, "fragment [{}, {}) overlaps or is out of order", s, e);
+        prop_assert!(
+            s >= previous_end,
+            "fragment [{}, {}) overlaps or is out of order",
+            s,
+            e
+        );
         previous_end = e;
         reconstructed[s..e].fill(Some(*v));
     }
     prop_assert!(reconstructed == model, "map and model disagree");
-    prop_assert_eq!(map.covered_len(), model.iter().filter(|v| v.is_some()).count());
+    prop_assert_eq!(
+        map.covered_len(),
+        model.iter().filter(|v| v.is_some()).count()
+    );
     Ok(())
 }
 

@@ -87,7 +87,9 @@ impl Default for Sentinel {
 impl Sentinel {
     /// Creates an empty shadow table.
     pub fn new() -> Self {
-        Sentinel { shadow: Mutex::new(Shadow::default()) }
+        Sentinel {
+            shadow: Mutex::new(Shadow::default()),
+        }
     }
 
     /// Records a task at registration time (before it can run). `job` is the owning job's
@@ -125,8 +127,20 @@ impl Sentinel {
             }
             None => Vec::new(),
         };
-        let previous = tasks.insert(key, ShadowTask { job, label, reads, writes, ancestors });
-        assert!(previous.is_none(), "sentinel: task key {key:#x} registered twice");
+        let previous = tasks.insert(
+            key,
+            ShadowTask {
+                job,
+                label,
+                reads,
+                writes,
+                ancestors,
+            },
+        );
+        assert!(
+            previous.is_none(),
+            "sentinel: task key {key:#x} registered twice"
+        );
     }
 
     /// Marks a task as executing and checks its strong footprint against every other running,
@@ -136,8 +150,13 @@ impl Sentinel {
     pub fn task_started(&self, key: u64) {
         let mut shadow = self.shadow.lock();
         let Shadow { tasks, running } = &mut *shadow;
-        let ShadowTask { job, label, reads, writes, ancestors } =
-            tasks.get(&key).expect("sentinel: unknown task started");
+        let ShadowTask {
+            job,
+            label,
+            reads,
+            writes,
+            ancestors,
+        } = tasks.get(&key).expect("sentinel: unknown task started");
         let running = running.entry(*job).or_default();
         for &other_key in running.iter() {
             let other = &tasks[&other_key];
@@ -172,7 +191,10 @@ impl Sentinel {
     /// Removes a finished task from the running set and drops its entry.
     pub fn task_finished(&self, key: u64) {
         let mut shadow = self.shadow.lock();
-        let removed = shadow.tasks.remove(&key).expect("sentinel: unknown task finished");
+        let removed = shadow
+            .tasks
+            .remove(&key)
+            .expect("sentinel: unknown task finished");
         if let Some(running) = shadow.running.get_mut(&removed.job) {
             running.remove(&key);
             if running.is_empty() {
@@ -250,11 +272,19 @@ mod tests {
     }
 
     fn strong(start: usize, end: usize, write: bool) -> DeclaredAccess {
-        DeclaredAccess { region: region(start, end), write, weak: false }
+        DeclaredAccess {
+            region: region(start, end),
+            write,
+            weak: false,
+        }
     }
 
     fn weak(start: usize, end: usize, write: bool) -> DeclaredAccess {
-        DeclaredAccess { region: region(start, end), write, weak: true }
+        DeclaredAccess {
+            region: region(start, end),
+            write,
+            weak: true,
+        }
     }
 
     #[test]
@@ -352,7 +382,13 @@ mod tests {
     #[test]
     fn access_inside_footprint_is_covered() {
         let s = Sentinel::new();
-        s.task_created(0, 1, None, "t", [strong(0, 10, false), strong(20, 30, true)]);
+        s.task_created(
+            0,
+            1,
+            None,
+            "t",
+            [strong(0, 10, false), strong(20, 30, true)],
+        );
         s.task_started(1);
         assert!(s.check_access(1, &region(2, 8), false).is_none());
         assert!(s.check_access(1, &region(20, 30), true).is_none());
@@ -382,7 +418,10 @@ mod tests {
         assert!(s.check_access(1, &region(0, 10), true).is_none());
         assert!(s.check_access(1, &region(25, 30), true).is_none());
         let msg = s.check_access(1, &region(10, 20), false).unwrap();
-        assert!(msg.contains("release"), "message should mention release: {msg}");
+        assert!(
+            msg.contains("release"),
+            "message should mention release: {msg}"
+        );
     }
 
     #[test]

@@ -149,7 +149,10 @@ mod tests {
         });
         // Give the waiter time to park, then drain the load and notify.
         std::thread::sleep(Duration::from_millis(50));
-        assert!(!waiter.is_finished(), "the waiter must block while load >= budget");
+        assert!(
+            !waiter.is_finished(),
+            "the waiter must block while load >= budget"
+        );
         load.store(1, SeqCst);
         gate.notify_release();
         waiter.join().unwrap();

@@ -78,7 +78,14 @@ pub struct LoopDescriptor {
 impl LoopDescriptor {
     /// Creates a descriptor over `range` in chunks of `chunk` (clamped to ≥ 1), registered by
     /// job `tenant` from a worker in locality `domain`.
-    pub fn new<R, A>(range: Range<usize>, chunk: usize, tenant: u64, domain: usize, runner: R, abort: A) -> Self
+    pub fn new<R, A>(
+        range: Range<usize>,
+        chunk: usize,
+        tenant: u64,
+        domain: usize,
+        runner: R,
+        abort: A,
+    ) -> Self
     where
         R: Fn(usize, usize) + Send + Sync + 'static,
         A: Fn() -> bool + Send + Sync + 'static,
@@ -248,7 +255,10 @@ impl AssistRegistry {
     pub fn new() -> Self {
         AssistRegistry {
             active: AtomicUsize::new(0),
-            loops: Mutex::new(RegistryInner { loops: Vec::new(), rotation: 0 }),
+            loops: Mutex::new(RegistryInner {
+                loops: Vec::new(),
+                rotation: 0,
+            }),
         }
     }
 
@@ -317,7 +327,10 @@ impl AssistRegistry {
 mod tests {
     use super::*;
 
-    fn counting_descriptor(range: Range<usize>, chunk: usize) -> (Arc<LoopDescriptor>, Arc<AtomicUsize>) {
+    fn counting_descriptor(
+        range: Range<usize>,
+        chunk: usize,
+    ) -> (Arc<LoopDescriptor>, Arc<AtomicUsize>) {
         let sum = Arc::new(AtomicUsize::new(0));
         let s = Arc::clone(&sum);
         let desc = Arc::new(LoopDescriptor::new(
@@ -386,7 +399,10 @@ mod tests {
             t.join().unwrap();
         }
         desc.wait_quiescent();
-        assert!(hits.lock().iter().all(|&c| c == 1), "every index exactly once");
+        assert!(
+            hits.lock().iter().all(|&c| c == 1),
+            "every index exactly once"
+        );
     }
 
     #[test]
@@ -407,7 +423,10 @@ mod tests {
         let (a, b) = desc.claim().unwrap();
         desc.run_chunk(a, b);
         stop.store(true, Ordering::Relaxed);
-        assert!(desc.claim().is_none(), "abort is observed at the next chunk boundary");
+        assert!(
+            desc.claim().is_none(),
+            "abort is observed at the next chunk boundary"
+        );
         desc.wait_quiescent();
         assert_eq!(ran.load(Ordering::Relaxed), 1);
     }
@@ -437,7 +456,10 @@ mod tests {
     fn registry_publish_select_retire_round_trip() {
         let registry = AssistRegistry::new();
         assert_eq!(registry.active_loops(), 0);
-        assert!(registry.select(None).is_none(), "fast path: no lock, no loop");
+        assert!(
+            registry.select(None).is_none(),
+            "fast path: no lock, no loop"
+        );
 
         let (a, _) = counting_descriptor(0..100, 10);
         let (b, _) = counting_descriptor(0..100, 10);
@@ -448,7 +470,10 @@ mod tests {
         // Rotation spreads selections across published loops.
         let first = registry.select(None).unwrap();
         let second = registry.select(None).unwrap();
-        assert!(!Arc::ptr_eq(&first, &second), "rotation must not pin one loop");
+        assert!(
+            !Arc::ptr_eq(&first, &second),
+            "rotation must not pin one loop"
+        );
 
         assert!(registry.retire(&a));
         assert!(!registry.retire(&a), "double retire is a no-op");
@@ -466,7 +491,10 @@ mod tests {
         registry.publish(Arc::clone(&near));
         for _ in 0..4 {
             let picked = registry.select(Some(0)).unwrap();
-            assert!(Arc::ptr_eq(&picked, &near), "same-domain loops are assisted first");
+            assert!(
+                Arc::ptr_eq(&picked, &near),
+                "same-domain loops are assisted first"
+            );
         }
         // With the near loop exhausted, the cross-domain loop is the fallback.
         while near.claim().is_some() {}
@@ -480,6 +508,9 @@ mod tests {
         let (done, _) = counting_descriptor(0..4, 4);
         registry.publish(Arc::clone(&done));
         done.drive();
-        assert!(registry.select(None).is_none(), "a fully claimed loop attracts no assists");
+        assert!(
+            registry.select(None).is_none(),
+            "a fully claimed loop attracts no assists"
+        );
     }
 }

@@ -107,14 +107,18 @@ impl SchedulingPolicy {
 
     /// The hierarchical policy with the default domain size.
     pub fn hierarchical() -> Self {
-        SchedulingPolicy::HierarchicalSteal { domain_size: Self::DEFAULT_DOMAIN_SIZE }
+        SchedulingPolicy::HierarchicalSteal {
+            domain_size: Self::DEFAULT_DOMAIN_SIZE,
+        }
     }
 
     /// All concrete policies (hierarchical with its default domain size), in ablation order.
     pub fn all() -> [SchedulingPolicy; 5] {
         [
             SchedulingPolicy::LocalitySlot,
-            SchedulingPolicy::HierarchicalSteal { domain_size: Self::DEFAULT_DOMAIN_SIZE },
+            SchedulingPolicy::HierarchicalSteal {
+                domain_size: Self::DEFAULT_DOMAIN_SIZE,
+            },
             SchedulingPolicy::DepthFirst,
             SchedulingPolicy::Fifo,
             SchedulingPolicy::FairShare,
@@ -152,7 +156,12 @@ impl SchedulingPolicy {
             SchedulingPolicy::Fifo => (false, Injector, Single, None),
             SchedulingPolicy::FairShare => (true, TenantQueues, Single, Flat),
         };
-        Placement { slot, wave, injector_take, steal }
+        Placement {
+            slot,
+            wave,
+            injector_take,
+            steal,
+        }
     }
 
     /// Whether the policy dispatches through the immediate-successor slot.
@@ -404,7 +413,11 @@ impl<T: Send + 'static> Shared<T> {
         let mut pushed = 0usize;
         match (self.placement.wave, deque) {
             (WaveQueue::TenantQueues, _) => {
-                let push = if hot { VecDeque::push_front } else { VecDeque::push_back };
+                let push = if hot {
+                    VecDeque::push_front
+                } else {
+                    VecDeque::push_back
+                };
                 let mut inner = self.fair.lock();
                 let FairInner { queues, order } = &mut *inner;
                 for job in jobs {
@@ -424,7 +437,8 @@ impl<T: Send + 'static> Shared<T> {
                 }
             }
             (WaveQueue::Local, None) | (WaveQueue::Injector, _) => {
-                self.injector.push_batch(jobs.into_iter().inspect(|_| pushed += 1));
+                self.injector
+                    .push_batch(jobs.into_iter().inspect(|_| pushed += 1));
             }
         }
         pushed
@@ -437,7 +451,9 @@ impl<T: Send + 'static> Shared<T> {
         let (hit, fallback) = self.sleep.notify_many(count, prefer);
         if prefer.is_some() && hit + fallback > 0 {
             self.stats.dispatch.add(counter::TARGETED_WAKES, hit as u64);
-            self.stats.dispatch.add(counter::FALLBACK_WAKES, fallback as u64);
+            self.stats
+                .dispatch
+                .add(counter::FALLBACK_WAKES, fallback as u64);
         }
     }
 
@@ -447,7 +463,9 @@ impl<T: Send + 'static> Shared<T> {
         let mut inner = self.fair.lock();
         let FairInner { queues, order } = &mut *inner;
         let tenant = order.pop_front()?;
-        let queue = queues.get_mut(&tenant).expect("tenant in rotation has a queue");
+        let queue = queues
+            .get_mut(&tenant)
+            .expect("tenant in rotation has a queue");
         let job = queue.pop_front().expect("queued tenant has a job");
         if queue.is_empty() {
             queues.remove(&tenant);
@@ -541,7 +559,10 @@ impl<T: Send + 'static> ThreadPool<T> {
             policy,
             placement: policy.placement(),
             tenant_of,
-            fair: Mutex::new(FairInner { queues: HashMap::new(), order: VecDeque::new() }),
+            fair: Mutex::new(FairInner {
+                queues: HashMap::new(),
+                order: VecDeque::new(),
+            }),
             assist: AssistRegistry::new(),
         });
         let executor: Arc<Executor<T>> = Arc::new(executor);
@@ -752,15 +773,22 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
     pub fn dispatch_ready(&self, jobs: impl IntoIterator<Item = T>, successor_hint: bool) {
         let Placement { slot, wave, .. } = self.shared.placement;
         let mut jobs = jobs.into_iter();
-        let successor = if successor_hint && slot { jobs.next() } else { None };
+        let successor = if successor_hint && slot {
+            jobs.next()
+        } else {
+            None
+        };
         let mut queued = self.shared.enqueue(Some(self.deque), jobs, false);
         if let Some(successor) = successor {
             if let Some(displaced) = self.successor_slot.replace(Some(successor)) {
                 self.shared.stats.count(counter::SUCCESSOR_DISPLACEMENTS);
-                queued += self.shared.enqueue(Some(self.deque), std::iter::once(displaced), true);
+                queued += self
+                    .shared
+                    .enqueue(Some(self.deque), std::iter::once(displaced), true);
             }
         }
-        self.shared.wake(queued, (wave == WaveQueue::Local).then_some(self.domain));
+        self.shared
+            .wake(queued, (wave == WaveQueue::Local).then_some(self.domain));
     }
 
     /// Whether `pred` holds for the job this worker takes next from its own structures: the
@@ -896,7 +924,11 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
             self.shared.stats.count(counter::FROM_LOCAL);
             return Some(job);
         }
-        let Placement { wave, injector_take, .. } = self.shared.placement;
+        let Placement {
+            wave,
+            injector_take,
+            ..
+        } = self.shared.placement;
         // Retry loop around the lock-free structures that can return `Steal::Retry`.
         loop {
             let mut retry = false;
@@ -936,9 +968,13 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         let is_self = |victim| victim == self.index;
         match self.shared.placement.steal {
             StealOrder::None => None,
-            StealOrder::Flat => {
-                self.steal_pass(retry, 0..victims, true, is_self, counter::STOLEN_SAME_DOMAIN)
-            }
+            StealOrder::Flat => self.steal_pass(
+                retry,
+                0..victims,
+                true,
+                is_self,
+                counter::STOLEN_SAME_DOMAIN,
+            ),
             StealOrder::Nearest { domain_size } => {
                 let size = domain_size.clamp(1, victims);
                 let own = self.domain * size..victims.min((self.domain + 1) * size);
@@ -946,12 +982,18 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
                 // victim's backlog — and its locality — mostly intact), then batch migration
                 // across domains (amortise the cross-domain traffic by moving a chunk of the
                 // victim's backlog over in one steal).
-                self.steal_pass(retry, own.clone(), false, is_self, counter::STOLEN_SAME_DOMAIN)
-                    .or_else(|| {
-                        let in_own = |victim| own.contains(&victim);
-                        let cross = counter::STOLEN_CROSS_DOMAIN;
-                        self.steal_pass(retry, 0..victims, true, in_own, cross)
-                    })
+                self.steal_pass(
+                    retry,
+                    own.clone(),
+                    false,
+                    is_self,
+                    counter::STOLEN_SAME_DOMAIN,
+                )
+                .or_else(|| {
+                    let in_own = |victim| own.contains(&victim);
+                    let cross = counter::STOLEN_CROSS_DOMAIN;
+                    self.steal_pass(retry, 0..victims, true, in_own, cross)
+                })
             }
         }
     }
@@ -974,8 +1016,11 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
                 continue;
             }
             let stealer = &self.shared.stealers[victim];
-            let stolen =
-                if batch { stealer.steal_batch_and_pop(self.deque) } else { stealer.steal() };
+            let stolen = if batch {
+                stealer.steal_batch_and_pop(self.deque)
+            } else {
+                stealer.steal()
+            };
             match stolen {
                 Steal::Success(job) => {
                     self.shared.stats.count(counter::STOLEN);
@@ -1051,7 +1096,10 @@ mod tests {
         for i in 0..100 {
             pool.submit(i);
         }
-        assert!(wait_for(|| counter.load(Ordering::SeqCst) == (0..100).sum(), Duration::from_secs(5)));
+        assert!(wait_for(
+            || counter.load(Ordering::SeqCst) == (0..100).sum(),
+            Duration::from_secs(5)
+        ));
     }
 
     /// Counter identity: every executed job was acquired from exactly one source
@@ -1069,7 +1117,10 @@ mod tests {
         for i in 0..500 {
             pool.submit(i);
         }
-        assert!(wait_for(|| counter.load(Ordering::SeqCst) == 500, Duration::from_secs(5)));
+        assert!(wait_for(
+            || counter.load(Ordering::SeqCst) == 500,
+            Duration::from_secs(5)
+        ));
         pool.shutdown();
         let stats = pool.stats();
         let executed = stats.executed_jobs();
@@ -1126,8 +1177,15 @@ mod tests {
         for _ in 0..64 {
             pool.submit((0, usize::MAX));
         }
-        assert!(wait_for(|| done.load(Ordering::SeqCst) == 64, Duration::from_secs(5)));
-        assert_eq!(ok.load(Ordering::SeqCst), 64, "successor jobs must stay on the releasing worker");
+        assert!(wait_for(
+            || done.load(Ordering::SeqCst) == 64,
+            Duration::from_secs(5)
+        ));
+        assert_eq!(
+            ok.load(Ordering::SeqCst),
+            64,
+            "successor jobs must stay on the releasing worker"
+        );
     }
 
     #[test]
@@ -1143,7 +1201,11 @@ mod tests {
                 0 => {
                     ctx.dispatch_spawned(1);
                     ctx.work_until(|| side_c.load(Ordering::SeqCst) != 0);
-                    assert_eq!(side_c.load(Ordering::SeqCst), 1, "returned before `done` held");
+                    assert_eq!(
+                        side_c.load(Ordering::SeqCst),
+                        1,
+                        "returned before `done` held"
+                    );
                 }
                 _ => {
                     side_c.fetch_add(1, Ordering::SeqCst);
@@ -1152,7 +1214,10 @@ mod tests {
             all_c.fetch_add(1, Ordering::SeqCst);
         });
         pool.submit(0);
-        assert!(wait_for(|| all_done.load(Ordering::SeqCst) == 2, Duration::from_secs(5)));
+        assert!(wait_for(
+            || all_done.load(Ordering::SeqCst) == 2,
+            Duration::from_secs(5)
+        ));
     }
 
     /// A worker parked inside `work_until` is an ordinary sleeper plus one wake source: a
@@ -1164,7 +1229,11 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let checks = Arc::new(AtomicUsize::new(0));
         let returned = Arc::new(AtomicBool::new(false));
-        let (f, c, r) = (Arc::clone(&flag), Arc::clone(&checks), Arc::clone(&returned));
+        let (f, c, r) = (
+            Arc::clone(&flag),
+            Arc::clone(&checks),
+            Arc::clone(&returned),
+        );
         let pool: ThreadPool<u8> = ThreadPool::new(2, move |_job, ctx| {
             ctx.work_until(|| {
                 c.fetch_add(1, Ordering::SeqCst);
@@ -1173,11 +1242,17 @@ mod tests {
             r.store(true, Ordering::SeqCst);
         });
         pool.submit(0);
-        assert!(wait_for(|| checks.load(Ordering::SeqCst) >= 2, Duration::from_secs(5)));
+        assert!(wait_for(
+            || checks.load(Ordering::SeqCst) >= 2,
+            Duration::from_secs(5)
+        ));
         assert!(!returned.load(Ordering::SeqCst));
         flag.store(true, Ordering::SeqCst);
         pool.wake_waiters();
-        assert!(wait_for(|| returned.load(Ordering::SeqCst), Duration::from_secs(5)));
+        assert!(wait_for(
+            || returned.load(Ordering::SeqCst),
+            Duration::from_secs(5)
+        ));
     }
 
     #[test]
@@ -1211,7 +1286,10 @@ mod tests {
             pool.submit_batch((0..32).map(|_| 4u32));
             let expected = 32 * ((1usize << 5) - 1);
             assert!(
-                wait_for(|| pool.stats().executed_jobs() == expected, Duration::from_secs(10)),
+                wait_for(
+                    || pool.stats().executed_jobs() == expected,
+                    Duration::from_secs(10)
+                ),
                 "policy {}: executed {} of {expected}",
                 policy.name(),
                 pool.stats().executed_jobs()
@@ -1279,7 +1357,10 @@ mod tests {
         let executed = Arc::new(AtomicUsize::new(0));
         let ready = Arc::new(AtomicBool::new(false));
         let proceed = Arc::new(AtomicBool::new(false));
-        let job = |id: usize| Job { id, dropped: Arc::clone(&dropped) };
+        let job = |id: usize| Job {
+            id,
+            dropped: Arc::clone(&dropped),
+        };
 
         let (e, r, p, d) = (
             Arc::clone(&executed),
@@ -1291,7 +1372,13 @@ mod tests {
             e.fetch_add(1, Ordering::SeqCst);
             if incoming.id == 0 {
                 // Occupy the slot and the deque while the worker is pinned inside this job.
-                ctx.dispatch_ready((1..=3).map(|id| Job { id, dropped: Arc::clone(&d) }), true);
+                ctx.dispatch_ready(
+                    (1..=3).map(|id| Job {
+                        id,
+                        dropped: Arc::clone(&d),
+                    }),
+                    true,
+                );
                 r.store(true, Ordering::SeqCst);
                 while !p.load(Ordering::SeqCst) {
                     std::thread::sleep(Duration::from_millis(1));
@@ -1299,7 +1386,10 @@ mod tests {
             }
         });
         pool.submit(job(0));
-        assert!(wait_for(|| ready.load(Ordering::SeqCst), Duration::from_secs(5)));
+        assert!(wait_for(
+            || ready.load(Ordering::SeqCst),
+            Duration::from_secs(5)
+        ));
         // Two more stranded in the injector (the single worker is busy inside job 0).
         pool.submit(job(4));
         pool.submit(job(5));
@@ -1321,7 +1411,11 @@ mod tests {
             "job 0 + slot + two deque jobs must be dropped once the workers are joined"
         );
         drop(pool);
-        assert_eq!(dropped.load(Ordering::SeqCst), 6, "drop must drain the injector too");
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            6,
+            "drop must drain the injector too"
+        );
     }
 
     /// The documented exception: a pool shut down *from a worker thread* cannot join that
@@ -1346,20 +1440,26 @@ mod tests {
         let created: ThreadPool<Job> = ThreadPool::new(1, move |incoming: Job, ctx| {
             if incoming.shutdown_here {
                 // Strand one job in the deque, then drop the pool from this worker thread.
-                ctx.dispatch_spawned(Job { shutdown_here: false, dropped: Arc::clone(&d) });
+                ctx.dispatch_spawned(Job {
+                    shutdown_here: false,
+                    dropped: Arc::clone(&d),
+                });
                 let taken = pool_ref.lock().take();
                 drop(taken);
             }
         });
         *pool.lock() = Some(created);
-        pool.lock()
-            .as_ref()
-            .unwrap()
-            .submit(Job { shutdown_here: true, dropped: Arc::clone(&dropped) });
+        pool.lock().as_ref().unwrap().submit(Job {
+            shutdown_here: true,
+            dropped: Arc::clone(&dropped),
+        });
         // The detached worker exits on its own and drains its deque; the stranded job's
         // destructor runs then (after `drop(taken)` returned inside the executor).
         assert!(
-            wait_for(|| dropped.load(Ordering::SeqCst) == 2, Duration::from_secs(5)),
+            wait_for(
+                || dropped.load(Ordering::SeqCst) == 2,
+                Duration::from_secs(5)
+            ),
             "the self-shutdown worker must still drain its deque on exit"
         );
     }
@@ -1383,7 +1483,10 @@ mod tests {
         // pushes are guaranteed to queue behind them (plain per-job submits could race the
         // worker and interleave 100/101 into the middle).
         pool.submit_batch(0..10);
-        assert!(wait_for(|| order.lock().len() == 12, Duration::from_secs(5)));
+        assert!(wait_for(
+            || order.lock().len() == 12,
+            Duration::from_secs(5)
+        ));
         assert_eq!(*order.lock(), vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 100, 101]);
         let stats = pool.stats();
         assert_eq!(stats.from_successor_slot(), 0);
@@ -1413,7 +1516,10 @@ mod tests {
                 o.lock().push(job);
             });
         pool.submit(0);
-        assert!(wait_for(|| ready.load(Ordering::SeqCst), Duration::from_secs(5)));
+        assert!(wait_for(
+            || ready.load(Ordering::SeqCst),
+            Duration::from_secs(5)
+        ));
         // Heavy tenant 1 queues three jobs before light tenant 2 queues two.
         pool.submit_batch([10, 11, 12]);
         pool.submit(20);
@@ -1461,7 +1567,10 @@ mod tests {
                 }
             });
         pool.submit(0);
-        assert!(wait_for(|| ready.load(Ordering::SeqCst), Duration::from_secs(5)));
+        assert!(wait_for(
+            || ready.load(Ordering::SeqCst),
+            Duration::from_secs(5)
+        ));
         pool.submit(90);
         pool.submit(91);
         proceed.store(true, Ordering::SeqCst);
@@ -1494,7 +1603,10 @@ mod tests {
                 o.lock().push(job);
             });
         pool.submit(0);
-        assert!(wait_for(|| ready.load(Ordering::SeqCst), Duration::from_secs(5)));
+        assert!(wait_for(
+            || ready.load(Ordering::SeqCst),
+            Duration::from_secs(5)
+        ));
         pool.submit_batch([10, 11, 12, 20, 21]);
         assert_eq!(pool.fair_queue_depth(), 5);
         proceed.store(true, Ordering::SeqCst);
@@ -1536,7 +1648,10 @@ mod tests {
             desc.drive();
             desc.wait_quiescent();
             ctx.retire_loop(&desc);
-            assert!(desc.assist_chunk_count() > 0, "the idle worker must have assisted");
+            assert!(
+                desc.assist_chunk_count() > 0,
+                "the idle worker must have assisted"
+            );
             r.store(true, Ordering::SeqCst);
         });
         pool.submit(0);
@@ -1544,7 +1659,10 @@ mod tests {
         // before the owner retires the loop — then join the workers: the assistant folds its
         // counters into the pool stats after its last chunk, and only the join orders that
         // fold before the reads below.
-        assert!(wait_for(|| retired.load(Ordering::SeqCst), Duration::from_secs(10)));
+        assert!(wait_for(
+            || retired.load(Ordering::SeqCst),
+            Duration::from_secs(10)
+        ));
         pool.shutdown();
         assert_eq!(covered.load(Ordering::SeqCst), 256);
         assert_eq!(pool.active_loops(), 0, "retire removes the loop");
@@ -1553,7 +1671,10 @@ mod tests {
         let steals = stats.assist_steals.load(Ordering::Relaxed);
         let loops = stats.assisted_loops.load(Ordering::Relaxed);
         assert!(chunks > 0, "assist chunks were executed");
-        assert!(loops <= steals && steals <= chunks, "assist counter identity");
+        assert!(
+            loops <= steals && steals <= chunks,
+            "assist counter identity"
+        );
         assert_eq!(loops, 1);
     }
 
@@ -1570,7 +1691,10 @@ mod tests {
                 }
             });
         pool.submit(16);
-        assert!(wait_for(|| done.load(Ordering::SeqCst) == 17, Duration::from_secs(5)));
+        assert!(wait_for(
+            || done.load(Ordering::SeqCst) == 17,
+            Duration::from_secs(5)
+        ));
         let stats = pool.stats();
         assert_eq!(stats.from_successor_slot(), 0);
         assert_eq!(stats.from_local(), 16);
@@ -1601,13 +1725,12 @@ mod tests {
         });
         pool.submit(2);
         let expected = 1 + 8 + 64;
-        assert!(wait_for(|| done.load(Ordering::SeqCst) == expected, Duration::from_secs(10)));
+        assert!(wait_for(
+            || done.load(Ordering::SeqCst) == expected,
+            Duration::from_secs(10)
+        ));
         let s = pool.stats();
-        assert_eq!(
-            s.stolen(),
-            s.stolen_same_domain()
-                + s.stolen_cross_domain()
-        );
+        assert_eq!(s.stolen(), s.stolen_same_domain() + s.stolen_cross_domain());
     }
 
     /// The inventory table in `docs/scheduling.md` is the definition of the five policies:
@@ -1622,7 +1745,12 @@ mod tests {
                 .find(|line| line.starts_with(&format!("| `{name}`")))
                 .unwrap_or_else(|| panic!("docs/scheduling.md has no row for {name}"));
             let cells: Vec<&str> = row.split('|').map(|c| c.trim().trim_matches('`')).collect();
-            let Placement { slot, wave, injector_take, steal } = policy.placement();
+            let Placement {
+                slot,
+                wave,
+                injector_take,
+                steal,
+            } = policy.placement();
             let resolved = [
                 if slot { "yes" } else { "no" }.to_string(),
                 format!("{wave:?}"),
@@ -1665,7 +1793,10 @@ mod tests {
             for i in 0..10 {
                 pool.submit(i);
             }
-            assert!(wait_for(|| counter.load(Ordering::SeqCst) == 10, Duration::from_secs(5)));
+            assert!(wait_for(
+                || counter.load(Ordering::SeqCst) == 10,
+                Duration::from_secs(5)
+            ));
         }
         // Pool dropped: all threads joined, no hang.
     }
@@ -1681,7 +1812,10 @@ mod tests {
         // Let the workers fall asleep first.
         std::thread::sleep(Duration::from_millis(50));
         pool.submit_batch(0..200);
-        assert!(wait_for(|| counter.load(Ordering::SeqCst) == 200, Duration::from_secs(10)));
+        assert!(wait_for(
+            || counter.load(Ordering::SeqCst) == 200,
+            Duration::from_secs(10)
+        ));
     }
 
     #[test]
@@ -1694,7 +1828,10 @@ mod tests {
         for i in 0..20 {
             pool.submit(i);
         }
-        assert!(wait_for(|| order.lock().len() == 20, Duration::from_secs(5)));
+        assert!(wait_for(
+            || order.lock().len() == 20,
+            Duration::from_secs(5)
+        ));
         let got = order.lock().clone();
         let mut sorted = got.clone();
         sorted.sort_unstable();
@@ -1720,6 +1857,9 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(wait_for(|| counter.load(Ordering::SeqCst) == 20_000, Duration::from_secs(20)));
+        assert!(wait_for(
+            || counter.load(Ordering::SeqCst) == 20_000,
+            Duration::from_secs(20)
+        ));
     }
 }

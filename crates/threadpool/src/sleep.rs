@@ -81,7 +81,10 @@ impl SleepState {
             park: Mutex::new(()),
             sleepers: AtomicUsize::new(0),
             domains: (0..domains.max(1))
-                .map(|_| DomainSleep { condvar: Condvar::new(), sleepers: AtomicUsize::new(0) })
+                .map(|_| DomainSleep {
+                    condvar: Condvar::new(),
+                    sleepers: AtomicUsize::new(0),
+                })
                 .collect(),
             waiters: AtomicUsize::new(0),
         }
@@ -220,7 +223,11 @@ impl Default for Gate {
 impl Gate {
     /// Creates an idle gate.
     pub fn new() -> Self {
-        Gate { mutex: Mutex::new(()), condvar: Condvar::new(), waiters: AtomicUsize::new(0) }
+        Gate {
+            mutex: Mutex::new(()),
+            condvar: Condvar::new(),
+            waiters: AtomicUsize::new(0),
+        }
     }
 
     /// Blocks until `done()` holds. The waiter stays registered across the whole sleep, so
@@ -294,7 +301,13 @@ mod tests {
         let epoch = s.current_epoch();
         s.notify_many(1, None);
         // Must not block, and is not a park.
-        assert!(!parks(|on_park| s.sleep(0, epoch, false, || false, on_park)));
+        assert!(!parks(|on_park| s.sleep(
+            0,
+            epoch,
+            false,
+            || false,
+            on_park
+        )));
     }
 
     #[test]

@@ -67,7 +67,10 @@ impl<const N: usize> Striped<N> {
 
     /// The sum of counter `counter` over every thread slot.
     pub fn get(&self, counter: usize) -> u64 {
-        self.blocks.iter().map(|block| block.0[counter].load(Relaxed)).sum()
+        self.blocks
+            .iter()
+            .map(|block| block.0[counter].load(Relaxed))
+            .sum()
     }
 }
 
@@ -79,7 +82,9 @@ impl<const N: usize> Default for Striped<N> {
 
 impl<const N: usize> std::fmt::Debug for Striped<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries((0..N).map(|counter| self.get(counter))).finish()
+        f.debug_list()
+            .entries((0..N).map(|counter| self.get(counter)))
+            .finish()
     }
 }
 
@@ -123,8 +128,9 @@ mod tests {
         assert!(mine < THREAD_SLOTS);
         assert_eq!(thread_slot(), mine, "the slot is taken once per thread");
         // Round-robin: of the next `THREAD_SLOTS` threads, at least one has another slot.
-        let others: Vec<usize> =
-            (0..THREAD_SLOTS).map(|_| std::thread::spawn(thread_slot).join().unwrap()).collect();
+        let others: Vec<usize> = (0..THREAD_SLOTS)
+            .map(|_| std::thread::spawn(thread_slot).join().unwrap())
+            .collect();
         assert!(others.iter().any(|&slot| slot != mine));
     }
 

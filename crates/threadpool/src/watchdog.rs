@@ -175,7 +175,11 @@ mod tests {
         dog.stop();
         let after = ticks.load(SeqCst);
         std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(ticks.load(SeqCst), after, "a stopped watchdog must not tick");
+        assert_eq!(
+            ticks.load(SeqCst),
+            after,
+            "a stopped watchdog must not tick"
+        );
         assert!(!dog.is_running());
     }
 

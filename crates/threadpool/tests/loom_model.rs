@@ -46,28 +46,34 @@ fn waiter_loop(sleep: &SleepState, done: &AtomicBool, registered: bool) {
 /// register → re-check → epoch compare → wait when the flip lands. Two sleepers, because the
 /// wake must be a broadcast: waking one would strand the other.
 fn predicate_flip_model(registered: bool) -> loom_lite::Report {
-    Checker::new().preemption_bound(3).random_runs(500).check(move || {
-        let sleep = Arc::new(SleepState::new(1));
-        let done = Arc::new(AtomicBool::new(false));
-        let waiters: Vec<_> = (0..2)
-            .map(|_| {
-                let (s2, d2) = (Arc::clone(&sleep), Arc::clone(&done));
-                thread::spawn(move || waiter_loop(&s2, &d2, registered))
-            })
-            .collect();
-        done.store(true, Ordering::SeqCst);
-        sleep.wake_waiters();
-        for w in waiters {
-            w.join().unwrap();
-        }
-    })
+    Checker::new()
+        .preemption_bound(3)
+        .random_runs(500)
+        .check(move || {
+            let sleep = Arc::new(SleepState::new(1));
+            let done = Arc::new(AtomicBool::new(false));
+            let waiters: Vec<_> = (0..2)
+                .map(|_| {
+                    let (s2, d2) = (Arc::clone(&sleep), Arc::clone(&done));
+                    thread::spawn(move || waiter_loop(&s2, &d2, registered))
+                })
+                .collect();
+            done.store(true, Ordering::SeqCst);
+            sleep.wake_waiters();
+            for w in waiters {
+                w.join().unwrap();
+            }
+        })
 }
 
 #[test]
 fn predicate_flip_wakes_every_registered_waiter() {
     let report = predicate_flip_model(true);
     report.assert_ok();
-    assert!(report.exhausted, "predicate-sleeper model should be exhaustible");
+    assert!(
+        report.exhausted,
+        "predicate-sleeper model should be exhaustible"
+    );
 }
 
 /// Mutation: the same sleepers parking *unregistered*. `wake_waiters` then reads a zero count
@@ -86,38 +92,47 @@ fn unregistered_predicate_sleeper_is_caught_as_deadlock() {
 /// whichever way it interleaves with the worker's scan-then-sleep.
 #[test]
 fn wake_is_never_lost_single_domain() {
-    let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let sleep = Arc::new(SleepState::new(1));
-        let work = Arc::new(AtomicBool::new(false));
-        let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
-        let worker = thread::spawn(move || worker_loop(&s2, 0, &w2));
-        work.store(true, Ordering::SeqCst);
-        sleep.notify_many(1, None);
-        worker.join().unwrap();
-    });
+    let report = Checker::new()
+        .preemption_bound(4)
+        .random_runs(500)
+        .check(|| {
+            let sleep = Arc::new(SleepState::new(1));
+            let work = Arc::new(AtomicBool::new(false));
+            let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
+            let worker = thread::spawn(move || worker_loop(&s2, 0, &w2));
+            work.store(true, Ordering::SeqCst);
+            sleep.notify_many(1, None);
+            worker.join().unwrap();
+        });
     report.assert_ok();
-    assert!(report.exhausted, "single-domain wake model should be exhaustible");
+    assert!(
+        report.exhausted,
+        "single-domain wake model should be exhaustible"
+    );
 }
 
 /// Two workers, one shutdown broadcast: `notify_all` must release every sleeper regardless of
 /// how far each has progressed toward its wait.
 #[test]
 fn notify_all_releases_every_sleeper() {
-    let report = Checker::new().preemption_bound(2).random_runs(300).check(|| {
-        let sleep = Arc::new(SleepState::new(1));
-        let work = Arc::new(AtomicBool::new(false));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
-                thread::spawn(move || worker_loop(&s2, 0, &w2))
-            })
-            .collect();
-        work.store(true, Ordering::SeqCst);
-        sleep.notify_all();
-        for w in workers {
-            w.join().unwrap();
-        }
-    });
+    let report = Checker::new()
+        .preemption_bound(2)
+        .random_runs(300)
+        .check(|| {
+            let sleep = Arc::new(SleepState::new(1));
+            let work = Arc::new(AtomicBool::new(false));
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
+                    thread::spawn(move || worker_loop(&s2, 0, &w2))
+                })
+                .collect();
+            work.store(true, Ordering::SeqCst);
+            sleep.notify_all();
+            for w in workers {
+                w.join().unwrap();
+            }
+        });
     report.assert_ok();
 }
 
@@ -125,18 +140,21 @@ fn notify_all_releases_every_sleeper() {
 /// lives in domain 1 must fall back and wake it — work is never stranded for locality's sake.
 #[test]
 fn domain_fallback_never_strands_work() {
-    let report = Checker::new().preemption_bound(4).random_runs(500).check(|| {
-        let sleep = Arc::new(SleepState::new(2));
-        let work = Arc::new(AtomicBool::new(false));
-        let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
-        let worker = thread::spawn(move || worker_loop(&s2, 1, &w2));
-        work.store(true, Ordering::SeqCst);
-        let (hit, _fallback) = sleep.notify_many(1, Some(0));
-        // Whatever the interleaving, the wake must not claim a preferred-domain hit: the only
-        // possible sleeper is in domain 1.
-        assert_eq!(hit, 0);
-        worker.join().unwrap();
-    });
+    let report = Checker::new()
+        .preemption_bound(4)
+        .random_runs(500)
+        .check(|| {
+            let sleep = Arc::new(SleepState::new(2));
+            let work = Arc::new(AtomicBool::new(false));
+            let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
+            let worker = thread::spawn(move || worker_loop(&s2, 1, &w2));
+            work.store(true, Ordering::SeqCst);
+            let (hit, _fallback) = sleep.notify_many(1, Some(0));
+            // Whatever the interleaving, the wake must not claim a preferred-domain hit: the only
+            // possible sleeper is in domain 1.
+            assert_eq!(hit, 0);
+            worker.join().unwrap();
+        });
     report.assert_ok();
 }
 
@@ -144,21 +162,24 @@ fn domain_fallback_never_strands_work() {
 /// preferred one.
 #[test]
 fn notify_many_crosses_domains() {
-    let report = Checker::new().preemption_bound(2).random_runs(300).check(|| {
-        let sleep = Arc::new(SleepState::new(2));
-        let work = Arc::new(AtomicBool::new(false));
-        let workers: Vec<_> = (0..2)
-            .map(|domain| {
-                let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
-                thread::spawn(move || worker_loop(&s2, domain, &w2))
-            })
-            .collect();
-        work.store(true, Ordering::SeqCst);
-        sleep.notify_many(2, Some(0));
-        for w in workers {
-            w.join().unwrap();
-        }
-    });
+    let report = Checker::new()
+        .preemption_bound(2)
+        .random_runs(300)
+        .check(|| {
+            let sleep = Arc::new(SleepState::new(2));
+            let work = Arc::new(AtomicBool::new(false));
+            let workers: Vec<_> = (0..2)
+                .map(|domain| {
+                    let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
+                    thread::spawn(move || worker_loop(&s2, domain, &w2))
+                })
+                .collect();
+            work.store(true, Ordering::SeqCst);
+            sleep.notify_many(2, Some(0));
+            for w in workers {
+                w.join().unwrap();
+            }
+        });
     report.assert_ok();
 }
 
@@ -181,7 +202,10 @@ mod buggy {
 
     impl BuggySleepState {
         pub fn new() -> Self {
-            BuggySleepState { epoch: Mutex::new(0), condvar: Condvar::new() }
+            BuggySleepState {
+                epoch: Mutex::new(0),
+                condvar: Condvar::new(),
+            }
         }
 
         pub fn current_epoch(&self) -> u64 {

@@ -58,8 +58,15 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
     let start = events.iter().map(|e| e.start_ns).min().unwrap_or(0);
     let end = events.iter().map(|e| e.end_ns).max().unwrap_or(0);
     let span_ns = end.saturating_sub(start);
-    let busy_ns: u64 = busy_intervals(events).iter().map(|(start, end)| end - start).sum();
-    let effective_parallelism = if span_ns == 0 { 0.0 } else { busy_ns as f64 / span_ns as f64 };
+    let busy_ns: u64 = busy_intervals(events)
+        .iter()
+        .map(|(start, end)| end - start)
+        .sum();
+    let effective_parallelism = if span_ns == 0 {
+        0.0
+    } else {
+        busy_ns as f64 / span_ns as f64
+    };
 
     let mut by_label: BTreeMap<&str, (usize, u64)> = BTreeMap::new();
     for e in events {
@@ -73,19 +80,31 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
             label: label.to_string(),
             count,
             total_ns,
-            mean_ns: if count == 0 { 0.0 } else { total_ns as f64 / count as f64 },
+            mean_ns: if count == 0 {
+                0.0
+            } else {
+                total_ns as f64 / count as f64
+            },
         })
         .collect();
 
-    TraceSummary { tasks: events.len(), span_ns, busy_ns, effective_parallelism, labels }
+    TraceSummary {
+        tasks: events.len(),
+        span_ns,
+        busy_ns,
+        effective_parallelism,
+        labels,
+    }
 }
 
 /// The stretches of time each worker spent inside task bodies (see [`TraceSummary::busy_ns`]):
 /// per worker, the union of its events as disjoint `(start_ns, end_ns)` intervals, the
 /// workers' lists concatenated.
 fn busy_intervals(events: &[TraceEvent]) -> Vec<(u64, u64)> {
-    let mut spans: Vec<(usize, u64, u64)> =
-        events.iter().map(|e| (e.worker, e.start_ns, e.end_ns)).collect();
+    let mut spans: Vec<(usize, u64, u64)> = events
+        .iter()
+        .map(|e| (e.worker, e.start_ns, e.end_ns))
+        .collect();
     spans.sort_unstable();
     let mut merged: Vec<(usize, u64, u64)> = Vec::with_capacity(spans.len());
     for (worker, start, end) in spans {
@@ -94,7 +113,10 @@ fn busy_intervals(events: &[TraceEvent]) -> Vec<(u64, u64)> {
             _ => merged.push((worker, start, end)),
         }
     }
-    merged.into_iter().map(|(_, start, end)| (start, end)).collect()
+    merged
+        .into_iter()
+        .map(|(_, start, end)| (start, end))
+        .collect()
 }
 
 /// Effective parallelism of a set of events (`busy / span`), the Figure 6 metric.
@@ -106,7 +128,10 @@ pub fn effective_parallelism(events: &[TraceEvent]) -> f64 {
 /// (as [`TraceSummary::busy_ns`] counts it) on average during each bucket.
 pub fn parallelism_profile(events: &[TraceEvent], buckets: usize) -> ParallelismProfile {
     if events.is_empty() || buckets == 0 {
-        return ParallelismProfile { bucket_ns: 0, concurrency: Vec::new() };
+        return ParallelismProfile {
+            bucket_ns: 0,
+            concurrency: Vec::new(),
+        };
     }
     let start = events.iter().map(|e| e.start_ns).min().unwrap_or(0);
     let end = events.iter().map(|e| e.end_ns).max().unwrap_or(0);
@@ -125,7 +150,10 @@ pub fn parallelism_profile(events: &[TraceEvent], buckets: usize) -> Parallelism
     }
     ParallelismProfile {
         bucket_ns,
-        concurrency: busy.into_iter().map(|b| b as f64 / bucket_ns as f64).collect(),
+        concurrency: busy
+            .into_iter()
+            .map(|b| b as f64 / bucket_ns as f64)
+            .collect(),
     }
 }
 
@@ -134,7 +162,12 @@ mod tests {
     use super::*;
 
     fn ev(worker: usize, label: &str, start: u64, end: u64) -> TraceEvent {
-        TraceEvent { worker, label: label.to_string(), start_ns: start, end_ns: end }
+        TraceEvent {
+            worker,
+            label: label.to_string(),
+            start_ns: start,
+            end_ns: end,
+        }
     }
 
     #[test]
@@ -163,17 +196,32 @@ mod tests {
     /// event: one worker is busy once, not three times over.
     #[test]
     fn nested_events_on_one_worker_count_once() {
-        let events = vec![ev(0, "outer", 0, 100), ev(0, "child", 10, 40), ev(0, "child", 50, 90)];
+        let events = vec![
+            ev(0, "outer", 0, 100),
+            ev(0, "child", 10, 40),
+            ev(0, "child", 50, 90),
+        ];
         let s = summarize(&events);
         assert_eq!(s.busy_ns, 100);
-        assert!(s.effective_parallelism <= 1.0, "got {}", s.effective_parallelism);
+        assert!(
+            s.effective_parallelism <= 1.0,
+            "got {}",
+            s.effective_parallelism
+        );
         let profile = parallelism_profile(&events, 4);
-        assert!(profile.concurrency.iter().all(|&c| c <= 1.0 + 1e-9), "{profile:?}");
+        assert!(
+            profile.concurrency.iter().all(|&c| c <= 1.0 + 1e-9),
+            "{profile:?}"
+        );
     }
 
     #[test]
     fn label_stats_are_grouped_and_averaged() {
-        let events = vec![ev(0, "sort", 0, 10), ev(1, "sort", 0, 30), ev(0, "scan", 10, 20)];
+        let events = vec![
+            ev(0, "sort", 0, 10),
+            ev(1, "sort", 0, 30),
+            ev(0, "scan", 10, 20),
+        ];
         let s = summarize(&events);
         assert_eq!(s.tasks, 3);
         assert_eq!(s.labels.len(), 2);

@@ -171,7 +171,10 @@ impl TraceCollector {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("worker,label,start_ns,end_ns\n");
         for e in self.events() {
-            out.push_str(&format!("{},{},{},{}\n", e.worker, e.label, e.start_ns, e.end_ns));
+            out.push_str(&format!(
+                "{},{},{},{}\n",
+                e.worker, e.label, e.start_ns, e.end_ns
+            ));
         }
         out
     }
@@ -206,8 +209,14 @@ impl RuntimeObserver for TraceCollector {
 
     fn task_executed(&self, execution: &TaskExecution<'_>) {
         let mut inner = self.inner.lock();
-        let start_ns = execution.start.saturating_duration_since(inner.origin).as_nanos() as u64;
-        let end_ns = execution.end.saturating_duration_since(inner.origin).as_nanos() as u64;
+        let start_ns = execution
+            .start
+            .saturating_duration_since(inner.origin)
+            .as_nanos() as u64;
+        let end_ns = execution
+            .end
+            .saturating_duration_since(inner.origin)
+            .as_nanos() as u64;
         let event = TraceEvent {
             worker: execution.worker,
             label: execution.label.to_string(),
@@ -226,8 +235,18 @@ mod tests {
     fn record_and_snapshot() {
         let c = TraceCollector::new();
         assert!(c.is_empty());
-        c.record(TraceEvent { worker: 0, label: "a".into(), start_ns: 0, end_ns: 10 });
-        c.record(TraceEvent { worker: 1, label: "b".into(), start_ns: 5, end_ns: 25 });
+        c.record(TraceEvent {
+            worker: 0,
+            label: "a".into(),
+            start_ns: 0,
+            end_ns: 10,
+        });
+        c.record(TraceEvent {
+            worker: 1,
+            label: "b".into(),
+            start_ns: 5,
+            end_ns: 25,
+        });
         assert_eq!(c.len(), 2);
         let events = c.events();
         assert_eq!(events[1].duration_ns(), 20);
@@ -241,7 +260,12 @@ mod tests {
     fn capacity_bounds_the_collector_and_counts_drops() {
         let c = TraceCollector::with_capacity(3);
         for i in 0..10u64 {
-            c.record(TraceEvent { worker: 0, label: format!("e{i}"), start_ns: i, end_ns: i });
+            c.record(TraceEvent {
+                worker: 0,
+                label: format!("e{i}"),
+                start_ns: i,
+                end_ns: i,
+            });
         }
         assert_eq!(c.len(), 3, "the ring must retain exactly `capacity` events");
         assert_eq!(c.dropped(), 7);
@@ -255,7 +279,12 @@ mod tests {
     #[test]
     fn reset_clears_events() {
         let c = TraceCollector::new();
-        c.record(TraceEvent { worker: 0, label: "a".into(), start_ns: 0, end_ns: 10 });
+        c.record(TraceEvent {
+            worker: 0,
+            label: "a".into(),
+            start_ns: 0,
+            end_ns: 10,
+        });
         c.reset();
         assert!(c.is_empty());
     }

@@ -19,7 +19,10 @@ pub struct TimelineOptions {
 
 impl Default for TimelineOptions {
     fn default() -> Self {
-        TimelineOptions { width: 100, legend: true }
+        TimelineOptions {
+            width: 100,
+            legend: true,
+        }
     }
 }
 
@@ -59,22 +62,26 @@ pub fn render_timeline(events: &[TraceEvent], options: &TimelineOptions) -> Stri
     let mut used = std::collections::HashSet::new();
     let mut final_symbols: BTreeMap<&str, char> = BTreeMap::new();
     for (i, (&label, &sym)) in symbol_of.iter().enumerate() {
-        let sym = if used.contains(&sym) { SYMBOLS[i % SYMBOLS.len()].to_ascii_uppercase() } else { sym };
+        let sym = if used.contains(&sym) {
+            SYMBOLS[i % SYMBOLS.len()].to_ascii_uppercase()
+        } else {
+            sym
+        };
         used.insert(sym);
         final_symbols.insert(label, sym);
     }
 
     // busy_per_cell[worker][column][label index] = ns
-    let mut cell_owner: Vec<Vec<BTreeMap<&str, u64>>> =
-        vec![vec![BTreeMap::new(); width]; workers];
+    let mut cell_owner: Vec<Vec<BTreeMap<&str, u64>>> = vec![vec![BTreeMap::new(); width]; workers];
     for e in events {
         let mut cursor = e.start_ns;
         while cursor < e.end_ns {
             let col = (((cursor - start) as f64 / slice) as usize).min(width - 1);
             let col_end = start + ((col as u64 + 1) as f64 * slice) as u64;
             let piece_end = e.end_ns.min(col_end.max(cursor + 1));
-            *cell_owner[e.worker][col].entry(e.label.as_str()).or_insert(0) +=
-                piece_end - cursor;
+            *cell_owner[e.worker][col]
+                .entry(e.label.as_str())
+                .or_insert(0) += piece_end - cursor;
             cursor = piece_end;
         }
     }
@@ -118,7 +125,12 @@ mod tests {
     use super::*;
 
     fn ev(worker: usize, label: &str, start: u64, end: u64) -> TraceEvent {
-        TraceEvent { worker, label: label.to_string(), start_ns: start, end_ns: end }
+        TraceEvent {
+            worker,
+            label: label.to_string(),
+            start_ns: start,
+            end_ns: end,
+        }
     }
 
     #[test]
@@ -130,7 +142,10 @@ mod tests {
     #[test]
     fn rows_match_workers_and_busy_cells_are_marked() {
         let events = vec![ev(0, "sort", 0, 1000), ev(1, "scan", 500, 1000)];
-        let options = TimelineOptions { width: 20, legend: true };
+        let options = TimelineOptions {
+            width: 20,
+            legend: true,
+        };
         let s = render_timeline(&events, &options);
         let lines: Vec<&str> = s.lines().collect();
         // header + 2 workers + legend
@@ -148,7 +163,13 @@ mod tests {
     #[test]
     fn duplicate_first_letters_get_distinct_symbols() {
         let events = vec![ev(0, "sort", 0, 100), ev(0, "scan", 100, 200)];
-        let s = render_timeline(&events, &TimelineOptions { width: 20, legend: true });
+        let s = render_timeline(
+            &events,
+            &TimelineOptions {
+                width: 20,
+                legend: true,
+            },
+        );
         // Legend must contain both labels with two distinct symbols.
         let legend_line = s.lines().last().unwrap();
         assert!(legend_line.contains("=scan") && legend_line.contains("=sort"));

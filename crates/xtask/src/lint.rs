@@ -79,8 +79,13 @@ pub struct LockClass {
 /// The configured classes for a real workspace file, selected by file name.
 pub fn classes_for(path: &Path) -> &'static [LockClass] {
     // Scheduler entry points that queue work (and signal the sleep protocol themselves).
-    const DISPATCH: &[&str] =
-        &[".pump(", ".submit(", ".submit_batch(", ".dispatch_ready(", ".dispatch_spawned("];
+    const DISPATCH: &[&str] = &[
+        ".pump(",
+        ".submit(",
+        ".submit_batch(",
+        ".dispatch_ready(",
+        ".dispatch_spawned(",
+    ];
     // `DISPATCH` plus every sleep-protocol wake — and `work_until`, which sleeps *and* runs
     // arbitrary tasks, and `recycle`, which files retired ids under a free list.
     const WAKE_OR_DISPATCH: &[&str] = &[
@@ -231,8 +236,7 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         DOMAIN_CLASSES
     } else if name.contains("sleep") {
         SLEEP_CLASSES
-    } else if name.contains("runtime") || name.contains("registry") || name.contains("return_bin")
-    {
+    } else if name.contains("runtime") || name.contains("registry") || name.contains("return_bin") {
         RUNTIME_CLASSES
     } else if name.contains("watchdog") {
         WATCHDOG_CLASSES
@@ -327,7 +331,10 @@ fn sanitize(line: &str, in_block_comment: &mut bool) -> String {
                 // quote within a few bytes; a lifetime does not.
                 let lit_len = if bytes.get(i + 1) == Some(&b'\\') {
                     // escaped char, e.g. '\n' or '\u{..}' — find the closing quote
-                    bytes[i + 2..].iter().position(|&b| b == b'\'').map(|p| p + 3)
+                    bytes[i + 2..]
+                        .iter()
+                        .position(|&b| b == b'\'')
+                        .map(|p| p + 3)
                 } else if bytes.get(i + 2) == Some(&b'\'') {
                     Some(3)
                 } else {
@@ -417,8 +424,12 @@ pub fn scan_source(file_label: &str, source: &str, classes: &[LockClass]) -> Vec
             fn_stack.push((name, depth + 1));
         }
 
-        let current_fn =
-            || fn_stack.last().map(|(n, _)| n.clone()).unwrap_or_else(|| "<top>".into());
+        let current_fn = || {
+            fn_stack
+                .last()
+                .map(|(n, _)| n.clone())
+                .unwrap_or_else(|| "<top>".into())
+        };
 
         // Rule checks run against guards live *before* this line's own acquisition.
         for guard in &guards {
@@ -473,7 +484,12 @@ pub fn scan_source(file_label: &str, source: &str, classes: &[LockClass]) -> Vec
             }
             if is_guard_binding(&code) {
                 if let Some(name) = let_binding_name(&code) {
-                    guards.push(Guard { name, class_idx, depth, line: line_no });
+                    guards.push(Guard {
+                        name,
+                        class_idx,
+                        depth,
+                        line: line_no,
+                    });
                 }
             }
         }
@@ -520,7 +536,10 @@ mod tests {
     fn clean_outbox_protocol_passes() {
         let src = include_str!("../fixtures/clean_outbox.rs");
         let violations = scan_source("clean_outbox.rs", src, domain_classes());
-        assert!(violations.is_empty(), "clean fixture flagged: {violations:?}");
+        assert!(
+            violations.is_empty(),
+            "clean fixture flagged: {violations:?}"
+        );
     }
 
     #[test]
@@ -528,7 +547,9 @@ mod tests {
         let src = include_str!("../fixtures/nested_domain_lock.rs");
         let violations = scan_source("nested_domain_lock.rs", src, domain_classes());
         assert!(
-            violations.iter().any(|v| v.rule == "nested-lock" && v.function == "hold_and_wait"),
+            violations
+                .iter()
+                .any(|v| v.rule == "nested-lock" && v.function == "hold_and_wait"),
             "nested-lock not flagged: {violations:?}"
         );
     }
@@ -575,7 +596,10 @@ mod tests {
             }
         "#;
         let violations = scan_source("inline.rs", src, domain_classes());
-        assert!(violations.is_empty(), "temporary treated as guard: {violations:?}");
+        assert!(
+            violations.is_empty(),
+            "temporary treated as guard: {violations:?}"
+        );
     }
 
     #[test]
@@ -645,7 +669,9 @@ mod tests {
         "#;
         let violations = scan_source("engine.rs", nested, domain_classes());
         assert!(
-            violations.iter().any(|v| v.rule == "leaf-lock" && v.function == "retire"),
+            violations
+                .iter()
+                .any(|v| v.rule == "leaf-lock" && v.function == "retire"),
             "a free list taken under a domain guard not flagged: {violations:?}"
         );
         assert!(
@@ -663,7 +689,9 @@ mod tests {
         "#;
         let violations = scan_source("engine.rs", dirty, domain_classes());
         assert!(
-            violations.iter().any(|v| v.rule == "leaf-lock" && v.function == "reserve"),
+            violations
+                .iter()
+                .any(|v| v.rule == "leaf-lock" && v.function == "reserve"),
             "domain lock under a free-list guard not flagged: {violations:?}"
         );
     }
@@ -705,7 +733,9 @@ mod tests {
         let violations = scan_source("return_bin_under_lock.rs", src, classes_for(&path));
         for function in ["registry_under_bin", "bin_under_domain"] {
             assert!(
-                violations.iter().any(|v| v.rule == "leaf-lock" && v.function == function),
+                violations
+                    .iter()
+                    .any(|v| v.rule == "leaf-lock" && v.function == function),
                 "{function} not flagged: {violations:?}"
             );
         }
@@ -723,14 +753,22 @@ mod tests {
                 self.len.store(parked.len(), Relaxed);
             }
         "#;
-        assert!(scan_source("runtime.rs", clean, classes_for(&PathBuf::from("runtime.rs")))
-            .is_empty());
+        assert!(scan_source(
+            "runtime.rs",
+            clean,
+            classes_for(&PathBuf::from("runtime.rs"))
+        )
+        .is_empty());
     }
 
     #[test]
     fn fair_queue_and_gate_classes_resolve_and_flag() {
         let fair_classes = classes_for(&PathBuf::from("crates/threadpool/src/lib.rs"));
-        assert_eq!(fair_classes.len(), 1, "threadpool lib.rs must get the fair-queue class");
+        assert_eq!(
+            fair_classes.len(),
+            1,
+            "threadpool lib.rs must get the fair-queue class"
+        );
         let dirty = r#"
             fn push_and_wake(&self) {
                 let mut inner = self.fair.lock();
@@ -744,7 +782,11 @@ mod tests {
             "wake under the fair-queue guard not flagged: {violations:?}"
         );
 
-        assert_eq!(sleep_classes().len(), 2, "sleep.rs must get the park + gate classes");
+        assert_eq!(
+            sleep_classes().len(),
+            2,
+            "sleep.rs must get the park + gate classes"
+        );
         let clean = r#"
             fn notify(&self) {
                 let _guard = self.mutex.lock();
@@ -761,8 +803,11 @@ mod tests {
                 worker.work_until(done);
             }
         "#;
-        let violations =
-            scan_source("runtime.rs", dirty, classes_for(&PathBuf::from("runtime.rs")));
+        let violations = scan_source(
+            "runtime.rs",
+            dirty,
+            classes_for(&PathBuf::from("runtime.rs")),
+        );
         assert!(
             violations.iter().any(|v| v.rule == "call-while-locked"),
             "the idle loop under the registry guard not flagged: {violations:?}"
@@ -772,7 +817,11 @@ mod tests {
     #[test]
     fn watchdog_state_is_leaf_but_its_condvar_protocol_is_allowed() {
         let watchdog_classes = classes_for(&PathBuf::from("crates/threadpool/src/watchdog.rs"));
-        assert_eq!(watchdog_classes.len(), 1, "watchdog.rs must get the watchdog class");
+        assert_eq!(
+            watchdog_classes.len(),
+            1,
+            "watchdog.rs must get the watchdog class"
+        );
         // The real sleep loop shape: condvar wait/notify under the state mutex is the
         // protocol, not a violation.
         let clean = r#"
@@ -806,7 +855,11 @@ mod tests {
     #[test]
     fn assist_registry_is_leaf_and_runs_no_chunk_under_the_lock() {
         let assist_classes = classes_for(&PathBuf::from("crates/threadpool/src/assist.rs"));
-        assert_eq!(assist_classes.len(), 2, "assist.rs must get the registry + poison classes");
+        assert_eq!(
+            assist_classes.len(),
+            2,
+            "assist.rs must get the registry + poison classes"
+        );
         // The real shapes: publish/retire/select only mutate the Vec; the poison slot only
         // stores the payload. The publish wake happens in the caller, after release.
         let clean = r#"
@@ -859,7 +912,9 @@ mod tests {
             "chunk execution under the registry guard not flagged: {violations:?}"
         );
         assert!(
-            violations.iter().any(|v| v.rule == "leaf-lock" && v.function == "poison_takes_a_lock"),
+            violations
+                .iter()
+                .any(|v| v.rule == "leaf-lock" && v.function == "poison_takes_a_lock"),
             "a lock taken under the poison guard must be flagged: {violations:?}"
         );
     }

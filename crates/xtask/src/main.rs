@@ -115,8 +115,11 @@ fn lint_locks(args: Vec<String>) -> ExitCode {
             );
             continue;
         }
-        let label =
-            file.file_name().and_then(|n| n.to_str()).unwrap_or("<file>").to_string();
+        let label = file
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or("<file>")
+            .to_string();
         for violation in lint::scan_source(&label, &source, classes) {
             if allowlist.contains(&violation.key()) {
                 allowed += 1;

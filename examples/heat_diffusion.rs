@@ -21,7 +21,9 @@ fn main() {
     let iterations = args.get(2).copied().unwrap_or(24);
     assert!(side % ts == 0, "the block side must divide the grid side");
 
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(2);
     let trace = TraceCollector::shared();
     let cachesim = CacheSimObserver::shared(CacheConfig::default());
     let rt = Runtime::new(
@@ -31,7 +33,11 @@ fn main() {
             .observer(cachesim.clone()),
     );
 
-    let cfg = GsConfig { blocks: side / ts, ts, iterations };
+    let cfg = GsConfig {
+        blocks: side / ts,
+        ts,
+        iterations,
+    };
     println!(
         "heat diffusion: {side}x{side} grid, {ts}x{ts} blocks, {iterations} iterations, {workers} workers\n"
     );

@@ -35,10 +35,18 @@ fn busy(label: &str) {
 fn report(style: &str, trace: &TraceCollector) {
     let events = trace.events();
     let find_end = |label: &str| {
-        events.iter().find(|e| e.label == label).map(|e| e.end_ns).unwrap_or(0)
+        events
+            .iter()
+            .find(|e| e.label == label)
+            .map(|e| e.end_ns)
+            .unwrap_or(0)
     };
     let find_start = |label: &str| {
-        events.iter().find(|e| e.label == label).map(|e| e.start_ns).unwrap_or(0)
+        events
+            .iter()
+            .find(|e| e.label == label)
+            .map(|e| e.start_ns)
+            .unwrap_or(0)
     };
     let t11_end = find_end("T1.1");
     let t12_end = find_end("T1.2");
@@ -48,7 +56,11 @@ fn report(style: &str, trace: &TraceCollector) {
         "T2.1 started {:.1} ms after T1.1 finished, {:.1} ms {} T1.2 finished",
         (t21_start as f64 - t11_end as f64) / 1e6,
         ((t21_start as f64 - t12_end as f64) / 1e6).abs(),
-        if t21_start >= t12_end { "after" } else { "BEFORE" },
+        if t21_start >= t12_end {
+            "after"
+        } else {
+            "BEFORE"
+        },
     );
 }
 
@@ -67,12 +79,16 @@ fn main() {
         rt.run(move |ctx| {
             // T1
             let vv = v.clone();
-            ctx.task().inout(r_of(&v, a)).inout(r_of(&v, b)).label("T1").spawn(move |t| {
-                busy("T1");
-                vv.task_helper(t, a, "T1.1");
-                vv.task_helper(t, b, "T1.2");
-                t.taskwait();
-            });
+            ctx.task()
+                .inout(r_of(&v, a))
+                .inout(r_of(&v, b))
+                .label("T1")
+                .spawn(move |t| {
+                    busy("T1");
+                    vv.task_helper(t, a, "T1.1");
+                    vv.task_helper(t, b, "T1.2");
+                    t.taskwait();
+                });
             // T2 (strong deps on a, b even though only its children need them)
             let vv = v.clone();
             ctx.task()
@@ -187,10 +203,13 @@ impl ListingTasks for SharedSlice<u8> {
     /// `var += ...` (the paper's T1.x tasks).
     fn task_helper(&self, ctx: &weakdep::TaskCtx<'_>, var: usize, label: &'static str) {
         let v = self.clone();
-        ctx.task().inout(self.region(var..var + 1)).label(label).spawn(move |t| {
-            busy(label);
-            v.write(t, var..var + 1)[0] = v.read(t, var..var + 1)[0].wrapping_add(1);
-        });
+        ctx.task()
+            .inout(self.region(var..var + 1))
+            .label(label)
+            .spawn(move |t| {
+                busy(label);
+                v.write(t, var..var + 1)[0] = v.read(t, var..var + 1)[0].wrapping_add(1);
+            });
     }
 
     /// `output = ... input ...` (the paper's T2.x / T3.x tasks).
@@ -216,9 +235,12 @@ impl ListingTasks for SharedSlice<u8> {
     /// `... = ... var ...` (the paper's T4.x tasks).
     fn task_reader(&self, ctx: &weakdep::TaskCtx<'_>, var: usize, label: &'static str) {
         let v = self.clone();
-        ctx.task().input(self.region(var..var + 1)).label(label).spawn(move |t| {
-            busy(label);
-            std::hint::black_box(v.read(t, var..var + 1)[0]);
-        });
+        ctx.task()
+            .input(self.region(var..var + 1))
+            .label(label)
+            .spawn(move |t| {
+                busy(label);
+                std::hint::black_box(v.read(t, var..var + 1)[0]);
+            });
     }
 }

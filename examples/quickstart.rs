@@ -9,7 +9,9 @@
 use weakdep::{Runtime, RuntimeConfig, SharedSlice};
 
 fn main() {
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(2);
     let rt = Runtime::new(RuntimeConfig::new().workers(workers));
     println!("running on {workers} workers");
 
@@ -31,7 +33,11 @@ fn main() {
                 .weak_input(xr.region(0..n))
                 .weak_inout(yr.region(0..n))
                 .weakwait()
-                .label(if call == 0 { "axpy-call-0" } else { "axpy-call-1" })
+                .label(if call == 0 {
+                    "axpy-call-0"
+                } else {
+                    "axpy-call-1"
+                })
                 .spawn(move |outer| {
                     for start in (0..n).step_by(block) {
                         let end = (start + block).min(n);

@@ -18,20 +18,44 @@ fn main() {
     let n = args.first().copied().unwrap_or(1 << 19);
     let ts = args.get(1).copied().unwrap_or(1 << 13);
 
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(2);
     let trace = TraceCollector::shared();
-    let rt = Runtime::new(RuntimeConfig::new().workers(workers).observer(trace.clone()));
-    let cfg = SortScanConfig { n, ts, seed: 20170529 };
+    let rt = Runtime::new(
+        RuntimeConfig::new()
+            .workers(workers)
+            .observer(trace.clone()),
+    );
+    let cfg = SortScanConfig {
+        n,
+        ts,
+        seed: 20170529,
+    };
 
     println!("quicksort + prefix sum over {n} elements, base case {ts}, {workers} workers\n");
     for variant in SortScanVariant::all() {
         trace.reset();
         let (run, result) = sort_scan::run(&rt, variant, &cfg);
-        assert!(sort_scan::verify(&cfg, &result), "wrong result for {}", variant.name());
-        println!("=== {} ({:.2} ms) ===", variant.name(), run.elapsed.as_secs_f64() * 1e3);
+        assert!(
+            sort_scan::verify(&cfg, &result),
+            "wrong result for {}",
+            variant.name()
+        );
+        println!(
+            "=== {} ({:.2} ms) ===",
+            variant.name(),
+            run.elapsed.as_secs_f64() * 1e3
+        );
         print!(
             "{}",
-            render_timeline(&trace.events(), &TimelineOptions { width: 100, legend: true })
+            render_timeline(
+                &trace.events(),
+                &TimelineOptions {
+                    width: 100,
+                    legend: true
+                }
+            )
         );
         println!();
     }

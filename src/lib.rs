@@ -51,9 +51,9 @@ pub use weakdep_trace as trace;
 
 pub use weakdep_core::{
     AccessType, AdmissionStats, CapacityStats, Clauses, Depend, JobError, JobHandle, JobOptions,
-    JobStats, LoopView, LoopViewMut, PanicPolicy, Region, Runtime, RuntimeConfig,
-    RuntimeObserver, RuntimeStats, SchedulingPolicy, SharedSlice, SpaceId, StaleTaskId,
-    TaskBuilder, TaskCtx, TaskId, TaskSpec, WaitMode,
+    JobStats, LoopView, LoopViewMut, PanicPolicy, Region, Runtime, RuntimeConfig, RuntimeObserver,
+    RuntimeStats, SchedulingPolicy, SharedSlice, SpaceId, StaleTaskId, TaskBuilder, TaskCtx,
+    TaskId, TaskSpec, WaitMode,
 };
 
 #[cfg(feature = "faults")]

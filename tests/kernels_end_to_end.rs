@@ -11,7 +11,12 @@ use weakdep_kernels::sort_scan::{self, SortScanConfig, SortScanVariant};
 
 #[test]
 fn axpy_all_variants_all_worker_counts() {
-    let cfg = AxpyConfig { n: 1 << 13, calls: 4, task_size: 1 << 10, alpha: 1.25 };
+    let cfg = AxpyConfig {
+        n: 1 << 13,
+        calls: 4,
+        task_size: 1 << 10,
+        alpha: 1.25,
+    };
     for workers in [1, 2, 4] {
         let rt = Runtime::with_workers(workers);
         for variant in AxpyVariant::all() {
@@ -31,9 +36,24 @@ fn axpy_all_variants_all_worker_counts() {
 #[test]
 fn axpy_spawn_each_waves_match_the_reference_under_every_policy() {
     let configs = [
-        AxpyConfig { n: 1 << 13, calls: 3, task_size: 1 << 10, alpha: 1.25 },
-        AxpyConfig { n: 10_007, calls: 3, task_size: 1024, alpha: 0.75 },
-        AxpyConfig { n: 0, calls: 2, task_size: 1024, alpha: 2.0 },
+        AxpyConfig {
+            n: 1 << 13,
+            calls: 3,
+            task_size: 1 << 10,
+            alpha: 1.25,
+        },
+        AxpyConfig {
+            n: 10_007,
+            calls: 3,
+            task_size: 1024,
+            alpha: 0.75,
+        },
+        AxpyConfig {
+            n: 0,
+            calls: 2,
+            task_size: 1024,
+            alpha: 2.0,
+        },
     ];
     for policy in SchedulingPolicy::all() {
         let rt = Runtime::new(RuntimeConfig::new().workers(2).scheduling_policy(policy));
@@ -60,7 +80,11 @@ fn axpy_spawn_each_waves_match_the_reference_under_every_policy() {
 
 #[test]
 fn gauss_seidel_all_variants_all_worker_counts() {
-    let cfg = GsConfig { blocks: 3, ts: 8, iterations: 4 };
+    let cfg = GsConfig {
+        blocks: 3,
+        ts: 8,
+        iterations: 4,
+    };
     for workers in [1, 2, 4] {
         let rt = Runtime::with_workers(workers);
         for variant in GsVariant::all() {
@@ -76,7 +100,11 @@ fn gauss_seidel_all_variants_all_worker_counts() {
 
 #[test]
 fn sort_scan_both_variants_all_worker_counts() {
-    let cfg = SortScanConfig { n: 6_000, ts: 512, seed: 5 };
+    let cfg = SortScanConfig {
+        n: 6_000,
+        ts: 512,
+        seed: 5,
+    };
     for workers in [1, 2, 4] {
         let rt = Runtime::with_workers(workers);
         for variant in SortScanVariant::all() {
@@ -95,12 +123,21 @@ fn sort_scan_both_variants_all_worker_counts() {
 #[test]
 fn repeated_kernel_runs_on_one_runtime() {
     let rt = Runtime::with_workers(4);
-    let cfg = AxpyConfig { n: 1 << 12, calls: 3, task_size: 512, alpha: 0.5 };
+    let cfg = AxpyConfig {
+        n: 1 << 12,
+        calls: 3,
+        task_size: 512,
+        alpha: 0.5,
+    };
     for _ in 0..5 {
         let (_run, result) = axpy::run(&rt, AxpyVariant::NestWeak, &cfg);
         assert!(axpy::verify(&cfg, &result));
     }
-    let gs = GsConfig { blocks: 2, ts: 8, iterations: 2 };
+    let gs = GsConfig {
+        blocks: 2,
+        ts: 8,
+        iterations: 2,
+    };
     let (_run, result) = gauss_seidel::run(&rt, GsVariant::FlatDepend, &gs);
     assert!(gauss_seidel::verify(&gs, &result));
 }
@@ -129,10 +166,13 @@ fn stress_many_nested_tasks() {
                     for i in start..end {
                         let d3 = d2.clone();
                         let c3 = Arc::clone(&c2);
-                        t.task().inout(d2.region(i..i + 1)).label("inner").spawn(move |ct| {
-                            d3.write(ct, i..i + 1)[0] = i as u64;
-                            c3.fetch_add(1, Ordering::Relaxed);
-                        });
+                        t.task()
+                            .inout(d2.region(i..i + 1))
+                            .label("inner")
+                            .spawn(move |ct| {
+                                d3.write(ct, i..i + 1)[0] = i as u64;
+                                c3.fetch_add(1, Ordering::Relaxed);
+                            });
                     }
                 });
         }
@@ -143,7 +183,10 @@ fn stress_many_nested_tasks() {
         assert_eq!(*v, i as u64);
     }
     let stats = rt.stats();
-    assert_eq!(stats.engine.tasks_registered, 1 + outer_count + outer_count * inner_count);
+    assert_eq!(
+        stats.engine.tasks_registered,
+        1 + outer_count + outer_count * inner_count
+    );
 }
 
 /// A long chain of dependent tasks across two nesting levels (release must cascade promptly and
@@ -163,9 +206,12 @@ fn long_cross_level_dependency_chain() {
                 .label("link-outer")
                 .spawn(move |t| {
                     let d3 = d2.clone();
-                    t.task().inout(d2.region(0..1)).label("link-inner").spawn(move |c| {
-                        d3.write(c, 0..1)[0] += i as u64;
-                    });
+                    t.task()
+                        .inout(d2.region(0..1))
+                        .label("link-inner")
+                        .spawn(move |c| {
+                            d3.write(c, 0..1)[0] += i as u64;
+                        });
                 });
         }
     });
@@ -188,9 +234,17 @@ fn panicking_tasks_do_not_poison_the_runtime() {
                 }
             });
         }));
-        assert!(result.is_err(), "the injected panic must surface from run()");
+        assert!(
+            result.is_err(),
+            "the injected panic must surface from run()"
+        );
         // The runtime must still work correctly afterwards.
-        let cfg = AxpyConfig { n: 2048, calls: 2, task_size: 256, alpha: 2.0 };
+        let cfg = AxpyConfig {
+            n: 2048,
+            calls: 2,
+            task_size: 256,
+            alpha: 2.0,
+        };
         let (_r, out) = axpy::run(&rt, AxpyVariant::FlatDepend, &cfg);
         assert!(axpy::verify(&cfg, &out));
     }
@@ -200,11 +254,20 @@ fn panicking_tasks_do_not_poison_the_runtime() {
 #[test]
 fn runtime_statistics_are_consistent() {
     let rt = Runtime::with_workers(2);
-    let cfg = AxpyConfig { n: 1 << 12, calls: 2, task_size: 1 << 10, alpha: 1.0 };
+    let cfg = AxpyConfig {
+        n: 1 << 12,
+        calls: 2,
+        task_size: 1 << 10,
+        alpha: 1.0,
+    };
     let before = rt.stats().tasks_executed;
     let (run, _result) = axpy::run(&rt, AxpyVariant::NestWeak, &cfg);
     let after = rt.stats().tasks_executed;
-    assert_eq!(after - before, run.tasks, "executed tasks must match the kernel's accounting");
+    assert_eq!(
+        after - before,
+        run.tasks,
+        "executed tasks must match the kernel's accounting"
+    );
 
     // Release edges are only created when a successor registers while the predecessor's access
     // is still unreleased; with 2 workers the axpy waves can drain before the next call
@@ -218,16 +281,22 @@ fn runtime_statistics_are_consistent() {
     rt.run(move |ctx| {
         let cw = c.clone();
         let gate_writer = std::sync::Arc::clone(&spawned);
-        ctx.task().inout(c.region(0..1)).label("gated-writer").spawn(move |t| {
-            while !gate_writer.load(std::sync::atomic::Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-            cw.write(t, 0..1)[0] = 5;
-        });
+        ctx.task()
+            .inout(c.region(0..1))
+            .label("gated-writer")
+            .spawn(move |t| {
+                while !gate_writer.load(std::sync::atomic::Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                cw.write(t, 0..1)[0] = 5;
+            });
         let cr = c.clone();
-        ctx.task().input(c.region(0..1)).label("chained-reader").spawn(move |t| {
-            assert_eq!(cr.read(t, 0..1)[0], 5);
-        });
+        ctx.task()
+            .input(c.region(0..1))
+            .label("chained-reader")
+            .spawn(move |t| {
+                assert_eq!(cr.read(t, 0..1)[0], 5);
+            });
         spawned.store(true, std::sync::atomic::Ordering::Release);
     });
     assert!(
@@ -246,12 +315,15 @@ fn runtime_statistics_are_consistent() {
     rt.run(move |ctx| {
         let dp = d.clone();
         let gate_producer = std::sync::Arc::clone(&gate);
-        ctx.task().inout(d.region(0..1)).label("slow-producer").spawn(move |t| {
-            while !gate_producer.load(std::sync::atomic::Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-            dp.write(t, 0..1)[0] = 9;
-        });
+        ctx.task()
+            .inout(d.region(0..1))
+            .label("slow-producer")
+            .spawn(move |t| {
+                while !gate_producer.load(std::sync::atomic::Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                dp.write(t, 0..1)[0] = 9;
+            });
         let dc = d.clone();
         let gate_outer = std::sync::Arc::clone(&gate);
         ctx.task()
@@ -260,9 +332,12 @@ fn runtime_statistics_are_consistent() {
             .label("weak-outer")
             .spawn(move |t| {
                 let dr = dc.clone();
-                t.task().input(dc.region(0..1)).label("reader").spawn(move |c| {
-                    assert_eq!(dr.read(c, 0..1)[0], 9);
-                });
+                t.task()
+                    .input(dc.region(0..1))
+                    .label("reader")
+                    .spawn(move |c| {
+                        assert_eq!(dr.read(c, 0..1)[0], 9);
+                    });
                 gate_outer.store(true, std::sync::atomic::Ordering::Release);
             });
     });
@@ -277,11 +352,20 @@ fn runtime_statistics_are_consistent() {
 #[test]
 fn unrelated_kernels_share_the_runtime_without_interference() {
     let rt = Runtime::with_workers(4);
-    let axpy_cfg = AxpyConfig { n: 1 << 12, calls: 2, task_size: 512, alpha: 3.0 };
+    let axpy_cfg = AxpyConfig {
+        n: 1 << 12,
+        calls: 2,
+        task_size: 512,
+        alpha: 3.0,
+    };
     let x = SharedSlice::<f64>::new(axpy_cfg.n);
     let y = SharedSlice::<f64>::new(axpy_cfg.n);
     axpy::initialize(&x, &y);
-    let sort_cfg = SortScanConfig { n: 4_096, ts: 256, seed: 123 };
+    let sort_cfg = SortScanConfig {
+        n: 4_096,
+        ts: 256,
+        seed: 123,
+    };
     let sorted_input = SharedSlice::from_vec(sort_scan::generate_input(&sort_cfg));
 
     // Run both kernels back to back on the same runtime instance.

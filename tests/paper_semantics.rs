@@ -9,7 +9,11 @@ use weakdep_trace::{TraceCollector, TraceEvent};
 
 fn instrumented(workers: usize) -> (Runtime, Arc<TraceCollector>) {
     let trace = TraceCollector::shared();
-    let rt = Runtime::new(RuntimeConfig::new().workers(workers).observer(trace.clone()));
+    let rt = Runtime::new(
+        RuntimeConfig::new()
+            .workers(workers)
+            .observer(trace.clone()),
+    );
     (rt, trace)
 }
 
@@ -37,27 +41,43 @@ fn fine_grained_release_lets_successors_overtake_slow_siblings() {
                 .inout(ar.region(0..1))
                 .inout(br.region(0..1))
                 .label("T1");
-            let builder = if weak { builder.weakwait() } else { builder.wait() };
+            let builder = if weak {
+                builder.weakwait()
+            } else {
+                builder.wait()
+            };
             builder.spawn(move |t| {
                 let a2 = ai.clone();
-                t.task().inout(ai.region(0..1)).label("T1.1").spawn(move |c| {
-                    std::thread::sleep(Duration::from_millis(10));
-                    a2.write(c, 0..1)[0] = 1;
-                });
+                t.task()
+                    .inout(ai.region(0..1))
+                    .label("T1.1")
+                    .spawn(move |c| {
+                        std::thread::sleep(Duration::from_millis(10));
+                        a2.write(c, 0..1)[0] = 1;
+                    });
                 let b2 = bi.clone();
-                t.task().inout(bi.region(0..1)).label("T1.2").spawn(move |c| {
-                    std::thread::sleep(Duration::from_millis(300));
-                    b2.write(c, 0..1)[0] = 2;
-                });
+                t.task()
+                    .inout(bi.region(0..1))
+                    .label("T1.2")
+                    .spawn(move |c| {
+                        std::thread::sleep(Duration::from_millis(300));
+                        b2.write(c, 0..1)[0] = 2;
+                    });
             });
             let a3 = ar.clone();
-            ctx.task().input(ar.region(0..1)).label("T2").spawn(move |c| {
-                assert_eq!(a3.read(c, 0..1)[0], 1);
-            });
+            ctx.task()
+                .input(ar.region(0..1))
+                .label("T2")
+                .spawn(move |c| {
+                    assert_eq!(a3.read(c, 0..1)[0], 1);
+                });
             let b3 = br.clone();
-            ctx.task().input(br.region(0..1)).label("T3").spawn(move |c| {
-                assert_eq!(b3.read(c, 0..1)[0], 2);
-            });
+            ctx.task()
+                .input(br.region(0..1))
+                .label("T3")
+                .spawn(move |c| {
+                    assert_eq!(b3.read(c, 0..1)[0], 2);
+                });
         });
         let events = trace.events();
         let t12 = event(&events, "T1.2");
@@ -104,9 +124,12 @@ fn weak_outer_dependencies_allow_parallel_instantiation() {
                     std::thread::sleep(Duration::from_millis(100));
                     for i in 0..4usize {
                         let d3 = d2.clone();
-                        t.task().inout(d2.region(i..i + 1)).label("inner").spawn(move |c| {
-                            d3.write(c, i..i + 1)[0] += 1;
-                        });
+                        t.task()
+                            .inout(d2.region(i..i + 1))
+                            .label("inner")
+                            .spawn(move |c| {
+                                d3.write(c, i..i + 1)[0] += 1;
+                            });
                     }
                     if !weak {
                         t.taskwait();
@@ -122,14 +145,20 @@ fn weak_outer_dependencies_allow_parallel_instantiation() {
     let o0 = event(&events, "outer-0");
     let o1 = event(&events, "outer-1");
     let overlap = o0.start_ns.max(o1.start_ns) < o0.end_ns.min(o1.end_ns);
-    assert!(overlap, "weak outer tasks must instantiate their children in parallel");
+    assert!(
+        overlap,
+        "weak outer tasks must instantiate their children in parallel"
+    );
 
     // Strong: the second outer task cannot start before the first one finished.
     let events = run_variant(false);
     let o0 = event(&events, "outer-0");
     let o1 = event(&events, "outer-1");
     let serialised = o1.start_ns >= o0.end_ns || o0.start_ns >= o1.end_ns;
-    assert!(serialised, "strong outer dependencies must serialise the outer tasks");
+    assert!(
+        serialised,
+        "strong outer dependencies must serialise the outer tasks"
+    );
 }
 
 /// §VIII-C / Figure 7: with weak dependencies the prefix sum overlaps the quicksort; with strong
@@ -137,7 +166,11 @@ fn weak_outer_dependencies_allow_parallel_instantiation() {
 #[test]
 fn sort_and_scan_overlap_only_with_weak_dependencies() {
     use weakdep_kernels::sort_scan::{self, SortScanConfig, SortScanVariant};
-    let cfg = SortScanConfig { n: 1 << 16, ts: 1 << 11, seed: 11 };
+    let cfg = SortScanConfig {
+        n: 1 << 16,
+        ts: 1 << 11,
+        seed: 11,
+    };
 
     let overlap_of = |variant: SortScanVariant| -> i64 {
         let (rt, trace) = instrumented(4);
@@ -180,20 +213,29 @@ fn release_directive_end_to_end() {
     let d = data.clone();
     rt.run(move |ctx| {
         let dp = d.clone();
-        ctx.task().inout(d.region(0..2)).label("producer").spawn(move |t| {
-            dp.write(t, 0..1)[0] = 41;
-            t.release(dp.region(0..1));
-            std::thread::sleep(Duration::from_millis(150));
-            dp.write(t, 1..2)[0] = 43;
-        });
+        ctx.task()
+            .inout(d.region(0..2))
+            .label("producer")
+            .spawn(move |t| {
+                dp.write(t, 0..1)[0] = 41;
+                t.release(dp.region(0..1));
+                std::thread::sleep(Duration::from_millis(150));
+                dp.write(t, 1..2)[0] = 43;
+            });
         let d_early = d.clone();
-        ctx.task().input(d.region(0..1)).label("early-consumer").spawn(move |c| {
-            assert_eq!(d_early.read(c, 0..1)[0], 41);
-        });
+        ctx.task()
+            .input(d.region(0..1))
+            .label("early-consumer")
+            .spawn(move |c| {
+                assert_eq!(d_early.read(c, 0..1)[0], 41);
+            });
         let d_late = d.clone();
-        ctx.task().input(d.region(1..2)).label("late-consumer").spawn(move |c| {
-            assert_eq!(d_late.read(c, 1..2)[0], 43);
-        });
+        ctx.task()
+            .input(d.region(1..2))
+            .label("late-consumer")
+            .spawn(move |c| {
+                assert_eq!(d_late.read(c, 1..2)[0], 43);
+            });
     });
     let events = trace.events();
     let producer = event(&events, "producer");
@@ -203,7 +245,10 @@ fn release_directive_end_to_end() {
         early.start_ns < producer.end_ns,
         "the early consumer must run while the producer still sleeps"
     );
-    assert!(late.start_ns >= producer.end_ns, "the late consumer must wait for the producer");
+    assert!(
+        late.start_ns >= producer.end_ns,
+        "the late consumer must wait for the producer"
+    );
 }
 
 /// Conflicting strong accesses never overlap in time, whatever the nesting (a safety property of
@@ -212,7 +257,11 @@ fn release_directive_end_to_end() {
 fn conflicting_block_tasks_never_overlap() {
     use weakdep_kernels::gauss_seidel::{self, GsConfig, GsVariant};
     let (rt, trace) = instrumented(4);
-    let cfg = GsConfig { blocks: 3, ts: 8, iterations: 3 };
+    let cfg = GsConfig {
+        blocks: 3,
+        ts: 8,
+        iterations: 3,
+    };
     let (_run, result) = gauss_seidel::run(&rt, GsVariant::NestWeak, &cfg);
     assert!(gauss_seidel::verify(&cfg, &result));
     // All tile tasks writing the same block must be totally ordered in time. We cannot recover

@@ -27,15 +27,18 @@ fn submit_big_loop(
     let handle = rt.submit_with(options, move |root| {
         let data = SharedSlice::<u64>::new(chunks);
         let d = data.clone();
-        root.task().inout(data.region(0..chunks)).label("big-loop").spawn(move |t| {
-            let view = d.loop_view_mut(t, 0..chunks);
-            let counter = Arc::clone(&observer);
-            t.for_each(0..chunks, 1, move |s, e| {
-                view.chunk(s..e).fill(1);
-                counter.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(per_chunk);
+        root.task()
+            .inout(data.region(0..chunks))
+            .label("big-loop")
+            .spawn(move |t| {
+                let view = d.loop_view_mut(t, 0..chunks);
+                let counter = Arc::clone(&observer);
+                t.for_each(0..chunks, 1, move |s, e| {
+                    view.chunk(s..e).fill(1);
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(per_chunk);
+                });
             });
-        });
     });
     (handle, ran)
 }
@@ -51,7 +54,9 @@ fn deadline_is_observed_at_chunk_boundaries() {
     let started = Instant::now();
     let (handle, ran) = submit_big_loop(
         &rt,
-        JobOptions::new().deadline(Duration::from_millis(100)).label("deadline-loop"),
+        JobOptions::new()
+            .deadline(Duration::from_millis(100))
+            .label("deadline-loop"),
         chunks,
         Duration::from_millis(2),
     );
@@ -62,7 +67,10 @@ fn deadline_is_observed_at_chunk_boundaries() {
         "expected DeadlineExceeded, got {outcome:?}"
     );
     let executed = ran.load(Ordering::SeqCst);
-    assert!(executed < chunks, "the loop must not run to completion ({executed}/{chunks})");
+    assert!(
+        executed < chunks,
+        "the loop must not run to completion ({executed}/{chunks})"
+    );
     assert!(
         elapsed < Duration::from_secs(4),
         "the abort must cut the loop short promptly (took {elapsed:?})"
@@ -87,9 +95,15 @@ fn cancel_is_observed_at_chunk_boundaries() {
     }
     handle.cancel();
     let executed = ran.load(Ordering::SeqCst);
-    assert!(executed < chunks, "cancel must stop the loop mid-flight ({executed}/{chunks})");
+    assert!(
+        executed < chunks,
+        "cancel must stop the loop mid-flight ({executed}/{chunks})"
+    );
     let outcome = handle.wait_result();
-    assert!(matches!(outcome, Err(JobError::Cancelled)), "expected Cancelled, got {outcome:?}");
+    assert!(
+        matches!(outcome, Err(JobError::Cancelled)),
+        "expected Cancelled, got {outcome:?}"
+    );
 }
 
 /// A panic inside one chunk is contained per-chunk, the loop drains (no chunk is lost), and
@@ -100,19 +114,25 @@ fn chunk_panic_flows_through_the_job_failure_path() {
     let handle = rt.submit_with(JobOptions::new().label("poisoned-loop"), move |root| {
         let data = SharedSlice::<u64>::new(64);
         let d = data.clone();
-        root.task().inout(data.region(0..64)).label("poisoned").spawn(move |t| {
-            let view = d.loop_view_mut(t, 0..64);
-            t.for_each(0..64, 4, move |s, e| {
-                if s == 32 {
-                    panic!("chunk 32 exploded");
-                }
-                view.chunk(s..e).fill(1);
+        root.task()
+            .inout(data.region(0..64))
+            .label("poisoned")
+            .spawn(move |t| {
+                let view = d.loop_view_mut(t, 0..64);
+                t.for_each(0..64, 4, move |s, e| {
+                    if s == 32 {
+                        panic!("chunk 32 exploded");
+                    }
+                    view.chunk(s..e).fill(1);
+                });
             });
-        });
     });
     match handle.wait_result() {
         Err(JobError::Panicked { message, .. }) => {
-            assert!(message.contains("chunk 32 exploded"), "unexpected message: {message}");
+            assert!(
+                message.contains("chunk 32 exploded"),
+                "unexpected message: {message}"
+            );
         }
         other => panic!("expected the chunk panic, got {other:?}"),
     }
@@ -135,7 +155,11 @@ fn assist_work_is_attributed_to_the_registering_job() {
         .wait_timeout(Duration::from_secs(60))
         .expect("the assisted loop finishes well within the timeout");
     assert!(outcome.is_ok(), "unexpected outcome: {outcome:?}");
-    assert_eq!(ran.load(Ordering::SeqCst), 512, "every chunk ran exactly once");
+    assert_eq!(
+        ran.load(Ordering::SeqCst),
+        512,
+        "every chunk ran exactly once"
+    );
     let job_stats = handle.stats();
     assert!(
         job_stats.assist_chunks > 0,
@@ -168,26 +192,37 @@ fn is_cancelled_reflects_the_abort_bracket() {
         let data = SharedSlice::<u64>::new(8);
         let d = data.clone();
         let seen = Arc::clone(&seen);
-        root.task().inout(data.region(0..8)).label("poller").spawn(move |t| {
-            let view = d.loop_view_mut(t, 0..8);
-            // Spin inside the body until the cancel lands, proving the poll observes it
-            // mid-body (not only between tasks).
-            while !t.is_cancelled() {
-                std::thread::yield_now();
-            }
-            seen.store(1, Ordering::SeqCst);
-            // The loop below starts after the abort: no chunk may run.
-            let ran = Arc::new(AtomicUsize::new(0));
-            let r = Arc::clone(&ran);
-            t.for_each(0..8, 1, move |s, e| {
-                view.chunk(s..e).fill(1);
-                r.fetch_add(1, Ordering::SeqCst);
+        root.task()
+            .inout(data.region(0..8))
+            .label("poller")
+            .spawn(move |t| {
+                let view = d.loop_view_mut(t, 0..8);
+                // Spin inside the body until the cancel lands, proving the poll observes it
+                // mid-body (not only between tasks).
+                while !t.is_cancelled() {
+                    std::thread::yield_now();
+                }
+                seen.store(1, Ordering::SeqCst);
+                // The loop below starts after the abort: no chunk may run.
+                let ran = Arc::new(AtomicUsize::new(0));
+                let r = Arc::clone(&ran);
+                t.for_each(0..8, 1, move |s, e| {
+                    view.chunk(s..e).fill(1);
+                    r.fetch_add(1, Ordering::SeqCst);
+                });
+                assert_eq!(
+                    ran.load(Ordering::SeqCst),
+                    0,
+                    "an aborted job issues no chunks"
+                );
             });
-            assert_eq!(ran.load(Ordering::SeqCst), 0, "an aborted job issues no chunks");
-        });
     });
     // Let the body reach its poll loop, then cancel.
     std::thread::sleep(Duration::from_millis(20));
     handle.cancel();
-    assert_eq!(observed.load(Ordering::SeqCst), 1, "the body observed the cancel");
+    assert_eq!(
+        observed.load(Ordering::SeqCst),
+        1,
+        "the body observed the cancel"
+    );
 }

@@ -16,7 +16,12 @@ use weakdep::kernels::axpy::{self, AxpyConfig, AxpyVariant};
 use weakdep::{Runtime, RuntimeConfig, SchedulingPolicy, SharedSlice};
 
 fn axpy_cfg() -> AxpyConfig {
-    AxpyConfig { n: 1 << 17, calls: 12, task_size: 4 << 10, alpha: 1.000001 }
+    AxpyConfig {
+        n: 1 << 17,
+        calls: 12,
+        task_size: 4 << 10,
+        alpha: 1.000001,
+    }
 }
 
 /// Runs `nest-weak-release` under `policy` on one worker; returns (miss ratio, result vector,
@@ -25,13 +30,20 @@ fn run_policy(policy: SchedulingPolicy) -> (f64, Vec<f64>, usize) {
     let cfg = axpy_cfg();
     let sim = CacheSimObserver::shared(CacheConfig::default());
     let rt = Runtime::new(
-        RuntimeConfig::new().workers(1).scheduling_policy(policy).observer(sim.clone()),
+        RuntimeConfig::new()
+            .workers(1)
+            .scheduling_policy(policy)
+            .observer(sim.clone()),
     );
     let x = SharedSlice::<f64>::new(cfg.n);
     let y = SharedSlice::<f64>::new(cfg.n);
     axpy::initialize(&x, &y);
     let _run = axpy::run_on(&rt, AxpyVariant::NestWeakRelease, &cfg, &x, &y);
-    (sim.miss_ratio(), y.snapshot(), rt.stats().successor_slot_hits)
+    (
+        sim.miss_ratio(),
+        y.snapshot(),
+        rt.stats().successor_slot_hits,
+    )
 }
 
 #[test]
@@ -42,7 +54,10 @@ fn locality_policies_have_strictly_lower_miss_ratio_than_fifo() {
     let (miss_fifo, result_fifo, hits_fifo) = run_policy(SchedulingPolicy::Fifo);
 
     // All policies compute the same kernel result (observational equivalence).
-    assert!(axpy::verify(&cfg, &result_local), "LocalitySlot result is wrong");
+    assert!(
+        axpy::verify(&cfg, &result_local),
+        "LocalitySlot result is wrong"
+    );
     assert_eq!(result_local, result_hier, "HierarchicalSteal diverged");
     assert_eq!(result_local, result_fifo, "Fifo diverged");
 
@@ -59,7 +74,10 @@ fn locality_policies_have_strictly_lower_miss_ratio_than_fifo() {
     );
     // Mechanism check, not just outcome: the slot policies actually chained successors, the
     // fifo baseline never touched the slot.
-    assert!(hits_local > 0 && hits_hier > 0, "slot policies must dispatch via the slot");
+    assert!(
+        hits_local > 0 && hits_hier > 0,
+        "slot policies must dispatch via the slot"
+    );
     assert_eq!(hits_fifo, 0, "fifo must never use the successor slot");
 }
 
@@ -74,17 +92,23 @@ fn runtime_stats_accounting_identity_holds_for_every_policy() {
         rt.run(move |ctx| {
             for i in 0..256usize {
                 let d2 = d.clone();
-                ctx.task().output(d.region(i..i + 1)).label("init").spawn(move |t| {
-                    d2.write(t, i..i + 1)[0] = i as u64;
-                });
+                ctx.task()
+                    .output(d.region(i..i + 1))
+                    .label("init")
+                    .spawn(move |t| {
+                        d2.write(t, i..i + 1)[0] = i as u64;
+                    });
             }
             ctx.taskwait();
             for _ in 0..3 {
                 for i in 0..256usize {
                     let d2 = d.clone();
-                    ctx.task().inout(d.region(i..i + 1)).label("chain").spawn(move |t| {
-                        d2.write(t, i..i + 1)[0] += 1;
-                    });
+                    ctx.task()
+                        .inout(d.region(i..i + 1))
+                        .label("chain")
+                        .spawn(move |t| {
+                            d2.write(t, i..i + 1)[0] += 1;
+                        });
                 }
             }
         });

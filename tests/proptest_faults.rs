@@ -19,9 +19,7 @@
 use proptest::prelude::*;
 use std::time::Duration;
 
-use weakdep::{
-    JobError, JobOptions, PanicPolicy, Runtime, RuntimeConfig, SharedSlice, TaskCtx,
-};
+use weakdep::{JobError, JobOptions, PanicPolicy, Runtime, RuntimeConfig, SharedSlice, TaskCtx};
 
 const CELLS: usize = 32;
 const BLOCK: usize = 8;
@@ -38,9 +36,16 @@ struct Decl {
 }
 
 fn decl_strategy() -> impl Strategy<Value = Decl> {
-    (proptest::collection::vec((0u8..4, 0u8..3), 1..3), 0u8..5, any::<u64>()).prop_map(
-        |(accesses, wait_sel, salt)| Decl { accesses, wait_after: wait_sel == 0, salt },
+    (
+        proptest::collection::vec((0u8..4, 0u8..3), 1..3),
+        0u8..5,
+        any::<u64>(),
     )
+        .prop_map(|(accesses, wait_sel, salt)| Decl {
+            accesses,
+            wait_after: wait_sel == 0,
+            salt,
+        })
 }
 
 /// Which fault, if any, the harness injects into a job.
@@ -157,7 +162,8 @@ fn wait_and_check_drain(
     let stats = handle.stats();
     assert!(stats.finished);
     assert_eq!(
-        stats.tasks_registered, stats.tasks_deeply_completed,
+        stats.tasks_registered,
+        stats.tasks_deeply_completed,
         "job {}: registered != deeply_completed after finishing",
         handle.id()
     );

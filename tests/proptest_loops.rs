@@ -19,7 +19,11 @@ use weakdep_kernels::parallel_loops::{
 
 fn input_slice(seed: u64, n: usize) -> SharedSlice<u64> {
     let input = SharedSlice::<u64>::new(n);
-    input.init_with(|i| (i as u64).wrapping_add(seed).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    input.init_with(|i| {
+        (i as u64)
+            .wrapping_add(seed)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    });
     input
 }
 

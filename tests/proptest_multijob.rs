@@ -33,9 +33,16 @@ struct Decl {
 }
 
 fn decl_strategy() -> impl Strategy<Value = Decl> {
-    (proptest::collection::vec((0u8..4, 0u8..3), 1..3), 0u8..5, any::<u64>()).prop_map(
-        |(accesses, wait_sel, salt)| Decl { accesses, wait_after: wait_sel == 0, salt },
+    (
+        proptest::collection::vec((0u8..4, 0u8..3), 1..3),
+        0u8..5,
+        any::<u64>(),
     )
+        .prop_map(|(accesses, wait_sel, salt)| Decl {
+            accesses,
+            wait_after: wait_sel == 0,
+            salt,
+        })
 }
 
 fn range_of((block, _ty): (u8, u8)) -> std::ops::Range<usize> {

@@ -31,7 +31,13 @@ struct Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     (0u8..3, 0u16..200, 1u8..40, any::<u32>(), 0u8..3).prop_map(
-        |(space, start, len, value, kind)| Op { space, start, len, value, kind },
+        |(space, start, len, value, kind)| Op {
+            space,
+            start,
+            len,
+            value,
+            kind,
+        },
     )
 }
 
@@ -59,14 +65,16 @@ fn reference_update(
     mut f: impl FnMut(Region, Option<&u32>) -> RangeUpdate<u32>,
 ) -> Fit {
     let space = region.space;
-    reference[space.0 as usize]
-        .update_range(region.start, region.end, |s, e, v| f(Region::new(space, s, e), v))
+    reference[space.0 as usize].update_range(region.start, region.end, |s, e, v| {
+        f(Region::new(space, s, e), v)
+    })
 }
 
 /// Every fragment of the reference, as `(Region, value)`.
 fn reference_fragments(reference: &Reference) -> impl Iterator<Item = (Region, u32)> + '_ {
     reference.iter().enumerate().flat_map(|(space, map)| {
-        map.iter().map(move |(s, e, v)| (Region::new(SpaceId(space as u64), s, e), *v))
+        map.iter()
+            .map(move |(s, e, v)| (Region::new(SpaceId(space as u64), s, e), *v))
     })
 }
 
@@ -75,7 +83,10 @@ struct Lcg(u64);
 
 impl Lcg {
     fn next(&mut self, bound: usize) -> usize {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((self.0 >> 33) as usize) % bound.max(1)
     }
 }

@@ -41,14 +41,21 @@ fn sequential_model(decls: &[TaskDecl]) -> Vec<u64> {
     cells
 }
 
-fn run_flat(decls: &[TaskDecl], workers: usize) -> (Vec<u64>, Vec<weakdep_trace::TraceEvent>, Vec<&'static str>) {
+fn run_flat(
+    decls: &[TaskDecl],
+    workers: usize,
+) -> (Vec<u64>, Vec<weakdep_trace::TraceEvent>, Vec<&'static str>) {
     // Labels must be 'static: index into a fixed table (graphs are capped at 24 tasks).
     const LABELS: [&str; 24] = [
-        "t00", "t01", "t02", "t03", "t04", "t05", "t06", "t07", "t08", "t09", "t10", "t11",
-        "t12", "t13", "t14", "t15", "t16", "t17", "t18", "t19", "t20", "t21", "t22", "t23",
+        "t00", "t01", "t02", "t03", "t04", "t05", "t06", "t07", "t08", "t09", "t10", "t11", "t12",
+        "t13", "t14", "t15", "t16", "t17", "t18", "t19", "t20", "t21", "t22", "t23",
     ];
     let trace = TraceCollector::shared();
-    let rt = Runtime::new(RuntimeConfig::new().workers(workers).observer(trace.clone()));
+    let rt = Runtime::new(
+        RuntimeConfig::new()
+            .workers(workers)
+            .observer(trace.clone()),
+    );
     let data = SharedSlice::<u64>::new(CELLS);
     let decls_owned: Vec<TaskDecl> = decls.to_vec();
     let d = data.clone();
@@ -193,8 +200,14 @@ proptest! {
 #[test]
 fn sequential_model_accumulates_indices() {
     let decls = vec![
-        TaskDecl { reads: vec![], writes: vec![0, 1] },
-        TaskDecl { reads: vec![0], writes: vec![1] },
+        TaskDecl {
+            reads: vec![],
+            writes: vec![0, 1],
+        },
+        TaskDecl {
+            reads: vec![0],
+            writes: vec![1],
+        },
     ];
     assert_eq!(sequential_model(&decls)[0], 1);
     assert_eq!(sequential_model(&decls)[1], 3);

@@ -20,7 +20,11 @@ use weakdep::{Runtime, SharedSlice, TaskSpec};
 fn soak_capacity_plateaus_while_books_balance() {
     let workers = 4;
     let cells = 64usize;
-    let (waves, wave_size) = if cfg!(debug_assertions) { (24, 1_000) } else { (80, 2_500) };
+    let (waves, wave_size) = if cfg!(debug_assertions) {
+        (24, 1_000)
+    } else {
+        (80, 2_500)
+    };
     let rt = Runtime::with_workers(workers);
     let data = SharedSlice::<u64>::new(cells);
     let executed = Arc::new(AtomicUsize::new(0));
@@ -36,10 +40,13 @@ fn soak_capacity_plateaus_while_books_balance() {
                     let cell = i % cells;
                     let d2 = d.clone();
                     let ex2 = Arc::clone(&ex);
-                    ctx.task().inout(d.region(cell..cell + 1)).label("soak").stage(move |t| {
-                        d2.write(t, cell..cell + 1)[0] += 1;
-                        ex2.fetch_add(1, Ordering::Relaxed);
-                    })
+                    ctx.task()
+                        .inout(d.region(cell..cell + 1))
+                        .label("soak")
+                        .stage(move |t| {
+                            d2.write(t, cell..cell + 1)[0] += 1;
+                            ex2.fetch_add(1, Ordering::Relaxed);
+                        })
                 })
                 .collect();
             ctx.spawn_batch(specs);
@@ -66,7 +73,11 @@ fn soak_capacity_plateaus_while_books_balance() {
 
     // The plateau: bounded by the first wave's high-water mark (plus slack for scheduling
     // jitter between waves), and nowhere near linear in the total task count.
-    assert_eq!(rt.capacity().live_tasks, 0, "no task may stay live after its run returned");
+    assert_eq!(
+        rt.capacity().live_tasks,
+        0,
+        "no task may stay live after its run returned"
+    );
     assert!(
         max_table <= first_table * 3 + 1024,
         "minted ids must plateau (first wave {first_table}, max {max_table})"
@@ -93,9 +104,12 @@ fn later_waves_reuse_retired_indexes_with_a_bumped_generation() {
                 .map(|i| {
                     let cell = i % cells;
                     let d2 = d.clone();
-                    ctx.task().inout(d.region(cell..cell + 1)).label(label).spawn(move |t| {
-                        d2.write(t, cell..cell + 1)[0] += 1;
-                    })
+                    ctx.task()
+                        .inout(d.region(cell..cell + 1))
+                        .label(label)
+                        .spawn(move |t| {
+                            d2.write(t, cell..cell + 1)[0] += 1;
+                        })
                 })
                 .collect()
         })
@@ -103,16 +117,25 @@ fn later_waves_reuse_retired_indexes_with_a_bumped_generation() {
 
     let first_wave = collect_wave("wave1");
     let second_wave = collect_wave("wave2");
-    assert!(data.snapshot().iter().all(|&v| v == 16), "every task of both waves ran");
+    assert!(
+        data.snapshot().iter().all(|&v| v == 16),
+        "every task of both waves ran"
+    );
     let mut reused = 0;
     for id in &second_wave {
         assert!(!first_wave.contains(id), "{id} was handed out twice");
         if let Some(old) = first_wave.iter().find(|old| old.index() == id.index()) {
-            assert!(id.generation() > old.generation(), "{id} reuses {old} without a bump");
+            assert!(
+                id.generation() > old.generation(),
+                "{id} reuses {old} without a bump"
+            );
             reused += 1;
         }
     }
-    assert!(reused > 0, "later waves must recycle earlier waves' indexes");
+    assert!(
+        reused > 0,
+        "later waves must recycle earlier waves' indexes"
+    );
 }
 
 /// The inline root of `Runtime::run` spawns every wave on the calling thread while the workers
@@ -132,9 +155,12 @@ fn inline_root_waves_reuse_ids_retired_on_workers() {
         for _ in 0..WAVES {
             for i in 0..WAVE {
                 let d2 = d.clone();
-                ctx.task().inout(d.region(i..i + 1)).label("leaf").spawn(move |t| {
-                    d2.write(t, i..i + 1)[0] += 1;
-                });
+                ctx.task()
+                    .inout(d.region(i..i + 1))
+                    .label("leaf")
+                    .spawn(move |t| {
+                        d2.write(t, i..i + 1)[0] += 1;
+                    });
             }
             ctx.taskwait();
             max_table = max_table.max(rt.capacity().task_table_slots);

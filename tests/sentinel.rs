@@ -94,7 +94,9 @@ fn batched_retires_are_clean() {
                         outer.spawn_each(
                             n / 64,
                             |i, clauses| {
-                                clauses.inout(inner_data.region(i * 64..(i + 1) * 64)).label("block");
+                                clauses
+                                    .inout(inner_data.region(i * 64..(i + 1) * 64))
+                                    .label("block");
                             },
                             move |t, i| {
                                 for v in block.write(t, i * 64..(i + 1) * 64) {
@@ -107,7 +109,10 @@ fn batched_retires_are_clean() {
         });
     }
     assert!(data.snapshot().iter().all(|&v| v == 80));
-    assert!(rt.stats().retires_deferred > 0, "the blocks' retires were batched");
+    assert!(
+        rt.stats().retires_deferred > 0,
+        "the blocks' retires were batched"
+    );
 }
 
 /// A chain of dependent writers over one region: the engine serialises them, so the sentinel
@@ -121,11 +126,14 @@ fn dependent_chain_is_clean() {
         rt.run(move |ctx| {
             for _ in 0..16 {
                 let dc = d.clone();
-                ctx.task().inout(d.region(0..64)).label("link").spawn(move |t| {
-                    for v in dc.write(t, 0..64) {
-                        *v += 1;
-                    }
-                });
+                ctx.task()
+                    .inout(d.region(0..64))
+                    .label("link")
+                    .spawn(move |t| {
+                        for v in dc.write(t, 0..64) {
+                            *v += 1;
+                        }
+                    });
             }
         });
     }
@@ -147,14 +155,17 @@ fn concurrent_jobs_with_identical_footprints_are_clean() {
                 let data = SharedSlice::<u64>::filled(64, 0);
                 let d = data.clone();
                 let a2 = Arc::clone(&a);
-                ctx.task().inout(data.region(0..64)).label("tenant-writer").spawn(move |t| {
-                    // Hold the footprint while the other jobs' identically-declared writers
-                    // start: only the job qualifier keeps this clean.
-                    rendezvous(&a2, 3, Duration::from_secs(2));
-                    for v in d.write(t, 0..64) {
-                        *v += 1;
-                    }
-                });
+                ctx.task()
+                    .inout(data.region(0..64))
+                    .label("tenant-writer")
+                    .spawn(move |t| {
+                        // Hold the footprint while the other jobs' identically-declared writers
+                        // start: only the job qualifier keeps this clean.
+                        rendezvous(&a2, 3, Duration::from_secs(2));
+                        for v in d.write(t, 0..64) {
+                            *v += 1;
+                        }
+                    });
                 ctx.taskwait();
                 data.snapshot()[0]
             })
@@ -163,7 +174,11 @@ fn concurrent_jobs_with_identical_footprints_are_clean() {
     for handle in handles {
         assert_eq!(handle.wait_result().expect("no sentinel report"), Some(1));
     }
-    assert_eq!(arrived.load(Ordering::SeqCst), 3, "the tenants' writers must have overlapped");
+    assert_eq!(
+        arrived.load(Ordering::SeqCst),
+        3,
+        "the tenants' writers must have overlapped"
+    );
 }
 
 // ---------------------------------------------------------------------------------------------
@@ -283,12 +298,15 @@ fn use_after_release_is_caught() {
     let data = SharedSlice::<u64>::filled(64, 0);
     rt.run(move |ctx| {
         let d = data.clone();
-        ctx.task().inout(data.region(0..64)).label("releaser").spawn(move |t| {
-            d.write(t, 0..32)[0] = 1;
-            t.release(d.region(0..32));
-            // The released half is no longer ours.
-            d.write(t, 0..32)[0] = 2;
-        });
+        ctx.task()
+            .inout(data.region(0..64))
+            .label("releaser")
+            .spawn(move |t| {
+                d.write(t, 0..32)[0] = 1;
+                t.release(d.region(0..32));
+                // The released half is no longer ours.
+                d.write(t, 0..32)[0] = 2;
+            });
     });
 }
 

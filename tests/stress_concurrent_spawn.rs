@@ -20,8 +20,7 @@ use weakdep::{Runtime, RuntimeConfig, RuntimeObserver, SharedSlice, TaskCtx, Tas
 fn assert_balanced(rt: &Runtime, expected_tasks: usize, runs: usize) {
     let stats = rt.stats();
     assert_eq!(
-        stats.engine.tasks_registered,
-        stats.engine.tasks_deeply_completed,
+        stats.engine.tasks_registered, stats.engine.tasks_deeply_completed,
         "every registered task (roots included) must deeply complete"
     );
     assert_eq!(
@@ -29,7 +28,10 @@ fn assert_balanced(rt: &Runtime, expected_tasks: usize, runs: usize) {
         expected_tasks + runs,
         "unexpected task count (expected {expected_tasks} tasks + {runs} roots)"
     );
-    assert_eq!(stats.tasks_executed, expected_tasks, "every spawned task must execute");
+    assert_eq!(
+        stats.tasks_executed, expected_tasks,
+        "every spawned task must execute"
+    );
 }
 
 /// Flat fan-out from many workers: outer tasks spawn their own children concurrently, all over
@@ -106,8 +108,11 @@ fn concurrent_overlapping_chains_balance_across_runs() {
             let specs: Vec<TaskSpec> = (0..spawners)
                 .map(|_| {
                     let d2 = d.clone();
-                    root.task().label("spawner").weakwait().weak_inout(d2.region(0..cells)).stage(
-                        move |spawner| {
+                    root.task()
+                        .label("spawner")
+                        .weakwait()
+                        .weak_inout(d2.region(0..cells))
+                        .stage(move |spawner| {
                             for link in 0..links {
                                 let cell = link % cells;
                                 let d3 = d2.clone();
@@ -119,8 +124,7 @@ fn concurrent_overlapping_chains_balance_across_runs() {
                                         d3.write(t, cell..cell + 1)[0] += 1;
                                     });
                             }
-                        },
-                    )
+                        })
                 })
                 .collect();
             root.spawn_batch(specs);
@@ -162,9 +166,12 @@ fn concurrent_three_level_nesting_balances() {
                 // leaf's strong access inherits the dependency on the producer through two weak
                 // levels.
                 let dp = d2.clone();
-                root.task().output(d2.region(g..g + 1)).label("producer").spawn(move |t| {
-                    dp.write(t, g..g + 1)[0] = g as u64 + 1;
-                });
+                root.task()
+                    .output(d2.region(g..g + 1))
+                    .label("producer")
+                    .spawn(move |t| {
+                        dp.write(t, g..g + 1)[0] = g as u64 + 1;
+                    });
                 let d3 = d2.clone();
                 root.task()
                     .weak_inout(d2.region(g..g + 1))
@@ -178,13 +185,11 @@ fn concurrent_three_level_nesting_balances() {
                             .label("inner")
                             .spawn(move |inner| {
                                 let d5 = d4.clone();
-                                inner
-                                    .task()
-                                    .inout(d4.region(g..g + 1))
-                                    .label("leaf")
-                                    .spawn(move |t| {
+                                inner.task().inout(d4.region(g..g + 1)).label("leaf").spawn(
+                                    move |t| {
                                         d5.write(t, g..g + 1)[0] *= 3;
-                                    });
+                                    },
+                                );
                             });
                     });
             }
@@ -213,7 +218,11 @@ struct AnnouncedOnce {
 
 impl RuntimeObserver for AnnouncedOnce {
     fn task_created(&self, info: &TaskInfo<'_>) {
-        assert!(self.announced.lock().unwrap().insert(info.id), "{} announced twice", info.id);
+        assert!(
+            self.announced.lock().unwrap().insert(info.id),
+            "{} announced twice",
+            info.id
+        );
     }
 
     fn task_executed(&self, execution: &TaskExecution<'_>) {
@@ -234,12 +243,18 @@ fn spawn_rounds(ctx: &TaskCtx<'_>, data: &SharedSlice<u8>, cells: Range<usize>) 
     for _ in 0..rounds {
         for i in 0..links {
             let c = cell(i);
-            ctx.task().inout(data.region(c..c + 1)).label("link").spawn(|_| {});
+            ctx.task()
+                .inout(data.region(c..c + 1))
+                .label("link")
+                .spawn(|_| {});
         }
         let wave: Vec<TaskSpec> = (0..links)
             .map(|i| {
                 let c = cell(i);
-                ctx.task().inout(data.region(c..c + 1)).label("wave").stage(|_| {})
+                ctx.task()
+                    .inout(data.region(c..c + 1))
+                    .label("wave")
+                    .stage(|_| {})
             })
             .collect();
         ctx.spawn_batch(wave);
@@ -256,7 +271,9 @@ fn spawn_rounds(ctx: &TaskCtx<'_>, data: &SharedSlice<u8>, cells: Range<usize>) 
 fn tasks_are_announced_before_they_run_and_run_once() {
     for workers in [2, 4] {
         let observer = Arc::new(AnnouncedOnce::default());
-        let config = RuntimeConfig::new().workers(workers).observer(observer.clone());
+        let config = RuntimeConfig::new()
+            .workers(workers)
+            .observer(observer.clone());
         let rt = Runtime::new(config);
         let data = SharedSlice::<u8>::new(12);
         let spawned = Arc::new(AtomicUsize::new(0));
@@ -282,8 +299,15 @@ fn tasks_are_announced_before_they_run_and_run_once() {
         });
 
         let spawned = spawned.load(Ordering::Relaxed);
-        assert_eq!(observer.violations.load(Ordering::Relaxed), 0, "{workers} workers");
-        assert!(observer.announced.lock().unwrap().is_empty(), "an announced task never ran");
+        assert_eq!(
+            observer.violations.load(Ordering::Relaxed),
+            0,
+            "{workers} workers"
+        );
+        assert!(
+            observer.announced.lock().unwrap().is_empty(),
+            "an announced task never ran"
+        );
         assert_balanced(&rt, spawned, 1);
     }
 }

@@ -85,7 +85,11 @@ fn a_worker_parked_in_taskwait_is_recruited_by_another_jobs_submission() {
     let go = Arc::new(AtomicBool::new(true));
     let flag = Arc::new(AtomicBool::new(false));
     let released = Arc::new(AtomicBool::new(false));
-    let (s, f, r) = (Arc::clone(&started), Arc::clone(&flag), Arc::clone(&released));
+    let (s, f, r) = (
+        Arc::clone(&started),
+        Arc::clone(&flag),
+        Arc::clone(&released),
+    );
     let job_a = rt.submit(move |root| {
         let s2 = Arc::clone(&s);
         park_root_in_taskwait(root, &s, &go, move |_| {
@@ -101,7 +105,10 @@ fn a_worker_parked_in_taskwait_is_recruited_by_another_jobs_submission() {
     let job_b = rt.submit(move |_| f.store(true, SeqCst));
     job_b.wait_result().expect("the job succeeds");
     job_a.wait_result().expect("the job succeeds");
-    assert!(released.load(SeqCst), "job B never ran while job A's child held the other worker");
+    assert!(
+        released.load(SeqCst),
+        "job B never ran while job A's child held the other worker"
+    );
 }
 
 /// With one worker inside a body and the other inside `taskwait`, the pool's sleep counter can
@@ -127,5 +134,8 @@ fn taskwait_parks_are_pool_sleeps() {
     let parked = spin_until(|| rt.stats().sleeps > before);
     release.store(true, SeqCst);
     job.wait_result().expect("the job succeeds");
-    assert!(parked, "RuntimeStats::sleeps did not move across a parked taskwait");
+    assert!(
+        parked,
+        "RuntimeStats::sleeps did not move across a parked taskwait"
+    );
 }

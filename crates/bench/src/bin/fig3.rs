@@ -10,8 +10,11 @@
 //!   GFlop/s at small/medium task sizes, and
 //! * a visibly lower miss ratio for the variants that expose the inner dependencies to the
 //!   scheduler (`nest-weak*`, `flat-depend`).
+//!
+//! Each point is the median GFlop/s of `--repeat` runs, printed with its interquartile range,
+//! and the miss ratio of that median run.
 
-use weakdep_bench::{emit, CommonArgs, InstrumentedRuntime};
+use weakdep_bench::{emit, median_run, CommonArgs, InstrumentedRuntime};
 use weakdep_core::SharedSlice;
 use weakdep_kernels::axpy::{self, AxpyConfig, AxpyVariant};
 
@@ -42,7 +45,13 @@ fn main() {
     let x = SharedSlice::<f64>::new(n);
     let y = SharedSlice::<f64>::new(n);
 
-    let headers = ["task_size_elems", "variant", "gflops", "l2_miss_ratio"];
+    let headers = [
+        "task_size_elems",
+        "variant",
+        "gflops",
+        "iqr",
+        "l2_miss_ratio",
+    ];
     let mut rows = Vec::new();
     for &task_size in &task_sizes {
         for variant in AxpyVariant::all() {
@@ -52,26 +61,25 @@ fn main() {
                 task_size,
                 alpha: 1.000001,
             };
-            let mut best_gflops = 0.0f64;
-            let mut best_miss = 1.0f64;
-            for _ in 0..args.repeat {
-                axpy::initialize(&x, &y);
-                inst.reset_observers();
-                let run = axpy::run_on(&inst.runtime, variant, &cfg, &x, &y);
-                let miss = inst.cachesim.miss_ratio();
-                if run.gops() > best_gflops {
-                    best_gflops = run.gops();
-                    best_miss = miss;
-                }
-            }
+            let mut runs: Vec<(f64, f64)> = (0..args.repeat)
+                .map(|_| {
+                    axpy::initialize(&x, &y);
+                    inst.reset_observers();
+                    let run = axpy::run_on(&inst.runtime, variant, &cfg, &x, &y);
+                    (run.gops(), inst.cachesim.miss_ratio())
+                })
+                .collect();
+            let (spread, miss) = median_run(&mut runs);
+            let (median, iqr) = (spread.median, spread.iqr());
             rows.push(vec![
                 task_size.to_string(),
                 variant.name().to_string(),
-                format!("{best_gflops:.3}"),
-                format!("{best_miss:.3}"),
+                format!("{median:.3}"),
+                format!("{iqr:.3}"),
+                format!("{miss:.3}"),
             ]);
             eprintln!(
-                "  task_size {task_size:>6}  {:<18} {best_gflops:>7.3} GFlop/s  miss {best_miss:.3}",
+                "  task_size {task_size:>6}  {:<18} {median:>7.3} GFlop/s (IQR {iqr:.3})  miss {miss:.3}",
                 variant.name()
             );
         }

@@ -9,9 +9,12 @@
 //! lower simulated miss ratio than the no-locality `fifo` baseline on the `nest-weak-release`
 //! AXPY variant — checked here, and asserted by `tests/policy_ablation.rs`. The cache model
 //! sees only the (task → worker, footprint, order) schedule, so the ordering is reproducible
-//! on this 1-CPU container even though wall-clock contention effects are not.
+//! with one worker even though wall-clock contention effects are not.
+//!
+//! Each cell is the median GFlop/s of `--repeat` runs with its interquartile range, and the
+//! miss ratio of that median run; the ordering line reads these medians' miss ratios.
 
-use weakdep_bench::{emit, CommonArgs, InstrumentedRuntime};
+use weakdep_bench::{emit, median_run, CommonArgs, InstrumentedRuntime};
 use weakdep_core::{SchedulingPolicy, SharedSlice};
 use weakdep_kernels::axpy::{self, AxpyConfig, AxpyVariant};
 use weakdep_kernels::gauss_seidel::{self, GsConfig, GsVariant};
@@ -22,7 +25,35 @@ struct Row {
     variant: &'static str,
     task_size: usize,
     gflops: f64,
+    iqr: f64,
     miss_ratio: f64,
+}
+
+impl Row {
+    /// The cell of `runs`' (GFlop/s, miss ratio) pairs, printed as it is made.
+    fn of(
+        policy: SchedulingPolicy,
+        kernel: &'static str,
+        variant: &'static str,
+        task_size: usize,
+        runs: &mut [(f64, f64)],
+    ) -> Row {
+        let (spread, miss_ratio) = median_run(runs);
+        let (gflops, iqr) = (spread.median, spread.iqr());
+        eprintln!(
+            "  {:<18} {kernel:<12} {variant:<18} {gflops:>7.3} GFlop/s (IQR {iqr:.3})  miss {miss_ratio:.3}",
+            policy.name()
+        );
+        Row {
+            policy: policy.name(),
+            kernel,
+            variant,
+            task_size,
+            gflops,
+            iqr,
+            miss_ratio,
+        }
+    }
 }
 
 fn main() {
@@ -79,74 +110,55 @@ fn main() {
                 task_size,
                 alpha: 1.000001,
             };
-            let mut best_gflops = 0.0f64;
-            let mut best_miss = 1.0f64;
-            for repeat in 0..args.repeat {
-                axpy::initialize(&x, &y);
-                inst.reset_observers();
-                let run = axpy::run_on(&inst.runtime, variant, &cfg, &x, &y);
-                let miss = inst.cachesim.miss_ratio();
-                if repeat == 0 {
-                    // Policies must be observationally equivalent on data results.
-                    assert!(
-                        axpy::verify(&cfg, &y.snapshot()),
-                        "policy {} produced a wrong {} result",
-                        policy.name(),
-                        variant.name()
-                    );
-                }
-                if run.gops() > best_gflops {
-                    best_gflops = run.gops();
-                    best_miss = miss;
-                }
-            }
-            eprintln!(
-                "  {:<18} axpy {:<18} {best_gflops:>7.3} GFlop/s  miss {best_miss:.3}",
-                policy.name(),
-                variant.name()
-            );
-            rows.push(Row {
-                policy: policy.name(),
-                kernel: "axpy",
-                variant: variant.name(),
+            let mut runs: Vec<(f64, f64)> = (0..args.repeat)
+                .map(|repeat| {
+                    axpy::initialize(&x, &y);
+                    inst.reset_observers();
+                    let run = axpy::run_on(&inst.runtime, variant, &cfg, &x, &y);
+                    if repeat == 0 {
+                        // Policies must be observationally equivalent on data results.
+                        assert!(
+                            axpy::verify(&cfg, &y.snapshot()),
+                            "policy {} produced a wrong {} result",
+                            policy.name(),
+                            variant.name()
+                        );
+                    }
+                    (run.gops(), inst.cachesim.miss_ratio())
+                })
+                .collect();
+            rows.push(Row::of(
+                policy,
+                "axpy",
+                variant.name(),
                 task_size,
-                gflops: best_gflops,
-                miss_ratio: best_miss,
-            });
+                &mut runs,
+            ));
         }
         for variant in GsVariant::all() {
-            let mut best_gflops = 0.0f64;
-            let mut best_miss = 1.0f64;
-            for repeat in 0..args.repeat {
-                inst.reset_observers();
-                let (run, result) = gauss_seidel::run(&inst.runtime, variant, &gs_cfg);
-                let miss = inst.cachesim.miss_ratio();
-                if repeat == 0 {
-                    assert!(
-                        gauss_seidel::verify(&gs_cfg, &result),
-                        "policy {} produced a wrong gauss-seidel {} result",
-                        policy.name(),
-                        variant.name()
-                    );
-                }
-                if run.gops() > best_gflops {
-                    best_gflops = run.gops();
-                    best_miss = miss;
-                }
-            }
-            eprintln!(
-                "  {:<18} gs   {:<18} {best_gflops:>7.3} GFlop/s  miss {best_miss:.3}",
-                policy.name(),
-                variant.name()
-            );
-            rows.push(Row {
-                policy: policy.name(),
-                kernel: "gauss-seidel",
-                variant: variant.name(),
-                task_size: gs_cfg.ts * gs_cfg.ts,
-                gflops: best_gflops,
-                miss_ratio: best_miss,
-            });
+            let mut runs: Vec<(f64, f64)> = (0..args.repeat)
+                .map(|repeat| {
+                    inst.reset_observers();
+                    let (run, result) = gauss_seidel::run(&inst.runtime, variant, &gs_cfg);
+                    if repeat == 0 {
+                        assert!(
+                            gauss_seidel::verify(&gs_cfg, &result),
+                            "policy {} produced a wrong gauss-seidel {} result",
+                            policy.name(),
+                            variant.name()
+                        );
+                    }
+                    (run.gops(), inst.cachesim.miss_ratio())
+                })
+                .collect();
+            let tile = gs_cfg.ts * gs_cfg.ts;
+            rows.push(Row::of(
+                policy,
+                "gauss-seidel",
+                variant.name(),
+                tile,
+                &mut runs,
+            ));
         }
     }
 
@@ -156,6 +168,7 @@ fn main() {
         "variant",
         "task_size",
         "gflops",
+        "iqr",
         "l2_miss_ratio",
     ];
     let table: Vec<Vec<String>> = rows
@@ -167,6 +180,7 @@ fn main() {
                 r.variant.to_string(),
                 r.task_size.to_string(),
                 format!("{:.3}", r.gflops),
+                format!("{:.3}", r.iqr),
                 format!("{:.4}", r.miss_ratio),
             ]
         })

@@ -6,9 +6,9 @@
 //! * `--full` — paper-scale problem sizes (the defaults are laptop-scale);
 //! * `--quick` — extra-small sizes for smoke testing;
 //! * `--csv` — machine-readable CSV on stdout instead of the formatted table;
-//! * `--repeat N` — repetitions per configuration. `fig4`–`fig7` report the median of the
+//! * `--repeat N` — repetitions per configuration. `fig3`–`fig7` report the median of the
 //!   runs with its spread ([`Spread`]), since the best of a few runs on a shared host reads
-//!   a lucky outlier as the figure; `fig3` and `fig3_policies` still report the best run.
+//!   a lucky outlier as the figure.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -226,6 +226,15 @@ impl Spread {
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
     }
+}
+
+/// The spread of the first measure of `runs`, each a `(measure, other)` pair of one run, and
+/// the other measure of the median run — the lower middle one for an even count — so that a
+/// figure reports both measures of one run.
+pub fn median_run(runs: &mut [(f64, f64)]) -> (Spread, f64) {
+    let measures: Vec<f64> = runs.iter().map(|run| run.0).collect();
+    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    (Spread::of(&measures), runs[(runs.len() - 1) / 2].1)
 }
 
 #[cfg(test)]

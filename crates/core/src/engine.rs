@@ -81,9 +81,11 @@
 //! id → entry map: each task record holds its task's entry and reaches the engine through it.
 //! Every [`TaskId`] function resolves its id through the id index, which only the id API's own
 //! registrations fill, and then runs the entry-based code.
+//!
+//! A finish or a release drains a [`Cascade`] (message and event queues) that the caller owns
+//! and keeps, empty, for its next call: the runtime in each thread's worker state, the
+//! [`TaskId`] functions in the id index. The engine keeps no thread-local state.
 
-use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -94,6 +96,7 @@ use weakdep_regions::{Fit, IntervalMap, RangeUpdate, Region, RegionStore};
 use weakdep_threadpool::{thread_slot, Striped, THREAD_SLOTS};
 
 use crate::access::{normalize_deps, Depend, NormalizedDep, WaitMode};
+use crate::home_bin::HomeBin;
 
 /// Identifier of a task inside the engine (and the runtime).
 ///
@@ -174,15 +177,14 @@ pub struct Effects<P = TaskId> {
     /// registration API. The runtime schedules the first one onto the releasing worker's
     /// immediate-successor slot (the locality policy of §VIII-A).
     pub ready: Vec<P>,
-    /// Tasks that became *deeply complete* (body finished and all descendants deeply complete).
-    /// Informational: the runtime's wake paths act on the two aggregate fields below; this list
-    /// exists for embedders and tests that want per-task completion visibility.
-    pub deeply_completed: Vec<TaskId>,
-    /// Tasks whose **last live child** deeply completed while their own body was still running
-    /// — exactly the condition a `taskwait` in that body blocks on. Reported separately from
+    /// How many tasks became *deeply complete* (body finished and all descendants deeply
+    /// complete); [`DependencyEngine::is_deeply_completed`] answers for one task.
+    pub deeply_completed: usize,
+    /// Some task's **last live child** deeply completed while the task's own body was still
+    /// running — exactly the condition a `taskwait` in that body blocks on. Reported apart from
     /// `deeply_completed` so the runtime only takes its completion-wake path when a waiter's
     /// predicate can actually have flipped, not once per task retirement.
-    pub taskwaits_unblocked: Vec<TaskId>,
+    pub taskwaits_unblocked: bool,
     /// A root task deeply completed — the condition `Runtime::run` blocks on.
     pub root_completed: bool,
     /// Tasks retired: their last bookkeeping in the parent's domain was reclaimed (a root's at
@@ -193,22 +195,27 @@ pub struct Effects<P = TaskId> {
 
 impl<P> Default for Effects<P> {
     fn default() -> Self {
-        Effects {
-            ready: Vec::new(),
-            deeply_completed: Vec::new(),
-            taskwaits_unblocked: Vec::new(),
-            root_completed: false,
-            retired: Vec::new(),
-        }
+        Self::new()
     }
 }
 
 impl<P> Effects<P> {
+    /// No effects (no allocation until the first ready or retired task).
+    pub const fn new() -> Self {
+        Effects {
+            ready: Vec::new(),
+            deeply_completed: 0,
+            taskwaits_unblocked: false,
+            root_completed: false,
+            retired: Vec::new(),
+        }
+    }
+
     /// `true` if the transition had no externally visible effect.
     pub fn is_empty(&self) -> bool {
         self.ready.is_empty()
-            && self.deeply_completed.is_empty()
-            && self.taskwaits_unblocked.is_empty()
+            && self.deeply_completed == 0
+            && !self.taskwaits_unblocked
             && !self.root_completed
             && self.retired.is_empty()
     }
@@ -1234,7 +1241,7 @@ impl<P> TaskEntry<P> {
 }
 
 /// Cross-domain propagation messages. Each message is addressed to exactly one domain and is
-/// processed under that domain's lock only, by the thread draining the outbox — never while the
+/// processed under that domain's lock only, by the thread draining the cascade — never while the
 /// producing domain's lock is still held.
 enum Message<P> {
     /// Fragments of `target`'s own weak access `own_idx` became satisfied in the parent's
@@ -1279,74 +1286,51 @@ enum Event {
     Complete { node: u32, parts: Parts },
 }
 
-thread_local! {
-    /// The calling thread's cascade queues between engine calls, empty but with their capacity:
-    /// a boxed [`CascadeScratch`] of the payload type of the last engine this thread ran.
-    static CASCADE_SCRATCH: Cell<Option<Box<dyn Any>>> = const { Cell::new(None) };
+/// The queues one finish or release drains: the cross-domain messages, in the order they were
+/// produced, and the domain-local events of the message being applied. The caller owns the
+/// cascade and keeps it for its next call: both queues grow to a handful of ~100-byte entries
+/// on nearly every task, so a fresh pair per call would cost several `realloc`s. The runtime
+/// keeps its cascades in each thread's worker state, and the [`TaskId`] functions share a spare
+/// one kept in the id index.
+pub(crate) struct Cascade<P> {
+    messages: VecDeque<Message<P>>,
+    events: VecDeque<Event>,
 }
 
-/// The message outbox and event queue of one retire cascade ([`DependencyEngine::body_finished`],
-/// [`DependencyEngine::release_region`]). Both queues grow to a handful of ~100-byte entries on
-/// nearly every task, so a fresh pair per call cost several `realloc`s; instead each thread keeps
-/// one pair and lends it to the call it is running. Engine calls never nest on a thread, so the
-/// cell is always full when a call starts after the first; a panic mid-cascade only drops the
-/// pair, and nothing depends on getting it back. The pair is lent as the same `Box` every time
-/// (a thread-local cannot be generic over the payload, so it holds the box as `dyn Any`); a
-/// thread that switches to an engine of another payload type starts a fresh pair.
-struct CascadeScratch<P> {
-    outbox: Outbox<P>,
-    queue: VecDeque<Event>,
-}
-
-/// Cross-domain messages a retire left to deliver, in the order they were produced: the
-/// caller of [`DependencyEngine::finish_body`] holds them until it drains them with
-/// [`DependencyEngine::pump_outbox`].
-pub(crate) struct Outbox<P>(VecDeque<Message<P>>);
-
-impl<P> Outbox<P> {
-    /// An empty outbox (no allocation until the first message).
+impl<P> Cascade<P> {
+    /// An empty cascade (no allocation until the first message).
     pub(crate) const fn new() -> Self {
-        Outbox(VecDeque::new())
+        Cascade {
+            messages: VecDeque::new(),
+            events: VecDeque::new(),
+        }
     }
 
+    /// `true` when no message waits: the state between engine calls, or of a retire batch
+    /// holding nothing.
     pub(crate) fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.messages.is_empty() && self.events.is_empty()
     }
 }
 
-impl<P: 'static> CascadeScratch<P> {
-    /// Takes this thread's pair (a fresh one on the first call, or during thread teardown).
-    fn take() -> Box<Self> {
-        CASCADE_SCRATCH
-            .try_with(Cell::take)
-            .ok()
-            .flatten()
-            .and_then(|scratch| scratch.downcast().ok())
-            .unwrap_or_else(|| {
-                Box::new(CascadeScratch {
-                    outbox: Outbox::new(),
-                    queue: VecDeque::new(),
-                })
-            })
-    }
-
-    /// Returns the drained pair to this thread for the next call.
-    fn put_back(self: Box<Self>) {
-        debug_assert!(self.outbox.is_empty() && self.queue.is_empty());
-        let _ = CASCADE_SCRATCH.try_with(|cell| cell.set(Some(self)));
-    }
+/// The id index behind the [`TaskId`] functions, which only their own registrations fill.
+struct IdIndex<P> {
+    /// Slot `i` holds the live task with id index `i`.
+    entries: Vec<Option<Arc<TaskEntry<P>>>>,
+    /// The cascade the id API's finishes and releases lend each other: taken with the entry it
+    /// resolves, put back when the call drops its retired tasks from the index.
+    spare: Cascade<P>,
 }
 
-/// One free list of retired ids, each id already carrying its next generation, padded
-/// to its own cache lines so neighbouring homes do not share one. The engine keeps one list per
-/// [`thread_slot`]: a thread's home list is the one its slot names.
-#[repr(align(128))]
-#[derive(Default)]
-struct FreeList {
-    /// Mirror of `ids.len()`, written under the lock; a relaxed read lets `reserve_id` skip an
-    /// empty list without locking it.
-    len: AtomicUsize,
-    ids: Mutex<Vec<TaskId>>,
+impl<P> IdIndex<P> {
+    fn resolve(&self, task: TaskId) -> Result<Arc<TaskEntry<P>>, StaleTaskId> {
+        let entry = self
+            .entries
+            .get(task.index())
+            .and_then(Option::as_ref)
+            .filter(|e| e.id == task);
+        entry.cloned().ok_or(StaleTaskId(task))
+    }
 }
 
 /// The dependency engine. See the module documentation for the model and `docs/locking.md` for
@@ -1358,11 +1342,11 @@ struct FreeList {
 /// (`P = TaskId`, the default), so `Effects::ready` lists ids; the runtime parks its task
 /// records instead, so a ready task's record comes straight out of the engine.
 pub struct DependencyEngine<P = TaskId> {
-    /// The id index: slot `i` holds the live task with id index `i` that the id API registered.
-    /// Only the [`TaskId`] functions use it; the runtime never fills it.
-    index: Mutex<Vec<Option<Arc<TaskEntry<P>>>>>,
-    /// Retired ids, ready for reuse, filed under the home list of the thread that drained them.
-    free: [FreeList; THREAD_SLOTS],
+    /// The id index. Only the [`TaskId`] functions use it; the runtime never fills it.
+    index: Mutex<IdIndex<P>>,
+    /// Retired ids, ready for reuse, each already carrying its next generation: one bin per
+    /// [`thread_slot`], and a drain files its ids in the bin of the thread that ran it.
+    free: [HomeBin<TaskId>; THREAD_SLOTS],
     /// High-water allocator for fresh indexes (used only when every free list is empty).
     next_index: AtomicUsize,
     /// The [`EngineStats`] counters, indexed by the `stat` constants. Each is bumped on the
@@ -1384,7 +1368,10 @@ impl<P> std::fmt::Debug for DependencyEngine<P> {
 impl<P> Default for DependencyEngine<P> {
     fn default() -> Self {
         DependencyEngine {
-            index: Mutex::new(Vec::new()),
+            index: Mutex::new(IdIndex {
+                entries: Vec::new(),
+                spare: Cascade::new(),
+            }),
             free: Default::default(),
             next_index: AtomicUsize::new(0),
             stats: Striped::new(),
@@ -1466,11 +1453,16 @@ impl<P: From<TaskId> + 'static> DependencyEngine<P> {
             "{:?} has children before it is ready",
             parent.id
         );
+        // The ids are reserved before the parent's lock: a free-list bin is never taken under
+        // a domain lock.
+        let specs: Vec<_> = specs
+            .into_iter()
+            .map(|spec| (self.reserve_id(), spec))
+            .collect();
         let mut domain = parent.domain.lock();
         let registered: Vec<_> = specs
             .into_iter()
-            .map(|(deps, wait_mode)| {
-                let id = self.reserve_id();
+            .map(|(id, (deps, wait_mode))| {
                 let (sched, entry) =
                     self.register_locked(&parent, &mut domain, id, deps, wait_mode);
                 ((id, domain.park(sched, P::from(id)).is_some()), entry)
@@ -1497,15 +1489,11 @@ impl<P: 'static> DependencyEngine<P> {
     pub(crate) fn reserve_id(&self) -> TaskId {
         let home = thread_slot();
         for offset in 0..THREAD_SLOTS {
-            let list = &self.free[(home + offset) % THREAD_SLOTS];
-            if list.len.load(Ordering::Relaxed) == 0 {
+            let bin = &self.free[(home + offset) % THREAD_SLOTS];
+            if bin.len() == 0 {
                 continue;
             }
-            let mut ids = list.ids.lock();
-            let id = ids.pop();
-            list.len.store(ids.len(), Ordering::Relaxed);
-            drop(ids);
-            if let Some(id) = id {
+            if let Some(id) = bin.pop_one() {
                 return id;
             }
         }
@@ -1523,26 +1511,29 @@ impl<P: 'static> DependencyEngine<P> {
         if retired.is_empty() {
             return;
         }
-        let list = &self.free[thread_slot()];
-        let mut ids = list.ids.lock();
-        ids.extend(retired.iter().filter_map(|task| {
+        self.free[thread_slot()].extend_with(retired.iter().filter_map(|task| {
             let generation = task.generation.wrapping_add(1);
             (generation != TaskId::SYNTHETIC_GENERATION).then_some(TaskId {
                 index: task.index,
                 generation,
             })
         }));
-        list.len.store(ids.len(), Ordering::Relaxed);
     }
 
     /// Resolves an id through the id index: the front of every [`TaskId`] function.
     fn entry(&self, task: TaskId) -> Result<Arc<TaskEntry<P>>, StaleTaskId> {
-        let index = self.index.lock();
-        let entry = index
-            .get(task.index())
-            .and_then(Option::as_ref)
-            .filter(|e| e.id == task);
-        entry.cloned().ok_or(StaleTaskId(task))
+        self.index.lock().resolve(task)
+    }
+
+    /// [`DependencyEngine::entry`] for a finish or a release: takes the index's spare cascade
+    /// in the same acquisition.
+    fn entry_and_cascade(
+        &self,
+        task: TaskId,
+    ) -> Result<(Arc<TaskEntry<P>>, Cascade<P>), StaleTaskId> {
+        let mut index = self.index.lock();
+        let entry = index.resolve(task)?;
+        Ok((entry, std::mem::replace(&mut index.spare, Cascade::new())))
     }
 
     /// Adds entries the id API registered to the id index.
@@ -1550,21 +1541,24 @@ impl<P: 'static> DependencyEngine<P> {
         let mut index = self.index.lock();
         for entry in entries {
             let at = entry.id.index();
-            let len = index.len().max(at + 1);
-            index.resize_with(len, || None);
-            index[at] = Some(entry);
+            let len = index.entries.len().max(at + 1);
+            index.entries.resize_with(len, || None);
+            index.entries[at] = Some(entry);
         }
     }
 
-    /// The id API's end of a transition: drops its retired tasks from the id index, then files
-    /// their ids.
-    fn unindex(&self, effects: &Effects<P>) {
+    /// The id API's end of a finish or a release: drops its retired tasks from the id index and
+    /// puts the drained `cascade` back as the spare, then files the retired ids.
+    fn unindex(&self, effects: &Effects<P>, cascade: Cascade<P>) {
+        debug_assert!(cascade.is_empty());
         let mut index = self.index.lock();
         for task in &effects.retired {
             index
+                .entries
                 .get_mut(task.index())
                 .and_then(|slot| slot.take_if(|e| e.id == *task));
         }
+        index.spare = cascade;
         drop(index);
         self.recycle(&effects.retired);
     }
@@ -1945,45 +1939,29 @@ impl<P: 'static> DependencyEngine<P> {
     /// effects, or [`StaleTaskId`] if `task` has already been retired (a double
     /// `body_finished` through a stale id is a caller bug, reported as a defined error).
     pub fn body_finished(&self, task: TaskId) -> Result<Effects<P>, StaleTaskId> {
-        let entry = self.entry(task)?;
+        let (entry, mut cascade) = self.entry_and_cascade(task)?;
         let mut effects = Effects::default();
-        self.body_finished_into(&entry, &mut effects);
-        self.unindex(&effects);
+        self.finish_body(&entry, &mut cascade, &mut effects);
+        self.pump(&mut cascade, &mut effects);
+        self.unindex(&effects, cascade);
         Ok(effects)
     }
 
-    /// [`DependencyEngine::body_finished`] for the task `entry` belongs to, into the caller's
-    /// empty `effects`, so a caller that drains and keeps one buffer retires tasks without
-    /// allocating effect vectors: [`DependencyEngine::finish_body`] into this thread's
-    /// scratch outbox, then [`DependencyEngine::pump`] over it. The caller files
-    /// [`Effects::retired`] ([`DependencyEngine::recycle`]).
-    pub(crate) fn body_finished_into(&self, entry: &Arc<TaskEntry<P>>, effects: &mut Effects<P>) {
-        debug_assert!(
-            effects.is_empty(),
-            "effects buffer handed in with leftovers"
-        );
-        let mut scratch = CascadeScratch::take();
-        let CascadeScratch { outbox, queue } = &mut *scratch;
-        self.finish_body(entry, outbox, effects);
-        self.pump(&mut outbox.0, queue, effects);
-        scratch.put_back();
-    }
-
     /// The own-domain step of [`DependencyEngine::body_finished`]: marks the body finished
-    /// under the task's own domain lock and appends the messages that follow to `outbox`, which
-    /// the caller drains with [`DependencyEngine::pump_outbox`] — at once, or later together
+    /// under the task's own domain lock and appends the messages that follow to `cascade`,
+    /// which the caller drains with [`DependencyEngine::pump`] — at once, or later together
     /// with other retires' messages. Returns `true` when the step's only message is the task's
     /// `ChildDone` (a leaf that deep-completed; its deep completion is already in `effects`):
-    /// the one kind of message the runtime's retire batching holds back.
+    /// the one kind of message the runtime's retire batching holds back. The caller files
+    /// [`Effects::retired`] ([`DependencyEngine::recycle`]).
     pub(crate) fn finish_body(
         &self,
         entry: &Arc<TaskEntry<P>>,
-        outbox: &mut Outbox<P>,
+        cascade: &mut Cascade<P>,
         effects: &mut Effects<P>,
     ) -> bool {
         let task = entry.id;
-        let outbox = &mut outbox.0;
-        let before = outbox.len();
+        let before = cascade.messages.len();
         let mut domain = entry.domain.lock();
         assert!(
             !domain.body_finished,
@@ -1996,7 +1974,7 @@ impl<P: 'static> DependencyEngine<P> {
             // A leaf deep-completes right below, and its `ChildDone` completes every access.
             (WaitMode::None, Some(target)) if domain.live_children > 0 => {
                 for (own_idx, access) in entry.nodes_in_parent.iter().enumerate() {
-                    outbox.push_back(Message::CompleteUp {
+                    cascade.messages.push_back(Message::CompleteUp {
                         target: Arc::clone(&target),
                         task: Arc::clone(entry),
                         own_idx: own_idx as u32,
@@ -2014,7 +1992,7 @@ impl<P: 'static> DependencyEngine<P> {
                     if !uncovered.is_empty() {
                         self.stats
                             .add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
-                        outbox.push_back(Message::CompleteUp {
+                        cascade.messages.push_back(Message::CompleteUp {
                             target: Arc::clone(&target),
                             task: Arc::clone(entry),
                             own_idx: own_idx as u32,
@@ -2029,18 +2007,10 @@ impl<P: 'static> DependencyEngine<P> {
         }
 
         if domain.live_children == 0 {
-            deep_complete_locked(self, &mut domain, effects, outbox);
+            deep_complete_locked(self, &mut domain, cascade, effects);
         }
-        outbox.len() == before + 1
-            && matches!(outbox.back(), Some(Message::ChildDone { child, .. }) if Arc::ptr_eq(child, entry))
-    }
-
-    /// Drains `outbox` (see [`DependencyEngine::pump`]) into `effects`, with this thread's
-    /// scratch event queue.
-    pub(crate) fn pump_outbox(&self, outbox: &mut Outbox<P>, effects: &mut Effects<P>) {
-        let mut scratch = CascadeScratch::<P>::take();
-        self.pump(&mut outbox.0, &mut scratch.queue, effects);
-        scratch.put_back();
+        cascade.messages.len() == before + 1
+            && matches!(cascade.messages.back(), Some(Message::ChildDone { child, .. }) if Arc::ptr_eq(child, entry))
     }
 
     /// The `release` directive (§V): the running task asserts it (and its *future* subtasks) will
@@ -2048,28 +2018,27 @@ impl<P: 'static> DependencyEngine<P> {
     /// for early completion; fragments not covered by live child accesses complete immediately.
     /// Returns [`StaleTaskId`] if `task` has already been retired.
     pub fn release_region(&self, task: TaskId, region: Region) -> Result<Effects<P>, StaleTaskId> {
-        let effects = self.release_region_of(&self.entry(task)?, region);
-        self.unindex(&effects);
+        let (entry, mut cascade) = self.entry_and_cascade(task)?;
+        let mut effects = Effects::default();
+        self.release_region_of(&entry, region, &mut cascade, &mut effects);
+        self.unindex(&effects, cascade);
         Ok(effects)
     }
 
-    /// [`DependencyEngine::release_region`] for the task `entry` belongs to.
+    /// [`DependencyEngine::release_region`] for the task `entry` belongs to, through the
+    /// caller's `cascade`, which must be empty and is drained again on return.
     pub(crate) fn release_region_of(
         &self,
         entry: &Arc<TaskEntry<P>>,
         region: Region,
-    ) -> Effects<P> {
-        let mut effects = Effects::default();
-        let mut scratch = CascadeScratch::take();
-        let CascadeScratch {
-            outbox: Outbox(outbox),
-            queue,
-        } = &mut *scratch;
+        cascade: &mut Cascade<P>,
+        effects: &mut Effects<P>,
+    ) {
+        debug_assert!(cascade.is_empty(), "a release started on a busy cascade");
         {
             let mut domain = entry.domain.lock();
             let Some(target) = domain.parent_arc() else {
-                scratch.put_back();
-                return effects;
+                return;
             };
             domain.ensure_seeded(&entry.nodes_in_parent);
             for own_idx in 0..domain.own.len() {
@@ -2084,7 +2053,7 @@ impl<P: 'static> DependencyEngine<P> {
                 if !uncovered.is_empty() {
                     self.stats
                         .add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
-                    outbox.push_back(Message::CompleteUp {
+                    cascade.messages.push_back(Message::CompleteUp {
                         target: Arc::clone(&target),
                         task: Arc::clone(entry),
                         own_idx: own_idx as u32,
@@ -2093,9 +2062,7 @@ impl<P: 'static> DependencyEngine<P> {
                 }
             }
         }
-        self.pump(outbox, queue, &mut effects);
-        scratch.put_back();
-        effects
+        self.pump(cascade, effects);
     }
 
     // ------------------------------------------------------------------------------------------
@@ -2103,7 +2070,7 @@ impl<P: 'static> DependencyEngine<P> {
     // ------------------------------------------------------------------------------------------
 
     /// Drains cross-domain messages. Each message locks exactly one domain; handlers may append
-    /// further messages, which are processed until the outbox runs dry.
+    /// further messages to the cascade, which are processed until it runs dry.
     ///
     /// Messages already queued for the domain just locked are applied under the same lock
     /// acquisition (a weakwait task's last `CompleteUp` hand-over followed by its `ChildDone`
@@ -2113,43 +2080,38 @@ impl<P: 'static> DependencyEngine<P> {
     /// been recycled yet (stale references are dropped via the slot generation as a second line
     /// of defence). A leaf sends its parent one message, the `ChildDone`.
     ///
-    /// `queue` is the event queue every message of the drain shares (it is always empty between
-    /// `apply` calls); both queues come from the calling thread's [`CascadeScratch`].
-    fn pump(
-        &self,
-        outbox: &mut VecDeque<Message<P>>,
-        queue: &mut VecDeque<Event>,
-        effects: &mut Effects<P>,
-    ) {
-        while let Some(message) = outbox.pop_front() {
+    /// The cascade's event queue is shared by every message of the drain (it is always empty
+    /// between `apply` calls), and the drain leaves the whole cascade empty.
+    pub(crate) fn pump(&self, cascade: &mut Cascade<P>, effects: &mut Effects<P>) {
+        while let Some(message) = cascade.messages.pop_front() {
             let target = Arc::clone(message.target());
             let mut domain = target.domain.lock();
-            self.apply(&mut domain, message, queue, effects, outbox);
+            self.apply(&mut domain, message, cascade, effects);
             // Apply consecutive messages for the same domain while we hold its lock. A
             // hand-over emits `CompleteUp` immediately followed by `ChildDone` for the same
             // parent, so checking only the queue front captures it at O(1) per message (scanning
-            // the whole outbox would make wide fan-out drains quadratic).
-            while outbox
+            // the whole queue would make wide fan-out drains quadratic).
+            while cascade
+                .messages
                 .front()
                 .is_some_and(|next| Arc::ptr_eq(next.target(), &target))
             {
-                let message = outbox.pop_front().expect("front checked");
-                self.apply(&mut domain, message, queue, effects, outbox);
+                let message = cascade.messages.pop_front().expect("front checked");
+                self.apply(&mut domain, message, cascade, effects);
             }
         }
     }
 
-    /// Applies one message under its (locked) target domain. `queue` is scratch space for the
+    /// Applies one message under its (locked) target domain. The cascade's event queue holds the
     /// local cascade; it is drained before returning.
     fn apply(
         &self,
         domain: &mut Domain<P>,
         message: Message<P>,
-        queue: &mut VecDeque<Event>,
+        cascade: &mut Cascade<P>,
         effects: &mut Effects<P>,
-        outbox: &mut VecDeque<Message<P>>,
     ) {
-        debug_assert!(queue.is_empty());
+        debug_assert!(cascade.events.is_empty());
         match message {
             Message::SatisfyDown {
                 target,
@@ -2180,11 +2142,11 @@ impl<P: 'static> DependencyEngine<P> {
                     own.satisfy(part, |fragment, targets| {
                         for &to in targets.iter() {
                             let parts = smallvec![fragment];
-                            queue.push_back(Event::Satisfy { node: to, parts });
+                            cascade.events.push_back(Event::Satisfy { node: to, parts });
                         }
                     });
                 }
-                self.process_local(domain, queue, effects, outbox);
+                self.process_local(domain, cascade, effects);
             }
             Message::CompleteUp {
                 target: _,
@@ -2198,11 +2160,11 @@ impl<P: 'static> DependencyEngine<P> {
                 if domain.resolve(node_ref).is_none() {
                     return;
                 }
-                queue.push_back(Event::Complete {
+                cascade.events.push_back(Event::Complete {
                     node: node_ref.idx,
                     parts,
                 });
-                self.process_local(domain, queue, effects, outbox);
+                self.process_local(domain, cascade, effects);
             }
             Message::ChildDone { target: _, child } => {
                 let entry = child;
@@ -2229,11 +2191,11 @@ impl<P: 'static> DependencyEngine<P> {
                 // than it covered), one access and its cascade after the other.
                 for InParent { node: node_ref, .. } in entry.nodes_in_parent.iter() {
                     if let Some(node) = domain.resolve(*node_ref) {
-                        queue.push_back(Event::Complete {
+                        cascade.events.push_back(Event::Complete {
                             node: node_ref.idx,
                             parts: smallvec![node.region],
                         });
-                        self.process_local(domain, queue, effects, outbox);
+                        self.process_local(domain, cascade, effects);
                     }
                 }
 
@@ -2258,11 +2220,11 @@ impl<P: 'static> DependencyEngine<P> {
                 if domain.live_children == 0 {
                     if domain.body_finished {
                         debug_assert!(!domain.deeply_completed);
-                        deep_complete_locked(self, domain, effects, outbox);
+                        deep_complete_locked(self, domain, cascade, effects);
                     } else {
                         // The body is still running and may be blocked in `taskwait`: its wake
                         // condition just flipped.
-                        effects.taskwaits_unblocked.push(domain.owner);
+                        effects.taskwaits_unblocked = true;
                     }
                 }
             }
@@ -2276,17 +2238,16 @@ impl<P: 'static> DependencyEngine<P> {
     fn process_local(
         &self,
         domain: &mut Domain<P>,
-        queue: &mut VecDeque<Event>,
+        cascade: &mut Cascade<P>,
         effects: &mut Effects<P>,
-        outbox: &mut VecDeque<Message<P>>,
     ) {
-        while let Some(event) = queue.pop_front() {
+        while let Some(event) = cascade.events.pop_front() {
             match event {
                 Event::Satisfy { node, parts } => {
-                    self.do_satisfy(domain, node, &parts, queue, effects, outbox)
+                    self.do_satisfy(domain, node, &parts, cascade, effects)
                 }
                 Event::Complete { node, parts } => {
-                    self.do_complete(domain, node, &parts, queue, effects, outbox)
+                    self.do_complete(domain, node, &parts, cascade, effects)
                 }
             }
         }
@@ -2299,9 +2260,8 @@ impl<P: 'static> DependencyEngine<P> {
         domain: &mut Domain<P>,
         idx: u32,
         parts: &Parts,
-        queue: &mut VecDeque<Event>,
+        cascade: &mut Cascade<P>,
         effects: &mut Effects<P>,
-        outbox: &mut VecDeque<Message<P>>,
     ) {
         let Some((node, frag)) = domain.node_and_frag_mut(idx) else {
             return;
@@ -2346,7 +2306,7 @@ impl<P: 'static> DependencyEngine<P> {
         // dependency through the pending-down mirror).
         if has_mirror {
             let target = Arc::clone(sched.entry.as_ref().expect("set at registration"));
-            outbox.push_back(Message::SatisfyDown {
+            cascade.messages.push_back(Message::SatisfyDown {
                 target,
                 own_idx,
                 parts: newly.clone(),
@@ -2354,7 +2314,7 @@ impl<P: 'static> DependencyEngine<P> {
         }
 
         // Fragments that were already completed can now be released.
-        self.try_release(domain, idx, &newly, queue, effects, outbox);
+        self.try_release(domain, idx, &newly, cascade, effects);
     }
 
     /// Marks `parts` of node `idx` as completed (the task and its live children will no longer
@@ -2364,9 +2324,8 @@ impl<P: 'static> DependencyEngine<P> {
         domain: &mut Domain<P>,
         idx: u32,
         parts: &Parts,
-        queue: &mut VecDeque<Event>,
+        cascade: &mut Cascade<P>,
         effects: &mut Effects<P>,
-        outbox: &mut VecDeque<Message<P>>,
     ) {
         let Some((node, frag)) = domain.node_and_frag_mut(idx) else {
             return;
@@ -2378,7 +2337,7 @@ impl<P: 'static> DependencyEngine<P> {
         if newly.is_empty() {
             return;
         }
-        self.try_release(domain, idx, &newly, queue, effects, outbox);
+        self.try_release(domain, idx, &newly, cascade, effects);
     }
 
     /// Releases the fragments of `candidates` that are both satisfied and completed, notifying
@@ -2391,9 +2350,8 @@ impl<P: 'static> DependencyEngine<P> {
         domain: &mut Domain<P>,
         idx: u32,
         candidates: &Parts,
-        queue: &mut VecDeque<Event>,
+        cascade: &mut Cascade<P>,
         effects: &mut Effects<P>,
-        outbox: &mut VecDeque<Message<P>>,
     ) {
         // releasable = candidate ∩ unreleased ∩ !unsatisfied ∩ !uncompleted
         let mut releasable: SmallVec<[Region; 4]> = SmallVec::new();
@@ -2425,7 +2383,7 @@ impl<P: 'static> DependencyEngine<P> {
             for part in &actually_released {
                 node.take_release_edges(frag, part, |fragment, targets| {
                     for &to in targets.iter() {
-                        queue.push_back(Event::Satisfy {
+                        cascade.events.push_back(Event::Satisfy {
                             node: to,
                             parts: smallvec![fragment],
                         });
@@ -2473,7 +2431,7 @@ impl<P: 'static> DependencyEngine<P> {
                 if let Some(target) = domain.parent_arc() {
                     self.stats
                         .add(stat::INCREMENTAL_RELEASES, completable.len() as u64);
-                    outbox.push_back(Message::CompleteUp {
+                    cascade.messages.push_back(Message::CompleteUp {
                         target,
                         task: domain.owner_entry(),
                         own_idx: own_idx as u32,
@@ -2593,7 +2551,7 @@ impl<P: 'static> DependencyEngine<P> {
     /// Tasks the id index holds.
     #[cfg(test)]
     pub(crate) fn indexed(&self) -> usize {
-        self.index.lock().iter().flatten().count()
+        self.index.lock().entries.iter().flatten().count()
     }
 
     /// Number of live (not yet retired) tasks. Computed in O(1) from the registration and
@@ -2612,15 +2570,15 @@ impl<P: 'static> DependencyEngine<P> {
 fn deep_complete_locked<P: 'static>(
     engine: &DependencyEngine<P>,
     domain: &mut Domain<P>,
+    cascade: &mut Cascade<P>,
     effects: &mut Effects<P>,
-    outbox: &mut VecDeque<Message<P>>,
 ) {
     debug_assert!(!domain.deeply_completed);
     debug_assert!(domain.body_finished);
     debug_assert_eq!(domain.live_children, 0);
     domain.deeply_completed = true;
     engine.stats.add(stat::TASKS_DEEPLY_COMPLETED, 1);
-    effects.deeply_completed.push(domain.owner);
+    effects.deeply_completed += 1;
     match &domain.parent_entry {
         None => {
             effects.root_completed = true;
@@ -2633,7 +2591,7 @@ fn deep_complete_locked<P: 'static>(
             let target = weak
                 .upgrade()
                 .expect("parent entry outlives incomplete children");
-            outbox.push_back(Message::ChildDone {
+            cascade.messages.push_back(Message::ChildDone {
                 target,
                 child: domain.owner_entry(),
             });
@@ -2660,7 +2618,6 @@ mod tests {
         engine: DependencyEngine,
         root: TaskId,
         ready: Vec<TaskId>,
-        completed: Vec<TaskId>,
     }
 
     impl Harness {
@@ -2671,7 +2628,6 @@ mod tests {
                 engine,
                 root,
                 ready: Vec::new(),
-                completed: Vec::new(),
             }
         }
 
@@ -2693,13 +2649,11 @@ mod tests {
         fn finish(&mut self, task: TaskId) {
             let effects = self.engine.body_finished(task).expect("live task");
             self.ready.extend(effects.ready);
-            self.completed.extend(effects.deeply_completed);
         }
 
         fn release(&mut self, task: TaskId, region: Region) {
             let effects = self.engine.release_region(task, region).expect("live task");
             self.ready.extend(effects.ready);
-            self.completed.extend(effects.deeply_completed);
         }
 
         fn is_ready(&self, task: TaskId) -> bool {
@@ -3198,7 +3152,6 @@ mod tests {
         assert!(h.engine.is_deeply_completed(leaf));
         assert!(h.engine.is_deeply_completed(middle));
         assert!(h.engine.is_deeply_completed(outer));
-        assert!(h.completed.contains(&outer));
         assert_eq!(h.engine.live_children(outer), 0);
     }
 
@@ -3287,7 +3240,8 @@ mod tests {
         h.finish(reader1);
         h.finish(reader2);
         let effects = h.engine.body_finished(independent).expect("live task");
-        assert!(effects.deeply_completed.contains(&independent));
+        assert_eq!(effects.deeply_completed, 1);
+        assert!(h.engine.is_deeply_completed(independent));
     }
 
     /// Engine slabs must recycle node and scheduling slots of deeply completed tasks.
@@ -3715,9 +3669,11 @@ mod tests {
         assert_eq!(queue.len(), engine.stats().ready_at_registration);
         assert!(queue.len() < graph.len(), "some payloads park");
         let mut order = vec![root.id];
-        let finish = |entry: &Arc<TaskEntry<Counted>>| {
+        let mut cascade = Cascade::new();
+        let mut finish = |entry: &Arc<TaskEntry<Counted>>| {
             let mut effects = Effects::default();
-            engine.body_finished_into(entry, &mut effects);
+            engine.finish_body(entry, &mut cascade, &mut effects);
+            engine.pump(&mut cascade, &mut effects);
             engine.recycle(&effects.retired);
             effects.ready
         };

@@ -70,6 +70,7 @@ mod data;
 mod engine;
 #[cfg(feature = "faults")]
 mod faults;
+mod home_bin;
 mod job;
 mod observer;
 mod runtime;

@@ -48,7 +48,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -66,7 +66,8 @@ use crate::faults::FaultPlan;
 use crate::job::{JobError, JobHandle, JobOptions, JobState, JobStats};
 
 use crate::access::{normalize_as, AccessType, Depend, WaitMode};
-use crate::engine::{DependencyEngine, Effects, Outbox, TaskEntry, TaskId};
+use crate::engine::{Cascade, DependencyEngine, Effects, TaskEntry, TaskId};
+use crate::home_bin::HomeBin;
 use crate::observer::{FootprintEntry, RuntimeObserver, TaskExecution, TaskInfo};
 
 /// Configuration for [`Runtime::new`].
@@ -429,9 +430,9 @@ fn sampled() -> bool {
 struct Inner {
     pool: ThreadPool<Box<TaskRecord>>,
     engine: DependencyEngine<Box<TaskRecord>>,
-    /// One [`ReturnBin`] per worker, indexed by [`TaskRecord::home`]. Shared with the pool's
+    /// One [`RecordBin`] per worker, indexed by [`TaskRecord::home`]. Shared with the pool's
     /// idle hook, which checks a bin without reaching for `Inner`.
-    return_bins: Arc<[ReturnBin]>,
+    return_bins: Arc<[RecordBin]>,
     /// Live-job registry: each live job with its root's engine entry, which a root, having no
     /// parent domain to hold it, needs held until it retires. **Leaf-like lock**: only
     /// insert/remove/Arc-clone under it — never a gate notify, an engine call or a queue
@@ -495,8 +496,8 @@ impl Runtime {
         let inner = Arc::new_cyclic(|weak: &std::sync::Weak<Inner>| {
             let weak_for_pool = weak.clone();
             let weak_for_idle = weak.clone();
-            let return_bins: Arc<[ReturnBin]> = (0..config.workers.max(1))
-                .map(|_| ReturnBin::default())
+            let return_bins: Arc<[RecordBin]> = (0..config.workers.max(1))
+                .map(|_| RecordBin::default())
                 .collect();
             let bins_for_idle = Arc::clone(&return_bins);
             let pool = ThreadPool::<Box<TaskRecord>>::with_idle_hook(
@@ -510,20 +511,16 @@ impl Runtime {
                     }
                 },
                 // An idle worker applies the retires it deferred, hands its partial record
-                // batches home and takes in its own bin before it assists or sleeps. Only the
-                // retires can make jobs ready.
+                // batches home and takes in its own bin before it assists or sleeps.
                 move |wctx| {
-                    let flushed = Retirer::holds_batch()
-                        && weak_for_idle.upgrade().is_some_and(|inner| {
-                            RETIRER.with_borrow_mut(|r| r.timed_flush(&inner, wctx));
-                            true
-                        });
-                    if RecordCache::idle_work(&bins_for_idle, wctx.index()) {
-                        if let Some(inner) = weak_for_idle.upgrade() {
-                            RECORDS.with_borrow_mut(|cache| cache.idle(&inner, wctx.index()));
-                        }
-                    }
-                    flushed
+                    let bin = &bins_for_idle[wctx.index()];
+                    WORKER.with_borrow_mut(|state| {
+                        let work = state.batch.held > 0 || state.records.pending > 0;
+                        (work || bin.len() > 0)
+                            && weak_for_idle
+                                .upgrade()
+                                .is_some_and(|inner| state.idle(&inner, wctx))
+                    })
                 },
             );
             Inner {
@@ -592,11 +589,13 @@ impl Runtime {
             .task_started(sentinel_key(root_record.id));
         let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
 
-        let mut effects = Effects::default();
-        self.inner
-            .engine
-            .body_finished_into(root_record.entry(), &mut effects);
-        schedule_effects(&self.inner, &mut effects, None, &job);
+        WORKER.with_borrow_mut(|state| {
+            let (cascade, effects) = state.buffers();
+            let engine = &self.inner.engine;
+            engine.finish_body(root_record.entry(), cascade, effects);
+            engine.pump(cascade, effects);
+            schedule_effects(&self.inner, effects, None, &job);
+        });
 
         // Wait until the root (and therefore every descendant) deeply completes; the job's
         // `finished` flag is flipped by `schedule_effects` when the engine reports the root's
@@ -611,9 +610,13 @@ impl Runtime {
             .sentinel
             .task_finished(sentinel_key(root_record.id));
         // Deep completion of the root is a quiescent point for the engine's accounting only
-        // when no other job is in flight.
-        if cfg!(debug_assertions) && self.inner.jobs.lock().is_empty() {
-            self.inner.engine.debug_check_invariants();
+        // when no other job is in flight. The registry stays locked through the check: a job
+        // entered after the emptiness test would register tasks while the counters are read.
+        if cfg!(debug_assertions) {
+            let jobs = self.inner.jobs.lock();
+            if jobs.is_empty() {
+                self.inner.engine.debug_check_invariants();
+            }
         }
 
         // A child's recorded failure wins over the root body's own panic (matching the
@@ -720,7 +723,7 @@ impl Runtime {
             live_tasks: self.inner.engine.live_tasks(),
             pending_slots: 0,
             live_jobs: self.inner.jobs.lock().len(),
-            returned_records: self.inner.return_bins.iter().map(ReturnBin::len).sum(),
+            returned_records: self.inner.return_bins.iter().map(RecordBin::len).sum(),
         }
     }
 }
@@ -1107,23 +1110,22 @@ impl<'a> TaskCtx<'a> {
     /// Tasks made ready here are pushed onto the local deque (not the immediate-successor slot):
     /// the current task is still running, so other workers must be able to steal them.
     pub fn release(&self, region: Region) {
-        let mut effects = self
-            .inner
-            .engine
-            .release_region_of(self.record.entry(), region);
-        // Shrink the task's live declared footprint *before* dispatching successors: a released
-        // region is no longer ours, so a successor starting on it must not conflict with us,
-        // and our own later accesses to it must trip `check_access`.
-        #[cfg(feature = "sentinel")]
-        self.inner
-            .sentinel
-            .released(sentinel_key(self.record.id), &region);
-        schedule_effects(
-            self.inner,
-            &mut effects,
-            self.worker.map(|w| (w, false)),
-            &self.record.job,
-        );
+        WORKER.with_borrow_mut(|state| {
+            let (cascade, effects) = state.buffers();
+            let entry = self.record.entry();
+            self.inner
+                .engine
+                .release_region_of(entry, region, cascade, effects);
+            // Shrink the task's live declared footprint *before* dispatching successors: a
+            // released region is no longer ours, so a successor starting on it must not
+            // conflict with us, and our own later accesses to it must trip `check_access`.
+            #[cfg(feature = "sentinel")]
+            self.inner
+                .sentinel
+                .released(sentinel_key(self.record.id), &region);
+            let worker = self.worker.map(|w| (w, false));
+            schedule_effects(self.inner, effects, worker, &self.record.job);
+        });
     }
 
     /// Releases several regions at once (convenience wrapper over [`TaskCtx::release`]).
@@ -1582,10 +1584,11 @@ fn new_record(ctx: &TaskCtx<'_>, clauses: &Clauses, body: Body) -> Box<TaskRecor
         ordinal: _ordinal as u32,
     };
     // On a worker, the record is built in one of its spares when it has one.
-    let record = match ctx
-        .worker
-        .and_then(|worker| RecordCache::spare(ctx.inner, worker.index()))
-    {
+    let spare = ctx.worker.and_then(|worker| {
+        let bin = &ctx.inner.return_bins[worker.index()];
+        WORKER.with_borrow_mut(|state| state.records.spare(bin))
+    });
+    let record = match spare {
         Some(mut spare) => {
             *spare = fresh;
             ctx.inner.timers.add(RECORDS_REUSED, 1);
@@ -1656,14 +1659,27 @@ fn defers_retire(
         && next_is_sibling()
 }
 
-/// A worker's retire state: the batch of deferred `ChildDone`s — all for one parent, so all of
-/// one job — with the effects their own-domain steps produced, and the estimate rule (a)
-/// compares bodies against. Non-deferred retires use the same outbox and effects buffer, which
-/// keep their capacity, so a retire allocates no message or effect vectors once they grew.
-struct Retirer {
-    outbox: Outbox<Box<TaskRecord>>,
+/// A thread's retire-path state (see `docs/runtime.md`, "Worker state"): the buffers of its
+/// engine calls, its retire batch and its task-record cache. Each thread has one, in
+/// [`WORKER`]; only workers fill the batch and the cache.
+struct WorkerState {
+    /// The cascade of every engine call on this thread but a worker's retire: a `release`, the
+    /// inline root's finish — also of another runtime's `run` called from a task body. Empty
+    /// between calls, so no call pumps the batch's messages.
+    cascade: Cascade<Box<TaskRecord>>,
+    /// The effects of every engine call on this thread; empty between calls.
     effects: Effects<Box<TaskRecord>>,
-    /// `ChildDone`s held back in `outbox`; the batch is empty when this is 0.
+    batch: RetireBatch,
+    records: RecordCache,
+}
+
+/// A worker's retire batch: the deferred `ChildDone`s — all for one parent, so all of one job —
+/// and the estimate rule (a) of [`defers_retire`] compares bodies against.
+struct RetireBatch {
+    /// The batch's own cascade: the held `ChildDone`s, behind which every retire of this worker
+    /// appends its messages, so that one pump applies a run of siblings' together.
+    cascade: Cascade<Box<TaskRecord>>,
+    /// `ChildDone`s held back in `cascade`; the batch is empty when this is 0.
     held: usize,
     /// The parent of the held leaves: the target of every held message.
     target: Option<TaskId>,
@@ -1672,197 +1688,6 @@ struct Retirer {
     /// Running mean (weight 1/8) of this worker's timed retires that applied nothing held
     /// back, in ns; 0 until the first one, which defers nothing.
     estimate_ns: u64,
-}
-
-thread_local! {
-    /// This worker's [`Retirer`]. Borrowed only between bodies — never across one — so the
-    /// nested `execute_task` of a `taskwait` finds it free.
-    static RETIRER: RefCell<Retirer> = const { RefCell::new(Retirer::new()) };
-}
-
-impl Retirer {
-    const fn new() -> Self {
-        Retirer {
-            outbox: Outbox::new(),
-            effects: Effects {
-                ready: Vec::new(),
-                deeply_completed: Vec::new(),
-                taskwaits_unblocked: Vec::new(),
-                root_completed: false,
-                retired: Vec::new(),
-            },
-            held: 0,
-            target: None,
-            job: None,
-            estimate_ns: 0,
-        }
-    }
-
-    /// Whether this thread holds deferred retires (one borrow; `false` off the workers).
-    fn holds_batch() -> bool {
-        RETIRER.try_with(|r| r.borrow().held > 0).unwrap_or(false)
-    }
-
-    /// Retires the task `record` ran, its body having taken `body_ns`: either defers its
-    /// `ChildDone` into the batch or applies it, together with a batch of its siblings.
-    /// Returns whether the retire applied nothing held back (a sample for the estimate).
-    fn retire(
-        &mut self,
-        inner: &Arc<Inner>,
-        record: &TaskRecord,
-        wctx: &WorkerContext<'_, Box<TaskRecord>>,
-        body_ns: u64,
-    ) -> bool {
-        let entry = record.entry();
-        let parent = entry.parent_id();
-        if self.held > 0 && self.target != parent {
-            // Held back for another parent (a `taskwait` inside the body ran other tasks).
-            self.flush(inner, wctx);
-        }
-        // Held leaves are this task's siblings, so they belong to its job.
-        debug_assert!(
-            self.job
-                .as_ref()
-                .is_none_or(|job| Arc::ptr_eq(job, &record.job)),
-            "a retire batch mixes jobs"
-        );
-        let leaf = inner
-            .engine
-            .finish_body(entry, &mut self.outbox, &mut self.effects);
-        // A leaf deep-completed in its own domain: count it now, before its `ChildDone` can
-        // reach the root, so a finished job never reads a completion short (a batch applies
-        // the `ChildDone` later, and another worker may complete the root meanwhile).
-        let completed = self.effects.deeply_completed.len();
-        if completed > 0 {
-            record.job.deeply_completed.fetch_add(completed, SeqCst);
-            self.effects.deeply_completed.clear();
-        }
-        if leaf
-            && defers_retire(
-                body_ns,
-                self.estimate_ns,
-                entry.successor_linked(),
-                || wctx.next_local_is(|next| next.entry().parent_id() == parent),
-                self.held,
-            )
-        {
-            if self.held == 0 {
-                self.target = parent;
-                self.job = Some(Arc::clone(&record.job));
-            }
-            self.held += 1;
-            inner.timers.add(RETIRES_DEFERRED, 1);
-            return false;
-        }
-        let solo = self.held == 0;
-        // A held batch is this task's siblings': one pump applies both, and the job is theirs.
-        self.apply(inner, wctx, &record.job);
-        solo
-    }
-
-    /// Pumps the outbox and schedules the effects with `job`, emptying the batch.
-    fn apply(
-        &mut self,
-        inner: &Arc<Inner>,
-        wctx: &WorkerContext<'_, Box<TaskRecord>>,
-        job: &Arc<JobState>,
-    ) {
-        inner
-            .engine
-            .pump_outbox(&mut self.outbox, &mut self.effects);
-        schedule_effects(inner, &mut self.effects, Some((wctx, true)), job);
-        if self.held > 0 {
-            inner.timers.add(RETIRE_FLUSHES, 1);
-            self.held = 0;
-            self.target = None;
-            self.job = None;
-        }
-    }
-
-    /// Applies the held batch, if any.
-    fn flush(&mut self, inner: &Arc<Inner>, wctx: &WorkerContext<'_, Box<TaskRecord>>) {
-        if let Some(job) = self.job.clone() {
-            self.apply(inner, wctx, &job);
-        }
-    }
-
-    /// [`Retirer::flush`] outside any retire — the worker went idle, or is about to run a
-    /// task of another parent — timed under [`RETIRE_NS`].
-    fn timed_flush(&mut self, inner: &Arc<Inner>, wctx: &WorkerContext<'_, Box<TaskRecord>>) {
-        let start = Instant::now();
-        self.flush(inner, wctx);
-        add_span(&inner.timers, RETIRE_NS, start, Instant::now(), 1);
-    }
-
-    /// Folds a timed retire that applied nothing held back into the estimate. A sample is
-    /// clipped at twice the estimate, so one preempted retire cannot open the gate to long
-    /// bodies.
-    fn observe(&mut self, retire_ns: u64) {
-        self.estimate_ns = match self.estimate_ns {
-            0 => retire_ns,
-            estimate => estimate - estimate / 8 + retire_ns.min(2 * estimate) / 8,
-        };
-    }
-}
-
-/// A worker hands the finished records of another worker home in batches of this many: one
-/// acquisition of the home's [`ReturnBin`] per batch.
-const RETURN_BATCH: usize = 32;
-
-/// A worker keeps at most this many spare records, and its [`ReturnBin`] takes a batch only
-/// while it holds fewer; past either bound a finished record is freed where it is.
-const SPARE_CAP: usize = 1024;
-
-/// The [`TaskRecord::home`] of a record spawned off the pool — a root, or a child of an inline
-/// root body. Such a record is freed by the worker that runs it.
-const OFF_POOL: u32 = u32::MAX;
-
-/// Where the other workers hand a worker the finished records it spawned (see
-/// `docs/runtime.md`, "Task memory"). **Leaf lock**: only a batch's append or the move of the
-/// whole bin runs under it — no other lock, and no record is dropped under it
-/// (`docs/locking.md`).
-// The boxes are what travels: each is an allocation its home reuses.
-#[allow(clippy::vec_box)]
-#[derive(Default)]
-#[repr(align(128))]
-struct ReturnBin {
-    parked: Mutex<Vec<Box<TaskRecord>>>,
-    /// `parked.len()`, stored after every change so that a check takes no lock. Relaxed: a
-    /// stale read only delays a take, or lets one more batch in past [`SPARE_CAP`].
-    len: AtomicUsize,
-}
-
-#[allow(clippy::vec_box)]
-impl ReturnBin {
-    fn len(&self) -> usize {
-        self.len.load(Relaxed)
-    }
-
-    /// Moves `batch` into the bin, keeping `batch`'s capacity, and counts the records under
-    /// [`RECORDS_RETURNED`]. A bin holding [`SPARE_CAP`] records or more takes none: they are
-    /// dropped here.
-    fn put(&self, batch: &mut Vec<Box<TaskRecord>>, timers: &PhaseTimers) {
-        if self.len() >= SPARE_CAP {
-            batch.clear();
-            return;
-        }
-        timers.add(RECORDS_RETURNED, batch.len() as u64);
-        let mut parked = self.parked.lock();
-        parked.append(batch);
-        self.len.store(parked.len(), Relaxed);
-    }
-
-    /// Moves every record of the bin to the end of `spares`: when `spares` is empty, by
-    /// exchanging the two vectors, so that the bin keeps a buffer.
-    fn take_into(&self, spares: &mut Vec<Box<TaskRecord>>) {
-        let mut parked = self.parked.lock();
-        if spares.is_empty() {
-            std::mem::swap(&mut *parked, spares);
-        } else {
-            spares.append(&mut parked);
-        }
-        self.len.store(0, Relaxed);
-    }
 }
 
 /// A worker's task-record traffic (see `docs/runtime.md`, "Task memory"): a record is
@@ -1879,31 +1704,191 @@ struct RecordCache {
 }
 
 thread_local! {
-    /// This worker's [`RecordCache`]. Borrowed only outside task bodies.
-    static RECORDS: RefCell<RecordCache> = const {
-        RefCell::new(RecordCache { spares: Vec::new(), outgoing: Vec::new(), pending: 0 })
+    /// This thread's [`WorkerState`]. Borrowed only outside task bodies — between them, and
+    /// around a `release`, a spawn's spare record or the inline root's finish — so the nested
+    /// `execute_task` of a `taskwait` finds it free.
+    static WORKER: RefCell<WorkerState> = const {
+        RefCell::new(WorkerState {
+            cascade: Cascade::new(),
+            effects: Effects::new(),
+            batch: RetireBatch {
+                cascade: Cascade::new(), held: 0, target: None, job: None, estimate_ns: 0,
+            },
+            records: RecordCache { spares: Vec::new(), outgoing: Vec::new(), pending: 0 },
+        })
     };
 }
 
-impl RecordCache {
-    /// A spare record of worker `home`, which is the calling thread; when it has none left,
-    /// it takes in its whole return bin first.
-    fn spare(inner: &Inner, home: usize) -> Option<Box<TaskRecord>> {
-        RECORDS.with_borrow_mut(|cache| {
-            let bin = &inner.return_bins[home];
-            if cache.spares.is_empty() && bin.len() > 0 {
-                cache.take_bin(bin);
+impl WorkerState {
+    /// The cascade and effects buffer for an engine call other than a worker's retire; both
+    /// are empty when the call starts.
+    fn buffers(&mut self) -> (&mut Cascade<Box<TaskRecord>>, &mut Effects<Box<TaskRecord>>) {
+        debug_assert!(
+            self.cascade.is_empty() && self.effects.is_empty(),
+            "an engine call started on a busy cascade"
+        );
+        (&mut self.cascade, &mut self.effects)
+    }
+
+    /// An idle worker applies the retires it deferred, hands every partial record batch home
+    /// and takes in its own bin, so that a pool gone idle parks at most one batch per worker
+    /// in a bin. Returns whether it flushed a batch: only the retires can make tasks ready.
+    fn idle(&mut self, inner: &Arc<Inner>, wctx: &WorkerContext<'_, Box<TaskRecord>>) -> bool {
+        let flushed = self.batch.held > 0;
+        if flushed {
+            self.timed_flush(inner, wctx);
+        }
+        let records = &mut self.records;
+        if records.pending > 0 {
+            for (home, batch) in records.outgoing.iter_mut().enumerate() {
+                if !batch.is_empty() {
+                    hand_home(&inner.return_bins[home], batch, &inner.timers);
+                }
             }
-            cache.spares.pop()
-        })
+            records.pending = 0;
+        }
+        let bin = &inner.return_bins[wctx.index()];
+        if bin.len() > 0 {
+            records.take_bin(bin);
+        }
+        flushed
+    }
+
+    /// Retires the task `record` ran, its body having taken `body_ns`: either defers its
+    /// `ChildDone` into the batch or applies it, together with a batch of its siblings.
+    /// Returns whether the retire applied nothing held back (a sample for the estimate).
+    fn retire(
+        &mut self,
+        inner: &Arc<Inner>,
+        record: &TaskRecord,
+        wctx: &WorkerContext<'_, Box<TaskRecord>>,
+        body_ns: u64,
+    ) -> bool {
+        let entry = record.entry();
+        let parent = entry.parent_id();
+        if self.batch.target != parent {
+            // Held back for another parent (a `taskwait` inside the body ran other tasks).
+            if let Some(job) = self.batch.job.clone() {
+                self.apply(inner, wctx, &job);
+            }
+        }
+        let batch = &mut self.batch;
+        // Held leaves are this task's siblings, so they belong to its job.
+        debug_assert!(
+            batch
+                .job
+                .as_ref()
+                .is_none_or(|job| Arc::ptr_eq(job, &record.job)),
+            "a retire batch mixes jobs"
+        );
+        let leaf = inner
+            .engine
+            .finish_body(entry, &mut batch.cascade, &mut self.effects);
+        // A leaf deep-completed in its own domain: count it now, before its `ChildDone` can
+        // reach the root, so a finished job never reads a completion short (a batch applies
+        // the `ChildDone` later, and another worker may complete the root meanwhile).
+        let completed = std::mem::take(&mut self.effects.deeply_completed);
+        if completed > 0 {
+            record.job.deeply_completed.fetch_add(completed, SeqCst);
+        }
+        if leaf
+            && defers_retire(
+                body_ns,
+                batch.estimate_ns,
+                entry.successor_linked(),
+                || wctx.next_local_is(|next| next.entry().parent_id() == parent),
+                batch.held,
+            )
+        {
+            // A leaf's own-domain step leaves nothing to schedule but its `ChildDone`.
+            debug_assert!(self.effects.is_empty());
+            if batch.held == 0 {
+                batch.target = parent;
+                batch.job = Some(Arc::clone(&record.job));
+            }
+            batch.held += 1;
+            inner.timers.add(RETIRES_DEFERRED, 1);
+            return false;
+        }
+        let solo = batch.held == 0;
+        // A held batch is this task's siblings': one pump applies both, and the job is theirs.
+        self.apply(inner, wctx, &record.job);
+        solo
+    }
+
+    /// Pumps the batch's cascade and schedules the effects with `job`, emptying the batch.
+    fn apply(
+        &mut self,
+        inner: &Arc<Inner>,
+        wctx: &WorkerContext<'_, Box<TaskRecord>>,
+        job: &Arc<JobState>,
+    ) {
+        let batch = &mut self.batch;
+        inner.engine.pump(&mut batch.cascade, &mut self.effects);
+        schedule_effects(inner, &mut self.effects, Some((wctx, true)), job);
+        if batch.held > 0 {
+            inner.timers.add(RETIRE_FLUSHES, 1);
+            batch.held = 0;
+            batch.target = None;
+            batch.job = None;
+        }
+    }
+
+    /// Applies the held batch, if any, outside any retire — the worker went idle, or is about
+    /// to run a task of another parent — timed under [`RETIRE_NS`].
+    fn timed_flush(&mut self, inner: &Arc<Inner>, wctx: &WorkerContext<'_, Box<TaskRecord>>) {
+        if let Some(job) = self.batch.job.clone() {
+            let start = Instant::now();
+            self.apply(inner, wctx, &job);
+            add_span(&inner.timers, RETIRE_NS, start, Instant::now(), 1);
+        }
+    }
+}
+
+impl RetireBatch {
+    /// Folds a timed retire that applied nothing held back into the estimate. A sample is
+    /// clipped at twice the estimate, so one preempted retire cannot open the gate to long
+    /// bodies.
+    fn observe(&mut self, retire_ns: u64) {
+        self.estimate_ns = match self.estimate_ns {
+            0 => retire_ns,
+            estimate => estimate - estimate / 8 + retire_ns.min(2 * estimate) / 8,
+        };
+    }
+}
+
+/// A worker hands the finished records of another worker home in batches of this many: one
+/// acquisition of the home's [`RecordBin`] per batch.
+const RETURN_BATCH: usize = 32;
+
+/// A worker keeps at most this many spare records, and its [`RecordBin`] takes a batch only
+/// while it holds fewer; past either bound a finished record is freed where it is.
+const SPARE_CAP: usize = 1024;
+
+/// The [`TaskRecord::home`] of a record spawned off the pool — a root, or a child of an inline
+/// root body. Such a record is freed by the worker that runs it.
+const OFF_POOL: u32 = u32::MAX;
+
+/// Where the other workers hand a worker the finished records it spawned (see
+/// `docs/runtime.md`, "Task memory"); no record is dropped under its lock.
+type RecordBin = HomeBin<Box<TaskRecord>>;
+
+impl RecordCache {
+    /// A spare record of the calling worker, whose bin is `bin`; when it has none left, it
+    /// takes in its whole bin first.
+    fn spare(&mut self, bin: &RecordBin) -> Option<Box<TaskRecord>> {
+        if self.spares.is_empty() && bin.len() > 0 {
+            self.take_bin(bin);
+        }
+        self.spares.pop()
     }
 
     /// Takes in `bin`, this worker's own. The entries of the records taken are dropped now, so
     /// a `TaskEntry` is freed on the thread that allocated it too; spares past [`SPARE_CAP`]
     /// are freed.
-    fn take_bin(&mut self, bin: &ReturnBin) {
+    fn take_bin(&mut self, bin: &RecordBin) {
         let kept = self.spares.len();
-        bin.take_into(&mut self.spares);
+        bin.take_all(&mut self.spares);
         for record in &mut self.spares[kept..] {
             record.entry = None;
         }
@@ -1922,32 +1907,22 @@ impl RecordCache {
         self.pending += 1;
         if batch.len() == RETURN_BATCH {
             self.pending -= RETURN_BATCH;
-            inner.return_bins[home].put(batch, &inner.timers);
+            hand_home(&inner.return_bins[home], batch, &inner.timers);
         }
     }
+}
 
-    /// Whether worker `index`, the calling thread, has partial batches to hand over or records
-    /// in its own bin.
-    fn idle_work(bins: &[ReturnBin], index: usize) -> bool {
-        bins[index].len() > 0 || RECORDS.with_borrow(|cache| cache.pending > 0)
+/// Moves `batch` into its home's `bin`, keeping `batch`'s capacity, and counts the records
+/// under [`RECORDS_RETURNED`]. A bin holding [`SPARE_CAP`] records or more takes none: they
+/// are dropped here.
+#[allow(clippy::vec_box)]
+fn hand_home(bin: &RecordBin, batch: &mut Vec<Box<TaskRecord>>, timers: &PhaseTimers) {
+    if bin.len() >= SPARE_CAP {
+        batch.clear();
+        return;
     }
-
-    /// The idle worker `index` hands every partial batch home and takes in its own bin, so
-    /// that a pool gone idle parks at most one batch per worker in a bin.
-    fn idle(&mut self, inner: &Inner, index: usize) {
-        if self.pending > 0 {
-            for (home, batch) in self.outgoing.iter_mut().enumerate() {
-                if !batch.is_empty() {
-                    inner.return_bins[home].put(batch, &inner.timers);
-                }
-            }
-            self.pending = 0;
-        }
-        let bin = &inner.return_bins[index];
-        if bin.len() > 0 {
-            self.take_bin(bin);
-        }
-    }
+    timers.add(RECORDS_RETURNED, batch.len() as u64);
+    bin.append_batch(batch);
 }
 
 /// Executes one task body on a worker and feeds the outcome back into the dependency engine.
@@ -1956,15 +1931,12 @@ fn execute_task(
     mut record: Box<TaskRecord>,
     wctx: &WorkerContext<'_, Box<TaskRecord>>,
 ) {
-    if Retirer::holds_batch() {
+    WORKER.with_borrow_mut(|state| {
         // The batch waits only behind siblings of its leaves.
-        let parent = record.entry().parent_id();
-        RETIRER.with_borrow_mut(|r| {
-            if r.target != parent {
-                r.timed_flush(inner, wctx);
-            }
-        });
-    }
+        if state.batch.held > 0 && state.batch.target != record.entry().parent_id() {
+            state.timed_flush(inner, wctx);
+        }
+    });
     let body = record.body.take();
     let job = &record.job;
     // Cancellation bracket (`SeqCst`, see `crate::job`'s ordering argument): the increment
@@ -2064,19 +2036,19 @@ fn execute_task(
     #[cfg(feature = "sentinel")]
     inner.sentinel.task_finished(sentinel_key(record.id));
     let body_ns = end.duration_since(start).as_nanos() as u64;
-    RETIRER.with_borrow_mut(|r| {
-        let solo = r.retire(inner, &record, wctx, body_ns);
+    WORKER.with_borrow_mut(|state| {
+        let solo = state.retire(inner, &record, wctx, body_ns);
         if let Some((start, weight)) = retire_start {
             let span = Instant::now().duration_since(start).as_nanos() as u64;
             inner.timers.add(RETIRE_NS, weight * span);
             if solo {
-                r.observe(span);
+                state.batch.observe(span);
             }
         }
+        if record.home != OFF_POOL && record.home as usize != wctx.index() {
+            state.records.send_home(inner, record);
+        }
     });
-    if record.home != OFF_POOL && record.home as usize != wctx.index() {
-        RECORDS.with_borrow_mut(|cache| cache.send_home(inner, record));
-    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -2121,10 +2093,9 @@ fn schedule_effects(
         }
     }
 
-    if !effects.deeply_completed.is_empty() {
-        job.deeply_completed
-            .fetch_add(effects.deeply_completed.len(), SeqCst);
-        effects.deeply_completed.clear();
+    let completed = std::mem::take(&mut effects.deeply_completed);
+    if completed > 0 {
+        job.deeply_completed.fetch_add(completed, SeqCst);
     }
     // File the retired ids for reuse, under this thread's home free list.
     inner.engine.recycle(&effects.retired);
@@ -2153,9 +2124,8 @@ fn schedule_effects(
     // still runs (`taskwait` — a worker parked in the pool's sleep state, or the inline root
     // on the job's gate), or this job's root deeply completed (`run`/`wait`, on the gate).
     // Each call is one load unless such a waiter is registered.
-    let taskwait_unblocked = !effects.taskwaits_unblocked.is_empty();
+    let taskwait_unblocked = std::mem::take(&mut effects.taskwaits_unblocked);
     if taskwait_unblocked {
-        effects.taskwaits_unblocked.clear();
         inner.pool.wake_waiters();
     }
     if taskwait_unblocked || root_completed {
@@ -3347,7 +3317,13 @@ mod tests {
 
     #[test]
     fn one_slow_retire_moves_the_estimate_by_at_most_an_eighth() {
-        let mut retirer = Retirer::new();
+        let mut retirer = RetireBatch {
+            cascade: Cascade::new(),
+            held: 0,
+            target: None,
+            job: None,
+            estimate_ns: 0,
+        };
         retirer.observe(2_000);
         assert_eq!(
             retirer.estimate_ns, 2_000,
@@ -3457,7 +3433,7 @@ mod tests {
     #[test]
     fn concurrent_jobs_retire_in_batches_of_their_own() {
         // Four jobs of fine leaves at once: a batch holds one parent's leaves, so one job's;
-        // `Retirer::retire` asserts it in debug builds, and each job's own count of
+        // `WorkerState::retire` asserts it in debug builds, and each job's own count of
         // deep completions (kept by the `schedule_effects` of its batches) must match.
         let rt = Runtime::with_workers(2);
         let handles: Vec<_> = (0..4)
@@ -3579,7 +3555,7 @@ mod tests {
             rt.inner
                 .return_bins
                 .iter()
-                .map(ReturnBin::len)
+                .map(RecordBin::len)
                 .collect::<Vec<_>>()
         };
         assert!(
@@ -3588,5 +3564,122 @@ mod tests {
             bins()
         );
         assert_eq!(rt.capacity().returned_records, bins().iter().sum::<usize>());
+    }
+
+    /// Whether the calling worker holds deferred retires.
+    fn holds_batch() -> bool {
+        WORKER.with_borrow(|state| state.batch.held > 0)
+    }
+
+    /// A wave of fine leaves, every eighth of which releases the block it declared: such a
+    /// release runs while its worker holds earlier siblings' deferred retires, and drains the
+    /// thread's own cascade, not the batch's.
+    #[test]
+    fn a_release_amid_held_siblings_leaves_the_batch_to_its_flush() {
+        const LEAVES: usize = 4_096;
+        let rt = Runtime::with_workers(2);
+        let data = SharedSlice::<u64>::new(LEAVES);
+        let amid = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&amid);
+        let handle = rt.submit(move |ctx| {
+            ctx.task().spawn(move |parent| {
+                let blocks = data.clone();
+                parent.spawn_each(
+                    LEAVES,
+                    move |i, clauses| {
+                        clauses.inout(blocks.region(i..i + 1));
+                    },
+                    move |leaf, i| {
+                        if i % 8 == 7 {
+                            if holds_batch() {
+                                counted.fetch_add(1, Ordering::Relaxed);
+                            }
+                            leaf.release(data.region(i..i + 1));
+                        }
+                    },
+                );
+                parent.taskwait();
+            });
+        });
+        let outcome = loop {
+            match handle.try_wait_result() {
+                Some(outcome) => break outcome,
+                None => std::thread::yield_now(),
+            }
+        };
+        assert!(outcome.is_ok());
+        let stats = handle.stats();
+        assert_eq!(stats.tasks_registered, LEAVES + 2);
+        assert_eq!(stats.tasks_deeply_completed, stats.tasks_registered);
+        assert!(
+            amid.load(Ordering::Relaxed) > 0,
+            "no release ran while its worker held a batch: {:?}",
+            rt.stats()
+        );
+    }
+
+    /// A task body runs a job on a second runtime in the middle of a wave of fine siblings,
+    /// while its worker may hold their deferred retires: the inline root's finish drains the
+    /// thread's own cascade, so neither engine applies the other's messages or files the
+    /// other's ids, and each engine's minted ids stay at their own plateau.
+    #[test]
+    fn a_second_runtime_run_amid_held_siblings_keeps_each_engine_apart() {
+        const LEAVES: usize = 256;
+        const ROUNDS: usize = 40;
+        let outer = Runtime::with_workers(2);
+        let nested = Arc::new(Runtime::with_workers(1));
+        let amid = Arc::new(AtomicUsize::new(0));
+        let minted = || {
+            (
+                outer.inner.engine.ids_minted(),
+                nested.inner.engine.ids_minted(),
+            )
+        };
+        let mut first = (0, 0);
+        let mut most = (0, 0);
+        for round in 0..ROUNDS {
+            let (nested, counted) = (Arc::clone(&nested), Arc::clone(&amid));
+            outer.run(move |ctx| {
+                ctx.task().spawn(move |parent| {
+                    parent.spawn_each(
+                        LEAVES,
+                        |_, _| {},
+                        move |_, i| {
+                            if i % 32 == 31 {
+                                if holds_batch() {
+                                    counted.fetch_add(1, Ordering::Relaxed);
+                                }
+                                nested.run(|root| {
+                                    for _ in 0..16 {
+                                        root.task().spawn(|_| {});
+                                    }
+                                });
+                            }
+                        },
+                    );
+                    parent.taskwait();
+                });
+            });
+            let now = minted();
+            if round == 0 {
+                first = now;
+            }
+            most = (most.0.max(now.0), most.1.max(now.1));
+        }
+        assert!(
+            amid.load(Ordering::Relaxed) > 0,
+            "no nested run started while its worker held a batch"
+        );
+        for (name, rt) in [("outer", &outer), ("nested", &*nested)] {
+            let engine = rt.stats().engine;
+            assert_eq!(
+                engine.tasks_retired, engine.tasks_registered,
+                "the {name} engine retired exactly its own tasks"
+            );
+        }
+        assert!(
+            most.0 <= 2 * first.0 + 64 && most.1 <= 2 * first.1 + 64,
+            "minted ids (outer, nested): first round {first:?}, most {most:?}"
+        );
     }
 }

@@ -1,11 +1,11 @@
 //! The retire cascade — the messages and events `DependencyEngine::body_finished` drains after a
 //! task ends — allocates only the `Effects` it returns, one allocation per list it fills: its
-//! outbox and event queue are lent by the calling thread and keep their capacity between
-//! calls, and the retired ids it files go to a free list that keeps its capacity too. And
-//! registering a weak parent's
+//! message and event queues are the engine's spare cascade, which the id API's calls lend each
+//! other through the id index and which keeps its capacity between calls, and the retired ids
+//! it files go to a free list that keeps its capacity too. And registering a weak parent's
 //! first child allocates a pinned count, so a container added to that path is measured, and a
 //! long chain of readers copies its reader group once per registration. An engine whose
-//! payload is not the task id (the runtime parks its task records) lends its cascade queues
+//! payload is not the task id (the runtime parks its task records) keeps its spare cascade
 //! the same way, so its cascade allocates what the id engine's does.
 //!
 //! This binary installs its own counting global allocator. The count is per thread, so the test
@@ -63,15 +63,10 @@ fn finish_allocations<P: 'static>(engine: &DependencyEngine<P>, task: TaskId) ->
     let before = ALLOCATIONS.with(Cell::get);
     let effects = engine.body_finished(task).expect("live task");
     let allocations = ALLOCATIONS.with(Cell::get) - before;
-    let lists = [
-        effects.ready.capacity(),
-        effects.deeply_completed.capacity(),
-        effects.taskwaits_unblocked.capacity(),
-        effects.retired.capacity(),
-    ]
-    .into_iter()
-    .filter(|&capacity| capacity > 0)
-    .count();
+    let lists = [effects.ready.capacity(), effects.retired.capacity()]
+        .into_iter()
+        .filter(|&capacity| capacity > 0)
+        .count();
     allocations - lists
 }
 
@@ -136,8 +131,10 @@ fn the_retire_cascade_allocates_only_its_effects() {
         "allocations per child body_finished beyond its effects: {measured:?}"
     );
 
-    // The parent's body ends last, on a thread that has never run the cascade: its hand-over
-    // (`CompleteUp` + `ChildDone` up to the root) grows a fresh outbox and event queue there.
+    // The parent's body ends last, on another thread. Its hand-over (`CompleteUp` + `ChildDone`
+    // up to the root) allocates for the fragments it carries, but no queue: the spare cascade
+    // is the engine's, not the thread's (30 allocations; 33 while each thread lent its own
+    // queues and a thread's first cascade grew fresh ones).
     let parent_allocations = std::thread::scope(|s| {
         s.spawn(|| finish_allocations(&engine, parent))
             .join()
@@ -150,10 +147,9 @@ fn the_retire_cascade_allocates_only_its_effects() {
     assert!(engine.is_deeply_completed(parent));
 }
 
-/// The thread-local cascade queues cannot be generic, so they are lent as a boxed `dyn Any` and
-/// downcast to the engine's payload type. On a thread that last ran the id engine, a payload
-/// engine's first cascade starts fresh queues; from then on it reuses them and allocates exactly
-/// what the id engine does.
+/// Each engine keeps a spare cascade of its own payload type. A payload engine's first
+/// cascade grows its queues; from then on it reuses them and allocates exactly what the id
+/// engine does.
 #[test]
 fn a_payload_engine_cascade_allocates_as_the_id_engine_does() {
     let (_, by_id) = child_cascades(&DependencyEngine::new());

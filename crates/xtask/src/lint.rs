@@ -6,14 +6,14 @@
 //!   - `nested-lock`: no thread ever holds two domain locks at once (cross-domain work goes
 //!     through the outbox/`pump` protocol instead);
 //!   - `leaf-lock`: no lock of any kind is taken while a domain lock is held;
-//!   - `call-while-locked`: no domain-lock guard may be live across the message pump, the
-//!     filing of retired ids (`recycle`, which takes a free list) or any scheduler
-//!     dispatch/wake call — effects are dispatched strictly after every engine lock is
-//!     dropped.
-//!
-//!   and the **free lists of retired ids** (`….ids.lock()`):
-//!   - `leaf-lock`: only the pushes or the pop of one drain run under it — no other lock;
-//!   - `call-while-locked`: the same patterns as the domain lock.
+//!   - `call-while-locked`: no domain-lock guard may be live across the message pump, a
+//!     home-bin operation (`pop_one`, `extend_with`, `append_batch`, `take_all`), the
+//!     reserving or filing of ids (`reserve_id`, `recycle`, which take a bin) or any scheduler
+//!     dispatch/wake call — effects are dispatched strictly after every engine lock is dropped.
+//! * `crates/core/src/home_bin.rs` — the **home bins** (`….items.lock()`): the per-thread-slot
+//!   bins of retired ids and the per-worker bins of finished task records:
+//!   - `leaf-lock`: one `Vec` operation under it — no other lock;
+//!   - `call-while-locked`: no dispatch, wake, pump or id filing under it.
 //! * `crates/threadpool/src/sleep.rs` — the **park mutex** (`….park.lock()`, which the workers'
 //!   condvars wait on; the wake epoch itself is an atomic) and the **gate mutex**
 //!   (`….mutex.lock()`, the one `Gate` type behind job completion and admission):
@@ -24,13 +24,10 @@
 //! * `crates/core/src/runtime.rs` — the **jobs registry** (`….jobs.lock()`) of the
 //!   multi-tenant service:
 //!   - `leaf-lock`: only insert/remove/`Arc`-clone run under it — no other lock;
-//!   - `call-while-locked`: no gate notify/wait, scheduler dispatch or admission call while
-//!     the registry guard is live (clone the job `Arc`s out, drop the guard, then notify).
-//!
-//!   and the workers' **return bins** of finished task records (`….parked.lock()`):
-//!   - `leaf-lock`: only a batch's append or the move of a whole bin runs under it — no other
-//!     lock; the domain class applies here too, so a bin taken under a domain guard is flagged;
-//!   - `call-while-locked`: no dispatch, wake, pump or id filing under it.
+//!   - `call-while-locked`: no gate notify/wait, scheduler dispatch, admission call, bin
+//!     operation or id reserving/filing while the registry guard is live (clone the job `Arc`s
+//!     out, drop the guard, then notify). The domain class applies here too, so a bin operation
+//!     under a domain guard in the runtime would be flagged as well.
 //! * `crates/threadpool/src/lib.rs` — the **fair-share queue mutex** (`….fair.lock()`):
 //!   - `leaf-lock` + `call-while-locked`: queue rotation only; sleep-protocol notifies happen
 //!     strictly after the push returns.
@@ -101,19 +98,40 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         ".dispatch_ready(",
         ".dispatch_spawned(",
     ];
+    // `WAKE_OR_DISPATCH` plus every call that takes a home bin's lock: the bin's own
+    // operations and the engine's id reserving and filing. The bins' lock is taken in
+    // `home_bin.rs` only, so these call patterns are how the other files see it.
+    const NO_BIN_WAKE_OR_DISPATCH: &[&str] = &[
+        ".pump(",
+        ".recycle(",
+        ".reserve_id(",
+        ".pop_one(",
+        ".extend_with(",
+        ".append_batch(",
+        ".take_all(",
+        ".notify_one(",
+        ".notify_all(",
+        ".notify_many(",
+        ".wake_waiters(",
+        ".work_until(",
+        ".submit(",
+        ".submit_batch(",
+        ".dispatch_ready(",
+        ".dispatch_spawned(",
+    ];
     const DOMAIN: LockClass = LockClass {
         name: "domain",
         acquire: ".domain.lock()",
         // A leaf: no lock is ever taken while a domain lock is held, neither here nor through
         // the calls that take one (docs/locking.md).
-        forbidden_calls: WAKE_OR_DISPATCH,
+        forbidden_calls: NO_BIN_WAKE_OR_DISPATCH,
         forbid_nested_same_class: true,
         leaf: true,
     };
-    const FREE_LIST: LockClass = LockClass {
-        name: "free-list",
-        acquire: ".ids.lock()",
-        // One drain's pushes or one pop under it, nothing else (docs/locking.md).
+    const HOME_BIN: LockClass = LockClass {
+        name: "home-bin",
+        acquire: ".items.lock()",
+        // One `Vec` operation under it, nothing else (docs/locking.md).
         forbidden_calls: WAKE_OR_DISPATCH,
         forbid_nested_same_class: true,
         leaf: true,
@@ -156,6 +174,12 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
             ".dispatch_ready(",
             ".dispatch_spawned(",
             ".admit(",
+            ".recycle(",
+            ".reserve_id(",
+            ".pop_one(",
+            ".extend_with(",
+            ".append_batch(",
+            ".take_all(",
         ],
         forbid_nested_same_class: true,
         leaf: true,
@@ -213,18 +237,11 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
         forbid_nested_same_class: true,
         leaf: true,
     };
-    const RETURN_BIN: LockClass = LockClass {
-        name: "return-bin",
-        acquire: ".parked.lock()",
-        // A batch's append or the move of a whole bin, nothing else (docs/locking.md).
-        forbidden_calls: WAKE_OR_DISPATCH,
-        forbid_nested_same_class: true,
-        leaf: true,
-    };
-    const DOMAIN_CLASSES: &[LockClass] = &[DOMAIN, FREE_LIST];
-    // The domain class has no acquisition in the runtime; it is listed so that a return bin
-    // (or any other lock) taken under a domain guard there would be flagged as well.
-    const RUNTIME_CLASSES: &[LockClass] = &[REGISTRY, RETURN_BIN, DOMAIN];
+    const DOMAIN_CLASSES: &[LockClass] = &[DOMAIN];
+    const HOME_BIN_CLASSES: &[LockClass] = &[HOME_BIN];
+    // The domain class has no acquisition in the runtime; it is listed so that a bin operation
+    // (or any lock) under a domain guard there would be flagged as well.
+    const RUNTIME_CLASSES: &[LockClass] = &[REGISTRY, DOMAIN];
     const SLEEP_CLASSES: &[LockClass] = &[PARK, GATE];
     const FAIR_CLASSES: &[LockClass] = &[FAIR];
     const WATCHDOG_CLASSES: &[LockClass] = &[WATCHDOG];
@@ -234,6 +251,8 @@ pub fn classes_for(path: &Path) -> &'static [LockClass] {
     // "domain"/"outbox" match the synthetic fixtures, so the CLI can be pointed at them too.
     if name.contains("engine") || name.contains("domain") || name.contains("outbox") {
         DOMAIN_CLASSES
+    } else if name.contains("home_bin") {
+        HOME_BIN_CLASSES
     } else if name.contains("sleep") {
         SLEEP_CLASSES
     } else if name.contains("runtime") || name.contains("registry") || name.contains("return_bin") {
@@ -642,7 +661,32 @@ mod tests {
     }
 
     #[test]
-    fn free_list_and_domain_are_leaves_that_never_nest() {
+    fn home_bin_and_domain_are_leaves_that_never_nest() {
+        let bin_classes = classes_for(&PathBuf::from("crates/core/src/home_bin.rs"));
+        let clean = r#"
+            fn pop_one(&self) -> Option<T> {
+                let mut items = self.items.lock();
+                let item = items.pop();
+                self.len.store(items.len(), Relaxed);
+                item
+            }
+        "#;
+        assert!(scan_source("home_bin.rs", clean, bin_classes).is_empty());
+        let dirty = r#"
+            fn take_all(&self, into: &mut Vec<T>) {
+                let mut items = self.items.lock();
+                let domain = entry.domain.lock();
+                into.append(&mut items);
+            }
+        "#;
+        let violations = scan_source("home_bin.rs", dirty, bin_classes);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.rule == "leaf-lock" && v.function == "take_all"),
+            "a lock taken under a home-bin guard not flagged: {violations:?}"
+        );
+
         let clean = r#"
             fn drain(&self) {
                 {
@@ -650,50 +694,10 @@ mod tests {
                     domain.retired.push(id);
                 }
                 self.recycle(&effects.retired);
-                let mut ids = list.ids.lock();
-                ids.push(id);
+                let id = self.reserve_id();
             }
         "#;
         assert!(scan_source("engine.rs", clean, domain_classes()).is_empty());
-
-        let nested = r#"
-            fn retire(&self) {
-                let domain = entry.domain.lock();
-                let mut ids = list.ids.lock();
-                ids.push(id);
-            }
-            fn file_under_lock(&self) {
-                let domain = entry.domain.lock();
-                self.recycle(&retired);
-            }
-        "#;
-        let violations = scan_source("engine.rs", nested, domain_classes());
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.rule == "leaf-lock" && v.function == "retire"),
-            "a free list taken under a domain guard not flagged: {violations:?}"
-        );
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.rule == "call-while-locked" && v.function == "file_under_lock"),
-            "filing ids under a domain guard not flagged: {violations:?}"
-        );
-
-        let dirty = r#"
-            fn reserve(&self) {
-                let mut ids = list.ids.lock();
-                let domain = entry.domain.lock();
-            }
-        "#;
-        let violations = scan_source("engine.rs", dirty, domain_classes());
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.rule == "leaf-lock" && v.function == "reserve"),
-            "domain lock under a free-list guard not flagged: {violations:?}"
-        );
     }
 
     #[test]
@@ -731,26 +735,26 @@ mod tests {
         let src = include_str!("../fixtures/return_bin_under_lock.rs");
         let path = PathBuf::from("return_bin_under_lock.rs");
         let violations = scan_source("return_bin_under_lock.rs", src, classes_for(&path));
-        for function in ["registry_under_bin", "bin_under_domain"] {
+        for function in [
+            "pop_under_domain",
+            "extend_under_domain",
+            "append_under_domain",
+            "take_under_domain",
+            "reserve_under_domain",
+            "recycle_under_domain",
+            "take_under_registry",
+        ] {
             assert!(
                 violations
                     .iter()
-                    .any(|v| v.rule == "leaf-lock" && v.function == function),
+                    .any(|v| v.rule == "call-while-locked" && v.function == function),
                 "{function} not flagged: {violations:?}"
             );
         }
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.rule == "call-while-locked" && v.function == "dispatch_under_bin"),
-            "a dispatch under a return-bin guard not flagged: {violations:?}"
-        );
         let clean = r#"
-            fn put(&self, batch: &mut Vec<Box<TaskRecord>>, timers: &PhaseTimers) {
-                timers.add(RECORDS_RETURNED, batch.len() as u64);
-                let mut parked = self.parked.lock();
-                parked.append(batch);
-                self.len.store(parked.len(), Relaxed);
+            fn send_home(&mut self, inner: &Inner, record: Box<TaskRecord>) {
+                let spares = WORKER.with_borrow_mut(|state| state.records.spare(bin));
+                inner.return_bins[home].append_batch(batch);
             }
         "#;
         assert!(scan_source(

@@ -5,9 +5,10 @@
 //! ```
 //!
 //! `lint-locks` enforces the locking rules of `docs/locking.md` on the deadlock-critical
-//! files (`crates/core/src/engine.rs`, `crates/core/src/runtime.rs`,
-//! `crates/threadpool/src/sleep.rs`, `crates/threadpool/src/lib.rs`,
-//! `crates/threadpool/src/watchdog.rs`, `crates/threadpool/src/assist.rs`); see `src/lint.rs` for the rules and the scanner.
+//! files (`crates/core/src/engine.rs`, `crates/core/src/home_bin.rs`,
+//! `crates/core/src/runtime.rs`, `crates/threadpool/src/sleep.rs`,
+//! `crates/threadpool/src/lib.rs`, `crates/threadpool/src/watchdog.rs`,
+//! `crates/threadpool/src/assist.rs`); see `src/lint.rs` for the rules and the scanner.
 //! Exit code 1 when violations remain after allowlisting.
 
 mod lint;
@@ -19,6 +20,7 @@ use std::process::ExitCode;
 /// The real files the lint covers by default, relative to the workspace root.
 const DEFAULT_TARGETS: &[&str] = &[
     "crates/core/src/engine.rs",
+    "crates/core/src/home_bin.rs",
     "crates/threadpool/src/sleep.rs",
     "crates/core/src/runtime.rs",
     "crates/threadpool/src/lib.rs",

@@ -431,16 +431,18 @@ pub fn scan_source(file_label: &str, source: &str, classes: &[LockClass]) -> Vec
     let mut in_block_comment = false;
     // (name, body depth) of the innermost function whose body we are inside.
     let mut fn_stack: Vec<(String, usize)> = Vec::new();
+    // (name, depth) of a function declared but whose body has not opened yet: rustfmt puts the
+    // `{` of a signature that spans lines on its last line.
+    let mut signature: Option<(String, usize)> = None;
 
     for (line_idx, raw_line) in source.lines().enumerate() {
         let line_no = line_idx + 1;
         let code = sanitize(raw_line, &mut in_block_comment);
 
-        // Function tracking: a declaration opening its body on this (or a later) line. The
-        // body depth is the depth *after* this line's opening brace; recording `depth + 1`
-        // matches the single-line `fn name(…) {` idiom used throughout the linted files.
+        // Function tracking: a declaration opens its body on this or a later line; the
+        // function is entered once the depth rises past the declaration's (see below).
         if let Some(name) = fn_declaration(&code) {
-            fn_stack.push((name, depth + 1));
+            signature = Some((name, depth));
         }
 
         let current_fn = || {
@@ -533,6 +535,15 @@ pub fn scan_source(file_label: &str, source: &str, classes: &[LockClass]) -> Vec
         // A guard born while the enclosing depth was `d` dies once depth drops below `d`
         // (its surrounding block closed).
         guards.retain(|g| depth >= g.depth);
+        if let Some((name, at)) = signature.take() {
+            if depth > at {
+                fn_stack.push((name, at + 1));
+            } else if !code.contains('{') && !code.trim_end().ends_with(';') {
+                // Still in the signature (a one-line body has come and gone, and a declaration
+                // ending in `;` has none).
+                signature = Some((name, at));
+            }
+        }
         fn_stack.retain(|(_, body_depth)| depth >= *body_depth);
     }
     violations
@@ -727,6 +738,24 @@ mod tests {
         assert!(
             violations.iter().any(|v| v.rule == "call-while-locked"),
             "notify under the registry guard not flagged: {violations:?}"
+        );
+    }
+
+    #[test]
+    fn a_signature_over_several_lines_names_its_function() {
+        let src = r#"
+            fn register_batch<'a>(
+                &self,
+                parent: TaskId,
+            ) -> Result<Vec<(TaskId, bool)>, StaleTaskId> {
+                let mut domain = parent.domain.lock();
+                let id = self.reserve_id();
+            }
+        "#;
+        let violations = scan_source("engine.rs", src, domain_classes());
+        assert!(
+            violations.iter().any(|v| v.function == "register_batch"),
+            "a violation outside its function: {violations:?}"
         );
     }
 

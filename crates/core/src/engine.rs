@@ -201,7 +201,7 @@ impl<P> Default for Effects<P> {
 
 impl<P> Effects<P> {
     /// No effects (no allocation until the first ready or retired task).
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Effects {
             ready: Vec::new(),
             deeply_completed: 0,

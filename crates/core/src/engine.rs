@@ -41,7 +41,9 @@
 //! * [`WaitMode::None`]: all fragments complete when the body finishes (OpenMP default);
 //! * [`WaitMode::Wait`]: all fragments complete when the task *deeply* completes (§IV);
 //! * [`WaitMode::WeakWait`]: fragments complete as soon as the body has finished **and** no live
-//!   child access covers them; the rest complete one by one as children release them (§V).
+//!   child access covers them; the rest complete as children release them (§V). The parts the
+//!   children of one visit to the domain release leave together, as one completion per access
+//!   and maximal range (see [`Cascade`]).
 //!
 //! The `release` directive arms selected fragments for early completion regardless of the wait
 //! mode.
@@ -82,9 +84,10 @@
 //! Every [`TaskId`] function resolves its id through the id index, which only the id API's own
 //! registrations fill, and then runs the entry-based code.
 //!
-//! A finish or a release drains a [`Cascade`] (message and event queues) that the caller owns
-//! and keeps, empty, for its next call: the runtime in each thread's worker state, the
-//! [`TaskId`] functions in the id index. The engine keeps no thread-local state.
+//! A finish or a release drains a [`Cascade`] (message and event queues, and the hand-overs held
+//! while a domain is locked) that the caller owns and keeps, empty, for its next call: the
+//! runtime in each thread's worker state, the [`TaskId`] functions in the id index. The engine
+//! keeps no thread-local state.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -234,7 +237,9 @@ pub struct EngineStats {
     pub satisfaction_edges: usize,
     /// Tasks that were ready at registration time.
     pub ready_at_registration: usize,
-    /// Fragments released through the incremental (weakwait / release-directive) path.
+    /// Ranges delivered through the incremental (weakwait / release-directive) path: one per
+    /// `CompleteUp` a hand-over sends, each the maximal range of one access that one domain
+    /// visit handed over.
     pub incremental_releases: usize,
     /// Tasks that deeply completed (body finished and all descendants deeply complete).
     pub tasks_deeply_completed: usize,
@@ -260,6 +265,14 @@ pub struct EngineStats {
     pub roots_registered: usize,
     /// Root tasks deeply completed (jobs finished; subset of `tasks_deeply_completed`).
     pub roots_completed: usize,
+    /// `SatisfyDown` messages applied: satisfaction forwarded into a task's own domain.
+    pub satisfy_down_messages: usize,
+    /// `CompleteUp` messages applied: completions sent to the parent's domain by a hand-over
+    /// or by a `None`-mode body end with live children.
+    pub complete_up_messages: usize,
+    /// `ChildDone` messages applied: one per deep completion of a task that is not a root, so
+    /// `child_done_messages + roots_completed == tasks_deeply_completed` at quiescence.
+    pub child_done_messages: usize,
 }
 
 /// Indexes of the engine's counters in its [`Striped`] block, one per [`EngineStats`] field.
@@ -278,7 +291,10 @@ mod stat {
     pub(super) const DEMOTIONS: usize = 11;
     pub(super) const ROOTS_REGISTERED: usize = 12;
     pub(super) const ROOTS_COMPLETED: usize = 13;
-    pub(super) const COUNT: usize = 14;
+    pub(super) const SATISFY_DOWN_MESSAGES: usize = 14;
+    pub(super) const COMPLETE_UP_MESSAGES: usize = 15;
+    pub(super) const CHILD_DONE_MESSAGES: usize = 16;
+    pub(super) const COUNT: usize = 17;
 }
 
 /// Generation-checked reference to an access node slot inside one domain's slab.
@@ -1251,13 +1267,14 @@ enum Message<P> {
         own_idx: u32,
         parts: Parts,
     },
-    /// Fragments of `task`'s own access `own_idx` completed from below (weakwait hand-over or
-    /// `release` directive): complete them on the node half in the parent's domain `target`.
+    /// A range of `task`'s own access `own_idx` completed from below (weakwait hand-over or
+    /// `release` directive) or at a `None`-mode body end: complete it on the node half in the
+    /// parent's domain `target`.
     CompleteUp {
         target: Arc<TaskEntry<P>>,
         task: Arc<TaskEntry<P>>,
         own_idx: u32,
-        parts: Parts,
+        part: Region,
     },
     /// `child` deeply completed: complete its remaining fragments in the parent's domain
     /// `target`, decrement the parent's live-child count and recycle the child's slots.
@@ -1287,14 +1304,18 @@ enum Event {
 }
 
 /// The queues one finish or release drains: the cross-domain messages, in the order they were
-/// produced, and the domain-local events of the message being applied. The caller owns the
-/// cascade and keeps it for its next call: both queues grow to a handful of ~100-byte entries
-/// on nearly every task, so a fresh pair per call would cost several `realloc`s. The runtime
-/// keeps its cascades in each thread's worker state, and the [`TaskId`] functions share a spare
-/// one kept in the id index.
+/// produced, the domain-local events of the message being applied, and the hand-overs of the
+/// domain being worked in. The caller owns the cascade and keeps it for its next call: the
+/// queues grow to a handful of ~100-byte entries on nearly every task, so a fresh set per call
+/// would cost several `realloc`s. The runtime keeps its cascades in each thread's worker state,
+/// and the [`TaskId`] functions share a spare one kept in the id index.
 pub(crate) struct Cascade<P> {
     messages: VecDeque<Message<P>>,
     events: VecDeque<Event>,
+    /// The ranges the locked domain's owner handed over, `(own_idx, range)`, held until the
+    /// domain is left and then sent up as one `CompleteUp` per access and maximal range
+    /// ([`DependencyEngine::flush_handover`]). Empty whenever no domain is locked.
+    handover: Vec<(u32, Region)>,
 }
 
 impl<P> Cascade<P> {
@@ -1303,13 +1324,28 @@ impl<P> Cascade<P> {
         Cascade {
             messages: VecDeque::new(),
             events: VecDeque::new(),
+            handover: Vec::new(),
         }
     }
 
     /// `true` when no message waits: the state between engine calls, or of a retire batch
     /// holding nothing.
     pub(crate) fn is_empty(&self) -> bool {
-        self.messages.is_empty() && self.events.is_empty()
+        self.messages.is_empty() && self.events.is_empty() && self.handover.is_empty()
+    }
+
+    /// Holds `part` of the locked domain owner's access `own_idx` for the next flush. A run of
+    /// siblings hands over adjacent blocks in turn, so a part that overlaps or touches the last
+    /// held range of the same access extends it; the flush merges the rest.
+    fn hold(&mut self, own_idx: u32, part: Region) {
+        if let Some((idx, last)) = self.handover.last_mut() {
+            if *idx == own_idx && part.start <= last.end && last.start <= part.end {
+                last.start = last.start.min(part.start);
+                last.end = last.end.max(part.end);
+                return;
+            }
+        }
+        self.handover.push((own_idx, part));
     }
 }
 
@@ -1961,6 +1997,10 @@ impl<P: 'static> DependencyEngine<P> {
         effects: &mut Effects<P>,
     ) -> bool {
         let task = entry.id;
+        debug_assert!(
+            cascade.handover.is_empty(),
+            "a finish started amid held hand-overs"
+        );
         let before = cascade.messages.len();
         let mut domain = entry.domain.lock();
         assert!(
@@ -1972,34 +2012,30 @@ impl<P: 'static> DependencyEngine<P> {
         match (domain.wait_mode, domain.parent_arc()) {
             // OpenMP default: the task's dependencies are released when the body finishes.
             // A leaf deep-completes right below, and its `ChildDone` completes every access.
+            // Each access completes whole, which is not a hand-over: these are the only
+            // `CompleteUp`s the flush does not build, and no incremental release counts them.
             (WaitMode::None, Some(target)) if domain.live_children > 0 => {
                 for (own_idx, access) in entry.nodes_in_parent.iter().enumerate() {
                     cascade.messages.push_back(Message::CompleteUp {
                         target: Arc::clone(&target),
                         task: Arc::clone(entry),
                         own_idx: own_idx as u32,
-                        parts: smallvec![access.region],
+                        part: access.region,
                     });
                 }
             }
-            (WaitMode::WeakWait, Some(target)) => {
+            (WaitMode::WeakWait, Some(_)) => {
                 // Fine-grained release: fragments not covered by live child accesses
                 // complete now; covered fragments are handed over to the children.
                 domain.ensure_seeded(&entry.nodes_in_parent);
                 for (own_idx, own) in domain.own.iter().enumerate() {
                     let mut uncovered: Parts = SmallVec::new();
                     domain.uncovered_parts(&own.region, &mut uncovered);
-                    if !uncovered.is_empty() {
-                        self.stats
-                            .add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
-                        cascade.messages.push_back(Message::CompleteUp {
-                            target: Arc::clone(&target),
-                            task: Arc::clone(entry),
-                            own_idx: own_idx as u32,
-                            parts: uncovered,
-                        });
+                    for &part in &uncovered {
+                        cascade.hold(own_idx as u32, part);
                     }
                 }
+                self.flush_handover(&domain, cascade);
             }
             // `Wait` holds every dependency until deep completion, which also completes a
             // `None` leaf's; a root has no parent domain to complete into.
@@ -2037,9 +2073,9 @@ impl<P: 'static> DependencyEngine<P> {
         debug_assert!(cascade.is_empty(), "a release started on a busy cascade");
         {
             let mut domain = entry.domain.lock();
-            let Some(target) = domain.parent_arc() else {
+            if domain.parent_arc().is_none() {
                 return;
-            };
+            }
             domain.ensure_seeded(&entry.nodes_in_parent);
             for own_idx in 0..domain.own.len() {
                 let own = &mut domain.own[own_idx];
@@ -2050,17 +2086,11 @@ impl<P: 'static> DependencyEngine<P> {
                 own.arm_release(&overlap);
                 let mut uncovered: Parts = SmallVec::new();
                 domain.uncovered_parts(&overlap, &mut uncovered);
-                if !uncovered.is_empty() {
-                    self.stats
-                        .add(stat::INCREMENTAL_RELEASES, uncovered.len() as u64);
-                    cascade.messages.push_back(Message::CompleteUp {
-                        target: Arc::clone(&target),
-                        task: Arc::clone(entry),
-                        own_idx: own_idx as u32,
-                        parts: uncovered,
-                    });
+                for &part in &uncovered {
+                    cascade.hold(own_idx as u32, part);
                 }
             }
+            self.flush_handover(&domain, cascade);
         }
         self.pump(cascade, effects);
     }
@@ -2078,19 +2108,28 @@ impl<P: 'static> DependencyEngine<P> {
     /// target domain*, which is the order that matters: a `CompleteUp` emitted before a
     /// `ChildDone` for the same task is applied first, so the node slots it references have not
     /// been recycled yet (stale references are dropped via the slot generation as a second line
-    /// of defence). A leaf sends its parent one message, the `ChildDone`.
+    /// of defence). A leaf sends its parent one message, the `ChildDone`; the parent's
+    /// hand-overs for a run of such messages go up together.
+    ///
+    /// The hand-overs of a run are held in the cascade and sent when the run ends, before the
+    /// lock is dropped: one `CompleteUp` per access and maximal range, however many children
+    /// of the run released their parts ([`DependencyEngine::flush_handover`]).
     ///
     /// The cascade's event queue is shared by every message of the drain (it is always empty
     /// between `apply` calls), and the drain leaves the whole cascade empty.
     pub(crate) fn pump(&self, cascade: &mut Cascade<P>, effects: &mut Effects<P>) {
         while let Some(message) = cascade.messages.pop_front() {
+            debug_assert!(
+                cascade.handover.is_empty(),
+                "a hand-over outlived its domain visit"
+            );
             let target = Arc::clone(message.target());
             let mut domain = target.domain.lock();
             self.apply(&mut domain, message, cascade, effects);
             // Apply consecutive messages for the same domain while we hold its lock. A
-            // hand-over emits `CompleteUp` immediately followed by `ChildDone` for the same
-            // parent, so checking only the queue front captures it at O(1) per message (scanning
-            // the whole queue would make wide fan-out drains quadratic).
+            // retire batch queues a run of siblings' `ChildDone`s for their parent, so checking
+            // only the queue front captures it at O(1) per message (scanning the whole queue
+            // would make wide fan-out drains quadratic).
             while cascade
                 .messages
                 .front()
@@ -2099,7 +2138,56 @@ impl<P: 'static> DependencyEngine<P> {
                 let message = cascade.messages.pop_front().expect("front checked");
                 self.apply(&mut domain, message, cascade, effects);
             }
+            self.flush_handover(&domain, cascade);
         }
+    }
+
+    /// Sends the hand-overs `cascade` holds for the owner of the locked `domain` to the owner's
+    /// parent: one `CompleteUp` per access and maximal range, in ascending order, each counted
+    /// as one incremental release. Runs before the pump leaves the domain and before the
+    /// owner's `ChildDone` is queued, so a task's `CompleteUp`s precede its `ChildDone` on the
+    /// parent. Takes no lock.
+    fn flush_handover(&self, domain: &Domain<P>, cascade: &mut Cascade<P>) {
+        let Cascade {
+            messages, handover, ..
+        } = cascade;
+        if handover.is_empty() {
+            return;
+        }
+        // A retired parent (possible only for moot hand-overs, see `parent_arc`) gets no
+        // message — and no stat: the counter tracks *delivered* ranges.
+        let Some(target) = domain.parent_arc() else {
+            handover.clear();
+            return;
+        };
+        let task = domain.owner_entry();
+        handover.sort_unstable_by_key(|&(own_idx, part)| (own_idx, part.start));
+        // A range that overlaps or touches the one before it, of the same access, extends it.
+        handover.dedup_by(|next, open| {
+            let merges = next.0 == open.0 && next.1.start <= open.1.end;
+            if merges {
+                open.1.end = open.1.end.max(next.1.end);
+            }
+            merges
+        });
+        self.stats
+            .add(stat::INCREMENTAL_RELEASES, handover.len() as u64);
+        let (&(own_idx, part), rest) = handover.split_last().expect("checked non-empty");
+        for &(own_idx, part) in rest {
+            messages.push_back(Message::CompleteUp {
+                target: Arc::clone(&target),
+                task: Arc::clone(&task),
+                own_idx,
+                part,
+            });
+        }
+        messages.push_back(Message::CompleteUp {
+            target,
+            task,
+            own_idx,
+            part,
+        });
+        handover.clear();
     }
 
     /// Applies one message under its (locked) target domain. The cascade's event queue holds the
@@ -2118,6 +2206,7 @@ impl<P: 'static> DependencyEngine<P> {
                 own_idx,
                 parts,
             } => {
+                self.stats.add(stat::SATISFY_DOWN_MESSAGES, 1);
                 debug_assert_eq!(domain.owner, target.id);
                 if let Some(seeds) = &mut domain.own_seed {
                     // The domain never had children, so no satisfaction edges exist to fire:
@@ -2152,8 +2241,9 @@ impl<P: 'static> DependencyEngine<P> {
                 target: _,
                 task,
                 own_idx,
-                parts,
+                part,
             } => {
+                self.stats.add(stat::COMPLETE_UP_MESSAGES, 1);
                 let node_ref = task.nodes_in_parent[own_idx as usize].node;
                 // A recycled slot means the access was fully released already; the completion
                 // is moot.
@@ -2162,11 +2252,12 @@ impl<P: 'static> DependencyEngine<P> {
                 }
                 cascade.events.push_back(Event::Complete {
                     node: node_ref.idx,
-                    parts,
+                    parts: smallvec![part],
                 });
                 self.process_local(domain, cascade, effects);
             }
             Message::ChildDone { target: _, child } => {
+                self.stats.add(stat::CHILD_DONE_MESSAGES, 1);
                 let entry = child;
                 let sched = domain.sched[entry.sched_in_parent as usize]
                     .as_mut()
@@ -2395,9 +2486,10 @@ impl<P: 'static> DependencyEngine<P> {
         // Hand-over: the released parts of the domain owner's accesses that no other child
         // covers may complete on the owner's access if its policy allows it (weakwait after body
         // end, or the release directive even while the body runs); that completion lives in the
-        // owner's parent's domain, so it travels as a `CompleteUp` message. The owner's accesses
-        // are disjoint and sorted by `(space, start)`, so one binary search finds the first one
-        // the node overlaps (a root domain has none).
+        // owner's parent's domain, so it travels as a `CompleteUp` message, which the cascade
+        // holds until the domain is left. The owner's accesses are disjoint and sorted by
+        // `(space, start)`, so one binary search finds the first one the node overlaps (a root
+        // domain has none).
         let weakwait_active = domain.body_finished && domain.wait_mode == WaitMode::WeakWait;
         let region = domain.node(idx).expect("checked above").region;
         let first = domain
@@ -2425,19 +2517,8 @@ impl<P: 'static> DependencyEngine<P> {
                     }
                 }
             }
-            if !completable.is_empty() {
-                // A retired parent (possible only for moot hand-overs, see `parent_arc`) gets
-                // no message — and no stat: the counter tracks *delivered* completions.
-                if let Some(target) = domain.parent_arc() {
-                    self.stats
-                        .add(stat::INCREMENTAL_RELEASES, completable.len() as u64);
-                    cascade.messages.push_back(Message::CompleteUp {
-                        target,
-                        task: domain.owner_entry(),
-                        own_idx: own_idx as u32,
-                        parts: completable,
-                    });
-                }
+            for &part in &completable {
+                cascade.hold(own_idx as u32, part);
             }
         }
 
@@ -2508,6 +2589,9 @@ impl<P: 'static> DependencyEngine<P> {
             demotions: get(stat::DEMOTIONS),
             roots_registered: get(stat::ROOTS_REGISTERED),
             roots_completed: get(stat::ROOTS_COMPLETED),
+            satisfy_down_messages: get(stat::SATISFY_DOWN_MESSAGES),
+            complete_up_messages: get(stat::COMPLETE_UP_MESSAGES),
+            child_done_messages: get(stat::CHILD_DONE_MESSAGES),
         }
     }
 
@@ -2539,6 +2623,13 @@ impl<P: 'static> DependencyEngine<P> {
         debug_assert!(
             stats.roots_completed <= stats.roots_registered,
             "engine accounting: a root completes at most once"
+        );
+        // A deep completion either completes a root or sends its parent one `ChildDone`, and
+        // at quiescence every message has been applied.
+        debug_assert_eq!(
+            stats.child_done_messages + stats.roots_completed,
+            stats.tasks_deeply_completed,
+            "engine accounting: every deep completion below a root sends one ChildDone"
         );
     }
 
@@ -2586,6 +2677,9 @@ fn deep_complete_locked<P: 'static>(
             engine.retire(domain.owner, effects);
         }
         Some(weak) => {
+            // The owner's held hand-overs go first: a task's `CompleteUp`s precede its
+            // `ChildDone` on the parent.
+            engine.flush_handover(domain, cascade);
             // The parent cannot have been retired yet: its own deep completion requires this
             // task's `ChildDone` (not yet sent) to have been processed.
             let target = weak
@@ -3731,5 +3825,341 @@ mod tests {
         ids.sort();
         assert_eq!(retired, ids, "every task retired, each once");
         assert_eq!(engine.indexed(), 0, "retired tasks leave the id index");
+    }
+
+    /// Finishes `group` as a retire batch does: each body's own-domain step appends its
+    /// messages to one cascade, and one pump applies them all.
+    fn finish_group(engine: &DependencyEngine, group: &[TaskId]) -> Effects {
+        let mut cascade = Cascade::new();
+        let mut effects = Effects::default();
+        for &task in group {
+            let entry = engine.entry(task).expect("live task");
+            engine.finish_body(&entry, &mut cascade, &mut effects);
+        }
+        engine.pump(&mut cascade, &mut effects);
+        engine.unindex(&effects, cascade);
+        effects
+    }
+
+    /// A `weakwait` outer over `x` and `y` with one leaf per block, followed by a second outer
+    /// over the same vectors with one leaf per block, each waiting on the first outer's leaf
+    /// of its block. Returns the engine, the two outers, the first outer's leaves and the
+    /// second outer's.
+    fn two_waves(blocks: usize) -> (DependencyEngine, [TaskId; 2], Vec<TaskId>, Vec<TaskId>) {
+        const BLOCK: usize = 64;
+        let engine = DependencyEngine::new();
+        let root = engine.register_root();
+        let (x, y) = (r(1, 0, blocks * BLOCK), r(2, 0, blocks * BLOCK));
+        let weak = [dep(AccessType::WeakIn, x), dep(AccessType::WeakInOut, y)];
+        let mut waves = Vec::new();
+        let mut outers = [root; 2];
+        for outer in &mut outers {
+            let (id, ready) = engine
+                .register_task(root, &weak, WaitMode::WeakWait)
+                .expect("live root");
+            assert!(ready, "weak accesses never defer a task");
+            *outer = id;
+            let leaves: Vec<(TaskId, bool)> = (0..blocks)
+                .map(|i| {
+                    let block = |space| r(space, i * BLOCK, (i + 1) * BLOCK);
+                    let deps = [
+                        dep(AccessType::In, block(1)),
+                        dep(AccessType::InOut, block(2)),
+                    ];
+                    engine
+                        .register_task(id, &deps, WaitMode::None)
+                        .expect("live outer")
+                })
+                .collect();
+            waves.push(leaves);
+        }
+        assert!(waves[0].iter().all(|&(_, ready)| ready));
+        assert!(waves[1].iter().all(|&(_, ready)| !ready));
+        for outer in outers {
+            let effects = engine.body_finished(outer).expect("live outer");
+            assert!(effects.ready.is_empty(), "every block is covered by a leaf");
+        }
+        let ids = |wave: &[(TaskId, bool)]| wave.iter().map(|&(id, _)| id).collect();
+        let (first, second) = (ids(&waves[0]), ids(&waves[1]));
+        (engine, outers, first, second)
+    }
+
+    /// A retire batch of 32 sibling leaves hands its `weakwait` parent's two accesses over as
+    /// one range each: two `CompleteUp`s reach the grandparent, not 64, and every leaf of the
+    /// next outer becomes ready.
+    #[test]
+    fn a_batch_of_siblings_hands_over_one_range_per_access() {
+        let (engine, [first, _], leaves, followers) = two_waves(32);
+        let before = engine.stats();
+        let effects = finish_group(&engine, &leaves);
+        let after = engine.stats();
+        assert_eq!(after.complete_up_messages - before.complete_up_messages, 2);
+        assert_eq!(after.incremental_releases - before.incremental_releases, 2);
+        assert_eq!(after.child_done_messages - before.child_done_messages, 33);
+        assert!(engine.is_deeply_completed(first));
+        let mut ready = effects.ready;
+        ready.sort();
+        let mut expected = followers;
+        expected.sort();
+        assert_eq!(ready, expected, "every leaf of the second outer is ready");
+    }
+
+    /// A pump run that leaves the parent's other children live still sends the run's
+    /// hand-overs when it leaves the parent's domain: the batch's blocks reach the next outer,
+    /// the other blocks stay held by their leaves.
+    #[test]
+    fn a_run_that_leaves_siblings_live_sends_its_hand_overs() {
+        let (engine, [first, _], leaves, followers) = two_waves(32);
+        for half in [0..16, 16..32] {
+            let before = engine.stats();
+            let mut ready = finish_group(&engine, &leaves[half.clone()]).ready;
+            let after = engine.stats();
+            assert_eq!(after.complete_up_messages - before.complete_up_messages, 2);
+            ready.sort();
+            let mut expected = followers[half].to_vec();
+            expected.sort();
+            assert_eq!(
+                ready, expected,
+                "the next outer's leaves of the finished blocks"
+            );
+        }
+        assert!(engine.is_deeply_completed(first));
+    }
+
+    /// One task of a generated graph: its parent (an index into the graph; `None` for the
+    /// root), dependencies, wait mode, and the region its body releases before it ends.
+    struct GenTask {
+        parent: Option<usize>,
+        deps: Vec<Depend>,
+        mode: WaitMode,
+        release: Option<Region>,
+    }
+
+    /// A random sub-range of `[lo, hi)` on a grid of 4, so siblings' ranges touch and overlap.
+    fn sub_span(rng: &mut rand::rngs::SmallRng, (lo, hi): (usize, usize)) -> (usize, usize) {
+        use rand::Rng;
+        let cells = (hi - lo) / 4;
+        let start = rng.gen_range(0..cells);
+        let end = rng.gen_range(start + 1..=cells);
+        (lo + start * 4, lo + end * 4)
+    }
+
+    /// Appends 2–6 children of `parent` (3 of the root) over sub-ranges of `span` in spaces 1
+    /// and 2: strong leaves, now and then with a weak access too, and (at `depth` 1 and 2)
+    /// nested tasks with weak accesses and children of their own, most of them `weakwait`. A
+    /// quarter of the tasks release a sub-range before their body ends.
+    fn gen_children(
+        rng: &mut rand::rngs::SmallRng,
+        graph: &mut Vec<GenTask>,
+        parent: Option<usize>,
+        span: (usize, usize),
+        depth: usize,
+    ) {
+        use rand::Rng;
+        let count = if parent.is_none() {
+            3
+        } else {
+            rng.gen_range(2..=6)
+        };
+        for _ in 0..count {
+            let (start, end) = sub_span(rng, span);
+            let nested = depth < 3 && (parent.is_none() || rng.gen_bool(0.3));
+            let weak = [
+                AccessType::WeakIn,
+                AccessType::WeakOut,
+                AccessType::WeakInOut,
+            ];
+            let strong = [AccessType::In, AccessType::Out, AccessType::InOut];
+            let mut deps = Vec::new();
+            for space in 1..=2 {
+                if !nested && rng.gen_bool(0.3) {
+                    continue;
+                }
+                let kinds = if nested || rng.gen_bool(0.15) {
+                    &weak
+                } else {
+                    &strong
+                };
+                deps.push(dep(kinds[rng.gen_range(0..3)], r(space, start, end)));
+            }
+            let mode = match (nested, rng.gen_range(0..8)) {
+                (true, 0) => WaitMode::Wait,
+                (true, 1) => WaitMode::None,
+                (true, _) => WaitMode::WeakWait,
+                (false, _) => WaitMode::None,
+            };
+            let release = (!deps.is_empty() && rng.gen_bool(0.25)).then(|| {
+                let (from, to) = sub_span(rng, (start, end));
+                r(rng.gen_range(1..=2), from, to)
+            });
+            let at = graph.len();
+            graph.push(GenTask {
+                parent,
+                deps,
+                mode,
+                release,
+            });
+            if nested {
+                gen_children(rng, graph, Some(at), (start, end), depth + 1);
+            }
+        }
+    }
+
+    /// One engine driven through a generated graph: the ids by graph index, and which tasks
+    /// were reported ready and have finished.
+    struct GenRun {
+        engine: DependencyEngine,
+        ids: Vec<TaskId>,
+        ready: Vec<bool>,
+        finished: Vec<bool>,
+    }
+
+    impl GenRun {
+        fn new(graph: &[GenTask]) -> Self {
+            let engine = DependencyEngine::new();
+            let root = engine.register_root();
+            let mut run = GenRun {
+                engine,
+                ids: Vec::new(),
+                ready: Vec::new(),
+                finished: vec![false; graph.len()],
+            };
+            for task in graph {
+                let parent = task.parent.map_or(root, |p| run.ids[p]);
+                let (id, ready) = run
+                    .engine
+                    .register_task(parent, &task.deps, task.mode)
+                    .expect("live parent");
+                run.ids.push(id);
+                run.ready.push(ready);
+            }
+            // The root's body ends once it has spawned the graph.
+            let effects = run.engine.body_finished(root).expect("live root");
+            run.mark(effects);
+            run
+        }
+
+        fn mark(&mut self, effects: Effects) {
+            for task in effects.ready {
+                let at = self
+                    .ids
+                    .iter()
+                    .position(|&id| id == task)
+                    .expect("a graph task");
+                assert!(!self.ready[at], "{task:?} reported ready twice");
+                self.ready[at] = true;
+            }
+        }
+
+        /// Runs the bodies of `group`: the `release` of those that have one, each drained at
+        /// once as a body's release is.
+        fn run_bodies(&mut self, graph: &[GenTask], group: &[usize]) {
+            for &at in group {
+                if let Some(region) = graph[at].release {
+                    let effects = self.engine.release_region(self.ids[at], region);
+                    self.mark(effects.expect("running task"));
+                }
+            }
+        }
+
+        fn finish(&mut self, group: &[usize], batched: bool) {
+            let ids: Vec<TaskId> = group.iter().map(|&at| self.ids[at]).collect();
+            if batched {
+                let effects = finish_group(&self.engine, &ids);
+                self.mark(effects);
+            } else {
+                for task in ids {
+                    let effects = self.engine.body_finished(task).expect("live task");
+                    self.mark(effects);
+                }
+            }
+            for &at in group {
+                self.finished[at] = true;
+            }
+        }
+
+        fn deeply_completed(&self) -> Vec<bool> {
+            let done = |&id| self.engine.is_deeply_completed(id);
+            self.ids.iter().map(done).collect()
+        }
+    }
+
+    /// Differential check of the held hand-over: random nested `weakwait` graphs, whose
+    /// children declare touching and overlapping strong and weak ranges and some of which
+    /// `release`, run on two engines. Ready leaves finish in random groups — on one engine
+    /// through one cascade per group, as a retire batch applies them, on the other one at a
+    /// time — and tasks with children one at a time on both. After every group both report
+    /// the same tasks ready and deeply complete, and at the end the same counters, except
+    /// that merged hand-overs may send fewer `CompleteUp`s (so fewer incremental releases)
+    /// and, through them, fewer `SatisfyDown`s. (A group holding a parent and its child could
+    /// send more: the parent's body end would hand over around a child whose `ChildDone` is
+    /// still queued, where one at a time the child might have finished first.)
+    #[test]
+    fn batched_hand_overs_match_one_at_a_time() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut merged = 0;
+        for seed in 0..60u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut graph = Vec::new();
+            gen_children(&mut rng, &mut graph, None, (0, 64), 1);
+            let mut is_leaf = vec![true; graph.len()];
+            for task in &graph {
+                if let Some(parent) = task.parent {
+                    is_leaf[parent] = false;
+                }
+            }
+            let mut batched = GenRun::new(&graph);
+            let mut single = GenRun::new(&graph);
+            loop {
+                assert_eq!(batched.ready, single.ready, "seed {seed}: ready sets");
+                let mut candidates: Vec<usize> = (0..graph.len())
+                    .filter(|&at| batched.ready[at] && !batched.finished[at])
+                    .collect();
+                if candidates.is_empty() {
+                    break;
+                }
+                // A task with children finishes alone; a leaf, with up to 7 other leaves.
+                let first = candidates.swap_remove(rng.gen_range(0..candidates.len()));
+                let mut group = vec![first];
+                if is_leaf[first] {
+                    candidates.retain(|&at| is_leaf[at]);
+                    for _ in 0..rng.gen_range(0..=candidates.len().min(7)) {
+                        let pick = rng.gen_range(0..candidates.len());
+                        group.push(candidates.swap_remove(pick));
+                    }
+                }
+                for run in [&mut batched, &mut single] {
+                    run.run_bodies(&graph, &group);
+                }
+                batched.finish(&group, true);
+                single.finish(&group, false);
+                assert_eq!(
+                    batched.deeply_completed(),
+                    single.deeply_completed(),
+                    "seed {seed}: deeply completed sets"
+                );
+            }
+            assert!(
+                batched.finished.iter().all(|&f| f),
+                "seed {seed}: graph drains"
+            );
+            assert!(batched.deeply_completed().iter().all(|&d| d));
+            batched.engine.debug_check_invariants();
+            single.engine.debug_check_invariants();
+
+            let (mut grouped, one) = (batched.engine.stats(), single.engine.stats());
+            assert!(grouped.incremental_releases <= one.incremental_releases);
+            assert!(grouped.complete_up_messages <= one.complete_up_messages);
+            assert!(grouped.satisfy_down_messages <= one.satisfy_down_messages);
+            merged += one.complete_up_messages - grouped.complete_up_messages;
+            grouped.incremental_releases = one.incremental_releases;
+            grouped.complete_up_messages = one.complete_up_messages;
+            grouped.satisfy_down_messages = one.satisfy_down_messages;
+            assert_eq!(format!("{grouped:?}"), format!("{one:?}"), "seed {seed}");
+            assert_eq!(one.roots_completed, 1, "seed {seed}: the root completes");
+        }
+        assert!(merged > 0, "some group merged hand-overs");
     }
 }

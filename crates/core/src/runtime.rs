@@ -3378,6 +3378,56 @@ mod tests {
         assert!(runtime.retire_flushes <= runtime.retires_deferred);
     }
 
+    /// A `weakwait` parent's leaves retire in batches, and a batch hands its blocks over to
+    /// the next task as one range: at one worker, 512 leaves send far fewer `CompleteUp`s than
+    /// one per leaf.
+    #[test]
+    fn a_retire_batch_hands_its_blocks_over_as_one_range() {
+        const LEAVES: usize = 512;
+        const BLOCK: usize = 4;
+        let rt = Runtime::with_workers(1);
+        let data = SharedSlice::<u64>::new(LEAVES * BLOCK);
+        let sum = Arc::new(AtomicUsize::new(0));
+        rt.run(|ctx| {
+            let whole = data.region(0..LEAVES * BLOCK);
+            let d = data.clone();
+            ctx.task().weak_inout(whole).weakwait().spawn(move |t| {
+                let d2 = d.clone();
+                t.spawn_each(
+                    LEAVES,
+                    |i, c| {
+                        c.inout(d.region(i * BLOCK..(i + 1) * BLOCK));
+                    },
+                    move |t, i| d2.write(t, i * BLOCK..(i + 1) * BLOCK).fill(i as u64 + 1),
+                );
+            });
+            let (d, total) = (data.clone(), Arc::clone(&sum));
+            ctx.task().input(whole).spawn(move |t| {
+                let read: u64 = d.read(t, 0..LEAVES * BLOCK).iter().sum();
+                total.store(read as usize, Ordering::Relaxed);
+            });
+        });
+        let expected: Vec<u64> = (0..LEAVES * BLOCK)
+            .map(|k| (k / BLOCK) as u64 + 1)
+            .collect();
+        assert_eq!(data.snapshot(), expected);
+        assert_eq!(
+            sum.load(Ordering::Relaxed),
+            BLOCK * LEAVES * (LEAVES + 1) / 2,
+            "the reader ran after every leaf"
+        );
+        let stats = rt.stats();
+        let engine = stats.engine;
+        assert_eq!(engine.tasks_registered, LEAVES + 3);
+        assert_eq!(engine.tasks_deeply_completed, engine.tasks_registered);
+        assert!(stats.retires_deferred > 0, "the leaves retire in batches");
+        assert!(
+            engine.complete_up_messages < LEAVES / 4,
+            "{} CompleteUps for {LEAVES} leaves",
+            engine.complete_up_messages
+        );
+    }
+
     #[test]
     fn leaves_with_sibling_successors_defer_nothing() {
         let rt = Runtime::with_workers(2);

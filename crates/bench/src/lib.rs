@@ -9,8 +9,11 @@
 //! * `--repeat N` — repetitions per configuration. `fig3`–`fig7` report the median of the
 //!   runs with its spread ([`Spread`]), since the best of a few runs on a shared host reads
 //!   a lucky outlier as the figure.
+//!
+//! The checks of the runtime — allocation budgets, reclamation plateaus, fault isolation —
+//! are integration tests of the root package (`tests/alloc_budgets.rs`,
+//! `tests/reclamation.rs`, `tests/chaos.rs`), not binaries here.
 
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -33,11 +36,6 @@ pub struct CommonArgs {
     pub csv: bool,
     /// Repetitions per configuration (`--repeat`).
     pub repeat: usize,
-    /// Fail the run if a measured allocation count exceeds its ceiling or was not measured
-    /// (`--enforce-alloc-budget`; honoured by `overheads`, `mixed_tenant` and
-    /// `tasks_vs_assist`, which need `--features count-allocs` for the counter to move — see
-    /// [`alloc_counter::check_budget`]).
-    pub enforce_alloc_budget: bool,
 }
 
 impl Default for CommonArgs {
@@ -50,7 +48,6 @@ impl Default for CommonArgs {
             quick: false,
             csv: false,
             repeat: 1,
-            enforce_alloc_budget: false,
         }
     }
 }
@@ -77,11 +74,8 @@ impl CommonArgs {
                 "--full" => args.full = true,
                 "--quick" => args.quick = true,
                 "--csv" => args.csv = true,
-                "--enforce-alloc-budget" => args.enforce_alloc_budget = true,
                 "--help" | "-h" => {
-                    eprintln!(
-                        "options: [--cores N] [--full] [--quick] [--csv] [--repeat N] [--enforce-alloc-budget]"
-                    );
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
                 other => usage(&format!("unknown option '{other}'")),
@@ -93,11 +87,11 @@ impl CommonArgs {
     }
 }
 
+const USAGE: &str = "options: [--cores N] [--full] [--quick] [--csv] [--repeat N]";
+
 fn usage(message: &str) -> ! {
     eprintln!("error: {message}");
-    eprintln!(
-        "options: [--cores N] [--full] [--quick] [--csv] [--repeat N] [--enforce-alloc-budget]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -298,100 +292,5 @@ mod tests {
         print_csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
         emit(true, &["a"], &[vec!["x".into()]]);
         emit(false, &["a"], &[vec!["x".into()]]);
-    }
-
-    #[test]
-    fn an_unmeasured_alloc_count_violates_its_budget() {
-        use alloc_counter::{check_budget, per_unit};
-        assert_eq!(per_unit(0, 100), None);
-        assert!(check_budget("x", per_unit(0, 100), 5.0).is_err());
-        assert!(check_budget("x", per_unit(500, 100), 5.0).is_ok());
-        assert!(check_budget("x", per_unit(501, 100), 5.0).is_err());
-    }
-}
-
-/// Heap-allocation counting for the `count-allocs` feature: the `overheads`, `soak`,
-/// `mixed_tenant` and `tasks_vs_assist` binaries install [`alloc_counter::CountingAllocator`] as
-/// the global allocator when built with `--features count-allocs`, and report allocations per
-/// task next to the throughput numbers.
-/// The type itself is always compiled (it is inert unless registered via `#[global_allocator]`),
-/// so only the registration in the binaries is feature-gated.
-pub mod alloc_counter {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-    /// A pass-through global allocator that counts every allocation (and reallocation — each
-    /// grow/shrink is a fresh trip to the allocator, which is exactly the hot-path cost the
-    /// counter exists to expose). Frees are not counted: allocs/task is the metric.
-    pub struct CountingAllocator;
-
-    // SAFETY: defers every operation to `System` unchanged; the counter is a relaxed atomic.
-    unsafe impl GlobalAlloc for CountingAllocator {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: `layout` is forwarded unchanged; the caller upholds `GlobalAlloc::alloc`'s
-            // contract and `System` is the real allocator.
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: `ptr` was returned by `Self::alloc`/`Self::realloc`, which delegate to
-            // `System` with the same layout — so it is a valid `System` allocation.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: as for `dealloc` — `ptr`/`layout` describe a live `System` allocation and
-            // the caller upholds `GlobalAlloc::realloc`'s contract for `new_size`.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    /// Total heap allocations observed so far. Stays `0` unless [`CountingAllocator`] has been
-    /// installed as the global allocator (the `count-allocs` feature of the bench binaries).
-    pub fn allocations() -> u64 {
-        ALLOCATIONS.load(Ordering::Relaxed)
-    }
-
-    /// Allocations per unit of work over a window in which [`allocations`] moved by `delta`.
-    /// `None` when the counter did not move: the counting allocator is not installed, so the
-    /// window was not measured (no real run is allocation-free).
-    pub fn per_unit(delta: u64, units: usize) -> Option<f64> {
-        (delta > 0 && units > 0).then(|| delta as f64 / units as f64)
-    }
-
-    /// The rule of every `--enforce-alloc-budget` gate: `what` passes only if it was measured
-    /// and stays at or under `ceiling`. An unmeasured count (`None`, see [`per_unit`]) is a
-    /// violation, so a gate built without `--features count-allocs` fails instead of passing
-    /// on a counter that never moved. Returns the line to report either way.
-    pub fn check_budget(what: &str, measured: Option<f64>, ceiling: f64) -> Result<String, String> {
-        match measured {
-            None => Err(format!(
-                "{what}: not measured (build with --features count-allocs)"
-            )),
-            Some(a) if a > ceiling => Err(format!("{what}: {a:.3} > budget {ceiling}")),
-            Some(a) => Ok(format!("{what}: {a:.3} <= {ceiling}")),
-        }
-    }
-
-    /// Reports every [`check_budget`] outcome on stderr and exits with status 1 if any of them
-    /// is a violation.
-    pub fn enforce_budgets(outcomes: impl IntoIterator<Item = Result<String, String>>) {
-        let mut violated = false;
-        for outcome in outcomes {
-            match outcome {
-                Ok(line) => eprintln!("alloc budget ok: {line}"),
-                Err(line) => {
-                    eprintln!("alloc budget violated: {line}");
-                    violated = true;
-                }
-            }
-        }
-        if violated {
-            std::process::exit(1);
-        }
     }
 }

@@ -6,14 +6,15 @@
 //! job-local registration index (root = 0, then 1, 2, … in registration order), hashed with
 //! a splitmix64-style mixer. No RNG state, no clocks: given the same submission order of
 //! jobs and the same spawn structure per job, the same tasks fault on every run, and the
-//! chaos harness can *predict* the targeted set with [`FaultPlan::would_panic`] before
-//! submitting anything. (Ordinals are deterministic as long as each job registers its tasks
-//! from one thread at a time — all shipped kernels and the chaos shapes do.)
+//! chaos test (`tests/chaos.rs` of the root package) can *predict* the targeted set with
+//! [`FaultPlan::would_panic`] before submitting anything. (Ordinals are deterministic as long
+//! as each job registers its tasks from one thread at a time — all shipped kernels and the
+//! chaos shapes do.)
 //!
 //! Zero-cost when the feature is off: this module, the `TaskRecord` ordinal field and every
-//! injection site are `#[cfg(feature = "faults")]`-gated; CI's default-feature `overheads
-//! --enforce-alloc-budget` run holds that build to its allocs/task ceilings. See
-//! `docs/robustness.md` for harness usage.
+//! injection site are `#[cfg(feature = "faults")]`-gated; the root package's
+//! `tests/alloc_budgets.rs`, built without the feature, holds that build to its allocs/task
+//! ceilings. See `docs/robustness.md` for harness usage.
 
 use std::time::Duration;
 

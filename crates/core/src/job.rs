@@ -126,7 +126,7 @@ pub enum JobError {
 
 impl JobError {
     /// Short machine-readable tag (`panicked` / `cancelled` / `deadline-exceeded`), used by
-    /// the chaos harness and tests to match injected faults against reported errors.
+    /// tests to match injected faults against reported errors.
     pub fn kind(&self) -> &'static str {
         match self {
             JobError::Panicked { .. } => "panicked",
@@ -227,7 +227,7 @@ pub(crate) struct JobState {
     pub(crate) panic_policy: PanicPolicy,
     /// Absolute deadline (from `JobOptions::deadline`), enforced by the watchdog.
     pub(crate) deadline: Option<Instant>,
-    /// Diagnostic label (stall reports, chaos output).
+    /// Diagnostic label (stall reports).
     pub(crate) label: Option<String>,
     /// The service's admission gate, re-signalled whenever this job aborts so a submitter
     /// blocked on the live-task budget re-probes against the draining load.

@@ -167,8 +167,8 @@ impl RuntimeConfig {
     /// Attaches a deterministic, seeded fault-injection plan (`--features faults` only): task
     /// bodies panic, dispatch is delayed and submissions stall at the plan's configured rates,
     /// each decision a pure function of `(seed, job, task ordinal)`. See [`FaultPlan`] and
-    /// `docs/robustness.md`; the chaos harness (`cargo run -p weakdep_bench --features faults
-    /// --bin chaos`) drives a mixed-tenant soak through this.
+    /// `docs/robustness.md`; the chaos test (`cargo test -p weakdep --features faults --test
+    /// chaos`) drives a mixed-tenant fleet through this.
     #[cfg(feature = "faults")]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -1146,7 +1146,7 @@ impl<'a> TaskCtx<'a> {
     /// `range`, with idle workers *assisting* through the pool's loop registry instead of
     /// parking (see `docs/parallel_loops.md`). No task is spawned per chunk — the per-chunk
     /// cost is one CAS on the shared cursor, so this beats [`TaskCtx::spawn_batch`] at small
-    /// chunk grain (the `tasks_vs_assist` bench measures the crossover).
+    /// chunk grain.
     ///
     /// Chunks must be independent: `body` may run concurrently for disjoint chunks, on the
     /// owner and on any assisting worker. Data access rides the registering task's declared

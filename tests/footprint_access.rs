@@ -2,62 +2,17 @@
 //! strong declared entry contains is checked without touching the heap, a range that only the
 //! union of several entries covers is still accepted, and a weak or read-only cover is refused.
 //!
-//! This binary installs its own counting global allocator. The count is per thread, so the
-//! pool's workers and the test harness's other threads never disturb a measurement taken
-//! around one call inside one task body.
+//! The count is per thread (`common`'s allocator), so the pool's workers and the test
+//! harness's other threads never disturb a measurement taken around one call inside one task
+//! body.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::hint::black_box;
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
+use common::thread_allocations_in;
 use weakdep::{Clauses, JobError, Runtime, SharedSlice, TaskCtx};
-
-thread_local! {
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count_allocation() {
-    // `try_with`: the allocator may run while the thread's locals are being torn down.
-    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
-}
-
-/// A pass-through allocator that counts allocations and reallocations of the calling thread.
-struct ThreadCountingAllocator;
-
-// SAFETY: defers every operation to `System` unchanged; the counter is a thread-local cell
-// without a destructor, so counting never allocates or re-enters the allocator.
-unsafe impl GlobalAlloc for ThreadCountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        // SAFETY: `layout` is forwarded unchanged; the caller upholds `GlobalAlloc::alloc`'s
-        // contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `Self::alloc`/`Self::realloc`, which delegate to
-        // `System` with the same layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
-        // SAFETY: as for `dealloc`; the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: ThreadCountingAllocator = ThreadCountingAllocator;
-
-/// Heap allocations the calling thread performs while running `f`.
-fn allocations_in<R>(f: impl FnOnce() -> R) -> usize {
-    let before = ALLOCATIONS.with(Cell::get);
-    black_box(f());
-    ALLOCATIONS.with(Cell::get) - before
-}
 
 #[test]
 fn a_covered_access_allocates_nothing() {
@@ -75,11 +30,11 @@ fn a_covered_access_allocates_nothing() {
             .label("covered")
             .spawn(move |t| {
                 let measured = [
-                    allocations_in(|| d2.read(t, 0..16).len()),
-                    allocations_in(|| d2.read(t, 4..8).len()),
-                    allocations_in(|| d2.read(t, 40..48).len()),
-                    allocations_in(|| d2.write(t, 32..64).len()),
-                    allocations_in(|| d2.write(t, 33..34).len()),
+                    thread_allocations_in(|| d2.read(t, 0..16).len()),
+                    thread_allocations_in(|| d2.read(t, 4..8).len()),
+                    thread_allocations_in(|| d2.read(t, 40..48).len()),
+                    thread_allocations_in(|| d2.write(t, 32..64).len()),
+                    thread_allocations_in(|| d2.write(t, 33..34).len()),
                 ];
                 for (slot, allocations) in c.iter().zip(measured) {
                     slot.store(allocations, SeqCst);

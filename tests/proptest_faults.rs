@@ -14,7 +14,7 @@
 //! The injection here is *manual* (a body that calls `panic!`, a deadline the body cannot
 //! meet, a `cancel()` from the test thread), so the suite is feature-free and runs both in
 //! plain release CI and under `--features sentinel`; the seeded `FaultPlan` machinery has its
-//! own unit tests and the `chaos` bench bin.
+//! own unit tests and `tests/chaos.rs`.
 
 use proptest::prelude::*;
 use std::time::Duration;

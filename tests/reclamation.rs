@@ -6,7 +6,8 @@
 //! mark. (A not-yet-ready task's record waits in its scheduling record in the parent's domain,
 //! which is reclaimed with the task, so the id plateau covers it.) That a stale id never
 //! aliases the younger task reusing its index is the engine's id API's property, checked by
-//! the engine's unit tests and `tests/proptest_reclamation.rs`.
+//! the engine's unit tests and `tests/proptest_reclamation.rs`. The finished task records
+//! that workers hand back to the worker that spawned them plateau the same way.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -172,5 +173,71 @@ fn inline_root_waves_reuse_ids_retired_on_workers() {
         max_table <= 2 * WAVE + 1,
         "minted ids grew to {max_table} for waves of {WAVE} (bound {})",
         2 * WAVE + 1
+    );
+}
+
+/// Waves that a task spawns, inside one run: the children the other worker runs go back to the
+/// spawner's worker through its return bin (`docs/runtime.md`, "Task memory"). The records
+/// parked in the bins must plateau, measured against the first waves, instead of growing with
+/// the tasks run, while the books balance.
+#[test]
+fn records_parked_in_return_bins_plateau_when_a_task_spawns_the_waves() {
+    let cells = 512usize;
+    let (waves, wave_size) = if cfg!(debug_assertions) {
+        (24, 1_000)
+    } else {
+        (80, 2_500)
+    };
+    let rt = Runtime::with_workers(2);
+    let data = SharedSlice::<u64>::new(cells);
+    let returned = rt.run(|ctx| {
+        (0..waves)
+            .map(|wave| {
+                let d = data.clone();
+                ctx.task()
+                    .weak_inout(data.region(0..cells))
+                    .label("soak-spawner")
+                    .spawn(move |t| {
+                        let specs: Vec<TaskSpec> = (0..wave_size)
+                            .map(|i| {
+                                let cell = (wave * wave_size + i) % cells;
+                                let d2 = d.clone();
+                                t.task()
+                                    .inout(d.region(cell..cell + 1))
+                                    .label("soak")
+                                    .stage(move |t| d2.write(t, cell..cell + 1)[0] += 1)
+                            })
+                            .collect();
+                        t.spawn_batch(specs);
+                        t.taskwait();
+                    });
+                ctx.taskwait();
+                rt.capacity().returned_records
+            })
+            .collect::<Vec<usize>>()
+    });
+
+    let total_tasks = waves * wave_size;
+    assert_eq!(data.snapshot().iter().sum::<u64>(), total_tasks as u64);
+    let stats = rt.stats();
+    assert_eq!(
+        stats.engine.tasks_registered, stats.engine.tasks_deeply_completed,
+        "every registered task (the root included) must deeply complete"
+    );
+    assert_eq!(stats.engine.tasks_registered, stats.engine.tasks_retired);
+    assert_eq!(stats.engine.tasks_registered, total_tasks + 1 + waves);
+    assert!(
+        stats.records_returned > 0,
+        "no record went home, so the plateau measured nothing"
+    );
+    let early = returned[..waves / 4].iter().copied().max().unwrap();
+    let max = returned.iter().copied().max().unwrap();
+    assert!(
+        max <= early * 3 + 1024,
+        "records parked in return bins must plateau: first waves {early}, max {max}"
+    );
+    assert!(
+        max < total_tasks / 10,
+        "records parked in return bins grew with the tasks run ({max} for {total_tasks} tasks)"
     );
 }

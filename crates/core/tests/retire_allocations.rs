@@ -6,13 +6,18 @@
 //! first child allocates a pinned count, so a container added to that path is measured, and a
 //! long chain of readers copies its reader group once per registration. An engine whose
 //! payload is not the task id (the runtime parks its task records) keeps its spare cascade
-//! the same way, so its cascade allocates what the id engine's does.
+//! the same way, so its cascade allocates what the id engine's does. And a by-value iteration
+//! of an inline `SmallVec`, as `Domain::ensure_seeded` makes over its staged seeds, allocates
+//! nothing.
 //!
 //! This binary installs its own counting global allocator. The count is per thread, so the test
 //! harness's other threads never disturb a measurement taken around one call.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
+
+use smallvec::SmallVec;
 
 use weakdep_core::{
     normalize_deps, AccessType, Depend, DependencyEngine, NormalizedDep, Region, SpaceId, TaskId,
@@ -170,7 +175,8 @@ fn a_payload_engine_cascade_allocates_as_the_id_engine_does() {
 /// kept an exact-match hash tier and its ordered key index in front of the interval maps; 16
 /// while the lower half also kept a live-child coverage count, now read from the bottom map;
 /// 14 while every task also took a slot in one of the 64 stripes of an engine-wide task table,
-/// whose stripe grew on the child's first slot.)
+/// whose stripe grew on the child's first slot; 13 while iterating the staged seeds by value
+/// copied them into a fresh `Vec`.)
 #[test]
 fn registering_the_first_child_of_a_weak_parent_allocates_a_pinned_count() {
     let y = SpaceId(2);
@@ -197,7 +203,7 @@ fn registering_the_first_child_of_a_weak_parent_allocates_a_pinned_count() {
 
     assert!(!ready, "the child waits for the writer through its parent");
     assert_eq!(engine.stats().satisfaction_edges, 1);
-    assert_eq!(allocations, 13, "allocations registering the first child");
+    assert_eq!(allocations, 12, "allocations registering the first child");
 }
 
 /// Registering a Gauss–Seidel tile — five strong accesses: the top, left, centre, right and
@@ -288,5 +294,25 @@ fn a_long_reader_chain_copies_each_reader_group_once() {
     assert!(
         allocations <= READERS + 16,
         "{allocations} allocations registering {READERS} readers"
+    );
+}
+
+#[test]
+fn a_by_value_iteration_of_an_inline_small_vec_allocates_nothing() {
+    let region = |start| Region::new(SpaceId(1), start, start + 8);
+    let seeds: SmallVec<[(u32, Region); 2]> =
+        [(0, region(0)), (1, region(8))].into_iter().collect();
+    assert!(!seeds.spilled());
+    let before = ALLOCATIONS.with(Cell::get);
+    let mut seen = 0;
+    for (idx, region) in seeds {
+        assert_eq!(black_box(region).start, 8 * idx as usize);
+        seen += 1;
+    }
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(seen, 2);
+    assert_eq!(
+        allocations, 0,
+        "heap allocations of a by-value iteration of two inline items"
     );
 }

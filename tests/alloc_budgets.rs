@@ -25,25 +25,21 @@ use weakdep::{
     TaskCtx, TaskSpec,
 };
 
-/// Allocations per unit over a window in which the counter moved by `delta`.
-fn per_unit(what: &str, delta: usize, units: usize) -> f64 {
-    assert!(
-        delta > 0,
-        "{what}: the allocation counter did not move, so nothing was measured"
-    );
-    delta as f64 / units as f64
+/// Allocations per unit over a window in which the counter moved by `delta`; `None` when it did
+/// not move.
+fn per_unit(delta: usize, units: usize) -> Option<f64> {
+    (delta > 0).then(|| delta as f64 / units as f64)
 }
 
 /// Allocations per task of `run`, given a fresh 1-worker runtime and `data_len` bytes of data.
 fn spawn_path(
-    what: &str,
     tasks: usize,
     data_len: usize,
     run: impl FnOnce(&Runtime, SharedSlice<u8>),
-) -> f64 {
+) -> Option<f64> {
     let rt = Runtime::with_workers(1);
     let data = SharedSlice::<u8>::new(data_len);
-    per_unit(what, process_allocations_in(|| run(&rt, data)), tasks)
+    per_unit(process_allocations_in(|| run(&rt, data)), tasks)
 }
 
 // ---- The spawn and matching paths, at 1 worker. ----
@@ -371,9 +367,6 @@ fn install_panic_filter() {
 
 #[test]
 fn allocations_per_task_stay_within_their_budgets() {
-    // (what, measured, ceiling)
-    let mut budgets: Vec<(String, f64, f64)> = Vec::new();
-
     // The spawn and matching paths. Ceilings are the steady state rounded up to the next
     // whole allocation above the 2 000-task value, which carries some log-scale warm-up (slab
     // and queue doubling) on top of it. A five-access `stencil-each` tile costs its footprint,
@@ -384,66 +377,51 @@ fn allocations_per_task_stay_within_their_budgets() {
     // inside `run()`; 2 000 tasks leave it a quarter allocation of headroom.
     let (tasks, wave) = (2_000, 1_000);
     let (spawners, children) = (8, 250);
-    let spawn_paths: [(&str, f64, f64); 7] = [
+    let grid = STENCIL_SIDE * STENCIL_SIDE * STENCIL_BLOCK;
+    // (what, allocations per task or chunk, ceiling)
+    let mut budgets = vec![
         (
             "spawn-batched",
+            spawn_path(tasks, tasks, |rt, d| spawn_batched(rt, d, tasks, wave)),
             5.0,
-            spawn_path("spawn-batched", tasks, tasks, |rt, d| {
-                spawn_batched(rt, d, tasks, wave)
-            }),
         ),
         (
             "spawn-each",
+            spawn_path(tasks, tasks, |rt, d| spawn_each(rt, d, tasks, wave)),
             4.0,
-            spawn_path("spawn-each", tasks, tasks, |rt, d| {
-                spawn_each(rt, d, tasks, wave)
-            }),
         ),
         (
             "stencil-each",
+            spawn_path(tasks, grid, |rt, d| stencil_each(rt, d, tasks)),
             6.0,
-            spawn_path(
-                "stencil-each",
-                tasks,
-                STENCIL_SIDE * STENCIL_SIDE * STENCIL_BLOCK,
-                |rt, d| stencil_each(rt, d, tasks),
-            ),
         ),
         (
             "fragmented-deps",
-            11.0,
-            spawn_path("fragmented-deps", tasks, 2 * tasks + 2, |rt, d| {
+            spawn_path(tasks, 2 * tasks + 2, |rt, d| {
                 fragmented(rt, d, tasks, wave, |t| t)
             }),
+            11.0,
         ),
         (
             "fragmented-demote",
-            12.0,
-            spawn_path("fragmented-demote", tasks, tasks + 8, |rt, d| {
+            spawn_path(tasks, tasks + 8, |rt, d| {
                 fragmented(rt, d, tasks, wave, |t| t / 2)
             }),
+            12.0,
         ),
         (
             "nested-batched",
+            spawn_path(spawners * children, spawners * children, |rt, d| {
+                nested_batched(rt, d, spawners, children)
+            }),
             5.0,
-            spawn_path(
-                "nested-batched",
-                spawners * children,
-                spawners * children,
-                |rt, d| nested_batched(rt, d, spawners, children),
-            ),
         ),
         (
             "nodeps-batched",
+            spawn_path(tasks, 0, |rt, _| nodeps_batched(rt, tasks, wave)),
             2.5,
-            spawn_path("nodeps-batched", tasks, 0, |rt, _| {
-                nodeps_batched(rt, tasks, wave)
-            }),
         ),
     ];
-    for (what, ceiling, measured) in spawn_paths {
-        budgets.push((format!("{what} allocs/task"), measured, ceiling));
-    }
 
     // The multi-tenant service: five rows of 16 jobs over 2 workers — locality-slot,
     // fair-share, fair-share under a live-task budget, and fail-fast and run-to-completion
@@ -452,27 +430,17 @@ fn allocations_per_task_stay_within_their_budgets() {
     // state, buffer and result. The ceiling is the next whole allocation above that, plus one.
     install_panic_filter();
     let (jobs, scale) = (16, 2);
-    let service =
-        |policy: SchedulingPolicy| RuntimeConfig::new().workers(2).scheduling_policy(policy);
+    let service = |policy| RuntimeConfig::new().workers(2).scheduling_policy(policy);
+    let fair_share = || service(SchedulingPolicy::FairShare);
     let mut tenant_tasks = 0;
     let delta = process_allocations_in(|| {
         tenant_tasks = [
             tenant_row(service(SchedulingPolicy::LocalitySlot), None, jobs, scale),
-            tenant_row(service(SchedulingPolicy::FairShare), None, jobs, scale),
+            tenant_row(fair_share(), None, jobs, scale),
+            tenant_row(fair_share().live_task_budget(jobs / 4), None, jobs, scale),
+            tenant_row(fair_share(), Some(PanicPolicy::FailFast), jobs, scale),
             tenant_row(
-                service(SchedulingPolicy::FairShare).live_task_budget(jobs / 4),
-                None,
-                jobs,
-                scale,
-            ),
-            tenant_row(
-                service(SchedulingPolicy::FairShare),
-                Some(PanicPolicy::FailFast),
-                jobs,
-                scale,
-            ),
-            tenant_row(
-                service(SchedulingPolicy::FairShare),
+                fair_share(),
                 Some(PanicPolicy::RunToCompletion),
                 jobs,
                 scale,
@@ -481,11 +449,7 @@ fn allocations_per_task_stay_within_their_budgets() {
         .iter()
         .sum();
     });
-    budgets.push((
-        "mixed-tenant allocs/task".into(),
-        per_unit("mixed-tenant", delta, tenant_tasks),
-        8.0,
-    ));
+    budgets.push(("mixed-tenant", per_unit(delta, tenant_tasks), 8.0));
 
     // A chunked reduction of 2^16 elements in 1 024 chunks of 64 on 2 workers: the chunks are
     // enough for the per-chunk cost to amortise the run's fixed setup (job state, spec vector,
@@ -503,41 +467,30 @@ fn allocations_per_task_stay_within_their_budgets() {
     initialize_u64(&input);
     let expected = reduce_reference(&input.snapshot());
     // A fresh runtime per variant, made before the window and dropped after it.
-    let reduce =
-        |what: &str, run: fn(&Runtime, &LoopConfig, &SharedSlice<u64>) -> (KernelRun, u64)| {
-            let rt = Runtime::new(
-                RuntimeConfig::new()
-                    .workers(2)
-                    .scheduling_policy(SchedulingPolicy::LocalitySlot),
-            );
-            let delta =
-                process_allocations_in(|| assert_eq!(run(&rt, &cfg, &input).1, expected, "{what}"));
-            per_unit(what, delta, chunks)
-        };
-    budgets.push((
-        "assist allocs/chunk".into(),
-        reduce("assist", reduce_assist),
-        0.5,
-    ));
-    budgets.push((
-        "task-spawned chunk allocs/task".into(),
-        reduce("task-spawned chunks", reduce_tasks),
-        4.0,
-    ));
+    let reduce = |run: fn(&Runtime, &LoopConfig, &SharedSlice<u64>) -> (KernelRun, u64)| {
+        let rt = Runtime::new(service(SchedulingPolicy::LocalitySlot));
+        per_unit(
+            process_allocations_in(|| assert_eq!(run(&rt, &cfg, &input).1, expected)),
+            chunks,
+        )
+    };
+    budgets.push(("assist, per chunk", reduce(reduce_assist), 0.5));
+    budgets.push(("task-spawned chunks", reduce(reduce_tasks), 4.0));
 
     let report: Vec<String> = budgets
         .iter()
-        .map(|(what, measured, ceiling)| {
-            let verdict = if measured <= ceiling { "ok" } else { "OVER" };
-            format!("{verdict}: {what} {measured:.3} (budget {ceiling})")
+        .map(|(what, measured, ceiling)| match measured {
+            Some(m) if m <= ceiling => format!("ok: {what} {m:.3} (budget {ceiling})"),
+            Some(m) => format!("OVER: {what} {m:.3} (budget {ceiling})"),
+            None => format!("NOT MEASURED: {what}: the allocation counter did not move"),
         })
         .collect();
     eprintln!("{}", report.join("\n"));
     assert!(
         budgets
             .iter()
-            .all(|(_, measured, ceiling)| measured <= ceiling),
-        "allocation budgets exceeded:\n{}",
+            .all(|(_, measured, ceiling)| measured.is_some_and(|m| m <= *ceiling)),
+        "allocation budgets exceeded or not measured:\n{}",
         report.join("\n")
     );
 }

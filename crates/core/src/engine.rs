@@ -43,7 +43,11 @@
 //! * [`WaitMode::WeakWait`]: fragments complete as soon as the body has finished **and** no live
 //!   child access covers them; the rest complete as children release them (§V). The parts the
 //!   children of one visit to the domain release leave together, as one completion per access
-//!   and maximal range (see [`Cascade`]).
+//!   and maximal range (see [`Cascade`]). A `weakwait` child that only writes, shares nothing
+//!   with a later sibling and forwards no satisfaction down is *transparent* once its parent's
+//!   `weakwait` body has ended: a visit to the parent's domain would only pass its hand-overs
+//!   on, so they skip that domain and climb, in one message, to the first level that is not
+//!   transparent (see [`TaskEntry::transparent`]).
 //!
 //! The `release` directive arms selected fragments for early completion regardless of the wait
 //! mode.
@@ -273,6 +277,10 @@ pub struct EngineStats {
     /// `ChildDone` messages applied: one per deep completion of a task that is not a root, so
     /// `child_done_messages + roots_completed == tasks_deeply_completed` at quiescence.
     pub child_done_messages: usize,
+    /// Hand-over ranges sent past at least one nesting level: ranges of a transparent task
+    /// that skipped its parent's domain (and maybe further transparent levels) on their way
+    /// up. A subset of `incremental_releases`.
+    pub handovers_forwarded: usize,
 }
 
 /// Indexes of the engine's counters in its [`Striped`] block, one per [`EngineStats`] field.
@@ -294,7 +302,8 @@ mod stat {
     pub(super) const SATISFY_DOWN_MESSAGES: usize = 14;
     pub(super) const COMPLETE_UP_MESSAGES: usize = 15;
     pub(super) const CHILD_DONE_MESSAGES: usize = 16;
-    pub(super) const COUNT: usize = 17;
+    pub(super) const HANDOVERS_FORWARDED: usize = 17;
+    pub(super) const COUNT: usize = 18;
 }
 
 /// Generation-checked reference to an access node slot inside one domain's slab.
@@ -356,6 +365,11 @@ struct AccessNode {
     /// (`OwnAccess::pending_down` started non-empty), so satisfaction must be forwarded down.
     /// Only weak accesses are mirrored (see [`DependencyEngine::register_task`]).
     has_mirror: bool,
+    /// `true` while this is an *exclusive writer*: a write that no later sibling access has
+    /// planned an edge from. It then holds no release edge, and the bottom map records it
+    /// alone (as the last writer, with no readers) over its whole region, so no other child
+    /// covers a part it releases. Cleared for good by the first such edge.
+    exclusive: bool,
     /// Per-fragment dependency state: compact while the region transitions as one unit,
     /// promoted to the general containers on the first partial-fragment operation.
     state: NodeState,
@@ -365,8 +379,8 @@ struct AccessNode {
 ///
 /// The overwhelming majority of accesses (whole-block deps of blocked kernels) live and die as
 /// a **single fragment**: every predecessor, successor edge, completion and release covers the
-/// whole declared region. [`NodeState::Compact`] represents that case with a counter, two flags
-/// and an inline successor list — no heap allocation at any point in the node's life. The first
+/// whole declared region. [`NodeState::Compact`] represents that case with one [`FragCell`] for
+/// the whole region — no heap allocation at any point in the node's life. The first
 /// operation that touches a *proper sub-region* (a partially overlapping sibling, a weakwait
 /// hand-over of a sub-block, a partial `release` directive) promotes the node to
 /// [`NodeState::Fragmented`], which holds an **index into the domain's [`FragArena`]**: the
@@ -375,20 +389,17 @@ struct AccessNode {
 /// instead of boxing fresh ones per promoted node.
 #[derive(Debug)]
 enum NodeState {
-    Compact(CompactState),
+    Compact(FragCell),
     Fragmented(u32),
 }
 
-#[derive(Debug)]
-struct CompactState {
-    /// Number of predecessors over the whole region that have not delivered the data yet.
-    unsatisfied: u32,
-    /// The task (or a live child) may still access the region.
-    uncompleted: bool,
-    /// The region has not been handed to successors yet.
-    unreleased: bool,
-    /// Same-domain successors waiting for the whole region.
-    release_edges: SmallVec<[u32; 2]>,
+/// What one node event does to the fragments it covers.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Step {
+    /// One predecessor delivered the data.
+    Satisfy,
+    /// The task and its live children will no longer access the data.
+    Complete,
 }
 
 /// The per-fragment lifecycle record of one promoted access node.
@@ -422,6 +433,46 @@ impl FragCell {
             && !self.uncompleted
             && !self.unreleased
             && self.release_edges.is_empty()
+    }
+
+    /// `true` if `step` changes this cell: it still waits for a predecessor, or for the
+    /// completion.
+    fn moved_by(&self, step: Step) -> bool {
+        match step {
+            Step::Satisfy => self.unsatisfied > 0,
+            Step::Complete => self.uncompleted,
+        }
+    }
+
+    /// Applies `step` to this cell, which covers `region` and is [moved by](Self::moved_by)
+    /// it. Appends `region` to `newly` if the step satisfied it; if it is now satisfied,
+    /// completed and unreleased, releases it: appends it to `released` and hands its release
+    /// edges to `deliver`, so the transition and the release it allows are one visit.
+    fn apply(
+        &mut self,
+        step: Step,
+        region: Region,
+        newly: &mut Parts,
+        released: &mut Parts,
+        deliver: &mut impl FnMut(Region, SmallVec<[u32; 2]>),
+    ) {
+        match step {
+            Step::Satisfy => {
+                self.unsatisfied -= 1;
+                if self.unsatisfied > 0 {
+                    return;
+                }
+                newly.push(region);
+            }
+            Step::Complete => self.uncompleted = false,
+        }
+        if self.unsatisfied == 0 && !self.uncompleted && self.unreleased {
+            self.unreleased = false;
+            released.push(region);
+            if !self.release_edges.is_empty() {
+                deliver(region, std::mem::take(&mut self.release_edges));
+            }
+        }
     }
 
     /// Turns a mutated cell back into a range update: `Remove` once spent, `Set` otherwise.
@@ -482,12 +533,7 @@ impl AccessNode {
             return;
         };
         let fi = frag.alloc();
-        let cell = FragCell {
-            unsatisfied: c.unsatisfied,
-            uncompleted: c.uncompleted,
-            unreleased: c.unreleased,
-            release_edges: std::mem::take(&mut c.release_edges),
-        };
+        let cell = std::mem::take(c);
         let (start, end) = (self.region.start, self.region.end);
         let f = frag.get_mut(fi);
         debug_assert!(f.is_empty());
@@ -609,187 +655,74 @@ impl AccessNode {
         }
     }
 
-    /// Marks `part` as satisfied by one predecessor; appends the fragments that became *fully*
-    /// satisfied to `newly`.
-    fn satisfy_part(&mut self, frag: &mut FragArena, part: &Region, newly: &mut Parts) {
-        if let NodeState::Compact(c) = &mut self.state {
-            if part.contains_region(&self.region) {
-                if c.unsatisfied > 0 {
-                    c.unsatisfied -= 1;
-                    if c.unsatisfied == 0 {
-                        newly.push(self.region);
-                    }
-                }
-                return;
-            }
-            if !part.intersects(&self.region) {
-                return;
-            }
-            self.promote(frag);
-        }
-        let NodeState::Fragmented(fi) = self.state else {
-            unreachable!()
-        };
-        if part.space != self.region.space {
-            return;
-        }
-        let space = self.region.space;
-        let f = frag.get_mut(fi);
-        f.update_range(part.start, part.end, |s, e, cell| match cell {
-            Some(c) if c.unsatisfied > 0 => {
-                let mut c2 = c.clone();
-                c2.unsatisfied -= 1;
-                if c2.unsatisfied == 0 {
-                    newly.push(Region::new(space, s, e));
-                }
-                c2.commit()
-            }
-            // Already satisfied: only *transitions* to zero are reported.
-            _ => RangeUpdate::Keep,
-        });
-        f.coalesce_range(part.start, part.end);
-    }
-
-    /// Marks `part` as completed; appends the fragments that transitioned to `newly`.
-    fn complete_part(&mut self, frag: &mut FragArena, part: &Region, newly: &mut Parts) {
-        if let NodeState::Compact(c) = &mut self.state {
-            if part.contains_region(&self.region) {
-                if c.uncompleted {
-                    c.uncompleted = false;
-                    newly.push(self.region);
-                }
-                return;
-            }
-            if !part.intersects(&self.region) {
-                return;
-            }
-            self.promote(frag);
-        }
-        let NodeState::Fragmented(fi) = self.state else {
-            unreachable!()
-        };
-        if part.space != self.region.space {
-            return;
-        }
-        let space = self.region.space;
-        let f = frag.get_mut(fi);
-        f.update_range(part.start, part.end, |s, e, cell| match cell {
-            Some(c) if c.uncompleted => {
-                let mut c2 = c.clone();
-                c2.uncompleted = false;
-                newly.push(Region::new(space, s, e));
-                c2.commit()
-            }
-            _ => RangeUpdate::Keep,
-        });
-        f.coalesce_range(part.start, part.end);
-    }
-
-    /// Appends the sub-parts of `candidate` that are releasable *now* (unreleased, fully
-    /// satisfied and completed) to `out`.
-    fn releasable_parts(
-        &self,
-        frag: &FragArena,
-        candidate: &Region,
-        out: &mut SmallVec<[Region; 4]>,
-    ) {
-        match &self.state {
-            NodeState::Compact(c) => {
-                // Compact state is all-or-nothing: the region is releasable exactly when the
-                // whole of it is satisfied and completed.
-                if c.unreleased && c.unsatisfied == 0 && !c.uncompleted {
-                    if let Some(part) = self.region.intersection(candidate) {
-                        out.push(part);
-                    }
-                }
-            }
-            NodeState::Fragmented(fi) => {
-                if candidate.space != self.region.space {
-                    return;
-                }
-                // releasable = candidate ∩ unreleased ∩ !unsatisfied ∩ !uncompleted. All three
-                // facets live in one fragment map, so this is a single clipped scan with a
-                // per-cell predicate — no subtract chains, no scratch.
-                let space = self.region.space;
-                frag.get(*fi)
-                    .query_range(candidate.start, candidate.end, |s, e, c| {
-                        if c.unreleased && c.unsatisfied == 0 && !c.uncompleted {
-                            out.push(Region::new(space, s, e));
-                        }
-                    });
-            }
-        }
-    }
-
-    /// Removes `part` from the unreleased set, appending what was actually removed to `out`.
-    fn release_part(&mut self, frag: &mut FragArena, part: &Region, out: &mut Parts) {
-        if let NodeState::Compact(c) = &mut self.state {
-            if part.contains_region(&self.region) {
-                if c.unreleased {
-                    c.unreleased = false;
-                    out.push(self.region);
-                }
-                return;
-            }
-            if !part.intersects(&self.region) {
-                return;
-            }
-            self.promote(frag);
-        }
-        let NodeState::Fragmented(fi) = self.state else {
-            unreachable!()
-        };
-        if part.space != self.region.space {
-            return;
-        }
-        let space = self.region.space;
-        let f = frag.get_mut(fi);
-        f.update_range(part.start, part.end, |s, e, cell| match cell {
-            Some(c) if c.unreleased => {
-                let mut c2 = c.clone();
-                c2.unreleased = false;
-                out.push(Region::new(space, s, e));
-                c2.commit()
-            }
-            _ => RangeUpdate::Keep,
-        });
-        f.coalesce_range(part.start, part.end);
-    }
-
-    /// Consumes the release edges overlapping the just-released `part`, delivering each
-    /// `(fragment, targets)` group.
-    fn take_release_edges(
+    /// Applies `step` to `part` of the node ([`FragCell::apply`] on each fragment it covers):
+    /// appends the fragments it turned satisfied to `newly`, and the fragments it released to
+    /// `released`, handing their release edges to `deliver`. A fragmented node pays one
+    /// `update_range` and one `coalesce_range` for all of it.
+    fn step(
         &mut self,
         frag: &mut FragArena,
+        step: Step,
         part: &Region,
+        newly: &mut Parts,
+        released: &mut Parts,
         mut deliver: impl FnMut(Region, SmallVec<[u32; 2]>),
     ) {
+        if let NodeState::Compact(c) = &mut self.state {
+            if part.contains_region(&self.region) {
+                if c.moved_by(step) {
+                    c.apply(step, self.region, newly, released, &mut deliver);
+                }
+                return;
+            }
+            if !part.intersects(&self.region) {
+                return;
+            }
+            self.promote(frag);
+        }
+        let NodeState::Fragmented(fi) = self.state else {
+            unreachable!()
+        };
+        if part.space != self.region.space {
+            return;
+        }
+        let space = self.region.space;
+        let f = frag.get_mut(fi);
+        f.update_range(part.start, part.end, |s, e, cell| match cell {
+            Some(c) if c.moved_by(step) => {
+                let mut c = c.clone();
+                c.apply(
+                    step,
+                    Region::new(space, s, e),
+                    newly,
+                    released,
+                    &mut deliver,
+                );
+                c.commit()
+            }
+            // Only transitions are reported: a fragment the step does not move stays as it is.
+            _ => RangeUpdate::Keep,
+        });
+        f.coalesce_range(part.start, part.end);
+    }
+
+    /// Completes and releases the whole node at once, handing nothing on: the end of a
+    /// transparent child's node, whose parts left past this domain already (see
+    /// [`TaskEntry::transparent`]). Such a node is fully satisfied and an exclusive writer, so
+    /// it holds no release edge.
+    fn spend(&mut self, frag: &mut FragArena) {
         match &mut self.state {
             NodeState::Compact(c) => {
-                // Compact edges always span the whole region; a partial release would have
-                // promoted the node in `release_part` before reaching here.
-                if part.contains_region(&self.region) && !c.release_edges.is_empty() {
-                    deliver(self.region, std::mem::take(&mut c.release_edges));
-                }
+                debug_assert!(c.unsatisfied == 0 && c.release_edges.is_empty());
+                c.uncompleted = false;
+                c.unreleased = false;
             }
             NodeState::Fragmented(fi) => {
-                if part.space != self.region.space {
-                    return;
-                }
-                let space = self.region.space;
                 let f = frag.get_mut(*fi);
-                f.update_range(part.start, part.end, |s, e, cell| match cell {
-                    Some(c) if !c.release_edges.is_empty() => {
-                        let mut c2 = c.clone();
-                        deliver(
-                            Region::new(space, s, e),
-                            std::mem::take(&mut c2.release_edges),
-                        );
-                        c2.commit()
-                    }
-                    _ => RangeUpdate::Keep,
-                });
-                f.coalesce_range(part.start, part.end);
+                debug_assert!(f
+                    .iter()
+                    .all(|(_, _, c)| c.unsatisfied == 0 && c.release_edges.is_empty()));
+                f.clear();
             }
         }
     }
@@ -922,12 +855,6 @@ impl OwnAccess {
 /// One task's dependency domain (plus the task's own lower-half state), protected by one lock.
 struct Domain<P> {
     owner: TaskId,
-    /// The entry owning this domain (always upgradable while the engine lives; weak only to
-    /// avoid a strong self-cycle through `TaskEntry::domain`).
-    self_entry: Weak<TaskEntry<P>>,
-    /// Entry of the owner's parent (`None` for roots); the target of upward messages.
-    parent_entry: Option<Weak<TaskEntry<P>>>,
-    wait_mode: WaitMode,
     body_finished: bool,
     deeply_completed: bool,
     /// Direct children that have not yet deeply completed.
@@ -973,12 +900,9 @@ impl std::fmt::Debug for PlannedEdge {
 }
 
 impl<P> Domain<P> {
-    fn new(owner: TaskId, parent_entry: Option<Weak<TaskEntry<P>>>, wait_mode: WaitMode) -> Self {
+    fn new(owner: TaskId) -> Self {
         Domain {
             owner,
-            self_entry: Weak::new(),
-            parent_entry,
-            wait_mode,
             body_finished: false,
             deeply_completed: false,
             live_children: 0,
@@ -992,24 +916,6 @@ impl<P> Domain<P> {
             free_sched: Vec::new(),
             scratch_edges: Vec::new(),
         }
-    }
-
-    /// The owner's entry (infallible while the engine is alive).
-    fn owner_entry(&self) -> Arc<TaskEntry<P>> {
-        self.self_entry
-            .upgrade()
-            .expect("task entry outlives its domain")
-    }
-
-    /// The parent's entry: `None` for roots, and also `None` once the parent has been retired
-    /// and its entry freed. The latter is only reachable after this domain's owner deeply
-    /// completed and its residual fragments were absorbed in the parent's domain, so any upward
-    /// message that would have been addressed at the parent is moot and may be dropped. A
-    /// retired parent whose task record still holds its entry answers `Some`; the hand-over
-    /// it then receives is moot the same way, and the node generations drop or absorb it
-    /// (`docs/locking.md`, "Retired parents").
-    fn parent_arc(&self) -> Option<Arc<TaskEntry<P>>> {
-        self.parent_entry.as_ref().and_then(Weak::upgrade)
     }
 
     /// Expands the deferred own-access seeds into the live lower-half structures, one per
@@ -1067,6 +973,15 @@ impl<P> Domain<P> {
         slot.node.as_ref()
     }
 
+    /// [`Domain::resolve`] for a mutation of the node's own fields.
+    fn resolve_mut(&mut self, node: NodeRef) -> Option<&mut AccessNode> {
+        let slot = self.nodes.get_mut(node.idx as usize)?;
+        if slot.gen != node.gen {
+            return None;
+        }
+        slot.node.as_mut()
+    }
+
     /// Appends the parts of `over` that no live child access covers any more — the §V
     /// hand-over, read from the bottom map. A fragment is uncovered where every `Child`
     /// accessor its entry records (the last writer and all readers) has released it; a stale
@@ -1103,6 +1018,33 @@ impl<P> Domain<P> {
         });
     }
 
+    /// Raises [`TaskEntry::transparent`] on the live children whose hand-overs a visit to
+    /// this domain could only pass on: `weakwait` children whose every node here is an
+    /// exclusive writer with no pending-down mirror. Runs at the owner's `weakwait` body end,
+    /// under this domain's lock: no sibling can link to those nodes any more, so they stay
+    /// exclusive. Reads the children's immutable entry fields only; takes no lock.
+    ///
+    /// A node without a mirror is satisfied whenever its task hands anything over: a weak one
+    /// was satisfied at registration (a weak node is mirrored exactly when it was not), and a
+    /// strong one before its task started. And no satisfaction is still on its way into the
+    /// child's domain, where it could release a part only after the child's `ChildDone`, which
+    /// for a transparent child hands nothing over.
+    fn mark_transparent_children(&self) {
+        for sched in self.sched.iter().flatten() {
+            let Some(child) = &sched.entry else { continue };
+            if sched.deeply_completed || child.wait_mode != WaitMode::WeakWait {
+                continue;
+            }
+            let passes_on = child.nodes_in_parent.iter().all(|access| {
+                self.resolve(access.node)
+                    .is_some_and(|node| node.exclusive && !node.has_mirror)
+            });
+            if passes_on {
+                child.transparent.store(true, Ordering::Release);
+            }
+        }
+    }
+
     fn alloc_node(&mut self, node: AccessNode) -> NodeRef {
         match self.free_nodes.pop() {
             Some(idx) => {
@@ -1120,6 +1062,20 @@ impl<P> Domain<P> {
                 NodeRef { idx, gen: 0 }
             }
         }
+    }
+
+    /// Makes room for `children` more scheduling records and `nodes` more access nodes beyond
+    /// the free slots, so registering them grows neither slab, and for every slot of either
+    /// slab on its free list, so their retirement grows neither free list.
+    fn reserve(&mut self, children: usize, nodes: usize) {
+        self.sched
+            .reserve(children.saturating_sub(self.free_sched.len()));
+        self.nodes
+            .reserve(nodes.saturating_sub(self.free_nodes.len()));
+        self.free_sched
+            .reserve(self.sched.capacity() - self.free_sched.len());
+        self.free_nodes
+            .reserve(self.nodes.capacity() - self.free_nodes.len());
     }
 
     fn alloc_sched(&mut self, sched: ChildSched<P>) -> u32 {
@@ -1198,6 +1154,9 @@ impl<P> Domain<P> {
 pub(crate) struct TaskEntry<P> {
     pub(crate) id: TaskId,
     parent: Option<TaskId>,
+    /// Entry of the parent (`None` for roots): the target of upward messages. Immutable, so a
+    /// hand-over climbing past transparent levels reads it without the parent's lock.
+    parent_entry: Option<Weak<TaskEntry<P>>>,
     /// This task's accesses in the parent's domain, parallel to the `own` vector of this
     /// task's domain. Immutable after registration; inline for the common 1–2 accesses.
     nodes_in_parent: SmallVec<[InParent; 2]>,
@@ -1208,6 +1167,14 @@ pub(crate) struct TaskEntry<P> {
     /// the runtime's retire batching; a sibling that links after the read only waits for the
     /// batch's flush.
     successor_linked: AtomicBool,
+    /// Raised (`Release`, under the parent's domain lock) at the body end of a `weakwait`
+    /// parent when a visit to the parent's domain could only pass this task's hand-overs on:
+    /// this task is `weakwait`, and each of its nodes there is an exclusive writer with no
+    /// pending-down mirror ([`Domain::mark_transparent_children`]). From then on this task's
+    /// hand-overs skip the parent's domain ([`DependencyEngine::flush_handover`]) and its
+    /// `ChildDone` hands nothing over. Monotonic.
+    transparent: AtomicBool,
+    wait_mode: WaitMode,
     domain: Mutex<Domain<P>>,
 }
 
@@ -1225,6 +1192,17 @@ impl<P> TaskEntry<P> {
         self.parent
     }
 
+    /// The parent's entry: `None` for roots, and also `None` once the parent has been retired
+    /// and its entry freed. The latter is only reachable after this task deeply completed and
+    /// its residual fragments were absorbed in the parent's domain, so any upward message that
+    /// would have been addressed at the parent is moot and may be dropped. A retired parent
+    /// whose task record still holds its entry answers `Some`; the hand-over it then receives
+    /// is moot the same way, and the node generations drop or absorb it (`docs/locking.md`,
+    /// "Retired parents").
+    fn parent_arc(&self) -> Option<Arc<TaskEntry<P>>> {
+        self.parent_entry.as_ref().and_then(Weak::upgrade)
+    }
+
     /// Whether a later sibling has linked a release edge to one of this task's accesses (see
     /// the field). Monotonic: once `true`, it stays `true`.
     pub(crate) fn successor_linked(&self) -> bool {
@@ -1239,7 +1217,7 @@ impl<P> TaskEntry<P> {
     /// [`DependencyEngine::is_scheduled`] for this task. A retired parent answers `true` too:
     /// it deeply completed, so its children all ran.
     fn is_scheduled(&self) -> bool {
-        let Some(parent) = self.domain.lock().parent_arc() else {
+        let Some(parent) = self.parent_arc() else {
             return true;
         };
         let domain = parent.domain.lock();
@@ -1296,11 +1274,13 @@ impl<P> Message<P> {
     }
 }
 
-/// Domain-local cascade events, processed iteratively to keep the call stack flat.
+/// A domain-local cascade event: `step` applies to `parts` of `node`. Events are processed
+/// iteratively to keep the call stack flat.
 #[derive(Debug)]
-enum Event {
-    Satisfy { node: u32, parts: Parts },
-    Complete { node: u32, parts: Parts },
+struct Event {
+    node: u32,
+    step: Step,
+    parts: Parts,
 }
 
 /// The queues one finish or release drains: the cross-domain messages, in the order they were
@@ -1316,6 +1296,8 @@ pub(crate) struct Cascade<P> {
     /// domain is left and then sent up as one `CompleteUp` per access and maximal range
     /// ([`DependencyEngine::flush_handover`]). Empty whenever no domain is locked.
     handover: Vec<(u32, Region)>,
+    /// The flush's scratch for the held ranges mapped one transparent level up.
+    climb: Vec<(u32, Region)>,
 }
 
 impl<P> Cascade<P> {
@@ -1325,6 +1307,7 @@ impl<P> Cascade<P> {
             messages: VecDeque::new(),
             events: VecDeque::new(),
             handover: Vec::new(),
+            climb: Vec::new(),
         }
     }
 
@@ -1347,6 +1330,19 @@ impl<P> Cascade<P> {
         }
         self.handover.push((own_idx, part));
     }
+}
+
+/// Sorts `(own_idx, range)` hand-overs and merges each range into the one before it when both
+/// are of the same access and overlap or touch.
+fn merge_ranges(ranges: &mut Vec<(u32, Region)>) {
+    ranges.sort_unstable_by_key(|&(own_idx, part)| (own_idx, part.start));
+    ranges.dedup_by(|next, open| {
+        let merges = next.0 == open.0 && next.1.start <= open.1.end;
+        if merges {
+            open.1.end = open.1.end.max(next.1.end);
+        }
+        merges
+    });
 }
 
 /// The id index behind the [`TaskId`] functions, which only their own registrations fill.
@@ -1619,17 +1615,16 @@ impl<P: 'static> DependencyEngine<P> {
     /// runtime finishes the root and registers its children.
     pub(crate) fn register_root_entry(&self) -> Arc<TaskEntry<P>> {
         let id = self.reserve_id();
-        let mut domain = Domain::new(id, None, WaitMode::Wait);
-        let entry = Arc::new_cyclic(|weak| {
-            domain.self_entry = weak.clone();
-            TaskEntry {
-                id,
-                parent: None,
-                nodes_in_parent: SmallVec::new(),
-                sched_in_parent: 0,
-                successor_linked: AtomicBool::new(false),
-                domain: Mutex::new(domain),
-            }
+        let entry = Arc::new(TaskEntry {
+            id,
+            parent: None,
+            parent_entry: None,
+            nodes_in_parent: SmallVec::new(),
+            sched_in_parent: 0,
+            successor_linked: AtomicBool::new(false),
+            transparent: AtomicBool::new(false),
+            wait_mode: WaitMode::Wait,
+            domain: Mutex::new(Domain::new(id)),
         });
         self.stats.add(stat::TASKS_REGISTERED, 1);
         self.stats.add(stat::ROOTS_REGISTERED, 1);
@@ -1659,7 +1654,14 @@ impl<P: 'static> DependencyEngine<P> {
             "{:?} has children before it is ready",
             parent.id
         );
+        let mut tasks = tasks.into_iter().peekable();
         let mut domain = parent.domain.lock();
+        // The wave's size is known: its slab slots are reserved once, not grown from empty
+        // (its siblings usually declare as many accesses as its first task).
+        let wave = tasks.size_hint().0;
+        if let Some((_, first, _)) = tasks.peek() {
+            domain.reserve(wave, wave * deps(first).len());
+        }
         for (id, mut payload, wait_mode) in tasks {
             let (sched, entry) =
                 self.register_locked(parent, &mut domain, id, deps(&payload), wait_mode);
@@ -1706,7 +1708,7 @@ impl<P: 'static> DependencyEngine<P> {
         });
         domain.live_children += 1;
 
-        let mut child_domain = Domain::new(id, Some(Arc::downgrade(parent_entry)), wait_mode);
+        let mut child_domain = Domain::new(id);
         let mut child_seeds: Seeds = SmallVec::new();
         // Built at its final size: one allocation beyond the inline capacity, none within it.
         let mut nodes_in_parent: SmallVec<[InParent; 2]> = SmallVec::with_capacity(deps.len());
@@ -1721,9 +1723,10 @@ impl<P: 'static> DependencyEngine<P> {
                 region: dep.region,
                 weak: dep.weak,
                 has_mirror: false,
+                exclusive: dep.is_write,
                 // The compact single-fragment state: uncompleted, unreleased, no predecessors
                 // yet. No container is allocated unless the region ever fragments.
-                state: NodeState::Compact(CompactState {
+                state: NodeState::Compact(FragCell {
                     unsatisfied: 0,
                     uncompleted: true,
                     unreleased: true,
@@ -1776,16 +1779,16 @@ impl<P: 'static> DependencyEngine<P> {
 
         // The scheduling record holds the entry before the parent's lock is released: the moment
         // another thread can observe the new nodes, messages may be addressed at the new task.
-        let entry = Arc::new_cyclic(|weak| {
-            child_domain.self_entry = weak.clone();
-            TaskEntry {
-                id,
-                parent: Some(parent_entry.id),
-                nodes_in_parent,
-                sched_in_parent: sched_idx,
-                successor_linked: AtomicBool::new(false),
-                domain: Mutex::new(child_domain),
-            }
+        let entry = Arc::new(TaskEntry {
+            id,
+            parent: Some(parent_entry.id),
+            parent_entry: Some(Arc::downgrade(parent_entry)),
+            nodes_in_parent,
+            sched_in_parent: sched_idx,
+            successor_linked: AtomicBool::new(false),
+            transparent: AtomicBool::new(false),
+            wait_mode,
+            domain: Mutex::new(child_domain),
         });
         let sched = domain.sched[sched_idx as usize]
             .as_mut()
@@ -1923,11 +1926,17 @@ impl<P: 'static> DependencyEngine<P> {
                 let own = &domain.own[own_idx as usize];
                 own.stored_parts(&own.pending_down, over, &mut pending);
             }
-            Accessor::Child(source) => match domain.resolve(source) {
+            Accessor::Child(source) => {
                 // A recycled slot means the source was fully released: no pending fragments.
-                None => {}
-                Some(node) => node.unreleased_parts(&domain.frag, over, &mut pending),
-            },
+                // A live source shares its fragments with the new node from now on, even when
+                // the edge turns out to be over released parts only.
+                if let Some(node) = domain.resolve_mut(source) {
+                    node.exclusive = false;
+                }
+                if let Some(node) = domain.resolve(source) {
+                    node.unreleased_parts(&domain.frag, over, &mut pending);
+                }
+            }
         }
         if pending.is_empty() {
             return;
@@ -2009,22 +2018,24 @@ impl<P: 'static> DependencyEngine<P> {
         );
         domain.body_finished = true;
 
-        match (domain.wait_mode, domain.parent_arc()) {
+        match entry.wait_mode {
             // OpenMP default: the task's dependencies are released when the body finishes.
             // A leaf deep-completes right below, and its `ChildDone` completes every access.
             // Each access completes whole, which is not a hand-over: these are the only
             // `CompleteUp`s the flush does not build, and no incremental release counts them.
-            (WaitMode::None, Some(target)) if domain.live_children > 0 => {
-                for (own_idx, access) in entry.nodes_in_parent.iter().enumerate() {
-                    cascade.messages.push_back(Message::CompleteUp {
-                        target: Arc::clone(&target),
-                        task: Arc::clone(entry),
-                        own_idx: own_idx as u32,
-                        part: access.region,
-                    });
+            WaitMode::None if domain.live_children > 0 => {
+                if let Some(target) = entry.parent_arc() {
+                    for (own_idx, access) in entry.nodes_in_parent.iter().enumerate() {
+                        cascade.messages.push_back(Message::CompleteUp {
+                            target: Arc::clone(&target),
+                            task: Arc::clone(entry),
+                            own_idx: own_idx as u32,
+                            part: access.region,
+                        });
+                    }
                 }
             }
-            (WaitMode::WeakWait, Some(_)) => {
+            WaitMode::WeakWait if entry.parent_entry.is_some() => {
                 // Fine-grained release: fragments not covered by live child accesses
                 // complete now; covered fragments are handed over to the children.
                 domain.ensure_seeded(&entry.nodes_in_parent);
@@ -2035,7 +2046,8 @@ impl<P: 'static> DependencyEngine<P> {
                         cascade.hold(own_idx as u32, part);
                     }
                 }
-                self.flush_handover(&domain, cascade);
+                domain.mark_transparent_children();
+                self.flush_handover(entry, cascade);
             }
             // `Wait` holds every dependency until deep completion, which also completes a
             // `None` leaf's; a root has no parent domain to complete into.
@@ -2043,7 +2055,7 @@ impl<P: 'static> DependencyEngine<P> {
         }
 
         if domain.live_children == 0 {
-            deep_complete_locked(self, &mut domain, cascade, effects);
+            deep_complete_locked(self, entry, &mut domain, cascade, effects);
         }
         cascade.messages.len() == before + 1
             && matches!(cascade.messages.back(), Some(Message::ChildDone { child, .. }) if Arc::ptr_eq(child, entry))
@@ -2071,11 +2083,11 @@ impl<P: 'static> DependencyEngine<P> {
         effects: &mut Effects<P>,
     ) {
         debug_assert!(cascade.is_empty(), "a release started on a busy cascade");
+        if entry.parent_entry.is_none() {
+            return;
+        }
         {
             let mut domain = entry.domain.lock();
-            if domain.parent_arc().is_none() {
-                return;
-            }
             domain.ensure_seeded(&entry.nodes_in_parent);
             for own_idx in 0..domain.own.len() {
                 let own = &mut domain.own[own_idx];
@@ -2090,7 +2102,7 @@ impl<P: 'static> DependencyEngine<P> {
                     cascade.hold(own_idx as u32, part);
                 }
             }
-            self.flush_handover(&domain, cascade);
+            self.flush_handover(entry, cascade);
         }
         self.pump(cascade, effects);
     }
@@ -2125,7 +2137,7 @@ impl<P: 'static> DependencyEngine<P> {
             );
             let target = Arc::clone(message.target());
             let mut domain = target.domain.lock();
-            self.apply(&mut domain, message, cascade, effects);
+            self.apply(&target, &mut domain, message, cascade, effects);
             // Apply consecutive messages for the same domain while we hold its lock. A
             // retire batch queues a run of siblings' `ChildDone`s for their parent, so checking
             // only the queue front captures it at O(1) per message (scanning the whole queue
@@ -2136,42 +2148,71 @@ impl<P: 'static> DependencyEngine<P> {
                 .is_some_and(|next| Arc::ptr_eq(next.target(), &target))
             {
                 let message = cascade.messages.pop_front().expect("front checked");
-                self.apply(&mut domain, message, cascade, effects);
+                self.apply(&target, &mut domain, message, cascade, effects);
             }
-            self.flush_handover(&domain, cascade);
+            self.flush_handover(&target, cascade);
         }
     }
 
-    /// Sends the hand-overs `cascade` holds for the owner of the locked `domain` to the owner's
-    /// parent: one `CompleteUp` per access and maximal range, in ascending order, each counted
-    /// as one incremental release. Runs before the pump leaves the domain and before the
-    /// owner's `ChildDone` is queued, so a task's `CompleteUp`s precede its `ChildDone` on the
-    /// parent. Takes no lock.
-    fn flush_handover(&self, domain: &Domain<P>, cascade: &mut Cascade<P>) {
+    /// Sends the hand-overs `cascade` holds for `owner`, whose domain is locked, one level up
+    /// or more: one `CompleteUp` per access and maximal range, in ascending order, each
+    /// counted as one incremental release. Runs before the pump leaves the domain and before
+    /// the owner's `ChildDone` is queued, so a task's `CompleteUp`s precede its `ChildDone` on
+    /// the parent. Takes no lock.
+    ///
+    /// A [transparent](TaskEntry::transparent) owner's ranges skip its parent's domain: the
+    /// visit there would only complete and release the owner's exclusive node over them and
+    /// hand the same ranges, clipped to the parent's own accesses, on to the grandparent. The
+    /// flush does that clipping itself, from the immutable entries, and repeats it while the
+    /// level reached is transparent too; the first level that is not receives the
+    /// `CompleteUp`s, each counted as one forwarded hand-over as well.
+    fn flush_handover(&self, owner: &Arc<TaskEntry<P>>, cascade: &mut Cascade<P>) {
         let Cascade {
-            messages, handover, ..
+            messages,
+            handover,
+            climb,
+            ..
         } = cascade;
         if handover.is_empty() {
             return;
         }
+        merge_ranges(handover);
+        let mut task = Arc::clone(owner);
+        let mut forwarded = false;
+        while task.transparent.load(Ordering::Acquire) {
+            // The parent is live: it has a live child, the task, whose `ChildDone` is not
+            // queued yet — unless the hand-over is moot (see `parent_arc`).
+            let Some(parent) = task.parent_arc() else {
+                handover.clear();
+                return;
+            };
+            climb.clear();
+            for &(_, part) in handover.iter() {
+                for (own_idx, access) in parent.nodes_in_parent.iter().enumerate() {
+                    if let Some(sub) = access.region.intersection(&part) {
+                        climb.push((own_idx as u32, sub));
+                    }
+                }
+            }
+            std::mem::swap(handover, climb);
+            merge_ranges(handover);
+            if handover.is_empty() {
+                return;
+            }
+            task = parent;
+            forwarded = true;
+        }
         // A retired parent (possible only for moot hand-overs, see `parent_arc`) gets no
         // message — and no stat: the counter tracks *delivered* ranges.
-        let Some(target) = domain.parent_arc() else {
+        let Some(target) = task.parent_arc() else {
             handover.clear();
             return;
         };
-        let task = domain.owner_entry();
-        handover.sort_unstable_by_key(|&(own_idx, part)| (own_idx, part.start));
-        // A range that overlaps or touches the one before it, of the same access, extends it.
-        handover.dedup_by(|next, open| {
-            let merges = next.0 == open.0 && next.1.start <= open.1.end;
-            if merges {
-                open.1.end = open.1.end.max(next.1.end);
-            }
-            merges
-        });
-        self.stats
-            .add(stat::INCREMENTAL_RELEASES, handover.len() as u64);
+        let sent = handover.len() as u64;
+        self.stats.add(stat::INCREMENTAL_RELEASES, sent);
+        if forwarded {
+            self.stats.add(stat::HANDOVERS_FORWARDED, sent);
+        }
         let (&(own_idx, part), rest) = handover.split_last().expect("checked non-empty");
         for &(own_idx, part) in rest {
             messages.push_back(Message::CompleteUp {
@@ -2190,10 +2231,11 @@ impl<P: 'static> DependencyEngine<P> {
         handover.clear();
     }
 
-    /// Applies one message under its (locked) target domain. The cascade's event queue holds the
-    /// local cascade; it is drained before returning.
+    /// Applies one message under its target domain: `owner`'s, locked. The cascade's event
+    /// queue holds the local cascade; it is drained before returning.
     fn apply(
         &self,
+        owner: &Arc<TaskEntry<P>>,
         domain: &mut Domain<P>,
         message: Message<P>,
         cascade: &mut Cascade<P>,
@@ -2231,11 +2273,15 @@ impl<P: 'static> DependencyEngine<P> {
                     own.satisfy(part, |fragment, targets| {
                         for &to in targets.iter() {
                             let parts = smallvec![fragment];
-                            cascade.events.push_back(Event::Satisfy { node: to, parts });
+                            cascade.events.push_back(Event {
+                                node: to,
+                                step: Step::Satisfy,
+                                parts,
+                            });
                         }
                     });
                 }
-                self.process_local(domain, cascade, effects);
+                self.process_local(owner, domain, cascade, effects);
             }
             Message::CompleteUp {
                 target: _,
@@ -2250,11 +2296,12 @@ impl<P: 'static> DependencyEngine<P> {
                 if domain.resolve(node_ref).is_none() {
                     return;
                 }
-                cascade.events.push_back(Event::Complete {
+                cascade.events.push_back(Event {
                     node: node_ref.idx,
+                    step: Step::Complete,
                     parts: smallvec![part],
                 });
-                self.process_local(domain, cascade, effects);
+                self.process_local(owner, domain, cascade, effects);
             }
             Message::ChildDone { target: _, child } => {
                 self.stats.add(stat::CHILD_DONE_MESSAGES, 1);
@@ -2279,19 +2326,32 @@ impl<P: 'static> DependencyEngine<P> {
 
                 // Whatever has not completed yet completes now (a leaf and Wait mode release
                 // everything here; WeakWait may have residual fragments if a child declared less
-                // than it covered), one access and its cascade after the other.
+                // than it covered), one access and its cascade after the other. A transparent
+                // child handed all of its region over past this domain before it deeply
+                // completed: its nodes only end, silently (the flag was raised under this lock).
+                let silent = entry.transparent.load(Ordering::Relaxed);
                 for InParent { node: node_ref, .. } in entry.nodes_in_parent.iter() {
-                    if let Some(node) = domain.resolve(*node_ref) {
-                        cascade.events.push_back(Event::Complete {
+                    if domain.resolve(*node_ref).is_none() {
+                        continue;
+                    }
+                    if silent {
+                        let (node, frag) = domain
+                            .node_and_frag_mut(node_ref.idx)
+                            .expect("resolved above");
+                        node.spend(frag);
+                    } else {
+                        let region = domain.node(node_ref.idx).expect("resolved above").region;
+                        cascade.events.push_back(Event {
                             node: node_ref.idx,
-                            parts: smallvec![node.region],
+                            step: Step::Complete,
+                            parts: smallvec![region],
                         });
-                        self.process_local(domain, cascade, effects);
+                        self.process_local(owner, domain, cascade, effects);
                     }
                 }
 
-                // Recycle fully released nodes (the rest are reaped by `try_release` when their
-                // last fragment goes out).
+                // Recycle fully released nodes (the rest are reaped by `release_parts` when
+                // their last fragment goes out).
                 for InParent { node: node_ref, .. } in entry.nodes_in_parent.iter() {
                     if domain.resolve(*node_ref).is_some() {
                         if let Some(task) = domain.try_free_node(node_ref.idx) {
@@ -2301,7 +2361,7 @@ impl<P: 'static> DependencyEngine<P> {
                     }
                 }
                 // The child's last bookkeeping in this domain is gone: retire it.
-                // (`process_local` above may already have retired it through `try_release`.)
+                // (`process_local` above may already have retired it through `release_parts`.)
                 if let Some(task) = reclaimed {
                     self.retire(task, effects);
                 }
@@ -2311,7 +2371,7 @@ impl<P: 'static> DependencyEngine<P> {
                 if domain.live_children == 0 {
                     if domain.body_finished {
                         debug_assert!(!domain.deeply_completed);
-                        deep_complete_locked(self, domain, cascade, effects);
+                        deep_complete_locked(self, owner, domain, cascade, effects);
                     } else {
                         // The body is still running and may be blocked in `taskwait`: its wake
                         // condition just flipped.
@@ -2326,172 +2386,129 @@ impl<P: 'static> DependencyEngine<P> {
     // Domain-local cascade processing
     // ------------------------------------------------------------------------------------------
 
+    /// Drains the domain-local events of `owner`'s locked domain.
     fn process_local(
         &self,
+        owner: &TaskEntry<P>,
         domain: &mut Domain<P>,
         cascade: &mut Cascade<P>,
         effects: &mut Effects<P>,
     ) {
+        // A part a child releases completes on the owner's access once the owner's `weakwait`
+        // body has ended (an armed `release` completes it at any time).
+        let weakwait_active = domain.body_finished && owner.wait_mode == WaitMode::WeakWait;
         while let Some(event) = cascade.events.pop_front() {
-            match event {
-                Event::Satisfy { node, parts } => {
-                    self.do_satisfy(domain, node, &parts, cascade, effects)
-                }
-                Event::Complete { node, parts } => {
-                    self.do_complete(domain, node, &parts, cascade, effects)
-                }
-            }
+            self.apply_event(domain, event, weakwait_active, cascade, effects);
         }
     }
 
-    /// Marks `parts` of node `idx` as satisfied (predecessor data delivered): updates task
-    /// readiness, forwards the satisfaction into the task's own domain and tries to release.
-    fn do_satisfy(
-        &self,
-        domain: &mut Domain<P>,
-        idx: u32,
-        parts: &Parts,
-        cascade: &mut Cascade<P>,
-        effects: &mut Effects<P>,
-    ) {
-        let Some((node, frag)) = domain.node_and_frag_mut(idx) else {
-            return;
-        };
-        let mut newly: Parts = SmallVec::new();
-        for part in parts {
-            node.satisfy_part(frag, part, &mut newly);
-        }
-        if newly.is_empty() {
-            return;
-        }
-
-        // Task readiness: a strong access that just became fully satisfied reduces the task's
-        // pending count.
-        let (task, sched_idx, weak, has_mirror, own_idx, fully_satisfied) = {
-            let node = domain.node(idx).expect("checked above");
-            (
-                node.task,
-                node.sched,
-                node.weak,
-                node.has_mirror,
-                node.own_idx,
-                node.fully_satisfied(&domain.frag),
-            )
-        };
-        let sched = domain.sched[sched_idx as usize]
-            .as_mut()
-            .expect("sched freed while node satisfiable");
-        if !weak && fully_satisfied {
-            debug_assert!(
-                sched.pending_strong > 0,
-                "pending_strong underflow for {task:?}"
-            );
-            sched.pending_strong -= 1;
-            if sched.pending_strong == 0 {
-                // The task turns ready here, and only here: its parked payload leaves.
-                effects.ready.extend(sched.payload.take());
-            }
-        }
-
-        // Forward the satisfaction into the task's own domain (its children inherited this
-        // dependency through the pending-down mirror).
-        if has_mirror {
-            let target = Arc::clone(sched.entry.as_ref().expect("set at registration"));
-            cascade.messages.push_back(Message::SatisfyDown {
-                target,
-                own_idx,
-                parts: newly.clone(),
-            });
-        }
-
-        // Fragments that were already completed can now be released.
-        self.try_release(domain, idx, &newly, cascade, effects);
-    }
-
-    /// Marks `parts` of node `idx` as completed (the task and its live children will no longer
-    /// touch them) and tries to release them.
-    fn do_complete(
-        &self,
-        domain: &mut Domain<P>,
-        idx: u32,
-        parts: &Parts,
-        cascade: &mut Cascade<P>,
-        effects: &mut Effects<P>,
-    ) {
-        let Some((node, frag)) = domain.node_and_frag_mut(idx) else {
-            return;
-        };
-        let mut newly: Parts = SmallVec::new();
-        for part in parts {
-            node.complete_part(frag, part, &mut newly);
-        }
-        if newly.is_empty() {
-            return;
-        }
-        self.try_release(domain, idx, &newly, cascade, effects);
-    }
-
-    /// Releases the fragments of `candidates` that are both satisfied and completed, notifying
-    /// same-domain successors and the owner's hand-over bookkeeping.
+    /// Applies `event` to its node and acts on what it moved. A satisfaction updates the
+    /// task's readiness and forwards into the task's own domain; every part the step released
+    /// satisfies its same-domain successors and goes to the owner's hand-over
+    /// ([`DependencyEngine::release_parts`]).
     ///
-    /// For a compact node (the common case) this is all-or-nothing arithmetic: the region
-    /// releases as one unit and its inline edge list fires — no container is touched.
-    fn try_release(
+    /// For a compact node (the common case) this is all-or-nothing arithmetic: the region moves
+    /// as one unit and its inline edge list fires — no container is touched.
+    fn apply_event(
         &self,
         domain: &mut Domain<P>,
-        idx: u32,
-        candidates: &Parts,
+        event: Event,
+        weakwait_active: bool,
         cascade: &mut Cascade<P>,
         effects: &mut Effects<P>,
     ) {
-        // releasable = candidate ∩ unreleased ∩ !unsatisfied ∩ !uncompleted
-        let mut releasable: SmallVec<[Region; 4]> = SmallVec::new();
-        {
-            let Some(node) = domain.node(idx) else { return };
-            for candidate in candidates {
-                node.releasable_parts(&domain.frag, candidate, &mut releasable);
-            }
-        }
-        if releasable.is_empty() {
+        let Event {
+            node: idx,
+            step,
+            parts,
+        } = event;
+        let Some((node, frag)) = domain.node_and_frag_mut(idx) else {
             return;
-        }
-
-        let mut actually_released: Parts = SmallVec::new();
-        {
-            let (node, frag) = domain.node_and_frag_mut(idx).expect("checked above");
-            for part in &releasable {
-                node.release_part(frag, part, &mut actually_released);
-            }
-        }
-        if actually_released.is_empty() {
-            return;
-        }
-
-        // Notify same-domain successors: consume exactly the edge fragments that overlap the
-        // released parts.
-        {
-            let (node, frag) = domain.node_and_frag_mut(idx).expect("checked above");
-            for part in &actually_released {
-                node.take_release_edges(frag, part, |fragment, targets| {
+        };
+        let mut newly: Parts = SmallVec::new();
+        let mut released: Parts = SmallVec::new();
+        let events = &mut cascade.events;
+        for part in &parts {
+            node.step(
+                frag,
+                step,
+                part,
+                &mut newly,
+                &mut released,
+                |fragment, targets| {
                     for &to in targets.iter() {
-                        cascade.events.push_back(Event::Satisfy {
+                        events.push_back(Event {
                             node: to,
+                            step: Step::Satisfy,
                             parts: smallvec![fragment],
                         });
                     }
+                },
+            );
+        }
+
+        if !newly.is_empty() {
+            // Task readiness: a strong access that just became fully satisfied reduces the
+            // task's pending count. A weak one never defers its task, so its fragments are not
+            // scanned for it.
+            let node = domain.node(idx).expect("checked above");
+            let (task, sched_idx, has_mirror, own_idx) =
+                (node.task, node.sched, node.has_mirror, node.own_idx);
+            let now_satisfied = !node.weak && node.fully_satisfied(&domain.frag);
+            let sched = domain.sched[sched_idx as usize]
+                .as_mut()
+                .expect("sched freed while node satisfiable");
+            if now_satisfied {
+                debug_assert!(
+                    sched.pending_strong > 0,
+                    "pending_strong underflow for {task:?}"
+                );
+                sched.pending_strong -= 1;
+                if sched.pending_strong == 0 {
+                    // The task turns ready here, and only here: its parked payload leaves.
+                    effects.ready.extend(sched.payload.take());
+                }
+            }
+
+            // Forward the satisfaction into the task's own domain (its children inherited this
+            // dependency through the pending-down mirror).
+            if has_mirror {
+                let target = Arc::clone(sched.entry.as_ref().expect("set at registration"));
+                cascade.messages.push_back(Message::SatisfyDown {
+                    target,
+                    own_idx,
+                    parts: newly,
                 });
             }
         }
 
-        // Hand-over: the released parts of the domain owner's accesses that no other child
-        // covers may complete on the owner's access if its policy allows it (weakwait after body
-        // end, or the release directive even while the body runs); that completion lives in the
-        // owner's parent's domain, so it travels as a `CompleteUp` message, which the cascade
-        // holds until the domain is left. The owner's accesses are disjoint and sorted by
-        // `(space, start)`, so one binary search finds the first one the node overlaps (a root
-        // domain has none).
-        let weakwait_active = domain.body_finished && domain.wait_mode == WaitMode::WeakWait;
-        let region = domain.node(idx).expect("checked above").region;
+        if !released.is_empty() {
+            self.release_parts(domain, idx, &released, weakwait_active, cascade, effects);
+        }
+    }
+
+    /// The owner's side of node `idx` releasing `released` (its successors are notified
+    /// already): holds the hand-over, and recycles the node once it is spent.
+    ///
+    /// Hand-over: the released parts of the domain owner's accesses that no other child covers
+    /// may complete on the owner's access if its policy allows it (weakwait after body end, or
+    /// the release directive even while the body runs); that completion lives in the owner's
+    /// parent's domain, so it travels as a `CompleteUp` message, which the cascade holds until
+    /// the domain is left. The owner's accesses are disjoint and sorted by `(space, start)`, so
+    /// one binary search finds the first one the node overlaps (a root domain has none). An
+    /// exclusive node is the only child that covers its region, so its parts need no coverage
+    /// query.
+    fn release_parts(
+        &self,
+        domain: &mut Domain<P>,
+        idx: u32,
+        released: &Parts,
+        weakwait_active: bool,
+        cascade: &mut Cascade<P>,
+        effects: &mut Effects<P>,
+    ) {
+        let node = domain.node(idx).expect("a node that released");
+        let (region, exclusive) = (node.region, node.exclusive);
         let first = domain
             .own
             .partition_point(|o| (o.region.space, o.region.end) <= (region.space, region.start));
@@ -2502,23 +2519,27 @@ impl<P: 'static> DependencyEngine<P> {
             if !weakwait_active && own.early_release.is_empty() {
                 continue;
             }
-            let mut completable: Parts = SmallVec::new();
-            for part in &actually_released {
+            for part in released {
                 let Some(sub) = own.region.intersection(part) else {
                     continue;
                 };
+                let mut armed: Parts = SmallVec::new();
                 if weakwait_active {
-                    domain.uncovered_parts(&sub, &mut completable);
+                    armed.push(sub);
                 } else {
-                    let mut armed: Parts = SmallVec::new();
                     own.stored_parts(&own.early_release, &sub, &mut armed);
-                    for part in &armed {
+                }
+                let mut completable: Parts = SmallVec::new();
+                for part in &armed {
+                    if exclusive {
+                        completable.push(*part);
+                    } else {
                         domain.uncovered_parts(part, &mut completable);
                     }
                 }
-            }
-            for &part in &completable {
-                cascade.hold(own_idx as u32, part);
+                for &part in &completable {
+                    cascade.hold(own_idx as u32, part);
+                }
             }
         }
 
@@ -2592,6 +2613,7 @@ impl<P: 'static> DependencyEngine<P> {
             satisfy_down_messages: get(stat::SATISFY_DOWN_MESSAGES),
             complete_up_messages: get(stat::COMPLETE_UP_MESSAGES),
             child_done_messages: get(stat::CHILD_DONE_MESSAGES),
+            handovers_forwarded: get(stat::HANDOVERS_FORWARDED),
         }
     }
 
@@ -2660,6 +2682,7 @@ impl<P: 'static> DependencyEngine<P> {
 /// tracking them, so they are retired here instead of through a scheduling-record reclaim.
 fn deep_complete_locked<P: 'static>(
     engine: &DependencyEngine<P>,
+    owner: &Arc<TaskEntry<P>>,
     domain: &mut Domain<P>,
     cascade: &mut Cascade<P>,
     effects: &mut Effects<P>,
@@ -2670,7 +2693,7 @@ fn deep_complete_locked<P: 'static>(
     domain.deeply_completed = true;
     engine.stats.add(stat::TASKS_DEEPLY_COMPLETED, 1);
     effects.deeply_completed += 1;
-    match &domain.parent_entry {
+    match &owner.parent_entry {
         None => {
             effects.root_completed = true;
             engine.stats.add(stat::ROOTS_COMPLETED, 1);
@@ -2679,7 +2702,7 @@ fn deep_complete_locked<P: 'static>(
         Some(weak) => {
             // The owner's held hand-overs go first: a task's `CompleteUp`s precede its
             // `ChildDone` on the parent.
-            engine.flush_handover(domain, cascade);
+            engine.flush_handover(owner, cascade);
             // The parent cannot have been retired yet: its own deep completion requires this
             // task's `ChildDone` (not yet sent) to have been processed.
             let target = weak
@@ -2687,7 +2710,7 @@ fn deep_complete_locked<P: 'static>(
                 .expect("parent entry outlives incomplete children");
             cascade.messages.push_back(Message::ChildDone {
                 target,
-                child: domain.owner_entry(),
+                child: Arc::clone(owner),
             });
         }
     }
@@ -4161,5 +4184,285 @@ mod tests {
             assert_eq!(one.roots_completed, 1, "seed {seed}: the root completes");
         }
         assert!(merged > 0, "some group merged hand-overs");
+    }
+
+    /// Whether `task` was marked transparent by its parent's body end.
+    fn is_transparent(engine: &DependencyEngine, task: TaskId) -> bool {
+        let entry = engine.entry(task).expect("live task");
+        entry.transparent.load(Ordering::Relaxed)
+    }
+
+    /// The first and second halves of `A`.
+    const A_LOW: Region = Region {
+        space: SpaceId(1),
+        start: 0,
+        end: 4,
+    };
+    const A_HIGH: Region = Region {
+        space: SpaceId(1),
+        start: 4,
+        end: 8,
+    };
+
+    /// A chain of `levels` nested `weakwait` tasks writing `A` under the root, each body
+    /// finished, with two leaves writing `A`'s halves under the innermost, and a reader of
+    /// `A_LOW` behind the chain on the root. Returns the harness, the chain (outermost
+    /// first), the leaves and the reader.
+    fn weakwait_chain(levels: usize) -> (Harness, Vec<TaskId>, [TaskId; 2], TaskId) {
+        let mut h = Harness::new();
+        let mut chain = vec![h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::WeakWait)];
+        let reader = h.spawn_root(&[dep(AccessType::In, A_LOW)], WaitMode::None);
+        for _ in 1..levels {
+            let parent = *chain.last().expect("non-empty");
+            chain.push(h.spawn(parent, &[dep(AccessType::InOut, A)], WaitMode::WeakWait));
+        }
+        let inner = *chain.last().expect("non-empty");
+        let leaves = [A_LOW, A_HIGH]
+            .map(|half| h.spawn(inner, &[dep(AccessType::InOut, half)], WaitMode::None));
+        for &level in &chain {
+            h.finish(level);
+        }
+        assert!(!h.is_ready(reader));
+        (h, chain, leaves, reader)
+    }
+
+    /// Four finished `weakwait` levels: the three inner ones are transparent (the outermost
+    /// hangs off the root, which marks nothing), so a leaf's release climbs them in one
+    /// `CompleteUp` to the root's domain and readies the outer reader in the same pump. The
+    /// last leaf's deep completion climbs the chain as `ChildDone`s, which hand nothing over:
+    /// one `CompleteUp` again.
+    #[test]
+    fn a_leaf_release_climbs_finished_weakwait_levels_in_one_message() {
+        let (mut h, chain, [low, high], reader) = weakwait_chain(4);
+        assert!(!is_transparent(&h.engine, chain[0]), "a root marks nothing");
+        for &level in &chain[1..] {
+            assert!(is_transparent(&h.engine, level));
+        }
+        let before = h.engine.stats();
+        let effects = h.engine.body_finished(low).expect("live leaf");
+        let after = h.engine.stats();
+        assert_eq!(
+            effects.ready,
+            vec![reader],
+            "the reader is ready in the same pump"
+        );
+        assert_eq!(after.complete_up_messages - before.complete_up_messages, 1);
+        assert_eq!(after.handovers_forwarded - before.handovers_forwarded, 1);
+        assert_eq!(after.child_done_messages - before.child_done_messages, 1);
+
+        let before = after;
+        h.finish(high);
+        let after = h.engine.stats();
+        assert_eq!(after.complete_up_messages - before.complete_up_messages, 1);
+        assert_eq!(after.child_done_messages - before.child_done_messages, 5);
+        assert!(h.engine.is_deeply_completed(chain[0]));
+        h.finish(reader);
+        h.finish(h.root);
+        h.engine.debug_check_invariants();
+    }
+
+    /// P (`weakwait`, `inout A`) on the root, its child C (of the given access over `A` and
+    /// wait mode) with a leaf over `A_LOW`, and a reader of `A_LOW` on the root. `before_c`
+    /// and `after_c` are siblings of C registered around it. C's body ends, then P's if
+    /// `finish_p`, then the sibling before C. Returns the harness, P, C, the leaf, the reader
+    /// and the sibling after C.
+    fn nested_pair(
+        c_access: AccessType,
+        c_mode: WaitMode,
+        before_c: Option<Depend>,
+        after_c: Option<Depend>,
+        finish_p: bool,
+    ) -> (Harness, [TaskId; 4], Option<TaskId>) {
+        let mut h = Harness::new();
+        let p = h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::WeakWait);
+        let reader = h.spawn_root(&[dep(AccessType::In, A_LOW)], WaitMode::None);
+        let before = before_c.map(|d| h.spawn(p, &[d], WaitMode::None));
+        let c = h.spawn(p, &[dep(c_access, A)], c_mode);
+        let after = after_c.map(|d| h.spawn(p, &[d], WaitMode::None));
+        let leaf = h.spawn(c, &[dep(AccessType::InOut, A_LOW)], WaitMode::None);
+        h.finish(c);
+        if finish_p {
+            h.finish(p);
+        }
+        if let Some(before) = before {
+            h.finish(before);
+        }
+        assert!(h.is_ready(leaf));
+        (h, [p, c, leaf, reader], after)
+    }
+
+    /// Every condition of transparency is needed: a later sibling linked to C's node, a weak
+    /// node of C not yet satisfied when P's body ended, C not `weakwait`, and P's body still
+    /// running each leave C opaque, and the leaf's release takes the hops: a `weakwait` C
+    /// sends one `CompleteUp` into P's domain, and P's own hand-over one to the root (none
+    /// forwarded); a `wait` C completes at its deep completion, and a `none` C at its body
+    /// end, before the leaf finishes.
+    #[test]
+    fn each_disqualifier_falls_back_to_hops() {
+        let reads_high = Some(dep(AccessType::In, A_HIGH));
+        let writes_a = Some(dep(AccessType::InOut, A));
+        let (inout, weakinout) = (AccessType::InOut, AccessType::WeakInOut);
+        let cases = [
+            (
+                "a later sibling reader",
+                inout,
+                WaitMode::WeakWait,
+                None,
+                reads_high,
+                true,
+                2,
+            ),
+            (
+                "an unsatisfied weak node",
+                weakinout,
+                WaitMode::WeakWait,
+                writes_a,
+                None,
+                true,
+                2,
+            ),
+            ("a none child", inout, WaitMode::None, None, None, true, 0),
+            ("a wait child", inout, WaitMode::Wait, None, None, true, 1),
+            (
+                "a running parent",
+                inout,
+                WaitMode::WeakWait,
+                None,
+                None,
+                false,
+                1,
+            ),
+        ];
+        for (name, access, mode, before_c, after_c, finish_p, hops) in cases {
+            let (mut h, [p, c, leaf, reader], after) =
+                nested_pair(access, mode, before_c, after_c, finish_p);
+            assert!(!is_transparent(&h.engine, c), "{name}: C is opaque");
+            let before = h.engine.stats();
+            h.finish(leaf);
+            let after_leaf = h.engine.stats();
+            assert_eq!(
+                after_leaf.complete_up_messages - before.complete_up_messages,
+                hops,
+                "{name}: CompleteUps of the leaf's release"
+            );
+            assert_eq!(
+                after_leaf.handovers_forwarded, 0,
+                "{name}: no level skipped"
+            );
+            if !finish_p {
+                assert!(!h.is_ready(reader), "{name}: P's running body holds A");
+                h.finish(p);
+            }
+            assert!(h.is_ready(reader), "{name}: the reader runs");
+            h.finish(reader);
+            if let Some(after) = after {
+                h.finish(after);
+            }
+            assert!(h.engine.is_deeply_completed(p), "{name}: P completes");
+        }
+        // The same pair with none of the disqualifiers is transparent.
+        let (h, [_, c, ..], _) = nested_pair(inout, WaitMode::WeakWait, None, None, true);
+        assert!(is_transparent(&h.engine, c));
+    }
+
+    /// A hand-over C queued before P's body end marked C transparent, and applied after it,
+    /// takes the normal path through P's domain and still reaches the root.
+    #[test]
+    fn a_hand_over_queued_before_the_parent_body_end_reaches_the_grandparent() {
+        let mut h = Harness::new();
+        let p = h.spawn_root(&[dep(AccessType::InOut, A)], WaitMode::WeakWait);
+        let reader = h.spawn_root(&[dep(AccessType::In, A_HIGH)], WaitMode::None);
+        let c = h.spawn(p, &[dep(AccessType::InOut, A)], WaitMode::WeakWait);
+        let leaf = h.spawn(c, &[dep(AccessType::InOut, A_LOW)], WaitMode::None);
+        // C's body end hands `A_HIGH` over (no child covers it); the message waits.
+        let mut held = Cascade::new();
+        let mut effects = Effects::default();
+        let c_entry = h.engine.entry(c).expect("live C");
+        h.engine.finish_body(&c_entry, &mut held, &mut effects);
+        assert!(!held.is_empty(), "C's hand-over is queued");
+        h.finish(p);
+        assert!(is_transparent(&h.engine, c));
+        assert!(!h.is_ready(reader));
+        h.engine.pump(&mut held, &mut effects);
+        assert_eq!(
+            effects.ready,
+            vec![reader],
+            "the queued hand-over reached the root"
+        );
+        h.finish(leaf);
+        h.finish(reader);
+        assert!(h.engine.is_deeply_completed(p));
+    }
+
+    /// A transparent child's `ChildDone` completes its nodes without handing anything over:
+    /// the leaf's release climbs to the root once, and the deep completions that follow send
+    /// no second `CompleteUp` for the same range.
+    #[test]
+    fn a_transparent_child_done_sends_no_complete_up() {
+        let (mut h, [p, c, leaf, reader], _) =
+            nested_pair(AccessType::InOut, WaitMode::WeakWait, None, None, true);
+        assert!(is_transparent(&h.engine, c));
+        // C's body end handed `A_HIGH` over already; only the leaf's `A_LOW` is left.
+        let before = h.engine.stats();
+        h.finish(leaf);
+        let after = h.engine.stats();
+        assert!(h.is_ready(reader));
+        assert!(h.engine.is_deeply_completed(p));
+        assert_eq!(after.child_done_messages - before.child_done_messages, 3);
+        assert_eq!(
+            after.complete_up_messages - before.complete_up_messages,
+            1,
+            "the leaf's range only, not again at C's ChildDone"
+        );
+    }
+
+    /// One step of [`DependencyEngine::pump`]: applies the front message only, so a test can
+    /// hold the messages behind it in flight.
+    fn pump_one(engine: &DependencyEngine, cascade: &mut Cascade<TaskId>, effects: &mut Effects) {
+        let message = cascade.messages.pop_front().expect("a queued message");
+        let target = Arc::clone(message.target());
+        let mut domain = target.domain.lock();
+        engine.apply(&target, &mut domain, message, cascade, effects);
+        engine.flush_handover(&target, cascade);
+    }
+
+    /// A weak node of C satisfied in P's domain while its `SatisfyDown` into C's domain is
+    /// still in flight keeps C opaque: C's weak leaf G can end before the satisfaction
+    /// reaches it, and then C's `ChildDone` must still hand `A` over (C's node in P is
+    /// satisfied), not wait for the message to release G's part.
+    #[test]
+    fn a_satisfaction_in_flight_keeps_a_child_opaque() {
+        let mut h = Harness::new();
+        let p = h.spawn_root(&[dep(AccessType::InOut, r(1, 0, 16))], WaitMode::WeakWait);
+        let reader = h.spawn_root(&[dep(AccessType::In, A)], WaitMode::None);
+        let writer = h.spawn(p, &[dep(AccessType::InOut, A)], WaitMode::None);
+        let c = h.spawn(p, &[dep(AccessType::WeakInOut, A)], WaitMode::WeakWait);
+        let keeps_p_live = h.spawn(p, &[dep(AccessType::InOut, B)], WaitMode::None);
+        let g = h.spawn(c, &[dep(AccessType::WeakInOut, A)], WaitMode::None);
+        assert!(h.is_ready(g), "weak accesses never defer a task");
+        // The writer's `ChildDone` satisfies C's node in P; the `SatisfyDown` it queues for
+        // C's domain stays in flight.
+        let (mut in_flight, mut effects) = (Cascade::new(), Effects::default());
+        let entry = h.engine.entry(writer).expect("live writer");
+        h.engine.finish_body(&entry, &mut in_flight, &mut effects);
+        pump_one(&h.engine, &mut in_flight, &mut effects);
+        assert!(matches!(
+            in_flight.messages.front(),
+            Some(Message::SatisfyDown { .. })
+        ));
+        h.finish(p);
+        assert!(
+            !is_transparent(&h.engine, c),
+            "a mirrored node keeps C opaque"
+        );
+        h.finish(c);
+        h.finish(g);
+        assert!(h.engine.is_deeply_completed(c));
+        assert!(h.is_ready(reader), "C's ChildDone handed A over");
+        h.engine.pump(&mut in_flight, &mut effects);
+        h.engine.unindex(&effects, in_flight);
+        h.finish(keeps_p_live);
+        h.finish(reader);
+        assert!(h.engine.is_deeply_completed(p));
     }
 }

@@ -3529,6 +3529,15 @@ mod tests {
         );
     }
 
+    /// The engine entry each record holds stays within 448 bytes (440 today): the transparency
+    /// flag and the wait mode sit in the padding beside `successor_linked`, and the parent link
+    /// moved from the domain into the entry, where it replaced the domain's self link.
+    #[test]
+    fn the_task_entry_stays_within_448_bytes() {
+        let size = std::mem::size_of::<crate::engine::TaskEntry<Box<TaskRecord>>>();
+        assert!(size <= 448, "{size}");
+    }
+
     /// Polls `done` for up to ten seconds. What the return tests check is done by the pool's
     /// idle hook, which every worker runs before it sleeps, and a pool left without work
     /// sleeps; so `done` holds once the pool is idle, and the bound only ends a failing run.

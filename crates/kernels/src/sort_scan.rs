@@ -684,6 +684,31 @@ mod tests {
         }
     }
 
+    /// A leaf's release climbs the finished `weakwait` quicksort levels in one `CompleteUp`:
+    /// the weak variant sends at most one per task (0.41 at 1 worker). A release that visits
+    /// every level on its way up sends one per level: 4.36 per task here.
+    #[test]
+    fn weak_hand_overs_climb_the_quicksort_in_one_message() {
+        let cfg = SortScanConfig {
+            n: 1 << 15,
+            ts: 64,
+            seed: 5,
+        };
+        for workers in [1, 2] {
+            let rt = Runtime::with_workers(workers);
+            let before = rt.stats();
+            let (run, result) = run(&rt, SortScanVariant::Weak, &cfg);
+            assert!(verify(&cfg, &result));
+            let sent = rt.stats().engine.complete_up_messages - before.engine.complete_up_messages;
+            let per_task = sent as f64 / run.tasks as f64;
+            assert!(
+                per_task <= 1.0,
+                "{workers} workers: {sent} CompleteUps over {} tasks",
+                run.tasks
+            );
+        }
+    }
+
     #[test]
     fn operations_metric_is_positive() {
         assert!(SortScanConfig::small().operations() > 0.0);

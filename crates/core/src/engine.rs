@@ -2331,16 +2331,15 @@ impl<P: 'static> DependencyEngine<P> {
                 // completed: its nodes only end, silently (the flag was raised under this lock).
                 let silent = entry.transparent.load(Ordering::Relaxed);
                 for InParent { node: node_ref, .. } in entry.nodes_in_parent.iter() {
-                    if domain.resolve(*node_ref).is_none() {
+                    let Some(region) = domain.resolve(*node_ref).map(|node| node.region) else {
                         continue;
-                    }
+                    };
                     if silent {
                         let (node, frag) = domain
                             .node_and_frag_mut(node_ref.idx)
                             .expect("resolved above");
                         node.spend(frag);
                     } else {
-                        let region = domain.node(node_ref.idx).expect("resolved above").region;
                         cascade.events.push_back(Event {
                             node: node_ref.idx,
                             step: Step::Complete,
@@ -2529,14 +2528,15 @@ impl<P: 'static> DependencyEngine<P> {
                 } else {
                     own.stored_parts(&own.early_release, &sub, &mut armed);
                 }
-                let mut completable: Parts = SmallVec::new();
-                for part in &armed {
-                    if exclusive {
-                        completable.push(*part);
-                    } else {
-                        domain.uncovered_parts(part, &mut completable);
+                let completable = if exclusive {
+                    armed
+                } else {
+                    let mut uncovered: Parts = SmallVec::new();
+                    for part in &armed {
+                        domain.uncovered_parts(part, &mut uncovered);
                     }
-                }
+                    uncovered
+                };
                 for &part in &completable {
                     cascade.hold(own_idx as u32, part);
                 }

@@ -234,15 +234,13 @@ pub struct RuntimeStats {
     pub injector_pops: usize,
     /// Tasks stolen from another worker.
     pub steals: usize,
-    /// Subset of `steals` taken from a victim in the thief's own locality domain.
-    pub steals_same_domain: usize,
-    /// Subset of `steals` taken across locality domains (hierarchical policy only).
-    pub steals_cross_domain: usize,
     /// Successor-slot jobs displaced by a newer successor (re-dispatched below it).
     pub successor_displacements: usize,
-    /// Domain-preferring wake-ups that hit a sleeper of the preferred domain.
+    /// Sleepers woken by a worker for work it queued itself: a ready wave on its own deque,
+    /// or a published loop (`PoolStats::targeted_wakes`).
     pub targeted_wakes: usize,
-    /// Domain-preferring wake-ups that fell back to another domain's sleeper.
+    /// Always 0: the pool has one sleeper population, so no wake falls back. Kept beside
+    /// `targeted_wakes` until no reader sums the two.
     pub fallback_wakes: usize,
     /// Times a worker parked in the pool's sleep state — idle at the top of its loop or
     /// inside a `taskwait` (one population, one counter). Only sleeps that block count: a
@@ -693,11 +691,9 @@ impl Runtime {
             local_pops: pool_stats.from_local(),
             injector_pops: pool_stats.from_injector(),
             steals: pool_stats.stolen(),
-            steals_same_domain: pool_stats.stolen_same_domain(),
-            steals_cross_domain: pool_stats.stolen_cross_domain(),
             successor_displacements: pool_stats.successor_displacements(),
             targeted_wakes: pool_stats.targeted_wakes(),
-            fallback_wakes: pool_stats.fallback_wakes(),
+            fallback_wakes: 0,
             sleeps: pool_stats.sleeps.load(Ordering::Relaxed),
             assist_chunks: pool_stats.assist_chunks.load(Ordering::Relaxed),
             assisted_loops: pool_stats.assisted_loops.load(Ordering::Relaxed),
@@ -1247,22 +1243,20 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// The shared engine of [`TaskCtx::for_each`] and [`TaskCtx::scan`]: builds the
-    /// [`LoopDescriptor`] (tenant = this task's job, abort probe = the job's abort bracket,
-    /// domain = the registering worker's locality domain), publishes it so idle workers are
-    /// recruited, drives chunks on the owner, waits for quiescence, retires the loop, folds
-    /// the assist count into the job's stats slice, and re-raises the first chunk panic.
+    /// [`LoopDescriptor`] (tenant = this task's job, abort probe = the job's abort bracket),
+    /// publishes it so idle workers are recruited, drives chunks on the owner, waits for
+    /// quiescence, retires the loop, folds the assist count into the job's stats slice, and
+    /// re-raises the first chunk panic.
     fn run_loop<R>(&self, range: Range<usize>, chunk: usize, runner: R)
     where
         R: Fn(usize, usize) + Send + Sync + 'static,
     {
         let job = Arc::clone(&self.record.job);
         let probe_job = Arc::clone(&job);
-        let domain = self.worker.map(|w| w.domain()).unwrap_or(0);
         let desc = Arc::new(LoopDescriptor::new(
             range,
             chunk,
             job.id,
-            domain,
             runner,
             move || probe_job.is_aborted(),
         ));

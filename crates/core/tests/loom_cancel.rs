@@ -9,7 +9,7 @@
 //! `drop_broadcast_never_leaks_a_parked_sleeper` is gone with the behaviour it modelled: a
 //! worker in `taskwait` no longer parks in the job's gate, so `Drop for Runtime` has nobody to
 //! broadcast to. What wakes that worker now — the dispatch of the job's remaining tasks and
-//! the child-drain flip — is `wake_is_never_lost_single_domain` and
+//! the child-drain flip — is `wake_is_never_lost` and
 //! `predicate_flip_wakes_every_registered_waiter` in `crates/threadpool/tests/loom_model.rs`.
 
 #![cfg(feature = "loom-model")]

@@ -9,7 +9,7 @@
 //! *worker's* `taskwait` — and with it the dispatch-vs-sleep recruitment race the former
 //! `recruitment_never_strands_ready_work` model covered — is the pool's sleep protocol,
 //! model-checked in `crates/threadpool/tests/loom_model.rs`
-//! (`wake_is_never_lost_single_domain`, `predicate_flip_wakes_every_registered_waiter`).
+//! (`wake_is_never_lost`, `predicate_flip_wakes_every_registered_waiter`).
 
 #![cfg(feature = "loom-model")]
 

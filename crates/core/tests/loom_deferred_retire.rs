@@ -142,7 +142,7 @@ fn a_deferred_retire_wakes_a_taskwaiting_worker() {
         .random_runs(500)
         .check(|| {
             let family = Arc::new(Family::new());
-            let sleep = Arc::new(SleepState::new(1));
+            let sleep = Arc::new(SleepState::new());
             let workers: Vec<_> = [true, false]
                 .into_iter()
                 .map(|is_owner| {
@@ -164,7 +164,7 @@ fn a_deferred_retire_wakes_a_taskwaiting_worker() {
                 if done() {
                     break;
                 }
-                sleep.sleep(0, epoch, true, done, || {});
+                sleep.sleep(epoch, true, done, || {});
             }
             for worker in workers {
                 worker.join().unwrap();

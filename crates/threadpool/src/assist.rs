@@ -61,8 +61,6 @@ pub struct LoopDescriptor {
     completed: AtomicUsize,
     /// Job id of the registering task — assist work is attributed to this tenant.
     tenant: u64,
-    /// Locality domain of the registering worker (hierarchical assist prefers same-domain).
-    domain: usize,
     /// Set by the first assisting worker (feeds the `assisted_loops` counter).
     assisted: AtomicBool,
     /// Chunks executed by assisting workers (not the owner); folded into the registering
@@ -77,15 +75,8 @@ pub struct LoopDescriptor {
 
 impl LoopDescriptor {
     /// Creates a descriptor over `range` in chunks of `chunk` (clamped to ≥ 1), registered by
-    /// job `tenant` from a worker in locality `domain`.
-    pub fn new<R, A>(
-        range: Range<usize>,
-        chunk: usize,
-        tenant: u64,
-        domain: usize,
-        runner: R,
-        abort: A,
-    ) -> Self
+    /// job `tenant`.
+    pub fn new<R, A>(range: Range<usize>, chunk: usize, tenant: u64, runner: R, abort: A) -> Self
     where
         R: Fn(usize, usize) + Send + Sync + 'static,
         A: Fn() -> bool + Send + Sync + 'static,
@@ -98,7 +89,6 @@ impl LoopDescriptor {
             cursor: AtomicUsize::new(range.start),
             completed: AtomicUsize::new(0),
             tenant,
-            domain,
             assisted: AtomicBool::new(false),
             assist_chunks: AtomicUsize::new(0),
             poison: Mutex::new(None),
@@ -110,11 +100,6 @@ impl LoopDescriptor {
     /// Job id of the registering task.
     pub fn tenant(&self) -> u64 {
         self.tenant
-    }
-
-    /// Locality domain of the registering worker.
-    pub fn domain(&self) -> usize {
-        self.domain
     }
 
     /// Total chunks this loop hands out when it runs to completion.
@@ -220,7 +205,6 @@ impl std::fmt::Debug for LoopDescriptor {
             .field("cursor", &self.cursor.load(Ordering::Relaxed))
             .field("completed", &self.completed.load(Ordering::Relaxed))
             .field("tenant", &self.tenant)
-            .field("domain", &self.domain)
             .finish()
     }
 }
@@ -288,12 +272,10 @@ impl AssistRegistry {
         true
     }
 
-    /// Picks a loop with unclaimed chunks for an idle worker, preferring loops registered
-    /// from `prefer_domain` (the hierarchical policy's same-domain-first assist order), and
-    /// rotating the start point so concurrent loops — and therefore tenants — share
-    /// assistance round-robin. Returns `None` without touching the lock when no loop is
-    /// published.
-    pub fn select(&self, prefer_domain: Option<usize>) -> Option<Arc<LoopDescriptor>> {
+    /// Picks a loop with unclaimed chunks for an idle worker, rotating the start point so
+    /// concurrent loops — and therefore tenants — share assistance round-robin. Returns `None`
+    /// without touching the lock when no loop is published.
+    pub fn select(&self) -> Option<Arc<LoopDescriptor>> {
         if self.active.load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -304,22 +286,10 @@ impl AssistRegistry {
         }
         let start = inner.rotation % len;
         inner.rotation = inner.rotation.wrapping_add(1);
-        let mut fallback = None;
-        for offset in 0..len {
-            let candidate = &inner.loops[(start + offset) % len];
-            if candidate.exhausted() {
-                continue;
-            }
-            match prefer_domain {
-                Some(domain) if candidate.domain() != domain => {
-                    if fallback.is_none() {
-                        fallback = Some(Arc::clone(candidate));
-                    }
-                }
-                _ => return Some(Arc::clone(candidate)),
-            }
-        }
-        fallback
+        (0..len)
+            .map(|offset| &inner.loops[(start + offset) % len])
+            .find(|candidate| !candidate.exhausted())
+            .cloned()
     }
 }
 
@@ -337,7 +307,6 @@ mod tests {
             range,
             chunk,
             7,
-            0,
             move |start, end| {
                 s.fetch_add(end - start, Ordering::Relaxed);
             },
@@ -379,7 +348,6 @@ mod tests {
             0..10_000,
             16,
             1,
-            0,
             move |s, e| {
                 let mut guard = h.lock();
                 for i in s..e {
@@ -414,7 +382,6 @@ mod tests {
             0..1000,
             10,
             1,
-            0,
             move |_s, _e| {
                 r.fetch_add(1, Ordering::Relaxed);
             },
@@ -437,7 +404,6 @@ mod tests {
             0..4,
             1,
             1,
-            0,
             |s, _e| {
                 if s == 2 {
                     panic!("chunk 2 exploded");
@@ -456,10 +422,7 @@ mod tests {
     fn registry_publish_select_retire_round_trip() {
         let registry = AssistRegistry::new();
         assert_eq!(registry.active_loops(), 0);
-        assert!(
-            registry.select(None).is_none(),
-            "fast path: no lock, no loop"
-        );
+        assert!(registry.select().is_none(), "fast path: no lock, no loop");
 
         let (a, _) = counting_descriptor(0..100, 10);
         let (b, _) = counting_descriptor(0..100, 10);
@@ -468,8 +431,8 @@ mod tests {
         assert_eq!(registry.active_loops(), 2);
 
         // Rotation spreads selections across published loops.
-        let first = registry.select(None).unwrap();
-        let second = registry.select(None).unwrap();
+        let first = registry.select().unwrap();
+        let second = registry.select().unwrap();
         assert!(
             !Arc::ptr_eq(&first, &second),
             "rotation must not pin one loop"
@@ -479,27 +442,7 @@ mod tests {
         assert!(!registry.retire(&a), "double retire is a no-op");
         assert_eq!(registry.active_loops(), 1);
         assert!(registry.retire(&b));
-        assert!(registry.select(None).is_none());
-    }
-
-    #[test]
-    fn select_prefers_the_requested_domain() {
-        let registry = AssistRegistry::new();
-        let far = Arc::new(LoopDescriptor::new(0..10, 1, 1, 1, |_s, _e| {}, || false));
-        let near = Arc::new(LoopDescriptor::new(0..10, 1, 2, 0, |_s, _e| {}, || false));
-        registry.publish(Arc::clone(&far));
-        registry.publish(Arc::clone(&near));
-        for _ in 0..4 {
-            let picked = registry.select(Some(0)).unwrap();
-            assert!(
-                Arc::ptr_eq(&picked, &near),
-                "same-domain loops are assisted first"
-            );
-        }
-        // With the near loop exhausted, the cross-domain loop is the fallback.
-        while near.claim().is_some() {}
-        let picked = registry.select(Some(0)).unwrap();
-        assert!(Arc::ptr_eq(&picked, &far));
+        assert!(registry.select().is_none());
     }
 
     #[test]
@@ -509,7 +452,7 @@ mod tests {
         registry.publish(Arc::clone(&done));
         done.drive();
         assert!(
-            registry.select(None).is_none(),
+            registry.select().is_none(),
             "a fully claimed loop attracts no assists"
         );
     }

@@ -14,8 +14,7 @@
 //! * a pluggable [`SchedulingPolicy`], resolved once at construction into a [`Placement`] row
 //!   (successor slot? / wave queue / injector take / steal order — the table in
 //!   `docs/scheduling.md`) that the single dispatch routine and the acquisition path read;
-//! * a mutex/condvar sleep protocol with an epoch counter so wake-ups are never lost, extended
-//!   with per-domain wake targeting for the hierarchical policy.
+//! * a mutex/condvar sleep protocol with an epoch counter so wake-ups are never lost.
 //!
 //! The pool is generic over the job type `T` and executes jobs through a caller-provided
 //! executor callback, which receives a [`WorkerContext`] usable to schedule follow-up jobs.
@@ -37,7 +36,6 @@ pub use watchdog::{Tick, Watchdog};
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -79,16 +77,6 @@ pub enum SchedulingPolicy {
     /// deque; idle workers batch-steal from a random victim. Isolates the slot's contribution
     /// from plain LIFO ordering.
     DepthFirst,
-    /// [`SchedulingPolicy::LocalitySlot`] plus locality domains: workers are grouped into
-    /// domains of `domain_size` (modelling cores that share an L2/L3 slice), idle workers
-    /// steal *single* jobs from their own domain first and only batch-steal across domains,
-    /// and wake-ups prefer sleepers of the domain whose queues hold the work (see
-    /// `sleep.rs`).
-    HierarchicalSteal {
-        /// Workers per locality domain (clamped to `1..=workers`). Domain of worker `i` is
-        /// `i / domain_size`.
-        domain_size: usize,
-    },
     /// Multi-tenant fairness: every ready job goes to the FIFO queue of its tenant (the key
     /// the pool's `tenant_of` function reads from the job, see [`ThreadPool::with_tenants`]),
     /// and idle workers drain the queues round-robin — one job per tenant per turn — so one
@@ -101,24 +89,10 @@ pub enum SchedulingPolicy {
 }
 
 impl SchedulingPolicy {
-    /// The default domain size of [`SchedulingPolicy::hierarchical`] (4 workers per domain,
-    /// loosely an L2 cluster).
-    pub const DEFAULT_DOMAIN_SIZE: usize = 4;
-
-    /// The hierarchical policy with the default domain size.
-    pub fn hierarchical() -> Self {
-        SchedulingPolicy::HierarchicalSteal {
-            domain_size: Self::DEFAULT_DOMAIN_SIZE,
-        }
-    }
-
-    /// All concrete policies (hierarchical with its default domain size), in ablation order.
-    pub fn all() -> [SchedulingPolicy; 5] {
+    /// All policies, in ablation order.
+    pub fn all() -> [SchedulingPolicy; 4] {
         [
             SchedulingPolicy::LocalitySlot,
-            SchedulingPolicy::HierarchicalSteal {
-                domain_size: Self::DEFAULT_DOMAIN_SIZE,
-            },
             SchedulingPolicy::DepthFirst,
             SchedulingPolicy::Fifo,
             SchedulingPolicy::FairShare,
@@ -131,27 +105,22 @@ impl SchedulingPolicy {
             SchedulingPolicy::LocalitySlot => "locality-slot",
             SchedulingPolicy::Fifo => "fifo",
             SchedulingPolicy::DepthFirst => "depth-first",
-            SchedulingPolicy::HierarchicalSteal { .. } => "hierarchical-steal",
             SchedulingPolicy::FairShare => "fair-share",
         }
     }
 
-    /// Parses a policy name as printed by [`SchedulingPolicy::name`] (hierarchical gets the
-    /// default domain size).
+    /// Parses a policy name as printed by [`SchedulingPolicy::name`].
     pub fn from_name(name: &str) -> Option<Self> {
         Self::all().into_iter().find(|p| p.name() == name)
     }
 
-    /// Resolves the policy into its [`Placement`] row. This is **the** definition of the five
+    /// Resolves the policy into its [`Placement`] row. This is **the** definition of the four
     /// policies (mirrored by the inventory table in `docs/scheduling.md`): the pool stores the
     /// row at construction and never looks at the variant again.
     pub fn placement(&self) -> Placement {
         use {InjectorTake::*, StealOrder::*, WaveQueue::*};
         let (slot, wave, injector_take, steal) = match *self {
             SchedulingPolicy::LocalitySlot => (true, Local, Batch, Flat),
-            SchedulingPolicy::HierarchicalSteal { domain_size } => {
-                (true, Local, Batch, Nearest { domain_size })
-            }
             SchedulingPolicy::DepthFirst => (false, Local, Batch, Flat),
             SchedulingPolicy::Fifo => (false, Injector, Single, None),
             SchedulingPolicy::FairShare => (true, TenantQueues, Single, Flat),
@@ -167,26 +136,6 @@ impl SchedulingPolicy {
     /// Whether the policy dispatches through the immediate-successor slot.
     pub fn uses_successor_slot(&self) -> bool {
         self.placement().slot
-    }
-
-    /// Effective workers-per-domain for a pool of `workers` (1 domain for every
-    /// non-hierarchical policy).
-    pub fn domain_size(&self, workers: usize) -> usize {
-        let workers = workers.max(1);
-        match self.placement().steal {
-            StealOrder::Nearest { domain_size } => domain_size.clamp(1, workers),
-            StealOrder::None | StealOrder::Flat => workers,
-        }
-    }
-
-    /// Locality domain of worker `index` in a pool of `workers`.
-    pub fn domain_of(&self, index: usize, workers: usize) -> usize {
-        index / self.domain_size(workers)
-    }
-
-    /// Number of locality domains in a pool of `workers`.
-    pub fn domain_count(&self, workers: usize) -> usize {
-        workers.max(1).div_ceil(self.domain_size(workers))
     }
 }
 
@@ -204,7 +153,7 @@ pub struct Placement {
     pub wave: WaveQueue,
     /// How an idle worker takes from the global injector.
     pub injector_take: InjectorTake,
-    /// The steal-victim order (also the order an idle worker picks a loop to assist in).
+    /// Whom an idle worker robs.
     pub steal: StealOrder,
 }
 
@@ -236,12 +185,6 @@ pub enum StealOrder {
     None,
     /// Batch-steal from a random victim, then scan the rest.
     Flat,
-    /// Single-job steals inside the thief's own locality domain first, then batch-steals
-    /// across domains.
-    Nearest {
-        /// Workers per locality domain, as configured (clamped to `1..=workers` at use).
-        domain_size: usize,
-    },
 }
 
 /// Indexes of the dispatch-path counters in [`PoolStats`]' striped block.
@@ -251,12 +194,9 @@ mod counter {
     pub(crate) const FROM_LOCAL: usize = 2;
     pub(crate) const FROM_INJECTOR: usize = 3;
     pub(crate) const STOLEN: usize = 4;
-    pub(crate) const STOLEN_SAME_DOMAIN: usize = 5;
-    pub(crate) const STOLEN_CROSS_DOMAIN: usize = 6;
-    pub(crate) const SUCCESSOR_DISPLACEMENTS: usize = 7;
-    pub(crate) const TARGETED_WAKES: usize = 8;
-    pub(crate) const FALLBACK_WAKES: usize = 9;
-    pub(crate) const COUNT: usize = 10;
+    pub(crate) const SUCCESSOR_DISPLACEMENTS: usize = 5;
+    pub(crate) const TARGETED_WAKES: usize = 6;
+    pub(crate) const COUNT: usize = 7;
 }
 
 /// Statistics counters exposed by the pool (all monotonically increasing).
@@ -335,32 +275,18 @@ impl PoolStats {
         self.sum(counter::STOLEN)
     }
 
-    /// Subset of [`PoolStats::stolen`] taken from a victim in the thief's own locality domain
-    /// (all steals, for single-domain policies).
-    pub fn stolen_same_domain(&self) -> usize {
-        self.sum(counter::STOLEN_SAME_DOMAIN)
-    }
-
-    /// Subset of [`PoolStats::stolen`] taken from a victim in another locality domain
-    /// (hierarchical policy only; always the batch-steal path).
-    pub fn stolen_cross_domain(&self) -> usize {
-        self.sum(counter::STOLEN_CROSS_DOMAIN)
-    }
-
     /// Jobs displaced out of the successor slot by a newer successor (each was re-dispatched
     /// through the policy's wave placement).
     pub fn successor_displacements(&self) -> usize {
         self.sum(counter::SUCCESSOR_DISPLACEMENTS)
     }
 
-    /// Domain-preferring wake-ups that woke a sleeper of the preferred domain.
+    /// Sleepers woken by a worker's wake for work it queued itself: a
+    /// [`WorkerContext::dispatch_ready`] onto its own deque ([`WaveQueue::Local`]) or a
+    /// [`WorkerContext::publish_loop`]. Wakes for the shared queues and from outside the pool
+    /// are not counted.
     pub fn targeted_wakes(&self) -> usize {
         self.sum(counter::TARGETED_WAKES)
-    }
-
-    /// Domain-preferring wake-ups that fell back to a sleeper of another domain.
-    pub fn fallback_wakes(&self) -> usize {
-        self.sum(counter::FALLBACK_WAKES)
     }
 }
 
@@ -444,16 +370,15 @@ impl<T: Send + 'static> Shared<T> {
         pushed
     }
 
-    /// The one wake call of a dispatch: `count` units of work became available, preferably
-    /// for a sleeper of `prefer` (the domain whose deque holds them). Only domain-preferring
-    /// wakes feed the `targeted_wakes` / `fallback_wakes` counters.
-    fn wake(&self, count: usize, prefer: Option<usize>) {
-        let (hit, fallback) = self.sleep.notify_many(count, prefer);
-        if prefer.is_some() && hit + fallback > 0 {
-            self.stats.dispatch.add(counter::TARGETED_WAKES, hit as u64);
+    /// The one wake call of a dispatch: `count` units of work became available. `targeted`
+    /// marks a worker's wake for work it queued itself, the only wakes `targeted_wakes`
+    /// counts.
+    fn wake(&self, count: usize, targeted: bool) {
+        let woken = self.sleep.notify_many(count);
+        if targeted && woken > 0 {
             self.stats
                 .dispatch
-                .add(counter::FALLBACK_WAKES, fallback as u64);
+                .add(counter::TARGETED_WAKES, woken as u64);
         }
     }
 
@@ -493,7 +418,6 @@ pub struct WorkerContext<'a, T: Send + 'static> {
     successor_slot: &'a Cell<Option<T>>,
     rng: &'a RefCell<SmallRng>,
     index: usize,
-    domain: usize,
 }
 
 impl<T: Send + 'static> ThreadPool<T> {
@@ -552,7 +476,7 @@ impl<T: Send + 'static> ThreadPool<T> {
         let shared = Arc::new(Shared {
             injector: Injector::new(),
             stealers,
-            sleep: SleepState::new(policy.domain_count(workers)),
+            sleep: SleepState::new(),
             shutdown: AtomicBool::new(false),
             stats: PoolStats::default(),
             workers,
@@ -624,7 +548,7 @@ impl<T: Send + 'static> ThreadPool<T> {
     /// once.
     pub fn submit_batch(&self, jobs: impl IntoIterator<Item = T>) {
         let count = self.shared.enqueue(None, jobs, false);
-        self.shared.wake(count, None);
+        self.shared.wake(count, false);
     }
 
     /// Publishes an in-progress data-parallel loop from *outside* the pool (the owner is not
@@ -633,7 +557,7 @@ impl<T: Send + 'static> ThreadPool<T> {
     /// then call [`ThreadPool::retire_loop`].
     pub fn publish_loop(&self, desc: Arc<LoopDescriptor>) {
         self.shared.assist.publish(desc);
-        self.shared.wake(self.shared.workers, None);
+        self.shared.wake(self.shared.workers, false);
     }
 
     /// Removes a quiescent loop from the assist registry (see [`ThreadPool::publish_loop`]).
@@ -701,12 +625,6 @@ impl<T: Send + 'static> ThreadPool<T> {
                 "pool accounting: every executed job must come from exactly one source \
                  (slot + local + injector + stolen)"
             );
-            let stolen = stats.stolen();
-            let split = stats.stolen_same_domain() + stats.stolen_cross_domain();
-            debug_assert_eq!(
-                stolen, split,
-                "pool accounting: every steal is either same-domain or cross-domain"
-            );
             let assist_chunks = stats.assist_chunks.load(Relaxed);
             let assist_steals = stats.assist_steals.load(Relaxed);
             let assisted_loops = stats.assisted_loops.load(Relaxed);
@@ -744,11 +662,6 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         self.index
     }
 
-    /// Locality domain of the current worker (always 0 for non-hierarchical policies).
-    pub fn domain(&self) -> usize {
-        self.domain
-    }
-
     /// Places one ready job produced mid-body (a spawn-time-ready task):
     /// [`WorkerContext::dispatch_ready`] with a wave of one and no successor hint.
     pub fn dispatch_spawned(&self, job: T) {
@@ -757,8 +670,7 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
 
     /// The one dispatch routine, driven by the pool's [`Placement`] row: the successor (taken
     /// iff the wave is hinted and the row has a slot) goes to this worker's slot, everything
-    /// else to the row's wave queue, then one wake call whose domain preference follows the
-    /// queue.
+    /// else to the row's wave queue, then one wake call.
     ///
     /// `successor_hint` marks the wave as produced by a *finished* job (its first entry is the
     /// immediate successor of §VIII-A); waves produced mid-body (the `release` directive) pass
@@ -787,8 +699,7 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
                     .enqueue(Some(self.deque), std::iter::once(displaced), true);
             }
         }
-        self.shared
-            .wake(queued, (wave == WaveQueue::Local).then_some(self.domain));
+        self.shared.wake(queued, wave == WaveQueue::Local);
     }
 
     /// Whether `pred` holds for the job this worker takes next from its own structures: the
@@ -851,7 +762,7 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
             if self.assist_once() {
                 continue;
             }
-            shared.sleep.sleep(self.domain, epoch, waiter, exit, || {
+            shared.sleep.sleep(epoch, waiter, exit, || {
                 PoolStats::bump(&shared.stats.sleeps)
             });
         }
@@ -859,12 +770,11 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
 
     /// Publishes an in-progress data-parallel loop registered by the task running on this
     /// worker, and recruits every parked worker through the epoch protocol (a published loop
-    /// is claimable by *all* of them — the wake count is the pool size, domain-preferring so
-    /// hierarchical sleepers near the owner wake first). The owner must drive the loop to
-    /// quiescence and then call [`WorkerContext::retire_loop`].
+    /// is claimable by *all* of them — the wake count is the pool size). The owner must drive
+    /// the loop to quiescence and then call [`WorkerContext::retire_loop`].
     pub fn publish_loop(&self, desc: Arc<LoopDescriptor>) {
         self.shared.assist.publish(desc);
-        self.shared.wake(self.shared.workers, Some(self.domain));
+        self.shared.wake(self.shared.workers, true);
     }
 
     /// Removes a quiescent loop from the assist registry (see
@@ -874,15 +784,12 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
     }
 
     /// The idle path's **assist** step, ranked below every task source (successor slot →
-    /// local deque → injector → steal) and above sleep: picks a published loop — same-domain
-    /// first under [`StealOrder::Nearest`], round-robin over loops (and
-    /// therefore tenants) otherwise — and runs chunks until the loop is drained or shutdown
-    /// is requested. Returns whether at least one chunk was executed (the worker then rescans
-    /// the task sources before assisting again, preserving the priority order).
+    /// local deque → injector → steal) and above sleep: picks a published loop, round-robin
+    /// over loops (and therefore tenants), and runs chunks until the loop is drained or
+    /// shutdown is requested. Returns whether at least one chunk was executed (the worker then
+    /// rescans the task sources before assisting again, preserving the priority order).
     fn assist_once(&self) -> bool {
-        let prefer = matches!(self.shared.placement.steal, StealOrder::Nearest { .. })
-            .then_some(self.domain);
-        let Some(desc) = self.shared.assist.select(prefer) else {
+        let Some(desc) = self.shared.assist.select() else {
             return false;
         };
         let stats = &self.shared.stats;
@@ -959,72 +866,22 @@ impl<'a, T: Send + 'static> WorkerContext<'a, T> {
         }
     }
 
-    /// One pass over the steal victims in the placement's order.
+    /// One randomized sweep over the other workers' deques, each steal also refilling this
+    /// worker's deque.
     fn try_steal(&self, retry: &mut bool) -> Option<T> {
         let victims = self.shared.stealers.len();
-        if victims <= 1 {
+        if victims <= 1 || self.shared.placement.steal == StealOrder::None {
             return None;
         }
-        let is_self = |victim| victim == self.index;
-        match self.shared.placement.steal {
-            StealOrder::None => None,
-            StealOrder::Flat => self.steal_pass(
-                retry,
-                0..victims,
-                true,
-                is_self,
-                counter::STOLEN_SAME_DOMAIN,
-            ),
-            StealOrder::Nearest { domain_size } => {
-                let size = domain_size.clamp(1, victims);
-                let own = self.domain * size..victims.min((self.domain + 1) * size);
-                // Nearest first: single-job steals inside the domain (fine-grained, keeps the
-                // victim's backlog — and its locality — mostly intact), then batch migration
-                // across domains (amortise the cross-domain traffic by moving a chunk of the
-                // victim's backlog over in one steal).
-                self.steal_pass(
-                    retry,
-                    own.clone(),
-                    false,
-                    is_self,
-                    counter::STOLEN_SAME_DOMAIN,
-                )
-                .or_else(|| {
-                    let in_own = |victim| own.contains(&victim);
-                    let cross = counter::STOLEN_CROSS_DOMAIN;
-                    self.steal_pass(retry, 0..victims, true, in_own, cross)
-                })
-            }
-        }
-    }
-
-    /// One randomized sweep over `victims`, skipping those `skip` rejects: single-job steals,
-    /// or (`batch`) steals that also refill this worker's deque. `split` is the
-    /// same/cross-domain sub-counter a successful steal is attributed to.
-    fn steal_pass(
-        &self,
-        retry: &mut bool,
-        victims: Range<usize>,
-        batch: bool,
-        skip: impl Fn(usize) -> bool,
-        split: usize,
-    ) -> Option<T> {
-        let start = self.rng.borrow_mut().gen_range(0..victims.len());
-        for offset in 0..victims.len() {
-            let victim = victims.start + (start + offset) % victims.len();
-            if skip(victim) {
+        let start = self.rng.borrow_mut().gen_range(0..victims);
+        for offset in 0..victims {
+            let victim = (start + offset) % victims;
+            if victim == self.index {
                 continue;
             }
-            let stealer = &self.shared.stealers[victim];
-            let stolen = if batch {
-                stealer.steal_batch_and_pop(self.deque)
-            } else {
-                stealer.steal()
-            };
-            match stolen {
+            match self.shared.stealers[victim].steal_batch_and_pop(self.deque) {
                 Steal::Success(job) => {
                     self.shared.stats.count(counter::STOLEN);
-                    self.shared.stats.count(split);
                     return Some(job);
                 }
                 Steal::Retry => *retry = true,
@@ -1052,7 +909,6 @@ fn worker_main<T: Send + 'static>(
         successor_slot: &successor_slot,
         rng: &rng,
         index,
-        domain: shared.policy.domain_of(index, shared.workers),
     };
 
     ctx.work_loop(false, || false);
@@ -1103,8 +959,7 @@ mod tests {
     }
 
     /// Counter identity: every executed job was acquired from exactly one source
-    /// (`executed == slot + local + injector + stolen`) and every steal is classified by
-    /// domain. Sound only at quiescence (`executed` is bumped before the source counter), so
+    /// (`executed == slot + local + injector + stolen`). Sound only at quiescence (`executed` is bumped before the source counter), so
     /// the assertion runs after `shutdown` joins the workers — the same checkpoint where the
     /// pool's own `debug_assert`s fire.
     #[test]
@@ -1130,11 +985,6 @@ mod tests {
             + stats.from_injector()
             + stats.stolen();
         assert_eq!(executed, sourced, "each job comes from exactly one source");
-        assert_eq!(
-            stats.stolen(),
-            stats.stolen_same_domain() + stats.stolen_cross_domain(),
-            "each steal is same-domain or cross-domain"
-        );
     }
 
     #[test]
@@ -1300,12 +1150,6 @@ mod tests {
             let acquired =
                 s.from_successor_slot() + s.from_local() + s.from_injector() + s.stolen();
             assert_eq!(acquired, expected, "policy {}", policy.name());
-            assert_eq!(
-                s.stolen(),
-                s.stolen_same_domain() + s.stolen_cross_domain(),
-                "policy {}: steals must split into same- and cross-domain",
-                policy.name()
-            );
             if !policy.uses_successor_slot() {
                 assert_eq!(
                     s.from_successor_slot(),
@@ -1628,7 +1472,6 @@ mod tests {
                 0..256,
                 4,
                 1,
-                ctx.domain(),
                 move |s, e| {
                     sum.fetch_add(e - s, Ordering::Relaxed);
                     std::thread::sleep(Duration::from_micros(200));
@@ -1700,40 +1543,7 @@ mod tests {
         assert_eq!(stats.from_local(), 16);
     }
 
-    /// Hierarchical stealing keeps the counters consistent and executes everything; domain
-    /// arithmetic is pinned separately (which domain wins a steal is timing-dependent).
-    #[test]
-    fn hierarchical_policy_executes_and_splits_steal_counters() {
-        let policy = SchedulingPolicy::HierarchicalSteal { domain_size: 2 };
-        assert_eq!(policy.domain_count(4), 2);
-        assert_eq!(policy.domain_of(0, 4), 0);
-        assert_eq!(policy.domain_of(1, 4), 0);
-        assert_eq!(policy.domain_of(2, 4), 1);
-        assert_eq!(policy.domain_of(3, 4), 1);
-
-        let done = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&done);
-        let pool: ThreadPool<u32> = ThreadPool::with_policy(4, policy, move |fanout, ctx| {
-            c.fetch_add(1, Ordering::SeqCst);
-            if fanout > 0 {
-                // Pile work on the producing worker's deque so the others must steal.
-                for _ in 0..8 {
-                    ctx.dispatch_spawned(fanout - 1);
-                }
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        });
-        pool.submit(2);
-        let expected = 1 + 8 + 64;
-        assert!(wait_for(
-            || done.load(Ordering::SeqCst) == expected,
-            Duration::from_secs(10)
-        ));
-        let s = pool.stats();
-        assert_eq!(s.stolen(), s.stolen_same_domain() + s.stolen_cross_domain());
-    }
-
-    /// The inventory table in `docs/scheduling.md` is the definition of the five policies:
+    /// The inventory table in `docs/scheduling.md` is the definition of the four policies:
     /// every resolved [`Placement`] row must read exactly as its documented row.
     #[test]
     fn placement_rows_match_the_documented_table() {
@@ -1769,10 +1579,6 @@ mod tests {
         }
         assert_eq!(SchedulingPolicy::from_name("nope"), None);
         assert_eq!(SchedulingPolicy::default(), SchedulingPolicy::LocalitySlot);
-        // Degenerate domain sizes clamp instead of dividing by zero.
-        let degenerate = SchedulingPolicy::HierarchicalSteal { domain_size: 0 };
-        assert_eq!(degenerate.domain_size(4), 1);
-        assert_eq!(SchedulingPolicy::hierarchical().domain_size(2), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The pool's two blocking-wait protocols: the epoch-guarded sleep of its workers
-//! ([`SleepState`], with per-domain wake targeting) and the waiter-gated predicate gate every
-//! *other* thread blocks on ([`Gate`]: job completion, cancellation, admission).
+//! ([`SleepState`]: one sleeper population on one condvar) and the waiter-gated predicate gate
+//! every *other* thread blocks on ([`Gate`]: job completion, cancellation, admission).
 //!
 //! The sleep protocol follows the classic epoch-guarded condition-variable pattern (see *Rust
 //! Atomics and Locks*, ch. 9): a worker records the wake epoch *before* scanning the queues; if
@@ -12,14 +12,6 @@
 //! read sees the registration — and then it takes the mutex, which the sleeper holds from its
 //! registration until the wait releases it, and notifies — or the sleeper's epoch re-read sees
 //! the bump and it does not wait. Wake-ups are never lost.
-//!
-//! For the hierarchical scheduling policy the sleepers are additionally grouped into **locality
-//! domains**: every worker waits on its domain's condition variable (all condvars share the one
-//! park mutex, so the lost-wake-up argument is unchanged), and a notify carrying a preferred
-//! domain wakes a sleeper *from that domain* when one exists — the woken worker's first steal
-//! scan starts at the queues of the notifying worker's own domain, so the warm data stays
-//! inside the domain whenever it can. When the preferred domain has no sleeper the notify falls
-//! back to any domain with one (work must never be stranded to preserve locality).
 //!
 //! A worker may also sleep against an **exit predicate of its caller's** (a `taskwait`: "my
 //! children drained") — it is the same sleeper in the same population, woken by the same
@@ -40,52 +32,45 @@
 #[cfg(not(feature = "loom-model"))]
 use parking_lot::{Condvar, Mutex};
 #[cfg(not(feature = "loom-model"))]
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 
 #[cfg(feature = "loom-model")]
-use loom_lite::sync::atomic::{AtomicU64, AtomicUsize, Ordering, Ordering::SeqCst};
+use loom_lite::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 #[cfg(feature = "loom-model")]
 use loom_lite::sync::{Condvar, Mutex};
-
-/// Sleep state of one locality domain: its condvar plus the number of workers currently
-/// blocked on it. The counter is mutated only while the park mutex is held; it is an atomic
-/// solely so `SleepState` stays `Sync` without wrapping the whole vector in the mutex.
-struct DomainSleep {
-    condvar: Condvar,
-    sleepers: AtomicUsize,
-}
 
 /// Shared sleep state for all workers of a pool.
 pub struct SleepState {
     /// The wake epoch: bumped by every notify, read by workers before they scan.
     epoch: AtomicU64,
-    /// Guards nothing but the sleeps: the domain condvars wait on it, and the per-domain
-    /// sleeper counts change only under it.
+    /// Guards nothing but the sleeps: `condvar` waits on it, and `sleepers` changes only under
+    /// it.
     park: Mutex<()>,
-    /// Workers between their registration under `park` and their return from the wait, in
-    /// every domain. Notifies read it (`SeqCst`, after their epoch bump) to skip the mutex
-    /// while nobody sleeps.
+    condvar: Condvar,
+    /// Workers between their registration under `park` and their return from the wait. Notifies
+    /// read it (`SeqCst`, after their epoch bump) to skip the mutex while nobody sleeps. A
+    /// worker that finds the epoch moved deregisters before it releases `park`, so under `park`
+    /// it counts exactly the workers in (or being released from) the condvar wait.
     sleepers: AtomicUsize,
-    domains: Vec<DomainSleep>,
     /// Sleepers parked (or about to park) against an exit predicate of their caller's; see the
     /// module docs for the registration protocol.
     waiters: AtomicUsize,
 }
 
+impl Default for SleepState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SleepState {
-    /// Creates the sleep state for `domains` locality domains (non-hierarchical policies use a
-    /// single domain, which makes every notify trivially "targeted").
-    pub fn new(domains: usize) -> Self {
+    /// Creates the sleep state of a pool with no worker asleep.
+    pub fn new() -> Self {
         SleepState {
             epoch: AtomicU64::new(0),
             park: Mutex::new(()),
+            condvar: Condvar::new(),
             sleepers: AtomicUsize::new(0),
-            domains: (0..domains.max(1))
-                .map(|_| DomainSleep {
-                    condvar: Condvar::new(),
-                    sleepers: AtomicUsize::new(0),
-                })
-                .collect(),
             waiters: AtomicUsize::new(0),
         }
     }
@@ -95,59 +80,35 @@ impl SleepState {
         self.epoch.load(SeqCst)
     }
 
-    /// Signals that `count` units of work became available, waking up to `count` workers —
-    /// sleepers of `preferred` (the domain whose queues hold the work) first, then the
-    /// remaining domains: work is never stranded to preserve locality. Returns how many wakes
-    /// landed in the preferred domain (all of them, without a preference) and how many fell
-    /// back to another one; `(0, 0)` when nobody was asleep (the epoch bump alone prevents a
-    /// racing sleeper from blocking) — and then the park mutex is not taken.
-    pub fn notify_many(&self, count: usize, preferred: Option<usize>) -> (usize, usize) {
+    /// Signals that `count` units of work became available, waking up to `count` workers.
+    /// Returns how many sleepers it woke; 0 when nobody was asleep (the epoch bump alone
+    /// prevents a racing sleeper from blocking) — and then the park mutex is not taken.
+    pub fn notify_many(&self, count: usize) -> usize {
         if count == 0 {
-            return (0, 0);
+            return 0;
         }
         self.epoch.fetch_add(1, SeqCst);
         if self.sleepers.load(SeqCst) == 0 {
-            return (0, 0);
+            return 0;
         }
         let _park = self.park.lock();
-        let n = self.domains.len();
-        let start = preferred.unwrap_or(0).min(n - 1);
-        let mut remaining = count;
-        let (mut hit, mut miss) = (0usize, 0usize);
-        for offset in 0..n {
-            let d = (start + offset) % n;
-            let sleepers = self.domains[d].sleepers.load(Ordering::Relaxed);
-            if sleepers == 0 {
-                continue;
-            }
-            let woken = remaining.min(sleepers);
-            if woken == sleepers {
-                self.domains[d].condvar.notify_all();
-            } else {
-                for _ in 0..woken {
-                    self.domains[d].condvar.notify_one();
-                }
-            }
-            if preferred.is_none() || preferred == Some(d) {
-                hit += woken;
-            } else {
-                miss += woken;
-            }
-            remaining -= woken;
-            if remaining == 0 {
-                break;
+        let sleepers = self.sleepers.load(SeqCst);
+        let woken = count.min(sleepers);
+        if woken == sleepers {
+            self.condvar.notify_all();
+        } else {
+            for _ in 0..woken {
+                self.condvar.notify_one();
             }
         }
-        (hit, miss)
+        woken
     }
 
-    /// Wakes every worker in every domain (used for shutdown).
+    /// Wakes every worker (used for shutdown).
     pub fn notify_all(&self) {
         self.epoch.fetch_add(1, SeqCst);
         let _park = self.park.lock();
-        for domain in &self.domains {
-            domain.condvar.notify_all();
-        }
+        self.condvar.notify_all();
     }
 
     /// Signals that an exit predicate of some `waiter` sleeper may have flipped. Call strictly
@@ -158,23 +119,21 @@ impl SleepState {
         }
     }
 
-    /// Blocks the current worker (a member of `domain`) until the epoch advances past
-    /// `seen_epoch` (or immediately returns if it already has, or if `should_exit` is true).
-    /// `on_park` runs once, under the park mutex, right before the worker blocks — never when
-    /// the call returns at once — so a park is counted while it lasts.
+    /// Blocks the current worker until the epoch advances past `seen_epoch` (or immediately
+    /// returns if it already has, or if `should_exit` is true). `on_park` runs once, under the
+    /// park mutex, right before the worker blocks — never when the call returns at once — so a
+    /// park is counted while it lasts.
     ///
     /// `waiter` marks `should_exit` as a predicate of the caller's, whose flips are announced
     /// by [`Self::wake_waiters`]; without it the only event that may flip `should_exit` is one
     /// followed by an unconditional [`Self::notify_all`] (shutdown).
     pub fn sleep(
         &self,
-        domain: usize,
         seen_epoch: u64,
         waiter: bool,
         should_exit: impl Fn() -> bool,
         on_park: impl FnOnce(),
     ) {
-        let domain = &self.domains[domain.min(self.domains.len() - 1)];
         if waiter {
             self.waiters.fetch_add(1, SeqCst);
         }
@@ -185,9 +144,7 @@ impl SleepState {
             self.sleepers.fetch_add(1, SeqCst);
             if self.epoch.load(SeqCst) == seen_epoch {
                 on_park();
-                domain.sleepers.fetch_add(1, Ordering::Relaxed);
-                domain.condvar.wait(&mut park);
-                domain.sleepers.fetch_sub(1, Ordering::Relaxed);
+                self.condvar.wait(&mut park);
             }
             self.sleepers.fetch_sub(1, SeqCst);
         }
@@ -297,78 +254,56 @@ mod tests {
 
     #[test]
     fn sleep_returns_when_epoch_already_advanced() {
-        let s = SleepState::new(1);
+        let s = SleepState::new();
         let epoch = s.current_epoch();
-        s.notify_many(1, None);
+        s.notify_many(1);
         // Must not block, and is not a park.
-        assert!(!parks(|on_park| s.sleep(
-            0,
-            epoch,
-            false,
-            || false,
-            on_park
-        )));
+        assert!(!parks(|on_park| s.sleep(epoch, false, || false, on_park)));
     }
 
     #[test]
     fn sleep_returns_when_exit_requested() {
-        let s = SleepState::new(2);
+        let s = SleepState::new();
         let epoch = s.current_epoch();
-        assert!(!parks(|on_park| s.sleep(1, epoch, false, || true, on_park)));
+        assert!(!parks(|on_park| s.sleep(epoch, false, || true, on_park)));
     }
 
     #[test]
     fn notify_wakes_a_sleeper() {
-        let s = Arc::new(SleepState::new(1));
+        let s = Arc::new(SleepState::new());
         let s2 = Arc::clone(&s);
         let handle = std::thread::spawn(move || {
             let epoch = s2.current_epoch();
-            parks(|on_park| s2.sleep(0, epoch, false, || false, on_park))
+            parks(|on_park| s2.sleep(epoch, false, || false, on_park))
         });
         // Give the thread a moment to actually sleep, then wake it.
         std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(s.notify_many(1, None), (1, 0));
+        assert_eq!(s.notify_many(1), 1);
         assert!(handle.join().unwrap(), "the woken sleeper had parked");
     }
 
     #[test]
     fn notify_many_wakes_all_needed() {
-        let s = Arc::new(SleepState::new(2));
+        let s = Arc::new(SleepState::new());
         let mut handles = Vec::new();
-        for domain in 0..3 {
+        for _ in 0..3 {
             let s2 = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
                 let epoch = s2.current_epoch();
-                s2.sleep(domain % 2, epoch, false, || false, || {});
+                s2.sleep(epoch, false, || false, || {});
             }));
         }
         std::thread::sleep(Duration::from_millis(50));
-        let (hit, miss) = s.notify_many(10, Some(0));
-        assert_eq!(hit + miss, 3, "all three sleepers must be woken");
+        assert_eq!(s.notify_many(10), 3, "all three sleepers must be woken");
         for h in handles {
             h.join().unwrap();
         }
     }
 
     #[test]
-    fn notify_targets_the_preferred_domain_first() {
-        let s = Arc::new(SleepState::new(2));
-        let s2 = Arc::clone(&s);
-        let handle = std::thread::spawn(move || {
-            let epoch = s2.current_epoch();
-            s2.sleep(1, epoch, false, || false, || {});
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        // The only sleeper lives in domain 1: preferring 0 falls back to it (work must never
-        // be stranded for locality's sake).
-        assert_eq!(s.notify_many(1, Some(0)), (0, 1));
-        handle.join().unwrap();
-    }
-
-    #[test]
     fn no_sleeper_reports_no_sleeper() {
-        let s = SleepState::new(3);
-        assert_eq!(s.notify_many(1, Some(2)), (0, 0));
-        assert_eq!(s.notify_many(4, None), (0, 0));
+        let s = SleepState::new();
+        assert_eq!(s.notify_many(1), 0);
+        assert_eq!(s.notify_many(4), 0);
     }
 }

@@ -18,13 +18,13 @@ use weakdep_threadpool::sleep::SleepState;
 
 /// The worker side of the protocol, as `ThreadPool` runs it: read the epoch, scan for work,
 /// and only sleep when the scan found nothing and the epoch still matches.
-fn worker_loop(sleep: &SleepState, domain: usize, work: &AtomicBool) {
+fn worker_loop(sleep: &SleepState, work: &AtomicBool) {
     loop {
         let epoch = sleep.current_epoch();
         if work.load(Ordering::SeqCst) {
             return;
         }
-        sleep.sleep(domain, epoch, false, || false, || {});
+        sleep.sleep(epoch, false, || false, || {});
     }
 }
 
@@ -37,7 +37,7 @@ fn waiter_loop(sleep: &SleepState, done: &AtomicBool, registered: bool) {
         if done.load(Ordering::SeqCst) {
             return;
         }
-        sleep.sleep(0, epoch, registered, || done.load(Ordering::SeqCst), || {});
+        sleep.sleep(epoch, registered, || done.load(Ordering::SeqCst), || {});
     }
 }
 
@@ -50,7 +50,7 @@ fn predicate_flip_model(registered: bool) -> loom_lite::Report {
         .preemption_bound(3)
         .random_runs(500)
         .check(move || {
-            let sleep = Arc::new(SleepState::new(1));
+            let sleep = Arc::new(SleepState::new());
             let done = Arc::new(AtomicBool::new(false));
             let waiters: Vec<_> = (0..2)
                 .map(|_| {
@@ -91,24 +91,21 @@ fn unregistered_predicate_sleeper_is_caught_as_deadlock() {
 /// One worker, one producer: the submission (work flag + notify) must never be lost,
 /// whichever way it interleaves with the worker's scan-then-sleep.
 #[test]
-fn wake_is_never_lost_single_domain() {
+fn wake_is_never_lost() {
     let report = Checker::new()
         .preemption_bound(4)
         .random_runs(500)
         .check(|| {
-            let sleep = Arc::new(SleepState::new(1));
+            let sleep = Arc::new(SleepState::new());
             let work = Arc::new(AtomicBool::new(false));
             let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
-            let worker = thread::spawn(move || worker_loop(&s2, 0, &w2));
+            let worker = thread::spawn(move || worker_loop(&s2, &w2));
             work.store(true, Ordering::SeqCst);
-            sleep.notify_many(1, None);
+            sleep.notify_many(1);
             worker.join().unwrap();
         });
     report.assert_ok();
-    assert!(
-        report.exhausted,
-        "single-domain wake model should be exhaustible"
-    );
+    assert!(report.exhausted, "the wake model should be exhaustible");
 }
 
 /// Two workers, one shutdown broadcast: `notify_all` must release every sleeper regardless of
@@ -119,12 +116,12 @@ fn notify_all_releases_every_sleeper() {
         .preemption_bound(2)
         .random_runs(300)
         .check(|| {
-            let sleep = Arc::new(SleepState::new(1));
+            let sleep = Arc::new(SleepState::new());
             let work = Arc::new(AtomicBool::new(false));
             let workers: Vec<_> = (0..2)
                 .map(|_| {
                     let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
-                    thread::spawn(move || worker_loop(&s2, 0, &w2))
+                    thread::spawn(move || worker_loop(&s2, &w2))
                 })
                 .collect();
             work.store(true, Ordering::SeqCst);
@@ -136,51 +133,34 @@ fn notify_all_releases_every_sleeper() {
     report.assert_ok();
 }
 
-/// The hierarchical-policy invariant: a notify preferring domain 0 while the only sleeper
-/// lives in domain 1 must fall back and wake it — work is never stranded for locality's sake.
+/// Two sleepers on the one condvar, one producer waking as many as it queued work for:
+/// `notify_many(2)` must release both, however far each got toward its wait — the count
+/// `notify_many` reads under the park mutex covers every worker parked on the condvar.
 #[test]
-fn domain_fallback_never_strands_work() {
-    let report = Checker::new()
-        .preemption_bound(4)
-        .random_runs(500)
-        .check(|| {
-            let sleep = Arc::new(SleepState::new(2));
-            let work = Arc::new(AtomicBool::new(false));
-            let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
-            let worker = thread::spawn(move || worker_loop(&s2, 1, &w2));
-            work.store(true, Ordering::SeqCst);
-            let (hit, _fallback) = sleep.notify_many(1, Some(0));
-            // Whatever the interleaving, the wake must not claim a preferred-domain hit: the only
-            // possible sleeper is in domain 1.
-            assert_eq!(hit, 0);
-            worker.join().unwrap();
-        });
-    report.assert_ok();
-}
-
-/// `notify_many` with enough budget must wake sleepers across domains, not just the
-/// preferred one.
-#[test]
-fn notify_many_crosses_domains() {
+fn notify_many_wakes_as_many_as_asked() {
     let report = Checker::new()
         .preemption_bound(2)
         .random_runs(300)
         .check(|| {
-            let sleep = Arc::new(SleepState::new(2));
+            let sleep = Arc::new(SleepState::new());
             let work = Arc::new(AtomicBool::new(false));
             let workers: Vec<_> = (0..2)
-                .map(|domain| {
+                .map(|_| {
                     let (s2, w2) = (Arc::clone(&sleep), Arc::clone(&work));
-                    thread::spawn(move || worker_loop(&s2, domain, &w2))
+                    thread::spawn(move || worker_loop(&s2, &w2))
                 })
                 .collect();
             work.store(true, Ordering::SeqCst);
-            sleep.notify_many(2, Some(0));
+            sleep.notify_many(2);
             for w in workers {
                 w.join().unwrap();
             }
         });
     report.assert_ok();
+    assert!(
+        report.exhausted,
+        "the two-sleeper wake model should be exhaustible"
+    );
 }
 
 // ---------------------------------------------------------------------------------------------

@@ -15,7 +15,7 @@
 //!   - `leaf-lock`: one `Vec` operation under it — no other lock;
 //!   - `call-while-locked`: no dispatch, wake, pump or id filing under it.
 //! * `crates/threadpool/src/sleep.rs` — the **park mutex** (`….park.lock()`, which the workers'
-//!   condvars wait on; the wake epoch itself is an atomic) and the **gate mutex**
+//!   condvar waits on; the wake epoch itself is an atomic) and the **gate mutex**
 //!   (`….mutex.lock()`, the one `Gate` type behind job completion and admission):
 //!   - `leaf-lock`: both are leaves of the lock hierarchy — no other lock may be acquired
 //!     while one is held;
@@ -653,7 +653,7 @@ mod tests {
         let clean = r#"
             fn notify_one(&self) {
                 let _park = self.park.lock();
-                self.domains[d].condvar.notify_one();
+                self.condvar.notify_one();
             }
         "#;
         assert!(scan_source("sleep.rs", clean, sleep_classes()).is_empty());
@@ -920,7 +920,7 @@ mod tests {
             fn wake_under_registry(&self) {
                 let mut inner = self.loops.lock();
                 inner.loops.push(desc);
-                self.sleep.notify_many(workers, None);
+                self.sleep.notify_many(workers);
             }
             fn chunk_under_registry(&self) {
                 let mut inner = self.loops.lock();

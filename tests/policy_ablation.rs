@@ -1,7 +1,7 @@
 //! The Figure 3 policy ordering, asserted rather than eyeballed (ISSUE 5 acceptance): on the
-//! `nest-weak-release` Multiple-AXPY variant, the locality policies (`LocalitySlot`,
-//! `HierarchicalSteal`) must show a **strictly lower** simulated L2 miss ratio than the
-//! breadth-first `Fifo` baseline, while every policy produces identical kernel results.
+//! `nest-weak-release` Multiple-AXPY variant, the locality policy (`LocalitySlot`) must show a
+//! **strictly lower** simulated L2 miss ratio than the breadth-first `Fifo` baseline, while
+//! both produce identical kernel results.
 //!
 //! The configuration is the deterministic single-worker one (see `docs/scheduling.md`):
 //! vectors far larger than the simulated 256 KiB per-worker L2, leaf tasks well inside it, and
@@ -50,7 +50,6 @@ fn run_policy(policy: SchedulingPolicy) -> (f64, Vec<f64>, usize) {
 fn locality_policies_have_strictly_lower_miss_ratio_than_fifo() {
     let cfg = axpy_cfg();
     let (miss_local, result_local, hits_local) = run_policy(SchedulingPolicy::LocalitySlot);
-    let (miss_hier, result_hier, hits_hier) = run_policy(SchedulingPolicy::hierarchical());
     let (miss_fifo, result_fifo, hits_fifo) = run_policy(SchedulingPolicy::Fifo);
 
     // All policies compute the same kernel result (observational equivalence).
@@ -58,7 +57,6 @@ fn locality_policies_have_strictly_lower_miss_ratio_than_fifo() {
         axpy::verify(&cfg, &result_local),
         "LocalitySlot result is wrong"
     );
-    assert_eq!(result_local, result_hier, "HierarchicalSteal diverged");
     assert_eq!(result_local, result_fifo, "Fifo diverged");
 
     // The Figure 3 scheduling effect: exposing dependencies to a locality-aware scheduler
@@ -68,16 +66,9 @@ fn locality_policies_have_strictly_lower_miss_ratio_than_fifo() {
         miss_local < miss_fifo,
         "LocalitySlot miss ratio {miss_local:.4} must be strictly below Fifo {miss_fifo:.4}"
     );
-    assert!(
-        miss_hier < miss_fifo,
-        "HierarchicalSteal miss ratio {miss_hier:.4} must be strictly below Fifo {miss_fifo:.4}"
-    );
-    // Mechanism check, not just outcome: the slot policies actually chained successors, the
+    // Mechanism check, not just outcome: the slot policy actually chained successors, the
     // fifo baseline never touched the slot.
-    assert!(
-        hits_local > 0 && hits_hier > 0,
-        "slot policies must dispatch via the slot"
-    );
+    assert!(hits_local > 0, "the slot policy must dispatch via the slot");
     assert_eq!(hits_fifo, 0, "fifo must never use the successor slot");
 }
 
@@ -121,12 +112,6 @@ fn runtime_stats_accounting_identity_holds_for_every_policy() {
             s.tasks_executed,
             s.successor_slot_hits + s.local_pops + s.injector_pops + s.steals,
             "policy {}: acquisition sources must account for every executed task (stats: {s:?})",
-            policy.name()
-        );
-        assert_eq!(
-            s.steals,
-            s.steals_same_domain + s.steals_cross_domain,
-            "policy {}: steal counters must split cleanly",
             policy.name()
         );
         assert_eq!(s.policy, policy.name());

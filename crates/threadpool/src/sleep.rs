@@ -40,6 +40,13 @@ use loom_lite::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use loom_lite::sync::{Condvar, Mutex};
 
 /// Shared sleep state for all workers of a pool.
+///
+/// Padded to cache lines of its own: every dispatch that queues work bumps `epoch` and every
+/// idle scan reads it, so no other field of the pool may share its line. Unpadded, the pool's
+/// field layout decides its neighbours and, with them, how fast a woken worker reaches the
+/// queues — which the single-worker schedules of `fig3_policies` depend on (see
+/// `docs/scheduling.md`, "How cachesim makes Figure 3 reproducible on 1 CPU").
+#[repr(align(128))]
 pub struct SleepState {
     /// The wake epoch: bumped by every notify, read by workers before they scan.
     epoch: AtomicU64,
